@@ -27,7 +27,7 @@ from .coxeter import (
     cartan_data,
     centralizer_of_longest,
 )
-from .exactlinalg import DEFAULT_PRIME, QQ, PrimeField
+from .exactlinalg import DEFAULT_PRIME, QQ, LinalgError, PrimeField
 from .nichols_core import (
     AlgebraState,
     DEFAULT_MEMORY_BOUND,
@@ -84,7 +84,11 @@ def _system(args) -> RootSystem:
 
 def _field(args):
     if args.field == "prime":
-        return PrimeField(args.prime)
+        try:
+            return PrimeField(args.prime)
+        except LinalgError as e:
+            print(f"error: --prime: {e}", file=sys.stderr)
+            sys.exit(2)
     return QQ
 
 

@@ -282,10 +282,6 @@ class RootSystem:
         return GroupElement(self, tuple(images))
 
 
-def build_root_system(cartan: CartanData) -> RootSystem:
-    return RootSystem(cartan)
-
-
 class GroupElement:
     """A Weyl group element as the signed permutation of the positive roots."""
 

@@ -60,12 +60,42 @@ class RationalField:
         return "QQ"
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < 3215031751 (> 2**31)."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """Arithmetic facade for integers modulo a prime p > 2."""
+    """Arithmetic facade for integers modulo a prime 2 < p < 2**31.
+
+    The bound keeps every product of two residues inside int64, which the
+    dense kernels of ``modp`` rely on.
+    """
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p <= 2:
-            raise LinalgError("prime mode requires p > 2")
+        if not 2 < p < 2 ** 31:
+            raise LinalgError(f"prime mode requires 2 < p < 2**31, got {p}")
+        if not is_prime(p):
+            raise LinalgError(f"prime mode requires a prime modulus, got {p}")
         self.prime = p
         self.zero = 0
         self.one = 1

@@ -90,6 +90,15 @@ def mat_column(mat, j, nrows, field):
     return [row.get(j, field.zero) for row in mat]
 
 
+def mat_columns(mat, ncols):
+    """Column index of a row-dict matrix: the (row, value) pairs of each column."""
+    cols = [[] for _ in range(ncols)]
+    for r, row in enumerate(mat):
+        for c, v in row.items():
+            cols[c].append((r, v))
+    return cols
+
+
 def mat_eq(a, b):
     return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
 
@@ -147,7 +156,7 @@ def vec_scale(a, s, field):
 
 
 # ---------------------------------------------------------------------------
-# words, braiding, word-level derivatives
+# words and braiding
 # ---------------------------------------------------------------------------
 
 
@@ -179,35 +188,6 @@ def braid_apply(sys: RootSystem, word, i, inverse=False):
 def braid_transposition(sys: RootSystem, word, i, inverse=False) -> "TensorElement":
     sign, w = braid_apply(sys, word, i, inverse)
     return TensorElement(len(word), {w: Fraction(sign)})
-
-
-def word_left_derivative(sys: RootSystem, word, gamma):
-    """Signed words of D_gamma applied from the left, as (sign, word) pairs."""
-    out = []
-    g = gamma + 1
-    for i, a in enumerate(word):
-        if g == a + 1:
-            out.append((1, word[:i] + word[i + 1:]))
-        elif -g == a + 1:
-            out.append((-1, word[:i] + word[i + 1:]))
-        g = sys.reflect(a, g)
-    return out
-
-
-def word_right_derivative(sys: RootSystem, word, gamma):
-    """Signed words of the right derivative by gamma, as (sign, word) pairs."""
-    out = []
-    for i, a in enumerate(word):
-        if a == gamma:
-            sign = 1
-            tail = []
-            for b in word[i + 1:]:
-                s = sys.refl[gamma][b]
-                if s < 0:
-                    sign = -sign
-                tail.append(abs(s) - 1)
-            out.append((sign, word[:i] + tuple(tail)))
-    return out
 
 
 def act_on_word(w: GroupElement, word):
@@ -386,7 +366,6 @@ class AlgebraState:
         if n > self.degree_cap:
             raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
         prev = self.bases[n - 1]
-        prev2 = self.bases[n - 2] if n >= 2 else None
 
         # candidates x_a * b_j grouped by group degree, in canonical word order
         cands = []  # (word, a, j, class element)
@@ -400,8 +379,17 @@ class AlgebraState:
         for cand in cands:
             by_class.setdefault(cand[3], []).append(cand)
 
+        # column index of the previous degree's matrices; it lives only for
+        # this degree, so it adds nothing to the memory kept afterwards
+        dl_cols = {d: mat_columns(m, prev.dim) for d, m in prev.dleft.items()}
+        lm_cols = {a: mat_columns(m, self.bases[n - 2].dim) for a, m in prev.lmul.items()}
+        pos_in_class = [0] * prev.dim
+        for idxs in prev.classes.values():
+            for k, i in enumerate(idxs):
+                pos_in_class[i] = k
+
         coords_of = {}    # candidate word -> (chosen words, coordinates)
-        vector_of = {}    # kept word -> (vector, rows layout)
+        vector_of = {}    # kept word -> (sparse vector, (gamma, row) per position)
         kept_words = []
         for g in sorted(by_class, key=lambda e: e.images):
             block = by_class[g]
@@ -410,15 +398,17 @@ class AlgebraState:
             if nrows * len(block) > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {nrows * len(block)} entries")
-            vectors = [self._candidate_vector(n, cand, rows, offsets) for cand in block]
+            vectors = [self._candidate_vector(cand, offsets, dl_cols, lm_cols, pos_in_class)
+                       for cand in block]
             if field.prime is not None and len(block) > 8:
-                sel, coords = self._solve_block_modp(vectors)
+                sel, coords = self._solve_block_modp(vectors, nrows)
             else:
-                sel, coords = self._solve_block_generic(vectors)
+                sel, coords = self._solve_block_generic(vectors, nrows)
             chosen = [block[s][0] for s in sel]
             kept_words.extend(chosen)
+            row_ids = [(gam, glob) for gam, idxs in enumerate(rows) for glob in idxs]
             for s in sel:
-                vector_of[block[s][0]] = (vectors[s], rows)
+                vector_of[block[s][0]] = (vectors[s], row_ids)
             for ci, cand in enumerate(block):
                 coords_of[cand[0]] = (chosen, coords[ci])
 
@@ -443,17 +433,11 @@ class AlgebraState:
         # left-derivative matrices: the candidate vectors of kept words
         for gam in range(sys.nroots):
             basis.dleft[gam] = [dict() for _ in range(prev.dim)]
-        for w in kept_words:
-            i = word_pos[w]
-            vec, rows = vector_of[w]
-            pos = 0
-            for gam in range(sys.nroots):
-                block_rows = rows[gam]
-                for local, glob in enumerate(block_rows):
-                    v = vec[pos + local]
-                    if v:
-                        basis.dleft[gam][glob][i] = v
-                pos += len(block_rows)
+        for i, w in enumerate(kept_words):
+            vec, row_ids = vector_of[w]
+            for k, v in vec.items():
+                gam, glob = row_ids[k]
+                basis.dleft[gam][glob][i] = v
 
         self.bases.append(basis)
         if dim == 0:
@@ -473,69 +457,51 @@ class AlgebraState:
             pos += len(idxs)
         return rows, offsets
 
-    def _candidate_vector(self, n, cand, rows, offsets):
-        """Joint left-derivative vector of x_a * b_j in class-row layout."""
-        sys = self.system
+    def _candidate_vector(self, cand, offsets, dl_cols, lm_cols, pos_in_class):
+        """Joint left-derivative vector of x_a * b_j in class-row layout.
+
+        Block gamma holds D_gamma(x_a b_j) = [gamma = a] b_j
+        + sign * L_a D_delta(b_j) with s_a(gamma) = sign * delta.  Every
+        term of L_a D_delta(b_j) lies in the class of block gamma, so it
+        is scattered from the column indices of the previous degree.
+        Returns {position: value} without zeros.
+        """
         field = self.field
-        word, a, j, g = cand
-        prev = self.bases[n - 1]
-        total = offsets[-1] + len(rows[-1])
-        vec = [field.zero] * total
-        # delta term: block gamma = a holds e_j
-        local = {glob: k for k, glob in enumerate(rows[a])}
-        vec[offsets[a] + local[j]] = field.one
-        if n == 1:
-            return vec
-        prev_dl = prev.dleft
-        lm = prev.lmul[a]
-        for gam in range(sys.nroots):
-            s = sys.refl[a][gam]
-            delta = abs(s) - 1
-            dj = [row.get(j) for row in prev_dl[delta]]
-            if not any(v is not None for v in dj):
-                continue
-            # lmul(a) @ dleft(delta)[:, j], restricted to the class rows
-            block_rows = rows[gam]
-            base = offsets[gam]
-            for k, glob in enumerate(block_rows):
-                acc = field.zero
-                row = lm[glob]
-                for c, v in row.items():
-                    x = dj[c]
-                    if x:
-                        acc = field.add(acc, field.mul(v, x))
-                if acc:
-                    if s < 0:
-                        acc = field.neg(acc)
-                    vec[base + k] = field.add(vec[base + k], acc)
-        return vec
+        _, a, j, _ = cand
+        refl = self.system.refl[a]
+        lm = lm_cols[a]
+        acc = {offsets[a] + pos_in_class[j]: field.one}
+        for gam, base in enumerate(offsets):
+            s = refl[gam]
+            for c, x in dl_cols[abs(s) - 1][j]:
+                if s < 0:
+                    x = -x
+                for r, v in lm[c]:
+                    k = base + pos_in_class[r]
+                    acc[k] = acc.get(k, 0) + v * x
+        if field.prime is not None:
+            acc = {k: x % field.prime for k, x in acc.items()}
+        return {k: x for k, x in acc.items() if x}
 
-    def _solve_block_generic(self, vectors):
-        if not vectors:
-            return [], []
-        solver = ColumnSolver(len(vectors[0]), self.field)
-        sel = []
-        coords = []
-        for ci, v in enumerate(vectors):
-            if solver.add(v):
-                sel.append(ci)
-        for v in vectors:
-            coords.append(solver.coordinates(v))
-        return sel, coords
+    def _solve_block_generic(self, vectors, nrows):
+        solver = ColumnSolver(nrows, self.field)
+        sel = [ci for ci, v in enumerate(vectors) if solver.add(v)]
+        return sel, [solver.coordinates(v) for v in vectors]
 
-    def _solve_block_modp(self, vectors):
+    def _solve_block_modp(self, vectors, nrows):
         import numpy as np
 
         from . import modp
 
-        p = self.field.prime
-        if not vectors:
-            return [], []
-        a = np.array(vectors, dtype=np.int64).T % p
-        sel, coords = modp.greedy_solve(a, p)
-        sel = [int(s) for s in sel]
-        out = [[int(x) for x in coords[:, c]] for c in range(a.shape[1])]
-        return sel, out
+        rows, cols, vals = [], [], []
+        for ci, vec in enumerate(vectors):
+            rows.extend(vec)
+            cols.extend([ci] * len(vec))
+            vals.extend(vec.values())
+        a = np.zeros((nrows, len(vectors)), dtype=np.int64)
+        a[rows, cols] = vals
+        sel, coords = modp.greedy_solve(a, self.field.prime)
+        return sel.tolist(), coords.T.tolist()
 
     # -- lazily built structure matrices ----------------------------------
 
@@ -1080,21 +1046,6 @@ def starts_with_set(z: NicholsElement, theta) -> bool:
         for g in sorted(theta):
             lm = state.lmul(n, g)
             cols.extend(mat_column(lm, j, state.dim(n), field) for j in range(state.dim(n - 1)))
-        if _span_solver(state, cols, n).coordinates(v) is None:
-            return False
-    return True
-
-
-def ends_with_set(z: NicholsElement, theta) -> bool:
-    state = z.state
-    field = state.field
-    for n, v in z.components.items():
-        if n == 0:
-            return False
-        cols = []
-        for g in sorted(theta):
-            rm = state.rmul(n, g)
-            cols.extend(mat_column(rm, j, state.dim(n), field) for j in range(state.dim(n - 1)))
         if _span_solver(state, cols, n).coordinates(v) is None:
             return False
     return True

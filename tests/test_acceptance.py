@@ -246,7 +246,7 @@ def test_criterion_9_s5_prime_field_exploratory():
         s5.construct_all()
         assert s5.truncated and s5.finite_top is None
         dims = s5.dims()
-        assert len(dims) == 7  # degrees 0..6 all built
-        assert dims[:4] == [1, 10, 55, 220]
+        # [4]^4[5]^2[6]^4, the Hilbert series of E_5 (Fomin-Kirillov 1999)
+        assert dims == [1, 10, 55, 220, 711, 1960, 4761]
         for n in range(1, 4):
             assert symmetrizer_rank(s5.system, n, gf) == dims[n]

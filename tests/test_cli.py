@@ -156,6 +156,15 @@ def test_verify_all_prime_field():
     assert all(r["status"] in ("pass", "skipped") for r in data["reports"])
 
 
+def test_unsound_prime_exit_2():
+    # too small, composite, composite, and past the int64-safe bound 2**31
+    for p in ("2", "9", "15", "4294967311"):
+        code, out, err = run_cli("dims", "--rank", "2", "--field", "prime", "--prime", p)
+        assert code == 2, p
+        assert out == ""
+        assert "--prime: prime mode requires" in err and "Traceback" not in err
+
+
 def test_roots_and_hilbert():
     code, out, _ = run_cli("roots", "--rank", "2", "--format", "csv")
     assert code == 0

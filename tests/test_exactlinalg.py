@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from nwalgebra.exactlinalg import (
+    DEFAULT_PRIME,
     QQ,
     ColumnSolver,
+    LinalgError,
     PrimeField,
     SparseMatrix,
     in_span,
+    is_prime,
     kernel_basis,
     rank,
 )
@@ -102,8 +105,18 @@ def test_rank_agreement_random_50x50():
 
 
 def test_prime_field_requires_odd_prime():
-    with pytest.raises(Exception):
-        PrimeField(2)
+    # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; and moduli past 2**31
+    for p in (2, 9, 15, 2047, 1373653, 25326001, 2 ** 31 + 11, 4294967311):
+        with pytest.raises(LinalgError):
+            PrimeField(p)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in list(range(3000)) + list(range(DEFAULT_PRIME - 300, DEFAULT_PRIME + 1)):
+        assert is_prime(n) == trial(n), n
 
 
 def test_fractional_entries():

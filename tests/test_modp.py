@@ -1,4 +1,7 @@
-"""The numba kernels and the numpy fallback must agree bit for bit."""
+"""The greedy kernel and the numpy fallback must agree bit for bit.
+
+Without numba the kernel runs interpreted, as a plain-Python oracle.
+"""
 
 import numpy as np
 
@@ -7,11 +10,28 @@ from nwalgebra.exactlinalg import DEFAULT_PRIME
 
 
 def random_matrices(seed, count=25):
+    """Full-rank-ish, tall, wide, low-rank and sparse residue matrices."""
+    p = DEFAULT_PRIME
     rng = np.random.default_rng(seed)
     for _ in range(count):
         m = int(rng.integers(1, 30))
         c = int(rng.integers(1, 30))
-        yield rng.integers(0, DEFAULT_PRIME, size=(m, c), dtype=np.int64)
+        yield rng.integers(0, p, size=(m, c), dtype=np.int64)
+    for m, c in ((40, 3), (3, 40), (1, 17), (17, 1)):
+        yield rng.integers(0, p, size=(m, c), dtype=np.int64)
+    for _ in range(count):
+        # a product of rank k < min(m, c): most columns are dependent
+        m = int(rng.integers(2, 30))
+        c = int(rng.integers(2, 30))
+        k = int(rng.integers(1, min(m, c)))
+        left = rng.integers(0, p, size=(m, k)).astype(object)
+        right = rng.integers(0, p, size=(k, c)).astype(object)
+        yield ((left @ right) % p).astype(np.int64)
+    for _ in range(count):
+        # sparse +-1 entries, like the construction's candidate blocks
+        m = int(rng.integers(1, 30))
+        c = int(rng.integers(1, 30))
+        yield rng.choice(np.array([0, 0, 0, 1, p - 1]), size=(m, c))
 
 
 def test_greedy_solve_paths_agree():
@@ -43,18 +63,6 @@ def test_greedy_solve_reconstructs_columns():
             unit = np.zeros(len(sel), dtype=np.int64)
             unit[k] = 1
             assert np.array_equal(coords[:, c], unit)
-
-
-def test_matmul_matvec_mod():
-    p = 1009
-    rng = np.random.default_rng(2)
-    a = rng.integers(0, p, size=(7, 5), dtype=np.int64)
-    b = rng.integers(0, p, size=(5, 4), dtype=np.int64)
-    v = rng.integers(0, p, size=5, dtype=np.int64)
-    want = (a.astype(object) @ b.astype(object)) % p
-    assert np.array_equal(modp.matmul_mod(a, b, p).astype(object), want)
-    wantv = (a.astype(object) @ v.astype(object)) % p
-    assert np.array_equal(modp.matvec_mod(a, v, p).astype(object), wantv)
 
 
 def test_empty_matrix():

@@ -126,6 +126,21 @@ def test_prime_field_construction_matches_dims(s4):
     assert st.bases[4].words == s4.bases[4].words
 
 
+def test_prime_field_structure_matrices_match_rational(s4):
+    # every lmul/dleft entry over GF(p) is the rational one reduced mod p
+    gf = PrimeField()
+    st = AlgebraState(s4.system, field=gf)
+    st.construct_all()
+    assert st.dims() == s4.dims()
+    for bp, bq in zip(st.bases, s4.bases):
+        assert bp.words == bq.words
+        for mp, mq in ((bp.lmul, bq.lmul), (bp.dleft, bq.dleft)):
+            assert mp.keys() == mq.keys()
+            for key in mq:
+                want = [{c: gf.of(v) for c, v in row.items() if gf.of(v)} for row in mq[key]]
+                assert mp[key] == want, (bp.degree, key)
+
+
 # ---------------------------------------------------------------------------
 # multiplication, action, pairing
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import random
 from dataclasses import dataclass, field
 
 from .coxeter import GroupElement
-from .exactlinalg import SparseMatrix, in_span, kernel_basis
+from .exactlinalg import in_span, kernel_basis
 from .nichols_core import (
     AlgebraState,
+    CheckFailed,
     NicholsElement,
     antipode,
     antipode_inv,
@@ -100,7 +101,7 @@ def random_homogeneous(state: AlgebraState, rng, max_degree) -> NicholsElement:
             vec[i] = field_.of(c)
         if nonzero:
             return NicholsElement(state, {n: vec})
-    raise RuntimeError("could not sample a homogeneous element")
+    raise CheckFailed("could not sample a homogeneous element")
 
 
 def basis_elements(state: AlgebraState, n):
@@ -175,12 +176,7 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
     for n in range(1, top + 1):
         dim = state.dim(n)
         for a in range(sys.nroots):
-            dr = state.dright(n, a)
-            m = SparseMatrix(state.dim(n - 1), dim)
-            for r, row in enumerate(dr):
-                for c, v in row.items():
-                    m[r, c] = v
-            ker = kernel_basis(m, state.field)
+            ker = kernel_basis(state.dright(n, a), dim, state.field)
             rm = state.rho_matrix(n)
             for vec in ker:
                 img = mat_vec(rm, vec, state.field)
@@ -298,11 +294,7 @@ def _t_kernel_samples(state: AlgebraState, w: GroupElement, rng, count, max_degr
         if n >= 1:
             for a in tw:
                 rows.extend(state.dright(n, a))
-        m = SparseMatrix(len(rows), dim)
-        for r, row in enumerate(rows):
-            for c, val in row.items():
-                m[r, c] = val
-        ker = kernel_basis(m, field_)
+        ker = kernel_basis(rows, dim, field_)
         for _ in range(count):
             if not ker:
                 break
@@ -379,11 +371,7 @@ def _joint_kernel_samples(state: AlgebraState, matrices_by_degree, rng, count, m
         flat = []
         for mat in matrices_by_degree(n):
             flat.extend(mat)
-        m = SparseMatrix(len(flat), dim)
-        for r, row in enumerate(flat):
-            for c, val in row.items():
-                m[r, c] = val
-        ker = kernel_basis(m, field_)
+        ker = kernel_basis(flat, dim, field_)
         for _ in range(count):
             if not ker:
                 break
@@ -545,7 +533,7 @@ def bracket_matrix(d, ordering, state: AlgebraState):
     lwo = wo.length()
     params = {"order": r, "elements": [w.to_json() for w in ordering]}
     if state.finite_top is None or r * lwo > state.finite_top:
-        raise RuntimeError("bracket products exceed the constructed degrees")
+        raise CheckFailed("bracket products exceed the constructed degrees")
     ys = [y_element(w, state) for w in ordering]
     perms = sorted(it.permutations(range(r)))
     prods = {}

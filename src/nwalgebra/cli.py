@@ -7,8 +7,9 @@ seed is echoed, so identical configurations produce byte-identical
 stdout; wall times per phase go to stderr where they cannot perturb
 report comparisons.
 
-Exit codes: 0 success, 1 a check failed, 2 usage error, 3 degree cap or
-memory bound exceeded.
+Exit codes: 0 success, 1 a check failed (``CheckFailed``), 2 usage
+error, 3 degree cap or memory bound exceeded.  Any other exception is a
+crash and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .exactlinalg import DEFAULT_PRIME, QQ, LinalgError, PrimeField
 from .nichols_core import (
     AlgebraState,
     DEFAULT_MEMORY_BOUND,
+    CheckFailed,
     DegreeCapExceeded,
     MemoryBoundExceeded,
     pairing,
@@ -443,7 +445,7 @@ def main(argv=None):
     except CoxeterError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:
+    except CheckFailed as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
     phases.emit()

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import ENUMERATION_BOUND, GroupElement, RootSystem, centralizer_of_longest
-from .nichols_core import AlgebraState, NicholsElement, multiply
+from .nichols_core import AlgebraState, CheckFailed, NicholsElement, multiply
 
 
 @dataclass
@@ -159,9 +159,9 @@ def motiv_check(d: DisjointSystem, ordering, state: AlgebraState):
     r = d.order
     lwo = wo.length()
     if state.finite_top is None:
-        raise RuntimeError("integrality needs the fully constructed algebra")
+        raise CheckFailed("integrality needs the fully constructed algebra")
     if r * lwo > state.finite_top:
-        raise RuntimeError("product degree exceeds the top degree")
+        raise CheckFailed("product degree exceeds the top degree")
     ys = [y_element(w, state) for w in ordering]
     sign = -1 if lwo % 2 else 1
 

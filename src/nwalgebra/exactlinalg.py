@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rank, kernel bases, span membership and an incremental column solver.
-The rational path clears denominators and eliminates with integer
-cross-multiplication (dividing rows by their content), so no floating
-point and no rounding anywhere.  Elimination pivots are chosen by a
-minimal-fill heuristic with lowest-index tie-break, which makes every
-result reproducible across runs and platforms.
+One eliminator, :class:`ColumnSolver`, answers every exact question:
+rank, kernel bases and span membership.  It keeps the greedy set of
+independent columns in offer order, with the coordinates of each kept
+echelon vector over them, so the result depends only on the column
+order.  Matrices are lists of ``{col: value}`` row dicts; arithmetic
+goes through a field facade (``Fraction`` over Q, residues modulo a
+prime), so no floating point and no rounding enter anywhere.  The dense
+prime-field kernel of the graded construction lives in ``modp``.
 """
 
 from __future__ import annotations
@@ -136,218 +138,43 @@ class PrimeField:
 QQ = RationalField()
 
 
-class SparseMatrix:
-    """A sparse matrix as a (row, col) -> scalar map with no stored zeros."""
-
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self[r, c] = v
-
-    def __setitem__(self, key, value):
-        r, c = key
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise LinalgError("index out of range")
-        if value:
-            self.entries[r, c] = value
-        else:
-            self.entries.pop((r, c), None)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
-
-    def rows(self):
-        """Row-major sparse view: list of {col: value} dicts."""
-        out = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def columns(self):
-        out = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            out[c][r] = v
-        return out
-
-    def transpose(self) -> "SparseMatrix":
-        t = SparseMatrix(self.ncols, self.nrows)
-        for (r, c), v in self.entries.items():
-            t.entries[c, r] = v
-        return t
+def _columns(rows, ncols, field):
+    """Column dicts of a row-dict matrix, each entry passed through field.of once."""
+    cols = [dict() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            x = field.of(v)
+            if x:
+                cols[c][r] = x
+    return cols
 
 
-def _normalize_int_row(row: dict) -> dict:
-    """Divide an integer row by the gcd of its entries (sign-normalized)."""
-    from math import gcd
-
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    # make the lowest-index entry positive for determinism
-    lead = min(row)
-    if row[lead] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
+def rank(rows, ncols, field=QQ) -> int:
+    """Rank of a matrix given as a list of {col: value} row dicts."""
+    solver = ColumnSolver(len(rows), field)
+    for col in _columns(rows, ncols, field):
+        solver.add(col)
+    return solver.rank
 
 
-def _rational_rows(m: SparseMatrix):
-    """Rows rescaled to integers (denominators cleared, content divided out)."""
-    from math import gcd, lcm
-
-    rows = []
-    for r in m.rows():
-        if not r:
-            continue
-        den = 1
-        for v in r.values():
-            den = lcm(den, Fraction(v).denominator)
-        ints = {c: int(Fraction(v) * den) for c, v in r.items()}
-        rows.append(_normalize_int_row(ints))
-    return rows
-
-
-def _eliminate_int_rows(rows):
-    """Fraction-free forward elimination on integer rows.
-
-    Pivot selection: among remaining rows take (row, col) minimizing the
-    Markowitz fill estimate (nnz_row - 1) * (nnz_col - 1); ties broken by
-    lowest column then lowest row order.  Returns echelon rows as
-    (pivot_col, row_dict) pairs in elimination order.
-    """
-    rows = [dict(r) for r in rows if r]
-    echelon = []
-    while rows:
-        col_count = {}
-        for r in rows:
-            for c in r:
-                col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        for ri, r in enumerate(rows):
-            rw = len(r) - 1
-            for c in r:
-                score = (rw * (col_count[c] - 1), c, ri)
-                if best is None or score < best:
-                    best = score
-        _, pcol, pri = best
-        prow = rows.pop(pri)
-        pval = prow[pcol]
-        nxt = []
-        for r in rows:
-            v = r.get(pcol)
-            if v is None:
-                nxt.append(r)
-                continue
-            new = {c: x * pval for c, x in r.items()}
-            for c, pv in prow.items():
-                y = new.get(c, 0) - pv * v
-                if y:
-                    new[c] = y
-                else:
-                    new.pop(c, None)
-            if new:
-                nxt.append(_normalize_int_row(new))
-        rows = nxt
-        echelon.append((pcol, prow))
-    return echelon
-
-
-def _eliminate_field_rows(rows, field):
-    """Forward elimination over a prime field with the same pivot heuristic."""
-    rows = [dict(r) for r in rows if r]
-    echelon = []
-    while rows:
-        col_count = {}
-        for r in rows:
-            for c in r:
-                col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        for ri, r in enumerate(rows):
-            rw = len(r) - 1
-            for c in r:
-                score = (rw * (col_count[c] - 1), c, ri)
-                if best is None or score < best:
-                    best = score
-        _, pcol, pri = best
-        prow = rows.pop(pri)
-        pinv = field.inv(prow[pcol])
-        prow = {c: field.mul(v, pinv) for c, v in prow.items()}
-        nxt = []
-        for r in rows:
-            v = r.get(pcol)
-            if v is None:
-                nxt.append(r)
-                continue
-            new = dict(r)
-            for c, pv in prow.items():
-                y = field.sub(new.get(c, field.zero), field.mul(pv, v))
-                if y:
-                    new[c] = y
-                else:
-                    new.pop(c, None)
-            if new:
-                nxt.append(new)
-        rows = nxt
-        echelon.append((pcol, prow))
-    return echelon
-
-
-def _echelon(m: SparseMatrix, field):
-    if field.prime is None:
-        return _eliminate_int_rows(_rational_rows(m))
-    rows = [{c: field.of(v) for c, v in r.items()} for r in m.rows()]
-    rows = [{c: v for c, v in r.items() if v} for r in rows]
-    return _eliminate_field_rows(rows, field)
-
-
-def rank(m: SparseMatrix, field=QQ) -> int:
-    return len(_echelon(m, field))
-
-
-def kernel_basis(m: SparseMatrix, field=QQ):
+def kernel_basis(rows, ncols, field=QQ):
     """A deterministic basis of the right null space, as dense vectors.
 
-    Free columns are processed in increasing index order; each basis
-    vector has entry 1 at its free column.
+    Columns are offered to a :class:`ColumnSolver` in increasing index
+    order.  Each dependent column c gives the basis vector
+    e_c - sum coords * e_selected: entry 1 at c, zero at every other
+    dependent column.
     """
-    ech = _echelon(m, field)
-    # back-substitute to reduced form over the field
-    one = field.one
-    reduced = []  # (pivot_col, {col: val}) with val over the field
-    for pcol, row in reversed(ech):
-        if field.prime is None:
-            rr = {c: Fraction(v, row[pcol]) for c, v in row.items()}
-        else:
-            pinv = field.inv(row[pcol])
-            rr = {c: field.mul(v, pinv) for c, v in row.items()}
-        for qcol, qrow in reduced:
-            f = rr.pop(qcol, None)
-            if f is not None:
-                for c, v in qrow.items():
-                    x = field.sub(rr.get(c, field.zero), field.mul(f, v))
-                    if x:
-                        rr[c] = x
-                    else:
-                        rr.pop(c, None)
-        reduced.append((pcol, rr))
-    reduced.sort()
-    pivots = [p for p, _ in reduced]
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    solver = ColumnSolver(len(rows), field)
     basis = []
-    for fc in free:
-        vec = [field.zero] * m.ncols
-        vec[fc] = one
-        for pcol, row in reduced:
-            v = row.get(fc)
-            if v:
-                vec[pcol] = field.neg(v)
+    for c, col in enumerate(_columns(rows, ncols, field)):
+        if solver.add(col):
+            continue
+        vec = [field.zero] * ncols
+        vec[c] = field.one
+        for pos, x in zip(solver.selected, solver.coordinates(col)):
+            if x:
+                vec[pos] = field.neg(x)
         basis.append(vec)
     return basis
 

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 
 from .calculus import IdentityReport, _fail
 from .coxeter import GroupElement, centralizer_of_longest
-from .exactlinalg import SparseMatrix, kernel_basis
+from .exactlinalg import ColumnSolver, kernel_basis
 from .nichols_core import (
     AlgebraState,
+    CheckFailed,
     NicholsElement,
     element_to_json,
     group_act,
@@ -26,7 +27,7 @@ from .nichols_core import (
 from .nilcoxeter import embed_element, y_element
 
 
-class IntegralError(RuntimeError):
+class IntegralError(CheckFailed):
     pass
 
 
@@ -312,11 +313,7 @@ def hypothetical_space(state: AlgebraState, degree: int):
     for a in nonsimple_roots(state):
         rows.extend(_restrict_mul(state, degree, a, "left"))
         rows.extend(_restrict_mul(state, degree, a, "right"))
-    m = SparseMatrix(len(rows), dim)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            m[r, c] = v
-    return kernel_basis(m, field_)
+    return kernel_basis(rows, dim, field_)
 
 
 def _restrict_mul(state, degree, a, side):
@@ -399,16 +396,10 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
             for a in sub.theta:
                 mat = state.lmul(n + 1, a) if side == "left" else state.rmul(n + 1, a)
                 rows_all.append(mat)
-            m = SparseMatrix(len(rows_all) * state.dim(n + 1), len(basis_n))
-            for j, b in enumerate(basis_n):
-                r0 = 0
-                for mat in rows_all:
-                    col = mat_vec(mat, b, field_)
-                    for r, v in enumerate(col):
-                        if v:
-                            m[r0 + r, j] = v
-                    r0 += state.dim(n + 1)
-            if kernel_basis(m, field_):
+            solver = ColumnSolver(len(rows_all) * state.dim(n + 1), field_)
+            for b in basis_n:
+                solver.add([v for mat in rows_all for v in mat_vec(mat, b, field_)])
+            if solver.rank < len(basis_n):
                 return _fail(name, params, 0, None, degree=n, side=side,
                              note="a lower degree carries a one-dimensional ideal")
     notes.append(f"subalgebra dims {sub.dims}, top degree {top}")

@@ -42,6 +42,14 @@ class MemoryBoundExceeded(RuntimeError):
     pass
 
 
+class CheckFailed(RuntimeError):
+    """An engine check failed or its precondition does not hold (CLI exit 1)."""
+
+
+class TopDegreeMismatch(CheckFailed):
+    """The built degrees disagree with the known top degree of the type."""
+
+
 # ---------------------------------------------------------------------------
 # small dense-vector / sparse-matrix helpers (rows are {col: scalar} dicts)
 # ---------------------------------------------------------------------------
@@ -119,28 +127,6 @@ def mat_pow(a, k, field):
         base = mat_mul(base, base, field)
         k >>= 1
     return result
-
-
-def mat_inverse(a, field):
-    """Dense Gauss-Jordan inverse; raises if singular."""
-    n = len(a)
-    m = [[row.get(j, field.zero) for j in range(n)] for row in a]
-    inv = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = field.inv(m[col][col])
-        m[col] = [field.mul(x, f) for x in m[col]]
-        inv[col] = [field.mul(x, f) for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                g = m[r][col]
-                m[r] = [field.sub(x, field.mul(g, y)) for x, y in zip(m[r], m[col])]
-                inv[r] = [field.sub(x, field.mul(g, y)) for x, y in zip(inv[r], inv[col])]
-    return [{j: v for j, v in enumerate(row) if v} for row in inv]
 
 
 def vec_add(a, b, field):
@@ -291,7 +277,8 @@ class AlgebraState:
         label = system.cartan.type_label
         self.predicted_top = KNOWN_TOP.get(label)
         if degree_cap is None:
-            degree_cap = 10 ** 9 if self.predicted_top is not None else DEFAULT_DEGREE_CAP
+            degree_cap = (DEFAULT_DEGREE_CAP if self.predicted_top is None
+                          else self.predicted_top + 1)
         self.degree_cap = degree_cap
         self.memory_bound = memory_bound
         self.finite_top = None
@@ -439,6 +426,11 @@ class AlgebraState:
                 gam, glob = row_ids[k]
                 basis.dleft[gam][glob][i] = v
 
+        top = self.predicted_top
+        if top is not None and (n <= top) == (dim == 0):
+            what = "vanishes" if dim == 0 else "is nonzero"
+            raise TopDegreeMismatch(
+                f"degree {n} {what}, but the known top degree is {top}")
         self.bases.append(basis)
         if dim == 0:
             self.finite_top = n - 1
@@ -631,11 +623,20 @@ class AlgebraState:
         return basis._gram
 
     def gram_inv(self, n):
+        """Inverse Gram matrix: column i is the coordinate vector of e_i
+        over the Gram columns.  Raises ValueError if the Gram matrix is
+        singular."""
         basis = self.basis(n)
         if basis._gram_inv is None:
+            field = self.field
             g = self.gram(n)
-            gm = [{j: v for j, v in enumerate(row) if v} for row in g]
-            basis._gram_inv = mat_inverse(gm, self.field)
+            solver = ColumnSolver(basis.dim, field)
+            for j in range(basis.dim):
+                solver.add([row[j] for row in g])
+            if solver.rank < basis.dim:
+                raise ValueError("matrix is singular")
+            cols = [solver.coordinates({i: field.one}) for i in range(basis.dim)]
+            basis._gram_inv = mat_from_columns(cols, basis.dim, field)
         return basis._gram_inv
 
     def rho_matrix(self, n):
@@ -1138,32 +1139,6 @@ def _braid_lift_terms(sys, word, braid_word):
         s, w = braid_apply(sys, w, i)
         sign *= s
     return sign, w
-
-
-def symmetrizer_oracle(sys: RootSystem, n: int, memory_bound=DEFAULT_MEMORY_BOUND):
-    """The Woronowicz symmetrizer on all length-n words, as a sparse matrix.
-
-    Its rank over the field equals the dimension of the degree-n
-    component, independently of the derivative-based construction.
-    """
-    from .exactlinalg import SparseMatrix
-
-    nwords = sys.nroots ** n
-    if nwords * nwords > memory_bound:
-        raise MemoryBoundExceeded(f"{nwords} words exceed the memory bound")
-    words = list(itertools.product(range(sys.nroots), repeat=n))
-    index = {w: i for i, w in enumerate(words)}
-    perm_words = _permutation_words(n)
-    m = SparseMatrix(nwords, nwords)
-    for j, w in enumerate(words):
-        acc = {}
-        for bw in perm_words.values():
-            sign, img = _braid_lift_terms(sys, w, bw)
-            acc[img] = acc.get(img, 0) + sign
-        for img, c in acc.items():
-            if c:
-                m[index[img], j] = Fraction(c)
-    return m
 
 
 def symmetrizer_rank(sys: RootSystem, n: int, field=QQ,

@@ -7,6 +7,7 @@ from __future__ import annotations
 from .coxeter import GroupElement, RootSystem
 from .nichols_core import (
     AlgebraState,
+    CheckFailed,
     NicholsElement,
     coproduct_word_expansion,
     group_act,
@@ -14,7 +15,7 @@ from .nichols_core import (
 )
 
 
-class NilCoxeterError(RuntimeError):
+class NilCoxeterError(CheckFailed):
     pass
 
 

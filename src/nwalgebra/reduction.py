@@ -35,10 +35,10 @@ from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
 from .exactlinalg import ColumnSolver
-from .nichols_core import AlgebraState, NicholsElement, mat_column
+from .nichols_core import AlgebraState, CheckFailed, NicholsElement, mat_column
 
 
-class ReductionError(RuntimeError):
+class ReductionError(CheckFailed):
     pass
 
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -180,3 +182,15 @@ def test_phases_on_stderr_only():
     _, out, err = run_cli("dims", "--rank", "2")
     assert "[phase]" in err
     assert "[phase]" not in out
+
+
+def test_crash_is_not_a_check_failure(monkeypatch):
+    # only the engine's own check exceptions map to exit 1; a crash propagates
+    from nwalgebra import cli
+
+    def crash(args, phases):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_dims", crash)
+    with pytest.raises(RecursionError):
+        cli.main(["dims", "--rank", "2"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nwalgebra.coxeter import RootSystem, cartan_data
-from nwalgebra.exactlinalg import PrimeField, SparseMatrix, rank
+from nwalgebra.exactlinalg import PrimeField, rank
 from nwalgebra.nichols_core import (
     AlgebraState,
     NicholsElement,
@@ -29,7 +29,6 @@ from nwalgebra.nichols_core import (
     right_derivative,
     s_bar,
     starts_with,
-    symmetrizer_oracle,
     symmetrizer_rank,
     w_degree,
     w_degree_decompose,
@@ -104,13 +103,9 @@ def test_dims_s4(s4):
 
 
 def test_symmetrizer_oracle_small(a1, s3):
-    m = symmetrizer_oracle(s3.system, 1)
-    assert m.nrows == m.ncols == 3
-    assert rank(m) == 3
-    m = symmetrizer_oracle(a1.system, 2)
-    assert m.entries == {}
-    m = symmetrizer_oracle(s3.system, 2)
-    assert m.nrows == 9 and rank(m) == 4
+    assert symmetrizer_rank(s3.system, 1) == 3
+    assert symmetrizer_rank(a1.system, 2) == 0
+    assert symmetrizer_rank(s3.system, 2) == 4
 
 
 def test_symmetrizer_agrees_with_construction(s3, s4):
@@ -216,13 +211,22 @@ def test_gram_symmetric_nondegenerate(s3, s4):
         for n in range(top + 1):
             g = state.gram(n)
             dim = state.dim(n)
-            m = SparseMatrix(dim, dim)
             for i in range(dim):
                 for j in range(dim):
                     assert g[i][j] == g[j][i]
-                    if g[i][j]:
-                        m[i, j] = g[i][j]
-            assert rank(m) == dim
+            rows = [{j: v for j, v in enumerate(row) if v} for row in g]
+            assert rank(rows, dim) == dim
+
+
+def test_gram_inverse(s4):
+    # gram(n) * gram_inv(n) is the identity in every A3 degree, over Q and GF(p)
+    sp = AlgebraState(s4.system, field=PrimeField())
+    sp.construct_all()
+    for state in (s4, sp):
+        field = state.field
+        for n in range(state.finite_top + 1):
+            rows = [{j: v for j, v in enumerate(row) if v} for row in state.gram(n)]
+            assert mat_mul(rows, state.gram_inv(n), field) == mat_identity(state.dim(n), field)
 
 
 def test_pairing_w_invariance(s3):
@@ -480,7 +484,7 @@ def test_left_twisted_factorization(s4):
     # degree g factors out of left derivatives with a g-twist on the index
     import random as _random
 
-    from nwalgebra.exactlinalg import SparseMatrix, kernel_basis
+    from nwalgebra.exactlinalg import kernel_basis
     from nwalgebra.nichols_core import w_degree
 
     rng = _random.Random(29)
@@ -497,13 +501,8 @@ def test_left_twisted_factorization(s4):
         rows = []
         for t in theta:
             rows.extend(s4.dleft(n, t))
-        m = SparseMatrix(len(rows), len(idxs))
-        for r, row in enumerate(rows):
-            for local, i in enumerate(idxs):
-                v = row.get(i)
-                if v:
-                    m[r, local] = v
-        ker = kernel_basis(m, field)
+        m = [{local: row[i] for local, i in enumerate(idxs) if row.get(i)} for row in rows]
+        ker = kernel_basis(m, len(idxs), field)
         if not ker:
             continue
         vec = [field.zero] * basis.dim
@@ -615,13 +614,33 @@ def test_construction_memory_bound():
 
 
 def test_type_d_low_degrees():
-    # the construction is not tied to type A; dual paths agree for D4
+    # the construction is not tied to type A; dual paths and both lanes agree for D4
     sys = RootSystem(cartan_data("D", 4))
     st = AlgebraState(sys, degree_cap=3)
     st.ensure_degree(3)
     assert st.dim(1) == 12
     for n in (2, 3):
         assert symmetrizer_rank(sys, n) == st.dim(n)
+    gf = PrimeField()
+    sp = AlgebraState(sys, field=gf, degree_cap=3)
+    sp.ensure_degree(3)
+    assert sp.dims() == st.dims() == [1, 12, 82, 420]
+    for n in (2, 3):
+        assert symmetrizer_rank(sys, n, gf) == sp.dim(n)
+
+
+def test_known_top_guard(monkeypatch):
+    # A2 tops out at degree 4; a wrong known top fails loudly either way
+    from nwalgebra import cli, nichols_core
+    from nwalgebra.nichols_core import TopDegreeMismatch
+
+    for wrong in (3, 5):
+        monkeypatch.setitem(nichols_core.KNOWN_TOP, "A2", wrong)
+        st = AlgebraState(RootSystem(cartan_data("A", 2)))
+        assert st.degree_cap == wrong + 1
+        with pytest.raises(TopDegreeMismatch):
+            st.construct_all()
+        assert cli.main(["dims", "--rank", "2"]) == 1
 
 
 def test_degree_cap_raises():
@@ -638,4 +657,4 @@ def test_memory_bound_raises():
     from nwalgebra.nichols_core import MemoryBoundExceeded
 
     with pytest.raises(MemoryBoundExceeded):
-        symmetrizer_oracle(RootSystem(cartan_data("A", 3)), 4, memory_bound=100)
+        symmetrizer_rank(RootSystem(cartan_data("A", 3)), 4, memory_bound=100)

@@ -28,6 +28,8 @@ from .nichols_core import (
     mat_mul,
     mat_eq,
     mat_pow,
+    mat_stack,
+    mat_vec,
     multiply,
     pairing,
     rho,
@@ -171,15 +173,13 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
             return _fail(name, params, t, seed, formula="rho.D", xi=xi, z=z)
 
     # kernel equivalence per degree and generator
-    from .nichols_core import mat_vec
-
     for n in range(1, top + 1):
         dim = state.dim(n)
         for a in range(sys.nroots):
-            ker = kernel_basis(state.dright(n, a), dim, state.field)
+            ker = kernel_basis(state.dright(n, a), state.dim(n - 1), state.field)
             rm = state.rho_matrix(n)
             for vec in ker:
-                img = mat_vec(rm, vec, state.field)
+                img = mat_vec(rm, vec, dim, state.field)
                 ok, _ = in_span(img, ker, state.field)
                 if not ok:
                     return _fail(name, params, trials, seed, degree=n, root=a,
@@ -290,11 +290,8 @@ def _t_kernel_samples(state: AlgebraState, w: GroupElement, rng, count, max_degr
         dim = state.dim(n)
         if dim == 0:
             continue
-        rows = []
-        if n >= 1:
-            for a in tw:
-                rows.extend(state.dright(n, a))
-        ker = kernel_basis(rows, dim, field_)
+        blocks = [(state.dright(n, a), state.dim(n - 1)) for a in tw] if n >= 1 else []
+        ker = kernel_basis(*mat_stack(blocks, dim), field_)
         for _ in range(count):
             if not ker:
                 break
@@ -360,18 +357,16 @@ def check_ofbskew(state: AlgebraState, d, trials: int = 5, seed: int = 0,
     return IdentityReport(name, params, 0, "pass", None, seed)
 
 
-def _joint_kernel_samples(state: AlgebraState, matrices_by_degree, rng, count, max_degree):
-    """Random elements of the per-degree joint kernel of the given maps."""
+def _joint_kernel_samples(state: AlgebraState, blocks_by_degree, rng, count, max_degree):
+    """Random elements of the per-degree joint kernel of the given maps,
+    each given as a block (matrix, nrows)."""
     out = []
     field_ = state.field
     for n in range(0, max_degree + 1):
         dim = state.dim(n)
         if dim == 0:
             continue
-        flat = []
-        for mat in matrices_by_degree(n):
-            flat.extend(mat)
-        ker = kernel_basis(flat, dim, field_)
+        ker = kernel_basis(*mat_stack(blocks_by_degree(n), dim), field_)
         for _ in range(count):
             if not ker:
                 break
@@ -409,21 +404,20 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
                               ["top word does not fit under the degree bound"])
     tw = sorted(w.t_set())
 
-    def x13_rows(n):
-        return [state.dright(n, a) for a in tw] if n >= 1 else []
+    def x13_blocks(n):
+        return [(state.dright(n, a), state.dim(n - 1)) for a in tw] if n >= 1 else []
 
-    def x2_rows(n):
-        rows = x13_rows(n)
+    def x2_blocks(n):
+        blocks = x13_blocks(n)
         if n >= 1:
             ah = state.act_matrix(n, h)
-            from .nichols_core import mat_mul
-
-            rows = rows + [mat_mul(state.dright(n, a), ah, state.field) for a in tw]
-        return rows
+            blocks += [(mat_mul(state.dright(n, a), ah, state.field), state.dim(n - 1))
+                       for a in tw]
+        return blocks
 
     cap = min(top, max(0, budget))
-    s13 = _joint_kernel_samples(state, x13_rows, rng, 3, cap)
-    s2 = _joint_kernel_samples(state, x2_rows, rng, 3, cap)
+    s13 = _joint_kernel_samples(state, x13_blocks, rng, 3, cap)
+    s2 = _joint_kernel_samples(state, x2_blocks, rng, 3, cap)
     if not s13 or not s2:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])

@@ -335,10 +335,13 @@ def cmd_pairing(args, phases):
     from .nilcoxeter import embed_element
 
     state = _state(args)
+    elements = state.system.elements()
+    if len(elements) ** 2 > args.memory_bound:
+        raise MemoryBoundExceeded(
+            f"pairing: {len(elements)}^2 = {len(elements) ** 2} pairs exceed "
+            f"the memory bound {args.memory_bound}")
     state.construct_all()
     phases.mark("construct")
-    system = state.system
-    elements = system.elements()
     bad = []
     for u in elements:
         for v in elements:

@@ -4,10 +4,12 @@ One eliminator, :class:`ColumnSolver`, answers every exact question:
 rank, kernel bases and span membership.  It keeps the greedy set of
 independent columns in offer order, with the coordinates of each kept
 echelon vector over them, so the result depends only on the column
-order.  Matrices are lists of ``{col: value}`` row dicts; arithmetic
-goes through a field facade (``Fraction`` over Q, residues modulo a
-prime), so no floating point and no rounding enter anywhere.  The dense
-prime-field kernel of the graded construction lives in ``modp``.
+order.  Matrices are lists of ``{row: value}`` column dicts, the layout
+the graded construction produces.  Arithmetic goes through a field
+facade: residues modulo a prime, or rationals kept integer first (a
+Python ``int`` whenever the value is integral, a ``Fraction`` only
+otherwise), so no floating point and no rounding enter anywhere.  The
+dense prime-field kernel of the graded construction lives in ``modp``.
 """
 
 from __future__ import annotations
@@ -22,33 +24,51 @@ class LinalgError(ValueError):
     pass
 
 
+def _q(x):
+    """The integer-first form of a rational: its numerator when integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class RationalField:
-    """Arithmetic facade for exact rationals."""
+    """Arithmetic facade for exact rationals, integer first.
+
+    Every result is an ``int`` when it is integral and a ``Fraction``
+    otherwise, so integral matrices never pay for ``Fraction``.  Both
+    print alike: ``str(3) == str(Fraction(3))``.
+    """
 
     prime = None
+    zero = 0
+    one = 1
 
     @staticmethod
     def of(x):
-        return Fraction(x)
+        return x if type(x) is int else _q(Fraction(x))
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    #: the canonical value of a raw sum of products of field values
+    normalize = staticmethod(_q)
 
     @staticmethod
     def add(a, b):
-        return a + b
+        x = a + b
+        return x if type(x) is int else _q(x)
 
     @staticmethod
     def sub(a, b):
-        return a - b
+        x = a - b
+        return x if type(x) is int else _q(x)
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        x = a * b
+        return x if type(x) is int else _q(x)
 
     @staticmethod
     def div(a, b):
-        return a / b
+        # never a / b on two ints: that would be a float
+        if type(a) is int and type(b) is int and b and not a % b:
+            return a // b
+        return _q(Fraction(a, b))
 
     @staticmethod
     def neg(a):
@@ -56,7 +76,7 @@ class RationalField:
 
     @staticmethod
     def inv(a):
-        return 1 / Fraction(a)
+        return RationalField.div(1, a)
 
     def __repr__(self):
         return "QQ"
@@ -111,6 +131,9 @@ class PrimeField:
             return num * pow(den, self.prime - 2, self.prime) % self.prime
         return x % self.prime
 
+    def normalize(self, x):
+        return x % self.prime
+
     def add(self, a, b):
         return (a + b) % self.prime
 
@@ -138,36 +161,29 @@ class PrimeField:
 QQ = RationalField()
 
 
-def _columns(rows, ncols, field):
-    """Column dicts of a row-dict matrix, each entry passed through field.of once."""
-    cols = [dict() for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            x = field.of(v)
-            if x:
-                cols[c][r] = x
-    return cols
-
-
-def rank(rows, ncols, field=QQ) -> int:
-    """Rank of a matrix given as a list of {col: value} row dicts."""
-    solver = ColumnSolver(len(rows), field)
-    for col in _columns(rows, ncols, field):
-        solver.add(col)
+def rank(cols, nrows, field=QQ) -> int:
+    """Rank of a matrix given as a list of {row: value} column dicts."""
+    solver = ColumnSolver(nrows, field)
+    of = field.of
+    for col in cols:
+        solver.add({r: x for r, v in col.items() if (x := of(v))})
     return solver.rank
 
 
-def kernel_basis(rows, ncols, field=QQ):
+def kernel_basis(cols, nrows, field=QQ):
     """A deterministic basis of the right null space, as dense vectors.
 
-    Columns are offered to a :class:`ColumnSolver` in increasing index
-    order.  Each dependent column c gives the basis vector
-    e_c - sum coords * e_selected: entry 1 at c, zero at every other
-    dependent column.
+    The column dicts are offered to a :class:`ColumnSolver` in order,
+    each entry passed through ``field.of`` once.  Each dependent column
+    c gives the basis vector e_c - sum coords * e_selected: entry 1 at
+    c, zero at every other dependent column.
     """
-    solver = ColumnSolver(len(rows), field)
+    solver = ColumnSolver(nrows, field)
+    of = field.of
+    ncols = len(cols)
     basis = []
-    for c, col in enumerate(_columns(rows, ncols, field)):
+    for c, col in enumerate(cols):
+        col = {r: x for r, v in col.items() if (x := of(v))}
         if solver.add(col):
             continue
         vec = [field.zero] * ncols
@@ -221,15 +237,15 @@ class ColumnSolver:
         self._count = 0
 
     def _reduce(self, vec):
-        field = self.field
+        norm = self.field.normalize
         v = {i: x for i, x in enumerate(vec) if x} if not isinstance(vec, dict) else dict(vec)
-        coeffs = [field.zero] * len(self.vectors)
+        coeffs = [0] * len(self.vectors)
         for k, (p, ev) in enumerate(zip(self.pivots, self.vectors)):
             f = v.get(p)
             if f:
                 coeffs[k] = f
                 for c, x in ev.items():
-                    y = field.sub(v.get(c, field.zero), field.mul(f, x))
+                    y = norm(v.get(c, 0) - f * x)
                     if y:
                         v[c] = y
                     else:
@@ -248,16 +264,14 @@ class ColumnSolver:
         pinv = field.inv(v[p])
         ev = {c: field.mul(x, pinv) for c, x in v.items()}
         # expression of ev over kept columns: (column - sum coeffs*prior) * pinv
-        expr = {len(self.selected): pinv}
+        acc = {}
         for k, f in enumerate(coeffs):
             if f:
-                fv = field.mul(f, pinv)
                 for j, g in self.exprs[k].items():
-                    x = field.sub(expr.get(j, field.zero), field.mul(fv, g))
-                    if x:
-                        expr[j] = x
-                    else:
-                        expr.pop(j, None)
+                    acc[j] = acc.get(j, 0) - f * g
+        norm = field.normalize
+        expr = {j: y for j, x in acc.items() if (y := norm(x * pinv))}
+        expr[len(self.selected)] = pinv
         self.pivots.append(p)
         self.vectors.append(ev)
         self.exprs.append(expr)
@@ -266,16 +280,16 @@ class ColumnSolver:
 
     def coordinates(self, vec):
         """Coefficients over the kept columns, or None if not in their span."""
-        field = self.field
         v, coeffs = self._reduce(vec)
         if v:
             return None
-        out = [field.zero] * len(self.selected)
+        out = [0] * len(self.selected)
         for k, f in enumerate(coeffs):
             if f:
                 for j, g in self.exprs[k].items():
-                    out[j] = field.add(out[j], field.mul(f, g))
-        return out
+                    out[j] += f * g
+        norm = self.field.normalize
+        return [norm(x) for x in out]
 
     @property
     def rank(self) -> int:

@@ -17,6 +17,7 @@ from .nichols_core import (
     element_to_json,
     group_act,
     involves_only,
+    mat_stack,
     mat_vec,
     multiply,
     pairing,
@@ -306,22 +307,23 @@ def hypothetical_space(state: AlgebraState, degree: int):
     dim = state.dim(degree)
     if dim == 0:
         return []
-    rows = []
+    blocks = []
     if degree >= 1:
         for i in range(sys.rank):
-            rows.extend(state.dright(degree, sys.simple_index[i]))
+            blocks.append((state.dright(degree, sys.simple_index[i]), state.dim(degree - 1)))
     for a in nonsimple_roots(state):
-        rows.extend(_restrict_mul(state, degree, a, "left"))
-        rows.extend(_restrict_mul(state, degree, a, "right"))
-    return kernel_basis(rows, dim, field_)
+        blocks += _restrict_mul(state, degree, a, "left")
+        blocks += _restrict_mul(state, degree, a, "right")
+    return kernel_basis(*mat_stack(blocks, dim), field_)
 
 
 def _restrict_mul(state, degree, a, side):
+    """Multiplication by x_a out of the given degree, as a list of at
+    most one block (matrix, nrows); empty past the top degree."""
     if state.finite_top is not None and degree + 1 > state.finite_top:
         return []
-    if side == "left":
-        return state.lmul(degree + 1, a)
-    return state.rmul(degree + 1, a)
+    mat = state.lmul(degree + 1, a) if side == "left" else state.rmul(degree + 1, a)
+    return [(mat, state.dim(degree + 1))]
 
 
 def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityReport:
@@ -392,13 +394,12 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
     for n in range(0, top):
         basis_n = sub.bases[n]
         for side in ("left", "right"):
-            rows_all = []
-            for a in sub.theta:
-                mat = state.lmul(n + 1, a) if side == "left" else state.rmul(n + 1, a)
-                rows_all.append(mat)
-            solver = ColumnSolver(len(rows_all) * state.dim(n + 1), field_)
+            mats = [state.lmul(n + 1, a) if side == "left" else state.rmul(n + 1, a)
+                    for a in sub.theta]
+            solver = ColumnSolver(len(mats) * state.dim(n + 1), field_)
             for b in basis_n:
-                solver.add([v for mat in rows_all for v in mat_vec(mat, b, field_)])
+                solver.add([v for mat in mats
+                            for v in mat_vec(mat, b, state.dim(n + 1), field_)])
             if solver.rank < len(basis_n):
                 return _fail(name, params, 0, None, degree=n, side=side,
                              note="a lower degree carries a one-dimensional ideal")

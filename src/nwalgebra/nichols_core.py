@@ -51,60 +51,66 @@ class TopDegreeMismatch(CheckFailed):
 
 
 # ---------------------------------------------------------------------------
-# small dense-vector / sparse-matrix helpers (rows are {col: scalar} dicts)
+# sparse-matrix helpers: a matrix is a list of {row: scalar} column dicts,
+# column j holding the image of basis vector j; vectors are dense lists
 # ---------------------------------------------------------------------------
 
 
-def mat_vec(mat, vec, field):
-    out = [field.zero] * len(mat)
-    for i, row in enumerate(mat):
-        acc = field.zero
-        for c, v in row.items():
-            x = vec[c]
-            if x:
-                acc = field.add(acc, field.mul(v, x))
-        out[i] = acc
+def _accumulate(mat, items, acc):
+    """Add the raw products M[:, j] * x for each (j, x) into acc."""
+    get = acc.get
+    for j, x in items:
+        if x:
+            for i, v in mat[j].items():
+                acc[i] = get(i, 0) + v * x
+    return acc
+
+
+def mat_vec(mat, vec, nrows, field):
+    """M v for a dense vector v, as a dense vector of length nrows.
+
+    Walks only the nonzero entries of v down their columns, and reduces
+    each output entry once (``field.normalize``).
+    """
+    out = [field.zero] * nrows
+    norm = field.normalize
+    for i, x in _accumulate(mat, enumerate(vec), {}).items():
+        out[i] = norm(x)
     return out
+
+
+def mat_col(mat, col, field, plus=None):
+    """M c (+ plus) for sparse columns {index: scalar}, without zeros."""
+    acc = _accumulate(mat, col.items(), dict(plus) if plus else {})
+    norm = field.normalize
+    return {i: y for i, x in acc.items() if (y := norm(x))}
 
 
 def mat_mul(a, b, field):
-    out = [dict() for _ in range(len(a))]
-    for i, row in enumerate(a):
-        acc = out[i]
-        for c, v in row.items():
-            for j, w in b[c].items():
-                x = field.add(acc.get(j, field.zero), field.mul(v, w))
-                if x:
-                    acc[j] = x
-                else:
-                    acc.pop(j, None)
-    return out
+    return [mat_col(a, col, field) for col in b]
 
 
 def mat_identity(n, field):
     return [{i: field.one} for i in range(n)]
 
 
-def mat_from_columns(cols, nrows, field):
-    mat = [dict() for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                mat[i][j] = v
-    return mat
+def mat_stack(blocks, ncols):
+    """The block rows (matrix, nrows) stacked in order: (columns, nrows)."""
+    cols = [dict() for _ in range(ncols)]
+    off = 0
+    for mat, nrows in blocks:
+        for col, part in zip(cols, mat):
+            for r, v in part.items():
+                col[off + r] = v
+        off += nrows
+    return cols, off
 
 
-def mat_column(mat, j, nrows, field):
-    return [row.get(j, field.zero) for row in mat]
-
-
-def mat_columns(mat, ncols):
-    """Column index of a row-dict matrix: the (row, value) pairs of each column."""
-    cols = [[] for _ in range(ncols)]
-    for r, row in enumerate(mat):
-        for c, v in row.items():
-            cols[c].append((r, v))
-    return cols
+def col_dense(col, n, field):
+    out = [field.zero] * n
+    for i, x in col.items():
+        out[i] = x
+    return out
 
 
 def mat_eq(a, b):
@@ -114,7 +120,7 @@ def mat_eq(a, b):
 def mat_scale(a, s, field):
     if not s:
         return [dict() for _ in a]
-    return [{c: field.mul(v, s) for c, v in row.items()} for row in a]
+    return [{i: field.mul(v, s) for i, v in col.items()} for col in a]
 
 
 def mat_pow(a, k, field):
@@ -131,10 +137,6 @@ def mat_pow(a, k, field):
 
 def vec_add(a, b, field):
     return [field.add(x, y) for x, y in zip(a, b)]
-
-
-def vec_sub(a, b, field):
-    return [field.sub(x, y) for x, y in zip(a, b)]
 
 
 def vec_scale(a, s, field):
@@ -296,9 +298,8 @@ class AlgebraState:
         basis = DegreeBasis(1, words, wdegs, parents)
         one = self.field.one
         for a in range(sys.nroots):
-            basis.lmul[a] = [dict() for _ in range(sys.nroots)]
-            basis.lmul[a][a][0] = one
-            basis.dleft[a] = [{a: one}]
+            basis.lmul[a] = [{a: one}]
+            basis.dleft[a] = [{0: one} if i == a else {} for i in range(sys.nroots)]
         self.bases.append(basis)
 
     @property
@@ -333,8 +334,8 @@ class AlgebraState:
         prev_dim = self.bases[n - 1].dim
         basis = DegreeBasis(n, [], [], [])
         for a in range(self.system.nroots):
-            basis.lmul[a] = []
-            basis.dleft[a] = [dict() for _ in range(prev_dim)]
+            basis.lmul[a] = [dict() for _ in range(prev_dim)]
+            basis.dleft[a] = []
         self.bases.append(basis)
 
     def construct_all(self):
@@ -353,78 +354,78 @@ class AlgebraState:
         if n > self.degree_cap:
             raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
         prev = self.bases[n - 1]
+        prods = {}  # (root, class) -> s_root * class, for this degree
+
+        def times(a, g):
+            h = prods.get((a, g))
+            if h is None:
+                h = prods[(a, g)] = sys.reflection(a) * g
+            return h
 
         # candidates x_a * b_j grouped by group degree, in canonical word order
         cands = []  # (word, a, j, class element)
         for a in range(sys.nroots):
-            ra = sys.reflection(a)
             for j, wj in enumerate(prev.words):
-                cands.append(((a,) + wj, a, j, ra * prev.wdegs[j]))
+                cands.append(((a,) + wj, a, j, times(a, prev.wdegs[j])))
         cands.sort(key=lambda t: t[0])
 
         by_class = {}
         for cand in cands:
             by_class.setdefault(cand[3], []).append(cand)
 
-        # column index of the previous degree's matrices; it lives only for
-        # this degree, so it adds nothing to the memory kept afterwards
-        dl_cols = {d: mat_columns(m, prev.dim) for d, m in prev.dleft.items()}
-        lm_cols = {a: mat_columns(m, self.bases[n - 2].dim) for a, m in prev.lmul.items()}
         pos_in_class = [0] * prev.dim
         for idxs in prev.classes.values():
             for k, i in enumerate(idxs):
                 pos_in_class[i] = k
 
-        coords_of = {}    # candidate word -> (chosen words, coordinates)
+        coords_of = {}    # candidate word -> (class number, sparse coordinates)
         vector_of = {}    # kept word -> (sparse vector, (gamma, row) per position)
-        kept_words = []
+        chosen_of = []    # class number -> kept words of the class
         for g in sorted(by_class, key=lambda e: e.images):
             block = by_class[g]
-            rows, offsets = self._class_rows(prev, g)
+            rows, offsets = self._class_rows(prev, g, times)
             nrows = offsets[-1] + len(rows[-1])
             if nrows * len(block) > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {nrows * len(block)} entries")
-            vectors = [self._candidate_vector(cand, offsets, dl_cols, lm_cols, pos_in_class)
+            vectors = [self._candidate_vector(cand, offsets, prev, pos_in_class)
                        for cand in block]
             if field.prime is not None and len(block) > 8:
                 sel, coords = self._solve_block_modp(vectors, nrows)
             else:
                 sel, coords = self._solve_block_generic(vectors, nrows)
-            chosen = [block[s][0] for s in sel]
-            kept_words.extend(chosen)
+            chosen_of.append([block[s][0] for s in sel])
             row_ids = [(gam, glob) for gam, idxs in enumerate(rows) for glob in idxs]
             for s in sel:
                 vector_of[block[s][0]] = (vectors[s], row_ids)
             for ci, cand in enumerate(block):
-                coords_of[cand[0]] = (chosen, coords[ci])
+                coords_of[cand[0]] = (len(chosen_of) - 1, coords[ci])
 
-        kept_words.sort()
+        kept_words = sorted(w for chosen in chosen_of for w in chosen)
         word_pos = {w: i for i, w in enumerate(kept_words)}
+        pos_of = [[word_pos[w] for w in chosen] for chosen in chosen_of]
         cand_info = {c[0]: c for c in cands}
         wdegs = [cand_info[w][3] for w in kept_words]
         parents = [(cand_info[w][1], cand_info[w][2]) for w in kept_words]
         basis = DegreeBasis(n, kept_words, wdegs, parents)
 
-        # multiplication matrices from the candidate coordinates
+        # column j of lmul[a]: the coordinates of the candidate x_a b_j
         dim = len(kept_words)
         for a in range(sys.nroots):
-            basis.lmul[a] = [dict() for _ in range(dim)]
+            basis.lmul[a] = [None] * prev.dim
         for (w, a, j, g) in cands:
-            chosen, coords = coords_of[w]
-            col = basis.lmul[a]
-            for local, c in enumerate(coords):
-                if c:
-                    col[word_pos[chosen[local]]][j] = c
+            k, coords = coords_of[w]
+            pos = pos_of[k]
+            basis.lmul[a][j] = {pos[local]: c for local, c in coords.items()}
 
-        # left-derivative matrices: the candidate vectors of kept words
+        # column i of dleft[gamma]: block gamma of the vector of kept word i
         for gam in range(sys.nroots):
-            basis.dleft[gam] = [dict() for _ in range(prev.dim)]
+            basis.dleft[gam] = [dict() for _ in range(dim)]
         for i, w in enumerate(kept_words):
             vec, row_ids = vector_of[w]
             for k, v in vec.items():
                 gam, glob = row_ids[k]
-                basis.dleft[gam][glob][i] = v
+                basis.dleft[gam][i][glob] = v
 
         top = self.predicted_top
         if top is not None and (n <= top) == (dim == 0):
@@ -435,50 +436,49 @@ class AlgebraState:
         if dim == 0:
             self.finite_top = n - 1
 
-    def _class_rows(self, prev: DegreeBasis, g: GroupElement):
+    def _class_rows(self, prev: DegreeBasis, g: GroupElement, times):
         """Per-derivative-index row layout of the class-g derivative space."""
-        sys = self.system
         rows = []
         offsets = []
         pos = 0
-        for gam in range(sys.nroots):
-            cls = sys.reflection(gam) * g
-            idxs = prev.classes.get(cls, [])
+        for gam in range(self.system.nroots):
+            idxs = prev.classes.get(times(gam, g), [])
             rows.append(idxs)
             offsets.append(pos)
             pos += len(idxs)
         return rows, offsets
 
-    def _candidate_vector(self, cand, offsets, dl_cols, lm_cols, pos_in_class):
+    def _candidate_vector(self, cand, offsets, prev, pos_in_class):
         """Joint left-derivative vector of x_a * b_j in class-row layout.
 
         Block gamma holds D_gamma(x_a b_j) = [gamma = a] b_j
         + sign * L_a D_delta(b_j) with s_a(gamma) = sign * delta.  Every
         term of L_a D_delta(b_j) lies in the class of block gamma, so it
-        is scattered from the column indices of the previous degree.
+        is scattered from column j of D_delta and the columns of L_a.
         Returns {position: value} without zeros.
         """
         field = self.field
         _, a, j, _ = cand
         refl = self.system.refl[a]
-        lm = lm_cols[a]
+        lm = prev.lmul[a]
         acc = {offsets[a] + pos_in_class[j]: field.one}
         for gam, base in enumerate(offsets):
             s = refl[gam]
-            for c, x in dl_cols[abs(s) - 1][j]:
+            for c, x in prev.dleft[abs(s) - 1][j].items():
                 if s < 0:
                     x = -x
-                for r, v in lm[c]:
+                for r, v in lm[c].items():
                     k = base + pos_in_class[r]
                     acc[k] = acc.get(k, 0) + v * x
-        if field.prime is not None:
-            acc = {k: x % field.prime for k, x in acc.items()}
-        return {k: x for k, x in acc.items() if x}
+        norm = field.normalize
+        return {k: y for k, x in acc.items() if (y := norm(x))}
 
     def _solve_block_generic(self, vectors, nrows):
+        """Kept candidates and each candidate's {kept: coordinate} dict."""
         solver = ColumnSolver(nrows, self.field)
         sel = [ci for ci, v in enumerate(vectors) if solver.add(v)]
-        return sel, [solver.coordinates(v) for v in vectors]
+        return sel, [{k: x for k, x in enumerate(solver.coordinates(v)) if x}
+                     for v in vectors]
 
     def _solve_block_modp(self, vectors, nrows):
         import numpy as np
@@ -493,7 +493,11 @@ class AlgebraState:
         a = np.zeros((nrows, len(vectors)), dtype=np.int64)
         a[rows, cols] = vals
         sel, coords = modp.greedy_solve(a, self.field.prime)
-        return sel.tolist(), coords.T.tolist()
+        out = [dict() for _ in vectors]
+        ks, cis = np.nonzero(coords)
+        for k, ci, x in zip(ks.tolist(), cis.tolist(), coords[ks, cis].tolist()):
+            out[ci][k] = x
+        return sel.tolist(), out
 
     # -- lazily built structure matrices ----------------------------------
 
@@ -513,19 +517,13 @@ class AlgebraState:
         basis = self.bases[n]
         if a not in basis._rmul:
             field = self.field
-            prev = self.bases[n - 1]
-            cols = []
             if n == 1:
-                col = [field.zero] * basis.dim
-                col[basis.index[(a,)]] = field.one
-                cols.append(col)
+                cols = [{basis.index[(a,)]: field.one}]
             else:
                 r_prev = self.rmul(n - 1, a)
-                for j in range(prev.dim):
-                    beta, jp = prev.parents[j]
-                    col_prev = mat_column(r_prev, jp, prev.dim, field)
-                    cols.append(mat_vec(self.lmul(n, beta), col_prev, field))
-            basis._rmul[a] = mat_from_columns(cols, basis.dim, field)
+                cols = [mat_col(self.lmul(n, beta), r_prev[jp], field)
+                        for beta, jp in self.bases[n - 1].parents]
+            basis._rmul[a] = cols
         return basis._rmul[a]
 
     def dright(self, n, g):
@@ -534,23 +532,15 @@ class AlgebraState:
         basis = self.bases[n]
         if g not in basis._dright:
             field = self.field
-            prev = self.bases[n - 1]
-            cols = []
             if n == 1:
-                for i in range(basis.dim):
-                    col = [field.one] if basis.words[i][0] == g else [field.zero]
-                    cols.append(col)
+                cols = [{0: field.one} if w[0] == g else {} for w in basis.words]
             else:
                 dr_prev = self.dright(n - 1, g)
                 act_prev = self.act_matrix(n - 1, self.system.reflection(g))
-                for i in range(basis.dim):
-                    beta, j = basis.parents[i]
-                    col_prev = mat_column(dr_prev, j, prev.dim, field)
-                    col = mat_vec(self.lmul(n - 1, beta), col_prev, field)
-                    if beta == g:
-                        col = vec_add(col, mat_column(act_prev, j, prev.dim, field), field)
-                    cols.append(col)
-            basis._dright[g] = mat_from_columns(cols, prev.dim, field)
+                cols = [mat_col(self.lmul(n - 1, beta), dr_prev[j], field,
+                                act_prev[j] if beta == g else None)
+                        for beta, j in basis.parents]
+            basis._dright[g] = cols
         return basis._dright[g]
 
     def act_matrix(self, n, w: GroupElement):
@@ -563,62 +553,62 @@ class AlgebraState:
             cols = []
             for word in basis.words:
                 sign, img = act_on_word(w, word)
-                col = self.project_word(img)
+                col = self.word_column(img)
                 if sign < 0:
-                    col = [field.neg(x) for x in col]
+                    col = {i: field.neg(x) for i, x in col.items()}
                 cols.append(col)
-            basis._act[key] = mat_from_columns(cols, basis.dim, field)
+            basis._act[key] = cols
         return basis._act[key]
 
-    def project_word(self, word):
-        """Coordinates of a word's class against the degree basis."""
-        field = self.field
+    def word_column(self, word):
+        """Coordinates of a word's class against the degree basis, as a
+        {index: scalar} dict without zeros."""
         n = len(word)
         self.ensure_degree(n)
         if self.finite_top is not None and n > self.finite_top:
-            return []
-        vec = [field.one]
+            return {}
+        col = {0: self.field.one}
         for k in range(n - 1, -1, -1):
-            vec = mat_vec(self.lmul(n - k, word[k]), vec, field)
-        return vec
+            col = mat_col(self.lmul(n - k, word[k]), col, self.field)
+        return col
+
+    def project_word(self, word):
+        """Coordinates of a word's class against the degree basis."""
+        return col_dense(self.word_column(word), self.dim(len(word)), self.field)
 
     def project_tensor(self, t: TensorElement):
         field = self.field
-        n = t.degree
-        self.ensure_degree(n)
-        dim = self.dim(n)
-        vec = [field.zero] * dim
+        vec = [field.zero] * self.dim(t.degree)
         for w, c in t.terms.items():
-            col = self.project_word(w)
             fc = field.of(c)
-            for i, v in enumerate(col):
-                if v:
-                    vec[i] = field.add(vec[i], field.mul(fc, v))
+            for i, v in self.word_column(w).items():
+                vec[i] = field.add(vec[i], field.mul(fc, v))
         return vec
 
     def gram(self, n):
-        """Gram matrix of the duality pairing on the degree-n basis."""
+        """Gram matrix of the duality pairing on the degree-n basis, as
+        dense rows."""
         self.ensure_degree(n)
         basis = self.bases[n]
         if basis._gram is None:
             field = self.field
+            dim = basis.dim
+            if dim * dim > self.memory_bound:
+                raise MemoryBoundExceeded(
+                    f"gram: the degree-{n} Gram matrix needs {dim * dim} entries")
             if n == 0:
                 basis._gram = [[field.one]]
             else:
-                prev = self.bases[n - 1]
                 g_prev = self.gram(n - 1)
-                rows = [[field.zero] * basis.dim for _ in range(basis.dim)]
-                for jcol in range(basis.dim):
-                    beta, jp = basis.parents[jcol]
-                    gb = [g_prev[l][jp] for l in range(prev.dim)]
+                norm = field.normalize
+                rows = [[field.zero] * dim for _ in range(dim)]
+                for jcol, (beta, jp) in enumerate(basis.parents):
                     dr = self.dright(n, beta)
-                    for i in range(basis.dim):
-                        acc = field.zero
-                        for l in range(prev.dim):
-                            v = dr[l].get(i)
-                            if v:
-                                acc = field.add(acc, field.mul(v, gb[l]))
-                        rows[i][jcol] = acc
+                    for i in range(dim):
+                        acc = 0
+                        for l, v in dr[i].items():
+                            acc += v * g_prev[l][jp]
+                        rows[i][jcol] = norm(acc)
                 basis._gram = rows
         return basis._gram
 
@@ -635,16 +625,16 @@ class AlgebraState:
                 solver.add([row[j] for row in g])
             if solver.rank < basis.dim:
                 raise ValueError("matrix is singular")
-            cols = [solver.coordinates({i: field.one}) for i in range(basis.dim)]
-            basis._gram_inv = mat_from_columns(cols, basis.dim, field)
+            basis._gram_inv = [
+                {r: x for r, x in enumerate(solver.coordinates({i: field.one})) if x}
+                for i in range(basis.dim)]
         return basis._gram_inv
 
     def rho_matrix(self, n):
         """Word reversal as a matrix on the degree-n component."""
         basis = self.basis(n)
         if basis._rho is None:
-            cols = [self.project_word(w[::-1]) for w in basis.words]
-            basis._rho = mat_from_columns(cols, basis.dim, self.field)
+            basis._rho = [self.word_column(w[::-1]) for w in basis.words]
         return basis._rho
 
     def antipode_matrix(self, n):
@@ -657,13 +647,12 @@ class AlgebraState:
             else:
                 s_prev = self.antipode_matrix(n - 1)
                 cols = []
-                for i in range(basis.dim):
-                    a, j = basis.parents[i]
-                    col = mat_column(s_prev, j, self.bases[n - 1].dim, field)
-                    col = mat_vec(self.act_matrix(n - 1, self.system.reflection(a)), col, field)
-                    col = mat_vec(self.rmul(n, a), col, field)
-                    cols.append([field.neg(x) for x in col])
-                basis._antipode = mat_from_columns(cols, basis.dim, field)
+                for a, j in basis.parents:
+                    col = mat_col(self.act_matrix(n - 1, self.system.reflection(a)),
+                                  s_prev[j], field)
+                    col = mat_col(self.rmul(n, a), col, field)
+                    cols.append({i: field.neg(x) for i, x in col.items()})
+                basis._antipode = cols
         return basis._antipode
 
     def antipode_inv_matrix(self, n):
@@ -673,14 +662,12 @@ class AlgebraState:
             field = self.field
             s = self.antipode_matrix(n)
             cols = []
-            for i in range(basis.dim):
-                g = basis.wdegs[i]
-                col = mat_column(s, i, basis.dim, field)
-                col = mat_vec(self.act_matrix(n, g.inverse()), col, field)
+            for i, g in enumerate(basis.wdegs):
+                col = mat_col(self.act_matrix(n, g.inverse()), s[i], field)
                 if g.length() % 2:
-                    col = [field.neg(x) for x in col]
+                    col = {r: field.neg(x) for r, x in col.items()}
                 cols.append(col)
-            basis._antipode_inv = mat_from_columns(cols, basis.dim, field)
+            basis._antipode_inv = cols
         return basis._antipode_inv
 
     def sbar_matrix(self, n):
@@ -819,7 +806,7 @@ def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
                 vec = vb
                 deg = nb
                 for k in range(na - 1, -1, -1):
-                    vec = mat_vec(state.lmul(deg + 1, word[k]), vec, field)
+                    vec = mat_vec(state.lmul(deg + 1, word[k]), vec, state.dim(deg + 1), field)
                     deg += 1
                 for t, v in enumerate(vec):
                     if v:
@@ -831,7 +818,7 @@ def group_act(w: GroupElement, z: NicholsElement) -> NicholsElement:
     state = z.state
     out = {}
     for n, v in z.components.items():
-        out[n] = mat_vec(state.act_matrix(n, w), v, state.field)
+        out[n] = mat_vec(state.act_matrix(n, w), v, len(v), state.field)
     return NicholsElement(state, out)
 
 
@@ -874,7 +861,7 @@ def right_derivative(z: NicholsElement, y: NicholsElement) -> NicholsElement:
                 vec = vz
                 deg = nz
                 for g in basis_y.words[i]:
-                    vec = mat_vec(state.dright(deg, g), vec, field)
+                    vec = mat_vec(state.dright(deg, g), vec, state.dim(deg - 1), field)
                     deg -= 1
                 for t, v in enumerate(vec):
                     if v:
@@ -900,7 +887,7 @@ def left_derivative(y: NicholsElement, z: NicholsElement) -> NicholsElement:
                 vec = vz
                 deg = nz
                 for g in reversed(basis_y.words[i]):
-                    vec = mat_vec(state.dleft(deg, g), vec, field)
+                    vec = mat_vec(state.dleft(deg, g), vec, state.dim(deg - 1), field)
                     deg -= 1
                 for t, v in enumerate(vec):
                     if v:
@@ -917,28 +904,28 @@ def derivative_by_root(z: NicholsElement, g: int, side="right") -> NicholsElemen
 def antipode(z: NicholsElement) -> NicholsElement:
     state = z.state
     return NicholsElement(state, {
-        n: mat_vec(state.antipode_matrix(n), v, state.field)
+        n: mat_vec(state.antipode_matrix(n), v, len(v), state.field)
         for n, v in z.components.items()})
 
 
 def antipode_inv(z: NicholsElement) -> NicholsElement:
     state = z.state
     return NicholsElement(state, {
-        n: mat_vec(state.antipode_inv_matrix(n), v, state.field)
+        n: mat_vec(state.antipode_inv_matrix(n), v, len(v), state.field)
         for n, v in z.components.items()})
 
 
 def rho(z: NicholsElement) -> NicholsElement:
     state = z.state
     return NicholsElement(state, {
-        n: mat_vec(state.rho_matrix(n), v, state.field)
+        n: mat_vec(state.rho_matrix(n), v, len(v), state.field)
         for n, v in z.components.items()})
 
 
 def s_bar(z: NicholsElement) -> NicholsElement:
     state = z.state
     return NicholsElement(state, {
-        n: mat_vec(state.sbar_matrix(n), v, state.field)
+        n: mat_vec(state.sbar_matrix(n), v, len(v), state.field)
         for n, v in z.components.items()})
 
 
@@ -963,8 +950,7 @@ def coproduct_split(z: NicholsElement, k: int):
         ginv = state.gram_inv(k)
         comp = NicholsElement(state, {n: v})
         for i in range(basis_k.dim):
-            dual = NicholsElement(state, {k: [
-                ginv[l].get(i, field.zero) for l in range(basis_k.dim)]})
+            dual = NicholsElement(state, {k: col_dense(ginv[i], basis_k.dim, field)})
             t = left_derivative(dual, comp)
             if not t.is_zero():
                 left = NicholsElement(state, {k: [
@@ -1012,26 +998,20 @@ def _span_solver(state: AlgebraState, columns, n):
 def starts_with(z: NicholsElement, g: int) -> bool:
     """Whether z can be written as x_g * z' (per nonzero component)."""
     state = z.state
-    field = state.field
     for n, v in z.components.items():
         if n == 0:
             return False
-        lm = state.lmul(n, g)
-        cols = [mat_column(lm, j, state.dim(n), field) for j in range(state.dim(n - 1))]
-        if _span_solver(state, cols, n).coordinates(v) is None:
+        if _span_solver(state, state.lmul(n, g), n).coordinates(v) is None:
             return False
     return True
 
 
 def ends_with(z: NicholsElement, g: int) -> bool:
     state = z.state
-    field = state.field
     for n, v in z.components.items():
         if n == 0:
             return False
-        rm = state.rmul(n, g)
-        cols = [mat_column(rm, j, state.dim(n), field) for j in range(state.dim(n - 1))]
-        if _span_solver(state, cols, n).coordinates(v) is None:
+        if _span_solver(state, state.rmul(n, g), n).coordinates(v) is None:
             return False
     return True
 
@@ -1039,14 +1019,12 @@ def ends_with(z: NicholsElement, g: int) -> bool:
 def starts_with_set(z: NicholsElement, theta) -> bool:
     """Whether z is a sum of monomials starting with letters from theta."""
     state = z.state
-    field = state.field
     for n, v in z.components.items():
         if n == 0:
             return False
         cols = []
         for g in sorted(theta):
-            lm = state.lmul(n, g)
-            cols.extend(mat_column(lm, j, state.dim(n), field) for j in range(state.dim(n - 1)))
+            cols.extend(state.lmul(n, g))
         if _span_solver(state, cols, n).coordinates(v) is None:
             return False
     return True
@@ -1069,7 +1047,7 @@ def theta_span(state: AlgebraState, theta, n):
             for g in sorted(theta):
                 lm = state.lmul(n, g)
                 for b in prev:
-                    col = mat_vec(lm, b, field)
+                    col = mat_vec(lm, b, state.dim(n), field)
                     if solver.add(col):
                         vecs.append(col)
         cache[key] = vecs

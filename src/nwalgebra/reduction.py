@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
 from .exactlinalg import ColumnSolver
-from .nichols_core import AlgebraState, CheckFailed, NicholsElement, mat_column
+from .nichols_core import AlgebraState, CheckFailed, NicholsElement
 
 
 class ReductionError(CheckFailed):
@@ -232,8 +232,8 @@ def ideal_membership_oracle(z: NicholsElement, side: str, state: AlgebraState):
         if n >= 1:
             for a in nonsimple:
                 mat = state.lmul(n, a) if side == "right" else state.rmul(n, a)
-                for j in range(state.dim(n - 1)):
-                    solver.add(mat_column(mat, j, dim, field))
+                for col in mat:
+                    solver.add(col)
         njr = solver.rank
         length_n = [w for w in sys.elements() if w.length() == n]
         for w in length_n:
@@ -264,7 +264,7 @@ def quotient_dimensions(state: AlgebraState, side: str = "right"):
         if n >= 1:
             for a in nonsimple:
                 mat = state.lmul(n, a) if side == "right" else state.rmul(n, a)
-                for j in range(state.dim(n - 1)):
-                    solver.add(mat_column(mat, j, dim, field))
+                for col in mat:
+                    solver.add(col)
         out.append(dim - solver.rank)
     return out

@@ -124,6 +124,23 @@ def test_pairing_cli():
     assert data["orthonormal"] and data["pairs"] == 36
 
 
+def test_memory_bound_on_pairs_exit_3():
+    # |W|^2 = 576 pairs for A3; checked before the construction starts
+    code, out, err = run_cli("pairing", "--rank", "3", "--memory-bound", "500")
+    assert code == 3 and out == ""
+    assert "resource bound exceeded: pairing:" in err
+    assert "Traceback" not in err
+
+
+def test_memory_bound_on_gram_exit_3():
+    # the A3 construction fits in 3364 entries per class block; the dense
+    # Gram matrix of degree 4 needs 71^2 = 5041
+    code, out, err = run_cli("pairing", "--rank", "3", "--memory-bound", "5000")
+    assert code == 3 and out == ""
+    assert "resource bound exceeded: gram:" in err
+    assert "Traceback" not in err
+
+
 def test_bracket_cli():
     code, out, _ = run_cli("bracket", "--rank", "3", "--order", "2")
     assert code == 0

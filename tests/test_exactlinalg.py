@@ -22,6 +22,7 @@ def dense(rows):
 
 
 def transpose(rows, ncols):
+    """Column dicts of a row-dict matrix, and its row count."""
     out = [dict() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
@@ -30,15 +31,15 @@ def transpose(rows, ncols):
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis([{}, {}], 2)) == 2
+    assert len(kernel_basis(*transpose([{}, {}], 2))) == 2
 
 
 def test_kernel_identity():
-    assert kernel_basis(*dense([[1, 0], [0, 1]])) == []
+    assert kernel_basis(*transpose(*dense([[1, 0], [0, 1]]))) == []
 
 
 def test_kernel_rank_one():
-    ker = kernel_basis(*dense([[1, 2], [2, 4]]))
+    ker = kernel_basis(*transpose(*dense([[1, 2], [2, 4]])))
     assert len(ker) == 1
     v = ker[0]
     # proportional to (-2, 1)
@@ -46,8 +47,8 @@ def test_kernel_rank_one():
 
 
 def test_rank_examples():
-    assert rank(*dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank([{} for _ in range(4)], 5) == 0
+    assert rank(*transpose(*dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == 3
+    assert rank(*transpose([{} for _ in range(4)], 5)) == 0
 
 
 def test_in_span_examples():
@@ -78,29 +79,30 @@ def test_random_matrices_consistency():
     rng = random.Random(5)
     for _ in range(500):
         rows, ncols = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        r = rank(rows, ncols)
-        ker = kernel_basis(rows, ncols)
+        cols, nrows = transpose(rows, ncols)
+        r = rank(cols, nrows)
+        ker = kernel_basis(cols, nrows)
         assert r + len(ker) == ncols
-        assert r == rank(*transpose(rows, ncols))
+        assert r == rank(rows, ncols)
         for v in ker:
             assert all(sum((row[c] * v[c] for c in row), Fraction(0)) == 0 for row in rows)
         # kernel vectors are linearly independent
         if ker:
             km = [{j: v[i] for j, v in enumerate(ker) if v[i]} for i in range(ncols)]
-            assert rank(km, len(ker)) == len(ker)
+            assert rank(*transpose(km, len(ker))) == len(ker)
 
 
 def test_rank_mod_p_bounded_by_rational():
     rng = random.Random(9)
     gf = PrimeField()
     for _ in range(50):
-        m = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), lim=6)
+        m = transpose(*random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), lim=6))
         assert rank(*m, gf) <= rank(*m, QQ)
 
 
 def test_rank_agreement_random_50x50():
     rng = random.Random(3)
-    m = random_matrix(rng, 50, 50, density=0.2, lim=9)
+    m = transpose(*random_matrix(rng, 50, 50, density=0.2, lim=9))
     gf = PrimeField()
     assert rank(*m, QQ) == rank(*m, gf)
 
@@ -122,13 +124,51 @@ def test_is_prime_matches_trial_division():
 
 def test_fractional_entries():
     # [[1/2, 1/3], [3/2, 1]] is singular; [[1/2, 1/3], [1/5, 1]] is not
-    singular = dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]])
+    singular = transpose(*dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]))
     assert rank(*singular) == 1
-    regular = dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1)]])
+    regular = transpose(*dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1)]]))
     assert rank(*regular) == 2
     ker = kernel_basis(*singular)
     assert len(ker) == 1
     assert ker[0][0] * Fraction(1, 2) == -ker[0][1] * Fraction(1, 3)
+
+
+def test_rational_field_is_integer_first():
+    # every operation agrees with Fraction arithmetic, and its result is
+    # an int exactly when it is integral
+    rng = random.Random(11)
+
+    def sample():
+        if rng.random() < 0.5:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def check(got, want):
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+    for _ in range(2000):
+        a, b = sample(), sample()
+        fa, fb = Fraction(a), Fraction(b)
+        check(QQ.of(a), fa)
+        check(QQ.normalize(fa * fb + fa), fa * fb + fa)
+        check(QQ.add(a, b), fa + fb)
+        check(QQ.sub(a, b), fa - fb)
+        check(QQ.mul(a, b), fa * fb)
+        check(QQ.neg(QQ.of(a)), -fa)
+        if b:
+            check(QQ.div(a, b), fa / fb)
+            check(QQ.inv(b), 1 / fb)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.div(a, b)
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert type(QQ.of("4/2")) is int and QQ.of("3/6") == Fraction(1, 2)
+    q = QQ.div(3, 2)
+    assert q == Fraction(3, 2) and type(q) is Fraction
+    assert type(QQ.div(-6, 3)) is int and QQ.div(-6, 3) == -2
+    assert str(QQ.of(Fraction(6, 2))) == str(Fraction(3)) == "3"
 
 
 def test_column_solver_roundtrip():

@@ -135,7 +135,7 @@ def test_prep_inv_on_kernel_samples(s3):
     sys = s3.system
     for n in range(1, s3.finite_top):
         for a in range(sys.nroots):
-            for vec in kernel_basis(s3.rmul(n + 1, a), s3.dim(n), s3.field):
+            for vec in kernel_basis(s3.rmul(n + 1, a), s3.dim(n + 1), s3.field):
                 z = NicholsElement(s3, {n: vec})
                 xa = NicholsElement.generator(s3, a)
                 assert multiply(z, xa).is_zero()

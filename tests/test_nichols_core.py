@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nwalgebra.coxeter import RootSystem, cartan_data
-from nwalgebra.exactlinalg import PrimeField, rank
+from nwalgebra.exactlinalg import QQ, PrimeField, rank
 from nwalgebra.nichols_core import (
     AlgebraState,
     NicholsElement,
@@ -23,6 +23,8 @@ from nwalgebra.nichols_core import (
     mat_eq,
     mat_identity,
     mat_mul,
+    mat_stack,
+    mat_vec,
     multiply,
     pairing,
     rho,
@@ -134,6 +136,38 @@ def test_prime_field_structure_matrices_match_rational(s4):
             for key in mq:
                 want = [{c: gf.of(v) for c, v in row.items() if gf.of(v)} for row in mq[key]]
                 assert mp[key] == want, (bp.degree, key)
+
+
+def test_rational_structure_matrices_are_int(s4):
+    # every A3 structure constant is integral, so the rational lane must
+    # hold plain ints: a Fraction here means the fast lane fell back
+    for n in range(1, s4.finite_top + 1):
+        mats = [s4.antipode_matrix(n)]
+        for a in range(s4.system.nroots):
+            mats += [s4.lmul(n, a), s4.dleft(n, a), s4.dright(n, a)]
+        for mat in mats:
+            assert all(type(v) is int for col in mat for v in col.values()), n
+
+
+def test_mat_vec_matches_dense_reference():
+    rng = random.Random(21)
+    for field in (QQ, PrimeField()):
+        for _ in range(200):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            dense = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(ncols)] for _ in range(nrows)]
+            dense[rng.randrange(nrows)][rng.randrange(ncols)] = Fraction(1, 3)
+            dense = [[field.of(x) for x in row] for row in dense]
+            mat = [{i: dense[i][j] for i in range(nrows) if dense[i][j]} for j in range(ncols)]
+            density = rng.choice([0.2, 1.0])
+            vec = [field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                   if rng.random() < density else field.zero for _ in range(ncols)]
+            want = [field.zero] * nrows
+            for i in range(nrows):
+                for j in range(ncols):
+                    want[i] = field.add(want[i], field.mul(dense[i][j], vec[j]))
+            got = mat_vec(mat, vec, nrows, field)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +532,8 @@ def test_left_twisted_factorization(s4):
         classes = sorted(basis.classes, key=lambda e: e.images)
         g = classes[rng.randrange(len(classes))]
         idxs = basis.classes[g]
-        rows = []
-        for t in theta:
-            rows.extend(s4.dleft(n, t))
-        m = [{local: row[i] for local, i in enumerate(idxs) if row.get(i)} for row in rows]
-        ker = kernel_basis(m, len(idxs), field)
+        m, nrows = mat_stack([(s4.dleft(n, t), s4.dim(n - 1)) for t in theta], basis.dim)
+        ker = kernel_basis([m[i] for i in idxs], nrows, field)
         if not ker:
             continue
         vec = [field.zero] * basis.dim

@@ -77,12 +77,9 @@ def test_embedding_injective_dimension(s3, s4):
             by_len.setdefault(w.length(), []).append(w)
         total = 0
         for n, ws in by_len.items():
-            rows = [dict() for _ in range(state.dim(n))]
-            for j, w in enumerate(ws):
-                for i, c in enumerate(embed_element(state, w).component(n)):
-                    if c:
-                        rows[i][j] = c
-            total += rank(rows, len(ws))
+            cols = [{i: c for i, c in enumerate(embed_element(state, w).component(n)) if c}
+                    for w in ws]
+            total += rank(cols, state.dim(n))
         assert total == len(els)
 
 

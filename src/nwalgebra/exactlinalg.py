@@ -4,12 +4,14 @@ One eliminator, :class:`ColumnSolver`, answers every exact question:
 rank, kernel bases and span membership.  It keeps the greedy set of
 independent columns in offer order, with the coordinates of each kept
 echelon vector over them, so the result depends only on the column
-order.  Matrices are lists of ``{row: value}`` column dicts, the layout
-the graded construction produces.  Arithmetic goes through a field
-facade: residues modulo a prime, or rationals kept integer first (a
-Python ``int`` whenever the value is integral, a ``Fraction`` only
-otherwise), so no floating point and no rounding enter anywhere.  The
-dense prime-field kernel of the graded construction lives in ``modp``.
+order.  There is one vector format: a ``{index: value}`` dict without
+zeros.  Matrices are lists of such column dicts, the layout the graded
+construction produces, and kernel bases and coordinates come back in
+the same form.  Arithmetic goes through a field facade: residues modulo
+a prime, or rationals kept integer first (a Python ``int`` whenever the
+value is integral, a ``Fraction`` only otherwise), so no floating point
+and no rounding enter anywhere.  The dense prime-field kernel of the
+graded construction lives in ``modp``.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class PrimeField:
             den = x.denominator % self.prime
             if den == 0:
                 raise LinalgError("denominator vanishes modulo p")
-            return num * pow(den, self.prime - 2, self.prime) % self.prime
+            return num * pow(den, -1, self.prime) % self.prime
         return x % self.prime
 
     def normalize(self, x):
@@ -146,7 +148,7 @@ class PrimeField:
     def div(self, a, b):
         if b % self.prime == 0:
             raise ZeroDivisionError("division by zero in prime field")
-        return a * pow(b, self.prime - 2, self.prime) % self.prime
+        return a * pow(b, -1, self.prime) % self.prime
 
     def neg(self, a):
         return (-a) % self.prime
@@ -171,7 +173,7 @@ def rank(cols, nrows, field=QQ) -> int:
 
 
 def kernel_basis(cols, nrows, field=QQ):
-    """A deterministic basis of the right null space, as dense vectors.
+    """A deterministic basis of the right null space, as column dicts.
 
     The column dicts are offered to a :class:`ColumnSolver` in order,
     each entry passed through ``field.of`` once.  Each dependent column
@@ -180,51 +182,45 @@ def kernel_basis(cols, nrows, field=QQ):
     """
     solver = ColumnSolver(nrows, field)
     of = field.of
-    ncols = len(cols)
     basis = []
     for c, col in enumerate(cols):
         col = {r: x for r, v in col.items() if (x := of(v))}
         if solver.add(col):
             continue
-        vec = [field.zero] * ncols
+        selected = solver.selected
+        vec = {selected[k]: field.neg(x) for k, x in solver.coordinates(col).items()}
         vec[c] = field.one
-        for pos, x in zip(solver.selected, solver.coordinates(col)):
-            if x:
-                vec[pos] = field.neg(x)
         basis.append(vec)
     return basis
 
 
-def in_span(v, basis, field=QQ):
-    """Whether v is a linear combination of the basis vectors.
+def in_span(v, basis, nrows, field=QQ):
+    """Whether the column dict v is a linear combination of the basis
+    column dicts, all of length nrows.
 
-    Returns (True, coefficients) with an exact witness, or (False, None).
+    Returns (True, {basis position: coefficient}) with an exact witness,
+    or (False, None).
     """
-    if not basis:
-        return (not any(v), [] if not any(v) else None)
-    n = len(v)
-    if any(len(b) != n for b in basis):
+    if any(not 0 <= r < nrows for b in [v, *basis] for r in b):
         raise LinalgError("dimension mismatch")
-    solver = ColumnSolver(n, field)
+    solver = ColumnSolver(nrows, field)
     for b in basis:
         solver.add(b)
     coeffs = solver.coordinates(v)
     if coeffs is None:
         return (False, None)
-    # coordinates are against the independent subset; expand to all columns
-    out = [field.zero] * len(basis)
-    for pos, c in zip(solver.selected, coeffs):
-        out[pos] = c
-    return (True, out)
+    # coordinates are against the independent subset; map them back
+    return (True, {solver.selected[k]: c for k, c in coeffs.items()})
 
 
 class ColumnSolver:
     """Incremental greedy column echelon with exact coordinates.
 
-    Columns are offered in order via :meth:`add`; independent ones are
-    kept (their positions recorded in ``selected``).  Any vector can then
-    be expressed over the kept columns with :meth:`coordinates`.
-    Pivot of a new echelon vector: its lowest nonzero index.
+    Columns, given as {row: value} dicts without zeros, are offered in
+    order via :meth:`add`; independent ones are kept (their positions
+    recorded in ``selected``).  Any such column can then be expressed
+    over the kept columns with :meth:`coordinates`.  Pivot of a new
+    echelon vector: its lowest nonzero index.
     """
 
     def __init__(self, n: int, field=QQ):
@@ -238,8 +234,8 @@ class ColumnSolver:
 
     def _reduce(self, vec):
         norm = self.field.normalize
-        v = {i: x for i, x in enumerate(vec) if x} if not isinstance(vec, dict) else dict(vec)
-        coeffs = [0] * len(self.vectors)
+        v = dict(vec)
+        coeffs = {}
         for k, (p, ev) in enumerate(zip(self.pivots, self.vectors)):
             f = v.get(p)
             if f:
@@ -265,10 +261,9 @@ class ColumnSolver:
         ev = {c: field.mul(x, pinv) for c, x in v.items()}
         # expression of ev over kept columns: (column - sum coeffs*prior) * pinv
         acc = {}
-        for k, f in enumerate(coeffs):
-            if f:
-                for j, g in self.exprs[k].items():
-                    acc[j] = acc.get(j, 0) - f * g
+        for k, f in coeffs.items():
+            for j, g in self.exprs[k].items():
+                acc[j] = acc.get(j, 0) - f * g
         norm = field.normalize
         expr = {j: y for j, x in acc.items() if (y := norm(x * pinv))}
         expr[len(self.selected)] = pinv
@@ -279,17 +274,17 @@ class ColumnSolver:
         return True
 
     def coordinates(self, vec):
-        """Coefficients over the kept columns, or None if not in their span."""
+        """Coefficients over the kept columns, as {kept position: value}
+        without zeros, or None if vec is not in their span."""
         v, coeffs = self._reduce(vec)
         if v:
             return None
-        out = [0] * len(self.selected)
-        for k, f in enumerate(coeffs):
-            if f:
-                for j, g in self.exprs[k].items():
-                    out[j] += f * g
+        out = {}
+        for k, f in coeffs.items():
+            for j, g in self.exprs[k].items():
+                out[j] = out.get(j, 0) + f * g
         norm = self.field.normalize
-        return [norm(x) for x in out]
+        return {j: y for j, x in out.items() if (y := norm(x))}
 
     @property
     def rank(self) -> int:

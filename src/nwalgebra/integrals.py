@@ -17,8 +17,8 @@ from .nichols_core import (
     element_to_json,
     group_act,
     involves_only,
+    mat_col,
     mat_stack,
-    mat_vec,
     multiply,
     pairing,
     rho,
@@ -80,7 +80,7 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
     if dim != 1:
         raise IntegralError(f"top component has dimension {dim}, expected 1")
     field_ = state.field
-    x = NicholsElement(state, {top: [field_.one]})
+    x = NicholsElement(state, {top: {0: field_.one}})
     if not is_integral(x, state):
         raise IntegralError("top generator fails the integral criterion")
     basis = state.basis(top)
@@ -264,7 +264,7 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
 @dataclass
 class SubalgebraState:
     theta: tuple
-    bases: list            # per degree: list of coordinate vectors in B_W
+    bases: list            # per degree: list of coordinate dicts in B_W
     top_degree: int
     dims: list = field(default_factory=list)
 
@@ -349,8 +349,7 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
         return _fail(name, params, 0, None,
                      note=f"top of the subalgebra has dimension {len(sub.bases[top])}")
     vec = sub.bases[top][0]
-    lead = next(i for i, v in enumerate(vec) if v)
-    p = NicholsElement(state, {top: vec}).scale(field_.inv(vec[lead]))
+    p = NicholsElement(state, {top: vec}).scale(field_.inv(vec[min(vec)]))
     wo = sys.longest_element()
 
     # derivative vanishing for all simple roots
@@ -394,12 +393,12 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
     for n in range(0, top):
         basis_n = sub.bases[n]
         for side in ("left", "right"):
-            mats = [state.lmul(n + 1, a) if side == "left" else state.rmul(n + 1, a)
-                    for a in sub.theta]
-            solver = ColumnSolver(len(mats) * state.dim(n + 1), field_)
+            blocks = [(state.lmul(n + 1, a) if side == "left" else state.rmul(n + 1, a),
+                       state.dim(n + 1)) for a in sub.theta]
+            stacked, nrows = mat_stack(blocks, state.dim(n))
+            solver = ColumnSolver(nrows, field_)
             for b in basis_n:
-                solver.add([v for mat in mats
-                            for v in mat_vec(mat, b, state.dim(n + 1), field_)])
+                solver.add(mat_col(stacked, b, field_))
             if solver.rank < len(basis_n):
                 return _fail(name, params, 0, None, degree=n, side=side,
                              note="a lower degree carries a one-dimensional ideal")

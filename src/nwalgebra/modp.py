@@ -3,29 +3,25 @@
 Everything here works on ``numpy`` int64 arrays holding residues in
 ``[0, p)`` with ``p < 2**31``, so a single product never overflows int64
 and every intermediate is reduced immediately.  The greedy kernel
-compiles with numba when the optional dependency is installed; setting
-the environment variable ``NWALGEBRA_NO_NUMBA=1`` (or a failed numba
-import) selects the numpy fallback with identical semantics.  Results of
-both paths are bit-identical.  ``python3 perfbench/run.py --workload
-a4_prime_cap6 --seed 1 --seconds 20 --trace 1`` times the active path:
-its ``modp.micro.*`` metrics alone, and ``modp.greedy_solve.s`` inside
-the A4 build.
+compiles with numba when the optional dependency imports
+(``USE_NUMBA``); otherwise the numpy fallback runs, with identical
+semantics.  Results of both paths are bit-identical.  ``python3
+perfbench/run.py --workload a4_prime_cap6 --seed 1 --seconds 20 --trace
+1`` times the active path: its ``modp.micro.*`` metrics alone, and
+``modp.greedy_solve.s`` inside the A4 build.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("NWALGEBRA_NO_NUMBA", "") == ""
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+try:
+    from numba import njit
 
-if not USE_NUMBA:
+    USE_NUMBA = True
+except ImportError:  # pragma: no cover
+    USE_NUMBA = False
+
     def njit(*args, **kwargs):
         if args and callable(args[0]):
             return args[0]

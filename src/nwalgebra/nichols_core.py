@@ -51,37 +51,23 @@ class TopDegreeMismatch(CheckFailed):
 
 
 # ---------------------------------------------------------------------------
-# sparse-matrix helpers: a matrix is a list of {row: scalar} column dicts,
-# column j holding the image of basis vector j; vectors are dense lists
+# sparse-matrix helpers: a vector is an {index: scalar} dict without zeros,
+# and a matrix is a list of such column dicts, column j holding the image
+# of basis vector j
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(mat, items, acc):
-    """Add the raw products M[:, j] * x for each (j, x) into acc."""
-    get = acc.get
-    for j, x in items:
-        if x:
-            for i, v in mat[j].items():
-                acc[i] = get(i, 0) + v * x
-    return acc
-
-
-def mat_vec(mat, vec, nrows, field):
-    """M v for a dense vector v, as a dense vector of length nrows.
-
-    Walks only the nonzero entries of v down their columns, and reduces
-    each output entry once (``field.normalize``).
-    """
-    out = [field.zero] * nrows
-    norm = field.normalize
-    for i, x in _accumulate(mat, enumerate(vec), {}).items():
-        out[i] = norm(x)
-    return out
-
-
 def mat_col(mat, col, field, plus=None):
-    """M c (+ plus) for sparse columns {index: scalar}, without zeros."""
-    acc = _accumulate(mat, col.items(), dict(plus) if plus else {})
+    """M c (+ plus) for sparse columns {index: scalar}, without zeros.
+
+    Walks only the entries of c down their columns, accumulates raw
+    products and reduces each output entry once (``field.normalize``).
+    """
+    acc = dict(plus) if plus else {}
+    get = acc.get
+    for j, x in col.items():
+        for i, v in mat[j].items():
+            acc[i] = get(i, 0) + v * x
     norm = field.normalize
     return {i: y for i, x in acc.items() if (y := norm(x))}
 
@@ -106,13 +92,6 @@ def mat_stack(blocks, ncols):
     return cols, off
 
 
-def col_dense(col, n, field):
-    out = [field.zero] * n
-    for i, x in col.items():
-        out[i] = x
-    return out
-
-
 def mat_eq(a, b):
     return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
 
@@ -133,14 +112,6 @@ def mat_pow(a, k, field):
         base = mat_mul(base, base, field)
         k >>= 1
     return result
-
-
-def vec_add(a, b, field):
-    return [field.add(x, y) for x, y in zip(a, b)]
-
-
-def vec_scale(a, s, field):
-    return [field.mul(x, s) for x in a]
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +448,7 @@ class AlgebraState:
         """Kept candidates and each candidate's {kept: coordinate} dict."""
         solver = ColumnSolver(nrows, self.field)
         sel = [ci for ci, v in enumerate(vectors) if solver.add(v)]
-        return sel, [{k: x for k, x in enumerate(solver.coordinates(v)) if x}
-                     for v in vectors]
+        return sel, [solver.coordinates(v) for v in vectors]
 
     def _solve_block_modp(self, vectors, nrows):
         import numpy as np
@@ -572,18 +542,16 @@ class AlgebraState:
             col = mat_col(self.lmul(n - k, word[k]), col, self.field)
         return col
 
-    def project_word(self, word):
-        """Coordinates of a word's class against the degree basis."""
-        return col_dense(self.word_column(word), self.dim(len(word)), self.field)
-
     def project_tensor(self, t: TensorElement):
+        """Coordinates of a tensor's class, as an {index: scalar} dict."""
         field = self.field
-        vec = [field.zero] * self.dim(t.degree)
+        acc = {}
         for w, c in t.terms.items():
             fc = field.of(c)
             for i, v in self.word_column(w).items():
-                vec[i] = field.add(vec[i], field.mul(fc, v))
-        return vec
+                acc[i] = acc.get(i, 0) + fc * v
+        norm = field.normalize
+        return {i: y for i, x in acc.items() if (y := norm(x))}
 
     def gram(self, n):
         """Gram matrix of the duality pairing on the degree-n basis, as
@@ -622,12 +590,12 @@ class AlgebraState:
             g = self.gram(n)
             solver = ColumnSolver(basis.dim, field)
             for j in range(basis.dim):
-                solver.add([row[j] for row in g])
+                solver.add({i: x for i, row in enumerate(g) if (x := row[j])})
             if solver.rank < basis.dim:
                 raise ValueError("matrix is singular")
-            basis._gram_inv = [
-                {r: x for r, x in enumerate(solver.coordinates({i: field.one})) if x}
-                for i in range(basis.dim)]
+            # full rank: the kept positions are the column indices
+            basis._gram_inv = [solver.coordinates({i: field.one})
+                               for i in range(basis.dim)]
         return basis._gram_inv
 
     def rho_matrix(self, n):
@@ -676,9 +644,6 @@ class AlgebraState:
             m = mat_scale(m, self.field.neg(self.field.one), self.field)
         return m
 
-    def hilbert(self):
-        return list(self.dims())
-
 
 # ---------------------------------------------------------------------------
 # elements
@@ -686,7 +651,8 @@ class AlgebraState:
 
 
 class NicholsElement:
-    """A graded element in coordinates against the per-degree bases."""
+    """A graded element: per degree, its coordinates against the degree
+    basis as an {index: scalar} dict without zeros."""
 
     __slots__ = ("state", "components")
 
@@ -695,8 +661,9 @@ class NicholsElement:
         self.components = {}
         if components:
             for n, vec in components.items():
-                if any(vec):
-                    self.components[n] = list(vec)
+                vec = {i: x for i, x in vec.items() if x}
+                if vec:
+                    self.components[n] = vec
 
     @classmethod
     def zero(cls, state):
@@ -704,19 +671,17 @@ class NicholsElement:
 
     @classmethod
     def unit(cls, state):
-        return cls(state, {0: [state.field.one]})
+        return cls(state, {0: {0: state.field.one}})
 
     @classmethod
     def generator(cls, state, a):
-        vec = [state.field.zero] * state.dim(1)
-        vec[a] = state.field.one
-        return cls(state, {1: vec})
+        return cls(state, {1: {a: state.field.one}})
 
     @classmethod
     def from_word(cls, state, word, coeff=1):
-        col = state.project_word(tuple(word))
+        col = state.word_column(tuple(word))
         c = state.field.of(coeff)
-        return cls(state, {len(word): [state.field.mul(c, v) for v in col]})
+        return cls(state, {len(word): {i: state.field.mul(c, v) for i, v in col.items()}})
 
     @classmethod
     def from_tensor(cls, state, t: TensorElement):
@@ -729,31 +694,29 @@ class NicholsElement:
         return sorted(self.components)
 
     def component(self, n):
-        field = self.state.field
-        if n in self.components:
-            return list(self.components[n])
-        return [field.zero] * self.state.dim(n)
+        """The degree-n coordinates, as a fresh {index: scalar} dict."""
+        return dict(self.components.get(n, {}))
 
     def homogeneous_part(self, n):
-        return NicholsElement(self.state, {n: self.component(n)} if n in self.components else {})
+        return NicholsElement(self.state, {n: self.component(n)})
 
     def __add__(self, other):
-        field = self.state.field
-        comps = {n: list(v) for n, v in self.components.items()}
+        add = self.state.field.add
+        comps = {n: dict(v) for n, v in self.components.items()}
         for n, v in other.components.items():
-            if n in comps:
-                comps[n] = vec_add(comps[n], v, field)
-            else:
-                comps[n] = list(v)
+            acc = comps.setdefault(n, {})
+            for i, x in v.items():
+                acc[i] = add(acc[i], x) if i in acc else x
         return NicholsElement(self.state, comps)
 
     def __sub__(self, other):
         return self + other.scale(self.state.field.neg(self.state.field.one))
 
     def scale(self, s):
-        field = self.state.field
-        s = field.of(s)
-        return NicholsElement(self.state, {n: vec_scale(v, s, field) for n, v in self.components.items()})
+        mul = self.state.field.mul
+        s = self.state.field.of(s)
+        return NicholsElement(self.state, {
+            n: {i: mul(x, s) for i, x in v.items()} for n, v in self.components.items()})
 
     def __neg__(self):
         return self.scale(-1)
@@ -764,10 +727,9 @@ class NicholsElement:
     def __repr__(self):
         parts = []
         for n in self.degrees():
-            basis = self.state.bases[n]
-            for i, c in enumerate(self.components[n]):
-                if c:
-                    parts.append(f"{c}*x{list(basis.words[i])}")
+            words = self.state.bases[n].words
+            for i, c in sorted(self.components[n].items()):
+                parts.append(f"{c}*x{list(words[i])}")
         return " + ".join(parts) if parts else "0"
 
     def proportional_to(self, other):
@@ -779,120 +741,87 @@ class NicholsElement:
             return field.zero
         n0 = other.degrees()[0]
         vo = other.components[n0]
-        i0 = next(i for i, v in enumerate(vo) if v)
-        vs = self.components.get(n0)
-        if vs is None:
+        i0 = min(vo)
+        x = self.components.get(n0, {}).get(i0)
+        if x is None:
             return None
-        s = field.div(vs[i0], vo[i0])
+        s = field.div(x, vo[i0])
         return s if self == other.scale(s) else None
+
+
+def _apply_words(y: NicholsElement, z: NicholsElement, matrix, step, reverse):
+    """The sum of c * M(w) z over the basis words w of y, c their coefficients.
+
+    M(w) applies ``matrix(d, g)`` for each letter g of w (last letter
+    first when ``reverse``) to the running vector of degree d, and moves
+    d by ``step``: +1 for products, -1 for derivatives.  Degrees past the
+    known top are skipped.
+    """
+    state = z.state
+    field = state.field
+    top = state.finite_top
+    out = {}
+    for ny, vy in y.components.items():
+        words = state.basis(ny).words
+        for nz, vz in z.components.items():
+            n = nz + step * ny
+            if n < 0 or (top is not None and n > top):
+                continue
+            state.ensure_degree(n)
+            acc = out.setdefault(n, {})
+            for i, c in vy.items():
+                vec, d = vz, nz
+                word = words[i]
+                for g in (reversed(word) if reverse else word):
+                    vec = mat_col(matrix(d, g), vec, field)
+                    if not vec:
+                        break
+                    d += step
+                for t, x in vec.items():
+                    acc[t] = acc.get(t, 0) + c * x
+    norm = field.normalize
+    return NicholsElement(state, {
+        n: {t: v for t, x in acc.items() if (v := norm(x))} for n, acc in out.items()})
 
 
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
     state = a.state
-    field = state.field
-    out = {}
-    for na, va in a.components.items():
-        basis_a = state.basis(na)
-        for nb, vb in b.components.items():
-            n = na + nb
-            if state.finite_top is not None and n > state.finite_top:
-                continue
-            state.ensure_degree(n)
-            acc = out.setdefault(n, [field.zero] * state.dim(n))
-            for i, ci in enumerate(va):
-                if not ci:
-                    continue
-                word = basis_a.words[i]
-                vec = vb
-                deg = nb
-                for k in range(na - 1, -1, -1):
-                    vec = mat_vec(state.lmul(deg + 1, word[k]), vec, state.dim(deg + 1), field)
-                    deg += 1
-                for t, v in enumerate(vec):
-                    if v:
-                        acc[t] = field.add(acc[t], field.mul(ci, v))
-    return NicholsElement(state, out)
+    return _apply_words(a, b, lambda d, g: state.lmul(d + 1, g), 1, True)
+
+
+def right_derivative(z: NicholsElement, y: NicholsElement) -> NicholsElement:
+    """(z) <- D_y, the right derivative action of y on z."""
+    return _apply_words(y, z, z.state.dright, -1, False)
+
+
+def left_derivative(y: NicholsElement, z: NicholsElement) -> NicholsElement:
+    """D_y (z), the left derivative action of y on z."""
+    return _apply_words(y, z, z.state.dleft, -1, True)
+
+
+def _apply_matrices(z: NicholsElement, matrix) -> NicholsElement:
+    """The element with degree-n coordinates matrix(n) z_n."""
+    state = z.state
+    return NicholsElement(state, {
+        n: mat_col(matrix(n), v, state.field) for n, v in z.components.items()})
 
 
 def group_act(w: GroupElement, z: NicholsElement) -> NicholsElement:
-    state = z.state
-    out = {}
-    for n, v in z.components.items():
-        out[n] = mat_vec(state.act_matrix(n, w), v, len(v), state.field)
-    return NicholsElement(state, out)
+    return _apply_matrices(z, lambda n: z.state.act_matrix(n, w))
 
 
 def pairing(a: NicholsElement, b: NicholsElement):
     state = a.state
-    field = state.field
-    total = field.zero
+    total = 0
     for n, va in a.components.items():
         vb = b.components.get(n)
         if vb is None:
             continue
         g = state.gram(n)
-        for i, x in enumerate(va):
-            if not x:
-                continue
+        for i, x in va.items():
             row = g[i]
-            acc = field.zero
-            for j, y in enumerate(vb):
-                if y:
-                    acc = field.add(acc, field.mul(row[j], y))
-            total = field.add(total, field.mul(x, acc))
-    return total
-
-
-def right_derivative(z: NicholsElement, y: NicholsElement) -> NicholsElement:
-    """(z) <- D_y, the right derivative action of y on z."""
-    state = z.state
-    field = state.field
-    out = {}
-    for ny, vy in y.components.items():
-        basis_y = state.basis(ny)
-        for nz, vz in z.components.items():
-            if nz < ny:
-                continue
-            n = nz - ny
-            acc = out.setdefault(n, [field.zero] * state.dim(n))
-            for i, ci in enumerate(vy):
-                if not ci:
-                    continue
-                vec = vz
-                deg = nz
-                for g in basis_y.words[i]:
-                    vec = mat_vec(state.dright(deg, g), vec, state.dim(deg - 1), field)
-                    deg -= 1
-                for t, v in enumerate(vec):
-                    if v:
-                        acc[t] = field.add(acc[t], field.mul(ci, v))
-    return NicholsElement(state, out)
-
-
-def left_derivative(y: NicholsElement, z: NicholsElement) -> NicholsElement:
-    """D_y (z), the left derivative action of y on z."""
-    state = z.state
-    field = state.field
-    out = {}
-    for ny, vy in y.components.items():
-        basis_y = state.basis(ny)
-        for nz, vz in z.components.items():
-            if nz < ny:
-                continue
-            n = nz - ny
-            acc = out.setdefault(n, [field.zero] * state.dim(n))
-            for i, ci in enumerate(vy):
-                if not ci:
-                    continue
-                vec = vz
-                deg = nz
-                for g in reversed(basis_y.words[i]):
-                    vec = mat_vec(state.dleft(deg, g), vec, state.dim(deg - 1), field)
-                    deg -= 1
-                for t, v in enumerate(vec):
-                    if v:
-                        acc[t] = field.add(acc[t], field.mul(ci, v))
-    return NicholsElement(state, out)
+            total += x * sum(row[j] * y for j, y in vb.items())
+    return state.field.normalize(total)
 
 
 def derivative_by_root(z: NicholsElement, g: int, side="right") -> NicholsElement:
@@ -902,36 +831,23 @@ def derivative_by_root(z: NicholsElement, g: int, side="right") -> NicholsElemen
 
 
 def antipode(z: NicholsElement) -> NicholsElement:
-    state = z.state
-    return NicholsElement(state, {
-        n: mat_vec(state.antipode_matrix(n), v, len(v), state.field)
-        for n, v in z.components.items()})
+    return _apply_matrices(z, z.state.antipode_matrix)
 
 
 def antipode_inv(z: NicholsElement) -> NicholsElement:
-    state = z.state
-    return NicholsElement(state, {
-        n: mat_vec(state.antipode_inv_matrix(n), v, len(v), state.field)
-        for n, v in z.components.items()})
+    return _apply_matrices(z, z.state.antipode_inv_matrix)
 
 
 def rho(z: NicholsElement) -> NicholsElement:
-    state = z.state
-    return NicholsElement(state, {
-        n: mat_vec(state.rho_matrix(n), v, len(v), state.field)
-        for n, v in z.components.items()})
+    return _apply_matrices(z, z.state.rho_matrix)
 
 
 def s_bar(z: NicholsElement) -> NicholsElement:
-    state = z.state
-    return NicholsElement(state, {
-        n: mat_vec(state.sbar_matrix(n), v, len(v), state.field)
-        for n, v in z.components.items()})
+    return _apply_matrices(z, z.state.sbar_matrix)
 
 
 def counit(z: NicholsElement):
-    vec = z.components.get(0)
-    return vec[0] if vec else z.state.field.zero
+    return z.components.get(0, {}).get(0, z.state.field.zero)
 
 
 def coproduct_split(z: NicholsElement, k: int):
@@ -941,21 +857,17 @@ def coproduct_split(z: NicholsElement, k: int):
     degree-(k, n-k) part of the coproduct.
     """
     state = z.state
-    field = state.field
+    one = state.field.one
     out = []
     for n, v in z.components.items():
         if k > n:
             continue
-        basis_k = state.basis(k)
         ginv = state.gram_inv(k)
         comp = NicholsElement(state, {n: v})
-        for i in range(basis_k.dim):
-            dual = NicholsElement(state, {k: col_dense(ginv[i], basis_k.dim, field)})
-            t = left_derivative(dual, comp)
+        for i, dual in enumerate(ginv):
+            t = left_derivative(NicholsElement(state, {k: dual}), comp)
             if not t.is_zero():
-                left = NicholsElement(state, {k: [
-                    field.one if l == i else field.zero for l in range(basis_k.dim)]})
-                out.append((left, t))
+                out.append((NicholsElement(state, {k: {i: one}}), t))
     return out
 
 
@@ -1031,7 +943,7 @@ def starts_with_set(z: NicholsElement, theta) -> bool:
 
 
 def theta_span(state: AlgebraState, theta, n):
-    """Basis (as coordinate vectors) of the degree-n span of words over theta."""
+    """Basis (as coordinate dicts) of the degree-n span of words over theta."""
     key = (tuple(sorted(theta)), n)
     cache = getattr(state, "_theta_span_cache", None)
     if cache is None:
@@ -1039,7 +951,7 @@ def theta_span(state: AlgebraState, theta, n):
     if key not in cache:
         field = state.field
         if n == 0:
-            vecs = [[field.one]]
+            vecs = [{0: field.one}]
         else:
             prev = theta_span(state, theta, n - 1)
             solver = ColumnSolver(state.dim(n), field)
@@ -1047,7 +959,7 @@ def theta_span(state: AlgebraState, theta, n):
             for g in sorted(theta):
                 lm = state.lmul(n, g)
                 for b in prev:
-                    col = mat_vec(lm, b, state.dim(n), field)
+                    col = mat_col(lm, b, field)
                     if solver.add(col):
                         vecs.append(col)
         cache[key] = vecs
@@ -1067,16 +979,12 @@ def involves_only(z: NicholsElement, theta) -> bool:
 def w_degree_decompose(z: NicholsElement):
     """Split into group-homogeneous summands, keyed by group element."""
     state = z.state
-    field = state.field
     out = {}
     for n, v in z.components.items():
-        basis = state.basis(n)
-        for g, idxs in basis.classes.items():
-            if any(v[i] for i in idxs):
-                comp = out.setdefault(g, {})
-                vec = comp.setdefault(n, [field.zero] * basis.dim)
-                for i in idxs:
-                    vec[i] = v[i]
+        for g, idxs in state.basis(n).classes.items():
+            part = {i: v[i] for i in idxs if i in v}
+            if part:
+                out.setdefault(g, {})[n] = part
     return {g: NicholsElement(state, comps) for g, comps in out.items()}
 
 
@@ -1139,11 +1047,7 @@ def symmetrizer_rank(sys: RootSystem, n: int, field=QQ,
             for bw in perm_words.values():
                 sign, img = _braid_lift_terms(sys, w, bw)
                 acc[img] = acc.get(img, 0) + sign
-            col = [field.zero] * len(words)
-            for img, c in acc.items():
-                if c:
-                    col[index[img]] = field.of(c)
-            solver.add(col)
+            solver.add({index[img]: x for img, c in acc.items() if (x := field.of(c))})
         total += solver.rank
     return total
 
@@ -1157,10 +1061,8 @@ def element_to_json(z: NicholsElement):
     comps = []
     for n in z.degrees():
         basis = z.state.basis(n)
-        terms = []
-        for i, c in enumerate(z.components[n]):
-            if c:
-                terms.append({"word": list(basis.words[i]), "coeff": str(c)})
+        terms = [{"word": list(basis.words[i]), "coeff": str(c)}
+                 for i, c in sorted(z.components[n].items())]
         comps.append({"degree": n, "terms": terms})
     return {"degree_components": comps}
 

@@ -119,34 +119,23 @@ def liu_reconstruction_holds(state: AlgebraState, w: GroupElement) -> bool:
     expansion = coproduct_word_expansion(sys, word)
     n = len(word)
     field = state.field
+
+    def tensor(legs):
+        """sum c * l (x) r over the (c, l, r) legs, as {(i, j): scalar}."""
+        acc = {}
+        for c, lvec, rvec in legs:
+            for i, x in lvec.items():
+                for j, y in rvec.items():
+                    acc[(i, j)] = acc.get((i, j), 0) + c * x * y
+        return {ij: y for ij, x in acc.items() if (y := field.normalize(x))}
+
     for k in range(n + 1):
-        # project the raw expansion legs at split (n-k, k)
-        dim_l, dim_r = state.dim(n - k), state.dim(k)
-        got = [[field.zero] * dim_r for _ in range(dim_l)]
-        for (w1, w2), c in expansion.items():
-            if len(w2) != k:
-                continue
-            lcol = state.project_word(w1)
-            rcol = state.project_word(w2)
-            fc = field.of(c)
-            for i, x in enumerate(lcol):
-                if x:
-                    xi = field.mul(fc, x)
-                    for j, y in enumerate(rcol):
-                        if y:
-                            got[i][j] = field.add(got[i][j], field.mul(xi, y))
-        want = [[field.zero] * dim_r for _ in range(dim_l)]
-        for v in state.system.elements():
-            if v.length() != k:
-                continue
-            left = skew_element(w, v, state)
-            lvec = left.component(n - k) if not left.is_zero() else [field.zero] * dim_l
-            rvec = embed_element(state, v).component(k)
-            for i, x in enumerate(lvec):
-                if x:
-                    for j, y in enumerate(rvec):
-                        if y:
-                            want[i][j] = field.add(want[i][j], field.mul(x, y))
+        # the raw expansion legs at split (n-k, k), against the skew legs
+        got = tensor((field.of(c), state.word_column(w1), state.word_column(w2))
+                     for (w1, w2), c in expansion.items() if len(w2) == k)
+        want = tensor((field.one, skew_element(w, v, state).component(n - k),
+                       embed_element(state, v).component(k))
+                      for v in sys.elements() if v.length() == k)
         if got != want:
             return False
     return True

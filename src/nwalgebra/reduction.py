@@ -243,7 +243,7 @@ def ideal_membership_oracle(z: NicholsElement, side: str, state: AlgebraState):
         if coords is None:
             raise ReductionError("ideal plus nilCoxeter span is not everything")
         for k, w in enumerate(length_n):
-            c = coords[njr + k]
+            c = coords.get(njr + k)
             if c:
                 member = False
                 normal[w] = normal.get(w, field.zero) + c

@@ -42,7 +42,8 @@ def test_kernel_rank_one():
     ker = kernel_basis(*transpose(*dense([[1, 2], [2, 4]])))
     assert len(ker) == 1
     v = ker[0]
-    # proportional to (-2, 1)
+    # a column dict proportional to (-2, 1)
+    assert set(v) == {0, 1}
     assert v[0] * 1 == v[1] * -2
 
 
@@ -52,16 +53,19 @@ def test_rank_examples():
 
 
 def test_in_span_examples():
-    b1 = [Fraction(1), Fraction(0), Fraction(0)]
-    b2 = [Fraction(0), Fraction(1), Fraction(0)]
-    ok, wit = in_span(b1, [b1, b2])
-    assert ok and wit == [Fraction(1), Fraction(0)]
-    ok, wit = in_span([Fraction(0)] * 3, [b1, b2])
-    assert ok and wit == [Fraction(0), Fraction(0)]
-    ok, wit = in_span([Fraction(0), Fraction(0), Fraction(1)], [b1, b2])
+    b1 = {0: Fraction(1)}
+    b2 = {1: Fraction(1)}
+    ok, wit = in_span(b1, [b1, b2], 3)
+    assert ok and wit == {0: Fraction(1)}
+    ok, wit = in_span({1: Fraction(2)}, [b1, b1, b2], 3)
+    assert ok and wit == {2: Fraction(2)}
+    ok, wit = in_span({}, [b1, b2], 3)
+    assert ok and wit == {}
+    ok, wit = in_span({2: Fraction(1)}, [b1, b2], 3)
     assert not ok and wit is None
-    with pytest.raises(Exception):
-        in_span([Fraction(1)], [b1])
+    # an index past the stated length
+    with pytest.raises(LinalgError):
+        in_span({0: Fraction(1)}, [b1, b2], 1)
 
 
 def random_matrix(rng, nr, nc, density=0.5, lim=4):
@@ -85,11 +89,10 @@ def test_random_matrices_consistency():
         assert r + len(ker) == ncols
         assert r == rank(rows, ncols)
         for v in ker:
-            assert all(sum((row[c] * v[c] for c in row), Fraction(0)) == 0 for row in rows)
-        # kernel vectors are linearly independent
-        if ker:
-            km = [{j: v[i] for j, v in enumerate(ker) if v[i]} for i in range(ncols)]
-            assert rank(*transpose(km, len(ker))) == len(ker)
+            assert all(x for x in v.values())
+            assert all(sum((row[c] * v.get(c, 0) for c in row), Fraction(0)) == 0 for row in rows)
+        # the kernel vectors, a column-dict matrix, are linearly independent
+        assert rank(ker, ncols) == len(ker)
 
 
 def test_rank_mod_p_bounded_by_rational():
@@ -179,14 +182,16 @@ def test_column_solver_roundtrip():
             n = rng.randint(1, 6)
             cols = []
             for _ in range(rng.randint(1, 8)):
-                cols.append([field.of(rng.randint(-3, 3)) for _ in range(n)])
+                col = [field.of(rng.randint(-3, 3)) for _ in range(n)]
+                cols.append({i: x for i, x in enumerate(col) if x})
             solver = ColumnSolver(n, field)
             kept = [solver.add(c) for c in cols]
+            assert [pos for pos, k in enumerate(kept) if k] == solver.selected
             for c in cols:
                 coords = solver.coordinates(c)
-                assert coords is not None
-                got = [field.zero] * n
-                for k, pos in enumerate(solver.selected):
-                    for i in range(n):
-                        got[i] = field.add(got[i], field.mul(coords[k], cols[pos][i]))
-                assert got == [field.of(x) for x in c]
+                assert coords is not None and all(coords.values())
+                got = {}
+                for k, x in coords.items():
+                    for i, y in cols[solver.selected[k]].items():
+                        got[i] = field.add(got.get(i, field.zero), field.mul(x, y))
+                assert {i: x for i, x in got.items() if x} == c

@@ -27,10 +27,20 @@ GOLDEN = {
     ("dims", 3, "prime"): "a40edcc2687a773715ef90a15661abc97d63eb48293d3592f5fc21ac85b56475",
     ("integral", 3, "prime"): "62d08d74049207b9ff32185445fc04bdafd40d7c02b1858ac7f46919d60a63d4",
     ("rhoD", 3, "prime"): "c00471e9a85537acde2ed2ebd3b5fb2c283920e4756b155aa16711f40a6dac99",
+    # the kernel samplers, the subalgebra bases and the sparse element
+    # operations; recorded from an engine that held vectors as dense lists
+    ("hypo", 3, "rational"): "8b7c5a0815bec97af9a0020af4e2bb0ee1ee2d9f7e1291650740dba83c012f53",
+    ("skew", 3, "rational"): "4cfdd2f9dd7522e6445a4060dd21c0dfac748dbc45c659a4f8cdba09d663cf5f",
+    ("tower", 3, "rational"): "bb3c23e0aac7a01a2b925f85fc986b6aaef674a44633f588760f8480c9b7d68e",
+    ("hypo", 3, "prime"): "c764d4edd1627e822ac4edf4f2bd63054f77a42c9814f61fa874f30abc7806b4",
+    ("skew", 3, "prime"): "b69e0990bb6981172efd7996d4d18f19518eafd81d5693d634dd8b2999df886c",
+    ("tower", 3, "prime"): "289ca710707ff8a68ce12f37ca864e6738f967a8aeb888c799a1bb4d3df3e4aa",
 }
 
-COMMANDS = {"dims": ["dims"], "integral": ["integral"],
-            "rhoD": ["verify", "rhoD", "--trials", "4"]}
+COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
+            "rhoD": ["verify", "rhoD", "--trials", "4"],
+            "skew": ["verify", "skew-commutation", "--trials", "4"],
+            "tower": ["verify", "tower", "--trials", "4"]}
 
 
 @pytest.mark.parametrize("command,rank,field", sorted(GOLDEN))

@@ -20,11 +20,11 @@ from nwalgebra.nichols_core import (
     group_act,
     involves_only,
     left_derivative,
+    mat_col,
     mat_eq,
     mat_identity,
     mat_mul,
     mat_stack,
-    mat_vec,
     multiply,
     pairing,
     rho,
@@ -149,7 +149,7 @@ def test_rational_structure_matrices_are_int(s4):
             assert all(type(v) is int for col in mat for v in col.values()), n
 
 
-def test_mat_vec_matches_dense_reference():
+def test_mat_col_matches_dense_reference():
     rng = random.Random(21)
     for field in (QQ, PrimeField()):
         for _ in range(200):
@@ -165,9 +165,10 @@ def test_mat_vec_matches_dense_reference():
             for i in range(nrows):
                 for j in range(ncols):
                     want[i] = field.add(want[i], field.mul(dense[i][j], vec[j]))
-            got = mat_vec(mat, vec, nrows, field)
+            want = {i: x for i, x in enumerate(want) if x}
+            got = mat_col(mat, {j: x for j, x in enumerate(vec) if x}, field)
             assert got == want
-            assert [type(x) for x in got] == [type(x) for x in want]
+            assert {i: type(x) for i, x in got.items()} == {i: type(x) for i, x in want.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +442,12 @@ def test_word_reversal_well_defined(s4):
         t = TensorElement(n, {w: Fraction(c) for w, c in terms.items() if c})
         vec = s4.project_tensor(t)
         lift = {}
-        for i, c in enumerate(vec):
-            if c:
-                lift[s4.bases[n].words[i]] = lift.get(s4.bases[n].words[i], 0) - c
+        for i, c in vec.items():
+            lift[s4.bases[n].words[i]] = lift.get(s4.bases[n].words[i], 0) - c
         kernel_tensor = t + TensorElement(n, lift)
-        assert not any(s4.project_tensor(kernel_tensor))
+        assert not s4.project_tensor(kernel_tensor)
         rev = kernel_tensor.reversed_words()
-        assert not any(s4.project_tensor(rev))
+        assert not s4.project_tensor(rev)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +536,7 @@ def test_left_twisted_factorization(s4):
         ker = kernel_basis([m[i] for i in idxs], nrows, field)
         if not ker:
             continue
-        vec = [field.zero] * basis.dim
-        for local, i in enumerate(idxs):
-            vec[i] = ker[0][local]
-        z1 = NicholsElement(s4, {n: vec})
+        z1 = NicholsElement(s4, {n: {idxs[local]: x for local, x in ker[0].items()}})
         assert w_degree(z1) == g
         word = tuple(rng.choice(theta) for _ in range(rng.randint(1, 2)))
         xi = NicholsElement.from_word(s4, word)
@@ -606,6 +603,30 @@ def test_element_json_roundtrip(s3):
         z = random_element(s3, rng, rng.randint(0, 3)) + random_element(s3, rng, 1)
         data = element_to_json(z)
         assert element_from_json(s3, data) == z
+
+
+def test_index_zero_element_is_nonzero(s3):
+    # coordinates are {index: scalar} dicts: an element whose only entry
+    # sits at index 0 is nonzero (any() on such a dict would read 0)
+    gf = AlgebraState(s3.system, PrimeField())
+    gf.construct_all()
+    for state in (s3, gf):
+        one = state.field.one
+        zero = NicholsElement.zero(state)
+        elements = [(0, NicholsElement.unit(state)), (1, NicholsElement.generator(state, 0))]
+        elements += [(n, next(basis_elements(state, n))) for n in range(1, state.finite_top + 1)]
+        for n, z in elements:
+            assert z.components == {n: {0: one}}
+            assert not z.is_zero() and z != zero
+            assert z + zero == z and zero + z == z
+            assert z + z == z.scale(2) and not (z + z).is_zero()
+            assert z.scale(1) == z and z.scale(0) == zero
+            assert (z - z).is_zero()
+            data = element_to_json(z)
+            assert data["degree_components"] == [
+                {"degree": n, "terms": [{"word": list(state.bases[n].words[0]), "coeff": "1"}]}]
+            assert element_from_json(state, data) == z
+        assert counit(elements[0][1]) == one
 
 
 def test_tensor_predicates(s3):

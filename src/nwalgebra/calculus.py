@@ -26,7 +26,6 @@ from .nichols_core import (
     left_derivative,
     mat_identity,
     mat_mul,
-    mat_eq,
     mat_pow,
     mat_col,
     mat_stack,
@@ -196,12 +195,12 @@ def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> Ide
         s = state.antipode_matrix(n)
         sinv = state.antipode_inv_matrix(n)
         dim = state.dim(n)
-        if not mat_eq(mat_mul(s, sinv, field_), mat_identity(dim, field_)):
+        if mat_mul(s, sinv, field_) != mat_identity(dim, field_):
             return _fail(name, params, 0, None, degree=n, note="S S^{-1} is not the identity")
-        if not mat_eq(mat_mul(sinv, s, field_), mat_identity(dim, field_)):
+        if mat_mul(sinv, s, field_) != mat_identity(dim, field_):
             return _fail(name, params, 0, None, degree=n, note="S^{-1} S is not the identity")
         s2e = mat_pow(mat_mul(s, s, field_), e, field_)
-        if not mat_eq(s2e, mat_identity(dim, field_)):
+        if s2e != mat_identity(dim, field_):
             return _fail(name, params, 0, None, degree=n, note="S^{2e} is not the identity")
     return IdentityReport(name, params, 0, "pass")
 

@@ -80,6 +80,14 @@ def mat_identity(n, field):
     return [{i: field.one} for i in range(n)]
 
 
+def mat_transpose(a, nrows):
+    t = [dict() for _ in range(nrows)]
+    for j, col in enumerate(a):
+        for i, v in col.items():
+            t[i][j] = v
+    return t
+
+
 def mat_stack(blocks, ncols):
     """The block rows (matrix, nrows) stacked in order: (columns, nrows)."""
     cols = [dict() for _ in range(ncols)]
@@ -90,16 +98,6 @@ def mat_stack(blocks, ncols):
                 col[off + r] = v
         off += nrows
     return cols, off
-
-
-def mat_eq(a, b):
-    return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
-
-
-def mat_scale(a, s, field):
-    if not s:
-        return [dict() for _ in a]
-    return [{i: field.mul(v, s) for i, v in col.items()} for col in a]
 
 
 def mat_pow(a, k, field):
@@ -147,18 +145,6 @@ def braid_apply(sys: RootSystem, word, i, inverse=False):
 def braid_transposition(sys: RootSystem, word, i, inverse=False) -> "TensorElement":
     sign, w = braid_apply(sys, word, i, inverse)
     return TensorElement(len(word), {w: Fraction(sign)})
-
-
-def act_on_word(w: GroupElement, word):
-    """(sign, word) for the letterwise group action."""
-    sign = 1
-    out = []
-    for a in word:
-        s = w.act(a + 1)
-        if s < 0:
-            sign = -sign
-        out.append(abs(s) - 1)
-    return sign, tuple(out)
 
 
 class TensorElement:
@@ -222,7 +208,6 @@ class DegreeBasis:
         self.degree = degree
         self.words = tuple(words)
         self.dim = len(self.words)
-        self.index = {w: i for i, w in enumerate(self.words)}
         self.wdegs = tuple(wdegs)
         self.parents = tuple(parents)  # (first letter, parent basis index) per word
         self.classes = {}
@@ -230,14 +215,7 @@ class DegreeBasis:
             self.classes.setdefault(g, []).append(i)
         self.lmul = {}    # a -> matrix B^{n-1} -> B^n
         self.dleft = {}   # g -> matrix B^n -> B^{n-1}
-        self._rmul = {}
-        self._dright = {}
-        self._act = {}
-        self._gram = None
-        self._gram_inv = None
-        self._rho = None
-        self._antipode = None
-        self._antipode_inv = None
+        self.cache = {}   # (map, key) -> lazily built matrix or span
 
 
 class AlgebraState:
@@ -481,54 +459,59 @@ class AlgebraState:
         self.ensure_degree(n)
         return self.bases[n].dleft[g]
 
+    def _cached(self, n, key, build):
+        """The degree-n map ``key`` = (map name, argument), built once by
+        ``build(basis)`` and kept in the degree's memo."""
+        basis = self.basis(n)
+        m = basis.cache.get(key)
+        if m is None:
+            m = basis.cache[key] = build(basis)
+        return m
+
+    # Every map below is built column by column from ``parents``: column i
+    # of degree n, for b_i = x_a b_j, comes from column j of a map at
+    # degree n - 1.
+
     def rmul(self, n, a):
-        """Right multiplication by x_a as a matrix B^{n-1} -> B^n."""
-        self.ensure_degree(n)
-        basis = self.bases[n]
-        if a not in basis._rmul:
-            field = self.field
+        """Right multiplication by x_a as a matrix B^{n-1} -> B^n, via
+        (x_b z) x_a = x_b (z x_a)."""
+        def build(basis):
             if n == 1:
-                cols = [{basis.index[(a,)]: field.one}]
-            else:
-                r_prev = self.rmul(n - 1, a)
-                cols = [mat_col(self.lmul(n, beta), r_prev[jp], field)
-                        for beta, jp in self.bases[n - 1].parents]
-            basis._rmul[a] = cols
-        return basis._rmul[a]
+                return [{a: self.field.one}]  # the word (a,) sits at index a
+            r_prev = self.rmul(n - 1, a)
+            return [mat_col(self.lmul(n, beta), r_prev[jp], self.field)
+                    for beta, jp in self.bases[n - 1].parents]
+        return self._cached(n, ("rmul", a), build)
 
     def dright(self, n, g):
         """Right derivative by gamma as a matrix B^n -> B^{n-1}."""
-        self.ensure_degree(n)
-        basis = self.bases[n]
-        if g not in basis._dright:
+        def build(basis):
             field = self.field
             if n == 1:
-                cols = [{0: field.one} if w[0] == g else {} for w in basis.words]
-            else:
-                dr_prev = self.dright(n - 1, g)
-                act_prev = self.act_matrix(n - 1, self.system.reflection(g))
-                cols = [mat_col(self.lmul(n - 1, beta), dr_prev[j], field,
-                                act_prev[j] if beta == g else None)
-                        for beta, j in basis.parents]
-            basis._dright[g] = cols
-        return basis._dright[g]
+                return [{0: field.one} if w[0] == g else {} for w in basis.words]
+            dr_prev = self.dright(n - 1, g)
+            act_prev = self.act_matrix(n - 1, self.system.reflection(g))
+            return [mat_col(self.lmul(n - 1, beta), dr_prev[j], field,
+                            act_prev[j] if beta == g else None)
+                    for beta, j in basis.parents]
+        return self._cached(n, ("dright", g), build)
 
     def act_matrix(self, n, w: GroupElement):
-        """Action of a group element on the degree-n component."""
-        self.ensure_degree(n)
-        basis = self.bases[n]
-        key = w.images
-        if key not in basis._act:
+        """Action of a group element on the degree-n component.  It is an
+        algebra automorphism with w(x_a) = sign * x_c, so
+        w(x_a z) = sign * x_c w(z)."""
+        def build(basis):
             field = self.field
+            if n == 0:
+                return mat_identity(1, field)
+            a_prev = self.act_matrix(n - 1, w)
             cols = []
-            for word in basis.words:
-                sign, img = act_on_word(w, word)
-                col = self.word_column(img)
-                if sign < 0:
-                    col = {i: field.neg(x) for i, x in col.items()}
-                cols.append(col)
-            basis._act[key] = cols
-        return basis._act[key]
+            for a, j in basis.parents:
+                s = w.act(a + 1)
+                col = mat_col(self.lmul(n, abs(s) - 1), a_prev[j], field)
+                cols.append(col if s > 0 else {i: field.neg(x) for i, x in col.items()})
+            return cols
+        return self._cached(n, ("act", w.images), build)
 
     def word_column(self, word):
         """Coordinates of a word's class against the degree basis, as a
@@ -554,79 +537,74 @@ class AlgebraState:
         return {i: y for i, x in acc.items() if (y := norm(x))}
 
     def gram(self, n):
-        """Gram matrix of the duality pairing on the degree-n basis, as
-        dense rows."""
-        self.ensure_degree(n)
-        basis = self.bases[n]
-        if basis._gram is None:
+        """Gram matrix of the duality pairing on the degree-n basis.  It is
+        symmetric, so its columns are also its rows.  For b_i = x_b b_j,
+        entry k of column i is <b_k, x_b b_j> = <(b_k)D_b, b_j>, so
+        column i is the transpose of ``dright(n, b)`` applied to Gram
+        column j of degree n - 1."""
+        def build(basis):
             field = self.field
             dim = basis.dim
             if dim * dim > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"gram: the degree-{n} Gram matrix needs {dim * dim} entries")
             if n == 0:
-                basis._gram = [[field.one]]
-            else:
-                g_prev = self.gram(n - 1)
-                norm = field.normalize
-                rows = [[field.zero] * dim for _ in range(dim)]
-                for jcol, (beta, jp) in enumerate(basis.parents):
-                    dr = self.dright(n, beta)
-                    for i in range(dim):
-                        acc = 0
-                        for l, v in dr[i].items():
-                            acc += v * g_prev[l][jp]
-                        rows[i][jcol] = norm(acc)
-                basis._gram = rows
-        return basis._gram
+                return mat_identity(1, field)
+            g_prev = self.gram(n - 1)
+            dr_t = {}  # beta -> transpose of dright(n, beta)
+            cols = []
+            for beta, jp in basis.parents:
+                if beta not in dr_t:
+                    dr_t[beta] = mat_transpose(self.dright(n, beta), len(g_prev))
+                cols.append(mat_col(dr_t[beta], g_prev[jp], field))
+            return cols
+        return self._cached(n, ("gram", None), build)
 
     def gram_inv(self, n):
         """Inverse Gram matrix: column i is the coordinate vector of e_i
         over the Gram columns.  Raises ValueError if the Gram matrix is
         singular."""
-        basis = self.basis(n)
-        if basis._gram_inv is None:
+        def build(basis):
             field = self.field
-            g = self.gram(n)
             solver = ColumnSolver(basis.dim, field)
-            for j in range(basis.dim):
-                solver.add({i: x for i, row in enumerate(g) if (x := row[j])})
+            for col in self.gram(n):
+                solver.add(col)
             if solver.rank < basis.dim:
                 raise ValueError("matrix is singular")
             # full rank: the kept positions are the column indices
-            basis._gram_inv = [solver.coordinates({i: field.one})
-                               for i in range(basis.dim)]
-        return basis._gram_inv
+            return [solver.coordinates({i: field.one}) for i in range(basis.dim)]
+        return self._cached(n, ("gram_inv", None), build)
 
     def rho_matrix(self, n):
-        """Word reversal as a matrix on the degree-n component."""
-        basis = self.basis(n)
-        if basis._rho is None:
-            basis._rho = [self.word_column(w[::-1]) for w in basis.words]
-        return basis._rho
+        """Word reversal as a matrix on the degree-n component, via the
+        anti-automorphism rule rho(x_a z) = rho(z) x_a."""
+        def build(basis):
+            if n == 0:
+                return mat_identity(1, self.field)
+            r_prev = self.rho_matrix(n - 1)
+            return [mat_col(self.rmul(n, a), r_prev[j], self.field)
+                    for a, j in basis.parents]
+        return self._cached(n, ("rho", None), build)
 
     def antipode_matrix(self, n):
         """Antipode on degree n via S(x_a z) = -(s_a . S(z)) x_a."""
-        basis = self.basis(n)
-        if basis._antipode is None:
+        def build(basis):
             field = self.field
             if n == 0:
-                basis._antipode = mat_identity(1, field)
-            else:
-                s_prev = self.antipode_matrix(n - 1)
-                cols = []
-                for a, j in basis.parents:
-                    col = mat_col(self.act_matrix(n - 1, self.system.reflection(a)),
-                                  s_prev[j], field)
-                    col = mat_col(self.rmul(n, a), col, field)
-                    cols.append({i: field.neg(x) for i, x in col.items()})
-                basis._antipode = cols
-        return basis._antipode
+                return mat_identity(1, field)
+            s_prev = self.antipode_matrix(n - 1)
+            cols = []
+            for a, j in basis.parents:
+                col = mat_col(self.act_matrix(n - 1, self.system.reflection(a)),
+                              s_prev[j], field)
+                col = mat_col(self.rmul(n, a), col, field)
+                cols.append({i: field.neg(x) for i, x in col.items()})
+            return cols
+        return self._cached(n, ("antipode", None), build)
 
     def antipode_inv_matrix(self, n):
         """Inverse antipode, columnwise via S^{-1} = (-1)^{l(g)} g^{-1} S."""
-        basis = self.basis(n)
-        if basis._antipode_inv is None:
+        def build(basis):
             field = self.field
             s = self.antipode_matrix(n)
             cols = []
@@ -635,13 +613,14 @@ class AlgebraState:
                 if g.length() % 2:
                     col = {r: field.neg(x) for r, x in col.items()}
                 cols.append(col)
-            basis._antipode_inv = cols
-        return basis._antipode_inv
+            return cols
+        return self._cached(n, ("antipode_inv", None), build)
 
     def sbar_matrix(self, n):
         m = mat_mul(self.rho_matrix(n), self.antipode_matrix(n), self.field)
         if n % 2:
-            m = mat_scale(m, self.field.neg(self.field.one), self.field)
+            neg = self.field.neg
+            m = [{i: neg(x) for i, x in col.items()} for col in m]
         return m
 
 
@@ -682,10 +661,6 @@ class NicholsElement:
         col = state.word_column(tuple(word))
         c = state.field.of(coeff)
         return cls(state, {len(word): {i: state.field.mul(c, v) for i, v in col.items()}})
-
-    @classmethod
-    def from_tensor(cls, state, t: TensorElement):
-        return cls(state, {t.degree: state.project_tensor(t)})
 
     def is_zero(self):
         return not self.components
@@ -817,17 +792,9 @@ def pairing(a: NicholsElement, b: NicholsElement):
         vb = b.components.get(n)
         if vb is None:
             continue
-        g = state.gram(n)
-        for i, x in va.items():
-            row = g[i]
-            total += x * sum(row[j] * y for j, y in vb.items())
+        gb = mat_col(state.gram(n), vb, state.field)
+        total += sum(x * gb[i] for i, x in va.items() if i in gb)
     return state.field.normalize(total)
-
-
-def derivative_by_root(z: NicholsElement, g: int, side="right") -> NicholsElement:
-    state = z.state
-    y = NicholsElement.generator(state, g)
-    return right_derivative(z, y) if side == "right" else left_derivative(y, z)
 
 
 def antipode(z: NicholsElement) -> NicholsElement:
@@ -900,80 +867,56 @@ def coproduct_word_expansion(sys: RootSystem, word):
 # ---------------------------------------------------------------------------
 
 
-def _span_solver(state: AlgebraState, columns, n):
-    solver = ColumnSolver(state.dim(n), state.field)
-    for col in columns:
-        solver.add(col)
-    return solver
+def _spanned(z: NicholsElement, columns) -> bool:
+    """Whether each component z_n lies in the span of the degree-n
+    columns ``columns(n)``."""
+    state = z.state
+    for n, v in z.components.items():
+        solver = ColumnSolver(state.dim(n), state.field)
+        for col in columns(n):
+            solver.add(col)
+        if solver.coordinates(v) is None:
+            return False
+    return True
 
 
 def starts_with(z: NicholsElement, g: int) -> bool:
     """Whether z can be written as x_g * z' (per nonzero component)."""
-    state = z.state
-    for n, v in z.components.items():
-        if n == 0:
-            return False
-        if _span_solver(state, state.lmul(n, g), n).coordinates(v) is None:
-            return False
-    return True
+    return _spanned(z, lambda n: z.state.lmul(n, g) if n else [])
 
 
 def ends_with(z: NicholsElement, g: int) -> bool:
-    state = z.state
-    for n, v in z.components.items():
-        if n == 0:
-            return False
-        if _span_solver(state, state.rmul(n, g), n).coordinates(v) is None:
-            return False
-    return True
+    return _spanned(z, lambda n: z.state.rmul(n, g) if n else [])
 
 
 def starts_with_set(z: NicholsElement, theta) -> bool:
     """Whether z is a sum of monomials starting with letters from theta."""
-    state = z.state
-    for n, v in z.components.items():
-        if n == 0:
-            return False
-        cols = []
-        for g in sorted(theta):
-            cols.extend(state.lmul(n, g))
-        if _span_solver(state, cols, n).coordinates(v) is None:
-            return False
-    return True
+    lmul = z.state.lmul
+    return _spanned(z, lambda n: [c for g in sorted(theta) for c in lmul(n, g)] if n else [])
 
 
 def theta_span(state: AlgebraState, theta, n):
     """Basis (as coordinate dicts) of the degree-n span of words over theta."""
-    key = (tuple(sorted(theta)), n)
-    cache = getattr(state, "_theta_span_cache", None)
-    if cache is None:
-        cache = state._theta_span_cache = {}
-    if key not in cache:
+    theta = tuple(sorted(theta))
+
+    def build(basis):
         field = state.field
         if n == 0:
-            vecs = [{0: field.one}]
-        else:
-            prev = theta_span(state, theta, n - 1)
-            solver = ColumnSolver(state.dim(n), field)
-            vecs = []
-            for g in sorted(theta):
-                lm = state.lmul(n, g)
-                for b in prev:
-                    col = mat_col(lm, b, field)
-                    if solver.add(col):
-                        vecs.append(col)
-        cache[key] = vecs
-    return cache[key]
+            return mat_identity(1, field)
+        solver = ColumnSolver(basis.dim, field)
+        vecs = []
+        for g in theta:
+            lm = state.lmul(n, g)
+            for b in theta_span(state, theta, n - 1):
+                col = mat_col(lm, b, field)
+                if solver.add(col):
+                    vecs.append(col)
+        return vecs
+    return state._cached(n, ("theta_span", theta), build)
 
 
 def involves_only(z: NicholsElement, theta) -> bool:
-    state = z.state
-    for n, v in z.components.items():
-        span = theta_span(state, theta, n)
-        solver = _span_solver(state, span, n)
-        if solver.coordinates(v) is None:
-            return False
-    return True
+    return _spanned(z, lambda n: theta_span(z.state, theta, n))
 
 
 def w_degree_decompose(z: NicholsElement):

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
 from .exactlinalg import ColumnSolver
+from .integrals import nonsimple_roots
 from .nichols_core import AlgebraState, CheckFailed, NicholsElement
 
 
@@ -222,18 +223,10 @@ def ideal_membership_oracle(z: NicholsElement, side: str, state: AlgebraState):
         raise ReductionError("side must be 'left' or 'right'")
     sys = state.system
     field = state.field
-    nonsimple = [a for a in range(sys.nroots) if sys.heights[a] > 1]
     member = True
     normal = {}
     for n, vec in z.components.items():
-        state.ensure_degree(n)
-        dim = state.dim(n)
-        solver = ColumnSolver(dim, field)
-        if n >= 1:
-            for a in nonsimple:
-                mat = state.lmul(n, a) if side == "right" else state.rmul(n, a)
-                for col in mat:
-                    solver.add(col)
+        solver = _ideal_solver(state, side, n)
         njr = solver.rank
         length_n = [w for w in sys.elements() if w.length() == n]
         for w in length_n:
@@ -252,19 +245,17 @@ def ideal_membership_oracle(z: NicholsElement, side: str, state: AlgebraState):
 
 def quotient_dimensions(state: AlgebraState, side: str = "right"):
     """Per-degree dimension of B_W modulo the one-sided ideal."""
-    sys = state.system
-    field = state.field
     if state.finite_top is None:
         raise ReductionError("quotient dimensions need the full algebra")
-    nonsimple = [a for a in range(sys.nroots) if sys.heights[a] > 1]
-    out = []
-    for n in range(state.finite_top + 1):
-        dim = state.dim(n)
-        solver = ColumnSolver(dim, field)
-        if n >= 1:
-            for a in nonsimple:
-                mat = state.lmul(n, a) if side == "right" else state.rmul(n, a)
-                for col in mat:
-                    solver.add(col)
-        out.append(dim - solver.rank)
-    return out
+    return [state.dim(n) - _ideal_solver(state, side, n).rank
+            for n in range(state.finite_top + 1)]
+
+
+def _ideal_solver(state: AlgebraState, side: str, n: int) -> ColumnSolver:
+    """A solver holding the degree-n columns of J^r (side "right") or J^l."""
+    solver = ColumnSolver(state.dim(n), state.field)
+    if n >= 1:
+        for a in nonsimple_roots(state):
+            for col in state.lmul(n, a) if side == "right" else state.rmul(n, a):
+                solver.add(col)
+    return solver

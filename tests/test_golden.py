@@ -35,9 +35,18 @@ GOLDEN = {
     ("hypo", 3, "prime"): "c764d4edd1627e822ac4edf4f2bd63054f77a42c9814f61fa874f30abc7806b4",
     ("skew", 3, "prime"): "b69e0990bb6981172efd7996d4d18f19518eafd81d5693d634dd8b2999df886c",
     ("tower", 3, "prime"): "289ca710707ff8a68ce12f37ca864e6738f967a8aeb888c799a1bb4d3df3e4aa",
+    # the Gram matrix, the antipode and the group action; recorded from an
+    # engine that built the action and word reversal word by word and held
+    # the Gram matrix as dense rows
+    ("pairing", 3, "rational"): "b8156a0a5508f58ab0f6ae8c82fe11a11f86acec42c5ba0d00bbbdcee14632df",
+    ("nz-antipode", 3, "rational"): "8c90a8034fd2988cbc12b1877c020cf00a9ef940c529ed857e7121bc1709fa24",
+    ("pairing", 3, "prime"): "a5104f0320add42a3e11e7d017c89e9d31d485a0a880756fcc8b403e9a97e25e",
+    ("nz-antipode", 3, "prime"): "4fabcd1982686139c2dce9537f7121c67290ec27efa0a0e41ee405d0f56a0964",
 }
 
 COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
+            "pairing": ["pairing"],
+            "nz-antipode": ["verify", "nz-antipode", "--trials", "4"],
             "rhoD": ["verify", "rhoD", "--trials", "4"],
             "skew": ["verify", "skew-commutation", "--trials", "4"],
             "tower": ["verify", "tower", "--trials", "4"]}

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 One eliminator, :class:`ColumnSolver`, answers every exact question:
-rank, kernel bases and span membership.  It keeps the greedy set of
+rank, kernel bases, span membership and every class block of the
+graded construction, on both fields.  It keeps the greedy set of
 independent columns in offer order, with the coordinates of each kept
 echelon vector over them, so the result depends only on the column
 order.  There is one vector format: a ``{index: value}`` dict without
@@ -10,13 +11,13 @@ construction produces, and kernel bases and coordinates come back in
 the same form.  Arithmetic goes through a field facade: residues modulo
 a prime, or rationals kept integer first (a Python ``int`` whenever the
 value is integral, a ``Fraction`` only otherwise), so no floating point
-and no rounding enter anywhere.  The dense prime-field kernel of the
-graded construction lives in ``modp``.
+and no rounding enter anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 #: fixed default prime for the fast mode (largest 31-bit prime)
 DEFAULT_PRIME = 2147483647
@@ -112,7 +113,7 @@ class PrimeField:
     """Arithmetic facade for integers modulo a prime 2 < p < 2**31.
 
     The bound keeps every product of two residues inside int64, which the
-    dense kernels of ``modp`` rely on.
+    dense kernel of ``modp`` relies on.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
@@ -176,19 +177,21 @@ def kernel_basis(cols, nrows, field=QQ):
     """A deterministic basis of the right null space, as column dicts.
 
     The column dicts are offered to a :class:`ColumnSolver` in order,
-    each entry passed through ``field.of`` once.  Each dependent column
-    c gives the basis vector e_c - sum coords * e_selected: entry 1 at
-    c, zero at every other dependent column.
+    each entry passed through ``field.of`` once and each column reduced
+    once.  Each dependent column c gives the basis vector
+    e_c - sum coords * e_selected: entry 1 at c, zero at every other
+    dependent column.
     """
     solver = ColumnSolver(nrows, field)
     of = field.of
     basis = []
     for c, col in enumerate(cols):
-        col = {r: x for r, v in col.items() if (x := of(v))}
-        if solver.add(col):
+        kept, coords = solver.add({r: x for r, v in col.items() if (x := of(v))},
+                                  express=True)
+        if kept:
             continue
         selected = solver.selected
-        vec = {selected[k]: field.neg(x) for k, x in solver.coordinates(col).items()}
+        vec = {selected[k]: field.neg(x) for k, x in coords.items()}
         vec[c] = field.one
         basis.append(vec)
     return basis
@@ -230,61 +233,81 @@ class ColumnSolver:
         self.vectors = []     # echelon vectors, pivot entry normalized to 1
         self.exprs = []       # echelon vector = sum expr[k] * kept column k
         self.selected = []    # positions (in offer order) of kept columns
+        self._position = {}   # pivot index -> echelon position
         self._count = 0
 
     def _reduce(self, vec):
+        """The remainder of vec and {echelon position: factor} of the
+        subtractions.  Echelon vector k is zero at every earlier pivot, so
+        a min-heap visits, in echelon order, only the positions of the
+        pivots vec holds or a subtraction creates."""
         norm = self.field.normalize
+        position, pivots, vectors = self._position, self.pivots, self.vectors
         v = dict(vec)
+        heap = [k for c in v if (k := position.get(c)) is not None]
+        heapify(heap)
         coeffs = {}
-        for k, (p, ev) in enumerate(zip(self.pivots, self.vectors)):
-            f = v.get(p)
-            if f:
-                coeffs[k] = f
-                for c, x in ev.items():
-                    y = norm(v.get(c, 0) - f * x)
-                    if y:
-                        v[c] = y
-                    else:
-                        v.pop(c, None)
+        while heap:
+            # a position pushed twice finds its pivot entry cleared
+            k = heappop(heap)
+            f = v.get(pivots[k])
+            if not f:
+                continue
+            coeffs[k] = f
+            for c, x in vectors[k].items():
+                y = v.get(c)
+                if y is None:
+                    v[c] = norm(-f * x)
+                    j = position.get(c)
+                    if j is not None:
+                        heappush(heap, j)
+                elif y := norm(y - f * x):
+                    v[c] = y
+                else:
+                    del v[c]
         return v, coeffs
 
-    def add(self, vec) -> bool:
-        """Offer the next column; keep it iff independent.  Returns kept?"""
-        field = self.field
-        pos = self._count
-        self._count += 1
-        v, coeffs = self._reduce(vec)
-        if not v:
-            return False
-        p = min(v)
-        pinv = field.inv(v[p])
-        ev = {c: field.mul(x, pinv) for c, x in v.items()}
-        # expression of ev over kept columns: (column - sum coeffs*prior) * pinv
-        acc = {}
-        for k, f in coeffs.items():
-            for j, g in self.exprs[k].items():
-                acc[j] = acc.get(j, 0) - f * g
-        norm = field.normalize
-        expr = {j: y for j, x in acc.items() if (y := norm(x * pinv))}
-        expr[len(self.selected)] = pinv
-        self.pivots.append(p)
-        self.vectors.append(ev)
-        self.exprs.append(expr)
-        self.selected.append(pos)
-        return True
-
-    def coordinates(self, vec):
-        """Coefficients over the kept columns, as {kept position: value}
-        without zeros, or None if vec is not in their span."""
-        v, coeffs = self._reduce(vec)
-        if v:
-            return None
+    def _express(self, coeffs):
+        """sum coeffs[k] * exprs[k] over the kept columns, without zeros."""
         out = {}
         for k, f in coeffs.items():
             for j, g in self.exprs[k].items():
                 out[j] = out.get(j, 0) + f * g
         norm = self.field.normalize
         return {j: y for j, x in out.items() if (y := norm(x))}
+
+    def add(self, vec, express=False):
+        """Offer the next column; keep it iff independent.  Returns kept?
+
+        With ``express``, returns (kept?, coordinates of the column over
+        the kept columns) from the same reduction: {its own kept
+        position: 1} for a kept column.
+        """
+        field = self.field
+        pos = self._count
+        self._count += 1
+        v, coeffs = self._reduce(vec)
+        if not v:
+            return (False, self._express(coeffs)) if express else False
+        p = min(v)
+        pinv = field.inv(v[p])
+        ev = {c: field.mul(x, pinv) for c, x in v.items()}
+        # expression of ev over kept columns: (column - sum coeffs*prior) * pinv
+        expr = {j: field.mul(-x, pinv) for j, x in self._express(coeffs).items()}
+        k = len(self.selected)
+        expr[k] = pinv
+        self._position[p] = k
+        self.pivots.append(p)
+        self.vectors.append(ev)
+        self.exprs.append(expr)
+        self.selected.append(pos)
+        return (True, {k: field.one}) if express else True
+
+    def coordinates(self, vec):
+        """Coefficients over the kept columns, as {kept position: value}
+        without zeros, or None if vec is not in their span."""
+        v, coeffs = self._reduce(vec)
+        return None if v else self._express(coeffs)
 
     @property
     def rank(self) -> int:

@@ -1,14 +1,15 @@
-"""Dense prime-field kernels used by the graded construction in fast mode.
+"""A dense prime-field greedy solver, kept as a reference: the graded
+construction uses ``exactlinalg.ColumnSolver``, and a test compares it
+with :func:`greedy_solve` block by block.
 
 Everything here works on ``numpy`` int64 arrays holding residues in
-``[0, p)`` with ``p < 2**31``, so a single product never overflows int64
-and every intermediate is reduced immediately.  The greedy kernel
+``[0, p)`` with ``p < 2**31``, so a single product never overflows
+int64 and every intermediate is reduced immediately.  The greedy kernel
 compiles with numba when the optional dependency imports
 (``USE_NUMBA``); otherwise the numpy fallback runs, with identical
 semantics.  Results of both paths are bit-identical.  ``python3
 perfbench/run.py --workload a4_prime_cap6 --seed 1 --seconds 20 --trace
-1`` times the active path: its ``modp.micro.*`` metrics alone, and
-``modp.greedy_solve.s`` inside the A4 build.
+1`` times the active path alone in its ``modp.micro.*`` metrics.
 """
 
 from __future__ import annotations

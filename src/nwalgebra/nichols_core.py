@@ -322,33 +322,23 @@ class AlgebraState:
         for cand in cands:
             by_class.setdefault(cand[3], []).append(cand)
 
-        pos_in_class = [0] * prev.dim
-        for idxs in prev.classes.values():
-            for k, i in enumerate(idxs):
-                pos_in_class[i] = k
-
         coords_of = {}    # candidate word -> (class number, sparse coordinates)
-        vector_of = {}    # kept word -> (sparse vector, (gamma, row) per position)
+        vector_of = {}    # kept word -> its sparse derivative vector
         chosen_of = []    # class number -> kept words of the class
         for g in sorted(by_class, key=lambda e: e.images):
             block = by_class[g]
-            rows, offsets = self._class_rows(prev, g, times)
-            nrows = offsets[-1] + len(rows[-1])
+            nrows = sum(len(prev.classes.get(times(gam, g), ()))
+                        for gam in range(sys.nroots))
             if nrows * len(block) > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {nrows * len(block)} entries")
-            vectors = [self._candidate_vector(cand, offsets, prev, pos_in_class)
-                       for cand in block]
-            if field.prime is not None and len(block) > 8:
-                sel, coords = self._solve_block_modp(vectors, nrows)
-            else:
-                sel, coords = self._solve_block_generic(vectors, nrows)
+            vectors = [self._candidate_vector(cand, prev) for cand in block]
+            sel, coords = self._solve_block(vectors, nrows)
             chosen_of.append([block[s][0] for s in sel])
-            row_ids = [(gam, glob) for gam, idxs in enumerate(rows) for glob in idxs]
             for s in sel:
-                vector_of[block[s][0]] = (vectors[s], row_ids)
-            for ci, cand in enumerate(block):
-                coords_of[cand[0]] = (len(chosen_of) - 1, coords[ci])
+                vector_of[block[s][0]] = vectors[s]
+            for cand, c in zip(block, coords):
+                coords_of[cand[0]] = (len(chosen_of) - 1, c)
 
         kept_words = sorted(w for chosen in chosen_of for w in chosen)
         word_pos = {w: i for i, w in enumerate(kept_words)}
@@ -371,10 +361,9 @@ class AlgebraState:
         for gam in range(sys.nroots):
             basis.dleft[gam] = [dict() for _ in range(dim)]
         for i, w in enumerate(kept_words):
-            vec, row_ids = vector_of[w]
-            for k, v in vec.items():
-                gam, glob = row_ids[k]
-                basis.dleft[gam][i][glob] = v
+            for k, v in vector_of[w].items():
+                gam, r = divmod(k, prev.dim)
+                basis.dleft[gam][i][r] = v
 
         top = self.predicted_top
         if top is not None and (n <= top) == (dim == 0):
@@ -385,67 +374,39 @@ class AlgebraState:
         if dim == 0:
             self.finite_top = n - 1
 
-    def _class_rows(self, prev: DegreeBasis, g: GroupElement, times):
-        """Per-derivative-index row layout of the class-g derivative space."""
-        rows = []
-        offsets = []
-        pos = 0
-        for gam in range(self.system.nroots):
-            idxs = prev.classes.get(times(gam, g), [])
-            rows.append(idxs)
-            offsets.append(pos)
-            pos += len(idxs)
-        return rows, offsets
+    def _candidate_vector(self, cand, prev):
+        """Joint left-derivative vector of x_a * b_j, entry gamma * prev.dim + r
+        holding coordinate r of D_gamma(x_a b_j).
 
-    def _candidate_vector(self, cand, offsets, prev, pos_in_class):
-        """Joint left-derivative vector of x_a * b_j in class-row layout.
-
-        Block gamma holds D_gamma(x_a b_j) = [gamma = a] b_j
-        + sign * L_a D_delta(b_j) with s_a(gamma) = sign * delta.  Every
-        term of L_a D_delta(b_j) lies in the class of block gamma, so it
-        is scattered from column j of D_delta and the columns of L_a.
-        Returns {position: value} without zeros.
+        D_gamma(x_a b_j) = [gamma = a] b_j + sign * L_a D_delta(b_j) with
+        s_a(gamma) = sign * delta, so it is scattered from column j of
+        D_delta and the columns of L_a.  Returns {position: value}
+        without zeros.
         """
         field = self.field
         _, a, j, _ = cand
         refl = self.system.refl[a]
         lm = prev.lmul[a]
-        acc = {offsets[a] + pos_in_class[j]: field.one}
-        for gam, base in enumerate(offsets):
+        dim = prev.dim
+        acc = {a * dim + j: field.one}
+        for gam in range(self.system.nroots):
+            base = gam * dim
             s = refl[gam]
             for c, x in prev.dleft[abs(s) - 1][j].items():
                 if s < 0:
                     x = -x
                 for r, v in lm[c].items():
-                    k = base + pos_in_class[r]
+                    k = base + r
                     acc[k] = acc.get(k, 0) + v * x
         norm = field.normalize
         return {k: y for k, x in acc.items() if (y := norm(x))}
 
-    def _solve_block_generic(self, vectors, nrows):
-        """Kept candidates and each candidate's {kept: coordinate} dict."""
+    def _solve_block(self, vectors, nrows):
+        """Kept candidates and each candidate's {kept: coordinate} dict,
+        each vector reduced once."""
         solver = ColumnSolver(nrows, self.field)
-        sel = [ci for ci, v in enumerate(vectors) if solver.add(v)]
-        return sel, [solver.coordinates(v) for v in vectors]
-
-    def _solve_block_modp(self, vectors, nrows):
-        import numpy as np
-
-        from . import modp
-
-        rows, cols, vals = [], [], []
-        for ci, vec in enumerate(vectors):
-            rows.extend(vec)
-            cols.extend([ci] * len(vec))
-            vals.extend(vec.values())
-        a = np.zeros((nrows, len(vectors)), dtype=np.int64)
-        a[rows, cols] = vals
-        sel, coords = modp.greedy_solve(a, self.field.prime)
-        out = [dict() for _ in vectors]
-        ks, cis = np.nonzero(coords)
-        for k, ci, x in zip(ks.tolist(), cis.tolist(), coords[ks, cis].tolist()):
-            out[ci][k] = x
-        return sel.tolist(), out
+        offered = [solver.add(vec, express=True) for vec in vectors]
+        return [ci for ci, (kept, _) in enumerate(offered) if kept], [c for _, c in offered]
 
     # -- lazily built structure matrices ----------------------------------
 

@@ -174,24 +174,93 @@ def test_rational_field_is_integer_first():
     assert str(QQ.of(Fraction(6, 2))) == str(Fraction(3)) == "3"
 
 
+def linear_probe_echelon(cols, field):
+    """Reference echelon: every column reduced by probing every earlier
+    pivot in turn.  Returns (pivots, echelon vectors, kept positions,
+    number of subtractions that created an entry at a later pivot)."""
+    pivots, vectors, selected, created = [], [], [], 0
+    for pos, col in enumerate(cols):
+        v = dict(col)
+        for k, (p, ev) in enumerate(zip(pivots, vectors)):
+            f = v.get(p)
+            if f:
+                for c, x in ev.items():
+                    created += c not in v and c in pivots[k + 1:]
+                    y = field.normalize(v.get(c, 0) - f * x)
+                    if y:
+                        v[c] = y
+                    else:
+                        v.pop(c, None)
+        if v:
+            p = min(v)
+            pinv = field.inv(v[p])
+            pivots.append(p)
+            vectors.append({c: field.mul(x, pinv) for c, x in v.items()})
+            selected.append(pos)
+    return pivots, vectors, selected, created
+
+
+def solver_matrices(rng, field):
+    """Small random matrices, then ~40 x 60 sparse, low-rank and
+    repeated-column ones, as (column dicts, row count)."""
+    def col(entries):
+        return {i: x for i, v in entries.items() if (x := field.of(v))}
+
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        yield [col({i: rng.randint(-3, 3) for i in range(n)})
+               for _ in range(rng.randint(1, 8))], n
+    for _ in range(4):
+        # sparse +-1 entries
+        yield [col({i: rng.choice((-1, 1)) for i in range(40) if rng.random() < 0.08})
+               for _ in range(60)], 40
+        # a low-rank product: most columns are dependent
+        k = rng.randint(3, 15)
+        left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(40)]
+        right = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(60)]
+        yield [col({i: sum(a * b for a, b in zip(left[i], r)) for i in range(40)})
+               for r in right], 40
+        # repeated columns and multiples of earlier ones
+        cols = []
+        for _ in range(60):
+            if cols and rng.random() < 0.5:
+                c, m = rng.choice(cols), rng.randint(-3, 3)
+                cols.append(col({i: m * x for i, x in c.items()}))
+            else:
+                cols.append(col({i: rng.randint(-2, 2) for i in range(40)
+                                 if rng.random() < 0.2}))
+        yield cols, 40
+
+
 def test_column_solver_roundtrip():
     rng = random.Random(7)
     gf = PrimeField()
     for field in (QQ, gf):
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            cols = []
-            for _ in range(rng.randint(1, 8)):
-                col = [field.of(rng.randint(-3, 3)) for _ in range(n)]
-                cols.append({i: x for i, x in enumerate(col) if x})
-            solver = ColumnSolver(n, field)
+        created = 0
+        for cols, n in solver_matrices(rng, field):
+            solver, expressing = ColumnSolver(n, field), ColumnSolver(n, field)
             kept = [solver.add(c) for c in cols]
+            offered = [expressing.add(c, express=True) for c in cols]
             assert [pos for pos, k in enumerate(kept) if k] == solver.selected
-            for c in cols:
+            assert [k for k, _ in offered] == kept
+            pivots, vectors, selected, made = linear_probe_echelon(cols, field)
+            created += made
+            for ech in (solver, expressing):
+                assert ech.pivots == pivots and ech.selected == selected
+                assert [list(v.items()) for v in ech.vectors] == \
+                    [list(v.items()) for v in vectors]
+            for pos, (c, (k, expressed)) in enumerate(zip(cols, offered)):
                 coords = solver.coordinates(c)
                 assert coords is not None and all(coords.values())
+                # the single pass gives the coordinates a second reduction gives
+                assert expressed == coords
+                if k:
+                    assert coords == {solver.selected.index(pos): field.one}
                 got = {}
-                for k, x in coords.items():
-                    for i, y in cols[solver.selected[k]].items():
+                for j, x in coords.items():
+                    for i, y in cols[solver.selected[j]].items():
                         got[i] = field.add(got.get(i, field.zero), field.mul(x, y))
                 assert {i: x for i, x in got.items() if x} == c
+        # the larger matrices make reductions create entries at later
+        # pivots, so the pivot heap takes pushes beyond the column's own
+        assert created > 0

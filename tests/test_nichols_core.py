@@ -681,12 +681,55 @@ def test_e6_degree_two():
     assert st.dims()[:3] == [1, 36, 750]
 
 
-def test_construction_memory_bound():
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["rational", "prime"])
+def test_construction_memory_bound(field):
     from nwalgebra.nichols_core import MemoryBoundExceeded
 
-    st = AlgebraState(RootSystem(cartan_data("A", 3)), memory_bound=10)
+    st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field, memory_bound=10)
     with pytest.raises(MemoryBoundExceeded):
         st.construct_all()
+    # the bound counts rows times candidates of a class block on either
+    # field: degree 5 has blocks of more than eight candidates
+    st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field, memory_bound=1000)
+    with pytest.raises(MemoryBoundExceeded, match="^degree 5 class block needs 1444 entries$"):
+        st.construct_all()
+    assert st.dims() == [1, 6, 19, 42, 71]
+
+
+@pytest.mark.parametrize("type_,rank_,top", [("A", 4, 5), ("D", 4, 4)])
+def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_, top):
+    # every class block solved a second time by a dense fill and
+    # modp.greedy_solve gives the same basis and structure columns
+    import numpy as np
+
+    from nwalgebra import modp
+
+    def dense_solve(self, vectors, nrows):
+        rows = sorted({r for vec in vectors for r in vec})
+        at = {r: i for i, r in enumerate(rows)}
+        a = np.zeros((len(rows), len(vectors)), dtype=np.int64)
+        for ci, vec in enumerate(vectors):
+            for r, x in vec.items():
+                a[at[r], ci] = x
+        sel, coords = modp.greedy_solve(a, self.field.prime)
+        out = [dict() for _ in vectors]
+        for k, row in enumerate(coords.tolist()):
+            for ci, x in enumerate(row):
+                if x:
+                    out[ci][k] = x
+        return sel.tolist(), out
+
+    sys = RootSystem(cartan_data(type_, rank_))
+    sparse = AlgebraState(sys, field=PrimeField(), degree_cap=top)
+    sparse.construct_all()
+    monkeypatch.setattr(AlgebraState, "_solve_block", dense_solve)
+    dense = AlgebraState(sys, field=PrimeField(), degree_cap=top)
+    dense.construct_all()
+    assert sparse.dims() == dense.dims()
+    for n in range(1, top + 1):
+        got, want = sparse.bases[n], dense.bases[n]
+        assert got.words == want.words and got.parents == want.parents
+        assert got.lmul == want.lmul and got.dleft == want.dleft
 
 
 def test_type_d_low_degrees():

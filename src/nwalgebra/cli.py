@@ -387,6 +387,17 @@ def cmd_bracket(args, phases):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low):
+    """An argparse type: an int that is at least ``low``, else exit 2."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nwalg",
@@ -397,14 +408,15 @@ def build_parser():
     common.add_argument("--rank", type=int, default=2)
     common.add_argument("--field", default="rational", choices=["rational", "prime"])
     common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    common.add_argument("--degree-cap", type=int, default=None)
+    common.add_argument("--degree-cap", type=_int_at_least(1), default=None)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=100)
+    common.add_argument("--trials", type=_int_at_least(1), default=100)
     common.add_argument("--format", default="json", choices=["json", "text", "csv"])
-    common.add_argument("--max-degree", type=int, default=None)
+    common.add_argument("--max-degree", type=_int_at_least(0), default=None)
+    # argparse passes a string default, the environment's, through the type
     common.add_argument(
-        "--memory-bound", type=int,
-        default=int(os.environ.get("NWALGEBRA_MEMORY_BOUND", DEFAULT_MEMORY_BOUND)))
+        "--memory-bound", type=_int_at_least(1),
+        default=os.environ.get("NWALGEBRA_MEMORY_BOUND", DEFAULT_MEMORY_BOUND))
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("roots", parents=[common]).set_defaults(fn=cmd_roots)
@@ -431,7 +443,7 @@ def build_parser():
     d.set_defaults(fn=cmd_disjoint)
     sub.add_parser("pairing", parents=[common]).set_defaults(fn=cmd_pairing)
     b = sub.add_parser("bracket", parents=[common])
-    b.add_argument("--order", type=int, default=2)
+    b.add_argument("--order", type=_int_at_least(1), default=2)
     b.set_defaults(fn=cmd_bracket)
     return parser
 

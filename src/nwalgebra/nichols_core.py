@@ -202,19 +202,27 @@ class TensorElement:
 
 
 class DegreeBasis:
-    """Basis of one graded component with its structure matrices."""
+    """Basis of one graded component with its stored structure.
 
-    def __init__(self, degree, words, wdegs, parents):
+    ``lmul[a]`` is left multiplication by x_a, a matrix B^{n-1} -> B^n.
+    The left derivatives are stored once, jointly: ``derivs[i]`` is the
+    vector the construction eliminated for b_i, entry gamma * dim(n-1) + r
+    holding coordinate r of D_gamma(b_i).  The per-root matrices
+    B^n -> B^{n-1} are views built from it on request
+    (:meth:`AlgebraState.dleft`).
+    """
+
+    def __init__(self, degree, words, wdegs, parents, derivs):
         self.degree = degree
         self.words = tuple(words)
         self.dim = len(self.words)
         self.wdegs = tuple(wdegs)
         self.parents = tuple(parents)  # (first letter, parent basis index) per word
+        self.derivs = derivs           # joint left-derivative vector per word
         self.classes = {}
         for i, g in enumerate(self.wdegs):
             self.classes.setdefault(g, []).append(i)
         self.lmul = {}    # a -> matrix B^{n-1} -> B^n
-        self.dleft = {}   # g -> matrix B^n -> B^{n-1}
         self.cache = {}   # (map, key) -> lazily built matrix or span
 
 
@@ -233,7 +241,7 @@ class AlgebraState:
         self.degree_cap = degree_cap
         self.memory_bound = memory_bound
         self.finite_top = None
-        base = DegreeBasis(0, [()], [system.identity()], [None])
+        base = DegreeBasis(0, [()], [system.identity()], [None], [{}])
         self.bases = [base]
         self._ensure_degree_one()
 
@@ -241,14 +249,14 @@ class AlgebraState:
 
     def _ensure_degree_one(self):
         sys = self.system
+        one = self.field.one
         words = [(a,) for a in range(sys.nroots)]
         wdegs = [sys.reflection(a) for a in range(sys.nroots)]
         parents = [(a, 0) for a in range(sys.nroots)]
-        basis = DegreeBasis(1, words, wdegs, parents)
-        one = self.field.one
+        derivs = [{a: one} for a in range(sys.nroots)]  # D_gamma(x_a) = [gamma = a]
+        basis = DegreeBasis(1, words, wdegs, parents, derivs)
         for a in range(sys.nroots):
             basis.lmul[a] = [{a: one}]
-            basis.dleft[a] = [{0: one} if i == a else {} for i in range(sys.nroots)]
         self.bases.append(basis)
 
     @property
@@ -281,10 +289,9 @@ class AlgebraState:
     def _append_empty(self):
         n = len(self.bases)
         prev_dim = self.bases[n - 1].dim
-        basis = DegreeBasis(n, [], [], [])
+        basis = DegreeBasis(n, [], [], [], [])
         for a in range(self.system.nroots):
             basis.lmul[a] = [dict() for _ in range(prev_dim)]
-            basis.dleft[a] = []
         self.bases.append(basis)
 
     def construct_all(self):
@@ -294,9 +301,12 @@ class AlgebraState:
         return self.dims()
 
     def extend_degree(self):
-        """Build the next graded component from the previous one."""
+        """Build the next graded component from the previous one.
+
+        The candidates are x_a b_j, in (a, j) order: the previous words
+        are sorted, so that is the order of the words (a,) + word_j.
+        """
         sys = self.system
-        field = self.field
         n = len(self.bases)
         if self.finite_top is not None:
             raise DegreeCapExceeded("algebra is already complete")
@@ -311,60 +321,46 @@ class AlgebraState:
                 h = prods[(a, g)] = sys.reflection(a) * g
             return h
 
-        # candidates x_a * b_j grouped by group degree, in canonical word order
-        cands = []  # (word, a, j, class element)
+        by_class = {}  # class element -> its candidates (a, j), in order
         for a in range(sys.nroots):
-            for j, wj in enumerate(prev.words):
-                cands.append(((a,) + wj, a, j, times(a, prev.wdegs[j])))
-        cands.sort(key=lambda t: t[0])
+            for j, h in enumerate(prev.wdegs):
+                by_class.setdefault(times(a, h), []).append((a, j))
 
-        by_class = {}
-        for cand in cands:
-            by_class.setdefault(cand[3], []).append(cand)
-
-        coords_of = {}    # candidate word -> (class number, sparse coordinates)
-        vector_of = {}    # kept word -> its sparse derivative vector
-        chosen_of = []    # class number -> kept words of the class
-        for g in sorted(by_class, key=lambda e: e.images):
+        # column j of lmul[a]: the coordinates of x_a b_j, first over the
+        # kept candidates of its class, then over the whole basis
+        lmul = [[None] * prev.dim for _ in range(sys.nroots)]
+        classes = sorted(by_class, key=lambda e: e.images)
+        kept = []  # (a, j, class number, derivative vector) per kept candidate
+        for k, g in enumerate(classes):
             block = by_class[g]
             nrows = sum(len(prev.classes.get(times(gam, g), ()))
                         for gam in range(sys.nroots))
             if nrows * len(block) > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {nrows * len(block)} entries")
-            vectors = [self._candidate_vector(cand, prev) for cand in block]
+            vectors = [self._candidate_vector(a, j, prev) for a, j in block]
             sel, coords = self._solve_block(vectors, nrows)
-            chosen_of.append([block[s][0] for s in sel])
-            for s in sel:
-                vector_of[block[s][0]] = vectors[s]
-            for cand, c in zip(block, coords):
-                coords_of[cand[0]] = (len(chosen_of) - 1, c)
+            for (a, j), c in zip(block, coords):
+                lmul[a][j] = c
+            kept += [(*block[s], k, vectors[s]) for s in sel]
 
-        kept_words = sorted(w for chosen in chosen_of for w in chosen)
-        word_pos = {w: i for i, w in enumerate(kept_words)}
-        pos_of = [[word_pos[w] for w in chosen] for chosen in chosen_of]
-        cand_info = {c[0]: c for c in cands}
-        wdegs = [cand_info[w][3] for w in kept_words]
-        parents = [(cand_info[w][1], cand_info[w][2]) for w in kept_words]
-        basis = DegreeBasis(n, kept_words, wdegs, parents)
-
-        # column j of lmul[a]: the coordinates of the candidate x_a b_j
-        dim = len(kept_words)
-        for a in range(sys.nroots):
-            basis.lmul[a] = [None] * prev.dim
-        for (w, a, j, g) in cands:
-            k, coords = coords_of[w]
+        # a class's kept candidates are in (a, j) order, so their global
+        # positions come out ascending in their local order
+        kept.sort(key=lambda t: t[:2])
+        pos_of = [[] for _ in classes]
+        for i, (_, _, k, _) in enumerate(kept):
+            pos_of[k].append(i)
+        for k, g in enumerate(classes):
             pos = pos_of[k]
-            basis.lmul[a][j] = {pos[local]: c for local, c in coords.items()}
+            for a, j in by_class[g]:
+                lmul[a][j] = {pos[local]: c for local, c in lmul[a][j].items()}
+        basis = DegreeBasis(n, [(a,) + prev.words[j] for a, j, _, _ in kept],
+                            [classes[k] for _, _, k, _ in kept],
+                            [(a, j) for a, j, _, _ in kept],
+                            [vec for _, _, _, vec in kept])
+        basis.lmul = dict(enumerate(lmul))
 
-        # column i of dleft[gamma]: block gamma of the vector of kept word i
-        for gam in range(sys.nroots):
-            basis.dleft[gam] = [dict() for _ in range(dim)]
-        for i, w in enumerate(kept_words):
-            for k, v in vector_of[w].items():
-                gam, r = divmod(k, prev.dim)
-                basis.dleft[gam][i][r] = v
-
+        dim = basis.dim
         top = self.predicted_top
         if top is not None and (n <= top) == (dim == 0):
             what = "vanishes" if dim == 0 else "is nonzero"
@@ -374,27 +370,31 @@ class AlgebraState:
         if dim == 0:
             self.finite_top = n - 1
 
-    def _candidate_vector(self, cand, prev):
+    def _candidate_vector(self, a, j, prev):
         """Joint left-derivative vector of x_a * b_j, entry gamma * prev.dim + r
         holding coordinate r of D_gamma(x_a b_j).
 
         D_gamma(x_a b_j) = [gamma = a] b_j + sign * L_a D_delta(b_j) with
-        s_a(gamma) = sign * delta, so it is scattered from column j of
-        D_delta and the columns of L_a.  Returns {position: value}
-        without zeros.
+        s_a(gamma) = sign * delta.  Entry delta * dim(n-2) + c of the
+        stored vector ``prev.derivs[j]`` is coordinate c of D_delta(b_j),
+        and s_a is an involution, so gamma = |s_a(delta)| with the same
+        sign; the entries are scattered down the columns of L_a, gamma
+        ascending.  Returns {position: value} without zeros.
         """
         field = self.field
-        _, a, j, _ = cand
         refl = self.system.refl[a]
         lm = prev.lmul[a]
         dim = prev.dim
+        ddim = self.bases[prev.degree - 1].dim
+        by_gamma = {}  # gamma -> (c, sign * coordinate c of D_delta(b_j))
+        for k, x in prev.derivs[j].items():
+            delta, c = divmod(k, ddim)
+            s = refl[delta]
+            by_gamma.setdefault(abs(s) - 1, []).append((c, x if s > 0 else -x))
         acc = {a * dim + j: field.one}
-        for gam in range(self.system.nroots):
+        for gam in sorted(by_gamma):
             base = gam * dim
-            s = refl[gam]
-            for c, x in prev.dleft[abs(s) - 1][j].items():
-                if s < 0:
-                    x = -x
+            for c, x in by_gamma[gam]:
                 for r, v in lm[c].items():
                     k = base + r
                     acc[k] = acc.get(k, 0) + v * x
@@ -415,11 +415,6 @@ class AlgebraState:
         self.ensure_degree(n)
         return self.bases[n].lmul[a]
 
-    def dleft(self, n, g):
-        """Left derivative by gamma as a matrix B^n -> B^{n-1}."""
-        self.ensure_degree(n)
-        return self.bases[n].dleft[g]
-
     def _cached(self, n, key, build):
         """The degree-n map ``key`` = (map name, argument), built once by
         ``build(basis)`` and kept in the degree's memo."""
@@ -428,6 +423,22 @@ class AlgebraState:
         if m is None:
             m = basis.cache[key] = build(basis)
         return m
+
+    def dleft(self, n, g):
+        """Left derivative by gamma as a matrix B^n -> B^{n-1}: column i is
+        block gamma of ``derivs[i]``.  The first request at a degree splits
+        every stored vector once and files all the roots' matrices."""
+        def build(basis):
+            prev_dim = self.bases[n - 1].dim if n else 0
+            mats = [[dict() for _ in range(basis.dim)] for _ in range(self.system.nroots)]
+            for i, vec in enumerate(basis.derivs):
+                for k, v in vec.items():
+                    gam, r = divmod(k, prev_dim)
+                    mats[gam][i][r] = v
+            for gam, m in enumerate(mats):
+                basis.cache[("dleft", gam)] = m
+            return mats[g]
+        return self._cached(n, ("dleft", g), build)
 
     # Every map below is built column by column from ``parents``: column i
     # of degree n, for b_i = x_a b_j, comes from column j of a map at

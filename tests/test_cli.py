@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -182,6 +183,33 @@ def test_unsound_prime_exit_2():
         assert code == 2, p
         assert out == ""
         assert "--prime: prime mode requires" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rhoD", "--max-degree", "-2"],
+    ["verify", "rhoD", "--trials", "0"],
+    ["verify", "rhoD", "--trials", "-3"],
+    ["dims", "--degree-cap", "0"],
+    ["dims", "--degree-cap", "-1"],
+    ["dims", "--memory-bound", "-5"],
+    ["bracket", "--order", "0"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_out_of_range_integer_exit_2(argv):
+    code, out, err = run_cli(*argv, "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: must be at least" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_memory_bound_environment_default_is_checked(value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nwalgebra.cli", "dims", "--rank", "2"],
+        capture_output=True, text=True,
+        env={**os.environ, "NWALGEBRA_MEMORY_BOUND": value})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --memory-bound:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_roots_and_hilbert():

@@ -95,10 +95,29 @@ def cartan_data(type_label: str, rank: int) -> CartanData:
     return CartanData(rank=rank, adjacency=adj, type_label=f"{t}{rank}")
 
 
+def positive_root_count(cartan: CartanData):
+    """|R+| from its closed form, or None for a diagram of no named type."""
+    t, n = cartan.type_label[:1], cartan.rank
+    if cartan.type_label != f"{t}{n}":
+        return None
+    if t == "A":
+        return n * (n + 1) // 2
+    if t == "D":
+        return n * (n - 1)
+    return {"E6": 36, "E7": 63, "E8": 120}.get(cartan.type_label)
+
+
 class RootSystem:
     """Positive roots, reflection table and bilinear form of a Weyl group."""
 
     def __init__(self, cartan: CartanData):
+        # the nroots x nroots reflection table is bounded before any root
+        # is generated
+        nroots = positive_root_count(cartan)
+        if nroots is not None and nroots * nroots > ENUMERATION_BOUND:
+            raise EnumerationBoundExceeded(
+                f"{cartan.type_label} has {nroots} positive roots; its reflection "
+                f"table needs {nroots * nroots} entries, over the bound {ENUMERATION_BOUND}")
         self.cartan = cartan
         self.rank = cartan.rank
         # symmetrized Cartan matrix: (b_i, b_j) = 2 d_ij - adjacency

@@ -7,6 +7,15 @@ exactly when all its braided left derivatives vanish.  Everything is
 graded by the group as well, and the construction eliminates per
 group-degree block, which keeps the exact linear algebra small.
 
+The algebra is a quotient of the free algebra by relations that already
+hold in degree 2, and the construction reads them off once: from the
+degree-2 ``lmul`` columns it keeps every x_a x_c = sum lam * x_d x_e
+with all d < a (x_a^2 = 0, the commuting pairs, and the dependent word
+of each three-term relation).  A later candidate x_a b_j whose parent
+is b_j = x_c b_k with such a relation is then a combination of the
+candidates x_d b_i, which precede it in its class block, so it is never
+assembled or reduced (:meth:`AlgebraState.extend_degree`).
+
 The braided derivative recursions used on words:
 
   left:   D_g(x_a z)  = d_{ga} z + sign * x_a D_{|s_a(g)|}(z)
@@ -241,6 +250,7 @@ class AlgebraState:
         self.degree_cap = degree_cap
         self.memory_bound = memory_bound
         self.finite_top = None
+        self._relations = {}  # the degree-2 relation table, once degree 2 is built
         base = DegreeBasis(0, [()], [system.identity()], [None], [{}])
         self.bases = [base]
         self._ensure_degree_one()
@@ -305,6 +315,17 @@ class AlgebraState:
 
         The candidates are x_a b_j, in (a, j) order: the previous words
         are sorted, so that is the order of the words (a,) + word_j.
+        Each class block keeps, greedily in that order, the candidates
+        whose joint derivative vectors are independent.
+
+        A candidate whose parent is b_j = x_c b_k, for a pair (a, c) in
+        the degree-2 relation table, is never assembled or offered to
+        the eliminator: x_a b_j = sum lam * x_d (x_e b_k) = sum lam *
+        mu_i * x_d b_i, with mu the coordinates of x_e b_k.  Every d < a,
+        so each x_d b_i comes earlier in the same class block and its
+        coordinates are known.  The candidate is therefore dependent, and
+        this sum gives its coordinates over the independent kept columns,
+        which are unique: the eliminator would have returned the same.
         """
         sys = self.system
         n = len(self.bases)
@@ -331,6 +352,7 @@ class AlgebraState:
         lmul = [[None] * prev.dim for _ in range(sys.nroots)]
         classes = sorted(by_class, key=lambda e: e.images)
         kept = []  # (a, j, class number, derivative vector) per kept candidate
+        relations = self._relations
         for k, g in enumerate(classes):
             block = by_class[g]
             nrows = sum(len(prev.classes.get(times(gam, g), ()))
@@ -338,11 +360,24 @@ class AlgebraState:
             if nrows * len(block) > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {nrows * len(block)} entries")
-            vectors = [self._candidate_vector(a, j, prev) for a, j in block]
-            sel, coords = self._solve_block(vectors, nrows)
-            for (a, j), c in zip(block, coords):
-                lmul[a][j] = c
-            kept += [(*block[s], k, vectors[s]) for s in sel]
+            offered, derived = [], []
+            for a, j in block:
+                c, jp = prev.parents[j]
+                rel = relations.get((a, c))
+                if rel is None:
+                    offered.append((a, j))
+                else:
+                    derived.append((a, j, rel, jp))
+            vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
+            if vectors:
+                sel, coords = self._solve_block(vectors, nrows)
+                for (a, j), c in zip(offered, coords):
+                    lmul[a][j] = c
+                kept += [(*offered[s], k, vectors[s]) for s in sel]
+            # every x_d b_i of a relation sum has d < a, so it precedes
+            # x_a b_j in this block and its column is already set
+            for a, j, rel, jp in derived:
+                lmul[a][j] = self._derived_column(rel, prev.lmul, jp, lmul)
 
         # a class's kept candidates are in (a, j) order, so their global
         # positions come out ascending in their local order
@@ -369,6 +404,27 @@ class AlgebraState:
         self.bases.append(basis)
         if dim == 0:
             self.finite_top = n - 1
+        if n == 2:
+            # (a, c) -> [(d, e, lam)] whenever x_a x_c = sum lam * x_d x_e
+            # over the degree-2 basis with every d < a
+            self._relations = {
+                (a, c): [(*basis.parents[i], x) for i, x in col.items()]
+                for a, cols in basis.lmul.items() for c, col in enumerate(cols)
+                if all(basis.parents[i][0] < a for i in col)}
+
+    def _derived_column(self, rel, prev_lmul, jp, lmul):
+        """Block-local coordinates of x_a b_j for b_j = x_c b_jp and the
+        relation x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i *
+        lmul[d][i], mu = prev_lmul[e][jp] the coordinates of x_e b_jp."""
+        acc = {}
+        for d, e, lam in rel:
+            col_d = lmul[d]
+            for i, mu in prev_lmul[e][jp].items():
+                f = lam * mu
+                for t, x in col_d[i].items():
+                    acc[t] = acc.get(t, 0) + f * x
+        norm = self.field.normalize
+        return {t: y for t, x in acc.items() if (y := norm(x))}
 
     def _candidate_vector(self, a, j, prev):
         """Joint left-derivative vector of x_a * b_j, entry gamma * prev.dim + r

@@ -74,6 +74,22 @@ def test_cap_exceeded_exit_3():
     assert "resource bound exceeded" in err
 
 
+def test_rank_bound_exit_3_before_root_generation(capsys):
+    # the root count comes from its closed form, so an oversized rank is
+    # refused before any root is generated
+    import time
+
+    from nwalgebra import cli
+
+    t0 = time.perf_counter()
+    code = cli.main(["dims", "--rank", "99"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "A99 has 4950 positive roots" in err and "over the bound 3628800" in err
+    assert elapsed < 1.0, elapsed
+
+
 def test_disjoint_find_complete_s6():
     code, out, _ = run_cli("disjoint", "--type", "A", "--rank", "5", "--find-complete")
     assert code == 0

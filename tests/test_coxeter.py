@@ -3,11 +3,14 @@ import random
 import pytest
 
 from nwalgebra.coxeter import (
+    ENUMERATION_BOUND,
     CoxeterError,
+    EnumerationBoundExceeded,
     RootSystem,
     cartan_data,
     centralizer_of_longest,
     element_from_json,
+    positive_root_count,
 )
 
 
@@ -27,6 +30,17 @@ def test_positive_root_counts():
     assert RootSystem(cartan_data("A", 5)).nroots == 15
     assert RootSystem(cartan_data("D", 4)).nroots == 12
     assert RootSystem(cartan_data("E", 6)).nroots == 36
+    # the closed form the rank bound is checked against
+    for t, ranks in (("A", range(1, 9)), ("D", range(3, 8)), ("E", (6, 7, 8))):
+        for n in ranks:
+            c = cartan_data(t, n)
+            assert positive_root_count(c) == RootSystem(c).nroots
+    # the largest ranks whose nroots x nroots reflection table fits the bound
+    for t, n in (("A", 61), ("D", 44)):
+        assert positive_root_count(cartan_data(t, n)) ** 2 <= ENUMERATION_BOUND
+    for t, n in (("A", 62), ("D", 45)):
+        with pytest.raises(EnumerationBoundExceeded):
+            RootSystem(cartan_data(t, n))
 
 
 def test_invalid_diagrams_rejected():

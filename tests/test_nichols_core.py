@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nwalgebra.coxeter import RootSystem, cartan_data
-from nwalgebra.exactlinalg import QQ, PrimeField, rank
+from nwalgebra.exactlinalg import QQ, ColumnSolver, PrimeField, rank
 from nwalgebra.nichols_core import (
     AlgebraState,
     NicholsElement,
@@ -771,7 +771,11 @@ def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_,
 
     from nwalgebra import modp
 
+    offered = {}  # degree -> vectors the dense solver reduced
+
     def dense_solve(self, vectors, nrows):
+        n = len(self.bases)
+        offered[n] = offered.get(n, 0) + len(vectors)
         rows = sorted({r for vec in vectors for r in vec})
         at = {r: i for i, r in enumerate(rows)}
         a = np.zeros((len(rows), len(vectors)), dtype=np.int64)
@@ -792,6 +796,8 @@ def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_,
     monkeypatch.setattr(AlgebraState, "_solve_block", dense_solve)
     dense = AlgebraState(sys, field=PrimeField(), degree_cap=top)
     dense.construct_all()
+    # the dense solver reduced the offered vectors of every degree
+    assert sorted(offered) == list(range(2, top + 1)) and all(offered.values())
     assert sparse.dims() == dense.dims()
     for n in range(1, top + 1):
         got, want = sparse.bases[n], dense.bases[n]
@@ -799,6 +805,49 @@ def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_,
         assert got.lmul == want.lmul and got.derivs == want.derivs
         for g in range(sys.nroots):
             assert sparse.dleft(n, g) == dense.dleft(n, g)
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap",
+                         [("A", 3, QQ, None), ("A", 3, PrimeField(), None),
+                          ("A", 4, PrimeField(), 6), ("D", 4, PrimeField(), 5)],
+                         ids=["A3-rational", "A3-prime", "A4-prime-6", "D4-prime-5"])
+def test_every_lmul_column_certified_by_left_derivatives(type_, rank_, field, cap):
+    # an element is zero exactly when all its left derivatives vanish, so
+    # x_a b_j = sum_i lmul[a][j][i] b_i holds exactly when the joint
+    # derivative vector of x_a b_j is sum_i lmul[a][j][i] derivs[i]; this
+    # certifies every column, reduced or taken from the degree-2
+    # relations, without any eliminator
+    sys = RootSystem(cartan_data(type_, rank_))
+    st = AlgebraState(sys, field=field, degree_cap=cap)
+    st.construct_all()
+    wrong = [(n, a, j) for n in range(2, len(st.bases))
+             for a in range(sys.nroots)
+             for j, col in enumerate(st.bases[n].lmul[a])
+             if st._candidate_vector(a, j, st.bases[n - 1])
+             != mat_col(st.bases[n].derivs, col, st.field)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("type_,rank_,cap,offered,candidates",
+                         [("A", 4, 6, 11453, 29560), ("D", 4, 5, 12024, 27612)])
+def test_construction_reduces_only_candidates_not_derived_from_relations(
+        monkeypatch, type_, rank_, cap, offered, candidates):
+    # a candidate x_a x_c b_k whose x_a x_c has a degree-2 relation over
+    # words with smaller first letters is expressed from earlier columns,
+    # never assembled or offered to the eliminator
+    calls = []
+    add = ColumnSolver.add
+
+    def counting_add(self, vec, express=False):
+        calls.append(express)
+        return add(self, vec, express)
+
+    monkeypatch.setattr(ColumnSolver, "add", counting_add)
+    sys = RootSystem(cartan_data(type_, rank_))
+    st = AlgebraState(sys, field=PrimeField(), degree_cap=cap)
+    st.construct_all()
+    assert sum(sys.nroots * b.dim for b in st.bases[1:-1]) == candidates
+    assert len(calls) == offered and all(calls)
 
 
 def test_type_d_low_degrees():

@@ -30,6 +30,7 @@ from .nichols_core import (
     mat_col,
     mat_stack,
     multiply,
+    ordered_product,
     pairing,
     rho,
     right_derivative,
@@ -365,7 +366,9 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
                           seed: int = 0, max_degree: int | None = None) -> IdentityReport:
     """The general commutation preparation for any w: with h = w w_o w^{-1},
     (x1 y x2 x3) D_y = (x1 (h x2) y x3) D_y = x1 (h (x2 x3)) whenever the
-    T_w right derivatives kill x1, x3, x2 and h x2."""
+    T_w right derivatives kill x1, x3, x2 and h x2.  At a w in the
+    centralizer of w_o, h = w_o, and the condition on h x2 follows from
+    the one on x2."""
     name = "prep-abstr-comm"
     top = _max_constructed(state) if max_degree is None else max_degree
     params = {"w": w.to_json(), "max_degree": top}
@@ -408,43 +411,6 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
         mid = multiply(multiply(multiply(x1, group_act(h, x2)), y), x3)
         lhs2 = right_derivative(mid, y)
         rhs = multiply(x1, group_act(h, multiply(x2, x3)))
-        if lhs1 != rhs or lhs2 != rhs:
-            return _fail(name, params, done, seed, x1=x1, x2=x2, x3=x3)
-        done += 1
-    status = "pass" if done else "skipped"
-    return IdentityReport(name, params, done, status, None, seed)
-
-
-def check_prep_abstr_comm2(state: AlgebraState, w: GroupElement, trials: int = 10,
-                           seed: int = 0, max_degree: int | None = None) -> IdentityReport:
-    """(x1 y x2 x3) D_y = (x1 (w_o x2) y x3) D_y = x1 (w_o (x2 x3)) for
-    T_w-killed x_i and a centralizer element w."""
-    name = "prep-abstr-comm2"
-    top = _max_constructed(state) if max_degree is None else max_degree
-    params = {"w": w.to_json(), "max_degree": top}
-    rng = random.Random(seed)
-    sys = state.system
-    wo = sys.longest_element()
-    y = y_element(w, state)
-    lwo = wo.length()
-    budget = (state.finite_top - lwo) if state.finite_top is not None else top - lwo
-    if budget < 0:
-        return IdentityReport(name, params, 0, "skipped", None, seed,
-                              ["top word does not fit under the degree bound"])
-    samples = _joint_kernel_samples(state, _t_blocks(state, w), rng, 3,
-                                    min(top, max(0, budget)))
-    done = 0
-    for _ in range(trials):
-        if len(samples) < 3:
-            break
-        x1, x2, x3 = (samples[rng.randrange(len(samples))] for _ in range(3))
-        degs = [max(x.degrees(), default=0) for x in (x1, x2, x3)]
-        if sum(degs) + lwo > (state.finite_top if state.finite_top is not None else top):
-            continue
-        lhs1 = right_derivative(multiply(multiply(multiply(x1, y), x2), x3), y)
-        mid = multiply(multiply(multiply(x1, group_act(wo, x2)), y), x3)
-        lhs2 = right_derivative(mid, y)
-        rhs = multiply(x1, group_act(wo, multiply(x2, x3)))
         if lhs1 != rhs or lhs2 != rhs:
             return _fail(name, params, done, seed, x1=x1, x2=x2, x3=x3)
         done += 1
@@ -506,12 +472,7 @@ def bracket_matrix(d, ordering, state: AlgebraState):
         raise CheckFailed("bracket products exceed the constructed degrees")
     ys = [y_element(w, state) for w in ordering]
     perms = sorted(it.permutations(range(r)))
-    prods = {}
-    for p in perms:
-        acc = NicholsElement.unit(state)
-        for i in p:
-            acc = multiply(acc, ys[i])
-        prods[p] = acc
+    prods = {p: ordered_product([ys[i] for i in p], state) for p in perms}
     matrix = []
     ok = True
     bad = None

@@ -111,13 +111,14 @@ class RootSystem:
     """Positive roots, reflection table and bilinear form of a Weyl group."""
 
     def __init__(self, cartan: CartanData):
-        # the nroots x nroots reflection table is bounded before any root
-        # is generated
+        # the nroots x nroots reflection table, O(rank) per entry, is
+        # bounded before any root is generated
         nroots = positive_root_count(cartan)
-        if nroots is not None and nroots * nroots > ENUMERATION_BOUND:
+        if nroots is not None and nroots * nroots * cartan.rank > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
                 f"{cartan.type_label} has {nroots} positive roots; its reflection "
-                f"table needs {nroots * nroots} entries, over the bound {ENUMERATION_BOUND}")
+                f"table needs {nroots * nroots} entries of {cartan.rank} steps each, "
+                f"{nroots * nroots * cartan.rank} in all, over the bound {ENUMERATION_BOUND}")
         self.cartan = cartan
         self.rank = cartan.rank
         # symmetrized Cartan matrix: (b_i, b_j) = 2 d_ij - adjacency
@@ -161,12 +162,13 @@ class RootSystem:
 
     def _reflection_table(self):
         table = []
-        for t in range(self.nroots):
-            rt = self.roots[t]
+        for rt in self.roots:
+            # (x, rt) is x . (G rt): G rt once per row, O(rank) per entry
+            g_rt = tuple(sum(gi[j] * rt[j] for j in range(self.rank)) for gi in self.gram)
             row = []
-            for i in range(self.nroots):
-                img = self.reflect_coeffs(self.roots[i], rt)
-                row.append(self._signed_index(img))
+            for x in self.roots:
+                c = sum(xk * gk for xk, gk in zip(x, g_rt))
+                row.append(self._signed_index(tuple(xk - c * rk for xk, rk in zip(x, rt))))
             table.append(tuple(row))
         return tuple(table)
 
@@ -203,12 +205,6 @@ class RootSystem:
             return -(self.index[neg] + 1)
         raise CoxeterError(f"not a root: {coeffs}")
 
-    def reflect(self, t: int, signed: int) -> int:
-        """Apply the reflection of positive root ``t`` to a signed root index."""
-        if signed > 0:
-            return self.refl[t][signed - 1]
-        return -self.refl[t][-signed - 1]
-
     def reflect_root(self, x, alpha):
         """s_alpha(x) on coefficient vectors, validating both arguments."""
         for v in (alpha, x):
@@ -216,9 +212,6 @@ class RootSystem:
             if v not in self.index and tuple(-c for c in v) not in self.index:
                 raise CoxeterError(f"not a root: {v}")
         return self.reflect_coeffs(tuple(x), tuple(alpha))
-
-    def root_height(self, i: int) -> int:
-        return self.heights[i]
 
     # -- distinguished elements ----------------------------------------
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import ENUMERATION_BOUND, GroupElement, RootSystem, centralizer_of_longest
-from .nichols_core import AlgebraState, CheckFailed, NicholsElement, multiply
+from .nichols_core import AlgebraState, CheckFailed, multiply, ordered_product
 
 
 @dataclass
@@ -164,18 +164,11 @@ def motiv_check(d: DisjointSystem, ordering, state: AlgebraState):
         raise CheckFailed("product degree exceeds the top degree")
     ys = [y_element(w, state) for w in ordering]
     sign = -1 if lwo % 2 else 1
-
-    def product(seq):
-        acc = NicholsElement.unit(state)
-        for y in seq:
-            acc = multiply(acc, y)
-        return acc
-
-    given = product(ys)
+    given = ordered_product(ys, state)
     item1 = (not given.is_zero()) and is_integral(given, state)
     item2 = True
     for perm in it.permutations(range(r)):
-        z = product([ys[i] for i in perm])
+        z = ordered_product([ys[i] for i in perm], state)
         if z.is_zero() or not is_integral(z, state):
             item2 = False
             break

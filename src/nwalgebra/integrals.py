@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .calculus import IdentityReport, _fail
 from .coxeter import GroupElement, centralizer_of_longest
-from .exactlinalg import ColumnSolver, kernel_basis
+from .exactlinalg import kernel_basis, rank
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
@@ -54,16 +54,21 @@ class IntegralCertificate:
         }
 
 
+def _times(z: NicholsElement, a: int, left: bool) -> NicholsElement:
+    """The one-sided product x_a z (``left``) or z x_a."""
+    xa = NicholsElement.generator(z.state, a)
+    return multiply(xa, z) if left else multiply(z, xa)
+
+
 def is_integral(z: NicholsElement, state: AlgebraState) -> bool:
     """Whether all products x_a z and z x_a vanish (both sides checked)."""
     if z.is_zero():
         return True
     if state.finite_top is None:
         raise IntegralError("integral detection needs the fully constructed algebra")
-    left = all(multiply(NicholsElement.generator(state, a), z).is_zero()
-               for a in range(state.system.nroots))
-    right = all(multiply(z, NicholsElement.generator(state, a)).is_zero()
-                for a in range(state.system.nroots))
+    roots = range(state.system.nroots)
+    left = all(_times(z, a, True).is_zero() for a in roots)
+    right = all(_times(z, a, False).is_zero() for a in roots)
     if left != right:
         raise IntegralError("one-sided integral found; graded theory violated")
     return left
@@ -190,8 +195,7 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     if order2_system is None:
         notes.append("item 5 skipped: no order-two disjoint system supplied")
     else:
-        w1, w2 = order2_system.elements if len(order2_system.elements) == 2 \
-            else [e for e in order2_system.elements][:2]
+        w1, w2 = order2_system.elements[:2]
         y1, y2 = y_element(w1, state), y_element(w2, state)
         y12 = multiply(y1, y2)
         got = multiply(y12, right_derivative(x, y12)).scale(lwo_sign)
@@ -214,36 +218,23 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
     if state.finite_top is None:
         raise IntegralError("lifting needs the fully constructed algebra")
     n0 = z.degrees()[0]
-    cur = z.homogeneous_part(n0)
-    sys = state.system
 
-    def left_blocked(el):
-        return all(multiply(NicholsElement.generator(state, a), el).is_zero()
-                   for a in range(sys.nroots))
+    def letters(left):
+        # greedy: multiply by the first generator that keeps the product
+        # nonzero, until every generator kills it
+        cur, out = z.homogeneous_part(n0), []
+        while True:
+            for a in range(state.system.nroots):
+                nxt = _times(cur, a, left)
+                if not nxt.is_zero():
+                    out.append(a)
+                    cur = nxt
+                    break
+            else:
+                return out
 
-    def right_blocked(el):
-        return all(multiply(el, NicholsElement.generator(state, a)).is_zero()
-                   for a in range(sys.nroots))
-
-    m_letters = []
-    while not left_blocked(cur):
-        for a in range(sys.nroots):
-            nxt = multiply(NicholsElement.generator(state, a), cur)
-            if not nxt.is_zero():
-                m_letters.append(a)
-                cur = nxt
-                break
-    m_word = tuple(reversed(m_letters))
-    cur = z.homogeneous_part(n0)
-    mp_letters = []
-    while not right_blocked(cur):
-        for a in range(sys.nroots):
-            nxt = multiply(cur, NicholsElement.generator(state, a))
-            if not nxt.is_zero():
-                mp_letters.append(a)
-                cur = nxt
-                break
-    mp_word = tuple(mp_letters)
+    m_word = tuple(reversed(letters(True)))
+    mp_word = tuple(letters(False))
     # verify on the original element
     m_el = NicholsElement.from_word(state, m_word)
     mp_el = NicholsElement.from_word(state, mp_word)
@@ -311,19 +302,18 @@ def hypothetical_space(state: AlgebraState, degree: int):
     if degree >= 1:
         for i in range(sys.rank):
             blocks.append((state.dright(degree, sys.simple_index[i]), state.dim(degree - 1)))
-    for a in nonsimple_roots(state):
-        blocks += _restrict_mul(state, degree, a, "left")
-        blocks += _restrict_mul(state, degree, a, "right")
+    for mul in (state.lmul, state.rmul):
+        blocks += _mul_blocks(state, mul, degree, nonsimple_roots(state))
     return kernel_basis(*mat_stack(blocks, dim), field_)
 
 
-def _restrict_mul(state, degree, a, side):
-    """Multiplication by x_a out of the given degree, as a list of at
-    most one block (matrix, nrows); empty past the top degree."""
+def _mul_blocks(state, mul, degree, letters):
+    """Multiplication by x_a out of the given degree for each letter a, as
+    blocks (matrix, nrows); ``mul`` is ``state.lmul`` or ``state.rmul``.
+    Empty past the top degree."""
     if state.finite_top is not None and degree + 1 > state.finite_top:
         return []
-    mat = state.lmul(degree + 1, a) if side == "left" else state.rmul(degree + 1, a)
-    return [(mat, state.dim(degree + 1))]
+    return [(mul(degree + 1, a), state.dim(degree + 1)) for a in letters]
 
 
 def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityReport:
@@ -358,10 +348,9 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
             return _fail(name, params, 0, None, note="simple right derivative", simple=i)
     # two-sided annihilation by the non-simple generators
     for a in nonsimple_roots(state):
-        if not multiply(NicholsElement.generator(state, a), p).is_zero():
-            return _fail(name, params, 0, None, note="left annihilation", root=a)
-        if not multiply(p, NicholsElement.generator(state, a)).is_zero():
-            return _fail(name, params, 0, None, note="right annihilation", root=a)
+        for side, left in (("left", True), ("right", False)):
+            if not _times(p, a, left).is_zero():
+                return _fail(name, params, 0, None, note=f"{side} annihilation", root=a)
     # reversal swaps the sides and fixes P up to sign
     if rho(p).proportional_to(p) is None:
         return _fail(name, params, 0, None, note="reversal does not preserve the line")
@@ -392,14 +381,9 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
     # every one-dimensional one-sided graded ideal of the subalgebra is the top
     for n in range(0, top):
         basis_n = sub.bases[n]
-        for side in ("left", "right"):
-            blocks = [(state.lmul(n + 1, a) if side == "left" else state.rmul(n + 1, a),
-                       state.dim(n + 1)) for a in sub.theta]
-            stacked, nrows = mat_stack(blocks, state.dim(n))
-            solver = ColumnSolver(nrows, field_)
-            for b in basis_n:
-                solver.add(mat_col(stacked, b, field_))
-            if solver.rank < len(basis_n):
+        for side, mul in (("left", state.lmul), ("right", state.rmul)):
+            stacked, nrows = mat_stack(_mul_blocks(state, mul, n, sub.theta), state.dim(n))
+            if rank([mat_col(stacked, b, field_) for b in basis_n], nrows, field_) < len(basis_n):
                 return _fail(name, params, 0, None, degree=n, side=side,
                              note="a lower degree carries a one-dimensional ideal")
     notes.append(f"subalgebra dims {sub.dims}, top degree {top}")

@@ -151,11 +151,6 @@ def braid_apply(sys: RootSystem, word, i, inverse=False):
     return sign, word[:i] + pair + word[i + 2:]
 
 
-def braid_transposition(sys: RootSystem, word, i, inverse=False) -> "TensorElement":
-    sign, w = braid_apply(sys, word, i, inverse)
-    return TensorElement(len(word), {w: Fraction(sign)})
-
-
 class TensorElement:
     """An element of the free braided algebra: a word -> scalar map."""
 
@@ -192,17 +187,6 @@ class TensorElement:
 
     def __repr__(self):
         return f"TensorElement({self.degree}, {self.terms})"
-
-    def involves_only(self, theta) -> bool:
-        theta = set(theta)
-        return all(set(w) <= theta for w in self.terms)
-
-    def starts_with(self, g) -> bool:
-        """Syntactic check on representatives: every word begins with g."""
-        return all(w and w[0] == g for w in self.terms)
-
-    def ends_with(self, g) -> bool:
-        return all(w and w[-1] == g for w in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +774,14 @@ def _apply_words(y: NicholsElement, z: NicholsElement, matrix, step, reverse):
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
     state = a.state
     return _apply_words(a, b, lambda d, g: state.lmul(d + 1, g), 1, True)
+
+
+def ordered_product(elements, state: AlgebraState) -> NicholsElement:
+    """z_1 z_2 ... z_k in the given order; the unit for no elements."""
+    acc = NicholsElement.unit(state)
+    for z in elements:
+        acc = multiply(acc, z)
+    return acc
 
 
 def right_derivative(z: NicholsElement, y: NicholsElement) -> NicholsElement:

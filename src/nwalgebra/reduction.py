@@ -180,19 +180,9 @@ class Reducer:
         return term_a + term_b, trace
 
 
-_REDUCERS = {}
-
-
-def _reducer(system: RootSystem, policy: str = "min") -> Reducer:
-    key = (id(system), policy)
-    if key not in _REDUCERS:
-        _REDUCERS[key] = Reducer(system, policy)
-    return _REDUCERS[key]
-
-
 def reduce_mod_right_ideal(word, system: RootSystem, coeff=1, policy: str = "min") -> ReductionResult:
     """Reduce coeff * x_{word} to lambda x_w modulo the right ideal J^r."""
-    red = _reducer(system, policy)
+    red = Reducer(system, policy)
     u = system.identity()
     lam = Fraction(coeff)
     trace = ()

@@ -14,7 +14,7 @@ from nwalgebra.calculus import (
     check_gen_leibniz,
     check_nz_antipode,
     check_ofbskew,
-    check_prep_abstr_comm2,
+    check_prep_abstr_comm,
     check_rhoD,
     check_skew_commutation,
 )
@@ -145,7 +145,7 @@ def test_criterion_4_identity_suite(s3, s4):
         assert check_skew_commutation(s4, w2, sys4.identity(), trials=3, seed=17,
                                       max_degree=4).passed
         assert check_ofbskew(s4, d, max_degree=6).passed
-        assert check_prep_abstr_comm2(s4, w2, trials=8, seed=18, max_degree=6).passed
+        assert check_prep_abstr_comm(s4, w2, trials=8, seed=18, max_degree=6).passed
         # start/end annihilation property tests
         assert check_basic_rev(s3, trials=60, seed=19).passed
         assert check_basic_rev(s4, trials=40, seed=20).passed

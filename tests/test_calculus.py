@@ -6,15 +6,24 @@ from nwalgebra.calculus import (
     check_gen_leibniz,
     check_nz_antipode,
     check_ofbskew,
-    check_prep_abstr_comm2,
+    check_prep_abstr_comm,
     check_rhoD,
     check_skew_commutation,
     check_tower_invariance,
     find_commuting_cofactors,
     random_element,
+    _t_blocks,
 )
+from nwalgebra.coxeter import centralizer_of_longest
 from nwalgebra.disjoint import classify, search_complete
-from nwalgebra.nichols_core import NicholsElement, multiply, right_derivative
+from nwalgebra.exactlinalg import kernel_basis
+from nwalgebra.nichols_core import (
+    NicholsElement,
+    mat_mul,
+    mat_stack,
+    multiply,
+    right_derivative,
+)
 from nwalgebra.nilcoxeter import skew_element
 
 
@@ -101,19 +110,38 @@ def test_skew_commutation(s3, s4):
     assert r.passed
 
 
-def test_ofbskew_and_prep_abstr_comm2(s4):
+def test_ofbskew_and_prep_abstr_comm_centralizer(s4):
     d = search_complete(s4.system)[0]
     assert check_ofbskew(s4, d, max_degree=6).passed
     w = next(w for w in d.elements if not w.is_identity())
-    r = check_prep_abstr_comm2(s4, w, trials=8, seed=4, max_degree=6)
+    r = check_prep_abstr_comm(s4, w, trials=8, seed=4, max_degree=6)
     assert r.passed and r.trials > 0
+
+
+def test_prep_abstr_comm_centralizer_twist_adds_no_constraint(s4):
+    # at w in the centralizer of w_o the twist h = w w_o w^{-1} is w_o, and
+    # the T_w right derivatives of h x2 vanish once those of x2 do, so the
+    # x2 sample space of check_prep_abstr_comm is the T_w kernel itself
+    sys = s4.system
+    wo = sys.longest_element()
+    cent = centralizer_of_longest(sys)
+    assert len(cent) == 8
+    for w in cent:
+        h = w * wo * w.inverse()
+        assert h == wo
+        t_blocks = _t_blocks(s4, w)
+        for n in range(0, 7):
+            blocks = t_blocks(n)
+            twisted = [(mat_mul(s4.dright(n, a), s4.act_matrix(n, h), s4.field), s4.dim(n - 1))
+                       for a in sorted(w.t_set())] if n >= 1 else []
+            dim = s4.dim(n)
+            assert (kernel_basis(*mat_stack(blocks + twisted, dim), s4.field)
+                    == kernel_basis(*mat_stack(blocks, dim), s4.field))
 
 
 def test_prep_abstr_comm_general_w(s4):
     # the preparation lemma with the w w_o w^{-1} twist, for w outside the
     # centralizer of the longest element
-    from nwalgebra.calculus import check_prep_abstr_comm
-
     sys = s4.system
     wo = sys.longest_element()
     outside = next(w for w in sys.elements()

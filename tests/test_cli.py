@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +256,17 @@ def test_crash_is_not_a_check_failure(monkeypatch):
     monkeypatch.setattr(cli, "cmd_dims", crash)
     with pytest.raises(RecursionError):
         cli.main(["dims", "--rank", "2"])
+
+
+def test_harness_traced_names_exist():
+    # perfbench/tracer.py wraps engine functions by name and lists the ones
+    # it cannot find; run in a child process because install() patches the
+    # engine's modules in place
+    root = Path(__file__).resolve().parents[1]
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; from tracer import Tracer; "
+            "t = Tracer(); t.install(); print(json.dumps(t.missing))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "perfbench")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -164,6 +164,24 @@ def test_lift_uses_lowest_component(s3):
     assert is_integral(mz, s3) and not mz.is_zero()
 
 
+def test_lift_words_pinned_a3(s4):
+    # the greedy search picks the first generator that keeps the product
+    # nonzero, letter by letter on each side
+    one = NicholsElement.unit(s4)
+    assert lift_monomial_to_integral(one, s4) == (
+        (5, 0, 4, 1, 2, 3, 0, 1, 2, 0, 1, 0), (0, 1, 0, 2, 1, 0, 3, 2, 1, 4, 0, 5))
+    assert lift_monomial_to_integral(NicholsElement.generator(s4, 0), s4) == (
+        (5, 0, 4, 1, 2, 3, 0, 1, 2, 0, 1), (1, 0, 2, 1, 0, 3, 2, 1, 4, 0, 5))
+    rng = random.Random(3)
+    expected = {
+        2: ((4, 1, 2, 3, 0, 1, 2, 0, 1, 0), (0, 1, 0, 2, 1, 0, 3, 2, 1, 4)),
+        5: ((3, 0, 1, 2, 0, 1, 0), (0, 1, 0, 2, 1, 0, 3)),
+        8: ((2, 0, 1, 0), (0, 1, 0, 2)),
+    }
+    for degree, words in expected.items():
+        assert lift_monomial_to_integral(random_element(s4, rng, degree), s4) == words
+
+
 def test_subalgebra_examples(a1, s3, s4):
     sub = subalgebra_build((), a1)
     assert sub.dims == [1] and sub.top_degree == 0

@@ -34,6 +34,7 @@ from .nichols_core import (
     pairing,
     rho,
     right_derivative,
+    right_multiplier,
     s_bar,
     w_degree_decompose,
 )
@@ -137,14 +138,19 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
     rng = random.Random(seed)
     sys = state.system
 
-    # exhaustive single-generator case per degree: rho D_a = D_a rho s_a
+    # exhaustive single-generator case per degree: rho D_a = D_a rho s_a,
+    # on each basis vector e_i as columns of the structure matrices
+    field_ = state.field
     for n in range(1, top + 1):
+        rho_n, rho_prev = state.rho_matrix(n), state.rho_matrix(n - 1)
         for a in range(sys.nroots):
-            xa = NicholsElement.generator(state, a)
-            for z in basis_elements(state, n):
-                lhs = right_derivative(rho(z), xa)
-                rhs = group_act(sys.reflection(a), rho(right_derivative(z, xa)))
+            dr = state.dright(n, a)
+            act = state.act_matrix(n - 1, sys.reflection(a))
+            for i in range(state.dim(n)):
+                lhs = mat_col(dr, rho_n[i], field_)
+                rhs = mat_col(act, mat_col(rho_prev, dr[i], field_), field_)
                 if lhs != rhs:
+                    z = NicholsElement(state, {n: {i: field_.one}})
                     return _fail(name, params, 0, seed, degree=n, root=a, z=z)
 
     # random homogeneous xi, all three formulas
@@ -196,6 +202,13 @@ def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> Ide
         s = state.antipode_matrix(n)
         sinv = state.antipode_inv_matrix(n)
         dim = state.dim(n)
+        for i, g in enumerate(state.basis(n).wdegs):
+            col = mat_col(state.act_matrix(n, g.inverse()), s[i], field_)
+            if g.length() % 2:
+                col = {r: field_.neg(x) for r, x in col.items()}
+            if col != sinv[i]:
+                return _fail(name, params, 0, None, degree=n, index=i,
+                             note="S^{-1} is not (-1)^{l(g)} g^{-1} S")
         if mat_mul(s, sinv, field_) != mat_identity(dim, field_):
             return _fail(name, params, 0, None, degree=n, note="S S^{-1} is not the identity")
         if mat_mul(sinv, s, field_) != mat_identity(dim, field_):
@@ -230,27 +243,34 @@ def check_gen_leibniz(state: AlgebraState, v: GroupElement, w: GroupElement,
     rng = random.Random(seed)
     interval = _interval(state, v, w)
     xi = group_act(wp, skew_element(w, v, state))
+    # per u with xi_u nonzero: (xi_u, w' x_{w/u}, the twist h)
+    parts = []
+    for u in interval:
+        xi_u = group_act(wp, skew_element(u, v, state))
+        if not xi_u.is_zero():
+            parts.append((xi_u, group_act(wp, skew_element(w, u, state)),
+                          wp * v * u.inverse() * wp.inverse()))
+    bdx = {}  # (part, degree, index) -> (b) D_{xi_u}, shared across trials
     for t in range(trials):
         nz = rng.randint(0, top)
         z = random_element(state, rng, nz)
         rhs_parts = []
-        for u in interval:
-            xi_u = group_act(wp, skew_element(u, v, state))
-            if xi_u.is_zero():
-                continue
-            e_u = right_derivative(z, group_act(wp, skew_element(w, u, state)))
-            if e_u.is_zero():
-                continue
-            h = wp * v * u.inverse() * wp.inverse()
-            rhs_parts.append((xi_u, group_act(h, e_u)))
+        for k, (xi_u, eta_u, h) in enumerate(parts):
+            e_u = right_derivative(z, eta_u)
+            if not e_u.is_zero():
+                rhs_parts.append((k, xi_u, right_multiplier(group_act(h, e_u))))
+        times_z = right_multiplier(z)
         for nb in range(0, top + 1):
             if state.finite_top is None and nb + nz > top:
                 continue
-            for b in basis_elements(state, nb):
-                lhs = right_derivative(multiply(b, z), xi)
+            for i, b in enumerate(basis_elements(state, nb)):
+                lhs = right_derivative(times_z(b), xi)
                 rhs = NicholsElement.zero(state)
-                for xi_u, m_u in rhs_parts:
-                    rhs = rhs + multiply(right_derivative(b, xi_u), m_u)
+                for k, xi_u, times_m in rhs_parts:
+                    d = bdx.get((k, nb, i))
+                    if d is None:
+                        d = bdx[(k, nb, i)] = right_derivative(b, xi_u)
+                    rhs = rhs + times_m(d)
                 if lhs != rhs:
                     return _fail(name, params, t, seed, degree=nb, z=z, b=b)
     return IdentityReport(name, params, trials, "pass", None, seed)
@@ -266,15 +286,17 @@ def check_tower_invariance(state: AlgebraState, w: GroupElement, v: GroupElement
     rng = random.Random(seed)
     y = y_element(w, state)
     wxv = group_act(w, embed_element(state, v))
+    # (nb, b, (b) D_y) per basis element, shared across trials
+    bdy = [(nb, b, right_derivative(b, y))
+           for nb in range(0, top + 1) for b in basis_elements(state, nb)]
     for t in range(trials):
         z = random_element(state, rng, rng.randint(0, top))
-        for nb in range(0, top + 1):
-            for b in basis_elements(state, nb):
-                lhs = right_derivative(multiply(right_derivative(b, y), z), wxv)
-                rhs = right_derivative(b, y)
-                rhs = multiply(rhs, right_derivative(z, wxv))
-                if lhs != rhs:
-                    return _fail(name, params, t, seed, degree=nb, z=z, b=b)
+        times_z = right_multiplier(z)
+        times_zdx = right_multiplier(right_derivative(z, wxv))
+        for nb, b, by in bdy:
+            lhs = right_derivative(times_z(by), wxv)
+            if lhs != times_zdx(by):
+                return _fail(name, params, t, seed, degree=nb, z=z, b=b)
     return IdentityReport(name, params, trials, "pass", None, seed)
 
 
@@ -306,13 +328,15 @@ def check_skew_commutation(state: AlgebraState, w: GroupElement, v: GroupElement
     if not samples:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])
+    zdx = {}  # degree -> (z) D_xi per basis element z, shared across samples
     for b in samples[:trials]:
-        gb = group_act(g, b)
+        times_b, times_gb = right_multiplier(b), right_multiplier(group_act(g, b))
         for nz in range(0, top + 1):
-            for z in basis_elements(state, nz):
-                lhs = right_derivative(multiply(z, b), xi)
-                rhs = multiply(right_derivative(z, xi), gb)
-                if lhs != rhs:
+            if nz not in zdx:
+                zdx[nz] = [right_derivative(z, xi) for z in basis_elements(state, nz)]
+            for i, z in enumerate(basis_elements(state, nz)):
+                lhs = right_derivative(times_b(z), xi)
+                if lhs != times_gb(zdx[nz][i]):
                     return _fail(name, params, trials, seed, degree=nz, b=b, z=z)
     return IdentityReport(name, params, len(samples[:trials]), "pass", None, seed)
 
@@ -326,12 +350,12 @@ def check_ofbskew(state: AlgebraState, d, trials: int = 5, seed: int = 0,
     sign = -1 if wo.length() % 2 else 1
     w1, w2 = d.elements[:2] if len(d.elements) == 2 else d.elements[1:3]
     params = {"w1": w1.to_json(), "w2": w2.to_json(), "max_degree": top}
-    y1 = y_element(w1, state)
+    times_y1 = right_multiplier(y_element(w1, state))
     y2 = y_element(w2, state)
     for nz in range(0, top + 1):
         for z in basis_elements(state, nz):
-            lhs = right_derivative(multiply(z, y1), y2)
-            rhs = multiply(right_derivative(z, y2), y1).scale(sign)
+            lhs = right_derivative(times_y1(z), y2)
+            rhs = times_y1(right_derivative(z, y2)).scale(sign)
             if lhs != rhs:
                 return _fail(name, params, 0, seed, degree=nz, z=z)
     return IdentityReport(name, params, 0, "pass", None, seed)
@@ -366,9 +390,10 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
                           seed: int = 0, max_degree: int | None = None) -> IdentityReport:
     """The general commutation preparation for any w: with h = w w_o w^{-1},
     (x1 y x2 x3) D_y = (x1 (h x2) y x3) D_y = x1 (h (x2 x3)) whenever the
-    T_w right derivatives kill x1, x3, x2 and h x2.  At a w in the
-    centralizer of w_o, h = w_o, and the condition on h x2 follows from
-    the one on x2."""
+    T_w right derivatives kill x1, x3, x2 and h x2.  The condition on h x2
+    follows from the one on x2: h w = w w_o maps the simple roots to minus
+    simple roots, so h permutes the roots of T_w = |w(Delta)| up to sign.
+    All three factors are therefore sampled from the T_w kernel."""
     name = "prep-abstr-comm"
     top = _max_constructed(state) if max_degree is None else max_degree
     params = {"w": w.to_json(), "max_degree": top}
@@ -382,20 +407,10 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
     if budget < 0:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["top word does not fit under the degree bound"])
-    tw = sorted(w.t_set())
-    x13_blocks = _t_blocks(state, w)
-
-    def x2_blocks(n):
-        blocks = x13_blocks(n)
-        if n >= 1:
-            ah = state.act_matrix(n, h)
-            blocks += [(mat_mul(state.dright(n, a), ah, state.field), state.dim(n - 1))
-                       for a in tw]
-        return blocks
-
+    t_blocks = _t_blocks(state, w)
     cap = min(top, max(0, budget))
-    s13 = _joint_kernel_samples(state, x13_blocks, rng, 3, cap)
-    s2 = _joint_kernel_samples(state, x2_blocks, rng, 3, cap)
+    s13 = _joint_kernel_samples(state, t_blocks, rng, 3, cap)
+    s2 = _joint_kernel_samples(state, t_blocks, rng, 3, cap)
     if not s13 or not s2:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])

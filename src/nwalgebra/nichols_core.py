@@ -109,6 +109,41 @@ def mat_stack(blocks, ncols):
     return cols, off
 
 
+class LazyColumns:
+    """A matrix whose columns are built on first read.
+
+    It reads like the list of column dicts it stands for (``[]``,
+    ``len``, iteration, ``==`` against a list); column i is
+    ``build(i)``, made once.  ``build`` must not hold the algebra state:
+    the map sits in the state's memo, and a closure over the state would
+    keep the state alive in a reference cycle until the cyclic collector
+    runs.
+    """
+
+    __slots__ = ("_cols", "_build")
+
+    def __init__(self, ncols, build):
+        self._cols = [None] * ncols
+        self._build = build
+
+    def __len__(self):
+        return len(self._cols)
+
+    def __getitem__(self, i):
+        col = self._cols[i]
+        if col is None:
+            col = self._cols[i] = self._build(i)
+        return col
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._cols)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, LazyColumns)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def mat_pow(a, k, field):
     n = len(a)
     result = mat_identity(n, field)
@@ -235,6 +270,7 @@ class AlgebraState:
         self.memory_bound = memory_bound
         self.finite_top = None
         self._relations = {}  # the degree-2 relation table, once degree 2 is built
+        self._prods = {}      # (root, class) -> s_root * class, over all degrees
         base = DegreeBasis(0, [()], [system.identity()], [None], [{}])
         self.bases = [base]
         self._ensure_degree_one()
@@ -318,7 +354,7 @@ class AlgebraState:
         if n > self.degree_cap:
             raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
         prev = self.bases[n - 1]
-        prods = {}  # (root, class) -> s_root * class, for this degree
+        prods = self._prods
 
         def times(a, g):
             h = prods.get((a, g))
@@ -490,10 +526,19 @@ class AlgebraState:
         def build(basis):
             if n == 1:
                 return [{a: self.field.one}]  # the word (a,) sits at index a
-            r_prev = self.rmul(n - 1, a)
-            return [mat_col(self.lmul(n, beta), r_prev[jp], self.field)
-                    for beta, jp in self.bases[n - 1].parents]
+            return self.right_products(n - 1, self.rmul(n - 1, a), 1)
         return self._cached(n, ("rmul", a), build)
+
+    def right_products(self, n, prev, ny):
+        """The products b_i y, y of degree ny, for the degree-n basis, as
+        columns of degree n + ny, via (x_a b_j) y = x_a (b_j y): column i,
+        for b_i = x_a b_j, is x_a applied to column j of ``prev``, the
+        products of degree n - 1.  Past the known top they are zero."""
+        if self.finite_top is not None and n + ny > self.finite_top:
+            return [{} for _ in range(self.dim(n))]
+        field = self.field
+        return [mat_col(self.lmul(n + ny, a), prev[j], field)
+                for a, j in self.basis(n).parents]
 
     def dright(self, n, g):
         """Right derivative by gamma as a matrix B^n -> B^{n-1}."""
@@ -511,18 +556,21 @@ class AlgebraState:
     def act_matrix(self, n, w: GroupElement):
         """Action of a group element on the degree-n component.  It is an
         algebra automorphism with w(x_a) = sign * x_c, so
-        w(x_a z) = sign * x_c w(z)."""
+        w(x_a z) = sign * x_c w(z).  The columns are built when first
+        read (:class:`LazyColumns`): callers mostly read one class block."""
         def build(basis):
             field = self.field
             if n == 0:
                 return mat_identity(1, field)
             a_prev = self.act_matrix(n - 1, w)
-            cols = []
-            for a, j in basis.parents:
+            lmul, parents, neg = basis.lmul, basis.parents, field.neg
+
+            def column(i):
+                a, j = parents[i]
                 s = w.act(a + 1)
-                col = mat_col(self.lmul(n, abs(s) - 1), a_prev[j], field)
-                cols.append(col if s > 0 else {i: field.neg(x) for i, x in col.items()})
-            return cols
+                col = mat_col(lmul[abs(s) - 1], a_prev[j], field)
+                return col if s > 0 else {r: neg(x) for r, x in col.items()}
+            return LazyColumns(basis.dim, column)
         return self._cached(n, ("act", w.images), build)
 
     def word_column(self, word):
@@ -615,25 +663,33 @@ class AlgebraState:
         return self._cached(n, ("antipode", None), build)
 
     def antipode_inv_matrix(self, n):
-        """Inverse antipode, columnwise via S^{-1} = (-1)^{l(g)} g^{-1} S."""
+        """Inverse antipode on degree n via S^{-1}(x_a z) = -S^{-1}(z)
+        (g^{-1} . x_a), g the group degree of z.  It equals
+        (-1)^{l(g)} g^{-1} S on the class of g, which ``check_nz_antipode``
+        compares column by column."""
         def build(basis):
             field = self.field
-            s = self.antipode_matrix(n)
+            if n == 0:
+                return mat_identity(1, field)
+            prev = self.bases[n - 1]
+            si_prev = self.antipode_inv_matrix(n - 1)
             cols = []
-            for i, g in enumerate(basis.wdegs):
-                col = mat_col(self.act_matrix(n, g.inverse()), s[i], field)
-                if g.length() % 2:
-                    col = {r: field.neg(x) for r, x in col.items()}
-                cols.append(col)
+            for a, j in basis.parents:
+                sg = prev.wdegs[j].inverse().act(a + 1)
+                col = mat_col(self.rmul(n, abs(sg) - 1), si_prev[j], field)
+                cols.append({i: field.neg(x) for i, x in col.items()} if sg > 0 else col)
             return cols
         return self._cached(n, ("antipode_inv", None), build)
 
     def sbar_matrix(self, n):
-        m = mat_mul(self.rho_matrix(n), self.antipode_matrix(n), self.field)
-        if n % 2:
-            neg = self.field.neg
-            m = [{i: neg(x) for i, x in col.items()} for col in m]
-        return m
+        """The twisted antipode (-1)^n rho S on degree n."""
+        def build(basis):
+            m = mat_mul(self.rho_matrix(n), self.antipode_matrix(n), self.field)
+            if n % 2:
+                neg = self.field.neg
+                m = [{i: neg(x) for i, x in col.items()} for col in m]
+            return m
+        return self._cached(n, ("sbar", None), build)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +830,32 @@ def _apply_words(y: NicholsElement, z: NicholsElement, matrix, step, reverse):
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
     state = a.state
     return _apply_words(a, b, lambda d, g: state.lmul(d + 1, g), 1, True)
+
+
+def right_multiplier(y: NicholsElement):
+    """The map x -> x y.  The products b_i y of each degree's basis with
+    each component of y are built once, on first use, by
+    :meth:`AlgebraState.right_products`; a product then costs one
+    matrix-vector step per pair of components."""
+    state = y.state
+    field = state.field
+    # ny -> [the columns b_i y_ny of the degree-n basis, for n = 0, 1, ...]
+    chains = {ny: [[vy]] for ny, vy in y.components.items()}
+
+    def times(x: NicholsElement) -> NicholsElement:
+        out = {}
+        for nx, vx in x.components.items():
+            for ny, chain in chains.items():
+                while len(chain) <= nx:
+                    chain.append(state.right_products(len(chain), chain[-1], ny))
+                acc = out.setdefault(nx + ny, {})
+                for j, c in vx.items():
+                    for t, v in chain[nx][j].items():
+                        acc[t] = acc.get(t, 0) + c * v
+        norm = field.normalize
+        return NicholsElement(state, {
+            n: {t: v for t, x in acc.items() if (v := norm(x))} for n, acc in out.items()})
+    return times
 
 
 def ordered_product(elements, state: AlgebraState) -> NicholsElement:

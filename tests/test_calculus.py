@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from nwalgebra.calculus import (
     bracket_matrix,
     check_basic_rev,
@@ -14,10 +16,11 @@ from nwalgebra.calculus import (
     random_element,
     _t_blocks,
 )
-from nwalgebra.coxeter import centralizer_of_longest
+from nwalgebra.coxeter import RootSystem, cartan_data, centralizer_of_longest
 from nwalgebra.disjoint import classify, search_complete
-from nwalgebra.exactlinalg import kernel_basis
+from nwalgebra.exactlinalg import QQ, PrimeField, kernel_basis
 from nwalgebra.nichols_core import (
+    AlgebraState,
     NicholsElement,
     mat_mul,
     mat_stack,
@@ -52,6 +55,45 @@ def test_nz_antipode(s3, s4):
     assert r.passed and r.parameters["exponent"] == 6
     r = check_nz_antipode(s4, max_degree=6)
     assert r.passed and r.parameters["exponent"] == 12
+
+
+def _fresh_a2(prime):
+    state = AlgebraState(RootSystem(cartan_data("A", 2)),
+                         field=PrimeField() if prime else QQ)
+    state.construct_all()
+    return state
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_nz_antipode_catches_a_negated_inverse_column(prime):
+    # S^{-1} has its own recursion; the twist formula is compared column
+    # by column, so one wrong column fails the check at its degree
+    state = _fresh_a2(prime)
+    sinv = state.antipode_inv_matrix(2)
+    sinv[1] = {r: state.field.neg(x) for r, x in sinv[1].items()}
+    r = check_nz_antipode(state)
+    assert r.status == "fail"
+    assert r.counterexample["degree"] == 2 and r.counterexample["index"] == 1
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_rhoD_catches_a_perturbed_reversal_column(prime):
+    # the single-generator part reads the columns of rho_matrix directly;
+    # a wrong column fails it at that degree, reported as that basis vector
+    state = _fresh_a2(prime)
+    field = state.field
+    col = state.rho_matrix(2)[0]
+    x = field.add(col.get(0, field.zero), field.one)
+    if x:
+        col[0] = x
+    else:
+        del col[0]
+    r = check_rhoD(state, trials=0)
+    assert r.status == "fail"
+    ce = r.counterexample
+    assert ce["degree"] == 2
+    assert ce["z"]["degree_components"][0]["terms"] == [
+        {"word": list(state.basis(2).words[0]), "coeff": "1"}]
 
 
 def test_gen_leibniz_trivial_collapse(s3):
@@ -119,16 +161,18 @@ def test_ofbskew_and_prep_abstr_comm_centralizer(s4):
 
 
 def test_prep_abstr_comm_centralizer_twist_adds_no_constraint(s4):
-    # at w in the centralizer of w_o the twist h = w w_o w^{-1} is w_o, and
-    # the T_w right derivatives of h x2 vanish once those of x2 do, so the
-    # x2 sample space of check_prep_abstr_comm is the T_w kernel itself
+    # h = w w_o w^{-1} permutes the roots of T_w = |w(Delta)| up to sign,
+    # so the T_w right derivatives of h x2 vanish once those of x2 do, and
+    # the x2 sample space of check_prep_abstr_comm is the T_w kernel
+    # itself; in the centralizer of w_o the twist is w_o.  The twisted
+    # blocks are the oracle, for every w of A3
     sys = s4.system
     wo = sys.longest_element()
     cent = centralizer_of_longest(sys)
     assert len(cent) == 8
-    for w in cent:
+    assert all(w * wo * w.inverse() == wo for w in cent)
+    for w in sys.elements():
         h = w * wo * w.inverse()
-        assert h == wo
         t_blocks = _t_blocks(s4, w)
         for n in range(0, 7):
             blocks = t_blocks(n)

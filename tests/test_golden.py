@@ -42,6 +42,13 @@ GOLDEN = {
     ("nz-antipode", 3, "rational"): "8c90a8034fd2988cbc12b1877c020cf00a9ef940c529ed857e7121bc1709fa24",
     ("pairing", 3, "prime"): "a5104f0320add42a3e11e7d017c89e9d31d485a0a880756fcc8b403e9a97e25e",
     ("nz-antipode", 3, "prime"): "4fabcd1982686139c2dce9537f7121c67290ec27efa0a0e41ee405d0f56a0964",
+    # the start/end annihilation witnesses and the generalized Leibniz
+    # rule; recorded from an engine that built every group-action matrix
+    # in full and recomputed each operand inside the check loops
+    ("basic-rev", 3, "rational"): "b7cd5ecb8cfa939b30c9b036e47b4076c556ce2be4f948f7091b20ea38e03501",
+    ("gen-leibniz", 3, "rational"): "0cfe296513edc28d7218c5e7b532216d3f172291ade02ac344d7bba8456f18d2",
+    ("basic-rev", 3, "prime"): "f8d3fddc1714dc25d2662027dc6c53c3c10faa59e9a3be32c63afa2ec2759f66",
+    ("gen-leibniz", 3, "prime"): "ec5c047250c9696aabc56b3fee6a7c3106b2d84d74f61b8b9f6b66133f543f7c",
 }
 
 COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
@@ -49,7 +56,9 @@ COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
             "nz-antipode": ["verify", "nz-antipode", "--trials", "4"],
             "rhoD": ["verify", "rhoD", "--trials", "4"],
             "skew": ["verify", "skew-commutation", "--trials", "4"],
-            "tower": ["verify", "tower", "--trials", "4"]}
+            "tower": ["verify", "tower", "--trials", "4"],
+            "basic-rev": ["verify", "basic-rev", "--trials", "4"],
+            "gen-leibniz": ["verify", "gen-leibniz", "--trials", "4"]}
 
 
 @pytest.mark.parametrize("command,rank,field", sorted(GOLDEN))

@@ -10,6 +10,7 @@ from nwalgebra.nichols_core import (
     NicholsElement,
     TensorElement,
     antipode,
+    antipode_inv,
     braid_apply,
     coproduct_split,
     counit,
@@ -27,6 +28,7 @@ from nwalgebra.nichols_core import (
     pairing,
     rho,
     right_derivative,
+    right_multiplier,
     s_bar,
     starts_with,
     symmetrizer_rank,
@@ -199,6 +201,24 @@ def test_unit_and_associativity(s3):
         c = random_element(s3, rng, rng.randint(0, 1))
         assert multiply(one, a) == a == multiply(a, one)
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_right_multiplier_matches_multiply(s3, prime):
+    # x -> x y from the per-degree basis products b_i y, on elements with
+    # several components, products past the top degree included, and x
+    # of any degree in any order against the same map
+    state = s3
+    if prime:
+        state = AlgebraState(s3.system, field=PrimeField())
+        state.construct_all()
+    rng = random.Random(21)
+    for _ in range(15):
+        y = random_element(state, rng, rng.randint(0, 4)) + random_element(state, rng, rng.randint(0, 4))
+        times_y = right_multiplier(y)
+        for _ in range(4):
+            x = random_element(state, rng, rng.randint(0, 4)) + random_element(state, rng, rng.randint(0, 4))
+            assert times_y(x) == multiply(x, y)
 
 
 def test_group_action(s4):
@@ -472,6 +492,53 @@ def test_antipode_inverse(s3, s4):
             s = state.antipode_matrix(n)
             si = state.antipode_inv_matrix(n)
             assert mat_mul(s, si, state.field) == mat_identity(state.dim(n), state.field)
+
+
+@pytest.mark.parametrize("type_,rank_,prime", [("A", 3, False), ("A", 3, True),
+                                                ("A", 4, True), ("D", 4, True)])
+def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, prime):
+    # antipode_inv_matrix recurses over parents, S^{-1}(x_a z) =
+    # -S^{-1}(z) (g^{-1} . x_a); the oracle is (-1)^{l(g)} g^{-1} S on each
+    # column of class g, from the group action and the antipode
+    if (type_, rank_, prime) == ("A", 3, False):
+        state = s4
+    else:
+        state = AlgebraState(RootSystem(cartan_data(type_, rank_)),
+                             field=PrimeField() if prime else QQ, degree_cap=5)
+        state.ensure_degree(5)
+    field = state.field
+    for n in range(6):
+        s = state.antipode_matrix(n)
+        expected = []
+        for i, g in enumerate(state.basis(n).wdegs):
+            col = mat_col(state.act_matrix(n, g.inverse()), s[i], field)
+            expected.append({r: field.neg(x) for r, x in col.items()}
+                            if g.length() % 2 else col)
+        assert state.antipode_inv_matrix(n) == expected
+
+
+def test_state_is_freed_without_the_cycle_collector():
+    # the lazily built action columns and the memoized maps must not hold
+    # the state in a reference cycle: with the cyclic collector off, the
+    # state goes as soon as the last reference to it does
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        sys_ = RootSystem(cartan_data("A", 2))
+        state = AlgebraState(sys_)
+        state.construct_all()
+        x = NicholsElement(state, {2: {0: state.field.one, 2: state.field.of(3)}})
+        y = group_act(sys_.longest_element(), x)
+        z = antipode_inv(x)
+        assert state.act_matrix(2, sys_.simple_reflection(0))[1]
+        ref = weakref.ref(state)
+        del state, x, y, z
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_rho_antialgebra(s3):

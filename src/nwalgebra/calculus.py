@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .coxeter import GroupElement
-from .exactlinalg import kernel_basis, rank
+from .exactlinalg import kernel_basis
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
@@ -128,9 +128,11 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
                max_degree: int | None = None) -> IdentityReport:
     """Commutation of word reversal with braided derivatives.
 
-    Checks the three twist formulas on seeded homogeneous samples, the
-    single-generator case exhaustively per degree, and the kernel
-    equivalence (b)D_a = 0 iff (rho b)D_a = 0 as a subspace identity.
+    Checks the single-generator case (rho b)D_a = s_a rho((b)D_a)
+    exhaustively per degree, and the three twist formulas on seeded
+    homogeneous samples.  The kernel equivalence (b)D_a = 0 iff
+    (rho b)D_a = 0 needs no check of its own: s_a and rho are
+    invertible, so it follows from the single-generator case.
     """
     name = "rhoD"
     top = _max_constructed(state) if max_degree is None else max_degree
@@ -175,18 +177,6 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
         rhs = group_act(g.inverse(), rho(right_derivative(z, s_bar(xi))))
         if lhs != rhs:
             return _fail(name, params, t, seed, formula="rho.D", xi=xi, z=z)
-
-    # kernel equivalence per degree and generator: rho maps the kernel
-    # into itself iff the kernel and its image span no more than the kernel
-    for n in range(1, top + 1):
-        dim = state.dim(n)
-        rm = state.rho_matrix(n)
-        for a in range(sys.nroots):
-            ker = kernel_basis(state.dright(n, a), state.dim(n - 1), state.field)
-            image = [mat_col(rm, vec, state.field) for vec in ker]
-            if rank(ker + image, dim, state.field) != len(ker):
-                return _fail(name, params, trials, seed, degree=n, root=a,
-                             note="rho does not preserve the derivative kernel")
     return IdentityReport(name, params, trials, "pass", None, seed)
 
 
@@ -302,7 +292,7 @@ def check_tower_invariance(state: AlgebraState, w: GroupElement, v: GroupElement
 
 def _t_blocks(state: AlgebraState, w: GroupElement):
     """The right derivatives by the roots of T_w, per degree, as blocks
-    (matrix, nrows) for :func:`_joint_kernel_samples`."""
+    (matrix, nrows) for :func:`_joint_kernels`."""
     tw = sorted(w.t_set())
 
     def blocks(n):
@@ -324,7 +314,8 @@ def check_skew_commutation(state: AlgebraState, w: GroupElement, v: GroupElement
     wo = sys.longest_element()
     xi = group_act(w, skew_element(wo, v, state))
     g = w * v * wo * w.inverse()
-    samples = _joint_kernel_samples(state, _t_blocks(state, w), rng, max(1, trials // 3), top)
+    samples = _kernel_samples(state, _joint_kernels(state, _t_blocks(state, w), top), rng,
+                              max(1, trials // 3))
     if not samples:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])
@@ -361,16 +352,19 @@ def check_ofbskew(state: AlgebraState, d, trials: int = 5, seed: int = 0,
     return IdentityReport(name, params, 0, "pass", None, seed)
 
 
-def _joint_kernel_samples(state: AlgebraState, blocks_by_degree, rng, count, max_degree):
-    """Random elements of the per-degree joint kernel of the given maps,
-    each given as a block (matrix, nrows)."""
+def _joint_kernels(state: AlgebraState, blocks_by_degree, max_degree):
+    """(degree, basis) of the joint kernel of the given maps, each given
+    as a block (matrix, nrows), per nonzero component up to max_degree."""
+    return [(n, kernel_basis(*mat_stack(blocks_by_degree(n), dim), state.field))
+            for n in range(0, max_degree + 1) if (dim := state.dim(n))]
+
+
+def _kernel_samples(state: AlgebraState, kernels, rng, count):
+    """Random elements of the kernels of :func:`_joint_kernels`, count per
+    degree."""
     out = []
     field_ = state.field
-    for n in range(0, max_degree + 1):
-        dim = state.dim(n)
-        if dim == 0:
-            continue
-        ker = kernel_basis(*mat_stack(blocks_by_degree(n), dim), field_)
+    for n, ker in kernels:
         for _ in range(count):
             if not ker:
                 break
@@ -407,10 +401,9 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
     if budget < 0:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["top word does not fit under the degree bound"])
-    t_blocks = _t_blocks(state, w)
-    cap = min(top, max(0, budget))
-    s13 = _joint_kernel_samples(state, t_blocks, rng, 3, cap)
-    s2 = _joint_kernel_samples(state, t_blocks, rng, 3, cap)
+    kernels = _joint_kernels(state, _t_blocks(state, w), min(top, max(0, budget)))
+    s13 = _kernel_samples(state, kernels, rng, 3)
+    s2 = _kernel_samples(state, kernels, rng, 3)
     if not s13 or not s2:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])

@@ -219,11 +219,13 @@ def in_span(v, basis, nrows, field=QQ):
 class ColumnSolver:
     """Incremental greedy column echelon with exact coordinates.
 
-    Columns, given as {row: value} dicts without zeros, are offered in
-    order via :meth:`add`; independent ones are kept (their positions
-    recorded in ``selected``).  Any such column can then be expressed
-    over the kept columns with :meth:`coordinates`.  Pivot of a new
-    echelon vector: its lowest nonzero index.
+    Columns, given as {row: value} dicts of canonical field values
+    without zeros, are offered in order via :meth:`add`; independent
+    ones are kept (their positions recorded in ``selected``).  Any such
+    column can then be expressed over the kept columns with
+    :meth:`coordinates`.  Pivot of a new echelon vector: its lowest
+    nonzero index.  A column that meets no pivot is not copied, and one
+    whose pivot entry is one is not scaled.
     """
 
     def __init__(self, n: int, field=QQ):
@@ -241,11 +243,13 @@ class ColumnSolver:
         subtractions.  Echelon vector k is zero at every earlier pivot, so
         a min-heap visits, in echelon order, only the positions of the
         pivots vec holds or a subtraction creates."""
-        norm = self.field.normalize
         position, pivots, vectors = self._position, self.pivots, self.vectors
-        v = dict(vec)
-        heap = [k for c in v if (k := position.get(c)) is not None]
+        heap = [k for c in vec if (k := position.get(c)) is not None]
+        if not heap:
+            return vec, {}
         heapify(heap)
+        norm = self.field.normalize
+        v = dict(vec)
         coeffs = {}
         while heap:
             # a position pushed twice finds its pivot entry cleared
@@ -290,10 +294,14 @@ class ColumnSolver:
         if not v:
             return (False, self._express(coeffs)) if express else False
         p = min(v)
-        pinv = field.inv(v[p])
-        ev = {c: field.mul(x, pinv) for c, x in v.items()}
+        if v[p] == field.one:  # never store the caller's dict: it may change
+            pinv, ev = field.one, dict(v) if v is vec else v
+        else:
+            pinv = field.inv(v[p])
+            ev = {c: field.mul(x, pinv) for c, x in v.items()}
         # expression of ev over kept columns: (column - sum coeffs*prior) * pinv
-        expr = {j: field.mul(-x, pinv) for j, x in self._express(coeffs).items()}
+        expr = {j: field.mul(-x, pinv)
+                for j, x in self._express(coeffs).items()} if coeffs else {}
         k = len(self.selected)
         expr[k] = pinv
         self._position[p] = k

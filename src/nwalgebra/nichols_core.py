@@ -336,7 +336,9 @@ class AlgebraState:
         The candidates are x_a b_j, in (a, j) order: the previous words
         are sorted, so that is the order of the words (a,) + word_j.
         Each class block keeps, greedily in that order, the candidates
-        whose joint derivative vectors are independent.
+        whose joint derivative vectors are independent.  A block is
+        square: its rows (gamma, r) and its candidates x_gamma b_r both
+        run over the previous classes s_gamma g.
 
         A candidate whose parent is b_j = x_c b_k, for a pair (a, c) in
         the degree-2 relation table, is never assembled or offered to
@@ -346,6 +348,8 @@ class AlgebraState:
         coordinates are known.  The candidate is therefore dependent, and
         this sum gives its coordinates over the independent kept columns,
         which are unique: the eliminator would have returned the same.
+        The sum is taken once every block is solved and the offered
+        columns are moved to global positions, so it needs no remap.
         """
         sys = self.system
         n = len(self.bases)
@@ -362,10 +366,11 @@ class AlgebraState:
                 h = prods[(a, g)] = sys.reflection(a) * g
             return h
 
+        # a root a meets a class g in one previous class, s_a g
         by_class = {}  # class element -> its candidates (a, j), in order
         for a in range(sys.nroots):
-            for j, h in enumerate(prev.wdegs):
-                by_class.setdefault(times(a, h), []).append((a, j))
+            for h, idx in prev.classes.items():
+                by_class.setdefault(times(a, h), []).extend([(a, j) for j in idx])
 
         # column j of lmul[a]: the coordinates of x_a b_j, first over the
         # kept candidates of its class, then over the whole basis
@@ -375,29 +380,16 @@ class AlgebraState:
         relations = self._relations
         for k, g in enumerate(classes):
             block = by_class[g]
-            nrows = sum(len(prev.classes.get(times(gam, g), ()))
-                        for gam in range(sys.nroots))
-            if nrows * len(block) > self.memory_bound:
+            if len(block) ** 2 > self.memory_bound:
                 raise MemoryBoundExceeded(
-                    f"degree {n} class block needs {nrows * len(block)} entries")
-            offered, derived = [], []
-            for a, j in block:
-                c, jp = prev.parents[j]
-                rel = relations.get((a, c))
-                if rel is None:
-                    offered.append((a, j))
-                else:
-                    derived.append((a, j, rel, jp))
-            vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
-            if vectors:
-                sel, coords = self._solve_block(vectors, nrows)
+                    f"degree {n} class block needs {len(block) ** 2} entries")
+            offered = [(a, j) for a, j in block if (a, prev.parents[j][0]) not in relations]
+            if offered:
+                vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
+                sel, coords = self._solve_block(vectors, len(block))
                 for (a, j), c in zip(offered, coords):
                     lmul[a][j] = c
                 kept += [(*offered[s], k, vectors[s]) for s in sel]
-            # every x_d b_i of a relation sum has d < a, so it precedes
-            # x_a b_j in this block and its column is already set
-            for a, j, rel, jp in derived:
-                lmul[a][j] = self._derived_column(rel, prev.lmul, jp, lmul)
 
         # a class's kept candidates are in (a, j) order, so their global
         # positions come out ascending in their local order
@@ -408,7 +400,14 @@ class AlgebraState:
         for k, g in enumerate(classes):
             pos = pos_of[k]
             for a, j in by_class[g]:
-                lmul[a][j] = {pos[local]: c for local, c in lmul[a][j].items()}
+                c, jp = prev.parents[j]
+                rel = relations.get((a, c))
+                if rel is None:
+                    lmul[a][j] = {pos[local]: x for local, x in lmul[a][j].items()}
+                else:
+                    # every x_d b_i of the relation sum has d < a, so it
+                    # precedes x_a b_j in this block and its column is set
+                    lmul[a][j] = self._derived_column(rel, prev.lmul, jp, lmul)
         basis = DegreeBasis(n, [(a,) + prev.words[j] for a, j, _, _ in kept],
                             [classes[k] for _, _, k, _ in kept],
                             [(a, j) for a, j, _, _ in kept],
@@ -433,7 +432,7 @@ class AlgebraState:
                 if all(basis.parents[i][0] < a for i in col)}
 
     def _derived_column(self, rel, prev_lmul, jp, lmul):
-        """Block-local coordinates of x_a b_j for b_j = x_c b_jp and the
+        """The coordinates of x_a b_j for b_j = x_c b_jp and the
         relation x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i *
         lmul[d][i], mu = prev_lmul[e][jp] the coordinates of x_e b_jp."""
         acc = {}

@@ -14,6 +14,8 @@ from nwalgebra.calculus import (
     check_tower_invariance,
     find_commuting_cofactors,
     random_element,
+    _joint_kernels,
+    _kernel_samples,
     _t_blocks,
 )
 from nwalgebra.coxeter import RootSystem, cartan_data, centralizer_of_longest
@@ -182,6 +184,47 @@ def test_prep_abstr_comm_centralizer_twist_adds_no_constraint(s4):
             assert (kernel_basis(*mat_stack(blocks + twisted, dim), s4.field)
                     == kernel_basis(*mat_stack(blocks, dim), s4.field))
 
+
+
+def _samples_per_call(state, blocks_by_degree, rng, count, max_degree):
+    """Oracle: one call that computes each degree's joint kernel and
+    samples it right away, as the check once did for each sample set."""
+    out = []
+    field = state.field
+    for n in range(0, max_degree + 1):
+        dim = state.dim(n)
+        if dim == 0:
+            continue
+        ker = kernel_basis(*mat_stack(blocks_by_degree(n), dim), field)
+        for _ in range(count):
+            if not ker:
+                break
+            acc = {}
+            for kv in ker:
+                c = field.of(rng.randint(-2, 2))
+                if c:
+                    for i, x in kv.items():
+                        acc[i] = acc.get(i, 0) + c * x
+            z = NicholsElement(state, {n: {i: field.normalize(x) for i, x in acc.items()}})
+            if not z.is_zero():
+                out.append(z)
+    return out
+
+
+def test_kernels_computed_once_give_the_same_samples(s4):
+    # check_prep_abstr_comm samples its two sets from one kernel per
+    # degree, in the rng order of two back-to-back calls that each
+    # computed the kernels
+    sys = s4.system
+    for w in [sys.identity(), sys.longest_element(),
+              sys.from_permutation((2, 4, 1, 3)), sys.from_permutation((2, 1, 3, 4))]:
+        t_blocks = _t_blocks(s4, w)
+        old = random.Random(9)
+        expected = [_samples_per_call(s4, t_blocks, old, 3, 6) for _ in range(2)]
+        rng = random.Random(9)
+        kernels = _joint_kernels(s4, t_blocks, 6)
+        assert [_kernel_samples(s4, kernels, rng, 3) for _ in range(2)] == expected
+        assert all(expected)
 
 def test_prep_abstr_comm_general_w(s4):
     # the preparation lemma with the w w_o w^{-1} twist, for w outside the

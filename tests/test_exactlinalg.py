@@ -264,3 +264,26 @@ def test_column_solver_roundtrip():
         # the larger matrices make reductions create entries at later
         # pivots, so the pivot heap takes pushes beyond the column's own
         assert created > 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["QQ", "GF(p)"])
+def test_column_solver_stores_no_offered_dict(field):
+    # a dict that hits no pivot is not copied for the reduction, and one
+    # whose pivot entry is one is not scaled; the solver still keeps its
+    # own vectors, so changing the offered dicts afterwards changes nothing
+    of = field.of
+    first = {0: of(1), 2: of(3)}            # no pivot hit, unit pivot
+    second = {1: of(2), 3: of(1)}           # no pivot hit, pivot scaled
+    third = {0: of(1), 2: of(4), 3: of(1)}  # reduced by first to a unit pivot
+    solver = ColumnSolver(4, field)
+    assert all(solver.add(d) for d in (first, second, third))
+    vectors = [list(v.items()) for v in solver.vectors]
+    assert vectors == [[(0, 1), (2, 3)], [(1, 1), (3, field.div(1, 2))], [(2, 1), (3, 1)]]
+    probe = {0: of(2), 2: of(7), 3: of(1)}  # first + third
+    assert solver.coordinates(probe) == {0: 1, 2: 1}
+    for d in (first, second, third):
+        d.clear()
+        d[1] = of(5)
+    assert [list(v.items()) for v in solver.vectors] == vectors
+    assert solver.coordinates(probe) == {0: 1, 2: 1}
+    assert not solver.add({0: of(1), 2: of(3)})

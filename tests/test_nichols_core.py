@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -883,7 +884,8 @@ def test_every_lmul_column_certified_by_left_derivatives(type_, rank_, field, ca
 
 
 @pytest.mark.parametrize("type_,rank_,cap,offered,candidates",
-                         [("A", 4, 6, 11453, 29560), ("D", 4, 5, 12024, 27612)])
+                         [("A", 4, 5, 4041, 9960), ("A", 4, 6, 11453, 29560),
+                          ("D", 4, 5, 12024, 27612)])
 def test_construction_reduces_only_candidates_not_derived_from_relations(
         monkeypatch, type_, rank_, cap, offered, candidates):
     # a candidate x_a x_c b_k whose x_a x_c has a degree-2 relation over
@@ -902,6 +904,52 @@ def test_construction_reduces_only_candidates_not_derived_from_relations(
     st.construct_all()
     assert sum(sys.nroots * b.dim for b in st.bases[1:-1]) == candidates
     assert len(calls) == offered and all(calls)
+    # the eliminator sees each offered candidate once: the relation table
+    # is read off degree 2, so all of degree 2 is offered
+    assert offered == sum(n == 2 or (a, st.bases[n - 1].parents[j][0]) not in st._relations
+                          for n in range(2, len(st.bases))
+                          for a in range(sys.nroots) for j in range(st.bases[n - 1].dim))
+
+
+def structure_digest(state):
+    """sha256 of the words, parents, wdegs, every lmul column's entries in
+    order with their scalar types (``repr`` tells an int from a
+    Fraction), and the joint derivative vectors, degree by degree."""
+    h = hashlib.sha256()
+    for b in state.bases:
+        h.update(repr((b.words, b.parents, [g.images for g in b.wdegs])).encode())
+        for a in sorted(b.lmul):
+            h.update(repr([list(col.items()) for col in b.lmul[a]]).encode())
+        h.update(repr([list(v.items()) for v in b.derivs]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap,digest", [
+    ("A", 3, QQ, None, "a971021a6ffa1c073e66412161fa84942e7500f15f323a31b7d3863c615240dd"),
+    ("A", 3, PrimeField(), None,
+     "6499d2db1fc83ac888bb86a839755feea4af65e458106a33a8e4f62509ddfa99"),
+    ("A", 4, PrimeField(), 5, "eeaf5987fc8a3113c5ea9c70b3643a299e25de7ed075a77339017d37967beeef"),
+    ("D", 4, PrimeField(), 4, "a209baced8ec1ba4a8b9ff043053af1ba78f925895b64a1bedef995c67b2e5fb"),
+], ids=["A3-rational", "A3-prime", "A4-prime-5", "D4-prime-4"])
+def test_structure_digest(type_, rank_, field, cap, digest):
+    # the stored structure, byte for byte, as an engine that grouped the
+    # candidates per basis element and remapped every column built it
+    sys = RootSystem(cartan_data(type_, rank_))
+    st = AlgebraState(sys, field=field, degree_cap=cap)
+    st.construct_all()
+    assert structure_digest(st) == digest
+    # every class block is square: x_a b_j lies in class s_a wdeg(b_j), and
+    # the rows (gamma, r) of class g run over the previous classes s_gamma g
+    for n in range(2, len(st.bases)):
+        prev = st.bases[n - 1]
+        count = {}
+        for a in range(sys.nroots):
+            for h in prev.wdegs:
+                g = sys.reflection(a) * h
+                count[g] = count.get(g, 0) + 1
+        assert all(c == sum(len(prev.classes.get(sys.reflection(gam) * g, ()))
+                            for gam in range(sys.nroots))
+                   for g, c in count.items())
 
 
 def test_type_d_low_degrees():

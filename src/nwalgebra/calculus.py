@@ -182,7 +182,9 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
 
 def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> IdentityReport:
     """The antipode twist: S^{-1} = (-1)^{l(g)} g^{-1} S columnwise, S
-    inverts S^{-1} exactly, and S^{2e} is the identity in each degree."""
+    S^{-1} = I exactly, and S^{2e} = I in each degree.  S^{-1} S = I needs
+    no check: both are square over a field, where a one-sided inverse is
+    two-sided."""
     name = "nz-antipode"
     top = _max_constructed(state) if max_degree is None else max_degree
     e = state.system.exponent()
@@ -201,8 +203,6 @@ def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> Ide
                              note="S^{-1} is not (-1)^{l(g)} g^{-1} S")
         if mat_mul(s, sinv, field_) != mat_identity(dim, field_):
             return _fail(name, params, 0, None, degree=n, note="S S^{-1} is not the identity")
-        if mat_mul(sinv, s, field_) != mat_identity(dim, field_):
-            return _fail(name, params, 0, None, degree=n, note="S^{-1} S is not the identity")
         s2e = mat_pow(mat_mul(s, s, field_), e, field_)
         if s2e != mat_identity(dim, field_):
             return _fail(name, params, 0, None, degree=n, note="S^{2e} is not the identity")
@@ -355,7 +355,7 @@ def check_ofbskew(state: AlgebraState, d, trials: int = 5, seed: int = 0,
 def _joint_kernels(state: AlgebraState, blocks_by_degree, max_degree):
     """(degree, basis) of the joint kernel of the given maps, each given
     as a block (matrix, nrows), per nonzero component up to max_degree."""
-    return [(n, kernel_basis(*mat_stack(blocks_by_degree(n), dim), state.field))
+    return [(n, kernel_basis(mat_stack(blocks_by_degree(n), dim), state.field))
             for n in range(0, max_degree + 1) if (dim := state.dim(n))]
 
 

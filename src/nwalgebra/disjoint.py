@@ -148,7 +148,8 @@ def motiv_check(d: DisjointSystem, ordering, state: AlgebraState):
     system: some ordered product of the y's is a nonzero integral, all
     orderings are, and the y's commute up to the parity sign of the top
     word.  Reports each truth value and whether the pattern is consistent
-    (all three equal)."""
+    (all three equal).  The sign commutation is checked for i <= j only:
+    the (j, i) statement is the (i, j) one times sign^2 = 1."""
     import itertools as it
 
     from .integrals import is_integral
@@ -172,13 +173,8 @@ def motiv_check(d: DisjointSystem, ordering, state: AlgebraState):
         if z.is_zero() or not is_integral(z, state):
             item2 = False
             break
-    item3 = True
-    for i in range(r):
-        for j in range(r):
-            lhs = multiply(ys[i], ys[j])
-            rhs = multiply(ys[j], ys[i]).scale(sign)
-            if lhs != rhs:
-                item3 = False
+    item3 = all(multiply(ys[i], ys[j]) == multiply(ys[j], ys[i]).scale(sign)
+                for i in range(r) for j in range(i, r))
     consistent = item1 == item2 == item3
     return {
         "order": r,

@@ -164,16 +164,16 @@ class PrimeField:
 QQ = RationalField()
 
 
-def rank(cols, nrows, field=QQ) -> int:
+def rank(cols, field=QQ) -> int:
     """Rank of a matrix given as a list of {row: value} column dicts."""
-    solver = ColumnSolver(nrows, field)
+    solver = ColumnSolver(field)
     of = field.of
     for col in cols:
         solver.add({r: x for r, v in col.items() if (x := of(v))})
     return solver.rank
 
 
-def kernel_basis(cols, nrows, field=QQ):
+def kernel_basis(cols, field=QQ):
     """A deterministic basis of the right null space, as column dicts.
 
     The column dicts are offered to a :class:`ColumnSolver` in order,
@@ -182,7 +182,7 @@ def kernel_basis(cols, nrows, field=QQ):
     e_c - sum coords * e_selected: entry 1 at c, zero at every other
     dependent column.
     """
-    solver = ColumnSolver(nrows, field)
+    solver = ColumnSolver(field)
     of = field.of
     basis = []
     for c, col in enumerate(cols):
@@ -206,7 +206,7 @@ def in_span(v, basis, nrows, field=QQ):
     """
     if any(not 0 <= r < nrows for b in [v, *basis] for r in b):
         raise LinalgError("dimension mismatch")
-    solver = ColumnSolver(nrows, field)
+    solver = ColumnSolver(field)
     for b in basis:
         solver.add(b)
     coeffs = solver.coordinates(v)
@@ -228,8 +228,7 @@ class ColumnSolver:
     whose pivot entry is one is not scaled.
     """
 
-    def __init__(self, n: int, field=QQ):
-        self.n = n
+    def __init__(self, field=QQ):
         self.field = field
         self.pivots = []      # pivot index per echelon vector
         self.vectors = []     # echelon vectors, pivot entry normalized to 1

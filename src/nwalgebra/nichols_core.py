@@ -98,7 +98,7 @@ def mat_transpose(a, nrows):
 
 
 def mat_stack(blocks, ncols):
-    """The block rows (matrix, nrows) stacked in order: (columns, nrows)."""
+    """The block rows (matrix, nrows) stacked in order, as columns."""
     cols = [dict() for _ in range(ncols)]
     off = 0
     for mat, nrows in blocks:
@@ -106,7 +106,7 @@ def mat_stack(blocks, ncols):
             for r, v in part.items():
                 col[off + r] = v
         off += nrows
-    return cols, off
+    return cols
 
 
 class LazyColumns:
@@ -386,7 +386,7 @@ class AlgebraState:
             offered = [(a, j) for a, j in block if (a, prev.parents[j][0]) not in relations]
             if offered:
                 vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
-                sel, coords = self._solve_block(vectors, len(block))
+                sel, coords = self._solve_block(vectors)
                 for (a, j), c in zip(offered, coords):
                     lmul[a][j] = c
                 kept += [(*offered[s], k, vectors[s]) for s in sel]
@@ -476,10 +476,10 @@ class AlgebraState:
         norm = field.normalize
         return {k: y for k, x in acc.items() if (y := norm(x))}
 
-    def _solve_block(self, vectors, nrows):
+    def _solve_block(self, vectors):
         """Kept candidates and each candidate's {kept: coordinate} dict,
         each vector reduced once."""
-        solver = ColumnSolver(nrows, self.field)
+        solver = ColumnSolver(self.field)
         offered = [solver.add(vec, express=True) for vec in vectors]
         return [ci for ci, (kept, _) in enumerate(offered) if kept], [c for _, c in offered]
 
@@ -625,7 +625,7 @@ class AlgebraState:
         singular."""
         def build(basis):
             field = self.field
-            solver = ColumnSolver(basis.dim, field)
+            solver = ColumnSolver(field)
             for col in self.gram(n):
                 solver.add(col)
             if solver.rank < basis.dim:
@@ -973,7 +973,7 @@ def _spanned(z: NicholsElement, columns) -> bool:
     columns ``columns(n)``."""
     state = z.state
     for n, v in z.components.items():
-        solver = ColumnSolver(state.dim(n), state.field)
+        solver = ColumnSolver(state.field)
         for col in columns(n):
             solver.add(col)
         if solver.coordinates(v) is None:
@@ -1004,7 +1004,7 @@ def theta_span(state: AlgebraState, theta, n):
         field = state.field
         if n == 0:
             return mat_identity(1, field)
-        solver = ColumnSolver(basis.dim, field)
+        solver = ColumnSolver(field)
         vecs = []
         for g in theta:
             lm = state.lmul(n, g)
@@ -1085,7 +1085,7 @@ def symmetrizer_rank(sys: RootSystem, n: int, field=QQ,
     for key in sorted(by_class):
         words = by_class[key]
         index = {w: i for i, w in enumerate(words)}
-        solver = ColumnSolver(len(words), field)
+        solver = ColumnSolver(field)
         for w in words:
             acc = {}
             for bw in perm_words.values():

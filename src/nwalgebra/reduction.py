@@ -243,7 +243,7 @@ def quotient_dimensions(state: AlgebraState, side: str = "right"):
 
 def _ideal_solver(state: AlgebraState, side: str, n: int) -> ColumnSolver:
     """A solver holding the degree-n columns of J^r (side "right") or J^l."""
-    solver = ColumnSolver(state.dim(n), state.field)
+    solver = ColumnSolver(state.field)
     if n >= 1:
         for a in nonsimple_roots(state):
             for col in state.lmul(n, a) if side == "right" else state.rmul(n, a):

@@ -181,8 +181,8 @@ def test_prep_abstr_comm_centralizer_twist_adds_no_constraint(s4):
             twisted = [(mat_mul(s4.dright(n, a), s4.act_matrix(n, h), s4.field), s4.dim(n - 1))
                        for a in sorted(w.t_set())] if n >= 1 else []
             dim = s4.dim(n)
-            assert (kernel_basis(*mat_stack(blocks + twisted, dim), s4.field)
-                    == kernel_basis(*mat_stack(blocks, dim), s4.field))
+            assert (kernel_basis(mat_stack(blocks + twisted, dim), s4.field)
+                    == kernel_basis(mat_stack(blocks, dim), s4.field))
 
 
 
@@ -195,7 +195,7 @@ def _samples_per_call(state, blocks_by_degree, rng, count, max_degree):
         dim = state.dim(n)
         if dim == 0:
             continue
-        ker = kernel_basis(*mat_stack(blocks_by_degree(n), dim), field)
+        ker = kernel_basis(mat_stack(blocks_by_degree(n), dim), field)
         for _ in range(count):
             if not ker:
                 break

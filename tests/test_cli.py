@@ -270,3 +270,31 @@ def test_harness_traced_names_exist():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("argv", [["hypo"], ["verify", "basic-rev", "--trials", "4"]])
+@pytest.mark.parametrize("field", ["rational", "prime"])
+def test_one_construction_per_command(argv, field, monkeypatch, capsys):
+    # perfbench checks the dims of every construct_all a command makes
+    # against the series of B_W, and counts the extend_degree candidates
+    # as those of B_W; a command that built a second state would break both
+    from nwalgebra import cli
+    from nwalgebra.nichols_core import AlgebraState
+
+    built, extended = [], set()
+    construct_all, extend_degree = AlgebraState.construct_all, AlgebraState.extend_degree
+
+    def counted_construct_all(self):
+        built.append(self)
+        return construct_all(self)
+
+    def counted_extend_degree(self):
+        extended.add(id(self))
+        return extend_degree(self)
+
+    monkeypatch.setattr(AlgebraState, "construct_all", counted_construct_all)
+    monkeypatch.setattr(AlgebraState, "extend_degree", counted_extend_degree)
+    assert cli.main(argv + ["--type", "A", "--rank", "2", "--field", field]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert extended == {id(built[0])}

@@ -22,24 +22,24 @@ def dense(rows):
 
 
 def transpose(rows, ncols):
-    """Column dicts of a row-dict matrix, and its row count."""
+    """Column dicts of a row-dict matrix."""
     out = [dict() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
             out[j][i] = v
-    return out, len(rows)
+    return out
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis(*transpose([{}, {}], 2))) == 2
+    assert len(kernel_basis(transpose([{}, {}], 2))) == 2
 
 
 def test_kernel_identity():
-    assert kernel_basis(*transpose(*dense([[1, 0], [0, 1]]))) == []
+    assert kernel_basis(transpose(*dense([[1, 0], [0, 1]]))) == []
 
 
 def test_kernel_rank_one():
-    ker = kernel_basis(*transpose(*dense([[1, 2], [2, 4]])))
+    ker = kernel_basis(transpose(*dense([[1, 2], [2, 4]])))
     assert len(ker) == 1
     v = ker[0]
     # a column dict proportional to (-2, 1)
@@ -48,8 +48,8 @@ def test_kernel_rank_one():
 
 
 def test_rank_examples():
-    assert rank(*transpose(*dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == 3
-    assert rank(*transpose([{} for _ in range(4)], 5)) == 0
+    assert rank(transpose(*dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == 3
+    assert rank(transpose([{} for _ in range(4)], 5)) == 0
 
 
 def test_in_span_examples():
@@ -83,16 +83,16 @@ def test_random_matrices_consistency():
     rng = random.Random(5)
     for _ in range(500):
         rows, ncols = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        cols, nrows = transpose(rows, ncols)
-        r = rank(cols, nrows)
-        ker = kernel_basis(cols, nrows)
+        cols = transpose(rows, ncols)
+        r = rank(cols)
+        ker = kernel_basis(cols)
         assert r + len(ker) == ncols
-        assert r == rank(rows, ncols)
+        assert r == rank(rows)
         for v in ker:
             assert all(x for x in v.values())
             assert all(sum((row[c] * v.get(c, 0) for c in row), Fraction(0)) == 0 for row in rows)
         # the kernel vectors, a column-dict matrix, are linearly independent
-        assert rank(ker, ncols) == len(ker)
+        assert rank(ker) == len(ker)
 
 
 def test_rank_mod_p_bounded_by_rational():
@@ -100,14 +100,14 @@ def test_rank_mod_p_bounded_by_rational():
     gf = PrimeField()
     for _ in range(50):
         m = transpose(*random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), lim=6))
-        assert rank(*m, gf) <= rank(*m, QQ)
+        assert rank(m, gf) <= rank(m, QQ)
 
 
 def test_rank_agreement_random_50x50():
     rng = random.Random(3)
     m = transpose(*random_matrix(rng, 50, 50, density=0.2, lim=9))
     gf = PrimeField()
-    assert rank(*m, QQ) == rank(*m, gf)
+    assert rank(m, QQ) == rank(m, gf)
 
 
 def test_prime_field_requires_odd_prime():
@@ -128,10 +128,10 @@ def test_is_prime_matches_trial_division():
 def test_fractional_entries():
     # [[1/2, 1/3], [3/2, 1]] is singular; [[1/2, 1/3], [1/5, 1]] is not
     singular = transpose(*dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]))
-    assert rank(*singular) == 1
+    assert rank(singular) == 1
     regular = transpose(*dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1)]]))
-    assert rank(*regular) == 2
-    ker = kernel_basis(*singular)
+    assert rank(regular) == 2
+    ker = kernel_basis(singular)
     assert len(ker) == 1
     assert ker[0][0] * Fraction(1, 2) == -ker[0][1] * Fraction(1, 3)
 
@@ -202,24 +202,24 @@ def linear_probe_echelon(cols, field):
 
 def solver_matrices(rng, field):
     """Small random matrices, then ~40 x 60 sparse, low-rank and
-    repeated-column ones, as (column dicts, row count)."""
+    repeated-column ones, as lists of column dicts."""
     def col(entries):
         return {i: x for i, v in entries.items() if (x := field.of(v))}
 
     for _ in range(50):
         n = rng.randint(1, 6)
         yield [col({i: rng.randint(-3, 3) for i in range(n)})
-               for _ in range(rng.randint(1, 8))], n
+               for _ in range(rng.randint(1, 8))]
     for _ in range(4):
         # sparse +-1 entries
         yield [col({i: rng.choice((-1, 1)) for i in range(40) if rng.random() < 0.08})
-               for _ in range(60)], 40
+               for _ in range(60)]
         # a low-rank product: most columns are dependent
         k = rng.randint(3, 15)
         left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(40)]
         right = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(60)]
         yield [col({i: sum(a * b for a, b in zip(left[i], r)) for i in range(40)})
-               for r in right], 40
+               for r in right]
         # repeated columns and multiples of earlier ones
         cols = []
         for _ in range(60):
@@ -229,7 +229,7 @@ def solver_matrices(rng, field):
             else:
                 cols.append(col({i: rng.randint(-2, 2) for i in range(40)
                                  if rng.random() < 0.2}))
-        yield cols, 40
+        yield cols
 
 
 def test_column_solver_roundtrip():
@@ -237,8 +237,8 @@ def test_column_solver_roundtrip():
     gf = PrimeField()
     for field in (QQ, gf):
         created = 0
-        for cols, n in solver_matrices(rng, field):
-            solver, expressing = ColumnSolver(n, field), ColumnSolver(n, field)
+        for cols in solver_matrices(rng, field):
+            solver, expressing = ColumnSolver(field), ColumnSolver(field)
             kept = [solver.add(c) for c in cols]
             offered = [expressing.add(c, express=True) for c in cols]
             assert [pos for pos, k in enumerate(kept) if k] == solver.selected
@@ -275,7 +275,7 @@ def test_column_solver_stores_no_offered_dict(field):
     first = {0: of(1), 2: of(3)}            # no pivot hit, unit pivot
     second = {1: of(2), 3: of(1)}           # no pivot hit, pivot scaled
     third = {0: of(1), 2: of(4), 3: of(1)}  # reduced by first to a unit pivot
-    solver = ColumnSolver(4, field)
+    solver = ColumnSolver(field)
     assert all(solver.add(d) for d in (first, second, third))
     vectors = [list(v.items()) for v in solver.vectors]
     assert vectors == [[(0, 1), (2, 3)], [(1, 1), (3, field.div(1, 2))], [(2, 1), (3, 1)]]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -114,6 +115,33 @@ def test_integral_rigidity(s3):
         assert right_derivative(x2, y) != dx or x2 == x
 
 
+@pytest.mark.parametrize("prime", [False, True])
+def test_integral_character_catches_a_wrong_product_character(prime, monkeypatch):
+    # the top is a sign eigenvector of s_0 s_1 with the product of the
+    # simple characters; an action matrix with the opposite sign there
+    # fails the multiplicativity check
+    from nwalgebra.coxeter import RootSystem, cartan_data
+    from nwalgebra.exactlinalg import QQ, PrimeField
+
+    state = AlgebraState(RootSystem(cartan_data("A", 2)),
+                         field=PrimeField() if prime else QQ)
+    state.construct_all()
+    cert = top_integral(state)
+    sys, field = state.system, state.field
+    g = sys.simple_reflection(0) * sys.simple_reflection(1)
+    act_matrix = state.act_matrix
+
+    def wrong(n, w):
+        m = act_matrix(n, w)
+        if n == cert.degree and w == g:
+            return [{r: field.neg(x) for r, x in col.items()} for col in m]
+        return m
+
+    monkeypatch.setattr(state, "act_matrix", wrong)
+    with pytest.raises(IntegralError, match="not multiplicative"):
+        integral_character(cert, state)
+
+
 def test_invariance_s3(s3):
     cert = top_integral(s3)
     rep = invariance_suite(cert, s3)
@@ -135,7 +163,7 @@ def test_prep_inv_on_kernel_samples(s3):
     sys = s3.system
     for n in range(1, s3.finite_top):
         for a in range(sys.nroots):
-            for vec in kernel_basis(s3.rmul(n + 1, a), s3.dim(n + 1), s3.field):
+            for vec in kernel_basis(s3.rmul(n + 1, a), s3.field):
                 z = NicholsElement(s3, {n: vec})
                 xa = NicholsElement.generator(s3, a)
                 assert multiply(z, xa).is_zero()
@@ -198,6 +226,33 @@ def test_hypothetical_checks(a1, s3, s4):
         sub = subalgebra_build(nonsimple_roots(state), state)
         rep = hypothetical_checks(sub, state)
         assert rep.passed, rep.counterexample
+
+
+@pytest.mark.parametrize("fixture", ["s3", "s4"])
+def test_hypothetical_checks_catch_every_perturbation_of_p(fixture, request):
+    # P plus any basis vector of its degree in B_W fails the battery
+    # unless the sum is a multiple of P, which the battery rescales back
+    state = request.getfixturevalue(fixture)
+    field = state.field
+    sub = subalgebra_build(nonsimple_roots(state), state)
+    top = sub.top_degree
+    p = sub.bases[top][0]
+    line = NicholsElement(state, {top: p})
+    failed = 0
+    for k in range(state.dim(top)):
+        q = dict(p)
+        q[k] = field.add(q.get(k, field.zero), field.one)
+        q = {i: x for i, x in q.items() if x}
+        if not q:  # P = -e_k: the sum is zero, not a spanning vector
+            continue
+        perturbed = dataclasses.replace(sub, bases=sub.bases[:top] + [[q]])
+        rep = hypothetical_checks(perturbed, state)
+        if NicholsElement(state, {top: q}).proportional_to(line) is None:
+            assert rep.status == "fail", k
+            failed += 1
+        else:
+            assert rep.passed
+    assert failed >= state.dim(top) - 2
 
 
 def test_hypothetical_space_dimensions(s3):

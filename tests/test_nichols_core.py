@@ -340,7 +340,7 @@ def test_gram_symmetric_nondegenerate(s3, s4):
             for i in range(dim):
                 for j in range(dim):
                     assert g[i].get(j, 0) == g[j].get(i, 0)
-            assert rank(g, dim) == dim
+            assert rank(g) == dim
 
 
 def test_gram_inverse(s4):
@@ -668,8 +668,8 @@ def test_left_twisted_factorization(s4):
         classes = sorted(basis.classes, key=lambda e: e.images)
         g = classes[rng.randrange(len(classes))]
         idxs = basis.classes[g]
-        m, nrows = mat_stack([(s4.dleft(n, t), s4.dim(n - 1)) for t in theta], basis.dim)
-        ker = kernel_basis([m[i] for i in idxs], nrows, field)
+        m = mat_stack([(s4.dleft(n, t), s4.dim(n - 1)) for t in theta], basis.dim)
+        ker = kernel_basis([m[i] for i in idxs], field)
         if not ker:
             continue
         z1 = NicholsElement(s4, {n: {idxs[local]: x for local, x in ker[0].items()}})
@@ -828,7 +828,7 @@ def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_,
 
     offered = {}  # degree -> vectors the dense solver reduced
 
-    def dense_solve(self, vectors, nrows):
+    def dense_solve(self, vectors):
         n = len(self.bases)
         offered[n] = offered.get(n, 0) + len(vectors)
         rows = sorted({r for vec in vectors for r in vec})

@@ -78,7 +78,7 @@ def test_embedding_injective_dimension(s3, s4):
         total = 0
         for n, ws in by_len.items():
             cols = [embed_element(state, w).component(n) for w in ws]
-            total += rank(cols, state.dim(n))
+            total += rank(cols)
         assert total == len(els)
 
 

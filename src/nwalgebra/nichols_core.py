@@ -229,10 +229,28 @@ class TensorElement:
 # ---------------------------------------------------------------------------
 
 
+def _derived_column(rel, prev_lmul, jp, lmul, normalize):
+    """The coordinates of x_a b_j for b_j = x_c b_jp and the relation
+    x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i * lmul[d][i],
+    mu = prev_lmul[e][jp] the coordinates of x_e b_jp."""
+    acc = {}
+    for d, e, lam in rel:
+        col_d = lmul[d]
+        for i, mu in prev_lmul[e][jp].items():
+            f = lam * mu
+            for t, x in col_d[i].items():
+                acc[t] = acc.get(t, 0) + f * x
+    return {t: y for t, x in acc.items() if (y := normalize(x))}
+
+
 class DegreeBasis:
     """Basis of one graded component with its stored structure.
 
     ``lmul[a]`` is left multiplication by x_a, a matrix B^{n-1} -> B^n.
+    A degree built by :meth:`AlgebraState.extend_degree` leaves ``lmul``
+    pending until it is first read: the read moves the offered columns
+    to global positions and takes the sum of each relation-derived
+    column, so the last degree a capped build makes is never filled.
     The left derivatives are stored once, jointly: ``derivs[i]`` is the
     vector the construction eliminated for b_i, entry gamma * dim(n-1) + r
     holding coordinate r of D_gamma(b_i).  The per-root matrices
@@ -240,7 +258,7 @@ class DegreeBasis:
     (:meth:`AlgebraState.dleft`).
     """
 
-    def __init__(self, degree, words, wdegs, parents, derivs):
+    def __init__(self, degree, words, wdegs, parents, derivs, fill=None):
         self.degree = degree
         self.words = tuple(words)
         self.dim = len(self.words)
@@ -250,8 +268,17 @@ class DegreeBasis:
         self.classes = {}
         for i, g in enumerate(self.wdegs):
             self.classes.setdefault(g, []).append(i)
-        self.lmul = {}    # a -> matrix B^{n-1} -> B^n
-        self.cache = {}   # (map, key) -> lazily built matrix or span
+        self._lmul = {}    # a -> matrix B^{n-1} -> B^n, once filled
+        self._fill = fill  # () -> the filled lmul, while it is pending
+        self.cache = {}    # (map, key) -> lazily built matrix or span
+
+    @property
+    def lmul(self):
+        if self._fill is not None:
+            # a fill that raises leaves the degree pending, never half filled
+            self._lmul = self._fill()
+            self._fill = None
+        return self._lmul
 
 
 class AlgebraState:
@@ -348,8 +375,11 @@ class AlgebraState:
         coordinates are known.  The candidate is therefore dependent, and
         this sum gives its coordinates over the independent kept columns,
         which are unique: the eliminator would have returned the same.
-        The sum is taken once every block is solved and the offered
-        columns are moved to global positions, so it needs no remap.
+
+        The sums are taken when the new ``lmul`` is first read
+        (:class:`DegreeBasis`), root by root, so each x_d b_i is filled
+        before a sum reads it.  Each degree first reads the previous
+        one's ``lmul``, so only the last degree built stays pending.
         """
         sys = self.system
         n = len(self.bases)
@@ -358,6 +388,7 @@ class AlgebraState:
         if n > self.degree_cap:
             raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
         prev = self.bases[n - 1]
+        prev_lmul, parents = prev.lmul, prev.parents
         prods = self._prods
 
         def times(a, g):
@@ -372,10 +403,11 @@ class AlgebraState:
             for h, idx in prev.classes.items():
                 by_class.setdefault(times(a, h), []).extend([(a, j) for j in idx])
 
-        # column j of lmul[a]: the coordinates of x_a b_j, first over the
-        # kept candidates of its class, then over the whole basis
+        # column j of lmul[a]: None if the relations give it, else its
+        # coordinates over its class's kept candidates and their positions
         lmul = [[None] * prev.dim for _ in range(sys.nroots)]
         classes = sorted(by_class, key=lambda e: e.images)
+        pos_of = [[] for _ in classes]
         kept = []  # (a, j, class number, derivative vector) per kept candidate
         relations = self._relations
         for k, g in enumerate(classes):
@@ -383,36 +415,39 @@ class AlgebraState:
             if len(block) ** 2 > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {len(block) ** 2} entries")
-            offered = [(a, j) for a, j in block if (a, prev.parents[j][0]) not in relations]
+            offered = [(a, j) for a, j in block if (a, parents[j][0]) not in relations]
             if offered:
                 vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
                 sel, coords = self._solve_block(vectors)
                 for (a, j), c in zip(offered, coords):
-                    lmul[a][j] = c
+                    lmul[a][j] = (c, pos_of[k])
                 kept += [(*offered[s], k, vectors[s]) for s in sel]
 
         # a class's kept candidates are in (a, j) order, so their global
         # positions come out ascending in their local order
         kept.sort(key=lambda t: t[:2])
-        pos_of = [[] for _ in classes]
         for i, (_, _, k, _) in enumerate(kept):
             pos_of[k].append(i)
-        for k, g in enumerate(classes):
-            pos = pos_of[k]
-            for a, j in by_class[g]:
-                c, jp = prev.parents[j]
-                rel = relations.get((a, c))
-                if rel is None:
-                    lmul[a][j] = {pos[local]: x for local, x in lmul[a][j].items()}
-                else:
-                    # every x_d b_i of the relation sum has d < a, so it
-                    # precedes x_a b_j in this block and its column is set
-                    lmul[a][j] = self._derived_column(rel, prev.lmul, jp, lmul)
+        normalize = self.field.normalize
+
+        def fill():
+            # holds nothing of the state, which keeps this basis: no cycle
+            cols = [[None] * len(col) for col in lmul]
+            for a, col in enumerate(lmul):
+                for j, offer in enumerate(col):
+                    if offer is None:
+                        c, jp = parents[j]
+                        cols[a][j] = _derived_column(relations[(a, c)], prev_lmul, jp,
+                                                     cols, normalize)
+                    else:
+                        coords, pos = offer
+                        cols[a][j] = {pos[local]: x for local, x in coords.items()}
+            return dict(enumerate(cols))
+
         basis = DegreeBasis(n, [(a,) + prev.words[j] for a, j, _, _ in kept],
                             [classes[k] for _, _, k, _ in kept],
                             [(a, j) for a, j, _, _ in kept],
-                            [vec for _, _, _, vec in kept])
-        basis.lmul = dict(enumerate(lmul))
+                            [vec for _, _, _, vec in kept], fill)
 
         dim = basis.dim
         top = self.predicted_top
@@ -430,20 +465,6 @@ class AlgebraState:
                 (a, c): [(*basis.parents[i], x) for i, x in col.items()]
                 for a, cols in basis.lmul.items() for c, col in enumerate(cols)
                 if all(basis.parents[i][0] < a for i in col)}
-
-    def _derived_column(self, rel, prev_lmul, jp, lmul):
-        """The coordinates of x_a b_j for b_j = x_c b_jp and the
-        relation x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i *
-        lmul[d][i], mu = prev_lmul[e][jp] the coordinates of x_e b_jp."""
-        acc = {}
-        for d, e, lam in rel:
-            col_d = lmul[d]
-            for i, mu in prev_lmul[e][jp].items():
-                f = lam * mu
-                for t, x in col_d[i].items():
-                    acc[t] = acc.get(t, 0) + f * x
-        norm = self.field.normalize
-        return {t: y for t, x in acc.items() if (y := norm(x))}
 
     def _candidate_vector(self, a, j, prev):
         """Joint left-derivative vector of x_a * b_j, entry gamma * prev.dim + r

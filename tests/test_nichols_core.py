@@ -538,6 +538,13 @@ def test_state_is_freed_without_the_cycle_collector():
         ref = weakref.ref(state)
         del state, x, y, z
         assert ref() is None
+        # a capped state whose top degree's lmul is still pending
+        capped = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=4)
+        capped.construct_all()
+        assert capped.bases[4]._fill is not None
+        ref = weakref.ref(capped)
+        del capped
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -950,6 +957,70 @@ def test_structure_digest(type_, rank_, field, cap, digest):
         assert all(c == sum(len(prev.classes.get(sys.reflection(gam) * g, ()))
                             for gam in range(sys.nroots))
                    for g, c in count.items())
+
+
+def _derived_columns(st, n):
+    """How many columns of lmul at degree n come from the degree-2 relations."""
+    prev = st.bases[n - 1]
+    return sum((a, prev.parents[j][0]) in st._relations
+               for a in range(st.system.nroots) for j in range(prev.dim))
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap",
+                         [("A", 4, PrimeField(), 5), ("D", 4, PrimeField(), 4),
+                          ("A", 3, QQ, None)],
+                         ids=["A4-prime-5", "D4-prime-4", "A3-rational"])
+def test_only_the_last_degree_built_leaves_lmul_unfilled(monkeypatch, type_, rank_,
+                                                          field, cap):
+    # a capped build never fills the cap degree's lmul, which nothing
+    # reads; a finite build leaves only the empty degree past its top
+    from nwalgebra import nichols_core
+
+    calls = []
+    derived = nichols_core._derived_column
+
+    def counting(*args):
+        calls.append(args)
+        return derived(*args)
+
+    monkeypatch.setattr(nichols_core, "_derived_column", counting)
+    st = AlgebraState(RootSystem(cartan_data(type_, rank_)), field=field, degree_cap=cap)
+    st.construct_all()
+    top = len(st.bases) - 1
+    assert top == (13 if cap is None else cap)
+    assert [b._fill is not None for b in st.bases] == [False] * top + [True]
+    assert len(calls) == sum(_derived_columns(st, n) for n in range(3, top))
+    before = len(calls)
+    assert len(st.bases[top].lmul) == st.system.nroots and st.bases[top]._fill is None
+    assert len(calls) - before == _derived_columns(st, top) > 0
+
+
+def test_failed_fill_leaves_the_degree_pending(monkeypatch):
+    # a fill that raises part way keeps nothing of its work, so the next
+    # read gives the columns of a build that never failed
+    from nwalgebra import nichols_core
+
+    sys = RootSystem(cartan_data("A", 3))
+    want = AlgebraState(sys, degree_cap=5)
+    want.construct_all()
+    digest = structure_digest(want)
+    st = AlgebraState(sys, degree_cap=5)
+    st.construct_all()
+    calls = []
+    derived = nichols_core._derived_column
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 100:
+            raise RuntimeError("fill interrupted")
+        return derived(*args)
+
+    monkeypatch.setattr(nichols_core, "_derived_column", failing)
+    with pytest.raises(RuntimeError, match="fill interrupted"):
+        st.bases[5].lmul
+    assert st.bases[5]._fill is not None and st.bases[5]._lmul == {}
+    assert structure_digest(st) == digest
+    assert len(calls) > 100 and st.bases[5]._fill is None
 
 
 def test_type_d_low_degrees():

@@ -5,7 +5,9 @@ identity suites, search disjoint systems, reduce monomials and emit
 machine-readable reports.  Everything that samples is seeded and the
 seed is echoed, so identical configurations produce byte-identical
 stdout; wall times per phase go to stderr where they cannot perturb
-report comparisons.
+report comparisons.  ``dims`` and ``hilbert`` build dimensions only, one
+class block per conjugacy orbit (:mod:`nwalgebra.orbits`); every other
+command builds the word basis.
 
 Exit codes: 0 success, 1 a check failed (``CheckFailed``), 2 usage
 error, 3 degree cap or memory bound exceeded.  Any other exception is a
@@ -94,10 +96,9 @@ def _field(args):
     return QQ
 
 
-def _state(args, system=None) -> AlgebraState:
-    system = system or _system(args)
-    return AlgebraState(system, field=_field(args), degree_cap=args.degree_cap,
-                        memory_bound=args.memory_bound)
+def _state(args, cls=AlgebraState) -> AlgebraState:
+    return cls(_system(args), field=_field(args), degree_cap=args.degree_cap,
+               memory_bound=args.memory_bound)
 
 
 def _dims_payload(args, state):
@@ -174,7 +175,9 @@ def _parse_element(system, text):
 
 
 def cmd_dims(args, phases):
-    state = _state(args)
+    from .orbits import OrbitState
+
+    state = _state(args, OrbitState)
     state.construct_all()
     phases.mark("construct")
     _emit(args, _dims_payload(args, state))
@@ -182,7 +185,9 @@ def cmd_dims(args, phases):
 
 
 def cmd_hilbert(args, phases):
-    state = _state(args)
+    from .orbits import OrbitState
+
+    state = _state(args, OrbitState)
     state.construct_all()
     phases.mark("construct")
     payload = _dims_payload(args, state)

@@ -23,7 +23,10 @@ The braided derivative recursions used on words:
 
 Two independent construction paths exist: this incremental one, and the
 Woronowicz symmetrizer on raw words; their ranks are compared in tests
-and in the acceptance suite.
+and in the acceptance suite.  ``nwalg dims`` and ``nwalg hilbert`` read
+only dimensions, and build them with one class block per conjugacy
+orbit (:mod:`nwalgebra.orbits`); this word-basis build is the oracle
+that the tests compare with it class by class.
 """
 
 from __future__ import annotations
@@ -449,15 +452,7 @@ class AlgebraState:
                             [(a, j) for a, j, _, _ in kept],
                             [vec for _, _, _, vec in kept], fill)
 
-        dim = basis.dim
-        top = self.predicted_top
-        if top is not None and (n <= top) == (dim == 0):
-            what = "vanishes" if dim == 0 else "is nonzero"
-            raise TopDegreeMismatch(
-                f"degree {n} {what}, but the known top degree is {top}")
-        self.bases.append(basis)
-        if dim == 0:
-            self.finite_top = n - 1
+        self._append_built(basis)
         if n == 2:
             # (a, c) -> [(d, e, lam)] whenever x_a x_c = sum lam * x_d x_e
             # over the degree-2 basis with every d < a
@@ -465,6 +460,18 @@ class AlgebraState:
                 (a, c): [(*basis.parents[i], x) for i, x in col.items()]
                 for a, cols in basis.lmul.items() for c, col in enumerate(cols)
                 if all(basis.parents[i][0] < a for i in col)}
+
+    def _append_built(self, basis):
+        """Append a newly built degree, checked against the known top
+        degree; an empty one marks the top."""
+        n, dim, top = basis.degree, basis.dim, self.predicted_top
+        if top is not None and (n <= top) == (dim == 0):
+            what = "vanishes" if dim == 0 else "is nonzero"
+            raise TopDegreeMismatch(
+                f"degree {n} {what}, but the known top degree is {top}")
+        self.bases.append(basis)
+        if dim == 0:
+            self.finite_top = n - 1
 
     def _candidate_vector(self, a, j, prev):
         """Joint left-derivative vector of x_a * b_j, entry gamma * prev.dim + r

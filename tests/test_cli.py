@@ -272,7 +272,8 @@ def test_harness_traced_names_exist():
     assert json.loads(proc.stdout) == []
 
 
-@pytest.mark.parametrize("argv", [["hypo"], ["verify", "basic-rev", "--trials", "4"]])
+@pytest.mark.parametrize("argv", [["hypo"], ["verify", "basic-rev", "--trials", "4"],
+                                  ["dims"], ["hilbert"]])
 @pytest.mark.parametrize("field", ["rational", "prime"])
 def test_one_construction_per_command(argv, field, monkeypatch, capsys):
     # perfbench checks the dims of every construct_all a command makes
@@ -281,12 +282,13 @@ def test_one_construction_per_command(argv, field, monkeypatch, capsys):
     from nwalgebra import cli
     from nwalgebra.nichols_core import AlgebraState
 
-    built, extended = [], set()
+    built, returned, extended = [], [], set()
     construct_all, extend_degree = AlgebraState.construct_all, AlgebraState.extend_degree
 
     def counted_construct_all(self):
         built.append(self)
-        return construct_all(self)
+        returned.append(construct_all(self))
+        return returned[-1]
 
     def counted_extend_degree(self):
         extended.add(id(self))
@@ -295,6 +297,12 @@ def test_one_construction_per_command(argv, field, monkeypatch, capsys):
     monkeypatch.setattr(AlgebraState, "construct_all", counted_construct_all)
     monkeypatch.setattr(AlgebraState, "extend_degree", counted_extend_degree)
     assert cli.main(argv + ["--type", "A", "--rank", "2", "--field", field]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert len(built) == 1
-    assert extended == {id(built[0])}
+    assert extended <= {id(built[0])}
+    if argv[0] in ("dims", "hilbert"):
+        # the dims-only build, an AlgebraState subclass, returns what is printed
+        top = built[0].finite_top
+        assert json.loads(out)["dims"] == returned[0][:top + 1] == [1, 3, 4, 3, 1]
+    else:
+        assert extended == {id(built[0])}

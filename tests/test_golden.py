@@ -61,6 +61,16 @@ COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
             "gen-leibniz": ["verify", "gen-leibniz", "--trials", "4"]}
 
 
+# capped prime-field builds past the rank-3 top; recorded from the word
+# build, before dims and hilbert built one class block per orbit
+CAPPED = {
+    ("dims", "A", 4, 6): "7623bc5bbd001a6224b320b1295eb7b5eac2ba2ffbb9713882859c61711e9c91",
+    ("dims", "D", 4, 5): "01a0fda61606aa3071ffcfce3932c517e1d0508805ea750099ec0aa2ea3b4938",
+    ("hilbert", "A", 4, 6): "7fe430d0595db4fdd5f1e63ff6371ae9d61d8910fa723f542b8ed546c2e043e1",
+    ("hilbert", "D", 4, 5): "555908914c10601fcaa4a12f189f21d60e84aa6bcea9b186f85c99eed3da050d",
+}
+
+
 @pytest.mark.parametrize("command,rank,field", sorted(GOLDEN))
 def test_stdout_digest(command, rank, field, capsys):
     # the memory bound is printed in the config; pin it to the default
@@ -69,3 +79,12 @@ def test_stdout_digest(command, rank, field, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(command, rank, field)]
+
+
+@pytest.mark.parametrize("command,type_,rank,cap", sorted(CAPPED))
+def test_capped_stdout_digest(command, type_, rank, cap, capsys):
+    argv = [command, "--type", type_, "--rank", str(rank), "--field", "prime",
+            "--degree-cap", str(cap), "--seed", "5", "--memory-bound", "50000000"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CAPPED[(command, type_, rank, cap)]

@@ -1,0 +1,160 @@
+"""The dims-only construction with one class block per conjugacy orbit,
+against the word-basis construction it transports."""
+
+import gc
+import weakref
+
+import pytest
+
+from nwalgebra import cli
+from nwalgebra.coxeter import RootSystem, cartan_data
+from nwalgebra.exactlinalg import QQ, PrimeField
+from nwalgebra.nichols_core import (
+    AlgebraState,
+    MemoryBoundExceeded,
+    NicholsElement,
+    mat_col,
+    multiply,
+)
+from nwalgebra.orbits import OrbitState, WordBasisUnavailable
+
+# (type, rank, field, degree cap): the word build reaches the top of A2
+# and A3 on both fields; A4 and D4 are capped
+CASES = [("A", 2, "rational", None), ("A", 2, "prime", None),
+         ("A", 3, "rational", None), ("A", 3, "prime", None),
+         ("A", 4, "prime", 6), ("D", 4, "prime", 5)]
+FIELDS = {"rational": QQ, "prime": PrimeField()}
+_built = {}
+
+
+def _word_state(type_, rank_, field, cap):
+    key = (type_, rank_, field, cap)
+    if key not in _built:
+        state = AlgebraState(RootSystem(cartan_data(type_, rank_)), field=FIELDS[field],
+                             degree_cap=cap)
+        state.construct_all()
+        _built[key] = state
+    return _built[key]
+
+
+def _class_dims(state, n):
+    return {g: len(idx) for g, idx in state.bases[n].classes.items()}
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap",
+                         [c for c in CASES if c[:2] != ("A", 2) and c[:3] != ("A", 3, "prime")])
+def test_word_build_class_dims_are_constant_on_conjugacy_orbits(type_, rank_, field, cap):
+    # every u in W maps B_g onto B_{u g u^-1}; the simple reflections
+    # generate W, so conjugating by them walks every orbit
+    state = _word_state(type_, rank_, field, cap)
+    simple = [state.system.simple_reflection(i) for i in range(state.system.rank)]
+    for n in range(len(state.bases)):
+        dims = _class_dims(state, n)
+        for g, d in dims.items():
+            for s in simple:
+                assert dims.get(s * g * s, 0) == d, (n, g, s)
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap", CASES)
+def test_orbit_build_matches_the_word_build_class_by_class(type_, rank_, field, cap):
+    word = _word_state(type_, rank_, field, cap)
+    orbit = OrbitState(word.system, field=FIELDS[field], degree_cap=cap)
+    assert orbit.construct_all() == word.dims()
+    assert (orbit.finite_top, orbit.truncated) == (word.finite_top, word.truncated)
+    for n in range(len(word.bases)):
+        assert orbit.class_dims(n) == _class_dims(word, n), n
+    # the cap skips candidates by the word build's degree-2 relation table
+    assert orbit._relation_pairs() == set(word._relations)
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap", [("A", 3, "rational", None),
+                                                   ("A", 3, "prime", None),
+                                                   ("D", 4, "prime", 5)])
+def test_transported_data_matches_the_word_build(type_, rank_, field, cap):
+    # every stored derivative vector and left-multiplication column, below
+    # the cap, read in the word basis: class k's element i is u_k applied
+    # to its representative's element i = x_a (element j of class s_a r)
+    word = _word_state(type_, rank_, field, cap)
+    orbit = OrbitState(word.system, field=FIELDS[field], degree_cap=cap)
+    orbit.construct_all()
+    fld, reflection = word.field, word.system.reflection
+    elements = {}
+
+    def element(m, k, i):
+        if (m, k, i) not in elements:
+            r, u, _ = orbit._orbit(k)
+            if not m:
+                vec = {0: fld.one}
+            elif u is not None:
+                vec = mat_col(word.act_matrix(m, u), element(m, r, i), fld)
+            else:
+                a, j = orbit.bases[m].parents[r][i]
+                vec = mat_col(word.lmul(m, a), element(m - 1, reflection(a) * r, j), fld)
+            elements[(m, k, i)] = vec
+        return elements[(m, k, i)]
+
+    def combination(m, k, coords):
+        acc = {}
+        for i, c in coords.items():
+            for t, x in element(m, k, i).items():
+                acc[t] = acc.get(t, 0) + c * x
+        return {t: y for t, x in acc.items() if (y := fld.normalize(x))}
+
+    for m in range(1, len(orbit.bases) - 1):
+        basis = orbit.bases[m]
+        for r, derivs in basis.derivs.items():
+            for i, vec in enumerate(derivs):
+                for g in range(word.system.nroots):
+                    assert (mat_col(word.dleft(m, g), element(m, r, i), fld)
+                            == combination(m - 1, reflection(g) * r, vec.get(g, {})))
+            for a, cols in basis.express[r].items():
+                for j, coords in enumerate(cols):
+                    assert (mat_col(word.lmul(m, a), element(m - 1, reflection(a) * r, j), fld)
+                            == combination(m, r, coords))
+
+
+@pytest.mark.parametrize("field", ["rational", "prime"])
+def test_orbit_build_memory_bound_and_top(field):
+    a3 = RootSystem(cartan_data("A", 3))
+    # as in the word build: degree 5 has blocks of more than 31 candidates
+    state = OrbitState(a3, field=FIELDS[field], memory_bound=1000)
+    with pytest.raises(MemoryBoundExceeded, match="^degree 5 class block needs"):
+        state.construct_all()
+    assert state.dims() == [1, 6, 19, 42, 71]
+    # the empty degree past the known top, and degrees read past it
+    state = OrbitState(a3, field=FIELDS[field])
+    state.construct_all()
+    assert (state.finite_top, state.dims()[-2:]) == (12, [1, 0])
+    state.ensure_degree(15)
+    assert state.dims()[13:] == [0, 0, 0]
+
+
+def test_orbit_state_has_no_word_basis():
+    state = OrbitState(RootSystem(cartan_data("A", 3)), degree_cap=3)
+    state.construct_all()
+    assert state.truncated
+    for read in (lambda: state.basis(2), lambda: state.lmul(2, 0),
+                 lambda: state.bases[2].words, lambda: state.dleft(2, 0),
+                 lambda: state.rmul(2, 0), lambda: state.act_matrix(2, state.system.identity()),
+                 lambda: multiply(NicholsElement.generator(state, 0),
+                                  NicholsElement.generator(state, 1))):
+        with pytest.raises(WordBasisUnavailable, match="no word basis"):
+            read()
+
+
+def test_cli_dims_reports_a_truncated_build(capsys):
+    assert cli.main(["dims", "--rank", "3", "--degree-cap", "3", "--format", "json"]) == 0
+    assert '"truncated": true' in capsys.readouterr().out
+
+
+def test_orbit_state_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        state = OrbitState(RootSystem(cartan_data("A", 3)), degree_cap=6)
+        state.construct_all()
+        ref = weakref.ref(state)
+        del state
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -235,7 +235,8 @@ class TensorElement:
 def _derived_column(rel, prev_lmul, jp, lmul, normalize):
     """The coordinates of x_a b_j for b_j = x_c b_jp and the relation
     x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i * lmul[d][i],
-    mu = prev_lmul[e][jp] the coordinates of x_e b_jp."""
+    mu = prev_lmul[e][jp] the coordinates of x_e b_jp.  The orbit build
+    takes its relation-paired columns from it too."""
     acc = {}
     for d, e, lam in rel:
         col_d = lmul[d]

@@ -19,11 +19,14 @@ build's candidate vectors transport:
   D_delta(u z) = sigma * u D_{delta'}(z)   with u(delta') = sigma * delta
   u(x_a z)     = sigma * x_{|u(a)|} u(z)   with u(a) = sigma * |u(a)|
 
-The last degree a build can make, the cap, is rank only: it keeps no
-coordinates and no derivative vectors.  It also skips every candidate
-x_a (x_c ...) whose pair (a, c) is in the degree-2 relation table, since
-x_a x_c = sum lam * x_d x_e with every d < a puts it in the span of the
-candidates x_d (...) that precede it in its block.
+At every degree from 2 on, a candidate x_a (x_c ...) whose pair (a, c),
+with c the first letter after transport, is in the degree-2 relation
+table is never assembled or reduced: x_a x_c = sum lam * x_d x_e with
+every d < a puts it in the span of the candidates x_d (...) that precede
+it in its block.  Below the cap its coordinates are that sum, as in the
+word build.  The last degree a build can make, the cap, is rank only: it
+skips those candidates and keeps no coordinates and no derivative
+vectors.
 
 ``nwalg dims`` and ``nwalg hilbert`` build this state.  Every other
 command reads words and keeps the word-basis :class:`AlgebraState`,
@@ -40,6 +43,7 @@ from .nichols_core import (
     AlgebraState,
     DegreeCapExceeded,
     MemoryBoundExceeded,
+    _derived_column,
     mat_col,
 )
 
@@ -105,7 +109,6 @@ class OrbitState(AlgebraState):
         self._sizes = {}   # representative -> orbit size
         self._moves = {}   # (w, class) -> its move plan (:meth:`_move`)
         self._lplans = {}  # (root, class) -> its left-multiplication plan
-        self._pairs = None  # the degree-2 relation pairs, once the cap needs them
         self._simple = [system.simple_reflection(i) for i in range(system.rank)]
         super().__init__(system, field, degree_cap, memory_bound)
 
@@ -206,9 +209,10 @@ class OrbitState(AlgebraState):
         norm = self.field.normalize
         return {i: y for i, x in acc.items() if (y := norm(x))}
 
-    def _lmul_into(self, acc, m, c, h, vec, f):
+    def _lmul_into(self, acc, m, c, h, vec, f, offset=0):
         """acc += f * x_c y, over the basis of class s_c h at degree m, for
         y of class h at degree m - 1 with coordinates vec; f is a sign.
+        Coordinate i goes to key offset + i.
 
         Into a representative r this reads ``express``.  Into another
         class g = u r u^-1 it is x_c y = sigma * u(x_{c'} u^-1(y)), with
@@ -236,6 +240,7 @@ class OrbitState(AlgebraState):
         for j, x in vec.items():
             fx = f * x
             for i, v in cols[j].items():
+                i += offset
                 acc[i] = get(i, 0) + fx * v
 
     # -- construction -----------------------------------------------------
@@ -252,14 +257,24 @@ class OrbitState(AlgebraState):
     def _build(self, n):
         """Eliminate the representative blocks of degree n.
 
-        A block's candidates are x_a (element j of class s_a r), in (a, j)
-        order, as in the word build.  Its representatives are those of the
-        classes s_a h over the representatives h of degree n - 1: the
-        classes s_b (u h u^-1) = u (s_{|u^-1(b)|} h) u^-1 add no orbit."""
+        A block's candidates are x_a z for z element j of class s_a r, in
+        (a, j) order, as in the word build.  Its representatives are those
+        of the classes s_a h over the representatives h of degree n - 1:
+        the classes s_b (u h u^-1) = u (s_{|u^-1(b)|} h) u^-1 add no orbit.
+
+        A candidate whose z = sigma * x_c y has a pair (a, c) in the
+        degree-2 relation table is never assembled or offered to the
+        eliminator: x_a z = sigma * sum lam * x_d (x_e y), every d < a, so
+        it lies in the span of the candidates x_d (...) before it in its
+        block.  The cap skips it; below the cap its coordinates are that
+        sum over the block's earlier columns, which are unique over the
+        kept columns: the eliminator would have returned the same."""
         sys, field = self.system, self.field
+        if n == 2:
+            self._relations = self._degree_two_relations()
+        relations = self._relations
         prev = self.bases[n - 1]
         rank_only = n >= self.degree_cap
-        pairs = self._relation_pairs() if rank_only and n > 1 else ()
         reps = sorted({self._orbit(self._times(a, h))[0]
                        for h in prev.ranks for a in range(sys.nroots)})
         width = max(prev.ranks.values())  # derivative entry (gamma, i) at gamma * width + i
@@ -278,41 +293,44 @@ class OrbitState(AlgebraState):
             for a, rh, uh, dim in block:
                 cols = coords[a] = []
                 for j in range(dim):
-                    if pairs:
-                        first = prev.parents[rh][j][0]
-                        if uh is not None:
-                            first = abs(uh.act(first + 1)) - 1
-                        if (a, first) in pairs:
+                    if relations:
+                        c, jp = prev.parents[rh][j]
+                        s = c + 1 if uh is None else uh.act(c + 1)
+                        rel = relations.get((a, abs(s) - 1))
+                        if rel is not None:
+                            if not rank_only:
+                                cols.append(self._derived(n, rel, rh, uh, c, jp, s, coords))
                             continue
-                    vec = self._candidate(n, a, rh, uh, j)
-                    flat = {g * width + i: x for g, col in vec.items() for i, x in col.items()}
+                    vec = self._candidate(n, a, rh, uh, j, width)
                     if rank_only:
-                        solver.add(flat)
+                        solver.add(vec)
                         continue
-                    new, c = solver.add(flat, express=True)
-                    cols.append(c)
+                    new, x = solver.add(vec, express=True)
+                    cols.append(x)
                     if new:
                         kept.append((a, j))
                         vectors.append(vec)
             if solver.rank:
                 ranks[r] = solver.rank
                 if not rank_only:
-                    parents[r], derivs[r], express[r] = kept, vectors, coords
+                    parents[r], express[r] = kept, coords
+                    derivs[r] = [_split(vec, width) for vec in vectors]
         dim = sum(rank * self._sizes[r] for r, rank in ranks.items())
         if rank_only:
             parents = derivs = express = None
         self._append_built(OrbitDegree(n, dim, ranks, parents, derivs, express))
 
-    def _candidate(self, n, a, rh, uh, j):
-        """{gamma: coordinates of D_gamma(x_a z)} over the bases of the
-        classes s_gamma r, for z element j of class h = s_a r.
+    def _candidate(self, n, a, rh, uh, j, width):
+        """The joint derivative vector of x_a z, for z element j of class
+        h = s_a r: entry gamma * width + i holds coordinate i of
+        D_gamma(x_a z) over the basis of class s_gamma r.
 
         D_gamma(x_a z) = [gamma = a] z + sign * x_a D_delta(z), with
         s_a(delta) = sign * gamma, and z = u_h z' for z' element j of
         h's representative, so D_delta(z) = sigma * u_h D_delta'(z')."""
         field = self.field
         refl = self.system.refl[a]
-        acc = {a: {j: field.one}}
+        acc = {a * width + j: field.one}
         for d1, dv in self.bases[n - 1].derivs[rh][j].items():
             k = self._times(d1, rh)
             if uh is None:
@@ -322,44 +340,73 @@ class OrbitState(AlgebraState):
                 k, rk, t = self._move(uh, k)
                 y = self._moved(n - 2, rk, t, dv)
             s2 = refl[abs(s1) - 1]
-            col = acc.setdefault(abs(s2) - 1, {})
-            self._lmul_into(col, n - 1, a, k, y, 1 if (s1 > 0) == (s2 > 0) else -1)
+            self._lmul_into(acc, n - 1, a, k, y, 1 if (s1 > 0) == (s2 > 0) else -1,
+                            (abs(s2) - 1) * width)
         norm = field.normalize
-        out = {}
-        for g, col in acc.items():
-            col = {i: y for i, x in col.items() if (y := norm(x))}
-            if col:
-                out[g] = col
-        return out
+        return {i: y for i, x in acc.items() if (y := norm(x))}
 
-    def _relation_pairs(self):
-        """The pairs (a, c) with x_a x_c in the span of the x_d x_e with
-        d < a: the keys of the word build's degree-2 relation table.
-        The derivative vector of x_a x_c has entry 1 at (a, c) and entry
-        sign at (|s_a(c)|, a), with s_a(c) = sign * |s_a(c)|."""
-        if self._pairs is None:
-            sys, field = self.system, self.field
-            nroots = sys.nroots
-            by_class = {}
-            for a in range(nroots):
-                for c in range(nroots):
-                    g = self._times(a, sys.reflection(c))
-                    by_class.setdefault(g, []).append((a, c))
-            pairs = set()
-            for block in by_class.values():
-                solver = ColumnSolver(field)
-                for a, group in groupby(block, key=lambda p: p[0]):
-                    vectors = []
-                    for _, c in group:
-                        s = sys.refl[a][c]
-                        vec = {a * nroots + c: 1}
-                        key = (abs(s) - 1) * nroots + a
-                        vec[key] = field.normalize(vec.get(key, 0) + (1 if s > 0 else -1))
-                        vec = {k: x for k, x in vec.items() if x}
-                        if solver.coordinates(vec) is not None:
-                            pairs.add((a, c))
-                        vectors.append(vec)
-                    for vec in vectors:
-                        solver.add(vec)
-            self._pairs = pairs
-        return self._pairs
+    def _derived(self, n, rel, rh, uh, c, jp, s, coords):
+        """The coordinates over the block's kept basis of a candidate x_a z
+        whose z = u_h(x_c y'), y' element jp of class s_c rh, pairs with a
+        by the relation rel.  With s = u_h(c) = sigma * |s| and y = u_h(y'),
+        x_a z = sigma * sum lam * x_d (x_e y), and coords[d][i] holds the
+        coordinates of x_d b_i for every d < a."""
+        k, y = self._times(c, rh), {jp: self.field.one}
+        if uh is not None:
+            k, rk, t = self._move(uh, k)
+            y = self._moved(n - 2, rk, t, y)
+        f = 1 if s > 0 else -1
+        norm = self.field.normalize
+        # x_e on the span of y, one column each: e -> [coordinates of sigma x_e y]
+        mus = {}
+        for _, e, _ in rel:
+            acc = {}
+            self._lmul_into(acc, n - 1, e, k, y, f)
+            mus[e] = [{i: v for i, x in acc.items() if (v := norm(x))}]
+        # a zero x_e y may lie in a class with no candidates, missing from coords
+        return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, norm)
+
+    def _degree_two_relations(self):
+        """The word build's degree-2 relation table: (a, c) -> [(d, e,
+        lam)] whenever x_a x_c = sum lam * x_d x_e over the kept degree-2
+        basis with every d < a.  Each class block keeps its x_a x_c
+        greedily in (a, c) order, and x_a x_c is tested against those kept
+        with a smaller first letter.  The derivative vector of x_a x_c has
+        entry 1 at (a, c) and entry sign at (|s_a(c)|, a), with s_a(c) =
+        sign * |s_a(c)|."""
+        sys, field = self.system, self.field
+        nroots = sys.nroots
+        by_class = {}
+        for a in range(nroots):
+            for c in range(nroots):
+                g = self._times(a, sys.reflection(c))
+                by_class.setdefault(g, []).append((a, c))
+        relations = {}
+        for block in by_class.values():
+            solver = ColumnSolver(field)
+            for a, group in groupby(block, key=lambda p: p[0]):
+                vectors = []
+                for _, c in group:
+                    s = sys.refl[a][c]
+                    vec = {a * nroots + c: 1}
+                    key = (abs(s) - 1) * nroots + a
+                    vec[key] = field.normalize(vec.get(key, 0) + (1 if s > 0 else -1))
+                    vec = {k: x for k, x in vec.items() if x}
+                    lams = solver.coordinates(vec)
+                    if lams is not None:
+                        # every candidate is offered, so offer position = block index
+                        relations[(a, c)] = [(*block[solver.selected[k]], lam)
+                                             for k, lam in lams.items()]
+                    vectors.append(vec)
+                for vec in vectors:
+                    solver.add(vec)
+        return relations
+
+
+def _split(vec, width):
+    """{gamma: {i: x}} from a joint vector keyed gamma * width + i."""
+    out = {}
+    for k, x in vec.items():
+        g, i = divmod(k, width)
+        out.setdefault(g, {})[i] = x
+    return out

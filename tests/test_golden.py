@@ -61,10 +61,13 @@ COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
             "gen-leibniz": ["verify", "gen-leibniz", "--trials", "4"]}
 
 
-# capped prime-field builds past the rank-3 top; recorded from the word
-# build, before dims and hilbert built one class block per orbit
+# capped prime-field builds past the rank-3 top; the rank-4 ones recorded
+# from the word build, before dims and hilbert built one class block per
+# orbit, and A5 to degree 5 (whose dims the word build gives too) before
+# the orbit build derived relation-paired candidates below the cap
 CAPPED = {
     ("dims", "A", 4, 6): "7623bc5bbd001a6224b320b1295eb7b5eac2ba2ffbb9713882859c61711e9c91",
+    ("dims", "A", 5, 5): "7bf1d47f07e8fbfc8eced11b0f6ea87b01711f4284db272d162cf73ff5506331",
     ("dims", "D", 4, 5): "01a0fda61606aa3071ffcfce3932c517e1d0508805ea750099ec0aa2ea3b4938",
     ("hilbert", "A", 4, 6): "7fe430d0595db4fdd5f1e63ff6371ae9d61d8910fa723f542b8ed546c2e043e1",
     ("hilbert", "D", 4, 5): "555908914c10601fcaa4a12f189f21d60e84aa6bcea9b186f85c99eed3da050d",

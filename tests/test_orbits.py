@@ -63,12 +63,16 @@ def test_orbit_build_matches_the_word_build_class_by_class(type_, rank_, field, 
     assert (orbit.finite_top, orbit.truncated) == (word.finite_top, word.truncated)
     for n in range(len(word.bases)):
         assert orbit.class_dims(n) == _class_dims(word, n), n
-    # the cap skips candidates by the word build's degree-2 relation table
-    assert orbit._relation_pairs() == set(word._relations)
+    # both builds derive candidates from the same degree-2 relation table
+    def table(state):
+        return {key: sorted(rel) for key, rel in state._relations.items()}
+
+    assert table(orbit) == table(word)
 
 
 @pytest.mark.parametrize("type_,rank_,field,cap", [("A", 3, "rational", None),
                                                    ("A", 3, "prime", None),
+                                                   ("A", 4, "prime", 6),
                                                    ("D", 4, "prime", 5)])
 def test_transported_data_matches_the_word_build(type_, rank_, field, cap):
     # every stored derivative vector and left-multiplication column, below
@@ -111,6 +115,31 @@ def test_transported_data_matches_the_word_build(type_, rank_, field, cap):
                 for j, coords in enumerate(cols):
                     assert (mat_col(word.lmul(m, a), element(m - 1, reflection(a) * r, j), fld)
                             == combination(m, r, coords))
+
+
+def test_relation_paired_candidates_are_never_assembled(monkeypatch):
+    # x_a (sigma * x_c y) with (a, c) in the degree-2 relation table is a
+    # sum over earlier candidates of its block at every degree from 2 on:
+    # below the cap its coordinates are derived, at the cap it is skipped.
+    # Degrees 2-5 assemble 251 of their 533 candidates.
+    assembled, paired = {}, []
+    candidate = OrbitState._candidate
+
+    def counting(self, n, a, rh, uh, j, width):
+        assembled[n] = assembled.get(n, 0) + 1
+        if n > 1:
+            c = self.bases[n - 1].parents[rh][j][0]
+            if uh is not None:
+                c = abs(uh.act(c + 1)) - 1
+            if (a, c) in self._relations:
+                paired.append((n, a, j))
+        return candidate(self, n, a, rh, uh, j, width)
+
+    monkeypatch.setattr(OrbitState, "_candidate", counting)
+    state = OrbitState(RootSystem(cartan_data("A", 4)), field=FIELDS["prime"], degree_cap=6)
+    assert state.construct_all() == [1, 10, 55, 220, 711, 1960, 4761]
+    assert paired == []
+    assert assembled == {1: 1, 2: 3, 3: 16, 4: 75, 5: 157, 6: 608}
 
 
 @pytest.mark.parametrize("field", ["rational", "prime"])

@@ -8,13 +8,15 @@ graded by the group as well, and the construction eliminates per
 group-degree block, which keeps the exact linear algebra small.
 
 The algebra is a quotient of the free algebra by relations that already
-hold in degree 2, and the construction reads them off once: from the
-degree-2 ``lmul`` columns it keeps every x_a x_c = sum lam * x_d x_e
-with all d < a (x_a^2 = 0, the commuting pairs, and the dependent word
-of each three-term relation).  A later candidate x_a b_j whose parent
-is b_j = x_c b_k with such a relation is then a combination of the
-candidates x_d b_i, which precede it in its class block, so it is never
-assembled or reduced (:meth:`AlgebraState.extend_degree`).
+hold in degree 2, and the construction computes them once, before it
+builds degree 2: every x_a x_c = sum lam * x_d x_e with all d < a
+(x_a^2 = 0, the commuting pairs, and the dependent word of each
+three-term relation; :meth:`AlgebraState._degree_two_relations`).  A
+candidate x_a b_j whose parent is b_j = x_c b_k with such a relation is
+then a combination of the candidates x_d b_i, which precede it in its
+class block, so from degree 2 on it is never assembled or reduced
+(:meth:`AlgebraState._build`).  Both builds take their degree step from
+:meth:`AlgebraState.extend_degree`.
 
 The braided derivative recursions used on words:
 
@@ -250,39 +252,26 @@ def _derived_column(rel, prev_lmul, jp, lmul, normalize):
 class DegreeBasis:
     """Basis of one graded component with its stored structure.
 
-    ``lmul[a]`` is left multiplication by x_a, a matrix B^{n-1} -> B^n.
-    A degree built by :meth:`AlgebraState.extend_degree` leaves ``lmul``
-    pending until it is first read: the read moves the offered columns
-    to global positions and takes the sum of each relation-derived
-    column, so the last degree a capped build makes is never filled.
-    The left derivatives are stored once, jointly: ``derivs[i]`` is the
-    vector the construction eliminated for b_i, entry gamma * dim(n-1) + r
-    holding coordinate r of D_gamma(b_i).  The per-root matrices
-    B^n -> B^{n-1} are views built from it on request
-    (:meth:`AlgebraState.dleft`).
+    ``lmul[a]`` is left multiplication by x_a, a matrix B^{n-1} -> B^n,
+    which the construction fills for every root.  The left derivatives
+    are stored once, jointly: ``derivs[i]`` is the vector the
+    construction eliminated for b_i, entry gamma * dim(n-1) + r holding
+    coordinate r of D_gamma(b_i).  The per-root matrices B^n -> B^{n-1}
+    are views built from it on request (:meth:`AlgebraState.dleft`).
     """
 
-    def __init__(self, degree, words, wdegs, parents, derivs, fill=None):
+    def __init__(self, degree, words, wdegs, parents, derivs, lmul):
         self.degree = degree
         self.words = tuple(words)
         self.dim = len(self.words)
         self.wdegs = tuple(wdegs)
         self.parents = tuple(parents)  # (first letter, parent basis index) per word
         self.derivs = derivs           # joint left-derivative vector per word
+        self.lmul = lmul               # a -> matrix B^{n-1} -> B^n
         self.classes = {}
         for i, g in enumerate(self.wdegs):
             self.classes.setdefault(g, []).append(i)
-        self._lmul = {}    # a -> matrix B^{n-1} -> B^n, once filled
-        self._fill = fill  # () -> the filled lmul, while it is pending
-        self.cache = {}    # (map, key) -> lazily built matrix or span
-
-    @property
-    def lmul(self):
-        if self._fill is not None:
-            # a fill that raises leaves the degree pending, never half filled
-            self._lmul = self._fill()
-            self._fill = None
-        return self._lmul
+        self.cache = {}                # (map, key) -> lazily built matrix or span
 
 
 class AlgebraState:
@@ -300,9 +289,9 @@ class AlgebraState:
         self.degree_cap = degree_cap
         self.memory_bound = memory_bound
         self.finite_top = None
-        self._relations = {}  # the degree-2 relation table, once degree 2 is built
+        self._relations = {}  # the degree-2 relation table, filed as degree 2 is built
         self._prods = {}      # (root, class) -> s_root * class, over all degrees
-        base = DegreeBasis(0, [()], [system.identity()], [None], [{}])
+        base = DegreeBasis(0, [()], [system.identity()], [None], [{}], {})
         self.bases = [base]
         self._ensure_degree_one()
 
@@ -315,10 +304,8 @@ class AlgebraState:
         wdegs = [sys.reflection(a) for a in range(sys.nroots)]
         parents = [(a, 0) for a in range(sys.nroots)]
         derivs = [{a: one} for a in range(sys.nroots)]  # D_gamma(x_a) = [gamma = a]
-        basis = DegreeBasis(1, words, wdegs, parents, derivs)
-        for a in range(sys.nroots):
-            basis.lmul[a] = [{a: one}]
-        self.bases.append(basis)
+        lmul = {a: [{a: one}] for a in range(sys.nroots)}
+        self.bases.append(DegreeBasis(1, words, wdegs, parents, derivs, lmul))
 
     @property
     def truncated(self) -> bool:
@@ -350,10 +337,8 @@ class AlgebraState:
     def _append_empty(self):
         n = len(self.bases)
         prev_dim = self.bases[n - 1].dim
-        basis = DegreeBasis(n, [], [], [], [])
-        for a in range(self.system.nroots):
-            basis.lmul[a] = [dict() for _ in range(prev_dim)]
-        self.bases.append(basis)
+        lmul = {a: [dict() for _ in range(prev_dim)] for a in range(self.system.nroots)}
+        self.bases.append(DegreeBasis(n, [], [], [], [], lmul))
 
     def construct_all(self):
         """Build degrees until the algebra tops out or the cap is reached."""
@@ -362,7 +347,63 @@ class AlgebraState:
         return self.dims()
 
     def extend_degree(self):
-        """Build the next graded component from the previous one.
+        """Build the next graded component from the previous one.  Degree
+        2 first files the degree-2 relation table, which every degree from
+        2 on reads (:meth:`_build`)."""
+        n = len(self.bases)
+        if self.finite_top is not None:
+            raise DegreeCapExceeded("algebra is already complete")
+        if n > self.degree_cap:
+            raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
+        if n == 2:
+            self._relations = self._degree_two_relations()
+        self._build(n)
+
+    def _times(self, a, g):
+        """The class s_a g, memoized per (root, class) over all degrees."""
+        h = self._prods.get((a, g))
+        if h is None:
+            h = self._prods[(a, g)] = self.system.reflection(a) * g
+        return h
+
+    def _degree_two_relations(self):
+        """The degree-2 relation table: (a, c) -> [(d, e, lam)] whenever
+        x_a x_c = sum lam * x_d x_e over the kept degree-2 basis with
+        every d < a.  Each class block keeps its x_a x_c greedily in
+        (a, c) order, and x_a x_c is tested against those kept with a
+        smaller first letter.  The derivative vector of x_a x_c has entry
+        1 at (a, c) and entry sign at (|s_a(c)|, a), with s_a(c) =
+        sign * |s_a(c)|."""
+        sys, field = self.system, self.field
+        nroots = sys.nroots
+        by_class = {}
+        for a in range(nroots):
+            for c in range(nroots):
+                g = self._times(a, sys.reflection(c))
+                by_class.setdefault(g, []).append((a, c))
+        relations = {}
+        for block in by_class.values():
+            solver = ColumnSolver(field)
+            for a, group in itertools.groupby(block, key=lambda p: p[0]):
+                vectors = []
+                for _, c in group:
+                    s = sys.refl[a][c]
+                    vec = {a * nroots + c: 1}
+                    key = (abs(s) - 1) * nroots + a
+                    vec[key] = field.normalize(vec.get(key, 0) + (1 if s > 0 else -1))
+                    vec = {k: x for k, x in vec.items() if x}
+                    lams = solver.coordinates(vec)
+                    if lams is not None:
+                        # every candidate is offered, so offer position = block index
+                        relations[(a, c)] = [(*block[solver.selected[k]], lam)
+                                             for k, lam in lams.items()]
+                    vectors.append(vec)
+                for vec in vectors:
+                    solver.add(vec)
+        return relations
+
+    def _build(self, n):
+        """Build degree n of the word basis.
 
         The candidates are x_a b_j, in (a, j) order: the previous words
         are sorted, so that is the order of the words (a,) + word_j.
@@ -379,37 +420,23 @@ class AlgebraState:
         coordinates are known.  The candidate is therefore dependent, and
         this sum gives its coordinates over the independent kept columns,
         which are unique: the eliminator would have returned the same.
-
-        The sums are taken when the new ``lmul`` is first read
-        (:class:`DegreeBasis`), root by root, so each x_d b_i is filled
-        before a sum reads it.  Each degree first reads the previous
-        one's ``lmul``, so only the last degree built stays pending.
+        The sums are taken once the kept columns have their global
+        positions, root by root, so each x_d b_i is filled before a sum
+        reads it.
         """
         sys = self.system
-        n = len(self.bases)
-        if self.finite_top is not None:
-            raise DegreeCapExceeded("algebra is already complete")
-        if n > self.degree_cap:
-            raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
         prev = self.bases[n - 1]
-        prev_lmul, parents = prev.lmul, prev.parents
-        prods = self._prods
-
-        def times(a, g):
-            h = prods.get((a, g))
-            if h is None:
-                h = prods[(a, g)] = sys.reflection(a) * g
-            return h
+        parents = prev.parents
 
         # a root a meets a class g in one previous class, s_a g
         by_class = {}  # class element -> its candidates (a, j), in order
         for a in range(sys.nroots):
             for h, idx in prev.classes.items():
-                by_class.setdefault(times(a, h), []).extend([(a, j) for j in idx])
+                by_class.setdefault(self._times(a, h), []).extend([(a, j) for j in idx])
 
         # column j of lmul[a]: None if the relations give it, else its
         # coordinates over its class's kept candidates and their positions
-        lmul = [[None] * prev.dim for _ in range(sys.nroots)]
+        offers = [[None] * prev.dim for _ in range(sys.nroots)]
         classes = sorted(by_class, key=lambda e: e.images)
         pos_of = [[] for _ in classes]
         kept = []  # (a, j, class number, derivative vector) per kept candidate
@@ -424,7 +451,7 @@ class AlgebraState:
                 vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
                 sel, coords = self._solve_block(vectors)
                 for (a, j), c in zip(offered, coords):
-                    lmul[a][j] = (c, pos_of[k])
+                    offers[a][j] = (c, pos_of[k])
                 kept += [(*offered[s], k, vectors[s]) for s in sel]
 
         # a class's kept candidates are in (a, j) order, so their global
@@ -433,34 +460,22 @@ class AlgebraState:
         for i, (_, _, k, _) in enumerate(kept):
             pos_of[k].append(i)
         normalize = self.field.normalize
+        lmul = {}
+        for a, col in enumerate(offers):
+            lmul[a] = cols = []
+            for j, offer in enumerate(col):
+                if offer is None:
+                    c, jp = parents[j]
+                    cols.append(_derived_column(relations[(a, c)], prev.lmul, jp,
+                                                lmul, normalize))
+                else:
+                    coords, pos = offer
+                    cols.append({pos[local]: x for local, x in coords.items()})
 
-        def fill():
-            # holds nothing of the state, which keeps this basis: no cycle
-            cols = [[None] * len(col) for col in lmul]
-            for a, col in enumerate(lmul):
-                for j, offer in enumerate(col):
-                    if offer is None:
-                        c, jp = parents[j]
-                        cols[a][j] = _derived_column(relations[(a, c)], prev_lmul, jp,
-                                                     cols, normalize)
-                    else:
-                        coords, pos = offer
-                        cols[a][j] = {pos[local]: x for local, x in coords.items()}
-            return dict(enumerate(cols))
-
-        basis = DegreeBasis(n, [(a,) + prev.words[j] for a, j, _, _ in kept],
-                            [classes[k] for _, _, k, _ in kept],
-                            [(a, j) for a, j, _, _ in kept],
-                            [vec for _, _, _, vec in kept], fill)
-
-        self._append_built(basis)
-        if n == 2:
-            # (a, c) -> [(d, e, lam)] whenever x_a x_c = sum lam * x_d x_e
-            # over the degree-2 basis with every d < a
-            self._relations = {
-                (a, c): [(*basis.parents[i], x) for i, x in col.items()]
-                for a, cols in basis.lmul.items() for c, col in enumerate(cols)
-                if all(basis.parents[i][0] < a for i in col)}
+        self._append_built(DegreeBasis(n, [(a,) + prev.words[j] for a, j, _, _ in kept],
+                                       [classes[k] for _, _, k, _ in kept],
+                                       [(a, j) for a, j, _, _ in kept],
+                                       [vec for _, _, _, vec in kept], lmul))
 
     def _append_built(self, basis):
         """Append a newly built degree, checked against the known top

@@ -35,13 +35,10 @@ which is the oracle the tests compare this construction with.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .exactlinalg import QQ, ColumnSolver
 from .nichols_core import (
     DEFAULT_MEMORY_BOUND,
     AlgebraState,
-    DegreeCapExceeded,
     MemoryBoundExceeded,
     _derived_column,
     mat_col,
@@ -97,10 +94,12 @@ class OrbitState(AlgebraState):
     """The graded dimensions of B_W, one class block per conjugacy orbit.
 
     ``bases[n]`` is an :class:`OrbitDegree`.  ``construct_all``, ``dims``,
-    ``truncated``, ``ensure_degree``, the known-top check and the memory
-    bound are the word build's; the bound is checked on each
-    representative's block, which is as large as every block of its
-    orbit.  A word-basis read raises :class:`WordBasisUnavailable`.
+    ``truncated``, ``ensure_degree``, the degree step ``extend_degree``
+    with its degree-2 relation table, the (root, class) product memo, the
+    known-top check and the memory bound are the word build's; the
+    per-degree :meth:`_build` is this state's own.  The bound is checked
+    on each representative's block, which is as large as every block of
+    its orbit.  A word-basis read raises :class:`WordBasisUnavailable`.
     """
 
     def __init__(self, system, field=QQ, degree_cap=None,
@@ -136,12 +135,6 @@ class OrbitState(AlgebraState):
         return {k: ranks[r] for k, (r, _, _) in self._orbits.items() if r in ranks}
 
     # -- the group side ---------------------------------------------------
-
-    def _times(self, a, g):
-        h = self._prods.get((a, g))
-        if h is None:
-            h = self._prods[(a, g)] = self.system.reflection(a) * g
-        return h
 
     def _orbit(self, g):
         """(representative r, u, u^-1) with g = u r u^-1, u None for 1.
@@ -245,15 +238,6 @@ class OrbitState(AlgebraState):
 
     # -- construction -----------------------------------------------------
 
-    def extend_degree(self):
-        """Build the next graded component from the previous one."""
-        n = len(self.bases)
-        if self.finite_top is not None:
-            raise DegreeCapExceeded("algebra is already complete")
-        if n > self.degree_cap:
-            raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
-        self._build(n)
-
     def _build(self, n):
         """Eliminate the representative blocks of degree n.
 
@@ -270,8 +254,6 @@ class OrbitState(AlgebraState):
         sum over the block's earlier columns, which are unique over the
         kept columns: the eliminator would have returned the same."""
         sys, field = self.system, self.field
-        if n == 2:
-            self._relations = self._degree_two_relations()
         relations = self._relations
         prev = self.bases[n - 1]
         rank_only = n >= self.degree_cap
@@ -365,42 +347,6 @@ class OrbitState(AlgebraState):
             mus[e] = [{i: v for i, x in acc.items() if (v := norm(x))}]
         # a zero x_e y may lie in a class with no candidates, missing from coords
         return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, norm)
-
-    def _degree_two_relations(self):
-        """The word build's degree-2 relation table: (a, c) -> [(d, e,
-        lam)] whenever x_a x_c = sum lam * x_d x_e over the kept degree-2
-        basis with every d < a.  Each class block keeps its x_a x_c
-        greedily in (a, c) order, and x_a x_c is tested against those kept
-        with a smaller first letter.  The derivative vector of x_a x_c has
-        entry 1 at (a, c) and entry sign at (|s_a(c)|, a), with s_a(c) =
-        sign * |s_a(c)|."""
-        sys, field = self.system, self.field
-        nroots = sys.nroots
-        by_class = {}
-        for a in range(nroots):
-            for c in range(nroots):
-                g = self._times(a, sys.reflection(c))
-                by_class.setdefault(g, []).append((a, c))
-        relations = {}
-        for block in by_class.values():
-            solver = ColumnSolver(field)
-            for a, group in groupby(block, key=lambda p: p[0]):
-                vectors = []
-                for _, c in group:
-                    s = sys.refl[a][c]
-                    vec = {a * nroots + c: 1}
-                    key = (abs(s) - 1) * nroots + a
-                    vec[key] = field.normalize(vec.get(key, 0) + (1 if s > 0 else -1))
-                    vec = {k: x for k, x in vec.items() if x}
-                    lams = solver.coordinates(vec)
-                    if lams is not None:
-                        # every candidate is offered, so offer position = block index
-                        relations[(a, c)] = [(*block[solver.selected[k]], lam)
-                                             for k, lam in lams.items()]
-                    vectors.append(vec)
-                for vec in vectors:
-                    solver.add(vec)
-        return relations
 
 
 def _split(vec, width):

@@ -538,10 +538,9 @@ def test_state_is_freed_without_the_cycle_collector():
         ref = weakref.ref(state)
         del state, x, y, z
         assert ref() is None
-        # a capped state whose top degree's lmul is still pending
+        # a capped state, which stops short of the top
         capped = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=4)
         capped.construct_all()
-        assert capped.bases[4]._fill is not None
         ref = weakref.ref(capped)
         del capped
         assert ref() is None
@@ -890,32 +889,48 @@ def test_every_lmul_column_certified_by_left_derivatives(type_, rank_, field, ca
     assert wrong == []
 
 
+def _derived_columns(st, n):
+    """How many columns of lmul at degree n come from the degree-2 relations."""
+    prev = st.bases[n - 1]
+    return sum((a, prev.parents[j][0]) in st._relations
+               for a in range(st.system.nroots) for j in range(prev.dim))
+
+
 @pytest.mark.parametrize("type_,rank_,cap,offered,candidates",
-                         [("A", 4, 5, 4041, 9960), ("A", 4, 6, 11453, 29560),
-                          ("D", 4, 5, 12024, 27612)])
+                         [("A", 4, 5, 3996, 9960), ("A", 4, 6, 11408, 29560),
+                          ("D", 4, 5, 11962, 27612)])
 def test_construction_reduces_only_candidates_not_derived_from_relations(
         monkeypatch, type_, rank_, cap, offered, candidates):
     # a candidate x_a x_c b_k whose x_a x_c has a degree-2 relation over
     # words with smaller first letters is expressed from earlier columns,
     # never assembled or offered to the eliminator
-    calls = []
-    add = ColumnSolver.add
+    from nwalgebra import nichols_core
+
+    calls, derived = [], []
+    add, derived_column = ColumnSolver.add, nichols_core._derived_column
 
     def counting_add(self, vec, express=False):
         calls.append(express)
         return add(self, vec, express)
 
+    def counting_derived(*args):
+        derived.append(args)
+        return derived_column(*args)
+
     monkeypatch.setattr(ColumnSolver, "add", counting_add)
+    monkeypatch.setattr(nichols_core, "_derived_column", counting_derived)
     sys = RootSystem(cartan_data(type_, rank_))
     st = AlgebraState(sys, field=PrimeField(), degree_cap=cap)
     st.construct_all()
     assert sum(sys.nroots * b.dim for b in st.bases[1:-1]) == candidates
-    assert len(calls) == offered and all(calls)
-    # the eliminator sees each offered candidate once: the relation table
-    # is read off degree 2, so all of degree 2 is offered
-    assert offered == sum(n == 2 or (a, st.bases[n - 1].parents[j][0]) not in st._relations
-                          for n in range(2, len(st.bases))
-                          for a in range(sys.nroots) for j in range(st.bases[n - 1].dim))
+    # the relation table's own solver adds each degree-2 derivative vector once
+    assert calls.count(False) == sys.nroots ** 2
+    assert calls.count(True) == offered
+    # the eliminator sees each offered candidate once, and no relation-paired
+    # candidate is offered from degree 2 on: each is summed once instead
+    paired = sum(_derived_columns(st, n) for n in range(2, len(st.bases)))
+    assert offered + paired == candidates
+    assert len(derived) == paired
 
 
 def structure_digest(state):
@@ -957,70 +972,6 @@ def test_structure_digest(type_, rank_, field, cap, digest):
         assert all(c == sum(len(prev.classes.get(sys.reflection(gam) * g, ()))
                             for gam in range(sys.nroots))
                    for g, c in count.items())
-
-
-def _derived_columns(st, n):
-    """How many columns of lmul at degree n come from the degree-2 relations."""
-    prev = st.bases[n - 1]
-    return sum((a, prev.parents[j][0]) in st._relations
-               for a in range(st.system.nroots) for j in range(prev.dim))
-
-
-@pytest.mark.parametrize("type_,rank_,field,cap",
-                         [("A", 4, PrimeField(), 5), ("D", 4, PrimeField(), 4),
-                          ("A", 3, QQ, None)],
-                         ids=["A4-prime-5", "D4-prime-4", "A3-rational"])
-def test_only_the_last_degree_built_leaves_lmul_unfilled(monkeypatch, type_, rank_,
-                                                          field, cap):
-    # a capped build never fills the cap degree's lmul, which nothing
-    # reads; a finite build leaves only the empty degree past its top
-    from nwalgebra import nichols_core
-
-    calls = []
-    derived = nichols_core._derived_column
-
-    def counting(*args):
-        calls.append(args)
-        return derived(*args)
-
-    monkeypatch.setattr(nichols_core, "_derived_column", counting)
-    st = AlgebraState(RootSystem(cartan_data(type_, rank_)), field=field, degree_cap=cap)
-    st.construct_all()
-    top = len(st.bases) - 1
-    assert top == (13 if cap is None else cap)
-    assert [b._fill is not None for b in st.bases] == [False] * top + [True]
-    assert len(calls) == sum(_derived_columns(st, n) for n in range(3, top))
-    before = len(calls)
-    assert len(st.bases[top].lmul) == st.system.nroots and st.bases[top]._fill is None
-    assert len(calls) - before == _derived_columns(st, top) > 0
-
-
-def test_failed_fill_leaves_the_degree_pending(monkeypatch):
-    # a fill that raises part way keeps nothing of its work, so the next
-    # read gives the columns of a build that never failed
-    from nwalgebra import nichols_core
-
-    sys = RootSystem(cartan_data("A", 3))
-    want = AlgebraState(sys, degree_cap=5)
-    want.construct_all()
-    digest = structure_digest(want)
-    st = AlgebraState(sys, degree_cap=5)
-    st.construct_all()
-    calls = []
-    derived = nichols_core._derived_column
-
-    def failing(*args):
-        calls.append(None)
-        if len(calls) == 100:
-            raise RuntimeError("fill interrupted")
-        return derived(*args)
-
-    monkeypatch.setattr(nichols_core, "_derived_column", failing)
-    with pytest.raises(RuntimeError, match="fill interrupted"):
-        st.bases[5].lmul
-    assert st.bases[5]._fill is not None and st.bases[5]._lmul == {}
-    assert structure_digest(st) == digest
-    assert len(calls) > 100 and st.bases[5]._fill is None
 
 
 def test_type_d_low_degrees():

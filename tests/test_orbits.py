@@ -63,11 +63,6 @@ def test_orbit_build_matches_the_word_build_class_by_class(type_, rank_, field, 
     assert (orbit.finite_top, orbit.truncated) == (word.finite_top, word.truncated)
     for n in range(len(word.bases)):
         assert orbit.class_dims(n) == _class_dims(word, n), n
-    # both builds derive candidates from the same degree-2 relation table
-    def table(state):
-        return {key: sorted(rel) for key, rel in state._relations.items()}
-
-    assert table(orbit) == table(word)
 
 
 @pytest.mark.parametrize("type_,rank_,field,cap", [("A", 3, "rational", None),

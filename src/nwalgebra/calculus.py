@@ -368,13 +368,8 @@ def _kernel_samples(state: AlgebraState, kernels, rng, count):
         for _ in range(count):
             if not ker:
                 break
-            acc = {}
-            for kv in ker:
-                c = field_.of(rng.randint(-2, 2))
-                if c:
-                    for i, x in kv.items():
-                        acc[i] = acc.get(i, 0) + c * x
-            z = NicholsElement(state, {n: {i: field_.normalize(x) for i, x in acc.items()}})
+            coeffs = {k: c for k in range(len(ker)) if (c := field_.of(rng.randint(-2, 2)))}
+            z = NicholsElement(state, {n: mat_col(ker, coeffs, field_)})
             if not z.is_zero():
                 out.append(z)
     return out

@@ -343,7 +343,7 @@ class GroupElement:
         return sum(1 for s in self.images if s < 0)
 
     def is_identity(self) -> bool:
-        return all(s == i + 1 for i, s in enumerate(self.images))
+        return self.images == self.system.identity().images
 
     def act(self, signed: int) -> int:
         """Image of a signed positive-root index."""

@@ -11,7 +11,8 @@ construction produces, and kernel bases and coordinates come back in
 the same form.  Arithmetic goes through a field facade: residues modulo
 a prime, or rationals kept integer first (a Python ``int`` whenever the
 value is integral, a ``Fraction`` only otherwise), so no floating point
-and no rounding enter anywhere.
+and no rounding enter anywhere.  A vector summed from raw products
+becomes canonical in one step per field, ``field.canon``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class RationalField:
     prime = None
     zero = 0
     one = 1
+    minus_one = -1
 
     @staticmethod
     def of(x):
@@ -50,6 +52,11 @@ class RationalField:
 
     #: the canonical value of a raw sum of products of field values
     normalize = staticmethod(_q)
+
+    @staticmethod
+    def canon(acc):
+        """Raw sums {key: value} made canonical: zeros dropped, ints kept."""
+        return {k: x if type(x) is int else _q(x) for k, x in acc.items() if x}
 
     @staticmethod
     def add(a, b):
@@ -124,6 +131,7 @@ class PrimeField:
         self.prime = p
         self.zero = 0
         self.one = 1
+        self.minus_one = p - 1
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -136,6 +144,11 @@ class PrimeField:
 
     def normalize(self, x):
         return x % self.prime
+
+    def canon(self, acc):
+        """Raw sums {key: value} made canonical: residues, zeros dropped."""
+        p = self.prime
+        return {k: y for k, x in acc.items() if (y := x % p)}
 
     def add(self, a, b):
         return (a + b) % self.prime
@@ -276,8 +289,7 @@ class ColumnSolver:
         for k, f in coeffs.items():
             for j, g in self.exprs[k].items():
                 out[j] = out.get(j, 0) + f * g
-        norm = self.field.normalize
-        return {j: y for j, x in out.items() if (y := norm(x))}
+        return self.field.canon(out)
 
     def add(self, vec, express=False):
         """Offer the next column; keep it iff independent.  Returns kept?

@@ -74,16 +74,27 @@ class TopDegreeMismatch(CheckFailed):
 def mat_col(mat, col, field, plus=None):
     """M c (+ plus) for sparse columns {index: scalar}, without zeros.
 
-    Walks only the entries of c down their columns, accumulates raw
-    products and reduces each output entry once (``field.normalize``).
+    M's columns must hold canonical values without zeros.  The raw sum
+    of products is made canonical once (``field.canon``).  Without
+    ``plus``, c = {j: x} gives a copy of column j for x one, its negation
+    for x minus one and its canonical x-multiple otherwise.
     """
+    if not plus and len(col) < 2:
+        if not col:
+            return {}
+        (j, x), = col.items()
+        if x == field.one:
+            return dict(mat[j])
+        if x == field.minus_one:  # -v over Q, p - v over GF(p): canonical as v is
+            z = field.prime or 0
+            return {i: z - v for i, v in mat[j].items()}
+        return field.canon({i: v * x for i, v in mat[j].items()})
     acc = dict(plus) if plus else {}
     get = acc.get
     for j, x in col.items():
         for i, v in mat[j].items():
             acc[i] = get(i, 0) + v * x
-    norm = field.normalize
-    return {i: y for i, x in acc.items() if (y := norm(x))}
+    return field.canon(acc)
 
 
 def mat_mul(a, b, field):
@@ -234,7 +245,7 @@ class TensorElement:
 # ---------------------------------------------------------------------------
 
 
-def _derived_column(rel, prev_lmul, jp, lmul, normalize):
+def _derived_column(rel, prev_lmul, jp, lmul, canon):
     """The coordinates of x_a b_j for b_j = x_c b_jp and the relation
     x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i * lmul[d][i],
     mu = prev_lmul[e][jp] the coordinates of x_e b_jp.  The orbit build
@@ -246,7 +257,7 @@ def _derived_column(rel, prev_lmul, jp, lmul, normalize):
             f = lam * mu
             for t, x in col_d[i].items():
                 acc[t] = acc.get(t, 0) + f * x
-    return {t: y for t, x in acc.items() if (y := normalize(x))}
+    return canon(acc)
 
 
 class DegreeBasis:
@@ -390,8 +401,8 @@ class AlgebraState:
                     s = sys.refl[a][c]
                     vec = {a * nroots + c: 1}
                     key = (abs(s) - 1) * nroots + a
-                    vec[key] = field.normalize(vec.get(key, 0) + (1 if s > 0 else -1))
-                    vec = {k: x for k, x in vec.items() if x}
+                    vec[key] = vec.get(key, 0) + (1 if s > 0 else -1)
+                    vec = field.canon(vec)
                     lams = solver.coordinates(vec)
                     if lams is not None:
                         # every candidate is offered, so offer position = block index
@@ -459,7 +470,7 @@ class AlgebraState:
         kept.sort(key=lambda t: t[:2])
         for i, (_, _, k, _) in enumerate(kept):
             pos_of[k].append(i)
-        normalize = self.field.normalize
+        canon = self.field.canon
         lmul = {}
         for a, col in enumerate(offers):
             lmul[a] = cols = []
@@ -467,7 +478,7 @@ class AlgebraState:
                 if offer is None:
                     c, jp = parents[j]
                     cols.append(_derived_column(relations[(a, c)], prev.lmul, jp,
-                                                lmul, normalize))
+                                                lmul, canon))
                 else:
                     coords, pos = offer
                     cols.append({pos[local]: x for local, x in coords.items()})
@@ -517,8 +528,7 @@ class AlgebraState:
                 for r, v in lm[c].items():
                     k = base + r
                     acc[k] = acc.get(k, 0) + v * x
-        norm = field.normalize
-        return {k: y for k, x in acc.items() if (y := norm(x))}
+        return field.canon(acc)
 
     def _solve_block(self, vectors):
         """Kept candidates and each candidate's {kept: coordinate} dict,
@@ -579,9 +589,8 @@ class AlgebraState:
         products of degree n - 1.  Past the known top they are zero."""
         if self.finite_top is not None and n + ny > self.finite_top:
             return [{} for _ in range(self.dim(n))]
-        field = self.field
-        return [mat_col(self.lmul(n + ny, a), prev[j], field)
-                for a, j in self.basis(n).parents]
+        field, lmul = self.field, self.basis(n + ny).lmul
+        return [mat_col(lmul[a], prev[j], field) for a, j in self.basis(n).parents]
 
     def dright(self, n, g):
         """Right derivative by gamma as a matrix B^n -> B^{n-1}."""
@@ -591,7 +600,8 @@ class AlgebraState:
                 return [{0: field.one} if w[0] == g else {} for w in basis.words]
             dr_prev = self.dright(n - 1, g)
             act_prev = self.act_matrix(n - 1, self.system.reflection(g))
-            return [mat_col(self.lmul(n - 1, beta), dr_prev[j], field,
+            lmul = self.bases[n - 1].lmul
+            return [mat_col(lmul[beta], dr_prev[j], field,
                             act_prev[j] if beta == g else None)
                     for beta, j in basis.parents]
         return self._cached(n, ("dright", g), build)
@@ -636,8 +646,7 @@ class AlgebraState:
             fc = field.of(c)
             for i, v in self.word_column(w).items():
                 acc[i] = acc.get(i, 0) + fc * v
-        norm = field.normalize
-        return {i: y for i, x in acc.items() if (y := norm(x))}
+        return field.canon(acc)
 
     def gram(self, n):
         """Gram matrix of the duality pairing on the degree-n basis.  It is
@@ -865,9 +874,7 @@ def _apply_words(y: NicholsElement, z: NicholsElement, matrix, step, reverse):
                     d += step
                 for t, x in vec.items():
                     acc[t] = acc.get(t, 0) + c * x
-    norm = field.normalize
-    return NicholsElement(state, {
-        n: {t: v for t, x in acc.items() if (v := norm(x))} for n, acc in out.items()})
+    return NicholsElement(state, {n: field.canon(acc) for n, acc in out.items()})
 
 
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
@@ -881,7 +888,6 @@ def right_multiplier(y: NicholsElement):
     :meth:`AlgebraState.right_products`; a product then costs one
     matrix-vector step per pair of components."""
     state = y.state
-    field = state.field
     # ny -> [the columns b_i y_ny of the degree-n basis, for n = 0, 1, ...]
     chains = {ny: [[vy]] for ny, vy in y.components.items()}
 
@@ -895,9 +901,7 @@ def right_multiplier(y: NicholsElement):
                 for j, c in vx.items():
                     for t, v in chain[nx][j].items():
                         acc[t] = acc.get(t, 0) + c * v
-        norm = field.normalize
-        return NicholsElement(state, {
-            n: {t: v for t, x in acc.items() if (v := norm(x))} for n, acc in out.items()})
+        return NicholsElement(state, {n: state.field.canon(acc) for n, acc in out.items()})
     return times
 
 

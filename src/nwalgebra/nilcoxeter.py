@@ -127,7 +127,7 @@ def liu_reconstruction_holds(state: AlgebraState, w: GroupElement) -> bool:
             for i, x in lvec.items():
                 for j, y in rvec.items():
                     acc[(i, j)] = acc.get((i, j), 0) + c * x * y
-        return {ij: y for ij, x in acc.items() if (y := field.normalize(x))}
+        return field.canon(acc)
 
     for k in range(n + 1):
         # the raw expansion legs at split (n-k, k), against the skew legs

@@ -184,7 +184,9 @@ class OrbitState(AlgebraState):
         """The coordinates of t(y), for y in B^m_r with coordinates vec."""
         if t is None or not m:
             return vec
-        cols = self.bases[m].tmats.setdefault((r, t), {})
+        cols = self.bases[m].tmats.get((r, t))
+        if cols is None:
+            cols = self.bases[m].tmats[(r, t)] = {}
         for j in vec:
             if j not in cols:
                 cols[j] = self._tcol(m, r, t, j)
@@ -199,8 +201,7 @@ class OrbitState(AlgebraState):
         acc = {}
         self._lmul_into(acc, m, abs(s) - 1, h2,
                         self._moved(m - 1, rh, t2, {j: self.field.one}), 1 if s > 0 else -1)
-        norm = self.field.normalize
-        return {i: y for i, x in acc.items() if (y := norm(x))}
+        return self.field.canon(acc)
 
     def _lmul_into(self, acc, m, c, h, vec, f, offset=0):
         """acc += f * x_c y, over the basis of class s_c h at degree m, for
@@ -324,8 +325,7 @@ class OrbitState(AlgebraState):
             s2 = refl[abs(s1) - 1]
             self._lmul_into(acc, n - 1, a, k, y, 1 if (s1 > 0) == (s2 > 0) else -1,
                             (abs(s2) - 1) * width)
-        norm = field.normalize
-        return {i: y for i, x in acc.items() if (y := norm(x))}
+        return field.canon(acc)
 
     def _derived(self, n, rel, rh, uh, c, jp, s, coords):
         """The coordinates over the block's kept basis of a candidate x_a z
@@ -338,15 +338,14 @@ class OrbitState(AlgebraState):
             k, rk, t = self._move(uh, k)
             y = self._moved(n - 2, rk, t, y)
         f = 1 if s > 0 else -1
-        norm = self.field.normalize
         # x_e on the span of y, one column each: e -> [coordinates of sigma x_e y]
         mus = {}
         for _, e, _ in rel:
             acc = {}
             self._lmul_into(acc, n - 1, e, k, y, f)
-            mus[e] = [{i: v for i, x in acc.items() if (v := norm(x))}]
+            mus[e] = [self.field.canon(acc)]
         # a zero x_e y may lie in a class with no candidates, missing from coords
-        return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, norm)
+        return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, self.field.canon)
 
 
 def _split(vec, width):

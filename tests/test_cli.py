@@ -258,6 +258,20 @@ def test_crash_is_not_a_check_failure(monkeypatch):
         cli.main(["dims", "--rank", "2"])
 
 
+def test_cli_import_loads_only_the_word_build():
+    # the harness's setup_s times this import, so the orbit build, the
+    # checks, modp and numpy stay out of it until a command needs them
+    code = "import json, sys, nwalgebra.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "nwalgebra"] == [
+        "nwalgebra", "nwalgebra.cli", "nwalgebra.coxeter", "nwalgebra.exactlinalg",
+        "nwalgebra.nichols_core"]
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
 def test_harness_traced_names_exist():
     # perfbench/tracer.py wraps engine functions by name and lists the ones
     # it cannot find; run in a child process because install() patches the

@@ -177,6 +177,85 @@ def test_mat_col_matches_dense_reference():
             assert {i: type(x) for i, x in got.items()} == {i: type(x) for i, x in want.items()}
 
 
+def _mat_col_reference(mat, col, field, plus=None):
+    """M c (+ plus), accumulated in full and normalized entry by entry."""
+    acc = dict(plus) if plus else {}
+    for j, x in col.items():
+        for i, v in mat[j].items():
+            acc[i] = acc.get(i, 0) + v * x
+    return {i: y for i, x in acc.items() if (y := field.normalize(x))}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["rational", "prime"])
+def test_mat_col_matches_accumulate_reference(field):
+    # every shortcut of mat_col (empty column, one entry scaled by one,
+    # minus one or another value) gives the full accumulation's values,
+    # scalar types and entry order
+    rng = random.Random(23)
+    pool = [field.of(x) for x in (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))]
+    kinds = {"one": [field.one], "minus_one": [field.of(-1)],
+             "other": [x for x in pool if x not in (field.one, field.of(-1))]}
+    seen = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
+        mat = [{i: rng.choice(pool) for i in rng.sample(range(nrows), rng.randint(0, nrows))}
+               for _ in range(ncols)]
+        kind = rng.choice(["empty", "one", "minus_one", "other", "multi"])
+        if kind == "empty":
+            col = {}
+        elif kind == "multi":
+            size = min(ncols, 2 + rng.randrange(3))
+            col = {j: rng.choice(pool) for j in rng.sample(range(ncols), size)}
+        else:
+            col = {rng.randrange(ncols): rng.choice(kinds[kind])}
+        for plus in (None, {i: rng.choice(pool) for i in rng.sample(range(nrows), 1)}):
+            seen.add((kind, plus is None, len(col)))
+            got = mat_col(mat, col, field, plus)
+            want = _mat_col_reference(mat, col, field, plus)
+            assert list(got.items()) == list(want.items())
+            assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+            if col and plus is None:
+                assert all(got is not m for m in mat)  # a copy, never a stored column
+    assert {(k, p) for k, p, _ in seen} == {(k, p) for k in ("empty", "one", "minus_one", "other",
+                                                             "multi") for p in (True, False)}
+    assert any(k == "multi" and size > 1 for k, _, size in seen)
+
+
+@pytest.fixture(scope="module")
+def s4_prime(s4):
+    state = AlgebraState(s4.system, field=PrimeField())
+    state.construct_all()
+    return state
+
+
+@pytest.mark.parametrize("which", ["s4", "s4_prime"])
+def test_structure_columns_are_canonical(which, request):
+    # mat_col copies a stored column for a coefficient one without
+    # renormalizing it, so every structure matrix must hold canonical
+    # values: no zero, a residue in 1..p-1 over GF(p), and over Q an int
+    # or a Fraction that is not integral
+    state = request.getfixturevalue(which)
+    field, sys = state.field, state.system
+    if field.prime is None:
+        def canonical(x):
+            return type(x) is int and x != 0 or type(x) is Fraction and x.denominator != 1
+    else:
+        def canonical(x):
+            return type(x) is int and 0 < x < field.prime
+    movers = [sys.reflection(sys.simple_index[0]), sys.longest_element()]
+    for n in range(1, state.finite_top + 1):
+        mats = {"rho": state.rho_matrix(n), "antipode": state.antipode_matrix(n),
+                "antipode_inv": state.antipode_inv_matrix(n), "gram": state.gram(n)}
+        for a in range(sys.nroots):
+            mats.update({("lmul", a): state.lmul(n, a), ("dleft", a): state.dleft(n, a),
+                         ("dright", a): state.dright(n, a), ("rmul", a): state.rmul(n, a)})
+        for w in movers:
+            mats[("act", w.images)] = state.act_matrix(n, w)
+        for key, mat in mats.items():
+            bad = [x for col in mat for x in col.values() if not canonical(x)]
+            assert bad == [], (n, key, bad[:3])
+
+
 # ---------------------------------------------------------------------------
 # multiplication, action, pairing
 # ---------------------------------------------------------------------------

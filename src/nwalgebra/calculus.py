@@ -30,6 +30,7 @@ from .nichols_core import (
     mat_col,
     mat_stack,
     multiply,
+    neg_col,
     ordered_product,
     pairing,
     rho,
@@ -195,10 +196,8 @@ def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> Ide
         sinv = state.antipode_inv_matrix(n)
         dim = state.dim(n)
         for i, g in enumerate(state.basis(n).wdegs):
-            col = mat_col(state.act_matrix(n, g.inverse()), s[i], field_)
-            if g.length() % 2:
-                col = {r: field_.neg(x) for r, x in col.items()}
-            if col != sinv[i]:
+            si = neg_col(s[i], field_) if g.length() % 2 else s[i]
+            if mat_col(state.act_matrix(n, g.inverse()), si, field_) != sinv[i]:
                 return _fail(name, params, 0, None, degree=n, index=i,
                              note="S^{-1} is not (-1)^{l(g)} g^{-1} S")
         if mat_mul(s, sinv, field_) != mat_identity(dim, field_):

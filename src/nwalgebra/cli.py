@@ -29,6 +29,7 @@ from .coxeter import (
     RootSystem,
     cartan_data,
     centralizer_of_longest,
+    element_from_json,
 )
 from .exactlinalg import DEFAULT_PRIME, QQ, LinalgError, PrimeField
 from .nichols_core import (
@@ -166,12 +167,11 @@ def cmd_group(args, phases):
 
 
 def _parse_element(system, text):
-    data = json.loads(text)
-    if isinstance(data, list):
-        data = {"perm": data}
-    from .coxeter import element_from_json
-
-    return element_from_json(system, data)
+    try:
+        data = json.loads(text)
+    except ValueError:
+        raise CoxeterError(f"not a JSON element: {text!r}") from None
+    return element_from_json(system, {"perm": data} if isinstance(data, list) else data)
 
 
 def cmd_dims(args, phases):
@@ -230,11 +230,9 @@ def cmd_verify(args, phases):
             state, wo, system.identity(), max(1, args.trials // 10), args.seed, cap))
         phases.mark("tower")
     if want("skew-commutation"):
+        # w_o when no complete system has a member other than e (A1: only {e})
         sols = search_complete(system)
-        if sols:
-            w = next(w for w in sols[0].elements if not w.is_identity())
-        else:
-            w = wo
+        w = next((w for d in sols[:1] for w in d.elements if not w.is_identity()), wo)
         reports.append(calculus.check_skew_commutation(
             state, w, system.identity(), max(1, args.trials // 10), args.seed, cap))
         phases.mark("skew-commutation")
@@ -250,7 +248,7 @@ def cmd_verify(args, phases):
 
 
 def cmd_integral(args, phases):
-    from .disjoint import search_complete
+    from .disjoint import classify, search_complete
     from .integrals import integral_character, invariance_suite, top_integral
 
     state = _state(args)
@@ -260,13 +258,8 @@ def cmd_integral(args, phases):
     integral_character(cert, state)
     sols = search_complete(state.system)
     order2 = None
-    if sols and state.finite_top is not None:
-        d0 = sols[0]
-        if d0.order >= 2:
-            from .disjoint import classify
-
-            sub = classify(list(d0.elements)[:2], state.system)
-            order2 = sub
+    if sols and state.finite_top is not None and sols[0].order >= 2:
+        order2 = classify(list(sols[0].elements)[:2], state.system)
     inv = invariance_suite(cert, state, order2)
     phases.mark("integral")
     payload = {"config": _config(args), "certificate": cert.to_json(),
@@ -294,7 +287,12 @@ def cmd_reduce(args, phases):
     from .reduction import reduce_mod_left_ideal, reduce_mod_right_ideal
 
     system = _system(args)
-    word = tuple(int(x) for x in args.monomial.split(",") if x.strip() != "")
+    try:
+        word = tuple(int(x) for x in args.monomial.split(",") if x.strip() != "")
+    except ValueError:
+        print(f"--monomial: not comma-separated root indices: {args.monomial!r}",
+              file=sys.stderr)
+        return 2
     for a in word:
         if not 0 <= a < system.nroots:
             print(f"root index out of range: {a}", file=sys.stderr)
@@ -314,9 +312,7 @@ def cmd_disjoint(args, phases):
 
     system = _system(args)
     if args.check:
-        elements = []
-        for part in args.check.split(";"):
-            elements.append(_parse_element(system, part))
+        elements = [_parse_element(system, part) for part in args.check.split(";")]
         result = classify(elements, system)
         phases.mark("classify")
         ok = isinstance(result, DisjointSystem)

@@ -227,6 +227,10 @@ class RootSystem:
         return GroupElement(self, self.refl[root_index])
 
     def from_word(self, word) -> "GroupElement":
+        """The product s_{i_1} ... s_{i_k} of simple reflections, 0 <= i < rank."""
+        if not isinstance(word, (list, tuple)) or any(
+                type(i) is not int or not 0 <= i < self.rank for i in word):
+            raise CoxeterError(f"not a word in simple reflections 0..{self.rank - 1}: {word!r}")
         w = self.identity()
         for i in word:
             w = w * self.simple_reflection(i)
@@ -281,8 +285,8 @@ class RootSystem:
         if not self._is_type_a:
             raise CoxeterError("one-line permutations only exist in type A")
         m = self.sym_m
-        perm = tuple(perm)
-        if sorted(perm) != list(range(1, m + 1)):
+        if not isinstance(perm, (list, tuple)) or any(type(i) is not int for i in perm) \
+                or sorted(perm) != list(range(1, m + 1)):
             raise CoxeterError(f"not a permutation of 1..{m}: {perm}")
         images = []
         for i, j in self.pair_of_root:
@@ -430,6 +434,11 @@ class GroupElement:
 
 
 def element_from_json(system: RootSystem, data) -> GroupElement:
+    """The element of {"perm": one-line permutation} or {"word": simple
+    reflection indices}; raises CoxeterError on any other input, one
+    holding both keys included."""
+    if not isinstance(data, dict) or len(data.keys() & {"perm", "word"}) != 1:
+        raise CoxeterError(f'not a {{"perm": ...}} or {{"word": ...}} element: {data!r}')
     if "perm" in data:
         return system.from_permutation(data["perm"])
     return system.from_word(data["word"])

@@ -8,11 +8,12 @@ echelon vector over them, so the result depends only on the column
 order.  There is one vector format: a ``{index: value}`` dict without
 zeros.  Matrices are lists of such column dicts, the layout the graded
 construction produces, and kernel bases and coordinates come back in
-the same form.  Arithmetic goes through a field facade: residues modulo
-a prime, or rationals kept integer first (a Python ``int`` whenever the
+the same form.  Values are canonical per field: residues modulo a
+prime, or rationals kept integer first (a Python ``int`` whenever the
 value is integral, a ``Fraction`` only otherwise), so no floating point
-and no rounding enter anywhere.  A vector summed from raw products
-becomes canonical in one step per field, ``field.canon``.
+and no rounding enter anywhere.  Arithmetic is plain operators, then one
+step of a four-method field facade: ``of`` (any exact input),
+``normalize`` (a scalar), ``canon`` (a vector, zeros dropped) and ``inv``.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ def _q(x):
 
 
 class RationalField:
-    """Arithmetic facade for exact rationals, integer first.
+    """Field facade for exact rationals, integer first.
 
-    Every result is an ``int`` when it is integral and a ``Fraction``
-    otherwise, so integral matrices never pay for ``Fraction``.  Both
-    print alike: ``str(3) == str(Fraction(3))``.
+    ``of``, ``normalize``, ``canon`` and ``inv`` return an ``int`` when
+    the value is integral and a ``Fraction`` otherwise, so integral
+    matrices never pay for ``Fraction``; other arithmetic is plain
+    operators.  Both print alike: ``str(3) == str(Fraction(3))``.
     """
 
     prime = None
@@ -59,34 +61,9 @@ class RationalField:
         return {k: x if type(x) is int else _q(x) for k, x in acc.items() if x}
 
     @staticmethod
-    def add(a, b):
-        x = a + b
-        return x if type(x) is int else _q(x)
-
-    @staticmethod
-    def sub(a, b):
-        x = a - b
-        return x if type(x) is int else _q(x)
-
-    @staticmethod
-    def mul(a, b):
-        x = a * b
-        return x if type(x) is int else _q(x)
-
-    @staticmethod
-    def div(a, b):
-        # never a / b on two ints: that would be a float
-        if type(a) is int and type(b) is int and b and not a % b:
-            return a // b
-        return _q(Fraction(a, b))
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def inv(a):
-        return RationalField.div(1, a)
+        # never 1 / a on an int: that would be a float
+        return int(a) if a == 1 or a == -1 else _q(Fraction(1, a))
 
     def __repr__(self):
         return "QQ"
@@ -117,10 +94,11 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic facade for integers modulo a prime 2 < p < 2**31.
+    """Field facade for integers modulo a prime 2 < p < 2**31.
 
-    The bound keeps every product of two residues inside int64, which the
-    dense kernel of ``modp`` relies on.
+    ``of``, ``normalize``, ``canon`` and ``inv`` return residues in
+    [0, p); other arithmetic is plain operators.  The bound keeps every
+    product of two residues inside int64, which ``modp`` relies on.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
@@ -135,11 +113,9 @@ class PrimeField:
 
     def of(self, x):
         if isinstance(x, Fraction):
-            num = x.numerator % self.prime
-            den = x.denominator % self.prime
-            if den == 0:
+            if x.denominator % self.prime == 0:
                 raise LinalgError("denominator vanishes modulo p")
-            return num * pow(den, -1, self.prime) % self.prime
+            return x.numerator * self.inv(x.denominator) % self.prime
         return x % self.prime
 
     def normalize(self, x):
@@ -150,25 +126,10 @@ class PrimeField:
         p = self.prime
         return {k: y for k, x in acc.items() if (y := x % p)}
 
-    def add(self, a, b):
-        return (a + b) % self.prime
-
-    def sub(self, a, b):
-        return (a - b) % self.prime
-
-    def mul(self, a, b):
-        return (a * b) % self.prime
-
-    def div(self, a, b):
-        if b % self.prime == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return a * pow(b, -1, self.prime) % self.prime
-
-    def neg(self, a):
-        return (-a) % self.prime
-
     def inv(self, a):
-        return self.div(1, a)
+        if a % self.prime == 0:
+            raise ZeroDivisionError("division by zero in prime field")
+        return pow(a, -1, self.prime)
 
     def __repr__(self):
         return f"GF({self.prime})"
@@ -204,7 +165,7 @@ def kernel_basis(cols, field=QQ):
         if kept:
             continue
         selected = solver.selected
-        vec = {selected[k]: field.neg(x) for k, x in coords.items()}
+        vec = field.canon({selected[k]: -x for k, x in coords.items()})
         vec[c] = field.one
         basis.append(vec)
     return basis
@@ -309,10 +270,10 @@ class ColumnSolver:
             pinv, ev = field.one, dict(v) if v is vec else v
         else:
             pinv = field.inv(v[p])
-            ev = {c: field.mul(x, pinv) for c, x in v.items()}
+            ev = field.canon({c: x * pinv for c, x in v.items()})
         # expression of ev over kept columns: (column - sum coeffs*prior) * pinv
-        expr = {j: field.mul(-x, pinv)
-                for j, x in self._express(coeffs).items()} if coeffs else {}
+        expr = field.canon({j: -x * pinv
+                            for j, x in self._express(coeffs).items()}) if coeffs else {}
         k = len(self.selected)
         expr[k] = pinv
         self._position[p] = k

@@ -108,7 +108,7 @@ def _validate_certificate(cert: IntegralCertificate, state: AlgebraState):
     (-1)^n rho S; and the w-degree's length has the parity of the degree,
     being a product of that many reflections of odd length 2 ht - 1."""
     field_ = state.field
-    one, minus = field_.one, field_.neg(field_.one)
+    one, minus = field_.one, field_.minus_one
     for i, lam in cert.char.items():
         if lam not in (one, minus):
             raise IntegralError("character value is not a sign")
@@ -130,11 +130,9 @@ def integral_character(cert: IntegralCertificate, state: AlgebraState):
         if s * w != w * s:
             raise IntegralError("group degree of the integral is not central")
     # multiplicativity on the products of two distinct simple reflections
-    field_ = state.field
     for i, j in permutations(range(sys.rank), 2):
         g = sys.simple_reflection(i) * sys.simple_reflection(j)
-        lam = field_.mul(cert.char[i], cert.char[j])
-        if group_act(g, x) != x.scale(lam):
+        if group_act(g, x) != x.scale(cert.char[i] * cert.char[j]):
             raise IntegralError("character is not multiplicative")
     return dict(cert.char)
 
@@ -149,7 +147,7 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     field_ = state.field
     x = cert.element
     wo = sys.longest_element()
-    lwo_sign = field_.neg(field_.one) if wo.length() % 2 else field_.one
+    lwo_sign = field_.minus_one if wo.length() % 2 else field_.one
     params = {"degree": cert.degree}
     notes = []
 
@@ -169,7 +167,7 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     for a in range(sys.nroots):
         xa = NicholsElement.generator(state, a)
         eps = sign_of_action(sys.reflection(a))
-        got = multiply(xa, right_derivative(x, xa)).scale(field_.neg(eps))
+        got = multiply(xa, right_derivative(x, xa)).scale(-eps)
         if got != x:
             return _fail(name, params, 0, None, item=2, root=a)
     # item 3: x = (x)D_y y for every w
@@ -182,7 +180,7 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     for w in centralizer_of_longest(sys):
         y = y_element(w, state)
         dx = right_derivative(x, y)
-        if multiply(y, dx).scale(field_.mul(lwo_sign, eps_wo)) != x:
+        if multiply(y, dx).scale(lwo_sign * eps_wo) != x:
             return _fail(name, params, 0, None, item=4, w=w)
         # nonvanishing of the derivative bracket
         if pairing(dx, dx) == field_.zero:

@@ -85,9 +85,8 @@ def mat_col(mat, col, field, plus=None):
         (j, x), = col.items()
         if x == field.one:
             return dict(mat[j])
-        if x == field.minus_one:  # -v over Q, p - v over GF(p): canonical as v is
-            z = field.prime or 0
-            return {i: z - v for i, v in mat[j].items()}
+        if x == field.minus_one:
+            return neg_col(mat[j], field)
         return field.canon({i: v * x for i, v in mat[j].items()})
     acc = dict(plus) if plus else {}
     get = acc.get
@@ -95,6 +94,14 @@ def mat_col(mat, col, field, plus=None):
         for i, v in mat[j].items():
             acc[i] = get(i, 0) + v * x
     return field.canon(acc)
+
+
+def neg_col(col, field):
+    """-c for a canonical column c (-v over Q, p - v over GF(p)): canonical
+    in, canonical out, as no entry becomes zero and no scalar changes type.
+    Structure maps fold a sign into ``mat_col``'s input with it."""
+    z = field.prime or 0
+    return {i: z - v for i, v in col.items()}
 
 
 def mat_mul(a, b, field):
@@ -616,13 +623,13 @@ class AlgebraState:
             if n == 0:
                 return mat_identity(1, field)
             a_prev = self.act_matrix(n - 1, w)
-            lmul, parents, neg = basis.lmul, basis.parents, field.neg
+            lmul, parents = basis.lmul, basis.parents
 
             def column(i):
                 a, j = parents[i]
                 s = w.act(a + 1)
-                col = mat_col(lmul[abs(s) - 1], a_prev[j], field)
-                return col if s > 0 else {r: neg(x) for r, x in col.items()}
+                col = a_prev[j] if s > 0 else neg_col(a_prev[j], field)
+                return mat_col(lmul[abs(s) - 1], col, field)
             return LazyColumns(basis.dim, column)
         return self._cached(n, ("act", w.images), build)
 
@@ -708,9 +715,8 @@ class AlgebraState:
             cols = []
             for a, j in basis.parents:
                 col = mat_col(self.act_matrix(n - 1, self.system.reflection(a)),
-                              s_prev[j], field)
-                col = mat_col(self.rmul(n, a), col, field)
-                cols.append({i: field.neg(x) for i, x in col.items()})
+                              neg_col(s_prev[j], field), field)
+                cols.append(mat_col(self.rmul(n, a), col, field))
             return cols
         return self._cached(n, ("antipode", None), build)
 
@@ -728,19 +734,17 @@ class AlgebraState:
             cols = []
             for a, j in basis.parents:
                 sg = prev.wdegs[j].inverse().act(a + 1)
-                col = mat_col(self.rmul(n, abs(sg) - 1), si_prev[j], field)
-                cols.append({i: field.neg(x) for i, x in col.items()} if sg > 0 else col)
+                col = neg_col(si_prev[j], field) if sg > 0 else si_prev[j]
+                cols.append(mat_col(self.rmul(n, abs(sg) - 1), col, field))
             return cols
         return self._cached(n, ("antipode_inv", None), build)
 
     def sbar_matrix(self, n):
         """The twisted antipode (-1)^n rho S on degree n."""
         def build(basis):
-            m = mat_mul(self.rho_matrix(n), self.antipode_matrix(n), self.field)
-            if n % 2:
-                neg = self.field.neg
-                m = [{i: neg(x) for i, x in col.items()} for col in m]
-            return m
+            field, r = self.field, self.rho_matrix(n)
+            return [mat_col(r, neg_col(col, field) if n % 2 else col, field)
+                    for col in self.antipode_matrix(n)]
         return self._cached(n, ("sbar", None), build)
 
 
@@ -778,9 +782,7 @@ class NicholsElement:
 
     @classmethod
     def from_word(cls, state, word, coeff=1):
-        col = state.word_column(tuple(word))
-        c = state.field.of(coeff)
-        return cls(state, {len(word): {i: state.field.mul(c, v) for i, v in col.items()}})
+        return cls(state, {len(word): state.word_column(tuple(word))}).scale(coeff)
 
     def is_zero(self):
         return not self.components
@@ -796,22 +798,23 @@ class NicholsElement:
         return NicholsElement(self.state, {n: self.component(n)})
 
     def __add__(self, other):
-        add = self.state.field.add
+        norm = self.state.field.normalize
         comps = {n: dict(v) for n, v in self.components.items()}
         for n, v in other.components.items():
             acc = comps.setdefault(n, {})
             for i, x in v.items():
-                acc[i] = add(acc[i], x) if i in acc else x
+                acc[i] = norm(acc[i] + x) if i in acc else x
         return NicholsElement(self.state, comps)
 
     def __sub__(self, other):
-        return self + other.scale(self.state.field.neg(self.state.field.one))
+        return self + other.scale(self.state.field.minus_one)
 
     def scale(self, s):
-        mul = self.state.field.mul
-        s = self.state.field.of(s)
+        field = self.state.field
+        s = field.of(s)
         return NicholsElement(self.state, {
-            n: {i: mul(x, s) for i, x in v.items()} for n, v in self.components.items()})
+            n: field.canon({i: x * s for i, x in v.items()})
+            for n, v in self.components.items()})
 
     def __neg__(self):
         return self.scale(-1)
@@ -840,7 +843,7 @@ class NicholsElement:
         x = self.components.get(n0, {}).get(i0)
         if x is None:
             return None
-        s = field.div(x, vo[i0])
+        s = field.normalize(x * field.inv(vo[i0]))
         return s if self == other.scale(s) else None
 
 

@@ -161,17 +161,17 @@ def test_criterion_5_integrals_suite(s3, s4):
             # sign character
             char = integral_character(cert, state)
             one = state.field.one
-            assert all(v in (one, state.field.neg(one)) for v in char.values())
+            assert all(v in (one, state.field.minus_one) for v in char.values())
             for g in state.system.elements():
                 s = group_act(g, cert.element).proportional_to(cert.element)
-                assert s in (one, state.field.neg(one))
+                assert s in (one, state.field.minus_one)
             # sign bookkeeping
-            expected = state.field.neg(one) if cert.degree % 2 else one
+            expected = state.field.minus_one if cert.degree % 2 else one
             assert cert.eps_antipode == expected
             assert cert.eps_rho == cert.eps_sbar
             # w x = (-1)^{l(w)} x for the group degree w of x
             w = cert.w_degree
-            sgn = state.field.neg(one) if w.length() % 2 else one
+            sgn = state.field.minus_one if w.length() % 2 else one
             assert group_act(w, cert.element) == cert.element.scale(sgn)
         # invariance items 1-4 on both, item 5 on the order-two system of S4
         assert invariance_suite(top_integral(s3), s3).passed

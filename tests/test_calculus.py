@@ -27,6 +27,7 @@ from nwalgebra.nichols_core import (
     mat_mul,
     mat_stack,
     multiply,
+    neg_col,
     right_derivative,
 )
 from nwalgebra.nilcoxeter import skew_element
@@ -72,7 +73,7 @@ def test_nz_antipode_catches_a_negated_inverse_column(prime):
     # by column, so one wrong column fails the check at its degree
     state = _fresh_a2(prime)
     sinv = state.antipode_inv_matrix(2)
-    sinv[1] = {r: state.field.neg(x) for r, x in sinv[1].items()}
+    sinv[1] = neg_col(sinv[1], state.field)
     r = check_nz_antipode(state)
     assert r.status == "fail"
     assert r.counterexample["degree"] == 2 and r.counterexample["index"] == 1
@@ -85,7 +86,7 @@ def test_rhoD_catches_a_perturbed_reversal_column(prime):
     state = _fresh_a2(prime)
     field = state.field
     col = state.rho_matrix(2)[0]
-    x = field.add(col.get(0, field.zero), field.one)
+    x = field.normalize(col.get(0, field.zero) + field.one)
     if x:
         col[0] = x
     else:

@@ -218,6 +218,32 @@ def test_out_of_range_integer_exit_2(argv):
     assert f"argument {argv[-2]}: must be at least" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "--element", '{"word": [-1]}'],
+    ["group", "--element", '{"word": [9]}'],
+    ["group", "--element", '{"foo": 1}'],
+    ["group", "--element", "5"],
+    ["group", "--element", '{"perm": [1, 2, "x"]}'],
+    ["group", "--element", '{"word": [0'],
+    ["disjoint", "--check", "[1,2,3];[2,1"],
+    ["reduce", "--monomial", "a"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_element_or_monomial_exit_2(argv):
+    code, out, err = run_cli(*argv, "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() and "Traceback" not in err
+
+
+def test_verify_all_rank_1():
+    # A1's only complete disjoint system is {e}: skew commutation takes w_o
+    code, out, _ = run_cli("verify", "all", "--rank", "1")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert {r["identity"] for r in reports} >= {"skew-commutation"}
+    assert all(r["status"] in ("pass", "skipped") for r in reports)
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_memory_bound_environment_default_is_checked(value):
     proc = subprocess.run(

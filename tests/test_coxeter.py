@@ -198,3 +198,14 @@ def test_exponent():
 def test_element_json_roundtrip(a3):
     for w in a3.elements():
         assert element_from_json(a3, w.to_json()) == w
+
+
+@pytest.mark.parametrize("data", [
+    {"word": [-1]}, {"word": [3]}, {"word": [0.0]}, {"word": 5}, {"foo": 1}, 5,
+    [2, 1, 3, 4], {"perm": [1, 2, "x", 4]}, {"perm": [1, 2, 3]}, {"perm": 1234},
+    {"perm": [1, 2, 3, 4], "word": [0]},
+], ids=repr)
+def test_element_json_rejects_malformed_input(a3, data):
+    # a negative index would silently pick the last simple reflection
+    with pytest.raises(CoxeterError):
+        element_from_json(a3, data)

@@ -155,23 +155,45 @@ def test_rational_field_is_integer_first():
         fa, fb = Fraction(a), Fraction(b)
         check(QQ.of(a), fa)
         check(QQ.normalize(fa * fb + fa), fa * fb + fa)
-        check(QQ.add(a, b), fa + fb)
-        check(QQ.sub(a, b), fa - fb)
-        check(QQ.mul(a, b), fa * fb)
-        check(QQ.neg(QQ.of(a)), -fa)
+        # plain operators on field values, then one canonicalization
+        check(QQ.normalize(a + b), fa + fb)
+        check(QQ.normalize(a - b), fa - fb)
+        check(QQ.normalize(a * b), fa * fb)
+        check(QQ.normalize(-QQ.of(a)), -fa)
+        want = {0: fa + fb, 1: fa - fa, 2: fa * fb}
+        got = QQ.canon({0: a + b, 1: a - a, 2: a * b})
+        assert list(got) == [k for k, x in want.items() if x]
+        for k, x in got.items():
+            check(x, want[k])
         if b:
-            check(QQ.div(a, b), fa / fb)
+            check(QQ.normalize(a * QQ.inv(b)), fa / fb)
             check(QQ.inv(b), 1 / fb)
         else:
             with pytest.raises(ZeroDivisionError):
-                QQ.div(a, b)
+                QQ.inv(b)
     assert QQ.zero == 0 and type(QQ.zero) is int
     assert QQ.one == 1 and type(QQ.one) is int
     assert type(QQ.of("4/2")) is int and QQ.of("3/6") == Fraction(1, 2)
-    q = QQ.div(3, 2)
+    q = QQ.normalize(3 * QQ.inv(2))
     assert q == Fraction(3, 2) and type(q) is Fraction
-    assert type(QQ.div(-6, 3)) is int and QQ.div(-6, 3) == -2
+    q = QQ.normalize(-6 * QQ.inv(3))
+    assert type(q) is int and q == -2
+    # the inverse of a unit is an int, never the float 1 / a
+    assert [(QQ.inv(u), type(QQ.inv(u))) for u in (1, -1)] == [(1, int), (-1, int)]
     assert str(QQ.of(Fraction(6, 2))) == str(Fraction(3)) == "3"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(), PrimeField(101)],
+                         ids=["QQ", "GF(p)", "GF(101)"])
+def test_field_facade(field):
+    # arithmetic is plain operators plus these; no per-operation methods
+    assert sorted(n for n in dir(field) if not n.startswith("_")) == [
+        "canon", "inv", "minus_one", "normalize", "of", "one", "prime", "zero"]
+    assert field.normalize(field.minus_one + field.one) == field.zero
+    for a in (1, 2, 7, field.minus_one, field.of(Fraction(-3, 5))):
+        assert field.normalize(a * field.inv(a)) == field.one
+    with pytest.raises(ZeroDivisionError):
+        field.inv(field.zero)
 
 
 def linear_probe_echelon(cols, field):
@@ -195,7 +217,7 @@ def linear_probe_echelon(cols, field):
             p = min(v)
             pinv = field.inv(v[p])
             pivots.append(p)
-            vectors.append({c: field.mul(x, pinv) for c, x in v.items()})
+            vectors.append({c: field.normalize(x * pinv) for c, x in v.items()})
             selected.append(pos)
     return pivots, vectors, selected, created
 
@@ -259,7 +281,7 @@ def test_column_solver_roundtrip():
                 got = {}
                 for j, x in coords.items():
                     for i, y in cols[solver.selected[j]].items():
-                        got[i] = field.add(got.get(i, field.zero), field.mul(x, y))
+                        got[i] = field.normalize(got.get(i, field.zero) + x * y)
                 assert {i: x for i, x in got.items() if x} == c
         # the larger matrices make reductions create entries at later
         # pivots, so the pivot heap takes pushes beyond the column's own
@@ -278,7 +300,7 @@ def test_column_solver_stores_no_offered_dict(field):
     solver = ColumnSolver(field)
     assert all(solver.add(d) for d in (first, second, third))
     vectors = [list(v.items()) for v in solver.vectors]
-    assert vectors == [[(0, 1), (2, 3)], [(1, 1), (3, field.div(1, 2))], [(2, 1), (3, 1)]]
+    assert vectors == [[(0, 1), (2, 3)], [(1, 1), (3, field.inv(2))], [(2, 1), (3, 1)]]
     probe = {0: of(2), 2: of(7), 3: of(1)}  # first + third
     assert solver.coordinates(probe) == {0: 1, 2: 1}
     for d in (first, second, third):

@@ -22,6 +22,7 @@ from nwalgebra.nichols_core import (
     NicholsElement,
     group_act,
     multiply,
+    neg_col,
     pairing,
     right_derivative,
 )
@@ -31,8 +32,8 @@ from nwalgebra.nilcoxeter import embed_element
 def test_certificate_a1(a1):
     cert = top_integral(a1)
     assert cert.degree == 1
-    assert cert.char == {0: a1.field.neg(a1.field.one)}
-    assert cert.eps_antipode == a1.field.neg(a1.field.one)
+    assert cert.char == {0: a1.field.minus_one}
+    assert cert.eps_antipode == a1.field.minus_one
     assert cert.w_degree == a1.system.reflection(0)
 
 
@@ -45,7 +46,7 @@ def test_certificate_s3(s3):
     assert cert.eps_rho == cert.eps_sbar
     char = integral_character(cert, s3)
     one = s3.field.one
-    assert all(v in (one, s3.field.neg(one)) for v in char.values())
+    assert all(v in (one, s3.field.minus_one) for v in char.values())
     # x ~ g x for every group element
     for g in s3.system.elements():
         assert group_act(g, cert.element).proportional_to(cert.element) in (one, -one)
@@ -59,7 +60,7 @@ def test_certificate_s4(s4):
     for i in range(s4.system.rank):
         s = s4.system.simple_reflection(i)
         assert s * w == w * s
-    sign = s4.field.neg(s4.field.one) if w.length() % 2 else s4.field.one
+    sign = s4.field.minus_one if w.length() % 2 else s4.field.one
     assert group_act(w, cert.element) == cert.element.scale(sign)
     assert cert.w_degree.length() % 2 == cert.degree % 2
 
@@ -134,7 +135,7 @@ def test_integral_character_catches_a_wrong_product_character(prime, monkeypatch
     def wrong(n, w):
         m = act_matrix(n, w)
         if n == cert.degree and w == g:
-            return [{r: field.neg(x) for r, x in col.items()} for col in m]
+            return [neg_col(col, field) for col in m]
         return m
 
     monkeypatch.setattr(state, "act_matrix", wrong)
@@ -241,7 +242,7 @@ def test_hypothetical_checks_catch_every_perturbation_of_p(fixture, request):
     failed = 0
     for k in range(state.dim(top)):
         q = dict(p)
-        q[k] = field.add(q.get(k, field.zero), field.one)
+        q[k] = field.normalize(q.get(k, field.zero) + field.one)
         q = {i: x for i, x in q.items() if x}
         if not q:  # P = -e_k: the sum is zero, not a spanning vector
             continue

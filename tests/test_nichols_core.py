@@ -26,6 +26,7 @@ from nwalgebra.nichols_core import (
     mat_mul,
     mat_stack,
     multiply,
+    neg_col,
     pairing,
     rho,
     right_derivative,
@@ -170,7 +171,7 @@ def test_mat_col_matches_dense_reference():
             want = [field.zero] * nrows
             for i in range(nrows):
                 for j in range(ncols):
-                    want[i] = field.add(want[i], field.mul(dense[i][j], vec[j]))
+                    want[i] = field.normalize(want[i] + dense[i][j] * vec[j])
             want = {i: x for i, x in enumerate(want) if x}
             got = mat_col(mat, {j: x for j, x in enumerate(vec) if x}, field)
             assert got == want
@@ -329,7 +330,6 @@ def test_action_and_reversal_match_per_word_definition(s4):
     group += [sys.longest_element(), s1 * s2]
     assert (s1 * s2) * (s1 * s2) != sys.identity()
     for state in (s4, sp):
-        neg = state.field.neg
         for n in range(state.finite_top + 1):
             words = state.basis(n).words
             for w in group:
@@ -338,7 +338,7 @@ def test_action_and_reversal_match_per_word_definition(s4):
                     images = [w.act(a + 1) for a in word]
                     col = state.word_column(tuple(abs(s) - 1 for s in images))
                     if sum(s < 0 for s in images) % 2:
-                        col = {i: neg(x) for i, x in col.items()}
+                        col = neg_col(col, state.field)
                     expected.append(col)
                 assert state.act_matrix(n, w) == expected
             assert state.rho_matrix(n) == [state.word_column(word[::-1]) for word in words]
@@ -592,8 +592,7 @@ def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, pr
         expected = []
         for i, g in enumerate(state.basis(n).wdegs):
             col = mat_col(state.act_matrix(n, g.inverse()), s[i], field)
-            expected.append({r: field.neg(x) for r, x in col.items()}
-                            if g.length() % 2 else col)
+            expected.append(neg_col(col, field) if g.length() % 2 else col)
         assert state.antipode_inv_matrix(n) == expected
 
 
@@ -1051,6 +1050,38 @@ def test_structure_digest(type_, rank_, field, cap, digest):
         assert all(c == sum(len(prev.classes.get(sys.reflection(gam) * g, ()))
                             for gam in range(sys.nroots))
                    for g, c in count.items())
+
+
+def read_path_digest(state):
+    """sha256 of the column entries, in order with their scalar types, of
+    rho, the antipode and its inverse, s-bar, the Gram matrix, every group
+    element's action and every root's dright and rmul, degree by degree."""
+    h = hashlib.sha256()
+    elements = state.system.elements()
+    for n in range(len(state.bases)):
+        maps = [state.rho_matrix(n), state.antipode_matrix(n), state.antipode_inv_matrix(n),
+                state.sbar_matrix(n), state.gram(n)]
+        maps += [state.act_matrix(n, w) for w in elements]
+        if n:
+            for g in range(state.system.nroots):
+                maps += [state.dright(n, g), state.rmul(n, g)]
+        for m in maps:
+            h.update(repr([list(col.items()) for col in m]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("field,digest", [
+    (QQ, "e9340165bb5af2771e31d56d1b46b49e4aa9cbe0fd640577f4d69bb773fbd043"),
+    (PrimeField(), "d0d0e497a25b30043407b257b40813d63fd03651fd2b2eafd50ab41fa1a96e5f"),
+    (PrimeField(101), "04d2483610a57f8129e0757472ced3408d51ee93ef345bcbe347c0b64eb91133"),
+], ids=["A3-rational", "A3-prime", "A3-prime-101"])
+def test_read_path_digest(field, digest):
+    # the derived structure maps, byte for byte, as an engine that negated
+    # each column after mat_col built it: every sign folded into mat_col's
+    # input must leave the same entries, order and scalar types
+    st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field)
+    st.construct_all()
+    assert read_path_digest(st) == digest
 
 
 def test_type_d_low_degrees():

@@ -14,8 +14,15 @@ builds degree 2: every x_a x_c = sum lam * x_d x_e with all d < a
 three-term relation; :meth:`AlgebraState._degree_two_relations`).  A
 candidate x_a b_j whose parent is b_j = x_c b_k with such a relation is
 then a combination of the candidates x_d b_i, which precede it in its
-class block, so from degree 2 on it is never assembled or reduced
-(:meth:`AlgebraState._build`).  Both builds take their degree step from
+class block, so from degree 2 on it is never assembled or reduced.  Each
+class block keeps its greedy basis in lex order, so the basis words are
+the lex-normal words, which are closed under taking prefixes.  So from
+degree 3 on, a candidate x_a b_j whose prefix x_a b_j2, for
+b_j = b_j2 x_e, is not a basis word is dependent as well, and its
+coordinates are those of (x_a b_j2) x_e, summed over earlier columns.
+Only the candidates whose prefix and suffix are basis words, and that no
+relation pairs, reach the eliminator (:meth:`AlgebraState._build`).
+Both builds take their degree step from
 :meth:`AlgebraState.extend_degree`.
 
 The braided derivative recursions used on words:
@@ -252,24 +259,54 @@ class TensorElement:
 # ---------------------------------------------------------------------------
 
 
-def _derived_column(rel, prev_lmul, jp, lmul, canon):
-    """The coordinates of x_a b_j for b_j = x_c b_jp and the relation
-    x_a x_c = sum lam * x_d x_e: the sum of lam * mu_i * lmul[d][i],
-    mu = prev_lmul[e][jp] the coordinates of x_e b_jp.  The orbit build
-    takes its relation-paired columns from it too."""
+def _combination(terms, lmul, canon):
+    """The coordinates of sum s * x_d v over the terms (d, s, v), each v
+    the coordinates of an element one degree down: lmul[d] applied to v,
+    scaled by s, summed."""
     acc = {}
-    for d, e, lam in rel:
+    for d, s, vec in terms:
         col_d = lmul[d]
-        for i, mu in prev_lmul[e][jp].items():
-            f = lam * mu
+        for i, y in vec.items():
+            f = s * y
             for t, x in col_d[i].items():
                 acc[t] = acc.get(t, 0) + f * x
     return canon(acc)
 
 
+def _derived_column(rel, prev_lmul, jp, lmul, canon):
+    """The coordinates of x_a b_j for b_j = x_c b_jp and the relation
+    x_a x_c = sum lam * x_d x_e: the sum of lam * x_d (x_e b_jp), the
+    coordinates of x_e b_jp being ``prev_lmul[e][jp]``.  The orbit build
+    takes its relation-paired columns from it too."""
+    return _combination(((d, lam, prev_lmul[e][jp]) for d, e, lam in rel), lmul, canon)
+
+
+def _prefix_column(mu, rmul_e, parents, lmul, canon):
+    """The coordinates of x_a b_j for b_j = b_j2 x_e, mu the coordinates
+    of x_a b_j2: (x_a b_j2) x_e is the sum of mu_i * x_{a_i} (b_{k_i} x_e)
+    over b_i = x_{a_i} b_{k_i}, the coordinates of b_{k_i} x_e being
+    column k_i of ``rmul_e``."""
+    terms = []
+    for i, m in mu.items():
+        a_i, k_i = parents[i]
+        terms.append((a_i, m, rmul_e[k_i]))
+    return _combination(terms, lmul, canon)
+
+
+def _check_product_degree(name, n):
+    """x_a maps degree n - 1 to degree n: there is no degree below 0."""
+    if n < 1:
+        raise ValueError(f"{name}: degree {n} has no degree {n - 1} to multiply from; "
+                         f"n must be at least 1")
+
+
 class DegreeBasis:
     """Basis of one graded component with its stored structure.
 
+    Word i is x_a b_j for ``parents[i] = (a, j)``, and b_j2 x_e for
+    ``prefixes[i] = j2`` and e its last letter, b_j and b_j2 basis words
+    of degree n - 1: the basis words are closed under taking prefixes
+    (:meth:`AlgebraState._build`).  Degree 0 has no prefixes.
     ``lmul[a]`` is left multiplication by x_a, a matrix B^{n-1} -> B^n,
     which the construction fills for every root.  The left derivatives
     are stored once, jointly: ``derivs[i]`` is the vector the
@@ -278,12 +315,13 @@ class DegreeBasis:
     are views built from it on request (:meth:`AlgebraState.dleft`).
     """
 
-    def __init__(self, degree, words, wdegs, parents, derivs, lmul):
+    def __init__(self, degree, words, wdegs, parents, prefixes, derivs, lmul):
         self.degree = degree
         self.words = tuple(words)
         self.dim = len(self.words)
         self.wdegs = tuple(wdegs)
         self.parents = tuple(parents)  # (first letter, parent basis index) per word
+        self.prefixes = tuple(prefixes)  # prefix basis index per word
         self.derivs = derivs           # joint left-derivative vector per word
         self.lmul = lmul               # a -> matrix B^{n-1} -> B^n
         self.classes = {}
@@ -309,7 +347,7 @@ class AlgebraState:
         self.finite_top = None
         self._relations = {}  # the degree-2 relation table, filed as degree 2 is built
         self._prods = {}      # (root, class) -> s_root * class, over all degrees
-        base = DegreeBasis(0, [()], [system.identity()], [None], [{}], {})
+        base = DegreeBasis(0, [()], [system.identity()], [None], [], [{}], {})
         self.bases = [base]
         self._ensure_degree_one()
 
@@ -321,9 +359,10 @@ class AlgebraState:
         words = [(a,) for a in range(sys.nroots)]
         wdegs = [sys.reflection(a) for a in range(sys.nroots)]
         parents = [(a, 0) for a in range(sys.nroots)]
+        prefixes = [0] * sys.nroots  # the empty word
         derivs = [{a: one} for a in range(sys.nroots)]  # D_gamma(x_a) = [gamma = a]
         lmul = {a: [{a: one}] for a in range(sys.nroots)}
-        self.bases.append(DegreeBasis(1, words, wdegs, parents, derivs, lmul))
+        self.bases.append(DegreeBasis(1, words, wdegs, parents, prefixes, derivs, lmul))
 
     @property
     def truncated(self) -> bool:
@@ -356,7 +395,7 @@ class AlgebraState:
         n = len(self.bases)
         prev_dim = self.bases[n - 1].dim
         lmul = {a: [dict() for _ in range(prev_dim)] for a in range(self.system.nroots)}
-        self.bases.append(DegreeBasis(n, [], [], [], [], lmul))
+        self.bases.append(DegreeBasis(n, [], [], [], [], [], lmul))
 
     def construct_all(self):
         """Build degrees until the algebra tops out or the cap is reached."""
@@ -430,21 +469,43 @@ class AlgebraState:
         square: its rows (gamma, r) and its candidates x_gamma b_r both
         run over the previous classes s_gamma g.
 
-        A candidate whose parent is b_j = x_c b_k, for a pair (a, c) in
-        the degree-2 relation table, is never assembled or offered to
-        the eliminator: x_a b_j = sum lam * x_d (x_e b_k) = sum lam *
-        mu_i * x_d b_i, with mu the coordinates of x_e b_k.  Every d < a,
-        so each x_d b_i comes earlier in the same class block and its
-        coordinates are known.  The candidate is therefore dependent, and
-        this sum gives its coordinates over the independent kept columns,
-        which are unique: the eliminator would have returned the same.
+        So the kept words are the normal words: those not in the span of
+        the lex-smaller words of their degree.  A word (a,) + u with u not
+        normal is a sum of x_a times lex-smaller normal words, so every
+        word is in the span of the candidates that do not come after it.
+        Normal words are closed under taking prefixes: if p is not
+        normal, p is a sum of lex-smaller words p' of its length, and p s
+        the sum of the lex-smaller words p' s.
+
+        Two kinds of candidate are dependent, and are never assembled or
+        offered to the eliminator; their coordinates over the kept
+        columns, which are unique, are a sum over earlier columns of
+        their block instead, so the eliminator would have returned the
+        same:
+
+        - Relation-paired: b_j = x_c b_k for a pair (a, c) of the
+          degree-2 relation table.  x_a b_j = sum lam * x_d (x_e b_k) =
+          sum lam * mu_i * x_d b_i, mu the coordinates of x_e b_k, and
+          every d < a (:func:`_derived_column`).
+        - Prefix-derived, from degree 3 on: any other candidate whose
+          prefix x_a b_j2, for b_j = b_j2 x_e, is not a basis word.  Then
+          x_a b_j = sum mu_i * x_{a_i} (b_{k_i} x_e), mu the coordinates
+          of x_a b_j2 and b_i = x_{a_i} b_{k_i} (:func:`_prefix_column`).
+          x_a b_j2 is not normal, so each b_i is lex-smaller: a_i <= a,
+          and for a_i = a, b_{k_i} < b_j2.  b_{k_i} x_e is a sum of words
+          b_c <= word_{k_i} + (e,) < word_j, so every x_{a_i} b_c comes
+          earlier.
+
         The sums are taken once the kept columns have their global
-        positions, root by root, so each x_d b_i is filled before a sum
-        reads it.
+        positions, root by root, so each column is filled before a sum
+        reads it.  The prefix test and the prefixes are integers: x_a b_j2
+        is a basis word exactly when (a, j2) is the parent pair of one,
+        and that word is the prefix of a kept x_a b_j.
         """
         sys = self.system
         prev = self.bases[n - 1]
-        parents = prev.parents
+        parents, prefixes = prev.parents, prev.prefixes
+        index = {p: i for i, p in enumerate(parents)}  # (a, j) -> index of x_a b_j
 
         # a root a meets a class g in one previous class, s_a g
         by_class = {}  # class element -> its candidates (a, j), in order
@@ -452,8 +513,8 @@ class AlgebraState:
             for h, idx in prev.classes.items():
                 by_class.setdefault(self._times(a, h), []).extend([(a, j) for j in idx])
 
-        # column j of lmul[a]: None if the relations give it, else its
-        # coordinates over its class's kept candidates and their positions
+        # column j of lmul[a]: None if a sum gives it, else its coordinates
+        # over its class's kept candidates and their positions
         offers = [[None] * prev.dim for _ in range(sys.nroots)]
         classes = sorted(by_class, key=lambda e: e.images)
         pos_of = [[] for _ in classes]
@@ -464,7 +525,8 @@ class AlgebraState:
             if len(block) ** 2 > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {len(block) ** 2} entries")
-            offered = [(a, j) for a, j in block if (a, parents[j][0]) not in relations]
+            offered = [(a, j) for a, j in block if (a, parents[j][0]) not in relations
+                       and (a, prefixes[j]) in index]
             if offered:
                 vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
                 sel, coords = self._solve_block(vectors)
@@ -478,22 +540,32 @@ class AlgebraState:
         for i, (_, _, k, _) in enumerate(kept):
             pos_of[k].append(i)
         canon = self.field.canon
+        rmuls = {}  # e -> right multiplication by x_e into degree n - 1
         lmul = {}
         for a, col in enumerate(offers):
             lmul[a] = cols = []
             for j, offer in enumerate(col):
-                if offer is None:
-                    c, jp = parents[j]
-                    cols.append(_derived_column(relations[(a, c)], prev.lmul, jp,
-                                                lmul, canon))
-                else:
+                if offer is not None:
                     coords, pos = offer
                     cols.append({pos[local]: x for local, x in coords.items()})
+                    continue
+                c, jp = parents[j]
+                rel = relations.get((a, c))
+                if rel is not None:
+                    cols.append(_derived_column(rel, prev.lmul, jp, lmul, canon))
+                    continue
+                e = prev.words[j][-1]
+                if e not in rmuls:
+                    rmuls[e] = self.rmul(n - 1, e)
+                cols.append(_prefix_column(prev.lmul[a][prefixes[j]], rmuls[e], parents,
+                                           lmul, canon))
 
-        self._append_built(DegreeBasis(n, [(a,) + prev.words[j] for a, j, _, _ in kept],
-                                       [classes[k] for _, _, k, _ in kept],
-                                       [(a, j) for a, j, _, _ in kept],
-                                       [vec for _, _, _, vec in kept], lmul))
+        self._append_built(DegreeBasis(
+            n, [(a,) + prev.words[j] for a, j, _, _ in kept],
+            [classes[k] for _, _, k, _ in kept],
+            [(a, j) for a, j, _, _ in kept],
+            [index[(a, prefixes[j])] for a, j, _, _ in kept],
+            [vec for _, _, _, vec in kept], lmul))
 
     def _append_built(self, basis):
         """Append a newly built degree, checked against the known top
@@ -547,7 +619,8 @@ class AlgebraState:
     # -- lazily built structure matrices ----------------------------------
 
     def lmul(self, n, a):
-        """Left multiplication by x_a as a matrix B^{n-1} -> B^n."""
+        """Left multiplication by x_a as a matrix B^{n-1} -> B^n, n >= 1."""
+        _check_product_degree("lmul", n)
         self.ensure_degree(n)
         return self.bases[n].lmul[a]
 
@@ -581,8 +654,11 @@ class AlgebraState:
     # degree n - 1.
 
     def rmul(self, n, a):
-        """Right multiplication by x_a as a matrix B^{n-1} -> B^n, via
-        (x_b z) x_a = x_b (z x_a)."""
+        """Right multiplication by x_a as a matrix B^{n-1} -> B^n, n >= 1,
+        via (x_b z) x_a = x_b (z x_a).  Its columns are built when first
+        read; the word build reads some of them one degree down."""
+        _check_product_degree("rmul", n)
+
         def build(basis):
             if n == 1:
                 return [{a: self.field.one}]  # the word (a,) sits at index a
@@ -593,16 +669,24 @@ class AlgebraState:
         """The products b_i y, y of degree ny, for the degree-n basis, as
         columns of degree n + ny, via (x_a b_j) y = x_a (b_j y): column i,
         for b_i = x_a b_j, is x_a applied to column j of ``prev``, the
-        products of degree n - 1.  Past the known top they are zero."""
+        products of degree n - 1.  The columns are built when first read
+        (:class:`LazyColumns`).  Past the known top they are zero."""
         if self.finite_top is not None and n + ny > self.finite_top:
             return [{} for _ in range(self.dim(n))]
-        field, lmul = self.field, self.basis(n + ny).lmul
-        return [mat_col(lmul[a], prev[j], field) for a, j in self.basis(n).parents]
+        field, lmul, parents = self.field, self.basis(n + ny).lmul, self.basis(n).parents
+
+        def column(i):
+            a, j = parents[i]
+            return mat_col(lmul[a], prev[j], field)
+        return LazyColumns(len(parents), column)
 
     def dright(self, n, g):
-        """Right derivative by gamma as a matrix B^n -> B^{n-1}."""
+        """Right derivative by gamma as a matrix B^n -> B^{n-1}; zero on
+        the unit."""
         def build(basis):
             field = self.field
+            if n == 0:
+                return [{}]
             if n == 1:
                 return [{0: field.one} if w[0] == g else {} for w in basis.words]
             dr_prev = self.dright(n - 1, g)
@@ -887,7 +971,7 @@ def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
 
 def right_multiplier(y: NicholsElement):
     """The map x -> x y.  The products b_i y of each degree's basis with
-    each component of y are built once, on first use, by
+    each component of y are built once, on first read, by
     :meth:`AlgebraState.right_products`; a product then costs one
     matrix-vector step per pair of components."""
     state = y.state

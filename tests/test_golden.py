@@ -91,3 +91,26 @@ def test_capped_stdout_digest(command, type_, rank, cap, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CAPPED[(command, type_, rank, cap)]
+
+
+# word-build commands past rank 3, recorded before the word build derived
+# the candidates whose prefix is not a basis word.  ``pairing`` embeds the
+# nilCoxeter elements up to the longest length, past these caps, and exits
+# 3 with no stdout; the antipode check reads the right multiplications
+# in its place
+WORD_BUILD = {
+    ("rhoD", "A", 4, 5): "65b4830472778e5da2170e319dc37a8ac53fb40209400e4ff889e02426f0e37e",
+    ("rhoD", "D", 4, 4): "fe5fb3776ba90edef60a9c2f43dcb32503e64718dd6adb2df2b45ced2403fca8",
+    ("nz-antipode", "A", 4, 5): "69075489784a5defa786c25367a5f54f2a7e4ee30c76575d0b7d0d5ef07acf15",
+    ("nz-antipode", "D", 4, 4): "1a56e1a9888a8bd97df233f61a6c2a2d32bfc108b7259875a81cd3902c4efcdc",
+}
+
+
+@pytest.mark.parametrize("identity,type_,rank,cap", sorted(WORD_BUILD))
+def test_capped_word_build_stdout_digest(identity, type_, rank, cap, capsys):
+    argv = ["verify", identity, "--trials", "2", "--type", type_, "--rank", str(rank),
+            "--field", "prime", "--degree-cap", str(cap), "--seed", "5",
+            "--memory-bound", "50000000"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WORD_BUILD[(identity, type_, rank, cap)]

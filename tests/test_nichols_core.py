@@ -456,6 +456,17 @@ def test_derivative_degree_one(s3):
             assert d == (one if a == g else NicholsElement.zero(s3))
 
 
+def test_degree_zero_maps(s3):
+    # the unit has no derivative, and x_a multiplies into degree 1 and up
+    for g in range(s3.system.nroots):
+        assert s3.dleft(0, g) == s3.dright(0, g) == [{}]
+    for mul in (s3.lmul, s3.rmul):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"degree {n} has no degree {n - 1}"):
+                mul(n, 0)
+    assert s3.lmul(1, 2) == s3.rmul(1, 2) == [{2: 1}]
+
+
 def test_derivative_top_word(s3):
     from nwalgebra.nilcoxeter import embed_element
 
@@ -967,25 +978,54 @@ def test_every_lmul_column_certified_by_left_derivatives(type_, rank_, field, ca
     assert wrong == []
 
 
+@pytest.mark.parametrize("type_,rank_,field,cap",
+                         [("A", 2, QQ, None), ("A", 2, PrimeField(), None),
+                          ("A", 3, QQ, None), ("A", 3, PrimeField(), None),
+                          ("A", 4, PrimeField(), 6), ("D", 4, PrimeField(), 5)],
+                         ids=["A2-rational", "A2-prime", "A3-rational", "A3-prime",
+                              "A4-prime-6", "D4-prime-5"])
+def test_every_basis_word_has_a_basis_prefix(type_, rank_, field, cap):
+    # the kept words are the lex-normal ones, which are closed under taking
+    # prefixes, and the build derives every candidate with a non-basis
+    # prefix on this: each word's prefix is the basis word its stored
+    # prefix index names
+    st = AlgebraState(RootSystem(cartan_data(type_, rank_)), field=field, degree_cap=cap)
+    st.construct_all()
+    for n in range(1, len(st.bases)):
+        below, b = st.bases[n - 1].words, st.bases[n]
+        assert [below[j2] for j2 in b.prefixes] == [w[:-1] for w in b.words]
+
+
 def _derived_columns(st, n):
-    """How many columns of lmul at degree n come from the degree-2 relations."""
-    prev = st.bases[n - 1]
-    return sum((a, prev.parents[j][0]) in st._relations
-               for a in range(st.system.nroots) for j in range(prev.dim))
+    """How many columns of lmul at degree n come from the degree-2
+    relations, and how many others have a prefix that is not a basis
+    word, counted on the words."""
+    prev, below = st.bases[n - 1], set(st.bases[n - 1].words)
+    paired = prefixed = 0
+    for a in range(st.system.nroots):
+        for j, word in enumerate(prev.words):
+            if (a, prev.parents[j][0]) in st._relations:
+                paired += 1
+            elif (a,) + word[:-1] not in below:
+                prefixed += 1
+    return paired, prefixed
 
 
 @pytest.mark.parametrize("type_,rank_,cap,offered,candidates",
-                         [("A", 4, 5, 3996, 9960), ("A", 4, 6, 11408, 29560),
-                          ("D", 4, 5, 11962, 27612)])
+                         [("A", 4, 5, 3009, 9960), ("A", 4, 6, 7782, 29560),
+                          ("D", 4, 5, 9130, 27612)])
 def test_construction_reduces_only_candidates_not_derived_from_relations(
         monkeypatch, type_, rank_, cap, offered, candidates):
     # a candidate x_a x_c b_k whose x_a x_c has a degree-2 relation over
-    # words with smaller first letters is expressed from earlier columns,
-    # never assembled or offered to the eliminator
+    # words with smaller first letters, or whose prefix is not a basis
+    # word, is expressed from earlier columns, never assembled or offered
+    # to the eliminator
     from nwalgebra import nichols_core
 
-    calls, derived = [], []
-    add, derived_column = ColumnSolver.add, nichols_core._derived_column
+    calls, derived, prefixed, vectors = [], [], [], []
+    add = ColumnSolver.add
+    derived_column, prefix_column = nichols_core._derived_column, nichols_core._prefix_column
+    candidate_vector = AlgebraState._candidate_vector
 
     def counting_add(self, vec, express=False):
         calls.append(express)
@@ -995,48 +1035,80 @@ def test_construction_reduces_only_candidates_not_derived_from_relations(
         derived.append(args)
         return derived_column(*args)
 
+    def counting_prefix(*args):
+        prefixed.append(args)
+        return prefix_column(*args)
+
+    def recording_vector(self, a, j, prev):
+        vectors.append((prev.degree + 1, a, j))
+        return candidate_vector(self, a, j, prev)
+
     monkeypatch.setattr(ColumnSolver, "add", counting_add)
     monkeypatch.setattr(nichols_core, "_derived_column", counting_derived)
+    monkeypatch.setattr(nichols_core, "_prefix_column", counting_prefix)
+    monkeypatch.setattr(AlgebraState, "_candidate_vector", recording_vector)
     sys = RootSystem(cartan_data(type_, rank_))
     st = AlgebraState(sys, field=PrimeField(), degree_cap=cap)
     st.construct_all()
     assert sum(sys.nroots * b.dim for b in st.bases[1:-1]) == candidates
     # the relation table's own solver adds each degree-2 derivative vector once
     assert calls.count(False) == sys.nroots ** 2
-    assert calls.count(True) == offered
+    assert calls.count(True) == len(vectors) == offered
     # the eliminator sees each offered candidate once, and no relation-paired
-    # candidate is offered from degree 2 on: each is summed once instead
-    paired = sum(_derived_columns(st, n) for n in range(2, len(st.bases)))
-    assert offered + paired == candidates
-    assert len(derived) == paired
+    # or prefix-derived candidate is offered from degree 2 on: each is
+    # summed once instead
+    counts = [_derived_columns(st, n) for n in range(2, len(st.bases))]
+    paired, prefix_derived = (sum(c) for c in zip(*counts))
+    assert offered + paired + prefix_derived == candidates
+    assert len(derived) == paired and len(prefixed) == prefix_derived
+    assert counts[0][1] == 0  # every degree-1 word is a basis word
+    # each offered candidate x_a b_j has a basis prefix (a,) + word_j[:-1]
+    # and a basis suffix word_j
+    words = [set(b.words) for b in st.bases]
+    assert all((a,) + st.bases[n - 1].words[j][:-1] in words[n - 1]
+               and st.bases[n - 1].words[j] in words[n - 1] for n, a, j in vectors)
 
 
-def structure_digest(state):
-    """sha256 of the words, parents, wdegs, every lmul column's entries in
-    order with their scalar types (``repr`` tells an int from a
-    Fraction), and the joint derivative vectors, degree by degree."""
+def _entries(col, ordered):
+    """A column's (index, value) pairs, in its order or sorted by index."""
+    return list(col.items()) if ordered else sorted(col.items())
+
+
+def structure_digest(state, ordered=True):
+    """sha256 of the words, parents, wdegs, every lmul column's entries
+    with their scalar types (``repr`` tells an int from a Fraction), and
+    the joint derivative vectors, degree by degree.  The entries are
+    hashed in their order, or sorted by index when not ``ordered``."""
     h = hashlib.sha256()
     for b in state.bases:
         h.update(repr((b.words, b.parents, [g.images for g in b.wdegs])).encode())
         for a in sorted(b.lmul):
-            h.update(repr([list(col.items()) for col in b.lmul[a]]).encode())
-        h.update(repr([list(v.items()) for v in b.derivs]).encode())
+            h.update(repr([_entries(col, ordered) for col in b.lmul[a]]).encode())
+        h.update(repr([_entries(v, ordered) for v in b.derivs]).encode())
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("type_,rank_,field,cap,digest", [
-    ("A", 3, QQ, None, "a971021a6ffa1c073e66412161fa84942e7500f15f323a31b7d3863c615240dd"),
+@pytest.mark.parametrize("type_,rank_,field,cap,digest,values", [
+    ("A", 3, QQ, None, "32c46aee8811acddeac7ffd83e7e76653e11c88e52a590c48d8260aecc2bce09",
+     "40b1a97d3305a65a98432149aa9b625e4e36b097565321fe9c0bbf1092f32abc"),
     ("A", 3, PrimeField(), None,
-     "6499d2db1fc83ac888bb86a839755feea4af65e458106a33a8e4f62509ddfa99"),
-    ("A", 4, PrimeField(), 5, "eeaf5987fc8a3113c5ea9c70b3643a299e25de7ed075a77339017d37967beeef"),
-    ("D", 4, PrimeField(), 4, "a209baced8ec1ba4a8b9ff043053af1ba78f925895b64a1bedef995c67b2e5fb"),
+     "3a2c6420f03f763ddeb8290b0d49ac8c4c70c1aa49b267a7fbf50ff25998b94c",
+     "a82984504b21ec6148dee7306fabc66bdea63efe8b29894492025f91fff8906a"),
+    ("A", 4, PrimeField(), 5, "c499fa02edbf09196c647b1c7f038144c74505098ca09b109e0698eba208a0c8",
+     "2276a8369efeed5f2f7583c7bef1f0cd6896300cefcca9548bd59c94e6a99388"),
+    ("D", 4, PrimeField(), 4, "f5540916a0545584f83254e9d2abec0abf9b72b918d474e01621b65d02b18800",
+     "6ad7a6f41c13300ea93fde4fd1d92aa1cfb00c88c100558614b4e81f199cf66f"),
 ], ids=["A3-rational", "A3-prime", "A4-prime-5", "D4-prime-4"])
-def test_structure_digest(type_, rank_, field, cap, digest):
-    # the stored structure, byte for byte, as an engine that grouped the
-    # candidates per basis element and remapped every column built it
+def test_structure_digest(type_, rank_, field, cap, digest, values):
+    # the stored structure, byte for byte.  ``values`` sorts each column's
+    # entries, and was recorded from an engine that offered every candidate
+    # not paired with a degree-2 relation to the eliminator: the columns
+    # summed for a non-basis prefix hold the values the eliminator gave.
+    # ``digest`` keeps the entry order, which those sums set
     sys = RootSystem(cartan_data(type_, rank_))
     st = AlgebraState(sys, field=field, degree_cap=cap)
     st.construct_all()
+    assert structure_digest(st, ordered=False) == values
     assert structure_digest(st) == digest
     # every class block is square: x_a b_j lies in class s_a wdeg(b_j), and
     # the rows (gamma, r) of class g run over the previous classes s_gamma g
@@ -1052,10 +1124,12 @@ def test_structure_digest(type_, rank_, field, cap, digest):
                    for g, c in count.items())
 
 
-def read_path_digest(state):
-    """sha256 of the column entries, in order with their scalar types, of
-    rho, the antipode and its inverse, s-bar, the Gram matrix, every group
-    element's action and every root's dright and rmul, degree by degree."""
+def read_path_digest(state, ordered=True):
+    """sha256 of the column entries, with their scalar types, of rho, the
+    antipode and its inverse, s-bar, the Gram matrix, every group
+    element's action and every root's dright and rmul, degree by degree.
+    The entries are hashed in their order, or sorted by index when not
+    ``ordered``."""
     h = hashlib.sha256()
     elements = state.system.elements()
     for n in range(len(state.bases)):
@@ -1066,21 +1140,26 @@ def read_path_digest(state):
             for g in range(state.system.nroots):
                 maps += [state.dright(n, g), state.rmul(n, g)]
         for m in maps:
-            h.update(repr([list(col.items()) for col in m]).encode())
+            h.update(repr([_entries(col, ordered) for col in m]).encode())
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("field,digest", [
-    (QQ, "e9340165bb5af2771e31d56d1b46b49e4aa9cbe0fd640577f4d69bb773fbd043"),
-    (PrimeField(), "d0d0e497a25b30043407b257b40813d63fd03651fd2b2eafd50ab41fa1a96e5f"),
-    (PrimeField(101), "04d2483610a57f8129e0757472ced3408d51ee93ef345bcbe347c0b64eb91133"),
+@pytest.mark.parametrize("field,digest,values", [
+    (QQ, "a3c57db4113d2a71bcad48abaf68149a35b542968842e4dfc42dea6b9d27c552",
+     "228745fb29ba4e20170a5799bc29bbdb9ab9b271ba223bd711b700ba72f6f842"),
+    (PrimeField(), "0f1b586b45f2b846a41c2a972c4d09a8eeb52c5eb1f1b5d4f40de1ad6ccbda7f",
+     "4de691dc27e470bde3fb79289d4d6da4f03e9e819313fd23e5c9c8e0320ce013"),
+    (PrimeField(101), "7b12312be65d5094bfc1f1aa98a99696e279e1f4ee9ff29dffe62aaf2e04fb69",
+     "a85fc1bbec08b97ff5c751050efad054f1c7b17c625792b3cfdb7872d8c146f2"),
 ], ids=["A3-rational", "A3-prime", "A3-prime-101"])
-def test_read_path_digest(field, digest):
-    # the derived structure maps, byte for byte, as an engine that negated
-    # each column after mat_col built it: every sign folded into mat_col's
-    # input must leave the same entries, order and scalar types
+def test_read_path_digest(field, digest, values):
+    # the derived structure maps, byte for byte.  ``values`` sorts each
+    # column's entries and was recorded with ``test_structure_digest``'s,
+    # before the build summed the columns with a non-basis prefix; the
+    # scalar types must hold too.  ``digest`` keeps the entry order
     st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field)
     st.construct_all()
+    assert read_path_digest(st, ordered=False) == values
     assert read_path_digest(st) == digest
 
 

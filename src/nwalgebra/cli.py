@@ -336,6 +336,13 @@ def cmd_pairing(args, phases):
     from .nilcoxeter import embed_element
 
     state = _state(args)
+    top = state.system.longest_element().length()
+    if top > state.degree_cap:
+        # x_{w_o} lies in degree l(w_o): a build that stops below it
+        # cannot embed w_o, so nothing is built
+        raise DegreeCapExceeded(
+            f"pairing: the longest element has length {top}, above the degree cap "
+            f"{state.degree_cap}")
     elements = state.system.elements()
     if len(elements) ** 2 > args.memory_bound:
         raise MemoryBoundExceeded(

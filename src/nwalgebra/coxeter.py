@@ -13,7 +13,6 @@ reflections O(|R+|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 SIMPLY_LACED_LABELS = ("A", "D", "E")
@@ -30,31 +29,58 @@ class EnumerationBoundExceeded(CoxeterError):
     pass
 
 
-@dataclass(frozen=True)
 class CartanData:
-    """A simply-laced Dynkin diagram: rank plus symmetric adjacency matrix."""
+    """A simply-laced Dynkin diagram: rank plus symmetric adjacency matrix.
 
-    rank: int
-    adjacency: tuple
-    type_label: str
+    Immutable and compared by value.  A plain slotted class, so importing
+    the CLI loads neither ``dataclasses`` nor ``inspect``."""
 
-    def __post_init__(self):
-        if self.rank < 1:
+    __slots__ = ("rank", "adjacency", "type_label")
+
+    def __init__(self, rank: int, adjacency: tuple, type_label: str):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "type_label", type_label)
+        if rank < 1:
             raise CoxeterError("rank must be >= 1")
-        a = self.adjacency
-        if len(a) != self.rank or any(len(row) != self.rank for row in a):
+        a = adjacency
+        if len(a) != rank or any(len(row) != rank for row in a):
             raise CoxeterError("adjacency matrix has wrong shape")
-        for i in range(self.rank):
+        for i in range(rank):
             if a[i][i]:
                 raise CoxeterError("diagram has a loop")
-            for j in range(self.rank):
+            for j in range(rank):
                 if a[i][j] not in (0, 1):
                     raise CoxeterError("bond labels other than 3 are not simply laced")
                 if a[i][j] != a[j][i]:
                     raise CoxeterError("adjacency matrix must be symmetric")
         edges = sum(sum(row) for row in a) // 2
-        if edges >= self.rank and self.rank > 1:
+        if edges >= rank and rank > 1:
             raise CoxeterError("diagram contains a cycle")
+
+    def _fields(self):
+        return self.rank, self.adjacency, self.type_label
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CartanData is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CartanData is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not setattr
+        return CartanData, self._fields()
+
+    def __repr__(self):
+        return "CartanData(rank={!r}, adjacency={!r}, type_label={!r})".format(*self._fields())
 
 
 def _path_adjacency(n):

@@ -175,15 +175,19 @@ class LazyColumns:
 
 
 def mat_pow(a, k, field):
-    n = len(a)
-    result = mat_identity(n, field)
-    base = a
-    while k:
+    """a^k for k >= 0 by repeated squaring, with no product by the identity
+    and no squaring past the top bit of k: bit_length(k) - 1 squarings
+    and popcount(k) - 1 other products.  a^1 is a itself."""
+    if not k:
+        return mat_identity(len(a), field)
+    result = None
+    while True:
         if k & 1:
-            result = mat_mul(result, base, field)
-        base = mat_mul(base, base, field)
+            result = a if result is None else mat_mul(result, a, field)
         k >>= 1
-    return result
+        if not k:
+            return result
+        a = mat_mul(a, a, field)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,23 @@ has the same coordinates over both.
 Moving class k by w lands in class k' = w k w^-1, and there
 w u_k = u_{k'} t, where t = u_{k'}^-1 w u_k centralizes r.  So the
 coordinates change by the matrix of t on B_r.  Its columns are built
-on first read and kept per (degree, r, t).  With these moves the word
-build's candidate vectors transport:
+on first read and kept per (degree, r, t).  Every move knows k' from
+the (root, class) product memo, as w s_d g w^-1 = s_{|w(d)|} w g w^-1,
+so no move conjugates.  With these moves the word build's candidate
+vectors transport:
 
   D_delta(u z) = sigma * u D_{delta'}(z)   with u(delta') = sigma * delta
   u(x_a z)     = sigma * x_{|u(a)|} u(z)   with u(a) = sigma * |u(a)|
+
+A derivative entry D_delta'(z') of a candidate x_a u_h(z') moves into
+the class of D_delta(u_h z'), and x_a's left multiplication, kept in the
+frame of its target's representative, moves it again.  Both moves
+centralize the same representative and W acts by algebra
+automorphisms, so the matrix of their composite t = t2 t1 is the
+product of theirs: one move by t gives what the two would.  t, the
+target columns, the sign and the offset depend only on the block, a
+and delta', never on z', so each block keeps them as a plan per
+(a, delta'), and an entry costs at most one move and one scatter.
 
 At every degree from 2 on, a candidate x_a (x_c ...) whose pair (a, c),
 with c the first letter after transport, is in the degree-2 relation
@@ -42,6 +54,7 @@ from .nichols_core import (
     MemoryBoundExceeded,
     _derived_column,
     mat_col,
+    neg_col,
 )
 
 
@@ -106,8 +119,6 @@ class OrbitState(AlgebraState):
                  memory_bound=DEFAULT_MEMORY_BOUND):
         self._orbits = {}  # class -> (representative, u, u^-1), u None for 1
         self._sizes = {}   # representative -> orbit size
-        self._moves = {}   # (w, class) -> its move plan (:meth:`_move`)
-        self._lplans = {}  # (root, class) -> its left-multiplication plan
         self._simple = [system.simple_reflection(i) for i in range(system.rank)]
         super().__init__(system, field, degree_cap, memory_bound)
 
@@ -165,77 +176,90 @@ class OrbitState(AlgebraState):
         self._sizes[r] = len(found)
         return self._orbits[g]
 
-    def _move(self, w, k):
-        """(k' = w k w^-1, the representative r of k, t): w maps class
-        k's basis element i to t applied to r's element i, transported to
-        class k'.  t = u_k'^-1 w u_k centralizes r; it is None for 1."""
-        plan = self._moves.get((w, k))
-        if plan is None:
-            r, uk, _ = self._orbit(k)
-            k2 = w * k * w.inverse()
-            t = w if uk is None else w * uk
-            uinv2 = self._orbit(k2)[2]
-            if uinv2 is not None:
-                t = uinv2 * t
-            plan = self._moves[(w, k)] = (k2, r, None if t.is_identity() else t)
-        return plan
+    def _move(self, w, k, k2):
+        """t = u_k2^-1 w u_k, None for 1, for classes k and k2 = w k w^-1 of
+        one orbit (w None for 1): w maps class k's basis element i to t
+        applied to their representative's element i, transported to class
+        k2.  t centralizes the representative.  Every caller knows k2 from
+        the product memo, so nothing is conjugated here."""
+        if w is None:
+            return None
+        uk = self._orbit(k)[1]
+        t = w if uk is None else w * uk
+        uinv = self._orbit(k2)[2]
+        if uinv is not None:
+            t = uinv * t
+        return None if t.is_identity() else t
 
-    def _moved(self, m, r, t, vec):
-        """The coordinates of t(y), for y in B^m_r with coordinates vec."""
+    def _mover(self, m, r, t):
+        """The move by t on B^m_r: (m, r, t, the columns of t's matrix read
+        so far), kept per (degree, r, t); None for t None or degree 0."""
         if t is None or not m:
-            return vec
+            return None
         cols = self.bases[m].tmats.get((r, t))
         if cols is None:
             cols = self.bases[m].tmats[(r, t)] = {}
+        return m, r, t, cols
+
+    def _moved(self, move, vec):
+        """The coordinates of t(y), for y in B^m_r with coordinates vec and
+        move (m, r, t, cols) from :meth:`_mover`; None moves nothing.
+        Columns are built on first read."""
+        if move is None:
+            return vec
+        m, r, t, cols = move
         for j in vec:
             if j not in cols:
                 cols[j] = self._tcol(m, r, t, j)
         return mat_col(cols, vec, self.field)
 
     def _tcol(self, m, r, t, i):
-        """Column i of t on B^m_r: for b_i = x_a y,
-        t(b_i) = sigma * x_{|t(a)|} t(y), which t maps back into B_r."""
+        """Column i of t on B^m_r: for b_i = x_a y with y of class h = s_a r,
+        t(b_i) = sigma * x_c t(y) with t(a) = sigma * c, and t(y) lies in
+        class s_c r, as t centralizes r.  So x_c maps it back into B_r,
+        which ``express`` holds."""
         a, j = self.bases[m].parents[r][i]
         s = t.act(a + 1)
-        h2, rh, t2 = self._move(t, self._times(a, r))
-        acc = {}
-        self._lmul_into(acc, m, abs(s) - 1, h2,
-                        self._moved(m - 1, rh, t2, {j: self.field.one}), 1 if s > 0 else -1)
-        return self.field.canon(acc)
+        c = abs(s) - 1
+        h = self._times(a, r)
+        move = self._mover(m - 1, self._orbit(h)[0], self._move(t, h, self._times(c, r)))
+        y = self._moved(move, {j: self.field.one})
+        return mat_col(self.bases[m].express[r][c], y if s > 0 else neg_col(y, self.field),
+                       self.field)
 
-    def _lmul_into(self, acc, m, c, h, vec, f, offset=0):
-        """acc += f * x_c y, over the basis of class s_c h at degree m, for
-        y of class h at degree m - 1 with coordinates vec; f is a sign.
-        Coordinate i goes to key offset + i.
+    def _plan(self, n, rh, uh, h, e, d):
+        """The plan of sigma * x_e u_h(y) at degree n - 1, for y of class
+        k = s_d rh at degree n - 2, h = u_h rh u_h^-1 and
+        u_h(d) = sigma * delta: (move, cols, f, delta) such that its
+        coordinates over the basis of its class g = s_e s_delta h are f
+        times cols applied to y's coordinates moved by ``move``; None if
+        B_g is zero.
 
-        Into a representative r this reads ``express``.  Into another
-        class g = u r u^-1 it is x_c y = sigma * u(x_{c'} u^-1(y)), with
-        u^-1(c) = sigma * c'."""
-        plan = self._lplans.get((c, h))
-        if plan is None:
-            r, u, uinv = self._orbit(self._times(c, h))
-            if u is None:
-                plan = (r, c, 1, None, None)
-            else:
-                s = uinv.act(c + 1)
-                _, rh, t = self._move(uinv, h)
-                plan = (r, abs(s) - 1, s, rh, t)
-            self._lplans[(c, h)] = plan
-        r, c2, s, rh, t = plan
-        block = self.bases[m].express.get(r)
-        if block is None:  # B^m_r = 0
-            return
-        cols = block[c2]
-        if t is not None:
-            vec = self._moved(m - 1, rh, t, vec)
-        if s < 0:
-            f = -f
-        get = acc.get
-        for j, x in vec.items():
-            fx = f * x
-            for i, v in cols[j].items():
-                i += offset
-                acc[i] = get(i, 0) + fx * v
+        With g = u_g r_g u_g^-1 and u_g^-1(e) = sigma' * c, x_e u_h(y) =
+        sigma' * u_g(x_c u_g^-1 u_h(y)), and u_g^-1 u_h(y) lies in class
+        k'' = s_c r_g.  So y moves by the one centralizer
+        t = u_k''^-1 (u_g^-1 u_h) u_k of its representative r_k, and cols
+        are x_c's ``express`` columns into B_{r_g}.  t is the product
+        t2 t1 of the move t1 = u_{s_delta h}^-1 u_h u_k into class
+        s_delta h and the move t2 = u_k''^-1 u_g^-1 u_{s_delta h} back into
+        r_g's frame: W acts by algebra automorphisms, so t's matrix on
+        B_{r_k} is t2's times t1's, and one move gives what two would."""
+        s1 = d + 1 if uh is None else uh.act(d + 1)
+        delta = abs(s1) - 1
+        rg, ug, ugi = self._orbit(self._times(e, self._times(delta, h)))
+        block = self.bases[n - 1].express.get(rg)
+        if block is None:
+            return None
+        f, c, w = 1 if s1 > 0 else -1, e, uh
+        if ug is not None:
+            s = ugi.act(e + 1)
+            c = abs(s) - 1
+            if s < 0:
+                f = -f
+            w = ugi if uh is None else ugi * uh
+        k = self._times(d, rh)
+        move = self._mover(n - 2, self._orbit(k)[0], self._move(w, k, self._times(c, rg)))
+        return move, block[c], f, delta
 
     # -- construction -----------------------------------------------------
 
@@ -263,18 +287,20 @@ class OrbitState(AlgebraState):
         width = max(prev.ranks.values())  # derivative entry (gamma, i) at gamma * width + i
         ranks, parents, derivs, express = {}, {}, {}, {}
         for r in reps:
-            block = []  # (a, representative and transporter of s_a r, its dim)
+            block = []  # (a, class h = s_a r, its representative, transporter and dim)
             for a in range(sys.nroots):
-                rh, uh, _ = self._orbit(self._times(a, r))
+                h = self._times(a, r)
+                rh, uh, _ = self._orbit(h)
                 if rh in prev.ranks:
-                    block.append((a, rh, uh, prev.ranks[rh]))
-            size = sum(b[3] for b in block)
+                    block.append((a, h, rh, uh, prev.ranks[rh]))
+            size = sum(b[4] for b in block)
             if size ** 2 > self.memory_bound:
                 raise MemoryBoundExceeded(f"degree {n} class block needs {size ** 2} entries")
             solver = ColumnSolver(field)
             kept, vectors, coords = [], [], {}
-            for a, rh, uh, dim in block:
+            for a, h, rh, uh, dim in block:
                 cols = coords[a] = []
+                plans, rplans = {}, {}  # delta' -> candidate plan, (e, c) -> relation plan
                 for j in range(dim):
                     if relations:
                         c, jp = prev.parents[rh][j]
@@ -282,9 +308,10 @@ class OrbitState(AlgebraState):
                         rel = relations.get((a, abs(s) - 1))
                         if rel is not None:
                             if not rank_only:
-                                cols.append(self._derived(n, rel, rh, uh, c, jp, s, coords))
+                                cols.append(self._derived(n, rel, rh, uh, h, c, jp, rplans,
+                                                          coords))
                             continue
-                    vec = self._candidate(n, a, rh, uh, j, width)
+                    vec = self._candidate(n, a, rh, uh, j, width, h, plans)
                     if rank_only:
                         solver.add(vec)
                         continue
@@ -303,49 +330,69 @@ class OrbitState(AlgebraState):
             parents = derivs = express = None
         self._append_built(OrbitDegree(n, dim, ranks, parents, derivs, express))
 
-    def _candidate(self, n, a, rh, uh, j, width):
+    def _candidate(self, n, a, rh, uh, j, width, h, plans):
         """The joint derivative vector of x_a z, for z element j of class
         h = s_a r: entry gamma * width + i holds coordinate i of
         D_gamma(x_a z) over the basis of class s_gamma r.
 
         D_gamma(x_a z) = [gamma = a] z + sign * x_a D_delta(z), with
         s_a(delta) = sign * gamma, and z = u_h z' for z' element j of
-        h's representative, so D_delta(z) = sigma * u_h D_delta'(z')."""
+        h's representative, so D_delta(z) = sigma * u_h D_delta'(z').
+        Everything but D_delta'(z') depends only on the block, a and
+        delta', never on j, so ``plans`` keeps it per block and a, keyed
+        by the int delta': the representative r_k of D_delta'(z') and the
+        one move t = t2 t1 that stands for the move into the class of
+        D_delta(z) and the move back into the frame of x_a's target (exact,
+        as W acts by automorphisms: :meth:`_plan`), x_a's ``express``
+        columns, the sign and the offset gamma * width; None for a zero
+        block.  An entry costs at most one move and one scatter."""
         field = self.field
-        refl = self.system.refl[a]
         acc = {a * width + j: field.one}
-        for d1, dv in self.bases[n - 1].derivs[rh][j].items():
-            k = self._times(d1, rh)
-            if uh is None:
-                s1, y = d1 + 1, dv
-            else:
-                s1 = uh.act(d1 + 1)
-                k, rk, t = self._move(uh, k)
-                y = self._moved(n - 2, rk, t, dv)
-            s2 = refl[abs(s1) - 1]
-            self._lmul_into(acc, n - 1, a, k, y, 1 if (s1 > 0) == (s2 > 0) else -1,
-                            (abs(s2) - 1) * width)
+        get = acc.get
+        for d, dv in self.bases[n - 1].derivs[rh][j].items():
+            plan = plans.get(d, False)
+            if plan is False:
+                plan = self._plan(n, rh, uh, h, a, d)
+                if plan is not None:
+                    move, cols, f, delta = plan
+                    s2 = self.system.refl[a][delta]
+                    plan = move, cols, f if s2 > 0 else -f, (abs(s2) - 1) * width
+                plans[d] = plan
+            if plan is None:
+                continue
+            move, cols, f, offset = plan
+            if move is not None:
+                dv = self._moved(move, dv)
+            for i, x in dv.items():
+                fx = f * x
+                for k, v in cols[i].items():
+                    k += offset
+                    acc[k] = get(k, 0) + fx * v
         return field.canon(acc)
 
-    def _derived(self, n, rel, rh, uh, c, jp, s, coords):
+    def _derived(self, n, rel, rh, uh, h, c, jp, plans, coords):
         """The coordinates over the block's kept basis of a candidate x_a z
         whose z = u_h(x_c y'), y' element jp of class s_c rh, pairs with a
-        by the relation rel.  With s = u_h(c) = sigma * |s| and y = u_h(y'),
-        x_a z = sigma * sum lam * x_d (x_e y), and coords[d][i] holds the
-        coordinates of x_d b_i for every d < a."""
-        k, y = self._times(c, rh), {jp: self.field.one}
-        if uh is not None:
-            k, rk, t = self._move(uh, k)
-            y = self._moved(n - 2, rk, t, y)
-        f = 1 if s > 0 else -1
-        # x_e on the span of y, one column each: e -> [coordinates of sigma x_e y]
+        by the relation rel.  With u_h(c) = sigma * c' and z'' = u_h(y'),
+        x_a z = sigma * sum lam * x_d (x_e z''), every d < a, and
+        coords[d][i] holds the coordinates of x_d b_i.  ``plans`` keeps,
+        per (e, c), the plan of sigma * x_e z'' (:meth:`_plan`)."""
+        field = self.field
+        y = {jp: field.one}
+        # x_e on the span of z'', one column each: e -> [coordinates of sigma x_e z'']
         mus = {}
         for _, e, _ in rel:
-            acc = {}
-            self._lmul_into(acc, n - 1, e, k, y, f)
-            mus[e] = [self.field.canon(acc)]
-        # a zero x_e y may lie in a class with no candidates, missing from coords
-        return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, self.field.canon)
+            plan = plans.get((e, c), False)
+            if plan is False:
+                plan = plans[(e, c)] = self._plan(n, rh, uh, h, e, c)
+            if plan is None:
+                mus[e] = [{}]
+                continue
+            move, cols, f, _ = plan
+            z = self._moved(move, y)
+            mus[e] = [mat_col(cols, z if f > 0 else neg_col(z, field), field)]
+        # a zero x_e z'' may lie in a class with no candidates, missing from coords
+        return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, field.canon)
 
 
 def _split(vec, width):

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from nwalgebra import cli
+from nwalgebra.nichols_core import AlgebraState
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -80,8 +83,6 @@ def test_rank_bound_exit_3_before_root_generation(capsys):
     # refused before any root is generated
     import time
 
-    from nwalgebra import cli
-
     t0 = time.perf_counter()
     code = cli.main(["dims", "--rank", "99"])
     elapsed = time.perf_counter() - t0
@@ -148,6 +149,22 @@ def test_memory_bound_on_pairs_exit_3():
     assert code == 3 and out == ""
     assert "resource bound exceeded: pairing:" in err
     assert "Traceback" not in err
+
+
+def test_pairing_checks_the_longest_length_against_the_cap(monkeypatch, capsys):
+    # l(w_o) = 10 on A4, above the cap 5 (and the default cap 6 of a build
+    # whose top is unknown): refused before anything is built
+    def refuse(self):
+        raise AssertionError("construct_all called")
+
+    monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    for cap in (["--degree-cap", "5"], []):
+        assert cli.main(["pairing", "--type", "A", "--rank", "4", "--field", "prime",
+                         *cap]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("resource bound exceeded: pairing: the longest element has length 10, "
+                f"above the degree cap {cap[1] if cap else 6}") in err
 
 
 def test_memory_bound_on_gram_exit_3():
@@ -274,8 +291,6 @@ def test_phases_on_stderr_only():
 
 def test_crash_is_not_a_check_failure(monkeypatch):
     # only the engine's own check exceptions map to exit 1; a crash propagates
-    from nwalgebra import cli
-
     def crash(args, phases):
         raise RecursionError("maximum recursion depth exceeded")
 
@@ -286,7 +301,8 @@ def test_crash_is_not_a_check_failure(monkeypatch):
 
 def test_cli_import_loads_only_the_word_build():
     # the harness's setup_s times this import, so the orbit build, the
-    # checks, modp and numpy stay out of it until a command needs them
+    # checks, modp and numpy stay out of it until a command needs them, and
+    # so do dataclasses and the inspect module it loads
     code = "import json, sys, nwalgebra.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
@@ -296,6 +312,7 @@ def test_cli_import_loads_only_the_word_build():
         "nwalgebra", "nwalgebra.cli", "nwalgebra.coxeter", "nwalgebra.exactlinalg",
         "nwalgebra.nichols_core"]
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_harness_traced_names_exist():
@@ -319,9 +336,6 @@ def test_one_construction_per_command(argv, field, monkeypatch, capsys):
     # perfbench checks the dims of every construct_all a command makes
     # against the series of B_W, and counts the extend_degree candidates
     # as those of B_W; a command that built a second state would break both
-    from nwalgebra import cli
-    from nwalgebra.nichols_core import AlgebraState
-
     built, returned, extended = [], [], set()
     construct_all, extend_degree = AlgebraState.construct_all, AlgebraState.extend_degree
 

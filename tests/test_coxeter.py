@@ -56,6 +56,30 @@ def test_invalid_diagrams_rejected():
         CartanData(3, ((0, 1, 1), (1, 0, 1), (1, 1, 0)), "X3")
 
 
+def test_cartan_data_is_an_immutable_value():
+    import copy
+    import pickle
+
+    from nwalgebra.coxeter import CartanData
+
+    d4 = cartan_data("D", 4)
+    same = CartanData(rank=4, adjacency=d4.adjacency, type_label="D4")
+    assert same == d4 == CartanData(4, d4.adjacency, "D4")
+    assert hash(same) == hash(d4) and len({same, d4}) == 1
+    assert d4 != cartan_data("A", 4) and d4 != (4, d4.adjacency, "D4")
+    assert (d4.rank, d4.type_label) == (4, "D4")
+    assert repr(d4).startswith("CartanData(rank=4, adjacency=((0, 1, 0, 0), ")
+    assert pickle.loads(pickle.dumps(d4)) == copy.deepcopy(d4) == d4
+    with pytest.raises(AttributeError, match="immutable"):
+        d4.rank = 5
+    with pytest.raises(AttributeError, match="immutable"):
+        del d4.adjacency
+    with pytest.raises(CoxeterError, match="rank must be >= 1"):
+        CartanData(rank=0, adjacency=(), type_label="A0")
+    with pytest.raises(CoxeterError, match="wrong shape"):
+        CartanData(2, ((0, 1),), "A2")
+
+
 def test_canonical_root_order(a2):
     # by height then lexicographic on coefficients
     assert a2.roots == ((0, 1), (1, 0), (1, 1))

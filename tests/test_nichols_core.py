@@ -24,6 +24,7 @@ from nwalgebra.nichols_core import (
     mat_col,
     mat_identity,
     mat_mul,
+    mat_pow,
     mat_stack,
     multiply,
     neg_col,
@@ -154,6 +155,32 @@ def test_rational_structure_matrices_are_int(s4):
             mats += [s4.lmul(n, a), s4.dleft(n, a), s4.dright(n, a)]
         for mat in mats:
             assert all(type(v) is int for col in mat for v in col.values()), n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["rational", "prime-101"])
+def test_mat_pow_matches_repeated_products(field, monkeypatch):
+    # a^k against k - 1 products of a, and the count of products:
+    # bit_length(k) - 1 squarings and popcount(k) - 1 other products
+    from nwalgebra import nichols_core
+
+    a = [field.canon({0: 2, 1: field.of(Fraction(1, 3))}), field.canon({1: -1, 2: 5}),
+         field.canon({0: 1, 2: field.of(Fraction(-3, 2))})]
+    calls = []
+
+    def counting(x, y, fld):
+        calls.append(None)
+        return mat_mul(x, y, fld)
+
+    monkeypatch.setattr(nichols_core, "mat_mul", counting)
+    expect = mat_identity(3, field)
+    for k in range(14):
+        calls.clear()
+        assert mat_pow(a, k, field) == expect, k
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+        expect = mat_mul(expect, a, field)
+    calls.clear()
+    mat_pow(a, 12, field)
+    assert len(calls) == 4
 
 
 def test_mat_col_matches_dense_reference():

@@ -2,6 +2,7 @@
 against the word-basis construction it transports."""
 
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -120,7 +121,7 @@ def test_relation_paired_candidates_are_never_assembled(monkeypatch):
     assembled, paired = {}, []
     candidate = OrbitState._candidate
 
-    def counting(self, n, a, rh, uh, j, width):
+    def counting(self, n, a, rh, uh, j, *rest):
         assembled[n] = assembled.get(n, 0) + 1
         if n > 1:
             c = self.bases[n - 1].parents[rh][j][0]
@@ -128,7 +129,7 @@ def test_relation_paired_candidates_are_never_assembled(monkeypatch):
                 c = abs(uh.act(c + 1)) - 1
             if (a, c) in self._relations:
                 paired.append((n, a, j))
-        return candidate(self, n, a, rh, uh, j, width)
+        return candidate(self, n, a, rh, uh, j, *rest)
 
     monkeypatch.setattr(OrbitState, "_candidate", counting)
     state = OrbitState(RootSystem(cartan_data("A", 4)), field=FIELDS["prime"], degree_cap=6)
@@ -182,3 +183,41 @@ def test_orbit_state_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def orbit_digest(state):
+    """sha256 of every degree's ``ranks``, ``parents``, ``derivs`` and
+    ``express``, insensitive to the order of representatives and of the
+    entries of a vector; scalars are hashed with their types."""
+    def entries(vec):
+        return sorted((i, type(x).__name__, str(x)) for i, x in vec.items())
+
+    h = hashlib.sha256()
+    for basis in state.bases:
+        items = [("rank", r.images, rank) for r, rank in basis.ranks.items()]
+        if basis.parents is not None:
+            for r in basis.ranks:
+                items.append(("parents", r.images, tuple(basis.parents[r])))
+                for i, vec in enumerate(basis.derivs[r]):
+                    items += [("deriv", r.images, i, g, entries(v)) for g, v in vec.items()]
+                for a, cols in basis.express[r].items():
+                    items += [("express", r.images, a, j, entries(c)) for j, c in enumerate(cols)]
+        h.update(repr((basis.degree, sorted(items))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap,digest", [
+    ("A", 3, "rational", None,
+     "1b75ec42f4dce9a9bf84a44f3f7b25d243033093dca6502d26c779e961ba0452"),
+    ("A", 4, "prime", 6,
+     "a4d791bf42f479f15eaec2f104366a6459636a226fcf33c142d590f58a2bd4e1"),
+    ("D", 4, "prime", 5,
+     "cb3db8c5c12a53a12feea424dd3f045a8b823dd8097fa8b025a3cbafac62dc0d"),
+], ids=["A3-rational", "A4-prime-6", "D4-prime-5"])
+def test_orbit_digest(type_, rank_, field, cap, digest):
+    # the stored orbit data, value for value: A3 over Q to its top, and
+    # every degree below the cap of A4/GF(p) to 6 and D4/GF(p) to 5
+    state = OrbitState(RootSystem(cartan_data(type_, rank_)), field=FIELDS[field],
+                       degree_cap=cap)
+    state.construct_all()
+    assert orbit_digest(state) == digest

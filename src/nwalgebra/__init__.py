@@ -8,7 +8,7 @@ mode for large graded components.  No floating point enters any result.
 __version__ = "0.1.0"
 
 from .coxeter import CartanData, RootSystem, GroupElement, cartan_data
-from .nichols_core import AlgebraState, NicholsElement, TensorElement
+from .nichols_core import AlgebraState, NicholsElement
 
 __all__ = [
     "CartanData",
@@ -17,6 +17,5 @@ __all__ = [
     "cartan_data",
     "AlgebraState",
     "NicholsElement",
-    "TensorElement",
     "__version__",
 ]

@@ -17,6 +17,7 @@ from .exactlinalg import kernel_basis
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
+    DegreeCapExceeded,
     NicholsElement,
     antipode,
     antipode_inv,
@@ -470,7 +471,11 @@ def bracket_matrix(d, ordering, state: AlgebraState):
     r = len(ordering)
     lwo = wo.length()
     params = {"order": r, "elements": [w.to_json() for w in ordering]}
-    if state.finite_top is None or r * lwo > state.finite_top:
+    if state.finite_top is None:
+        raise DegreeCapExceeded(
+            f"bracket: the products need degree {r * lwo} of a complete algebra, but the "
+            f"build stopped at the degree cap {state.degree_cap}")
+    if r * lwo > state.finite_top:
         raise CheckFailed("bracket products exceed the constructed degrees")
     ys = [y_element(w, state) for w in ordering]
     perms = sorted(it.permutations(range(r)))

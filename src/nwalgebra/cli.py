@@ -102,6 +102,16 @@ def _state(args, cls=AlgebraState) -> AlgebraState:
                memory_bound=args.memory_bound)
 
 
+def _require_longest(state, command):
+    """Refuse, before any build, a command that embeds x_{w_o}: it lies in
+    degree l(w_o), so a build capped below that cannot reach it."""
+    top = state.system.longest_element().length()
+    if top > state.degree_cap:
+        raise DegreeCapExceeded(
+            f"{command}: the longest element has length {top}, above the degree cap "
+            f"{state.degree_cap}")
+
+
 def _dims_payload(args, state):
     dims = state.dims()
     if state.finite_top is not None:
@@ -202,14 +212,16 @@ def cmd_verify(args, phases):
     from . import calculus
     from .disjoint import search_complete
 
+    which = args.identity
     state = _state(args)
+    if which not in ("rhoD", "nz-antipode"):
+        _require_longest(state, f"verify {which}")
     state.construct_all()
     phases.mark("construct")
     system = state.system
     wo = system.longest_element()
     cap = args.max_degree
     reports = []
-    which = args.identity
 
     def want(name):
         return which in (name, "all")
@@ -336,13 +348,7 @@ def cmd_pairing(args, phases):
     from .nilcoxeter import embed_element
 
     state = _state(args)
-    top = state.system.longest_element().length()
-    if top > state.degree_cap:
-        # x_{w_o} lies in degree l(w_o): a build that stops below it
-        # cannot embed w_o, so nothing is built
-        raise DegreeCapExceeded(
-            f"pairing: the longest element has length {top}, above the degree cap "
-            f"{state.degree_cap}")
+    _require_longest(state, "pairing")
     elements = state.system.elements()
     if len(elements) ** 2 > args.memory_bound:
         raise MemoryBoundExceeded(

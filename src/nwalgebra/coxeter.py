@@ -17,7 +17,7 @@ from math import lcm
 
 SIMPLY_LACED_LABELS = ("A", "D", "E")
 
-#: default bound on full group enumeration
+#: bound on full group enumeration
 ENUMERATION_BOUND = 3628800  # 10!
 
 
@@ -275,7 +275,7 @@ class RootSystem:
             self._longest = w
         return self._longest
 
-    def elements(self, bound: int = ENUMERATION_BOUND):
+    def elements(self):
         """All group elements by breadth-first closure, in a fixed order."""
         if self._elements is None:
             gens = [self.simple_reflection(i) for i in range(self.rank)]
@@ -287,9 +287,9 @@ class RootSystem:
                     for g in gens:
                         u = w * g
                         if u.images not in seen:
-                            if len(seen) >= bound:
+                            if len(seen) >= ENUMERATION_BOUND:
                                 raise EnumerationBoundExceeded(
-                                    f"group larger than bound {bound}"
+                                    f"group larger than bound {ENUMERATION_BOUND}"
                                 )
                             seen[u.images] = u
                             nxt.append(u)
@@ -297,12 +297,12 @@ class RootSystem:
             self._elements = tuple(sorted(seen.values(), key=lambda w: w.images))
         return self._elements
 
-    def exponent(self, bound: int = ENUMERATION_BOUND) -> int:
+    def exponent(self) -> int:
         """Least N > 0 with g^N = 1 for every group element."""
         if self._is_type_a:
             return lcm(*range(1, self.sym_m + 1))
         e = 1
-        for w in self.elements(bound):
+        for w in self.elements():
             e = lcm(e, w.order())
         return e
 
@@ -470,7 +470,7 @@ def element_from_json(system: RootSystem, data) -> GroupElement:
     return system.from_word(data["word"])
 
 
-def centralizer_of_longest(system: RootSystem, bound: int = ENUMERATION_BOUND):
+def centralizer_of_longest(system: RootSystem):
     """All elements commuting with the longest element, in canonical order.
 
     In type A the centralizer is generated directly from the mirror
@@ -506,4 +506,4 @@ def centralizer_of_longest(system: RootSystem, bound: int = ENUMERATION_BOUND):
         rec(1, set())
         return tuple(sorted(result, key=lambda w: w.images))
     wo = system.longest_element()
-    return tuple(w for w in system.elements(bound) if w * wo == wo * w)
+    return tuple(w for w in system.elements() if w * wo == wo * w)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import ENUMERATION_BOUND, GroupElement, RootSystem, centralizer_of_longest
+from .coxeter import GroupElement, RootSystem, centralizer_of_longest
 from .nichols_core import AlgebraState, CheckFailed, multiply, ordered_product
 
 
@@ -84,7 +84,7 @@ def normalize(d: DisjointSystem, v: GroupElement, system: RootSystem):
     return translate(d, v.inverse(), system)
 
 
-def search_complete(system: RootSystem, bound: int = ENUMERATION_BOUND):
+def search_complete(system: RootSystem):
     """All normalized complete disjoint systems, modulo w ~ w w_o per member.
 
     Exact-cover backtracking over the candidate blocks T_w of centralizer
@@ -97,7 +97,7 @@ def search_complete(system: RootSystem, bound: int = ENUMERATION_BOUND):
         return []
     need = nroots // rank
     wo = system.longest_element()
-    cent = centralizer_of_longest(system, bound)
+    cent = centralizer_of_longest(system)
     simple_set = frozenset(system.simple_index)
     # candidate representatives: w and w*wo share a block; keep the smaller
     cand = {}

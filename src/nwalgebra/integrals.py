@@ -14,6 +14,7 @@ from .exactlinalg import kernel_basis, rank
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
+    DegreeCapExceeded,
     NicholsElement,
     element_to_json,
     group_act,
@@ -79,8 +80,6 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
     x is an integral without an :func:`is_integral` check: every x_a x and
     x x_a lies in degree ``finite_top + 1``, zero by definition of the top."""
     if state.finite_top is None:
-        from .nichols_core import DegreeCapExceeded
-
         raise DegreeCapExceeded("algebra is truncated; top component unknown")
     top = state.finite_top
     dim = state.dim(top)
@@ -272,7 +271,8 @@ def subalgebra_build(theta, state: AlgebraState) -> SubalgebraState:
         bases.append(span)
         n += 1
         if state.finite_top is None and n > state.degree_cap:
-            raise IntegralError("degree cap reached before the subalgebra closed")
+            raise DegreeCapExceeded(
+                f"the subalgebra needs degree {n}, above the degree cap {state.degree_cap}")
         if state.finite_top is not None and n > state.finite_top + 1:
             top = n - 1
             break

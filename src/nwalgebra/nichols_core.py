@@ -220,44 +220,6 @@ def braid_apply(sys: RootSystem, word, i, inverse=False):
     return sign, word[:i] + pair + word[i + 2:]
 
 
-class TensorElement:
-    """An element of the free braided algebra: a word -> scalar map."""
-
-    def __init__(self, degree, terms=None):
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if len(w) != degree:
-                    raise ValueError("word of wrong length")
-                if c:
-                    self.terms[w] = c
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            x = t.get(w, 0) + c
-            if x:
-                t[w] = x
-            else:
-                t.pop(w, None)
-        return TensorElement(self.degree, t)
-
-    def scale(self, s):
-        return TensorElement(self.degree, {w: c * s for w, c in self.terms.items()})
-
-    def reversed_words(self):
-        return TensorElement(self.degree, {w[::-1]: c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.degree == other.degree and self.terms == other.terms
-
-    def __repr__(self):
-        return f"TensorElement({self.degree}, {self.terms})"
-
-
 # ---------------------------------------------------------------------------
 # graded basis data
 # ---------------------------------------------------------------------------
@@ -732,16 +694,6 @@ class AlgebraState:
         for k in range(n - 1, -1, -1):
             col = mat_col(self.lmul(n - k, word[k]), col, self.field)
         return col
-
-    def project_tensor(self, t: TensorElement):
-        """Coordinates of a tensor's class, as an {index: scalar} dict."""
-        field = self.field
-        acc = {}
-        for w, c in t.terms.items():
-            fc = field.of(c)
-            for i, v in self.word_column(w).items():
-                acc[i] = acc.get(i, 0) + fc * v
-        return field.canon(acc)
 
     def gram(self, n):
         """Gram matrix of the duality pairing on the degree-n basis.  It is

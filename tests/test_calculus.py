@@ -99,6 +99,48 @@ def test_rhoD_catches_a_perturbed_reversal_column(prime):
         {"word": list(state.basis(2).words[0]), "coeff": "1"}]
 
 
+def _gen_leibniz(state, sys):
+    e = sys.identity()
+    return check_gen_leibniz(state, e, sys.longest_element(), e, trials=3, seed=0)
+
+
+def _tower(state, sys):
+    return check_tower_invariance(state, sys.longest_element(), sys.simple_reflection(0),
+                                  trials=3, seed=0)
+
+
+def _skew_commutation(state, sys):
+    w = next(w for w in sys.elements() if not w.is_identity())
+    return check_skew_commutation(state, w, sys.identity(), trials=3, seed=0)
+
+
+def _ofbskew(state, sys):
+    return check_ofbskew(state, search_complete(sys)[0])
+
+
+@pytest.mark.parametrize("check,rank,n,root,degree", [
+    (_gen_leibniz, 2, 2, 1, 2),
+    (_tower, 2, 1, 0, 4),
+    (_skew_commutation, 2, 1, 2, 2),
+    (_ofbskew, 3, 1, 0, 6),
+], ids=["gen-leibniz", "tower", "skew-commutation", "ofbskew"])
+def test_leibniz_form_checks_catch_a_perturbed_derivative_column(check, rank, n, root, degree):
+    # each check applies right derivatives to every basis element; one
+    # wrong stored column of dright(n, root) fails it at some degree
+    state = AlgebraState(RootSystem(cartan_data("A", rank)))
+    state.construct_all()
+    field = state.field
+    col = state.dright(n, root)[0]
+    x = field.normalize(col.get(0, field.zero) + field.one)
+    if x:
+        col[0] = x
+    else:
+        del col[0]
+    r = check(state, state.system)
+    assert r.status == "fail"
+    assert r.counterexample["degree"] == degree
+
+
 def test_gen_leibniz_trivial_collapse(s3):
     # v = w: the skew factor is 1 and both sides are the same operator
     sys = s3.system

@@ -10,10 +10,17 @@ from nwalgebra import cli
 from nwalgebra.nichols_core import AlgebraState
 
 
+# child processes import the package under test, even from a checkout
+# where only pytest's pythonpath setting puts it on the path
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "nwalgebra.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -167,6 +174,38 @@ def test_pairing_checks_the_longest_length_against_the_cap(monkeypatch, capsys):
                 f"above the degree cap {cap[1] if cap else 6}") in err
 
 
+@pytest.mark.parametrize("argv,needed,builds", [
+    pytest.param(["pairing", "--type", "A", "--rank", "4", "--field", "prime"], "length 10",
+                 False, id="pairing"),
+    *[pytest.param(["verify", identity, "--rank", "3"], "length 6", False,
+                   id=f"verify-{identity}")
+      for identity in ("gen-leibniz", "tower", "skew-commutation", "basic-rev", "all")],
+    pytest.param(["hypo", "--rank", "3"], "degree 6", True, id="hypo"),
+    pytest.param(["bracket", "--rank", "3", "--order", "2"], "degree 12", True, id="bracket"),
+])
+def test_cap_shortfall_exits_3(argv, needed, builds, monkeypatch, capsys):
+    # a cap below the degree a command needs is a resource bound, not a
+    # failed check; x_{w_o} lies in degree l(w_o), known before any build
+    if not builds:
+        def refuse(self):
+            raise AssertionError("construct_all called")
+
+        monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    assert cli.main([*argv, "--degree-cap", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "resource bound exceeded:" in err
+    assert needed in err and "degree cap 5" in err
+
+
+@pytest.mark.parametrize("identity", ["rhoD", "nz-antipode"])
+def test_verify_without_the_longest_word_runs_under_a_low_cap(identity):
+    code, out, _ = run_cli("verify", identity, "--rank", "3", "--degree-cap", "5",
+                           "--trials", "5")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["status"] == "pass"
+
+
 def test_memory_bound_on_gram_exit_3():
     # the A3 construction fits in 3364 entries per class block; the dense
     # Gram matrix of degree 4 needs 71^2 = 5041
@@ -266,7 +305,7 @@ def test_memory_bound_environment_default_is_checked(value):
     proc = subprocess.run(
         [sys.executable, "-m", "nwalgebra.cli", "dims", "--rank", "2"],
         capture_output=True, text=True,
-        env={**os.environ, "NWALGEBRA_MEMORY_BOUND": value})
+        env={**ENV, "NWALGEBRA_MEMORY_BOUND": value})
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "argument --memory-bound:" in proc.stderr and "Traceback" not in proc.stderr
@@ -305,7 +344,7 @@ def test_cli_import_loads_only_the_word_build():
     # so do dataclasses and the inspect module it loads
     code = "import json, sys, nwalgebra.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert [m for m in loaded if m.split(".")[0] == "nwalgebra"] == [

@@ -1,12 +1,10 @@
-"""The greedy kernel and the numpy fallback must agree bit for bit.
-
-Without numba the kernel runs interpreted, as a plain-Python oracle.
-"""
+"""The dense reference solver against the sparse eliminator, and its
+coordinates against the matrix they came from."""
 
 import numpy as np
 
 from nwalgebra import modp
-from nwalgebra.exactlinalg import DEFAULT_PRIME
+from nwalgebra.exactlinalg import DEFAULT_PRIME, ColumnSolver, PrimeField
 
 
 def random_matrices(seed, count=25):
@@ -34,14 +32,21 @@ def random_matrices(seed, count=25):
         yield rng.choice(np.array([0, 0, 0, 1, p - 1]), size=(m, c))
 
 
-def test_greedy_solve_paths_agree():
+def test_greedy_solve_matches_column_solver():
+    # the same greedy selection and coordinates as ColumnSolver, which
+    # pivots sparse columns in its own order
     p = DEFAULT_PRIME
     for a in random_matrices(0):
-        rk, sk, ck = modp._greedy_solve_kernel(np.ascontiguousarray(a % p), np.int64(p))
-        rn, sn, cn = modp._greedy_solve_numpy(a % p, p)
-        assert rk == rn
-        assert np.array_equal(sk[:rk], sn[:rn])
-        assert np.array_equal(ck[:rk], cn[:rn])
+        solver = ColumnSolver(PrimeField(p))
+        want = np.zeros(a.shape, dtype=np.int64)
+        for c in range(a.shape[1]):
+            _, coords = solver.add({r: int(x) for r, x in enumerate(a[:, c]) if x},
+                                   express=True)
+            for k, x in coords.items():
+                want[k, c] = x
+        sel, coords = modp.greedy_solve(a, p)
+        assert sel.tolist() == solver.selected
+        assert np.array_equal(coords, want[:solver.rank])
 
 
 def test_greedy_solve_reconstructs_columns():

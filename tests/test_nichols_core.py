@@ -9,7 +9,6 @@ from nwalgebra.exactlinalg import QQ, ColumnSolver, PrimeField, rank
 from nwalgebra.nichols_core import (
     AlgebraState,
     NicholsElement,
-    TensorElement,
     antipode,
     antipode_inv,
     braid_apply,
@@ -688,24 +687,29 @@ def test_rho_squared_and_sbar(s4):
 
 
 def test_word_reversal_well_defined(s4):
-    # reversed representatives of kernel tensors stay in the kernel
+    # reversed representatives of kernel tensors stay in the kernel; a
+    # tensor is a {word: coefficient} dict, projected word by word
     rng = random.Random(17)
     sys = s4.system
+
+    def project(tensor):
+        acc = {}
+        for w, c in tensor.items():
+            for i, v in s4.word_column(w).items():
+                acc[i] = acc.get(i, 0) + c * v
+        return s4.field.canon(acc)
+
     for _ in range(200):
         n = rng.randint(2, 4)
-        terms = {}
+        kernel_tensor = {}
         for _ in range(4):
             w = tuple(rng.randrange(sys.nroots) for _ in range(n))
-            terms[w] = terms.get(w, 0) + rng.randint(-2, 2)
-        t = TensorElement(n, {w: Fraction(c) for w, c in terms.items() if c})
-        vec = s4.project_tensor(t)
-        lift = {}
-        for i, c in vec.items():
-            lift[s4.bases[n].words[i]] = lift.get(s4.bases[n].words[i], 0) - c
-        kernel_tensor = t + TensorElement(n, lift)
-        assert not s4.project_tensor(kernel_tensor)
-        rev = kernel_tensor.reversed_words()
-        assert not s4.project_tensor(rev)
+            kernel_tensor[w] = kernel_tensor.get(w, 0) + rng.randint(-2, 2)
+        for i, c in project(kernel_tensor).items():
+            w = s4.bases[n].words[i]
+            kernel_tensor[w] = kernel_tensor.get(w, 0) - c
+        assert not project(kernel_tensor)
+        assert not project({w[::-1]: c for w, c in kernel_tensor.items()})
 
 
 # ---------------------------------------------------------------------------

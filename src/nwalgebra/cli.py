@@ -264,6 +264,7 @@ def cmd_integral(args, phases):
     from .integrals import integral_character, invariance_suite, top_integral
 
     state = _state(args)
+    _require_longest(state, "integral")
     state.construct_all()
     phases.mark("construct")
     cert = top_integral(state)
@@ -375,19 +376,24 @@ def cmd_bracket(args, phases):
     from .disjoint import classify, search_complete
 
     state = _state(args)
-    state.construct_all()
-    phases.mark("construct")
     system = state.system
     r = args.order
     if r == 1:
         d = classify([system.identity()], system)
     else:
-        sols = search_complete(system)
-        sols = [s for s in sols if s.order >= r]
+        sols = [s for s in search_complete(system) if s.order >= r]
         if not sols:
             print("no complete disjoint system of sufficient order", file=sys.stderr)
             return 1
         d = classify(list(sols[0].elements)[:r], system)
+    # the products of the r y's lie in degree r l(w_o), known before any build
+    need = r * system.longest_element().length()
+    if need > state.degree_cap:
+        raise DegreeCapExceeded(
+            f"bracket: the products need degree {need}, above the degree cap "
+            f"{state.degree_cap}")
+    state.construct_all()
+    phases.mark("construct")
     matrix, report = bracket_matrix(d, list(d.elements), state)
     phases.mark("bracket")
     payload = {"config": _config(args),

@@ -80,7 +80,9 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
     x is an integral without an :func:`is_integral` check: every x_a x and
     x x_a lies in degree ``finite_top + 1``, zero by definition of the top."""
     if state.finite_top is None:
-        raise DegreeCapExceeded("algebra is truncated; top component unknown")
+        raise DegreeCapExceeded(
+            f"top_integral: the algebra is truncated at the degree cap {state.degree_cap}; "
+            f"top component unknown")
     top = state.finite_top
     dim = state.dim(top)
     if dim != 1:
@@ -273,9 +275,6 @@ def subalgebra_build(theta, state: AlgebraState) -> SubalgebraState:
         if state.finite_top is None and n > state.degree_cap:
             raise DegreeCapExceeded(
                 f"the subalgebra needs degree {n}, above the degree cap {state.degree_cap}")
-        if state.finite_top is not None and n > state.finite_top + 1:
-            top = n - 1
-            break
     return SubalgebraState(theta, bases, top, [len(b) for b in bases])
 
 

@@ -7,22 +7,16 @@ exactly when all its braided left derivatives vanish.  Everything is
 graded by the group as well, and the construction eliminates per
 group-degree block, which keeps the exact linear algebra small.
 
-The algebra is a quotient of the free algebra by relations that already
-hold in degree 2, and the construction computes them once, before it
-builds degree 2: every x_a x_c = sum lam * x_d x_e with all d < a
-(x_a^2 = 0, the commuting pairs, and the dependent word of each
-three-term relation; :meth:`AlgebraState._degree_two_relations`).  A
-candidate x_a b_j whose parent is b_j = x_c b_k with such a relation is
-then a combination of the candidates x_d b_i, which precede it in its
-class block, so from degree 2 on it is never assembled or reduced.  Each
-class block keeps its greedy basis in lex order, so the basis words are
-the lex-normal words, which are closed under taking prefixes.  So from
-degree 3 on, a candidate x_a b_j whose prefix x_a b_j2, for
-b_j = b_j2 x_e, is not a basis word is dependent as well, and its
-coordinates are those of (x_a b_j2) x_e, summed over earlier columns.
-Only the candidates whose prefix and suffix are basis words, and that no
-relation pairs, reach the eliminator (:meth:`AlgebraState._build`).
-Both builds take their degree step from
+Each class block keeps its greedy basis in lex order, so the basis
+words are the lex-normal words, which are closed under taking prefixes.
+So from degree 3 on, a candidate x_a b_j whose prefix x_a b_j2, for
+b_j = b_j2 x_e, is not a basis word is dependent, and its coordinates
+are those of (x_a b_j2) x_e, summed over earlier columns.  That covers
+every candidate starting with a word x_a x_c that degree 2 already
+writes as a sum of words with smaller first letters (x_a^2 = 0, the
+commuting pairs, and the dependent word of each three-term relation).
+Only the candidates whose prefix is a basis word reach the eliminator
+(:meth:`AlgebraState._build`).  Both builds take their degree step from
 :meth:`AlgebraState.extend_degree`.
 
 The braided derivative recursions used on words:
@@ -239,14 +233,6 @@ def _combination(terms, lmul, canon):
     return canon(acc)
 
 
-def _derived_column(rel, prev_lmul, jp, lmul, canon):
-    """The coordinates of x_a b_j for b_j = x_c b_jp and the relation
-    x_a x_c = sum lam * x_d x_e: the sum of lam * x_d (x_e b_jp), the
-    coordinates of x_e b_jp being ``prev_lmul[e][jp]``.  The orbit build
-    takes its relation-paired columns from it too."""
-    return _combination(((d, lam, prev_lmul[e][jp]) for d, e, lam in rel), lmul, canon)
-
-
 def _prefix_column(mu, rmul_e, parents, lmul, canon):
     """The coordinates of x_a b_j for b_j = b_j2 x_e, mu the coordinates
     of x_a b_j2: (x_a b_j2) x_e is the sum of mu_i * x_{a_i} (b_{k_i} x_e)
@@ -311,7 +297,6 @@ class AlgebraState:
         self.degree_cap = degree_cap
         self.memory_bound = memory_bound
         self.finite_top = None
-        self._relations = {}  # the degree-2 relation table, filed as degree 2 is built
         self._prods = {}      # (root, class) -> s_root * class, over all degrees
         base = DegreeBasis(0, [()], [system.identity()], [None], [], [{}], {})
         self.bases = [base]
@@ -370,16 +355,12 @@ class AlgebraState:
         return self.dims()
 
     def extend_degree(self):
-        """Build the next graded component from the previous one.  Degree
-        2 first files the degree-2 relation table, which every degree from
-        2 on reads (:meth:`_build`)."""
+        """Build the next graded component from the previous one."""
         n = len(self.bases)
         if self.finite_top is not None:
             raise DegreeCapExceeded("algebra is already complete")
         if n > self.degree_cap:
             raise DegreeCapExceeded(f"degree {n} exceeds cap {self.degree_cap}")
-        if n == 2:
-            self._relations = self._degree_two_relations()
         self._build(n)
 
     def _times(self, a, g):
@@ -388,42 +369,6 @@ class AlgebraState:
         if h is None:
             h = self._prods[(a, g)] = self.system.reflection(a) * g
         return h
-
-    def _degree_two_relations(self):
-        """The degree-2 relation table: (a, c) -> [(d, e, lam)] whenever
-        x_a x_c = sum lam * x_d x_e over the kept degree-2 basis with
-        every d < a.  Each class block keeps its x_a x_c greedily in
-        (a, c) order, and x_a x_c is tested against those kept with a
-        smaller first letter.  The derivative vector of x_a x_c has entry
-        1 at (a, c) and entry sign at (|s_a(c)|, a), with s_a(c) =
-        sign * |s_a(c)|."""
-        sys, field = self.system, self.field
-        nroots = sys.nroots
-        by_class = {}
-        for a in range(nroots):
-            for c in range(nroots):
-                g = self._times(a, sys.reflection(c))
-                by_class.setdefault(g, []).append((a, c))
-        relations = {}
-        for block in by_class.values():
-            solver = ColumnSolver(field)
-            for a, group in itertools.groupby(block, key=lambda p: p[0]):
-                vectors = []
-                for _, c in group:
-                    s = sys.refl[a][c]
-                    vec = {a * nroots + c: 1}
-                    key = (abs(s) - 1) * nroots + a
-                    vec[key] = vec.get(key, 0) + (1 if s > 0 else -1)
-                    vec = field.canon(vec)
-                    lams = solver.coordinates(vec)
-                    if lams is not None:
-                        # every candidate is offered, so offer position = block index
-                        relations[(a, c)] = [(*block[solver.selected[k]], lam)
-                                             for k, lam in lams.items()]
-                    vectors.append(vec)
-                for vec in vectors:
-                    solver.add(vec)
-        return relations
 
     def _build(self, n):
         """Build degree n of the word basis.
@@ -443,24 +388,20 @@ class AlgebraState:
         normal, p is a sum of lex-smaller words p' of its length, and p s
         the sum of the lex-smaller words p' s.
 
-        Two kinds of candidate are dependent, and are never assembled or
-        offered to the eliminator; their coordinates over the kept
-        columns, which are unique, are a sum over earlier columns of
-        their block instead, so the eliminator would have returned the
-        same:
-
-        - Relation-paired: b_j = x_c b_k for a pair (a, c) of the
-          degree-2 relation table.  x_a b_j = sum lam * x_d (x_e b_k) =
-          sum lam * mu_i * x_d b_i, mu the coordinates of x_e b_k, and
-          every d < a (:func:`_derived_column`).
-        - Prefix-derived, from degree 3 on: any other candidate whose
-          prefix x_a b_j2, for b_j = b_j2 x_e, is not a basis word.  Then
-          x_a b_j = sum mu_i * x_{a_i} (b_{k_i} x_e), mu the coordinates
-          of x_a b_j2 and b_i = x_{a_i} b_{k_i} (:func:`_prefix_column`).
-          x_a b_j2 is not normal, so each b_i is lex-smaller: a_i <= a,
-          and for a_i = a, b_{k_i} < b_j2.  b_{k_i} x_e is a sum of words
-          b_c <= word_{k_i} + (e,) < word_j, so every x_{a_i} b_c comes
-          earlier.
+        Every candidate whose prefix x_a b_j2, for b_j = b_j2 x_e, is a
+        basis word is offered to the eliminator; at degree 2 that is every
+        candidate, its prefix x_a being a degree-1 word.  Any other is
+        dependent, and is never assembled or offered: its coordinates
+        over the kept columns, which are unique, are a sum over earlier
+        columns of its block instead, so the eliminator would have
+        returned the same.  x_a b_j = sum mu_i * x_{a_i} (b_{k_i} x_e),
+        mu the coordinates of x_a b_j2 and b_i = x_{a_i} b_{k_i}
+        (:func:`_prefix_column`).  x_a b_j2 is not normal, so each b_i is
+        lex-smaller: a_i <= a, and for a_i = a, b_{k_i} < b_j2.
+        b_{k_i} x_e is a sum of words b_c <= word_{k_i} + (e,) < word_j,
+        so every x_{a_i} b_c comes earlier.  This covers every candidate
+        x_a x_c b_k of degree 3 or more whose x_a x_c is a sum of words
+        with smaller first letters, as its prefix starts with x_a x_c.
 
         The sums are taken once the kept columns have their global
         positions, root by root, so each column is filled before a sum
@@ -485,14 +426,12 @@ class AlgebraState:
         classes = sorted(by_class, key=lambda e: e.images)
         pos_of = [[] for _ in classes]
         kept = []  # (a, j, class number, derivative vector) per kept candidate
-        relations = self._relations
         for k, g in enumerate(classes):
             block = by_class[g]
             if len(block) ** 2 > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {len(block) ** 2} entries")
-            offered = [(a, j) for a, j in block if (a, parents[j][0]) not in relations
-                       and (a, prefixes[j]) in index]
+            offered = [(a, j) for a, j in block if (a, prefixes[j]) in index]
             if offered:
                 vectors = [self._candidate_vector(a, j, prev) for a, j in offered]
                 sel, coords = self._solve_block(vectors)
@@ -514,11 +453,6 @@ class AlgebraState:
                 if offer is not None:
                     coords, pos = offer
                     cols.append({pos[local]: x for local, x in coords.items()})
-                    continue
-                c, jp = parents[j]
-                rel = relations.get((a, c))
-                if rel is not None:
-                    cols.append(_derived_column(rel, prev.lmul, jp, lmul, canon))
                     continue
                 e = prev.words[j][-1]
                 if e not in rmuls:
@@ -761,21 +695,16 @@ class AlgebraState:
         return self._cached(n, ("antipode", None), build)
 
     def antipode_inv_matrix(self, n):
-        """Inverse antipode on degree n via S^{-1}(x_a z) = -S^{-1}(z)
-        (g^{-1} . x_a), g the group degree of z.  It equals
-        (-1)^{l(g)} g^{-1} S on the class of g, which ``check_nz_antipode``
-        compares column by column."""
+        """Inverse antipode on degree n, the twist (-1)^{l(g)} g^{-1} S on
+        the class of g, column by column; ``check_nz_antipode`` certifies
+        it by S S^{-1} = I."""
         def build(basis):
-            field = self.field
-            if n == 0:
-                return mat_identity(1, field)
-            prev = self.bases[n - 1]
-            si_prev = self.antipode_inv_matrix(n - 1)
-            cols = []
-            for a, j in basis.parents:
-                sg = prev.wdegs[j].inverse().act(a + 1)
-                col = neg_col(si_prev[j], field) if sg > 0 else si_prev[j]
-                cols.append(mat_col(self.rmul(n, abs(sg) - 1), col, field))
+            field, s = self.field, self.antipode_matrix(n)
+            cols = [None] * basis.dim
+            for g, idx in basis.classes.items():
+                act, odd = self.act_matrix(n, g.inverse()), g.length() % 2
+                for i in idx:
+                    cols[i] = mat_col(act, neg_col(s[i], field) if odd else s[i], field)
             return cols
         return self._cached(n, ("antipode_inv", None), build)
 
@@ -887,26 +816,22 @@ class NicholsElement:
         return s if self == other.scale(s) else None
 
 
-def _apply_words(y: NicholsElement, z: NicholsElement, matrix, step, reverse):
+def _apply_words(y: NicholsElement, z: NicholsElement, matrix, reverse):
     """The sum of c * M(w) z over the basis words w of y, c their coefficients.
 
-    M(w) applies ``matrix(d, g)`` for each letter g of w (last letter
-    first when ``reverse``) to the running vector of degree d, and moves
-    d by ``step``: +1 for products, -1 for derivatives.  Degrees past the
-    known top are skipped.
+    M(w) applies the derivative ``matrix(d, g)`` for each letter g of w
+    (last letter first when ``reverse``) to the running vector of degree
+    d, and lowers d by one.
     """
     state = z.state
     field = state.field
-    top = state.finite_top
     out = {}
     for ny, vy in y.components.items():
         words = state.basis(ny).words
         for nz, vz in z.components.items():
-            n = nz + step * ny
-            if n < 0 or (top is not None and n > top):
+            if nz < ny:
                 continue
-            state.ensure_degree(n)
-            acc = out.setdefault(n, {})
+            acc = out.setdefault(nz - ny, {})
             for i, c in vy.items():
                 vec, d = vz, nz
                 word = words[i]
@@ -914,15 +839,10 @@ def _apply_words(y: NicholsElement, z: NicholsElement, matrix, step, reverse):
                     vec = mat_col(matrix(d, g), vec, field)
                     if not vec:
                         break
-                    d += step
+                    d -= 1
                 for t, x in vec.items():
                     acc[t] = acc.get(t, 0) + c * x
     return NicholsElement(state, {n: field.canon(acc) for n, acc in out.items()})
-
-
-def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
-    state = a.state
-    return _apply_words(a, b, lambda d, g: state.lmul(d + 1, g), 1, True)
 
 
 def right_multiplier(y: NicholsElement):
@@ -948,6 +868,11 @@ def right_multiplier(y: NicholsElement):
     return times
 
 
+def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
+    """The product a b, by the map x -> x b of :func:`right_multiplier`."""
+    return right_multiplier(b)(a)
+
+
 def ordered_product(elements, state: AlgebraState) -> NicholsElement:
     """z_1 z_2 ... z_k in the given order; the unit for no elements."""
     acc = NicholsElement.unit(state)
@@ -958,12 +883,12 @@ def ordered_product(elements, state: AlgebraState) -> NicholsElement:
 
 def right_derivative(z: NicholsElement, y: NicholsElement) -> NicholsElement:
     """(z) <- D_y, the right derivative action of y on z."""
-    return _apply_words(y, z, z.state.dright, -1, False)
+    return _apply_words(y, z, z.state.dright, False)
 
 
 def left_derivative(y: NicholsElement, z: NicholsElement) -> NicholsElement:
     """D_y (z), the left derivative action of y on z."""
-    return _apply_words(y, z, z.state.dleft, -1, True)
+    return _apply_words(y, z, z.state.dleft, True)
 
 
 def _apply_matrices(z: NicholsElement, matrix) -> NicholsElement:

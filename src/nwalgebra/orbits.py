@@ -31,14 +31,17 @@ target columns, the sign and the offset depend only on the block, a
 and delta', never on z', so each block keeps them as a plan per
 (a, delta'), and an entry costs at most one move and one scatter.
 
-At every degree from 2 on, a candidate x_a (x_c ...) whose pair (a, c),
-with c the first letter after transport, is in the degree-2 relation
-table is never assembled or reduced: x_a x_c = sum lam * x_d x_e with
-every d < a puts it in the span of the candidates x_d (...) that precede
-it in its block.  Below the cap its coordinates are that sum, as in the
-word build.  The last degree a build can make, the cap, is rank only: it
-skips those candidates and keeps no coordinates and no derivative
-vectors.
+Degree 2 files a relation table: every x_a x_c = sum lam * x_d x_e
+with all d < a (x_a^2 = 0, the commuting pairs, and the dependent word
+of each three-term relation).  At every degree from 2 on, a candidate
+x_a (x_c ...) whose pair (a, c), with c the first letter after
+transport, is in the table is never assembled or reduced: it lies in the
+span of the candidates x_d (...) that precede it in its block.  Below
+the cap its coordinates are that sum.  The word build needs no table, as
+its prefix rule covers these candidates, but the orbit build keeps no
+words and no prefixes.  The last degree a build can make, the cap, is
+rank only: it skips those candidates and keeps no coordinates and no
+derivative vectors.
 
 ``nwalg dims`` and ``nwalg hilbert`` build this state.  Every other
 command reads words and keeps the word-basis :class:`AlgebraState`,
@@ -47,12 +50,14 @@ which is the oracle the tests compare this construction with.
 
 from __future__ import annotations
 
+import itertools
+
 from .exactlinalg import QQ, ColumnSolver
 from .nichols_core import (
     DEFAULT_MEMORY_BOUND,
     AlgebraState,
     MemoryBoundExceeded,
-    _derived_column,
+    _combination,
     mat_col,
     neg_col,
 )
@@ -107,12 +112,13 @@ class OrbitState(AlgebraState):
     """The graded dimensions of B_W, one class block per conjugacy orbit.
 
     ``bases[n]`` is an :class:`OrbitDegree`.  ``construct_all``, ``dims``,
-    ``truncated``, ``ensure_degree``, the degree step ``extend_degree``
-    with its degree-2 relation table, the (root, class) product memo, the
-    known-top check and the memory bound are the word build's; the
-    per-degree :meth:`_build` is this state's own.  The bound is checked
-    on each representative's block, which is as large as every block of
-    its orbit.  A word-basis read raises :class:`WordBasisUnavailable`.
+    ``truncated``, ``ensure_degree``, the degree step ``extend_degree``,
+    the (root, class) product memo, the known-top check and the memory
+    bound are the word build's; the per-degree :meth:`_build` and the
+    degree-2 relation table it files are this state's own.  The bound is
+    checked on each representative's block, which is as large as every
+    block of its orbit.  A word-basis read raises
+    :class:`WordBasisUnavailable`.
     """
 
     def __init__(self, system, field=QQ, degree_cap=None,
@@ -120,6 +126,7 @@ class OrbitState(AlgebraState):
         self._orbits = {}  # class -> (representative, u, u^-1), u None for 1
         self._sizes = {}   # representative -> orbit size
         self._simple = [system.simple_reflection(i) for i in range(system.rank)]
+        self._relations = {}  # the degree-2 relation table, filed as degree 2 is built
         super().__init__(system, field, degree_cap, memory_bound)
 
     def _ensure_degree_one(self):
@@ -263,6 +270,42 @@ class OrbitState(AlgebraState):
 
     # -- construction -----------------------------------------------------
 
+    def _degree_two_relations(self):
+        """The degree-2 relation table: (a, c) -> [(d, e, lam)] whenever
+        x_a x_c = sum lam * x_d x_e over the kept degree-2 basis with
+        every d < a.  Each class block keeps its x_a x_c greedily in
+        (a, c) order, and x_a x_c is tested against those kept with a
+        smaller first letter.  The derivative vector of x_a x_c has entry
+        1 at (a, c) and entry sign at (|s_a(c)|, a), with s_a(c) =
+        sign * |s_a(c)|."""
+        sys, field = self.system, self.field
+        nroots = sys.nroots
+        by_class = {}
+        for a in range(nroots):
+            for c in range(nroots):
+                g = self._times(a, sys.reflection(c))
+                by_class.setdefault(g, []).append((a, c))
+        relations = {}
+        for block in by_class.values():
+            solver = ColumnSolver(field)
+            for a, group in itertools.groupby(block, key=lambda p: p[0]):
+                vectors = []
+                for _, c in group:
+                    s = sys.refl[a][c]
+                    vec = {a * nroots + c: 1}
+                    key = (abs(s) - 1) * nroots + a
+                    vec[key] = vec.get(key, 0) + (1 if s > 0 else -1)
+                    vec = field.canon(vec)
+                    lams = solver.coordinates(vec)
+                    if lams is not None:
+                        # every candidate is offered, so offer position = block index
+                        relations[(a, c)] = [(*block[solver.selected[k]], lam)
+                                             for k, lam in lams.items()]
+                    vectors.append(vec)
+                for vec in vectors:
+                    solver.add(vec)
+        return relations
+
     def _build(self, n):
         """Eliminate the representative blocks of degree n.
 
@@ -277,8 +320,13 @@ class OrbitState(AlgebraState):
         it lies in the span of the candidates x_d (...) before it in its
         block.  The cap skips it; below the cap its coordinates are that
         sum over the block's earlier columns, which are unique over the
-        kept columns: the eliminator would have returned the same."""
+        kept columns: the eliminator would have returned the same
+        (:meth:`_derived`).  Degree 2 first files the relation table
+        (:meth:`_degree_two_relations`), which every degree from 2 on
+        reads."""
         sys, field = self.system, self.field
+        if n == 2:
+            self._relations = self._degree_two_relations()
         relations = self._relations
         prev = self.bases[n - 1]
         rank_only = n >= self.degree_cap
@@ -379,20 +427,20 @@ class OrbitState(AlgebraState):
         per (e, c), the plan of sigma * x_e z'' (:meth:`_plan`)."""
         field = self.field
         y = {jp: field.one}
-        # x_e on the span of z'', one column each: e -> [coordinates of sigma x_e z'']
-        mus = {}
+        mus = {}  # e -> the coordinates of sigma x_e z''
         for _, e, _ in rel:
             plan = plans.get((e, c), False)
             if plan is False:
                 plan = plans[(e, c)] = self._plan(n, rh, uh, h, e, c)
             if plan is None:
-                mus[e] = [{}]
+                mus[e] = {}
                 continue
             move, cols, f, _ = plan
             z = self._moved(move, y)
-            mus[e] = [mat_col(cols, z if f > 0 else neg_col(z, field), field)]
+            mus[e] = mat_col(cols, z if f > 0 else neg_col(z, field), field)
         # a zero x_e z'' may lie in a class with no candidates, missing from coords
-        return _derived_column([t for t in rel if mus[t[1]][0]], mus, 0, coords, field.canon)
+        return _combination(((d, lam, mus[e]) for d, e, lam in rel if mus[e]), coords,
+                            field.canon)
 
 
 def _split(vec, width):

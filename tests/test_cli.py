@@ -180,12 +180,14 @@ def test_pairing_checks_the_longest_length_against_the_cap(monkeypatch, capsys):
     *[pytest.param(["verify", identity, "--rank", "3"], "length 6", False,
                    id=f"verify-{identity}")
       for identity in ("gen-leibniz", "tower", "skew-commutation", "basic-rev", "all")],
+    pytest.param(["integral", "--rank", "3"], "length 6", False, id="integral"),
     pytest.param(["hypo", "--rank", "3"], "degree 6", True, id="hypo"),
-    pytest.param(["bracket", "--rank", "3", "--order", "2"], "degree 12", True, id="bracket"),
+    pytest.param(["bracket", "--rank", "3", "--order", "2"], "degree 12", False, id="bracket"),
 ])
 def test_cap_shortfall_exits_3(argv, needed, builds, monkeypatch, capsys):
     # a cap below the degree a command needs is a resource bound, not a
-    # failed check; x_{w_o} lies in degree l(w_o), known before any build
+    # failed check; x_{w_o} lies in degree l(w_o), and bracket's products
+    # in degree r l(w_o), both known before any build
     if not builds:
         def refuse(self):
             raise AssertionError("construct_all called")
@@ -213,6 +215,19 @@ def test_memory_bound_on_gram_exit_3():
     assert code == 3 and out == ""
     assert "resource bound exceeded: gram:" in err
     assert "Traceback" not in err
+
+
+def test_bracket_without_a_system_of_the_order_refuses_before_building(monkeypatch, capsys):
+    # A3's complete disjoint systems have order 2, which the root system
+    # alone decides
+    def refuse(self):
+        raise AssertionError("construct_all called")
+
+    monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    assert cli.main(["bracket", "--rank", "3", "--order", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no complete disjoint system of sufficient order" in err
 
 
 def test_bracket_cli():

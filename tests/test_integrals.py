@@ -300,7 +300,10 @@ def test_truncated_state_raises():
 
     from nwalgebra.nichols_core import DegreeCapExceeded
 
-    st = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=4)
-    st.construct_all()
-    with pytest.raises(DegreeCapExceeded):
-        top_integral(st)
+    # at cap 7 the build reaches x_{w_o} (degree 6) but not the top
+    # (degree 12); the refusal names the cap the build stopped at
+    for cap in (4, 7):
+        st = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=cap)
+        st.construct_all()
+        with pytest.raises(DegreeCapExceeded, match=f"truncated at the degree cap {cap};"):
+            top_integral(st)

@@ -314,18 +314,31 @@ def test_unit_and_associativity(s3):
 def test_right_multiplier_matches_multiply(s3, prime):
     # x -> x y from the per-degree basis products b_i y, on elements with
     # several components, products past the top degree included, and x
-    # of any degree in any order against the same map
+    # of any degree in any order against the same map.  The oracle is
+    # independent of it: b_i b_k is the class of the concatenated word,
+    # which ``word_column`` replays letter by letter through ``lmul``
     state = s3
     if prime:
         state = AlgebraState(s3.system, field=PrimeField())
         state.construct_all()
+
+    def word_product(x, y):
+        out = NicholsElement.zero(state)
+        for nx, vx in x.components.items():
+            for ny, vy in y.components.items():
+                for i, c in vx.items():
+                    for k, d in vy.items():
+                        word = state.bases[nx].words[i] + state.bases[ny].words[k]
+                        out = out + NicholsElement.from_word(state, word, c * d)
+        return out
+
     rng = random.Random(21)
     for _ in range(15):
         y = random_element(state, rng, rng.randint(0, 4)) + random_element(state, rng, rng.randint(0, 4))
         times_y = right_multiplier(y)
         for _ in range(4):
             x = random_element(state, rng, rng.randint(0, 4)) + random_element(state, rng, rng.randint(0, 4))
-            assert times_y(x) == multiply(x, y)
+            assert times_y(x) == multiply(x, y) == word_product(x, y)
 
 
 def test_group_action(s4):
@@ -603,34 +616,17 @@ def test_antipode_examples(s3):
         assert lhs == rhs
 
 
-def test_antipode_inverse(s3, s4):
-    for state in (s3, s4):
-        for n in range(0, min(6, state.finite_top) + 1):
+def test_antipode_inverse(s3, s4, s4_prime):
+    # S^{-1} is the twist (-1)^{l(g)} g^{-1} S, and S S^{-1} = I certifies
+    # it: a one-sided inverse of a square matrix is its inverse
+    capped = [AlgebraState(RootSystem(cartan_data(t, 4)), field=PrimeField(), degree_cap=5)
+              for t in ("A", "D")]
+    for state in (s3, s4, s4_prime, *capped):
+        top = 5 if state.finite_top is None else min(6, state.finite_top)
+        for n in range(top + 1):
             s = state.antipode_matrix(n)
             si = state.antipode_inv_matrix(n)
             assert mat_mul(s, si, state.field) == mat_identity(state.dim(n), state.field)
-
-
-@pytest.mark.parametrize("type_,rank_,prime", [("A", 3, False), ("A", 3, True),
-                                                ("A", 4, True), ("D", 4, True)])
-def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, prime):
-    # antipode_inv_matrix recurses over parents, S^{-1}(x_a z) =
-    # -S^{-1}(z) (g^{-1} . x_a); the oracle is (-1)^{l(g)} g^{-1} S on each
-    # column of class g, from the group action and the antipode
-    if (type_, rank_, prime) == ("A", 3, False):
-        state = s4
-    else:
-        state = AlgebraState(RootSystem(cartan_data(type_, rank_)),
-                             field=PrimeField() if prime else QQ, degree_cap=5)
-        state.ensure_degree(5)
-    field = state.field
-    for n in range(6):
-        s = state.antipode_matrix(n)
-        expected = []
-        for i, g in enumerate(state.basis(n).wdegs):
-            col = mat_col(state.act_matrix(n, g.inverse()), s[i], field)
-            expected.append(neg_col(col, field) if g.length() % 2 else col)
-        assert state.antipode_inv_matrix(n) == expected
 
 
 def test_state_is_freed_without_the_cycle_collector():
@@ -1027,44 +1023,35 @@ def test_every_basis_word_has_a_basis_prefix(type_, rank_, field, cap):
         assert [below[j2] for j2 in b.prefixes] == [w[:-1] for w in b.words]
 
 
-def _derived_columns(st, n):
-    """How many columns of lmul at degree n come from the degree-2
-    relations, and how many others have a prefix that is not a basis
-    word, counted on the words."""
-    prev, below = st.bases[n - 1], set(st.bases[n - 1].words)
-    paired = prefixed = 0
-    for a in range(st.system.nroots):
-        for j, word in enumerate(prev.words):
-            if (a, prev.parents[j][0]) in st._relations:
-                paired += 1
-            elif (a,) + word[:-1] not in below:
-                prefixed += 1
-    return paired, prefixed
+def _prefix_derived(st, n):
+    """How many columns of lmul at degree n have a prefix that is not a
+    basis word, counted on the words."""
+    words = st.bases[n - 1].words
+    below = set(words)
+    return sum((a,) + word[:-1] not in below for a in range(st.system.nroots) for word in words)
 
 
 @pytest.mark.parametrize("type_,rank_,cap,offered,candidates",
-                         [("A", 4, 5, 3009, 9960), ("A", 4, 6, 7782, 29560),
-                          ("D", 4, 5, 9130, 27612)])
+                         [("A", 4, 5, 3054, 9960), ("A", 4, 6, 7827, 29560),
+                          ("D", 4, 5, 9192, 27612)])
 def test_construction_reduces_only_candidates_not_derived_from_relations(
         monkeypatch, type_, rank_, cap, offered, candidates):
-    # a candidate x_a x_c b_k whose x_a x_c has a degree-2 relation over
-    # words with smaller first letters, or whose prefix is not a basis
-    # word, is expressed from earlier columns, never assembled or offered
-    # to the eliminator
+    # the prefix-only rule: a candidate x_a b_j whose prefix is not a basis
+    # word is expressed from earlier columns, never assembled or offered
+    # to the eliminator, and every other candidate, all of degree 2, is
+    # offered once.  The word build files no degree-2 relation table: from
+    # degree 3 on, a candidate x_a x_c b_k whose x_a x_c is a sum of words
+    # with smaller first letters has the non-basis prefix x_a x_c ...
     from nwalgebra import nichols_core
 
-    calls, derived, prefixed, vectors = [], [], [], []
+    calls, prefixed, vectors = [], [], []
     add = ColumnSolver.add
-    derived_column, prefix_column = nichols_core._derived_column, nichols_core._prefix_column
+    prefix_column = nichols_core._prefix_column
     candidate_vector = AlgebraState._candidate_vector
 
     def counting_add(self, vec, express=False):
         calls.append(express)
         return add(self, vec, express)
-
-    def counting_derived(*args):
-        derived.append(args)
-        return derived_column(*args)
 
     def counting_prefix(*args):
         prefixed.append(args)
@@ -1075,24 +1062,23 @@ def test_construction_reduces_only_candidates_not_derived_from_relations(
         return candidate_vector(self, a, j, prev)
 
     monkeypatch.setattr(ColumnSolver, "add", counting_add)
-    monkeypatch.setattr(nichols_core, "_derived_column", counting_derived)
     monkeypatch.setattr(nichols_core, "_prefix_column", counting_prefix)
     monkeypatch.setattr(AlgebraState, "_candidate_vector", recording_vector)
     sys = RootSystem(cartan_data(type_, rank_))
     st = AlgebraState(sys, field=PrimeField(), degree_cap=cap)
     st.construct_all()
+    assert not hasattr(st, "_relations") and not hasattr(st, "_degree_two_relations")
     assert sum(sys.nroots * b.dim for b in st.bases[1:-1]) == candidates
-    # the relation table's own solver adds each degree-2 derivative vector once
-    assert calls.count(False) == sys.nroots ** 2
-    assert calls.count(True) == len(vectors) == offered
-    # the eliminator sees each offered candidate once, and no relation-paired
-    # or prefix-derived candidate is offered from degree 2 on: each is
-    # summed once instead
-    counts = [_derived_columns(st, n) for n in range(2, len(st.bases))]
-    paired, prefix_derived = (sum(c) for c in zip(*counts))
-    assert offered + paired + prefix_derived == candidates
-    assert len(derived) == paired and len(prefixed) == prefix_derived
-    assert counts[0][1] == 0  # every degree-1 word is a basis word
+    # every solver add is the eliminator's, each offered candidate once
+    assert calls.count(False) == 0
+    assert calls.count(True) == len(vectors) == len(set(vectors)) == offered
+    assert sum(n == 2 for n, _, _ in vectors) == sys.nroots ** 2
+    # offered and prefix-derived candidates are all the candidates, each
+    # prefix-derived one summed once
+    counts = [_prefix_derived(st, n) for n in range(2, len(st.bases))]
+    assert offered + sum(counts) == candidates
+    assert len(prefixed) == sum(counts)
+    assert counts[0] == 0  # every degree-1 word is a basis word
     # each offered candidate x_a b_j has a basis prefix (a,) + word_j[:-1]
     # and a basis suffix word_j
     words = [set(b.words) for b in st.bases]
@@ -1120,14 +1106,14 @@ def structure_digest(state, ordered=True):
 
 
 @pytest.mark.parametrize("type_,rank_,field,cap,digest,values", [
-    ("A", 3, QQ, None, "32c46aee8811acddeac7ffd83e7e76653e11c88e52a590c48d8260aecc2bce09",
+    ("A", 3, QQ, None, "783623cf8a96ba2230a71c08dad128a3ced0702f7d48ed064db5e4913fefd328",
      "40b1a97d3305a65a98432149aa9b625e4e36b097565321fe9c0bbf1092f32abc"),
     ("A", 3, PrimeField(), None,
-     "3a2c6420f03f763ddeb8290b0d49ac8c4c70c1aa49b267a7fbf50ff25998b94c",
+     "b2316de25acdfa69bfcfa59b2a25fb64fed37e8c48b6337ee9f116339c0c1258",
      "a82984504b21ec6148dee7306fabc66bdea63efe8b29894492025f91fff8906a"),
-    ("A", 4, PrimeField(), 5, "c499fa02edbf09196c647b1c7f038144c74505098ca09b109e0698eba208a0c8",
+    ("A", 4, PrimeField(), 5, "eadb44117798910be6c2c6bee29ae2fd97138db83def572c43a3825992f68105",
      "2276a8369efeed5f2f7583c7bef1f0cd6896300cefcca9548bd59c94e6a99388"),
-    ("D", 4, PrimeField(), 4, "f5540916a0545584f83254e9d2abec0abf9b72b918d474e01621b65d02b18800",
+    ("D", 4, PrimeField(), 4, "ff0ad7d92484db31f9b72c897f1edf4b88eb60c3df8d8e2534d145e84fa65760",
      "6ad7a6f41c13300ea93fde4fd1d92aa1cfb00c88c100558614b4e81f199cf66f"),
 ], ids=["A3-rational", "A3-prime", "A4-prime-5", "D4-prime-4"])
 def test_structure_digest(type_, rank_, field, cap, digest, values):
@@ -1176,11 +1162,11 @@ def read_path_digest(state, ordered=True):
 
 
 @pytest.mark.parametrize("field,digest,values", [
-    (QQ, "a3c57db4113d2a71bcad48abaf68149a35b542968842e4dfc42dea6b9d27c552",
+    (QQ, "1772b11771783aa794e63e99621f432fdf08beae057bfe06c296edbdd3272e65",
      "228745fb29ba4e20170a5799bc29bbdb9ab9b271ba223bd711b700ba72f6f842"),
-    (PrimeField(), "0f1b586b45f2b846a41c2a972c4d09a8eeb52c5eb1f1b5d4f40de1ad6ccbda7f",
+    (PrimeField(), "f7a865b5bc14401f348b4735827da2ad2ee2efe87e37d36273b3ba40891a20aa",
      "4de691dc27e470bde3fb79289d4d6da4f03e9e819313fd23e5c9c8e0320ce013"),
-    (PrimeField(101), "7b12312be65d5094bfc1f1aa98a99696e279e1f4ee9ff29dffe62aaf2e04fb69",
+    (PrimeField(101), "2f6771a6a362304513d2d169c4e38695f6992f98c9ae93900bec5cf7506d1100",
      "a85fc1bbec08b97ff5c751050efad054f1c7b17c625792b3cfdb7872d8c146f2"),
 ], ids=["A3-rational", "A3-prime", "A3-prime-101"])
 def test_read_path_digest(field, digest, values):

@@ -629,6 +629,32 @@ def test_antipode_inverse(s3, s4, s4_prime):
             assert mat_mul(s, si, state.field) == mat_identity(state.dim(n), state.field)
 
 
+@pytest.mark.parametrize("type_,rank_,prime", [("A", 3, False), ("A", 3, True),
+                                                ("A", 4, True), ("D", 4, True)])
+def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, prime):
+    # antipode_inv_matrix is the twist (-1)^{l(g)} g^{-1} S on each column of
+    # class g; the oracle is the parents recursion S^{-1}(x_a z) =
+    # -S^{-1}(z) (g^{-1} . x_a), g the group degree of z, from rmul alone
+    if (type_, rank_, prime) == ("A", 3, False):
+        state = s4
+    else:
+        state = AlgebraState(RootSystem(cartan_data(type_, rank_)),
+                             field=PrimeField() if prime else QQ, degree_cap=5)
+        state.ensure_degree(5)
+    field = state.field
+    expected = mat_identity(1, field)
+    assert state.antipode_inv_matrix(0) == expected
+    for n in range(1, 6):
+        prev = state.basis(n - 1)
+        cols = []
+        for a, j in state.basis(n).parents:
+            sg = prev.wdegs[j].inverse().act(a + 1)
+            col = neg_col(expected[j], field) if sg > 0 else expected[j]
+            cols.append(mat_col(state.rmul(n, abs(sg) - 1), col, field))
+        expected = cols
+        assert state.antipode_inv_matrix(n) == expected
+
+
 def test_state_is_freed_without_the_cycle_collector():
     # the lazily built action columns and the memoized maps must not hold
     # the state in a reference cycle: with the cyclic collector off, the

@@ -10,7 +10,6 @@ Reports carry the seed, the trial count and the first counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .coxeter import GroupElement
 from .exactlinalg import kernel_basis
@@ -42,15 +41,15 @@ from .nichols_core import (
 from .nilcoxeter import embed_element, skew_element, y_element
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    parameters: dict
-    trials: int
-    status: str                 # "pass" | "fail" | "skipped"
-    counterexample: dict | None = None
-    seed: int | None = None
-    notes: list = field(default_factory=list)
+    __slots__ = ("name", "parameters", "trials", "status", "counterexample", "seed", "notes")
+
+    def __init__(self, name, parameters, trials, status, counterexample=None, seed=None,
+                 notes=None):
+        self.name, self.parameters, self.trials = name, parameters, trials
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.counterexample, self.seed = counterexample, seed
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self):

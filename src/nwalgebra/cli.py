@@ -301,7 +301,7 @@ def cmd_reduce(args, phases):
 
     system = _system(args)
     try:
-        word = tuple(int(x) for x in args.monomial.split(",") if x.strip() != "")
+        word = tuple(int(x) for x in args.monomial.split(",")) if args.monomial.strip() else ()
     except ValueError:
         print(f"--monomial: not comma-separated root indices: {args.monomial!r}",
               file=sys.stderr)

@@ -5,19 +5,17 @@ systems and the integrality equivalence checks they feed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coxeter import GroupElement, RootSystem, centralizer_of_longest
 from .nichols_core import AlgebraState, CheckFailed, multiply, ordered_product
 
 
-@dataclass
 class DisjointSystem:
-    elements: tuple
-    blocks: dict          # element -> frozenset of positive-root indices
-    order: int
-    normalized: bool
-    complete: bool
+    __slots__ = ("elements", "blocks", "order", "normalized", "complete")
+
+    def __init__(self, elements, blocks, order, normalized, complete):
+        self.elements = elements  # a tuple
+        self.blocks = blocks      # element -> frozenset of positive-root indices
+        self.order, self.normalized, self.complete = order, normalized, complete
 
     def to_json(self):
         sys = self.elements[0].system if self.elements else None
@@ -37,10 +35,12 @@ class DisjointSystem:
         }
 
 
-@dataclass
 class DisjointViolation:
-    reason: str
-    witness: tuple  # offending elements (and shared reflection index if any)
+    __slots__ = ("reason", "witness")
+
+    def __init__(self, reason, witness):
+        # witness: the offending elements (and the shared reflection index if any)
+        self.reason, self.witness = reason, witness
 
     def to_json(self):
         parts = []

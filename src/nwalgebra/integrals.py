@@ -5,11 +5,10 @@ lift to integrals by multiplication with the top word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from .calculus import IdentityReport, _fail
-from .coxeter import GroupElement, centralizer_of_longest
+from .coxeter import centralizer_of_longest
 from .exactlinalg import kernel_basis, rank
 from .nichols_core import (
     AlgebraState,
@@ -33,15 +32,14 @@ class IntegralError(CheckFailed):
     pass
 
 
-@dataclass
 class IntegralCertificate:
-    element: NicholsElement
-    degree: int
-    w_degree: GroupElement
-    char: dict            # simple index -> scalar, the action character
-    eps_rho: object
-    eps_antipode: object
-    eps_sbar: object
+    __slots__ = ("element", "degree", "w_degree", "char", "eps_rho", "eps_antipode",
+                 "eps_sbar")
+
+    def __init__(self, element, degree, w_degree, char, eps_rho, eps_antipode, eps_sbar):
+        self.element, self.degree, self.w_degree = element, degree, w_degree
+        self.char = char  # simple index -> scalar, the action character
+        self.eps_rho, self.eps_antipode, self.eps_sbar = eps_rho, eps_antipode, eps_sbar
 
     def to_json(self):
         return {
@@ -247,12 +245,14 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SubalgebraState:
-    theta: tuple
-    bases: list            # per degree: list of coordinate dicts in B_W
-    top_degree: int
-    dims: list = field(default_factory=list)
+    __slots__ = ("theta", "bases", "top_degree", "dims")
+
+    def __init__(self, theta, bases, top_degree, dims=None):
+        self.theta = theta
+        self.bases = bases  # per degree: list of coordinate dicts in B_W
+        self.top_degree = top_degree
+        self.dims = [] if dims is None else dims
 
     def to_json(self):
         return {"theta": list(self.theta), "dims": self.dims,

@@ -11,11 +11,15 @@ Each class block keeps its greedy basis in lex order, so the basis
 words are the lex-normal words, which are closed under taking prefixes.
 So from degree 3 on, a candidate x_a b_j whose prefix x_a b_j2, for
 b_j = b_j2 x_e, is not a basis word is dependent, and its coordinates
-are those of (x_a b_j2) x_e, summed over earlier columns.  That covers
-every candidate starting with a word x_a x_c that degree 2 already
-writes as a sum of words with smaller first letters (x_a^2 = 0, the
-commuting pairs, and the dependent word of each three-term relation).
-Only the candidates whose prefix is a basis word reach the eliminator
+are those of (x_a b_j2) x_e: right multiplication by x_e into degree n,
+whose columns are built from earlier columns as the sums read them,
+applied to the coordinates of x_a b_j2.  The build files that map as
+``rmul``, so the next degree and the read path reuse its columns, and
+each product b_i x_e is derived once.  That covers every candidate
+starting with a word x_a x_c that degree 2 already writes as a sum of
+words with smaller first letters (x_a^2 = 0, the commuting pairs, and
+the dependent word of each three-term relation).  Only the candidates
+whose prefix is a basis word reach the eliminator
 (:meth:`AlgebraState._build`).  Both builds take their degree step from
 :meth:`AlgebraState.extend_degree`.
 
@@ -219,30 +223,23 @@ def braid_apply(sys: RootSystem, word, i, inverse=False):
 # ---------------------------------------------------------------------------
 
 
-def _combination(terms, lmul, canon):
-    """The coordinates of sum s * x_d v over the terms (d, s, v), each v
-    the coordinates of an element one degree down: lmul[d] applied to v,
-    scaled by s, summed."""
-    acc = {}
-    for d, s, vec in terms:
-        col_d = lmul[d]
-        for i, y in vec.items():
-            f = s * y
-            for t, x in col_d[i].items():
-                acc[t] = acc.get(t, 0) + f * x
-    return canon(acc)
+def _right_products(lmul, parents, prev, field):
+    """The products b_i y of a degree's basis, as columns of the degree
+    above, built when first read (:class:`LazyColumns`), via
+    (x_a b_j) y = x_a (b_j y): column i, for ``parents[i] = (a, j)``, is
+    ``lmul[a]``, the left multiplication into the product degree, applied
+    to column j of ``prev``, the products one degree down."""
+    def column(i):
+        a, j = parents[i]
+        return mat_col(lmul[a], prev[j], field)
+    return LazyColumns(len(parents), column)
 
 
-def _prefix_column(mu, rmul_e, parents, lmul, canon):
+def _prefix_column(mu, rmul_e, field):
     """The coordinates of x_a b_j for b_j = b_j2 x_e, mu the coordinates
-    of x_a b_j2: (x_a b_j2) x_e is the sum of mu_i * x_{a_i} (b_{k_i} x_e)
-    over b_i = x_{a_i} b_{k_i}, the coordinates of b_{k_i} x_e being
-    column k_i of ``rmul_e``."""
-    terms = []
-    for i, m in mu.items():
-        a_i, k_i = parents[i]
-        terms.append((a_i, m, rmul_e[k_i]))
-    return _combination(terms, lmul, canon)
+    of x_a b_j2: (x_a b_j2) x_e is ``rmul_e``, right multiplication by
+    x_e, applied to mu."""
+    return mat_col(rmul_e, mu, field)
 
 
 def _check_product_degree(name, n):
@@ -265,6 +262,8 @@ class DegreeBasis:
     construction eliminated for b_i, entry gamma * dim(n-1) + r holding
     coordinate r of D_gamma(b_i).  The per-root matrices B^n -> B^{n-1}
     are views built from it on request (:meth:`AlgebraState.dleft`).
+    ``cache`` holds the maps built at this degree, keyed (map, argument);
+    the build files its right multiplications there as ``("rmul", e)``.
     """
 
     def __init__(self, degree, words, wdegs, parents, prefixes, derivs, lmul):
@@ -405,9 +404,15 @@ class AlgebraState:
 
         The sums are taken once the kept columns have their global
         positions, root by root, so each column is filled before a sum
-        reads it.  The prefix test and the prefixes are integers: x_a b_j2
-        is a basis word exactly when (a, j2) is the parent pair of one,
-        and that word is the prefix of a kept x_a b_j.
+        reads it.  Each sum is right multiplication by x_e into degree n
+        applied to mu: its column i, b_i x_e = x_{a_i} (b_{k_i} x_e), is
+        built from ``rmul(n - 1, e)`` and this degree's ``lmul`` when a
+        sum first reads it (:func:`_right_products`).  Below the cap the
+        maps are filed as ``rmul(n, e)``, so degree n + 1 and the read
+        path reuse their columns; no degree reads the cap's products.
+        The prefix test and the prefixes are integers: x_a b_j2 is a
+        basis word exactly when (a, j2) is the parent pair of one, and
+        that word is the prefix of a kept x_a b_j.
         """
         sys = self.system
         prev = self.bases[n - 1]
@@ -444,8 +449,8 @@ class AlgebraState:
         kept.sort(key=lambda t: t[:2])
         for i, (_, _, k, _) in enumerate(kept):
             pos_of[k].append(i)
-        canon = self.field.canon
-        rmuls = {}  # e -> right multiplication by x_e into degree n - 1
+        field = self.field
+        rmuls = {}  # e -> right multiplication by x_e into degree n
         lmul = {}
         for a, col in enumerate(offers):
             lmul[a] = cols = []
@@ -456,9 +461,8 @@ class AlgebraState:
                     continue
                 e = prev.words[j][-1]
                 if e not in rmuls:
-                    rmuls[e] = self.rmul(n - 1, e)
-                cols.append(_prefix_column(prev.lmul[a][prefixes[j]], rmuls[e], parents,
-                                           lmul, canon))
+                    rmuls[e] = _right_products(lmul, parents, self.rmul(n - 1, e), field)
+                cols.append(_prefix_column(prev.lmul[a][prefixes[j]], rmuls[e], field))
 
         self._append_built(DegreeBasis(
             n, [(a,) + prev.words[j] for a, j, _, _ in kept],
@@ -466,6 +470,8 @@ class AlgebraState:
             [(a, j) for a, j, _, _ in kept],
             [index[(a, prefixes[j])] for a, j, _, _ in kept],
             [vec for _, _, _, vec in kept], lmul))
+        if not self.truncated:  # no degree reads the cap's products
+            self.bases[n].cache.update((("rmul", e), m) for e, m in rmuls.items())
 
     def _append_built(self, basis):
         """Append a newly built degree, checked against the known top
@@ -556,7 +562,9 @@ class AlgebraState:
     def rmul(self, n, a):
         """Right multiplication by x_a as a matrix B^{n-1} -> B^n, n >= 1,
         via (x_b z) x_a = x_b (z x_a).  Its columns are built when first
-        read; the word build reads some of them one degree down."""
+        read.  Below the cap, the word build files the maps its fill
+        summed through, with the columns it built, and reads others one
+        degree down."""
         _check_product_degree("rmul", n)
 
         def build(basis):
@@ -569,16 +577,14 @@ class AlgebraState:
         """The products b_i y, y of degree ny, for the degree-n basis, as
         columns of degree n + ny, via (x_a b_j) y = x_a (b_j y): column i,
         for b_i = x_a b_j, is x_a applied to column j of ``prev``, the
-        products of degree n - 1.  The columns are built when first read
-        (:class:`LazyColumns`).  Past the known top they are zero."""
+        products of degree n - 1, by the column rule the word build's
+        right multiplications share (:func:`_right_products`).  The
+        columns are built when first read.  Past the known top they are
+        zero."""
         if self.finite_top is not None and n + ny > self.finite_top:
             return [{} for _ in range(self.dim(n))]
-        field, lmul, parents = self.field, self.basis(n + ny).lmul, self.basis(n).parents
-
-        def column(i):
-            a, j = parents[i]
-            return mat_col(lmul[a], prev[j], field)
-        return LazyColumns(len(parents), column)
+        return _right_products(self.basis(n + ny).lmul, self.basis(n).parents, prev,
+                               self.field)
 
     def dright(self, n, g):
         """Right derivative by gamma as a matrix B^n -> B^{n-1}; zero on

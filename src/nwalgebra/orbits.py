@@ -57,10 +57,23 @@ from .nichols_core import (
     DEFAULT_MEMORY_BOUND,
     AlgebraState,
     MemoryBoundExceeded,
-    _combination,
     mat_col,
     neg_col,
 )
+
+
+def _combination(terms, lmul, canon):
+    """The coordinates of sum s * x_d v over the terms (d, s, v), each v
+    the coordinates of an element one degree down: lmul[d] applied to v,
+    scaled by s, summed."""
+    acc = {}
+    for d, s, vec in terms:
+        col_d = lmul[d]
+        for i, y in vec.items():
+            f = s * y
+            for t, x in col_d[i].items():
+                acc[t] = acc.get(t, 0) + f * x
+    return canon(acc)
 
 
 class WordBasisUnavailable(AttributeError):

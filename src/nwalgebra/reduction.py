@@ -30,7 +30,6 @@ case analysis honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
@@ -43,11 +42,11 @@ class ReductionError(CheckFailed):
     pass
 
 
-@dataclass
 class ReductionResult:
-    scalar: Fraction
-    w: GroupElement
-    trace: tuple
+    __slots__ = ("scalar", "w", "trace")
+
+    def __init__(self, scalar, w, trace):
+        self.scalar, self.w, self.trace = scalar, w, trace
 
     def to_json(self):
         return {

@@ -298,12 +298,23 @@ def test_out_of_range_integer_exit_2(argv):
     ["group", "--element", '{"word": [0'],
     ["disjoint", "--check", "[1,2,3];[2,1"],
     ["reduce", "--monomial", "a"],
+    ["reduce", "--monomial", "0,,1"],
+    ["reduce", "--monomial", ","],
+    ["reduce", "--monomial", "1,"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_element_or_monomial_exit_2(argv):
     code, out, err = run_cli(*argv, "--rank", "2")
     assert code == 2
     assert out == ""
     assert err.strip() and "Traceback" not in err
+    if argv[0] == "reduce":
+        assert "--monomial: not comma-separated root indices" in err
+
+
+def test_empty_monomial_is_the_unit():
+    code, out, _ = run_cli("reduce", "--rank", "2", "--monomial", "")
+    assert code == 0
+    assert json.loads(out)["monomial"] == []
 
 
 def test_verify_all_rank_1():
@@ -366,6 +377,18 @@ def test_cli_import_loads_only_the_word_build():
         "nwalgebra", "nwalgebra.cli", "nwalgebra.coxeter", "nwalgebra.exactlinalg",
         "nwalgebra.nichols_core"]
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_check_modules_load_neither_dataclasses_nor_inspect():
+    # verify, integral, hypo, disjoint and reduce import these modules;
+    # their result records are slotted classes
+    code = ("import json, sys, nwalgebra.cli, nwalgebra.calculus, nwalgebra.disjoint, "
+            "nwalgebra.integrals, nwalgebra.reduction; print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 

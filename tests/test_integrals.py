@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -7,6 +6,7 @@ from nwalgebra.calculus import basis_elements, random_element
 from nwalgebra.disjoint import search_complete
 from nwalgebra.integrals import (
     IntegralError,
+    SubalgebraState,
     hypothetical_checks,
     hypothetical_space,
     integral_character,
@@ -246,7 +246,7 @@ def test_hypothetical_checks_catch_every_perturbation_of_p(fixture, request):
         q = {i: x for i, x in q.items() if x}
         if not q:  # P = -e_k: the sum is zero, not a spanning vector
             continue
-        perturbed = dataclasses.replace(sub, bases=sub.bases[:top] + [[q]])
+        perturbed = SubalgebraState(sub.theta, sub.bases[:top] + [[q]], top, sub.dims)
         rep = hypothetical_checks(perturbed, state)
         if NicholsElement(state, {top: q}).proportional_to(line) is None:
             assert rep.status == "fail", k

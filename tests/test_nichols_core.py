@@ -950,7 +950,9 @@ def test_construction_peak_memory():
     # the construction keeps one derivative vector per basis element and
     # splits none of them: on Python 3.11, A4 to degree 5 over GF(p)
     # peaked at 12.5 MB of Python allocations while it also kept per-root
-    # dleft columns and per-candidate tables, and peaks at 5.5 MB without
+    # dleft columns and per-candidate tables, and at 6.5 MB without; it
+    # peaks at 7.6 MB since the cap's right multiplications, each product
+    # derived once, are held while the cap's fill runs
     import tracemalloc
 
     sys = RootSystem(cartan_data("A", 4))
@@ -964,6 +966,29 @@ def test_construction_peak_memory():
     assert st.dims() == [1, 10, 55, 220, 711, 1960]
     assert peak < 8_000_000, peak
     assert not any(key[0] == "dleft" for b in st.bases for key in b.cache)
+
+
+def test_construction_held_memory():
+    # what a build keeps once it returns: the bases, the right
+    # multiplications the fill filed below the cap and the rmul columns it
+    # read one degree down.  On Python 3.11, A4 to degree 6 over GF(p)
+    # held 15.3 MB before the build filed its maps and 15.4 MB since;
+    # filing the cap's maps too would hold 18.4 MB
+    import gc
+    import tracemalloc
+
+    sys = RootSystem(cartan_data("A", 4))
+    tracemalloc.start()
+    try:
+        st = AlgebraState(sys, field=PrimeField(), degree_cap=6)
+        st.construct_all()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert st.dims() == [1, 10, 55, 220, 711, 1960, 4761]
+    assert held < 17_000_000, held
+    assert not any(key[0] == "rmul" for key in st.bases[6].cache)
 
 
 @pytest.mark.parametrize("type_,rank_,top", [("A", 4, 5), ("D", 4, 4)])
@@ -1047,6 +1072,78 @@ def test_every_basis_word_has_a_basis_prefix(type_, rank_, field, cap):
     for n in range(1, len(st.bases)):
         below, b = st.bases[n - 1].words, st.bases[n]
         assert [below[j2] for j2 in b.prefixes] == [w[:-1] for w in b.words]
+
+
+@pytest.mark.parametrize("type_,rank_,field,cap",
+                         [("A", 3, QQ, None), ("A", 3, PrimeField(), None),
+                          ("A", 4, PrimeField(), 5), ("D", 4, PrimeField(), 4)],
+                         ids=["A3-rational", "A3-prime", "A4-prime-5", "D4-prime-4"])
+def test_word_build_files_its_right_multiplications(type_, rank_, field, cap):
+    # the fill sums each prefix-derived column x_a b_j, b_j = b_j2 x_e,
+    # through right multiplication by x_e into the new degree, and files
+    # that map as rmul(n, e) for each e it used, below the cap: no degree
+    # reads the cap's products.  Degree n + 1's fill also reads rmul(n, e)
+    # for letters degree n's fill did not use, which files those on read
+    sys = RootSystem(cartan_data(type_, rank_))
+    st = AlgebraState(sys, field=field, degree_cap=cap)
+    st.construct_all()
+    top = len(st.bases) - 1
+    used_any = False
+    for n in range(2, top + 1):
+        words = st.bases[n - 1].words
+        below = set(words)
+        used = {w[-1] for a in range(sys.nroots) for w in words if (a,) + w[:-1] not in below}
+        filed = {key[1] for key in st.bases[n].cache if key[0] == "rmul"}
+        if st.truncated and n == top:
+            assert used and not filed
+        else:
+            assert used <= filed, n
+        used_any |= bool(used)
+    assert used_any
+    # every column of every rmul, filed or built on read, against the
+    # word's coordinates read through lmul alone
+    for n in range(1, top + 1):
+        words = st.bases[n - 1].words
+        for e in range(sys.nroots):
+            assert list(st.rmul(n, e)) == [st.word_column(w + (e,)) for w in words], (n, e)
+
+
+def test_right_products_derive_each_column_once(monkeypatch):
+    # a build followed by rho_matrix and antipode_matrix at every degree of
+    # A3/Q derives column i of each rmul(n, e) once: the read path reuses
+    # the maps the fill filed
+    from nwalgebra import nichols_core
+
+    helper = nichols_core._right_products
+    letter = {}   # id of a map the helper made -> e
+    made = []     # every such map, kept alive so that no id is reused
+    derived = []  # (id of the product degree's lmul, e, i) per column built
+
+    def tagging(lmul, parents, prev, field):
+        # degree 1's rmul(1, e) is the list [{e: 1}]
+        e = letter[id(prev)] if id(prev) in letter else next(iter(prev[0]))
+        m = helper(lmul, parents, prev, field)
+        build = m._build
+
+        def column(i):
+            derived.append((id(lmul), e, i))
+            return build(i)
+        m._build = column
+        letter[id(m)] = e
+        made.append(m)
+        return m
+
+    monkeypatch.setattr(nichols_core, "_right_products", tagging)
+    st = AlgebraState(RootSystem(cartan_data("A", 3)))
+    st.construct_all()
+    in_build = len(derived)
+    for n in range(len(st.bases)):
+        st.rho_matrix(n)
+        st.antipode_matrix(n)
+    degree = {id(b.lmul): b.degree for b in st.bases}
+    seen = [(degree[lm], e, i) for lm, e, i in derived]
+    assert 0 < in_build < len(seen)
+    assert len(seen) == len(set(seen))
 
 
 def _prefix_derived(st, n):
@@ -1137,7 +1234,7 @@ def structure_digest(state, ordered=True):
     ("A", 3, PrimeField(), None,
      "b2316de25acdfa69bfcfa59b2a25fb64fed37e8c48b6337ee9f116339c0c1258",
      "a82984504b21ec6148dee7306fabc66bdea63efe8b29894492025f91fff8906a"),
-    ("A", 4, PrimeField(), 5, "eadb44117798910be6c2c6bee29ae2fd97138db83def572c43a3825992f68105",
+    ("A", 4, PrimeField(), 5, "2cfdc9e32bf636c64fdd547ee959ad6bd5516b8d422eb334579f92f92fedbc76",
      "2276a8369efeed5f2f7583c7bef1f0cd6896300cefcca9548bd59c94e6a99388"),
     ("D", 4, PrimeField(), 4, "ff0ad7d92484db31f9b72c897f1edf4b88eb60c3df8d8e2534d145e84fa65760",
      "6ad7a6f41c13300ea93fde4fd1d92aa1cfb00c88c100558614b4e81f199cf66f"),

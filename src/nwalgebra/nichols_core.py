@@ -14,8 +14,9 @@ b_j = b_j2 x_e, is not a basis word is dependent, and its coordinates
 are those of (x_a b_j2) x_e: right multiplication by x_e into degree n,
 whose columns are built from earlier columns as the sums read them,
 applied to the coordinates of x_a b_j2.  The build files that map as
-``rmul``, so the next degree and the read path reuse its columns, and
-each product b_i x_e is derived once.  That covers every candidate
+``rmul``, at the cap too, so the next degree's sums and the structure
+maps read through ``rmul`` reuse its columns: ``rmul`` derives no
+product b_i x_e that the fill derived.  That covers every candidate
 starting with a word x_a x_c that degree 2 already writes as a sum of
 words with smaller first letters (x_a^2 = 0, the commuting pairs, and
 the dependent word of each three-term relation).  Only the candidates
@@ -407,9 +408,12 @@ class AlgebraState:
         reads it.  Each sum is right multiplication by x_e into degree n
         applied to mu: its column i, b_i x_e = x_{a_i} (b_{k_i} x_e), is
         built from ``rmul(n - 1, e)`` and this degree's ``lmul`` when a
-        sum first reads it (:func:`_right_products`).  Below the cap the
-        maps are filed as ``rmul(n, e)``, so degree n + 1 and the read
-        path reuse their columns; no degree reads the cap's products.
+        sum first reads it (:func:`_right_products`).  The maps are
+        filed as ``rmul(n, e)``, so degree n + 1's sums and the structure
+        maps read through ``rmul`` reuse their columns; at the cap,
+        reversal and the antipode read them.  Each class block's
+        candidates and each row of offers are dropped once used, so the
+        cap's maps add little to the peak.
         The prefix test and the prefixes are integers: x_a b_j2 is a
         basis word exactly when (a, j2) is the parent pair of one, and
         that word is the prefix of a kept x_a b_j.
@@ -432,7 +436,7 @@ class AlgebraState:
         pos_of = [[] for _ in classes]
         kept = []  # (a, j, class number, derivative vector) per kept candidate
         for k, g in enumerate(classes):
-            block = by_class[g]
+            block = by_class.pop(g)  # dropped once solved
             if len(block) ** 2 > self.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {len(block) ** 2} entries")
@@ -452,8 +456,9 @@ class AlgebraState:
         field = self.field
         rmuls = {}  # e -> right multiplication by x_e into degree n
         lmul = {}
-        for a, col in enumerate(offers):
+        for a in range(sys.nroots):
             lmul[a] = cols = []
+            col, offers[a] = offers[a], None  # free each row once it is read
             for j, offer in enumerate(col):
                 if offer is not None:
                     coords, pos = offer
@@ -470,8 +475,7 @@ class AlgebraState:
             [(a, j) for a, j, _, _ in kept],
             [index[(a, prefixes[j])] for a, j, _, _ in kept],
             [vec for _, _, _, vec in kept], lmul))
-        if not self.truncated:  # no degree reads the cap's products
-            self.bases[n].cache.update((("rmul", e), m) for e, m in rmuls.items())
+        self.bases[n].cache.update((("rmul", e), m) for e, m in rmuls.items())
 
     def _append_built(self, basis):
         """Append a newly built degree, checked against the known top
@@ -562,9 +566,8 @@ class AlgebraState:
     def rmul(self, n, a):
         """Right multiplication by x_a as a matrix B^{n-1} -> B^n, n >= 1,
         via (x_b z) x_a = x_b (z x_a).  Its columns are built when first
-        read.  Below the cap, the word build files the maps its fill
-        summed through, with the columns it built, and reads others one
-        degree down."""
+        read.  The word build files the maps its fill summed through,
+        with the columns it built, and reads others one degree down."""
         _check_product_degree("rmul", n)
 
         def build(basis):

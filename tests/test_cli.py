@@ -364,31 +364,28 @@ def test_crash_is_not_a_check_failure(monkeypatch):
         cli.main(["dims", "--rank", "2"])
 
 
-def test_cli_import_loads_only_the_word_build():
-    # the harness's setup_s times this import, so the orbit build, the
-    # checks, modp and numpy stay out of it until a command needs them, and
-    # so do dataclasses and the inspect module it loads
-    code = "import json, sys, nwalgebra.cli; print(json.dumps(sorted(sys.modules)))"
+def _modules_loaded_by(imports):
+    code = f"import json, sys, {imports}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_only_the_word_build():
+    # the harness's setup_s times this import, so the orbit build, the
+    # checks, modp and numpy stay out of it until a command needs them, and
+    # so do dataclasses and the inspect module it loads; the modules that
+    # verify, integral, hypo, disjoint and reduce import load neither
+    # either, their result records being slotted classes
+    loaded = _modules_loaded_by("nwalgebra.cli")
     assert [m for m in loaded if m.split(".")[0] == "nwalgebra"] == [
         "nwalgebra", "nwalgebra.cli", "nwalgebra.coxeter", "nwalgebra.exactlinalg",
         "nwalgebra.nichols_core"]
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
     assert "dataclasses" not in loaded and "inspect" not in loaded
-
-
-def test_check_modules_load_neither_dataclasses_nor_inspect():
-    # verify, integral, hypo, disjoint and reduce import these modules;
-    # their result records are slotted classes
-    code = ("import json, sys, nwalgebra.cli, nwalgebra.calculus, nwalgebra.disjoint, "
-            "nwalgebra.integrals, nwalgebra.reduction; print(json.dumps(sorted(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=ENV)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded = _modules_loaded_by("nwalgebra.calculus, nwalgebra.disjoint, nwalgebra.integrals, "
+                                "nwalgebra.reduction")
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 

@@ -181,10 +181,14 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
 
 
 def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> IdentityReport:
-    """The antipode twist and order: S S^{-1} = I exactly, and S^{2e} = I
-    in each degree.  S^{-1} is the twist (-1)^{l(g)} g^{-1} S on the class
-    of g, so S S^{-1} = I certifies the twist: S and S^{-1} are square
-    over a field, where a one-sided inverse is the inverse."""
+    """The antipode and its order: S S^{-1} = I exactly, and S^{2e} = I
+    in each degree.  S is built by the prefix recursion
+    S(z x_e) = -(g_z . x_e) S(z) through left multiplication, and S^{-1}
+    by the parents recursion S^{-1}(x_a z) = -S^{-1}(z) (g_z^{-1} . x_a)
+    through right multiplication, so S S^{-1} = I certifies the two
+    independent recursions against each other: S and S^{-1} are square
+    over a field, where a one-sided inverse is the inverse, and a wrong
+    column of either fails it at its degree."""
     name = "nz-antipode"
     top = _max_constructed(state) if max_degree is None else max_degree
     e = state.system.exponent()

@@ -29,6 +29,13 @@ The braided derivative recursions used on words:
   left:   D_g(x_a z)  = d_{ga} z + sign * x_a D_{|s_a(g)|}(z)
   right:  (z x_b)D_g  = d_{gb} z + sign * ((z)D_g) x_{|s_g(b)|}
 
+and, the antipode being braided anti-multiplicative,
+S(u v) = S(g_u . v) S(u) for u of group degree g_u, the antipode and
+its inverse by one generator each, with no group action on a word:
+
+  antipode:  S(z x_e)       = -(g_z . x_e) S(z)
+  inverse:   S^{-1}(x_a z)  = -S^{-1}(z) (g_z^{-1} . x_a)
+
 Two independent construction paths exist: this incremental one, and the
 Woronowicz symmetrizer on raw words; their ranks are compared in tests
 and in the acceptance suite.  ``nwalg dims`` and ``nwalg hilbert`` read
@@ -139,21 +146,27 @@ def mat_stack(blocks, ncols):
 
 
 class LazyColumns:
-    """A matrix whose columns are built on first read.
+    """A structure map lifted from the map one degree down, its columns
+    built on first read.
 
+    Column i, for ``parents[i] = (a, j)``, is ``lmul[|w(a)|]`` applied to
+    column j of ``prev``, negated when w(a) is negative, w the group
+    element with signed images ``images``: a right product
+    (x_a b_j) y = x_a (b_j y) for w the identity, and the group action
+    w(x_a b_j) = w(x_a) w(b_j) otherwise.  ``lmul`` is left
+    multiplication into this map's degree, and column i is made once.
     It reads like the list of column dicts it stands for (``[]``,
-    ``len``, iteration, ``==`` against a list); column i is
-    ``build(i)``, made once.  ``build`` must not hold the algebra state:
-    the map sits in the state's memo, and a closure over the state would
-    keep the state alive in a reference cycle until the cyclic collector
-    runs.
+    ``len``, iteration, ``==`` against a list).  It holds no closure and
+    no reference to the algebra state, so a map in the state's memo
+    makes no reference cycle.
     """
 
-    __slots__ = ("_cols", "_build")
+    __slots__ = ("_cols", "_lmul", "_parents", "_prev", "_images", "_field")
 
-    def __init__(self, ncols, build):
-        self._cols = [None] * ncols
-        self._build = build
+    def __init__(self, lmul, parents, prev, images, field):
+        self._cols = [None] * len(parents)
+        self._lmul, self._parents, self._prev = lmul, parents, prev
+        self._images, self._field = images, field
 
     def __len__(self):
         return len(self._cols)
@@ -161,8 +174,14 @@ class LazyColumns:
     def __getitem__(self, i):
         col = self._cols[i]
         if col is None:
-            col = self._cols[i] = self._build(i)
+            col = self._cols[i] = self._column(i)
         return col
+
+    def _column(self, i):
+        a, j = self._parents[i]
+        s = self._images[a]
+        col = self._prev[j] if s > 0 else neg_col(self._prev[j], self._field)
+        return mat_col(self._lmul[abs(s) - 1], col, self._field)
 
     def __iter__(self):
         return (self[i] for i in range(len(self._cols)))
@@ -222,18 +241,6 @@ def braid_apply(sys: RootSystem, word, i, inverse=False):
 # ---------------------------------------------------------------------------
 # graded basis data
 # ---------------------------------------------------------------------------
-
-
-def _right_products(lmul, parents, prev, field):
-    """The products b_i y of a degree's basis, as columns of the degree
-    above, built when first read (:class:`LazyColumns`), via
-    (x_a b_j) y = x_a (b_j y): column i, for ``parents[i] = (a, j)``, is
-    ``lmul[a]``, the left multiplication into the product degree, applied
-    to column j of ``prev``, the products one degree down."""
-    def column(i):
-        a, j = parents[i]
-        return mat_col(lmul[a], prev[j], field)
-    return LazyColumns(len(parents), column)
 
 
 def _prefix_column(mu, rmul_e, field):
@@ -408,10 +415,10 @@ class AlgebraState:
         reads it.  Each sum is right multiplication by x_e into degree n
         applied to mu: its column i, b_i x_e = x_{a_i} (b_{k_i} x_e), is
         built from ``rmul(n - 1, e)`` and this degree's ``lmul`` when a
-        sum first reads it (:func:`_right_products`).  The maps are
+        sum first reads it (:class:`LazyColumns`).  The maps are
         filed as ``rmul(n, e)``, so degree n + 1's sums and the structure
         maps read through ``rmul`` reuse their columns; at the cap,
-        reversal and the antipode read them.  Each class block's
+        reversal and the inverse antipode read them.  Each class block's
         candidates and each row of offers are dropped once used, so the
         cap's maps add little to the peak.
         The prefix test and the prefixes are integers: x_a b_j2 is a
@@ -453,7 +460,7 @@ class AlgebraState:
         kept.sort(key=lambda t: t[:2])
         for i, (_, _, k, _) in enumerate(kept):
             pos_of[k].append(i)
-        field = self.field
+        field, ident = self.field, sys.identity().images
         rmuls = {}  # e -> right multiplication by x_e into degree n
         lmul = {}
         for a in range(sys.nroots):
@@ -466,7 +473,7 @@ class AlgebraState:
                     continue
                 e = prev.words[j][-1]
                 if e not in rmuls:
-                    rmuls[e] = _right_products(lmul, parents, self.rmul(n - 1, e), field)
+                    rmuls[e] = LazyColumns(lmul, parents, self.rmul(n - 1, e), ident, field)
                 cols.append(_prefix_column(prev.lmul[a][prefixes[j]], rmuls[e], field))
 
         self._append_built(DegreeBasis(
@@ -559,9 +566,9 @@ class AlgebraState:
             return mats[g]
         return self._cached(n, ("dleft", g), build)
 
-    # Every map below is built column by column from ``parents``: column i
-    # of degree n, for b_i = x_a b_j, comes from column j of a map at
-    # degree n - 1.
+    # Every map below is built column by column from ``parents`` (the
+    # antipode from ``prefixes``): column i of degree n, for b_i = x_a b_j
+    # (b_i = b_j x_e), comes from column j of a map at degree n - 1.
 
     def rmul(self, n, a):
         """Right multiplication by x_a as a matrix B^{n-1} -> B^n, n >= 1,
@@ -581,13 +588,13 @@ class AlgebraState:
         columns of degree n + ny, via (x_a b_j) y = x_a (b_j y): column i,
         for b_i = x_a b_j, is x_a applied to column j of ``prev``, the
         products of degree n - 1, by the column rule the word build's
-        right multiplications share (:func:`_right_products`).  The
-        columns are built when first read.  Past the known top they are
-        zero."""
+        right multiplications share (:class:`LazyColumns`, w the
+        identity).  The columns are built when first read.  Past the known
+        top they are zero."""
         if self.finite_top is not None and n + ny > self.finite_top:
             return [{} for _ in range(self.dim(n))]
-        return _right_products(self.basis(n + ny).lmul, self.basis(n).parents, prev,
-                               self.field)
+        return LazyColumns(self.basis(n + ny).lmul, self.basis(n).parents, prev,
+                           self.system.identity().images, self.field)
 
     def dright(self, n, g):
         """Right derivative by gamma as a matrix B^n -> B^{n-1}; zero on
@@ -610,20 +617,13 @@ class AlgebraState:
         """Action of a group element on the degree-n component.  It is an
         algebra automorphism with w(x_a) = sign * x_c, so
         w(x_a z) = sign * x_c w(z).  The columns are built when first
-        read (:class:`LazyColumns`): callers mostly read one class block."""
+        read (:class:`LazyColumns`): callers mostly read one class block.
+        The antipode and its inverse do not read it."""
         def build(basis):
-            field = self.field
             if n == 0:
-                return mat_identity(1, field)
-            a_prev = self.act_matrix(n - 1, w)
-            lmul, parents = basis.lmul, basis.parents
-
-            def column(i):
-                a, j = parents[i]
-                s = w.act(a + 1)
-                col = a_prev[j] if s > 0 else neg_col(a_prev[j], field)
-                return mat_col(lmul[abs(s) - 1], col, field)
-            return LazyColumns(basis.dim, column)
+                return mat_identity(1, self.field)
+            return LazyColumns(basis.lmul, basis.parents, self.act_matrix(n - 1, w),
+                               w.images, self.field)
         return self._cached(n, ("act", w.images), build)
 
     def word_column(self, word):
@@ -689,31 +689,43 @@ class AlgebraState:
         return self._cached(n, ("rho", None), build)
 
     def antipode_matrix(self, n):
-        """Antipode on degree n via S(x_a z) = -(s_a . S(z)) x_a."""
+        """Antipode on degree n by the prefix recursion
+        S(b_j x_e) = -(g_j . x_e) S(b_j), g_j the group degree of b_j:
+        column i, for b_i = b_j x_e and g_j(e) = sign * c, is
+        -sign * ``lmul[c]`` of degree n applied to column j of degree
+        n - 1."""
         def build(basis):
             field = self.field
             if n == 0:
                 return mat_identity(1, field)
-            s_prev = self.antipode_matrix(n - 1)
+            s_prev, wdegs = self.antipode_matrix(n - 1), self.bases[n - 1].wdegs
+            lmul = basis.lmul
             cols = []
-            for a, j in basis.parents:
-                col = mat_col(self.act_matrix(n - 1, self.system.reflection(a)),
-                              neg_col(s_prev[j], field), field)
-                cols.append(mat_col(self.rmul(n, a), col, field))
+            for word, j in zip(basis.words, basis.prefixes):
+                s = wdegs[j].act(word[-1] + 1)
+                col = s_prev[j] if s < 0 else neg_col(s_prev[j], field)
+                cols.append(mat_col(lmul[abs(s) - 1], col, field))
             return cols
         return self._cached(n, ("antipode", None), build)
 
     def antipode_inv_matrix(self, n):
-        """Inverse antipode on degree n, the twist (-1)^{l(g)} g^{-1} S on
-        the class of g, column by column; ``check_nz_antipode`` certifies
-        it by S S^{-1} = I."""
+        """Inverse antipode on degree n by the parents recursion
+        S^{-1}(x_a b_j) = -S^{-1}(b_j) (g_j^{-1} . x_a), g_j the group
+        degree of b_j: column i, for b_i = x_a b_j and
+        g_j^{-1}(a) = sign * c, is -sign * ``rmul(n, c)`` applied to
+        column j of degree n - 1.  ``check_nz_antipode`` checks it against
+        the antipode by S S^{-1} = I."""
         def build(basis):
-            field, s = self.field, self.antipode_matrix(n)
-            cols = [None] * basis.dim
-            for g, idx in basis.classes.items():
-                act, odd = self.act_matrix(n, g.inverse()), g.length() % 2
-                for i in idx:
-                    cols[i] = mat_col(act, neg_col(s[i], field) if odd else s[i], field)
+            field = self.field
+            if n == 0:
+                return mat_identity(1, field)
+            t_prev, prev = self.antipode_inv_matrix(n - 1), self.bases[n - 1]
+            inv = {g: g.inverse().images for g in prev.classes}
+            cols = []
+            for a, j in basis.parents:
+                s = inv[prev.wdegs[j]][a]
+                col = t_prev[j] if s < 0 else neg_col(t_prev[j], field)
+                cols.append(mat_col(self.rmul(n, abs(s) - 1), col, field))
             return cols
         return self._cached(n, ("antipode_inv", None), build)
 

@@ -69,14 +69,36 @@ def _fresh_a2(prime):
 
 @pytest.mark.parametrize("prime", [False, True])
 def test_nz_antipode_catches_a_negated_inverse_column(prime):
-    # S S^{-1} = I certifies the twist S^{-1} = (-1)^{l(g)} g^{-1} S, so
-    # one wrong column of S^{-1} fails the check at its degree
+    # S S^{-1} = I certifies the recursions of S and S^{-1} against each
+    # other, so one wrong column of S^{-1} fails the check at its degree
     state = _fresh_a2(prime)
     sinv = state.antipode_inv_matrix(2)
     sinv[1] = neg_col(sinv[1], state.field)
     r = check_nz_antipode(state)
     assert r.status == "fail"
     assert r.counterexample["degree"] == 2
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_nz_antipode_catches_a_negated_antipode_column(prime):
+    # and one wrong column of S fails it at its degree too
+    state = _fresh_a2(prime)
+    s = state.antipode_matrix(3)
+    s[2] = neg_col(s[2], state.field)
+    r = check_nz_antipode(state)
+    assert r.status == "fail"
+    assert r.counterexample["degree"] == 3
+
+
+def test_nz_antipode_reads_no_group_action():
+    # S and S^{-1} are built by generator recursions: checking them builds
+    # no action matrix at any degree
+    state = AlgebraState(RootSystem(cartan_data("A", 3)))
+    state.construct_all()
+    assert check_nz_antipode(state).passed
+    acts = [(b.degree, key) for b in state.bases for key in b.cache if key[0] == "act"]
+    assert acts == []
+    assert all(("antipode_inv", None) in b.cache for b in state.bases[:state.finite_top + 1])
 
 
 @pytest.mark.parametrize("prime", [False, True])

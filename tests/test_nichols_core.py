@@ -617,8 +617,9 @@ def test_antipode_examples(s3):
 
 
 def test_antipode_inverse(s3, s4, s4_prime):
-    # S^{-1} is the twist (-1)^{l(g)} g^{-1} S, and S S^{-1} = I certifies
-    # it: a one-sided inverse of a square matrix is its inverse
+    # S and S^{-1} are two independent recursions, through lmul and rmul,
+    # and S S^{-1} = I certifies them: a one-sided inverse of a square
+    # matrix is its inverse
     capped = [AlgebraState(RootSystem(cartan_data(t, 4)), field=PrimeField(), degree_cap=5)
               for t in ("A", "D")]
     for state in (s3, s4, s4_prime, *capped):
@@ -629,30 +630,60 @@ def test_antipode_inverse(s3, s4, s4_prime):
             assert mat_mul(s, si, state.field) == mat_identity(state.dim(n), state.field)
 
 
-@pytest.mark.parametrize("type_,rank_,prime", [("A", 3, False), ("A", 3, True),
-                                                ("A", 4, True), ("D", 4, True)])
-def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, prime):
-    # antipode_inv_matrix is the twist (-1)^{l(g)} g^{-1} S on each column of
-    # class g; the oracle is the parents recursion S^{-1}(x_a z) =
-    # -S^{-1}(z) (g^{-1} . x_a), g the group degree of z, from rmul alone
+ANTIPODE_CASES = pytest.mark.parametrize("type_,rank_,prime", [
+    ("A", 3, False), ("A", 3, True), ("A", 4, True), ("D", 4, True)])
+
+
+def _antipode_state(s4, type_, rank_, prime):
+    """A3 over Q and over GF(p) to the top, A4/GF(p) to degree 5 and
+    D4/GF(p) to degree 4, built."""
     if (type_, rank_, prime) == ("A", 3, False):
-        state = s4
-    else:
-        state = AlgebraState(RootSystem(cartan_data(type_, rank_)),
-                             field=PrimeField() if prime else QQ, degree_cap=5)
-        state.ensure_degree(5)
+        return s4
+    cap = {"A3": None, "A4": 5, "D4": 4}[f"{type_}{rank_}"]
+    state = AlgebraState(RootSystem(cartan_data(type_, rank_)),
+                         field=PrimeField() if prime else QQ, degree_cap=cap)
+    state.construct_all()
+    return state
+
+
+@ANTIPODE_CASES
+def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, prime):
+    # antipode_inv_matrix is the parents recursion S^{-1}(x_a z) =
+    # -S^{-1}(z) (g^{-1} . x_a) through rmul; the oracle is the twist
+    # (-1)^{l(g)} g^{-1} S on each column of class g, through the group
+    # action's matrices
+    state = _antipode_state(s4, type_, rank_, prime)
     field = state.field
+    for n in range(len(state.bases)):
+        s = state.antipode_matrix(n)
+        expected = [None] * state.dim(n)
+        for g, idx in state.basis(n).classes.items():
+            act, odd = state.act_matrix(n, g.inverse()), g.length() % 2
+            for i in idx:
+                expected[i] = mat_col(act, neg_col(s[i], field) if odd else s[i], field)
+        assert state.antipode_inv_matrix(n) == expected, n
+
+
+@ANTIPODE_CASES
+def test_antipode_prefix_recursion_matches_the_parents_formula(s4, type_, rank_, prime):
+    # antipode_matrix is the prefix recursion S(z x_e) = -(g . x_e) S(z)
+    # through lmul; the oracle is the parents recursion S(x_a z) =
+    # -(s_a . S(z)) x_a, through the action of s_a and rmul.  The twisted
+    # antipode sbar = (-1)^n rho S is an involution, so S^{-1} = rho S rho
+    state = _antipode_state(s4, type_, rank_, prime)
+    field, sys = state.field, state.system
     expected = mat_identity(1, field)
-    assert state.antipode_inv_matrix(0) == expected
-    for n in range(1, 6):
-        prev = state.basis(n - 1)
-        cols = []
-        for a, j in state.basis(n).parents:
-            sg = prev.wdegs[j].inverse().act(a + 1)
-            col = neg_col(expected[j], field) if sg > 0 else expected[j]
-            cols.append(mat_col(state.rmul(n, abs(sg) - 1), col, field))
-        expected = cols
-        assert state.antipode_inv_matrix(n) == expected
+    assert state.antipode_matrix(0) == expected
+    for n in range(1, len(state.bases)):
+        expected = [mat_col(state.rmul(n, a),
+                            mat_col(state.act_matrix(n - 1, sys.reflection(a)),
+                                    neg_col(expected[j], field), field), field)
+                    for a, j in state.basis(n).parents]
+        assert state.antipode_matrix(n) == expected, n
+    for n in range(len(state.bases)):
+        r = state.rho_matrix(n)
+        assert state.antipode_inv_matrix(n) == mat_mul(r, mat_mul(
+            state.antipode_matrix(n), r, field), field), n
 
 
 def test_state_is_freed_without_the_cycle_collector():
@@ -1107,39 +1138,38 @@ def test_word_build_files_its_right_multiplications(type_, rank_, field, cap):
                          [("A", 3, QQ, None), ("A", 4, PrimeField(), 5)],
                          ids=["A3-rational", "A4-prime-5"])
 def test_right_products_derive_each_column_once(monkeypatch, type_, rank_, field, cap):
-    # a build followed by rho_matrix and antipode_matrix at every degree,
-    # the cap's included, derives column i of each rmul(n, e) once: the
-    # read path reuses the maps the fill filed
+    # a build followed by rho_matrix, antipode_matrix and
+    # antipode_inv_matrix at every degree, the cap's included, derives
+    # column i of each rmul(n, e) once: the read path reuses the maps the
+    # fill filed, and makes no lifted map that is not filed
     from nwalgebra import nichols_core
 
-    helper = nichols_core._right_products
-    letter = {}   # id of a map the helper made -> e
-    made = []     # every such map, kept alive so that no id is reused
-    derived = []  # (id of the product degree's lmul, e, i) per column built
+    cls = nichols_core.LazyColumns
+    init, column = cls.__init__, cls._column
+    made = []     # every lifted map, kept alive so that no id is reused
+    derived = []  # (id of the map, i) per column built
 
-    def tagging(lmul, parents, prev, field):
-        # degree 1's rmul(1, e) is the list [{e: 1}]
-        e = letter[id(prev)] if id(prev) in letter else next(iter(prev[0]))
-        m = helper(lmul, parents, prev, field)
-        build = m._build
+    def tracking_init(self, *args):
+        init(self, *args)
+        made.append(self)
 
-        def column(i):
-            derived.append((id(lmul), e, i))
-            return build(i)
-        m._build = column
-        letter[id(m)] = e
-        made.append(m)
-        return m
+    def tracking_column(self, i):
+        derived.append((id(self), i))
+        return column(self, i)
 
-    monkeypatch.setattr(nichols_core, "_right_products", tagging)
+    monkeypatch.setattr(cls, "__init__", tracking_init)
+    monkeypatch.setattr(cls, "_column", tracking_column)
     st = AlgebraState(RootSystem(cartan_data(type_, rank_)), field=field, degree_cap=cap)
     st.construct_all()
     in_build = len(derived)
     for n in range(len(st.bases)):
         st.rho_matrix(n)
         st.antipode_matrix(n)
-    degree = {id(b.lmul): b.degree for b in st.bases}
-    seen = [(degree[lm], e, i) for lm, e, i in derived]
+        st.antipode_inv_matrix(n)
+    filed = {id(m): (b.degree, key[1]) for b in st.bases for key, m in b.cache.items()
+             if key[0] == "rmul"}
+    assert all(id(m) in filed for m in made)
+    seen = [(filed[m], i) for m, i in derived]
     assert 0 < in_build < len(seen)
     assert len(seen) == len(set(seen))
 
@@ -1283,18 +1313,19 @@ def read_path_digest(state, ordered=True):
 
 
 @pytest.mark.parametrize("field,digest,values", [
-    (QQ, "1772b11771783aa794e63e99621f432fdf08beae057bfe06c296edbdd3272e65",
+    (QQ, "6a760e7b2d0d9077e78d7601b969eef368d65055fea52e0efa5dd065394f9103",
      "228745fb29ba4e20170a5799bc29bbdb9ab9b271ba223bd711b700ba72f6f842"),
-    (PrimeField(), "f7a865b5bc14401f348b4735827da2ad2ee2efe87e37d36273b3ba40891a20aa",
+    (PrimeField(), "c04b4fae7f12ef94a57258f60c4fe208be0c7d031d8278484158f7eaab4908c1",
      "4de691dc27e470bde3fb79289d4d6da4f03e9e819313fd23e5c9c8e0320ce013"),
-    (PrimeField(101), "2f6771a6a362304513d2d169c4e38695f6992f98c9ae93900bec5cf7506d1100",
+    (PrimeField(101), "02b297f4579ccb6fdeb7b0e29c32f422577d573d77bf0f40be500ad53b8d69fd",
      "a85fc1bbec08b97ff5c751050efad054f1c7b17c625792b3cfdb7872d8c146f2"),
 ], ids=["A3-rational", "A3-prime", "A3-prime-101"])
 def test_read_path_digest(field, digest, values):
     # the derived structure maps, byte for byte.  ``values`` sorts each
     # column's entries and was recorded with ``test_structure_digest``'s,
     # before the build summed the columns with a non-basis prefix; the
-    # scalar types must hold too.  ``digest`` keeps the entry order
+    # scalar types must hold too.  ``digest`` keeps the entry order, which
+    # the generator recursions of the antipode and its inverse set
     st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field)
     st.construct_all()
     assert read_path_digest(st, ordered=False) == values

@@ -231,14 +231,6 @@ class RootSystem:
             return -(self.index[neg] + 1)
         raise CoxeterError(f"not a root: {coeffs}")
 
-    def reflect_root(self, x, alpha):
-        """s_alpha(x) on coefficient vectors, validating both arguments."""
-        for v in (alpha, x):
-            v = tuple(v)
-            if v not in self.index and tuple(-c for c in v) not in self.index:
-                raise CoxeterError(f"not a root: {v}")
-        return self.reflect_coeffs(tuple(x), tuple(alpha))
-
     # -- distinguished elements ----------------------------------------
 
     def identity(self) -> "GroupElement":
@@ -388,10 +380,6 @@ class GroupElement:
             w = w * self
             n += 1
         return n
-
-    def conjugate_reflection(self, root_index: int) -> int:
-        """Positive-root index t' with w s_t w^-1 = s_t'."""
-        return abs(self.images[root_index]) - 1
 
     # -- descents, words, Bruhat order ---------------------------------
 

@@ -158,27 +158,31 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
         return s
 
     # item 1: x = (x)D_a x_a for every root
+    roots = []  # (x_a, (x)D_a), read again by item 2
     for a in range(sys.nroots):
         xa = NicholsElement.generator(state, a)
-        if multiply(right_derivative(x, xa), xa) != x:
+        dx = right_derivative(x, xa)
+        if multiply(dx, xa) != x:
             return _fail(name, params, 0, None, item=1, root=a)
+        roots.append((xa, dx))
     # item 2: x = -eps x_a (x)D_a with s_a x = eps x
-    for a in range(sys.nroots):
-        xa = NicholsElement.generator(state, a)
+    for a, (xa, dx) in enumerate(roots):
         eps = sign_of_action(sys.reflection(a))
-        got = multiply(xa, right_derivative(x, xa)).scale(-eps)
+        got = multiply(xa, dx).scale(-eps)
         if got != x:
             return _fail(name, params, 0, None, item=2, root=a)
     # item 3: x = (x)D_y y for every w
+    tops = {}  # w -> (y, (x)D_y), read again by items 4 and 5
     for w in sys.elements():
         y = y_element(w, state)
-        if multiply(right_derivative(x, y), y) != x:
+        dx = right_derivative(x, y)
+        if multiply(dx, y) != x:
             return _fail(name, params, 0, None, item=3, w=w)
+        tops[w] = (y, dx)
     # item 4: x = (-1)^{l(wo)} eps y (x)D_y over the centralizer
     eps_wo = sign_of_action(wo)
     for w in centralizer_of_longest(sys):
-        y = y_element(w, state)
-        dx = right_derivative(x, y)
+        y, dx = tops[w]
         if multiply(y, dx).scale(lwo_sign * eps_wo) != x:
             return _fail(name, params, 0, None, item=4, w=w)
         # nonvanishing of the derivative bracket
@@ -188,13 +192,13 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     if order2_system is None:
         notes.append("item 5 skipped: no order-two disjoint system supplied")
     else:
-        w1, w2 = order2_system.elements[:2]
-        y1, y2 = y_element(w1, state), y_element(w2, state)
+        y1, y2 = (tops[w][0] for w in order2_system.elements[:2])
         y12 = multiply(y1, y2)
-        got = multiply(y12, right_derivative(x, y12)).scale(lwo_sign)
+        dx12 = right_derivative(x, y12)
+        got = multiply(y12, dx12).scale(lwo_sign)
         if got != x:
             return _fail(name, params, 0, None, item=5, display=1)
-        got = multiply(right_derivative(x, y12), multiply(y2, y1))
+        got = multiply(dx12, multiply(y2, y1))
         if got != x:
             return _fail(name, params, 0, None, item=5, display=2)
     return IdentityReport(name, params, 0, "pass", None, None, notes)

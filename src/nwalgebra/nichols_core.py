@@ -36,17 +36,18 @@ its inverse by one generator each, with no group action on a word:
   antipode:  S(z x_e)       = -(g_z . x_e) S(z)
   inverse:   S^{-1}(x_a z)  = -S^{-1}(z) (g_z^{-1} . x_a)
 
-Two independent construction paths exist: this incremental one, and the
-Woronowicz symmetrizer on raw words; their ranks are compared in tests
-and in the acceptance suite.  ``nwalg dims`` and ``nwalg hilbert`` read
-only dimensions, and build them with one class block per conjugacy
-orbit (:mod:`nwalgebra.orbits`); this word-basis build is the oracle
-that the tests compare with it class by class.
+The Woronowicz symmetrizer on raw words is an independent construction
+whose ranks the tests and the acceptance suite compare with this one;
+it lives with the tests' other oracles, in ``tests/oracles.py``, as does
+the braided word coproduct that the coproduct tests read.
+``nwalg dims`` and ``nwalg hilbert`` read only dimensions, and build
+them with one class block per conjugacy orbit
+(:mod:`nwalgebra.orbits`); this word-basis build is the oracle that the
+tests compare with it class by class.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
@@ -206,36 +207,6 @@ def mat_pow(a, k, field):
         if not k:
             return result
         a = mat_mul(a, a, field)
-
-
-# ---------------------------------------------------------------------------
-# words and braiding
-# ---------------------------------------------------------------------------
-
-
-def word_wdeg(sys: RootSystem, word) -> GroupElement:
-    w = sys.identity()
-    for a in word:
-        w = w * sys.reflection(a)
-    return w
-
-
-def braid_apply(sys: RootSystem, word, i, inverse=False):
-    """One braiding at position i: (sign, new_word).
-
-    Forward: (a, b) -> (s_a(b), a).  Inverse: (a, b) -> (b, s_b(a)).
-    """
-    if not 0 <= i < len(word) - 1:
-        raise IndexError("braiding position out of range")
-    a, b = word[i], word[i + 1]
-    if inverse:
-        s = sys.refl[b][a]
-        pair = (b, abs(s) - 1)
-    else:
-        s = sys.refl[a][b]
-        pair = (abs(s) - 1, a)
-    sign = 1 if s > 0 else -1
-    return sign, word[:i] + pair + word[i + 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -662,21 +633,6 @@ class AlgebraState:
             return cols
         return self._cached(n, ("gram", None), build)
 
-    def gram_inv(self, n):
-        """Inverse Gram matrix: column i is the coordinate vector of e_i
-        over the Gram columns.  Raises ValueError if the Gram matrix is
-        singular."""
-        def build(basis):
-            field = self.field
-            solver = ColumnSolver(field)
-            for col in self.gram(n):
-                solver.add(col)
-            if solver.rank < basis.dim:
-                raise ValueError("matrix is singular")
-            # full rank: the kept positions are the column indices
-            return [solver.coordinates({i: field.one}) for i in range(basis.dim)]
-        return self._cached(n, ("gram_inv", None), build)
-
     def rho_matrix(self, n):
         """Word reversal as a matrix on the degree-n component, via the
         anti-automorphism rule rho(x_a z) = rho(z) x_a."""
@@ -951,55 +907,6 @@ def s_bar(z: NicholsElement) -> NicholsElement:
     return _apply_matrices(z, z.state.sbar_matrix)
 
 
-def counit(z: NicholsElement):
-    return z.components.get(0, {}).get(0, z.state.field.zero)
-
-
-def coproduct_split(z: NicholsElement, k: int):
-    """The (k, n-k) coproduct legs of each component, as element pairs.
-
-    Returns a list of (left, right) pairs whose sum of tensors is the
-    degree-(k, n-k) part of the coproduct.
-    """
-    state = z.state
-    one = state.field.one
-    out = []
-    for n, v in z.components.items():
-        if k > n:
-            continue
-        ginv = state.gram_inv(k)
-        comp = NicholsElement(state, {n: v})
-        for i, dual in enumerate(ginv):
-            t = left_derivative(NicholsElement(state, {k: dual}), comp)
-            if not t.is_zero():
-                out.append((NicholsElement(state, {k: {i: one}}), t))
-    return out
-
-
-def coproduct_word_expansion(sys: RootSystem, word):
-    """Full braided coproduct of a word on tensor representatives.
-
-    Returns {(left_word, right_word): integer coefficient}.
-    """
-    terms = {((), ()): 1}
-    wdeg_cache = {(): sys.identity()}
-    for a in word:
-        new = {}
-        for (w1, w2), c in terms.items():
-            g = wdeg_cache.get(w2)
-            if g is None:
-                g = word_wdeg(sys, w2)
-                wdeg_cache[w2] = g
-            s = g.act(a + 1)
-            key1 = (w1 + (abs(s) - 1,), w2)
-            val = c if s > 0 else -c
-            new[key1] = new.get(key1, 0) + val
-            key2 = (w1, w2 + (a,))
-            new[key2] = new.get(key2, 0) + c
-        terms = {k: v for k, v in new.items() if v}
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # monomial predicates and group-degree decomposition
 # ---------------------------------------------------------------------------
@@ -1018,12 +925,8 @@ def _spanned(z: NicholsElement, columns) -> bool:
     return True
 
 
-def starts_with(z: NicholsElement, g: int) -> bool:
-    """Whether z can be written as x_g * z' (per nonzero component)."""
-    return _spanned(z, lambda n: z.state.lmul(n, g) if n else [])
-
-
 def ends_with(z: NicholsElement, g: int) -> bool:
+    """Whether z can be written as z' * x_g (per nonzero component)."""
     return _spanned(z, lambda n: z.state.rmul(n, g) if n else [])
 
 
@@ -1075,62 +978,6 @@ def w_degree(z: NicholsElement):
     if len(d) != 1:
         return None
     return next(iter(d))
-
-
-# ---------------------------------------------------------------------------
-# the symmetrizer oracle
-# ---------------------------------------------------------------------------
-
-
-def _permutation_words(n):
-    """A reduced word for every permutation of n letters, by BFS."""
-    ident = tuple(range(n))
-    words = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i in range(n - 1):
-                q = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
-                if q not in words:
-                    words[q] = words[p] + (i,)
-                    nxt.append(q)
-        frontier = nxt
-    return words
-
-
-def _braid_lift_terms(sys, word, braid_word):
-    """Apply a sequence of forward braidings (rightmost first) to a word."""
-    sign, w = 1, word
-    for i in reversed(braid_word):
-        s, w = braid_apply(sys, w, i)
-        sign *= s
-    return sign, w
-
-
-def symmetrizer_rank(sys: RootSystem, n: int, field=QQ,
-                     memory_bound=DEFAULT_MEMORY_BOUND) -> int:
-    """Rank of the degree-n symmetrizer, computed per group-degree class."""
-    nwords = sys.nroots ** n
-    if nwords * n > memory_bound:
-        raise MemoryBoundExceeded(f"{nwords} words exceed the memory bound")
-    perm_words = _permutation_words(n)
-    by_class = {}
-    for w in itertools.product(range(sys.nroots), repeat=n):
-        by_class.setdefault(word_wdeg(sys, w).images, []).append(w)
-    total = 0
-    for key in sorted(by_class):
-        words = by_class[key]
-        index = {w: i for i, w in enumerate(words)}
-        solver = ColumnSolver(field)
-        for w in words:
-            acc = {}
-            for bw in perm_words.values():
-                sign, img = _braid_lift_terms(sys, w, bw)
-                acc[img] = acc.get(img, 0) + sign
-            solver.add({index[img]: x for img, c in acc.items() if (x := field.of(c))})
-        total += solver.rank
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ purely syntactically with the quadratic relations (square zero,
 orthogonal commutation, the three-term relation) plus nilCoxeter
 normalization of simple prefixes; the graded components of B_W are never
 consulted, so this runs at ranks where the algebra itself is out of
-reach.  A linear-algebra oracle cross-checks it at constructible ranks.
+reach.  A linear-algebra oracle in the tests (``tests/oracles.py``:
+membership in the ideal's span and the quotient dimensions, by
+elimination in the built algebra) cross-checks it at constructible
+ranks.
 
 Core recursion: ``block(u, a)`` returns the unique mu with
 x_u x_a = mu x_{u s_a} mod J^r.  Case analysis for non-simple a, with
@@ -33,9 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
-from .exactlinalg import ColumnSolver
-from .integrals import nonsimple_roots
-from .nichols_core import AlgebraState, CheckFailed, NicholsElement
+from .nichols_core import CheckFailed
 
 
 class ReductionError(CheckFailed):
@@ -198,53 +199,3 @@ def reduce_mod_left_ideal(word, system: RootSystem, coeff=1, policy: str = "min"
     """Reduce modulo the left ideal J^l, via word reversal."""
     r = reduce_mod_right_ideal(tuple(reversed(word)), system, coeff, policy)
     return ReductionResult(r.scalar, r.w.inverse(), r.trace)
-
-
-def ideal_membership_oracle(z: NicholsElement, side: str, state: AlgebraState):
-    """Linear-algebra membership in J^l or J^r plus the nilCoxeter normal form.
-
-    Returns (member, normal_form) where normal_form maps group elements w
-    to the coefficient of x_w in the class of z modulo the ideal.
-    """
-    from .nilcoxeter import embed_element
-
-    if side not in ("left", "right"):
-        raise ReductionError("side must be 'left' or 'right'")
-    sys = state.system
-    field = state.field
-    member = True
-    normal = {}
-    for n, vec in z.components.items():
-        solver = _ideal_solver(state, side, n)
-        njr = solver.rank
-        length_n = [w for w in sys.elements() if w.length() == n]
-        for w in length_n:
-            if not solver.add(embed_element(state, w).component(n)):
-                raise ReductionError("standard basis met the ideal; inconsistency")
-        coords = solver.coordinates(vec)
-        if coords is None:
-            raise ReductionError("ideal plus nilCoxeter span is not everything")
-        for k, w in enumerate(length_n):
-            c = coords.get(njr + k)
-            if c:
-                member = False
-                normal[w] = normal.get(w, field.zero) + c
-    return member, normal
-
-
-def quotient_dimensions(state: AlgebraState, side: str = "right"):
-    """Per-degree dimension of B_W modulo the one-sided ideal."""
-    if state.finite_top is None:
-        raise ReductionError("quotient dimensions need the full algebra")
-    return [state.dim(n) - _ideal_solver(state, side, n).rank
-            for n in range(state.finite_top + 1)]
-
-
-def _ideal_solver(state: AlgebraState, side: str, n: int) -> ColumnSolver:
-    """A solver holding the degree-n columns of J^r (side "right") or J^l."""
-    solver = ColumnSolver(state.field)
-    if n >= 1:
-        for a in nonsimple_roots(state):
-            for col in state.lmul(n, a) if side == "right" else state.rmul(n, a):
-                solver.add(col)
-    return solver

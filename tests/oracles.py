@@ -1,0 +1,318 @@
+"""Independent oracles that the tests check the engine against.
+
+No command runs these, so they live with the tests, off the import path
+of ``nwalg``:
+
+- the Woronowicz symmetrizer on raw words, whose ranks are the
+  dimensions of B_W built another way;
+- the braided coproduct of a word on tensor representatives, the
+  coproduct of an element read from it, and the reconstruction of the
+  coproduct of x_w from the skew elements x_{w/v};
+- the nilCoxeter algebra, with its own product;
+- membership in the one-sided ideals of the non-simple generators by
+  elimination in the built algebra, against which the syntactic
+  reduction of :mod:`nwalgebra.reduction` is checked.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from nwalgebra.coxeter import GroupElement, RootSystem
+from nwalgebra.exactlinalg import QQ, ColumnSolver
+from nwalgebra.integrals import nonsimple_roots
+from nwalgebra.nichols_core import (
+    DEFAULT_MEMORY_BOUND,
+    AlgebraState,
+    CheckFailed,
+    MemoryBoundExceeded,
+    NicholsElement,
+)
+from nwalgebra.nilcoxeter import embed_element, reduced_word_roots, skew_element
+from nwalgebra.reduction import ReductionError
+
+# ---------------------------------------------------------------------------
+# words, braiding and the symmetrizer
+# ---------------------------------------------------------------------------
+
+
+def word_wdeg(sys: RootSystem, word) -> GroupElement:
+    """The group degree s_{a_1} ... s_{a_n} of a word."""
+    w = sys.identity()
+    for a in word:
+        w = w * sys.reflection(a)
+    return w
+
+
+def braid_apply(sys: RootSystem, word, i, inverse=False):
+    """One braiding at position i: (sign, new_word).
+
+    Forward: (a, b) -> (s_a(b), a).  Inverse: (a, b) -> (b, s_b(a)).
+    """
+    if not 0 <= i < len(word) - 1:
+        raise IndexError("braiding position out of range")
+    a, b = word[i], word[i + 1]
+    if inverse:
+        s = sys.refl[b][a]
+        pair = (b, abs(s) - 1)
+    else:
+        s = sys.refl[a][b]
+        pair = (abs(s) - 1, a)
+    sign = 1 if s > 0 else -1
+    return sign, word[:i] + pair + word[i + 2:]
+
+
+def _permutation_words(n):
+    """A reduced word for every permutation of n letters, by BFS."""
+    ident = tuple(range(n))
+    words = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i in range(n - 1):
+                q = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+                if q not in words:
+                    words[q] = words[p] + (i,)
+                    nxt.append(q)
+        frontier = nxt
+    return words
+
+
+def _braid_lift_terms(sys, word, braid_word):
+    """Apply a sequence of forward braidings (rightmost first) to a word."""
+    sign, w = 1, word
+    for i in reversed(braid_word):
+        s, w = braid_apply(sys, w, i)
+        sign *= s
+    return sign, w
+
+
+def symmetrizer_rank(sys: RootSystem, n: int, field=QQ,
+                     memory_bound=DEFAULT_MEMORY_BOUND) -> int:
+    """Rank of the degree-n symmetrizer, computed per group-degree class.
+    Its n |R+|^n word entries are held against ``memory_bound``."""
+    nwords = sys.nroots ** n
+    if nwords * n > memory_bound:
+        raise MemoryBoundExceeded(f"{nwords} words exceed the memory bound")
+    perm_words = _permutation_words(n)
+    by_class = {}
+    for w in itertools.product(range(sys.nroots), repeat=n):
+        by_class.setdefault(word_wdeg(sys, w).images, []).append(w)
+    total = 0
+    for key in sorted(by_class):
+        words = by_class[key]
+        index = {w: i for i, w in enumerate(words)}
+        solver = ColumnSolver(field)
+        for w in words:
+            acc = {}
+            for bw in perm_words.values():
+                sign, img = _braid_lift_terms(sys, w, bw)
+                acc[img] = acc.get(img, 0) + sign
+            solver.add({index[img]: x for img, c in acc.items() if (x := field.of(c))})
+        total += solver.rank
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the braided coproduct
+# ---------------------------------------------------------------------------
+
+
+def coproduct_word_expansion(sys: RootSystem, word):
+    """Full braided coproduct of a word on tensor representatives.
+
+    Returns {(left_word, right_word): integer coefficient}.
+    """
+    terms = {((), ()): 1}
+    wdeg_cache = {(): sys.identity()}
+    for a in word:
+        new = {}
+        for (w1, w2), c in terms.items():
+            g = wdeg_cache.get(w2)
+            if g is None:
+                g = word_wdeg(sys, w2)
+                wdeg_cache[w2] = g
+            s = g.act(a + 1)
+            key1 = (w1 + (abs(s) - 1,), w2)
+            val = c if s > 0 else -c
+            new[key1] = new.get(key1, 0) + val
+            key2 = (w1, w2 + (a,))
+            new[key2] = new.get(key2, 0) + c
+        terms = {k: v for k, v in new.items() if v}
+    return terms
+
+
+def coproduct_legs(z: NicholsElement, k: int):
+    """The (k, n-k) part of the coproduct of each component z_n, as
+    (left, right) element pairs whose tensors sum to it.  Each basis word
+    of z is expanded by :func:`coproduct_word_expansion` and each leg
+    read through ``word_column``; pairs with a zero leg are dropped."""
+    state = z.state
+    sys = state.system
+    out = []
+    for n, v in z.components.items():
+        if k > n:
+            continue
+        words = state.basis(n).words
+        for i, c in v.items():
+            for (w1, w2), d in coproduct_word_expansion(sys, words[i]).items():
+                if len(w1) != k:
+                    continue
+                left = NicholsElement.from_word(state, w1, c * d)
+                right = NicholsElement.from_word(state, w2)
+                if not left.is_zero() and not right.is_zero():
+                    out.append((left, right))
+    return out
+
+
+def liu_reconstruction_holds(state: AlgebraState, w: GroupElement) -> bool:
+    """Whether the coproduct of x_w equals sum_v x_{w/v} (x) x_v, exactly.
+
+    A failure here is a hard inconsistency of the skew extraction and is
+    surfaced as False rather than absorbed.
+    """
+    sys = state.system
+    word = reduced_word_roots(sys, w)
+    expansion = coproduct_word_expansion(sys, word)
+    n = len(word)
+    field = state.field
+
+    def tensor(legs):
+        """sum c * l (x) r over the (c, l, r) legs, as {(i, j): scalar}."""
+        acc = {}
+        for c, lvec, rvec in legs:
+            for i, x in lvec.items():
+                for j, y in rvec.items():
+                    acc[(i, j)] = acc.get((i, j), 0) + c * x * y
+        return field.canon(acc)
+
+    for k in range(n + 1):
+        # the raw expansion legs at split (n-k, k), against the skew legs
+        got = tensor((field.of(c), state.word_column(w1), state.word_column(w2))
+                     for (w1, w2), c in expansion.items() if len(w2) == k)
+        want = tensor((field.one, skew_element(w, v, state).component(n - k),
+                       embed_element(state, v).component(k))
+                      for v in sys.elements() if v.length() == k)
+        if got != want:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the nilCoxeter algebra
+# ---------------------------------------------------------------------------
+
+
+class NilCoxeterError(CheckFailed):
+    pass
+
+
+class NilCoxeterElement:
+    """A linear combination of standard basis elements x_w."""
+
+    def __init__(self, system: RootSystem, terms=None):
+        self.system = system
+        self.terms = {}
+        if terms:
+            for w, c in terms.items():
+                if c:
+                    self.terms[w] = c
+
+    @classmethod
+    def basis(cls, system, w: GroupElement):
+        return cls(system, {w: 1})
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for w, c in other.terms.items():
+            x = t.get(w, 0) + c
+            if x:
+                t[w] = x
+            else:
+                t.pop(w, None)
+        return NilCoxeterElement(self.system, t)
+
+    def scale(self, s):
+        return NilCoxeterElement(self.system, {w: c * s for w, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, NilCoxeterElement) and self.terms == other.terms
+
+    def __repr__(self):
+        return " + ".join(f"{c}*x[{w!r}]" for w, c in sorted(self.terms.items(), key=lambda t: t[0].images)) or "0"
+
+    def to_json(self):
+        items = sorted(self.terms.items(), key=lambda t: t[0].images)
+        return {"terms": [{"element": w.to_json(), "coeff": str(c)} for w, c in items]}
+
+
+def nc_product(a: NilCoxeterElement, b: NilCoxeterElement) -> NilCoxeterElement:
+    """Product in the nilCoxeter algebra: x_u x_v = x_{uv} iff lengths add."""
+    if a.system is not b.system:
+        raise NilCoxeterError("elements of different groups")
+    out = {}
+    for u, cu in a.terms.items():
+        lu = u.length()
+        for v, cv in b.terms.items():
+            if lu + v.length() == (u * v).length():
+                w = u * v
+                x = out.get(w, 0) + cu * cv
+                if x:
+                    out[w] = x
+                else:
+                    out.pop(w, None)
+    return NilCoxeterElement(a.system, out)
+
+
+# ---------------------------------------------------------------------------
+# the one-sided ideals of the non-simple generators
+# ---------------------------------------------------------------------------
+
+
+def ideal_membership_oracle(z: NicholsElement, side: str, state: AlgebraState):
+    """Linear-algebra membership in J^l or J^r plus the nilCoxeter normal form.
+
+    Returns (member, normal_form) where normal_form maps group elements w
+    to the coefficient of x_w in the class of z modulo the ideal.
+    """
+    if side not in ("left", "right"):
+        raise ReductionError("side must be 'left' or 'right'")
+    sys = state.system
+    field = state.field
+    member = True
+    normal = {}
+    for n, vec in z.components.items():
+        solver = _ideal_solver(state, side, n)
+        njr = solver.rank
+        length_n = [w for w in sys.elements() if w.length() == n]
+        for w in length_n:
+            if not solver.add(embed_element(state, w).component(n)):
+                raise ReductionError("standard basis met the ideal; inconsistency")
+        coords = solver.coordinates(vec)
+        if coords is None:
+            raise ReductionError("ideal plus nilCoxeter span is not everything")
+        for k, w in enumerate(length_n):
+            c = coords.get(njr + k)
+            if c:
+                member = False
+                normal[w] = normal.get(w, field.zero) + c
+    return member, normal
+
+
+def quotient_dimensions(state: AlgebraState, side: str = "right"):
+    """Per-degree dimension of B_W modulo the one-sided ideal."""
+    if state.finite_top is None:
+        raise ReductionError("quotient dimensions need the full algebra")
+    return [state.dim(n) - _ideal_solver(state, side, n).rank
+            for n in range(state.finite_top + 1)]
+
+
+def _ideal_solver(state: AlgebraState, side: str, n: int) -> ColumnSolver:
+    """A solver holding the degree-n columns of J^r (side "right") or J^l."""
+    solver = ColumnSolver(state.field)
+    if n >= 1:
+        for a in nonsimple_roots(state):
+            for col in state.lmul(n, a) if side == "right" else state.rmul(n, a):
+                solver.add(col)
+    return solver

@@ -35,14 +35,10 @@ from nwalgebra.nichols_core import (
     group_act,
     multiply,
     pairing,
-    symmetrizer_rank,
 )
 from nwalgebra.nilcoxeter import embed_element
-from nwalgebra.reduction import (
-    ideal_membership_oracle,
-    quotient_dimensions,
-    reduce_mod_right_ideal,
-)
+from nwalgebra.reduction import reduce_mod_right_ideal
+from oracles import ideal_membership_oracle, quotient_dimensions, symmetrizer_rank
 
 
 class criterion:

@@ -387,6 +387,12 @@ def test_cli_import_loads_only_the_word_build():
     loaded = _modules_loaded_by("nwalgebra.calculus, nwalgebra.disjoint, nwalgebra.integrals, "
                                 "nwalgebra.reduction")
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # reduce is syntactic: it compiles none of the checks, its
+    # linear-algebra oracle being a test's
+    loaded = _modules_loaded_by("nwalgebra.reduction")
+    assert [m for m in loaded if m.split(".")[0] == "nwalgebra"] == [
+        "nwalgebra", "nwalgebra.coxeter", "nwalgebra.exactlinalg", "nwalgebra.nichols_core",
+        "nwalgebra.reduction"]
 
 
 def test_harness_traced_names_exist():

@@ -117,14 +117,17 @@ def test_reflection_is_involution(a3):
 
 
 def test_reflect_root_validates(a2):
-    theta = (1, 1)
-    assert a2.reflect_root((1, 0), theta) == (0, -1)
+    # roots are reflected on coefficient vectors and read back as signed
+    # indices, and the reflection table holds the same values; a vector
+    # that is not a root has no index
+    theta, a1, a2r = a2.index[(1, 1)], a2.index[(1, 0)], a2.index[(0, 1)]
+    assert a2.reflect_coeffs((1, 0), (1, 1)) == (0, -1)
+    assert a2._signed_index((0, -1)) == -(a2r + 1) == a2.refl[theta][a1]
     # negative roots are accepted on both sides
-    assert a2.reflect_root((-1, 0), (-1, -1)) == (0, 1)
-    with pytest.raises(CoxeterError):
-        a2.reflect_root((1, 0), (2, 1))
-    with pytest.raises(CoxeterError):
-        a2.reflect_root((5, 0), (1, 0))
+    assert a2.reflect_coeffs((-1, 0), (-1, -1)) == (0, 1)
+    for coeffs in ((2, 1), (5, 0)):
+        with pytest.raises(CoxeterError):
+            a2._signed_index(coeffs)
 
 
 def test_group_laws_and_lengths(a2):
@@ -142,7 +145,7 @@ def test_longest_element_one_line():
     # w_o conjugation preserves the simple reflections
     wo = a3.longest_element()
     simple = {a3.simple_index[i] for i in range(a3.rank)}
-    assert {wo.conjugate_reflection(s) for s in simple} == simple
+    assert {abs(wo.act(s + 1)) - 1 for s in simple} == simple
 
 
 def test_descent_criterion(a3):

@@ -45,7 +45,7 @@ def test_s6_golden_example(a5):
     # the partition is invariant under conjugation by w1 and w2
     parts = [frozenset(d.blocks[w]) for w in d.elements]
     for g in (w1, w2):
-        mapped = [frozenset(g.conjugate_reflection(t) for t in p) for p in parts]
+        mapped = [frozenset(abs(g.act(t + 1)) - 1 for t in p) for p in parts]
         assert sorted(map(sorted, mapped)) == sorted(map(sorted, parts))
 
 

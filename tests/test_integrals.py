@@ -157,6 +157,26 @@ def test_invariance_s4_with_order2(s4):
     assert rep.passed and not rep.notes
 
 
+def test_invariance_suite_derives_each_result_once(s4, monkeypatch):
+    # on A3/Q: (x)D_a for the 6 roots, y and (x)D_y for the 24 elements,
+    # and (x)D_{y12} once; items 2, 4 and 5 read them from items 1 and 3
+    from nwalgebra import integrals
+
+    calls = {"right_derivative": 0, "y_element": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (integrals.right_derivative, integrals.y_element):
+        monkeypatch.setattr(integrals, fn.__name__, counted(fn))
+    d = search_complete(s4.system)[0]
+    assert invariance_suite(top_integral(s4), s4, d).passed
+    assert calls == {"right_derivative": 31, "y_element": 24}
+
+
 def test_prep_inv_on_kernel_samples(s3):
     # z x_a = 0 forces (z) D_a x_a = z, also away from the top degree
     from nwalgebra.exactlinalg import kernel_basis

@@ -6,20 +6,12 @@ from nwalgebra.nichols_core import (
     involves_only,
     multiply,
     pairing,
-    starts_with,
     starts_with_set,
     w_degree,
 )
 from nwalgebra.coxeter import centralizer_of_longest
-from nwalgebra.nilcoxeter import (
-    NilCoxeterElement,
-    embed,
-    embed_element,
-    liu_reconstruction_holds,
-    nc_product,
-    skew_element,
-    y_element,
-)
+from nwalgebra.nilcoxeter import embed_element, skew_element, y_element
+from oracles import NilCoxeterElement, liu_reconstruction_holds, nc_product
 
 
 def test_nilcoxeter_relations(s3):
@@ -42,7 +34,10 @@ def test_nc_product_matches_embedding(s3):
         for v in sys.elements():
             nc = nc_product(NilCoxeterElement.basis(sys, u), NilCoxeterElement.basis(sys, v))
             got = multiply(embed_element(s3, u), embed_element(s3, v))
-            assert got == embed(nc, s3)
+            want = NicholsElement.zero(s3)
+            for w, c in nc.terms.items():
+                want = want + embed_element(s3, w).scale(c)
+            assert got == want
 
 
 def test_embed_examples(s3):
@@ -192,7 +187,7 @@ def test_y_predicates_and_annihilation(s3, s4):
             y = y_element(w, state)
             tw = sorted(w.t_set())
             for g in tw:
-                assert starts_with(y, g)
+                assert starts_with_set(y, {g})
                 assert ends_with(y, g)
             assert involves_only(y, tw)
             # z y = 0 for z ending with T_w; y z = 0 for z starting with T_w

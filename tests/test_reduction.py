@@ -5,14 +5,9 @@ from fractions import Fraction
 import pytest
 
 from nwalgebra.coxeter import RootSystem, cartan_data
-from nwalgebra.nichols_core import NicholsElement, word_wdeg
-from nwalgebra.reduction import (
-    ReductionError,
-    ideal_membership_oracle,
-    quotient_dimensions,
-    reduce_mod_left_ideal,
-    reduce_mod_right_ideal,
-)
+from nwalgebra.nichols_core import NicholsElement
+from nwalgebra.reduction import ReductionError, reduce_mod_left_ideal, reduce_mod_right_ideal
+from oracles import ideal_membership_oracle, quotient_dimensions, word_wdeg
 
 
 def test_simple_words_are_normal(s3):

@@ -5,6 +5,16 @@ Each check evaluates both sides of an identity exactly, exhaustively per
 graded component where the statement quantifies over all elements, and
 on seeded random samples where it quantifies over homogeneous elements.
 Reports carry the seed, the trial count and the first counterexample.
+
+The Leibniz-form checks (generalized Leibniz rule, tower invariance,
+skew commutation and its order-two case) compare operator identities
+column by column, degree by degree: each side of the identity is, per
+degree, the list of its columns on the basis elements, made from the
+product columns b_i y of :func:`right_multiplier` and the derivative
+columns (b_i)D_xi of :func:`right_derivative_columns` with one
+matrix-vector step per map, none for a zero column.  The derivative
+columns of a fixed xi are built once per degree and shared across the
+trials.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .nichols_core import (
     pairing,
     rho,
     right_derivative,
+    right_derivative_columns,
     right_multiplier,
     s_bar,
     w_degree_decompose,
@@ -107,10 +118,9 @@ def random_homogeneous(state: AlgebraState, rng, max_degree) -> NicholsElement:
     raise CheckFailed("could not sample a homogeneous element")
 
 
-def basis_elements(state: AlgebraState, n):
-    one = state.field.one
-    for i in range(state.dim(n)):
-        yield NicholsElement(state, {n: {i: one}})
+def basis_element(state: AlgebraState, n, i) -> NicholsElement:
+    """Basis element i of degree n."""
+    return NicholsElement(state, {n: {i: state.field.one}})
 
 
 def _max_constructed(state: AlgebraState):
@@ -152,8 +162,8 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
                 lhs = mat_col(dr, rho_n[i], field_)
                 rhs = mat_col(act, mat_col(rho_prev, dr[i], field_), field_)
                 if lhs != rhs:
-                    z = NicholsElement(state, {n: {i: field_.one}})
-                    return _fail(name, params, 0, seed, degree=n, root=a, z=z)
+                    return _fail(name, params, 0, seed, degree=n, root=a,
+                                 z=basis_element(state, n, i))
 
     # random homogeneous xi, all three formulas
     for t in range(trials):
@@ -228,62 +238,83 @@ def check_gen_leibniz(state: AlgebraState, v: GroupElement, w: GroupElement,
     params = {"v": v.to_json(), "w": w.to_json(), "w'": wp.to_json(),
               "max_degree": top}
     rng = random.Random(seed)
+    field_ = state.field
     interval = _interval(state, v, w)
-    xi = group_act(wp, skew_element(w, v, state))
-    # per u with xi_u nonzero: (xi_u, w' x_{w/u}, the twist h)
+    derive = right_derivative_columns(group_act(wp, skew_element(w, v, state)))
+    # per u with xi_u nonzero: (the columns of D_{xi_u}, deg xi_u, w' x_{w/u},
+    # the twist h); the derivative columns are shared across trials
     parts = []
     for u in interval:
         xi_u = group_act(wp, skew_element(u, v, state))
         if not xi_u.is_zero():
-            parts.append((xi_u, group_act(wp, skew_element(w, u, state)),
+            parts.append((right_derivative_columns(xi_u), xi_u.degrees()[0],
+                          group_act(wp, skew_element(w, u, state)),
                           wp * v * u.inverse() * wp.inverse()))
-    bdx = {}  # (part, degree, index) -> (b) D_{xi_u}, shared across trials
     for t in range(trials):
         nz = rng.randint(0, top)
         z = random_element(state, rng, nz)
+        times_z = right_multiplier(z).columns
+        # (b) D_{xi_u} times h((z) D_{w' x_{w/u}}), per part with a nonzero factor
         rhs_parts = []
-        for k, (xi_u, eta_u, h) in enumerate(parts):
+        for derive_u, m_u, eta_u, h in parts:
             e_u = right_derivative(z, eta_u)
             if not e_u.is_zero():
-                rhs_parts.append((k, xi_u, right_multiplier(group_act(h, e_u))))
-        times_z = right_multiplier(z)
-        for nb in range(0, top + 1):
-            if state.finite_top is None and nb + nz > top:
-                continue
-            for i, b in enumerate(basis_elements(state, nb)):
-                lhs = right_derivative(times_z(b), xi)
-                rhs = NicholsElement.zero(state)
-                for k, xi_u, times_m in rhs_parts:
-                    d = bdx.get((k, nb, i))
-                    if d is None:
-                        d = bdx[(k, nb, i)] = right_derivative(b, xi_u)
-                    rhs = rhs + times_m(d)
-                if lhs != rhs:
-                    return _fail(name, params, t, seed, degree=nb, z=z, b=b)
+                rhs_parts.append((derive_u, m_u, right_multiplier(group_act(h, e_u)).columns))
+
+        def lhs(nb):
+            return (mat_col(derive(nb + nz), p, field_) if p else {} for p in times_z(nb))
+
+        def rhs(nb):
+            for i in range(state.dim(nb)):
+                acc = {}
+                for derive_u, m_u, times_m in rhs_parts:
+                    if d := derive_u(nb)[i]:
+                        acc = mat_col(times_m(nb - m_u), d, field_, acc)
+                yield acc
+
+        degrees = [nb for nb in range(0, top + 1)
+                   if state.finite_top is not None or nb + nz <= top]
+        bad = _first_mismatch(degrees, lhs, rhs)
+        if bad:
+            return _fail(name, params, t, seed, degree=bad[0], z=z,
+                         b=basis_element(state, *bad))
     return IdentityReport(name, params, trials, "pass", None, seed)
 
 
 def check_tower_invariance(state: AlgebraState, w: GroupElement, v: GroupElement,
                            trials: int = 20, seed: int = 0,
                            max_degree: int | None = None) -> IdentityReport:
-    """D_y z D_{w x_v} = D_y ((z) D_{w x_v}) with y = w x_{w_o}."""
+    """D_y z D_{w x_v} = D_y ((z) D_{w x_v}) with y = w x_{w_o}: for u the
+    column (b)D_y of each basis element b, (u z)D_{w x_v} = u (z)D_{w x_v}."""
     name = "tower-invariance"
     top = _max_constructed(state) if max_degree is None else max_degree
     params = {"w": w.to_json(), "v": v.to_json(), "max_degree": top}
     rng = random.Random(seed)
+    field_ = state.field
     y = y_element(w, state)
     wxv = group_act(w, embed_element(state, v))
-    # (nb, b, (b) D_y) per basis element, shared across trials
-    bdy = [(nb, b, right_derivative(b, y))
-           for nb in range(0, top + 1) for b in basis_elements(state, nb)]
+    # the columns of D_y and D_{w x_v}, shared across trials
+    derive_y, derive = right_derivative_columns(y), right_derivative_columns(wxv)
+    my, mx = y.degrees()[0], wxv.degrees()[0]
     for t in range(trials):
-        z = random_element(state, rng, rng.randint(0, top))
-        times_z = right_multiplier(z)
-        times_zdx = right_multiplier(right_derivative(z, wxv))
-        for nb, b, by in bdy:
-            lhs = right_derivative(times_z(by), wxv)
-            if lhs != times_zdx(by):
-                return _fail(name, params, t, seed, degree=nb, z=z, b=b)
+        nz = rng.randint(0, top)
+        z = random_element(state, rng, nz)
+        times_z = right_multiplier(z).columns
+        zdx = NicholsElement(state, {nz - mx: mat_col(derive(nz), z.component(nz), field_)})
+        times_zdx = right_multiplier(zdx).columns
+
+        def lhs(nb):
+            for u in derive_y(nb):
+                p = mat_col(times_z(nb - my), u, field_) if u else {}
+                yield mat_col(derive(nb - my + nz), p, field_) if p else {}
+
+        def rhs(nb):
+            return (mat_col(times_zdx(nb - my), u, field_) if u else {} for u in derive_y(nb))
+
+        bad = _first_mismatch(range(0, top + 1), lhs, rhs)
+        if bad:
+            return _fail(name, params, t, seed, degree=bad[0], z=z,
+                         b=basis_element(state, *bad))
     return IdentityReport(name, params, trials, "pass", None, seed)
 
 
@@ -316,16 +347,14 @@ def check_skew_commutation(state: AlgebraState, w: GroupElement, v: GroupElement
     if not samples:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])
-    zdx = {}  # degree -> (z) D_xi per basis element z, shared across samples
+    derive = right_derivative_columns(xi)  # shared across samples
     for b in samples[:trials]:
-        times_b, times_gb = right_multiplier(b), right_multiplier(group_act(g, b))
-        for nz in range(0, top + 1):
-            if nz not in zdx:
-                zdx[nz] = [right_derivative(z, xi) for z in basis_elements(state, nz)]
-            for i, z in enumerate(basis_elements(state, nz)):
-                lhs = right_derivative(times_b(z), xi)
-                if lhs != times_gb(zdx[nz][i]):
-                    return _fail(name, params, trials, seed, degree=nz, b=b, z=z)
+        bad = _right_leibniz_mismatch(state, top, right_multiplier(b).columns, b.degrees()[0],
+                                      derive, xi.degrees()[0],
+                                      right_multiplier(group_act(g, b)).columns)
+        if bad:
+            return _fail(name, params, trials, seed, degree=bad[0], b=b,
+                         z=basis_element(state, *bad))
     return IdentityReport(name, params, len(samples[:trials]), "pass", None, seed)
 
 
@@ -338,15 +367,43 @@ def check_ofbskew(state: AlgebraState, d, trials: int = 5, seed: int = 0,
     sign = -1 if wo.length() % 2 else 1
     w1, w2 = d.elements[:2] if len(d.elements) == 2 else d.elements[1:3]
     params = {"w1": w1.to_json(), "w2": w2.to_json(), "max_degree": top}
-    times_y1 = right_multiplier(y_element(w1, state))
-    y2 = y_element(w2, state)
-    for nz in range(0, top + 1):
-        for z in basis_elements(state, nz):
-            lhs = right_derivative(times_y1(z), y2)
-            rhs = times_y1(right_derivative(z, y2)).scale(sign)
-            if lhs != rhs:
-                return _fail(name, params, 0, seed, degree=nz, z=z)
+    y1, y2 = y_element(w1, state), y_element(w2, state)
+    times_y1 = right_multiplier(y1).columns
+    times_sy1 = times_y1 if sign == 1 else right_multiplier(y1.scale(sign)).columns
+    bad = _right_leibniz_mismatch(state, top, times_y1, y1.degrees()[0],
+                                  right_derivative_columns(y2), y2.degrees()[0], times_sy1)
+    if bad:
+        return _fail(name, params, 0, seed, degree=bad[0], z=basis_element(state, *bad))
     return IdentityReport(name, params, 0, "pass", None, seed)
+
+
+def _right_leibniz_mismatch(state, top, times, ny, derive, m, times_after):
+    """The first basis element z, as (degree, index), of degree 0..top at
+    which (z y)D_xi != ((z)D_xi) y', or None.  ``times`` and
+    ``times_after`` are the product columns of y (of degree ny) and y',
+    ``derive`` the derivative columns of xi (of degree m)."""
+    field_ = state.field
+
+    def lhs(nz):
+        return (mat_col(derive(nz + ny), p, field_) if p else {} for p in times(nz))
+
+    def rhs(nz):
+        return (mat_col(times_after(nz - m), d, field_) if d else {} for d in derive(nz))
+
+    return _first_mismatch(range(0, top + 1), lhs, rhs)
+
+
+def _first_mismatch(degrees, lhs, rhs):
+    """The first (degree, index) at which the columns ``lhs(n)`` and
+    ``rhs(n)`` of the two sides of an operator identity differ, over the
+    given degrees in order, or None.  The sides map a zero input column
+    to the zero column without reading a map, so a basis element whose
+    two inputs are zero costs no matrix-vector step."""
+    for n in degrees:
+        for i, (left, right) in enumerate(zip(lhs(n), rhs(n))):
+            if left != right:
+                return n, i
+    return None
 
 
 def _joint_kernels(state: AlgebraState, blocks_by_degree, max_degree):

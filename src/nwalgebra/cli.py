@@ -238,8 +238,9 @@ def cmd_verify(args, phases):
             max(1, args.trials // 10), args.seed, cap))
         phases.mark("gen-leibniz")
     if want("tower"):
+        # v = s_0, so D_{w_o x_v} is not the identity
         reports.append(calculus.check_tower_invariance(
-            state, wo, system.identity(), max(1, args.trials // 10), args.seed, cap))
+            state, wo, system.simple_reflection(0), max(1, args.trials // 10), args.seed, cap))
         phases.mark("tower")
     if want("skew-commutation"):
         # w_o when no complete system has a member other than e (A1: only {e})
@@ -418,59 +419,80 @@ def _int_at_least(low):
     return parse
 
 
-def build_parser():
+def _subcommands():
+    """name -> (handler, the arguments of its own beyond the common ones),
+    in the order the help lists them.  The handlers are read when the
+    parser is built."""
+    return {
+        "roots": (cmd_roots, ()),
+        "group": (cmd_group, (
+            (("--element",), {"default": None, "help": "JSON element or one-line permutation"}),)),
+        "dims": (cmd_dims, ()),
+        "hilbert": (cmd_hilbert, ()),
+        "verify": (cmd_verify, (
+            (("identity",), {"choices": ["rhoD", "nz-antipode", "gen-leibniz", "tower",
+                                         "skew-commutation", "basic-rev", "all"]}),)),
+        "integral": (cmd_integral, ()),
+        "hypo": (cmd_hypo, ()),
+        "reduce": (cmd_reduce, (
+            (("--monomial",), {"required": True, "help": "comma-separated root indices"}),
+            (("--side",), {"default": "right", "choices": ["left", "right"]}))),
+        "disjoint": (cmd_disjoint, (
+            (("--find-complete",), {"action": "store_true"}),
+            (("--check",), {"default": None,
+                            "help": "semicolon-separated one-line permutations or JSON elements"}))),
+        "pairing": (cmd_pairing, ()),
+        "bracket": (cmd_bracket, ((("--order",), {"type": _int_at_least(1), "default": 2}),)),
+    }
+
+
+def _add_common(p):
+    p.add_argument("--type", default="A", choices=["A", "D", "E"])
+    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--field", default="rational", choices=["rational", "prime"])
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--degree-cap", type=_int_at_least(1), default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--format", default="json", choices=["json", "text", "csv"])
+    p.add_argument("--max-degree", type=_int_at_least(0), default=None)
+    # argparse passes a string default, the environment's, through the type
+    p.add_argument(
+        "--memory-bound", type=_int_at_least(1),
+        default=os.environ.get("NWALGEBRA_MEMORY_BOUND", DEFAULT_MEMORY_BOUND))
+
+
+def build_parser(command=None):
+    """The ``nwalg`` parser.  For a known subcommand ``command`` only its
+    subparser is built, which parses that command's arguments exactly as
+    the full parser does: the usage line still names every subcommand.
+    Otherwise (help, version, an unknown name) every subparser is built."""
     parser = argparse.ArgumentParser(
         prog="nwalg",
         description="exact engine for Nichols-Woronowicz algebras over Weyl groups")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", default="A", choices=["A", "D", "E"])
-    common.add_argument("--rank", type=int, default=2)
-    common.add_argument("--field", default="rational", choices=["rational", "prime"])
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    common.add_argument("--degree-cap", type=_int_at_least(1), default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=_int_at_least(1), default=100)
-    common.add_argument("--format", default="json", choices=["json", "text", "csv"])
-    common.add_argument("--max-degree", type=_int_at_least(0), default=None)
-    # argparse passes a string default, the environment's, through the type
-    common.add_argument(
-        "--memory-bound", type=_int_at_least(1),
-        default=os.environ.get("NWALGEBRA_MEMORY_BOUND", DEFAULT_MEMORY_BOUND))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("roots", parents=[common]).set_defaults(fn=cmd_roots)
-    g = sub.add_parser("group", parents=[common])
-    g.add_argument("--element", default=None, help="JSON element or one-line permutation")
-    g.set_defaults(fn=cmd_group)
-    sub.add_parser("dims", parents=[common]).set_defaults(fn=cmd_dims)
-    sub.add_parser("hilbert", parents=[common]).set_defaults(fn=cmd_hilbert)
-    v = sub.add_parser("verify", parents=[common])
-    v.add_argument("identity", choices=[
-        "rhoD", "nz-antipode", "gen-leibniz", "tower", "skew-commutation",
-        "basic-rev", "all"])
-    v.set_defaults(fn=cmd_verify)
-    sub.add_parser("integral", parents=[common]).set_defaults(fn=cmd_integral)
-    sub.add_parser("hypo", parents=[common]).set_defaults(fn=cmd_hypo)
-    r = sub.add_parser("reduce", parents=[common])
-    r.add_argument("--monomial", required=True, help="comma-separated root indices")
-    r.add_argument("--side", default="right", choices=["left", "right"])
-    r.set_defaults(fn=cmd_reduce)
-    d = sub.add_parser("disjoint", parents=[common])
-    d.add_argument("--find-complete", action="store_true")
-    d.add_argument("--check", default=None,
-                   help="semicolon-separated one-line permutations or JSON elements")
-    d.set_defaults(fn=cmd_disjoint)
-    sub.add_parser("pairing", parents=[common]).set_defaults(fn=cmd_pairing)
-    b = sub.add_parser("bracket", parents=[common])
-    b.add_argument("--order", type=_int_at_least(1), default=2)
-    b.set_defaults(fn=cmd_bracket)
+    table = _subcommands()
+    if command in table:
+        # the usage line that argparse derives from the full list of choices
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(table) + "}")
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = table
+    for name in names:
+        fn, extra = table[name]
+        p = sub.add_parser(name)
+        _add_common(p)
+        for flags, kwargs in extra:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     phases = _Phases()
     try:
         code = args.fn(args, phases)

@@ -822,27 +822,102 @@ def _apply_words(y: NicholsElement, z: NicholsElement, matrix, reverse):
     return NicholsElement(state, {n: field.canon(acc) for n, acc in out.items()})
 
 
+def _homogeneous_degree(y: NicholsElement, name):
+    """The degree of a homogeneous y, None for y = 0; ValueError otherwise."""
+    if len(y.components) > 1:
+        raise ValueError(f"{name}: the element must be homogeneous, "
+                         f"it has degrees {y.degrees()}")
+    return next(iter(y.components), None)
+
+
 def right_multiplier(y: NicholsElement):
     """The map x -> x y.  The products b_i y of each degree's basis with
     each component of y are built once, on first read, by
     :meth:`AlgebraState.right_products`; a product then costs one
-    matrix-vector step per pair of components."""
+    matrix-vector step per pair of components.  For homogeneous y,
+    ``times.columns(n)`` reads those products of the degree-n basis as
+    columns."""
     state = y.state
     # ny -> [the columns b_i y_ny of the degree-n basis, for n = 0, 1, ...]
     chains = {ny: [[vy]] for ny, vy in y.components.items()}
 
+    def chain(ny, n):
+        links = chains[ny]
+        while len(links) <= n:
+            links.append(state.right_products(len(links), links[-1], ny))
+        return links[n]
+
     def times(x: NicholsElement) -> NicholsElement:
         out = {}
         for nx, vx in x.components.items():
-            for ny, chain in chains.items():
-                while len(chain) <= nx:
-                    chain.append(state.right_products(len(chain), chain[-1], ny))
+            for ny in chains:
                 acc = out.setdefault(nx + ny, {})
                 for j, c in vx.items():
-                    for t, v in chain[nx][j].items():
+                    for t, v in chain(ny, nx)[j].items():
                         acc[t] = acc.get(t, 0) + c * v
         return NicholsElement(state, {n: state.field.canon(acc) for n, acc in out.items()})
+
+    def columns(n):
+        ny = _homogeneous_degree(y, "right_multiplier")
+        return [{} for _ in range(state.dim(n))] if ny is None else chain(ny, n)
+
+    times.columns = columns
     return times
+
+
+def right_derivative_columns(y: NicholsElement):
+    """The map n -> the columns (b_i)D_y of the degree-n basis, of degree
+    n - m for y homogeneous of degree m (zero below degree m).  Each
+    degree is built once, on first read, by composing the ``dright``
+    matrices along y's basis words: (z)D_{x_a b_j} = ((z)D_a)D_{b_j} for
+    the word b_i = x_a b_j (``parents``), so the words that share a first
+    letter share its step, and a step that gives zero ends its branch."""
+    state = y.state
+    field = state.field
+    m = _homogeneous_degree(y, "right_derivative_columns")
+    words = _word_tree(state, m, y.components[m]) if m is not None else []
+    built = {}
+
+    def columns(n):
+        cols = built.get(n)
+        if cols is None:
+            accs = [{} for _ in range(state.dim(n))]
+            if m is not None and n >= m:
+                _derive_along(state, list(enumerate(mat_identity(len(accs), field))), n,
+                              words, accs)
+            cols = built[n] = [field.canon(acc) for acc in accs]
+        return cols
+    return columns
+
+
+def _word_tree(state: AlgebraState, d, vec):
+    """The basis words of the degree-d coordinates ``vec`` as a tree: a
+    list of (a, subtree) by first letter a, or the coefficient of the
+    empty word at d = 0."""
+    if d == 0:
+        return vec[0]
+    by_letter = {}
+    parents = state.basis(d).parents
+    for i, c in vec.items():
+        a, j = parents[i]
+        by_letter.setdefault(a, {})[j] = c
+    return [(a, _word_tree(state, d - 1, sub)) for a, sub in by_letter.items()]
+
+
+def _derive_along(state: AlgebraState, vecs, d, node, accs):
+    """accs[k] += (v) D_node for each (k, v) in ``vecs``, v of degree d
+    and ``node`` a :func:`_word_tree`."""
+    if not isinstance(node, list):
+        for k, v in vecs:
+            acc = accs[k]
+            for t, x in v.items():
+                acc[t] = acc.get(t, 0) + node * x
+        return
+    for a, sub in node:
+        dr = state.dright(d, a)
+        out = [(k, w) for k, v in vecs if (w := mat_col(dr, v, state.field))]
+        if out:
+            _derive_along(state, out, d - 1, sub, accs)
 
 
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:

@@ -11,13 +11,15 @@ of ``nwalg``:
 - the nilCoxeter algebra, with its own product;
 - membership in the one-sided ideals of the non-simple generators by
   elimination in the built algebra, against which the syntactic
-  reduction of :mod:`nwalgebra.reduction` is checked.
+  reduction of :mod:`nwalgebra.reduction` is checked;
+- the basis of a degree as elements, for the tests' exhaustive loops.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from nwalgebra.calculus import basis_element
 from nwalgebra.coxeter import GroupElement, RootSystem
 from nwalgebra.exactlinalg import QQ, ColumnSolver
 from nwalgebra.integrals import nonsimple_roots
@@ -30,6 +32,11 @@ from nwalgebra.nichols_core import (
 )
 from nwalgebra.nilcoxeter import embed_element, reduced_word_roots, skew_element
 from nwalgebra.reduction import ReductionError
+
+def basis_elements(state: AlgebraState, n):
+    """The degree-n basis elements, in basis order."""
+    return (basis_element(state, n, i) for i in range(state.dim(n)))
+
 
 # ---------------------------------------------------------------------------
 # words, braiding and the symmetrizer

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nwalgebra import calculus
 from nwalgebra.calculus import (
     bracket_matrix,
     check_basic_rev,
@@ -16,6 +17,7 @@ from nwalgebra.calculus import (
     random_element,
     _joint_kernels,
     _kernel_samples,
+    _right_leibniz_mismatch,
     _t_blocks,
 )
 from nwalgebra.coxeter import RootSystem, cartan_data, centralizer_of_longest
@@ -29,6 +31,8 @@ from nwalgebra.nichols_core import (
     multiply,
     neg_col,
     right_derivative,
+    right_derivative_columns,
+    right_multiplier,
 )
 from nwalgebra.nilcoxeter import skew_element
 
@@ -161,6 +165,70 @@ def test_leibniz_form_checks_catch_a_perturbed_derivative_column(check, rank, n,
     r = check(state, state.system)
     assert r.status == "fail"
     assert r.counterexample["degree"] == degree
+
+
+def _bump(col, field):
+    """Add one to coordinate 0 of a column, in place."""
+    x = field.normalize(col.get(0, field.zero) + field.one)
+    if x:
+        col[0] = x
+    else:
+        del col[0]
+
+
+@pytest.mark.parametrize("prime", [False, True])
+@pytest.mark.parametrize("check", [_tower, _skew_commutation], ids=["tower", "skew-commutation"])
+def test_column_form_checks_catch_a_perturbed_product_column(check, prime, monkeypatch):
+    # the first right multiplier the check makes gets one wrong product
+    # column, that of the last basis element whose product lands in the
+    # top degree, the highest the check reads
+    state = _fresh_a2(prime)
+    top = state.finite_top
+    made = []
+
+    def perturbed(y):
+        times = right_multiplier(y)
+        if not made and not y.is_zero():
+            made.append(y)
+            _bump(times.columns(top - y.degrees()[0])[-1], state.field)
+        return times
+
+    monkeypatch.setattr(calculus, "right_multiplier", perturbed)
+    r = check(state, state.system)
+    assert made and r.status == "fail"
+    assert r.counterexample["degree"] == top
+
+
+@pytest.mark.parametrize("prime", [False, True])
+@pytest.mark.parametrize("check,degree", [(_tower, 4), (_skew_commutation, 3)],
+                         ids=["tower", "skew-commutation"])
+def test_column_form_checks_catch_a_perturbed_last_top_column(check, degree, prime,
+                                                              monkeypatch):
+    # every derivative map the check makes gets a wrong column for the
+    # last basis element of the top degree: the last column compared, on
+    # one side only where the other side's input is the zero column
+    state = _fresh_a2(prime)
+
+    def perturbed(y):
+        columns = right_derivative_columns(y)
+        _bump(columns(state.finite_top)[-1], state.field)
+        return columns
+
+    monkeypatch.setattr(calculus, "right_derivative_columns", perturbed)
+    r = check(state, state.system)
+    assert r.status == "fail"
+    assert r.counterexample["degree"] == degree
+
+
+def test_column_compare_skips_only_where_both_sides_are_zero(s3):
+    # (z y)D_xi against ((z)D_xi) y' with one of y, y' zero: the side
+    # whose input columns are all zero is still compared, and the first
+    # basis element with a nonzero other side, x_0, is the mismatch
+    xi, y = NicholsElement.generator(s3, 0), NicholsElement.generator(s3, 1)
+    zero = right_multiplier(NicholsElement.zero(s3)).columns
+    derive, times_y = right_derivative_columns(xi), right_multiplier(y).columns
+    assert _right_leibniz_mismatch(s3, 4, zero, 0, derive, 1, times_y) == (1, 0)
+    assert _right_leibniz_mismatch(s3, 4, times_y, 1, derive, 1, zero) == (1, 0)
 
 
 def test_gen_leibniz_trivial_collapse(s3):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -73,6 +74,46 @@ def test_verify_gen_leibniz():
 def test_unknown_command_exit_2():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+
+
+def _parsed(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits, as help and
+    usage errors do."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], ["frobnicate"], [],
+    *[[name, "--help"] for name in cli._subcommands()],
+    ["dims", "--rank", "x"], ["bracket", "--order", "0"], ["verify", "nope"],
+    ["reduce"], ["dims", "--bogus"], ["dims", "--version"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_named_command_parses_as_the_full_parser(argv, capsys):
+    # main builds only the named command's subparser; help, version and
+    # every usage error print the same bytes with the same exit code as
+    # the parser that holds every subcommand
+    full = _parsed(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parsed(cli.main, argv, capsys) == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_named_command_builds_one_subparser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["roots", "--rank", "2"]) == 0
+    assert len(built) <= 3
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 1 + len(cli._subcommands())
 
 
 def test_cap_exceeded_exit_3():

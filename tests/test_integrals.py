@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nwalgebra.calculus import basis_elements, random_element
+from nwalgebra.calculus import random_element
 from nwalgebra.disjoint import search_complete
 from nwalgebra.integrals import (
     IntegralError,
@@ -27,6 +27,7 @@ from nwalgebra.nichols_core import (
     right_derivative,
 )
 from nwalgebra.nilcoxeter import embed_element
+from oracles import basis_elements
 
 
 def test_certificate_a1(a1):

@@ -27,14 +27,15 @@ from nwalgebra.nichols_core import (
     pairing,
     rho,
     right_derivative,
+    right_derivative_columns,
     right_multiplier,
     s_bar,
     starts_with_set,
     w_degree,
     w_degree_decompose,
 )
-from nwalgebra.calculus import basis_elements, random_element
-from oracles import braid_apply, coproduct_legs, symmetrizer_rank
+from nwalgebra.calculus import random_element
+from oracles import basis_elements, braid_apply, coproduct_legs, symmetrizer_rank
 
 
 def gens(state):
@@ -336,6 +337,40 @@ def test_right_multiplier_matches_multiply(s3, prime):
         for _ in range(4):
             x = random_element(state, rng, rng.randint(0, 4)) + random_element(state, rng, rng.randint(0, 4))
             assert times_y(x) == multiply(x, y) == word_product(x, y)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_operator_columns_match_the_element_operations(s4, prime):
+    # the columns b_i y and (b_i)D_y that the Leibniz-form checks compare
+    # are, degree by degree, right_multiplier and right_derivative applied
+    # to each basis element; y of degree 0 and of the top degree included,
+    # and y = 0 gives zero columns
+    state = s4
+    if prime:
+        state = AlgebraState(s4.system, field=PrimeField())
+        state.construct_all()
+    rng = random.Random(6)
+    top = state.finite_top
+    ys = [random_element(state, rng, d) for d in (0, 1, 2, 3, 6, top)]
+    ys += [NicholsElement.zero(state), NicholsElement.from_word(state, (0, 1, 0))]
+    for y in ys:
+        times, derive = right_multiplier(y), right_derivative_columns(y)
+        m = max(y.degrees(), default=0)
+        for n in range(top + 1):
+            products, derivatives = times.columns(n), derive(n)
+            assert len(products) == len(derivatives) == state.dim(n)
+            for i, b in enumerate(basis_elements(state, n)):
+                assert products[i] == times(b).components.get(n + m, {})
+                assert derivatives[i] == right_derivative(b, y).components.get(n - m, {})
+        assert derive(top) is derive(top)  # each degree is built once
+
+
+def test_operator_columns_refuse_an_inhomogeneous_element(s3):
+    y = NicholsElement.unit(s3) + NicholsElement.generator(s3, 0)
+    with pytest.raises(ValueError, match="homogeneous"):
+        right_derivative_columns(y)
+    with pytest.raises(ValueError, match="homogeneous"):
+        right_multiplier(y).columns(1)
 
 
 def test_group_action(s4):
@@ -686,8 +721,8 @@ def test_antipode_prefix_recursion_matches_the_parents_formula(s4, type_, rank_,
 
 
 def test_state_is_freed_without_the_cycle_collector():
-    # the lazily built action columns and the memoized maps must not hold
-    # the state in a reference cycle: with the cyclic collector off, the
+    # the lazily built action columns, the memoized maps and the operator
+    # columns must not hold the state in a reference cycle: with the cyclic collector off, the
     # state goes as soon as the last reference to it does
     import gc
     import weakref
@@ -702,8 +737,11 @@ def test_state_is_freed_without_the_cycle_collector():
         y = group_act(sys_.longest_element(), x)
         z = antipode_inv(x)
         assert state.act_matrix(2, sys_.simple_reflection(0))[1]
+        # and the operator columns the Leibniz-form checks read
+        derive, times = right_derivative_columns(x), right_multiplier(x)
+        assert derive(4)[0] and times.columns(1)[0]
         ref = weakref.ref(state)
-        del state, x, y, z
+        del state, x, y, z, derive, times
         assert ref() is None
         # a capped state, which stops short of the top
         capped = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=4)

@@ -53,21 +53,17 @@ class IntegralCertificate:
         }
 
 
-def _times(z: NicholsElement, a: int, left: bool) -> NicholsElement:
-    """The one-sided product x_a z (``left``) or z x_a."""
-    xa = NicholsElement.generator(z.state, a)
-    return multiply(xa, z) if left else multiply(z, xa)
-
-
 def is_integral(z: NicholsElement, state: AlgebraState) -> bool:
-    """Whether all products x_a z and z x_a vanish (both sides checked)."""
+    """Whether all products x_a z and z x_a vanish (both sides checked),
+    read component by component from the ``lmul`` and ``rmul`` columns."""
     if z.is_zero():
         return True
     if state.finite_top is None:
         raise IntegralError("integral detection needs the fully constructed algebra")
     roots = range(state.system.nroots)
-    left = all(_times(z, a, True).is_zero() for a in roots)
-    right = all(_times(z, a, False).is_zero() for a in roots)
+    left, right = (all(not mat_col(m, v, state.field) for n, v in z.components.items()
+                       for m, _ in _mul_blocks(state, mul, n, roots))
+                   for mul in (state.lmul, state.rmul))
     if left != right:
         raise IntegralError("one-sided integral found; graded theory violated")
     return left
@@ -215,23 +211,24 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
     if state.finite_top is None:
         raise IntegralError("lifting needs the fully constructed algebra")
     n0 = z.degrees()[0]
+    roots = range(state.system.nroots)
 
-    def letters(left):
+    def letters(mul):
         # greedy: multiply by the first generator that keeps the product
         # nonzero, until every generator kills it
-        cur, out = z.homogeneous_part(n0), []
+        cur, out = z.component(n0), []
         while True:
-            for a in range(state.system.nroots):
-                nxt = _times(cur, a, left)
-                if not nxt.is_zero():
+            for a, (m, _) in enumerate(_mul_blocks(state, mul, n0 + len(out), roots)):
+                nxt = mat_col(m, cur, state.field)
+                if nxt:
                     out.append(a)
                     cur = nxt
                     break
             else:
                 return out
 
-    m_word = tuple(reversed(letters(True)))
-    mp_word = tuple(letters(False))
+    m_word = tuple(reversed(letters(state.lmul)))
+    mp_word = tuple(letters(state.rmul))
     # verify on the original element
     m_el = NicholsElement.from_word(state, m_word)
     mp_el = NicholsElement.from_word(state, mp_word)

@@ -29,6 +29,10 @@ The braided derivative recursions used on words:
   left:   D_g(x_a z)  = d_{ga} z + sign * x_a D_{|s_a(g)|}(z)
   right:  (z x_b)D_g  = d_{gb} z + sign * ((z)D_g) x_{|s_g(b)|}
 
+Derivatives by an element y, as elements or as columns, are one walk of
+y's basis words as a tree, one letter's matrix per step
+(:func:`_derive_along`).
+
 and, the antipode being braided anti-multiplicative,
 S(u v) = S(g_u . v) S(u) for u of group degree g_u, the antipode and
 its inverse by one generator each, with no group action on a word:
@@ -51,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coxeter import GroupElement, RootSystem
-from .exactlinalg import QQ, ColumnSolver
+from .exactlinalg import QQ, ColumnSolver, in_span
 
 Word = tuple
 
@@ -214,13 +218,6 @@ def mat_pow(a, k, field):
 # ---------------------------------------------------------------------------
 
 
-def _prefix_column(mu, rmul_e, field):
-    """The coordinates of x_a b_j for b_j = b_j2 x_e, mu the coordinates
-    of x_a b_j2: (x_a b_j2) x_e is ``rmul_e``, right multiplication by
-    x_e, applied to mu."""
-    return mat_col(rmul_e, mu, field)
-
-
 def _check_product_degree(name, n):
     """x_a maps degree n - 1 to degree n: there is no degree below 0."""
     if n < 1:
@@ -373,9 +370,9 @@ class AlgebraState:
         over the kept columns, which are unique, are a sum over earlier
         columns of its block instead, so the eliminator would have
         returned the same.  x_a b_j = sum mu_i * x_{a_i} (b_{k_i} x_e),
-        mu the coordinates of x_a b_j2 and b_i = x_{a_i} b_{k_i}
-        (:func:`_prefix_column`).  x_a b_j2 is not normal, so each b_i is
-        lex-smaller: a_i <= a, and for a_i = a, b_{k_i} < b_j2.
+        mu the coordinates of x_a b_j2 and b_i = x_{a_i} b_{k_i}.
+        x_a b_j2 is not normal, so each b_i is lex-smaller: a_i <= a, and
+        for a_i = a, b_{k_i} < b_j2.
         b_{k_i} x_e is a sum of words b_c <= word_{k_i} + (e,) < word_j,
         so every x_{a_i} b_c comes earlier.  This covers every candidate
         x_a x_c b_k of degree 3 or more whose x_a x_c is a sum of words
@@ -384,7 +381,7 @@ class AlgebraState:
         The sums are taken once the kept columns have their global
         positions, root by root, so each column is filled before a sum
         reads it.  Each sum is right multiplication by x_e into degree n
-        applied to mu: its column i, b_i x_e = x_{a_i} (b_{k_i} x_e), is
+        applied to mu (``mat_col``): its column i, b_i x_e = x_{a_i} (b_{k_i} x_e), is
         built from ``rmul(n - 1, e)`` and this degree's ``lmul`` when a
         sum first reads it (:class:`LazyColumns`).  The maps are
         filed as ``rmul(n, e)``, so degree n + 1's sums and the structure
@@ -445,7 +442,7 @@ class AlgebraState:
                 e = prev.words[j][-1]
                 if e not in rmuls:
                     rmuls[e] = LazyColumns(lmul, parents, self.rmul(n - 1, e), ident, field)
-                cols.append(_prefix_column(prev.lmul[a][prefixes[j]], rmuls[e], field))
+                cols.append(mat_col(rmuls[e], prev.lmul[a][prefixes[j]], field))
 
         self._append_built(DegreeBasis(
             n, [(a,) + prev.words[j] for a, j, _, _ in kept],
@@ -740,9 +737,6 @@ class NicholsElement:
         """The degree-n coordinates, as a fresh {index: scalar} dict."""
         return dict(self.components.get(n, {}))
 
-    def homogeneous_part(self, n):
-        return NicholsElement(self.state, {n: self.component(n)})
-
     def __add__(self, other):
         norm = self.state.field.normalize
         comps = {n: dict(v) for n, v in self.components.items()}
@@ -793,35 +787,6 @@ class NicholsElement:
         return s if self == other.scale(s) else None
 
 
-def _apply_words(y: NicholsElement, z: NicholsElement, matrix, reverse):
-    """The sum of c * M(w) z over the basis words w of y, c their coefficients.
-
-    M(w) applies the derivative ``matrix(d, g)`` for each letter g of w
-    (last letter first when ``reverse``) to the running vector of degree
-    d, and lowers d by one.
-    """
-    state = z.state
-    field = state.field
-    out = {}
-    for ny, vy in y.components.items():
-        words = state.basis(ny).words
-        for nz, vz in z.components.items():
-            if nz < ny:
-                continue
-            acc = out.setdefault(nz - ny, {})
-            for i, c in vy.items():
-                vec, d = vz, nz
-                word = words[i]
-                for g in (reversed(word) if reverse else word):
-                    vec = mat_col(matrix(d, g), vec, field)
-                    if not vec:
-                        break
-                    d -= 1
-                for t, x in vec.items():
-                    acc[t] = acc.get(t, 0) + c * x
-    return NicholsElement(state, {n: field.canon(acc) for n, acc in out.items()})
-
-
 def _homogeneous_degree(y: NicholsElement, name):
     """The degree of a homogeneous y, None for y = 0; ValueError otherwise."""
     if len(y.components) > 1:
@@ -868,14 +833,12 @@ def right_multiplier(y: NicholsElement):
 def right_derivative_columns(y: NicholsElement):
     """The map n -> the columns (b_i)D_y of the degree-n basis, of degree
     n - m for y homogeneous of degree m (zero below degree m).  Each
-    degree is built once, on first read, by composing the ``dright``
-    matrices along y's basis words: (z)D_{x_a b_j} = ((z)D_a)D_{b_j} for
-    the word b_i = x_a b_j (``parents``), so the words that share a first
-    letter share its step, and a step that gives zero ends its branch."""
+    degree is built once, on first read, by the walk of
+    :func:`right_derivative` applied to every basis element at once."""
     state = y.state
     field = state.field
     m = _homogeneous_degree(y, "right_derivative_columns")
-    words = _word_tree(state, m, y.components[m]) if m is not None else []
+    tree = _word_tree(state, m, y.components[m], False) if m is not None else []
     built = {}
 
     def columns(n):
@@ -883,30 +846,36 @@ def right_derivative_columns(y: NicholsElement):
         if cols is None:
             accs = [{} for _ in range(state.dim(n))]
             if m is not None and n >= m:
-                _derive_along(state, list(enumerate(mat_identity(len(accs), field))), n,
-                              words, accs)
+                _derive_along(state, state.dright,
+                              list(enumerate(mat_identity(len(accs), field))), n, tree, accs)
             cols = built[n] = [field.canon(acc) for acc in accs]
         return cols
     return columns
 
 
-def _word_tree(state: AlgebraState, d, vec):
-    """The basis words of the degree-d coordinates ``vec`` as a tree: a
-    list of (a, subtree) by first letter a, or the coefficient of the
-    empty word at d = 0."""
+def _word_tree(state: AlgebraState, d, vec, left):
+    """The basis words of the degree-d coordinates ``vec`` as a tree in
+    the order a derivative by a word applies its letters: a list of
+    (a, subtree) by first letter a (``parents``) for the right
+    derivative, (z)D_{x_a b} = ((z)D_a)D_b, or by last letter a
+    (``prefixes``) for the left one, D_{b x_a} = D_b o D_a; at d = 0,
+    the coefficient of the empty word."""
     if d == 0:
         return vec[0]
     by_letter = {}
-    parents = state.basis(d).parents
+    basis = state.basis(d)
     for i, c in vec.items():
-        a, j = parents[i]
+        a, j = (basis.words[i][-1], basis.prefixes[i]) if left else basis.parents[i]
         by_letter.setdefault(a, {})[j] = c
-    return [(a, _word_tree(state, d - 1, sub)) for a, sub in by_letter.items()]
+    return [(a, _word_tree(state, d - 1, sub, left)) for a, sub in by_letter.items()]
 
 
-def _derive_along(state: AlgebraState, vecs, d, node, accs):
-    """accs[k] += (v) D_node for each (k, v) in ``vecs``, v of degree d
-    and ``node`` a :func:`_word_tree`."""
+def _derive_along(state: AlgebraState, derivative, vecs, d, node, accs):
+    """accs[k] += v derived along the words of ``node``, a
+    :func:`_word_tree`, for each (k, v) in ``vecs``, v of degree d.
+    ``derivative(d, a)`` is the letter's map out of degree d
+    (``state.dright`` or ``state.dleft``).  The words that share a
+    subtree share its steps, and a step that gives zero ends its branch."""
     if not isinstance(node, list):
         for k, v in vecs:
             acc = accs[k]
@@ -914,10 +883,10 @@ def _derive_along(state: AlgebraState, vecs, d, node, accs):
                 acc[t] = acc.get(t, 0) + node * x
         return
     for a, sub in node:
-        dr = state.dright(d, a)
-        out = [(k, w) for k, v in vecs if (w := mat_col(dr, v, state.field))]
+        dm = derivative(d, a)
+        out = [(k, w) for k, v in vecs if (w := mat_col(dm, v, state.field))]
         if out:
-            _derive_along(state, out, d - 1, sub, accs)
+            _derive_along(state, derivative, out, d - 1, sub, accs)
 
 
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
@@ -934,13 +903,31 @@ def ordered_product(elements, state: AlgebraState) -> NicholsElement:
 
 
 def right_derivative(z: NicholsElement, y: NicholsElement) -> NicholsElement:
-    """(z) <- D_y, the right derivative action of y on z."""
-    return _apply_words(y, z, z.state.dright, False)
+    """(z) <- D_y, the right derivative action of y on z: ``dright``
+    along the words of y, first letter first (:func:`_derive_along`)."""
+    return _derive(z, y, False)
 
 
 def left_derivative(y: NicholsElement, z: NicholsElement) -> NicholsElement:
-    """D_y (z), the left derivative action of y on z."""
-    return _apply_words(y, z, z.state.dleft, True)
+    """D_y (z), the left derivative action of y on z: ``dleft`` along
+    the words of y, last letter first (:func:`_derive_along`)."""
+    return _derive(z, y, True)
+
+
+def _derive(z: NicholsElement, y: NicholsElement, left) -> NicholsElement:
+    """D_y (z) for ``left``, else (z)D_y: each component of y walked as
+    one :func:`_word_tree` over every component of z of its degree or
+    more."""
+    state = z.state
+    derivative = state.dleft if left else state.dright
+    out = {}
+    for ny, vy in y.components.items():
+        tree = _word_tree(state, ny, vy, left)
+        for nz, vz in z.components.items():
+            if nz >= ny:
+                _derive_along(state, derivative, [(0, vz)], nz, tree,
+                              [out.setdefault(nz - ny, {})])
+    return NicholsElement(state, {n: state.field.canon(acc) for n, acc in out.items()})
 
 
 def _apply_matrices(z: NicholsElement, matrix) -> NicholsElement:
@@ -987,30 +974,6 @@ def s_bar(z: NicholsElement) -> NicholsElement:
 # ---------------------------------------------------------------------------
 
 
-def _spanned(z: NicholsElement, columns) -> bool:
-    """Whether each component z_n lies in the span of the degree-n
-    columns ``columns(n)``."""
-    state = z.state
-    for n, v in z.components.items():
-        solver = ColumnSolver(state.field)
-        for col in columns(n):
-            solver.add(col)
-        if solver.coordinates(v) is None:
-            return False
-    return True
-
-
-def ends_with(z: NicholsElement, g: int) -> bool:
-    """Whether z can be written as z' * x_g (per nonzero component)."""
-    return _spanned(z, lambda n: z.state.rmul(n, g) if n else [])
-
-
-def starts_with_set(z: NicholsElement, theta) -> bool:
-    """Whether z is a sum of monomials starting with letters from theta."""
-    lmul = z.state.lmul
-    return _spanned(z, lambda n: [c for g in sorted(theta) for c in lmul(n, g)] if n else [])
-
-
 def theta_span(state: AlgebraState, theta, n):
     """Basis (as coordinate dicts) of the degree-n span of words over theta."""
     theta = tuple(sorted(theta))
@@ -1032,7 +995,10 @@ def theta_span(state: AlgebraState, theta, n):
 
 
 def involves_only(z: NicholsElement, theta) -> bool:
-    return _spanned(z, lambda n: theta_span(z.state, theta, n))
+    """Whether each component of z lies in the span of the words over theta."""
+    state = z.state
+    return all(in_span(v, theta_span(state, theta, n), state.dim(n), state.field)[0]
+               for n, v in z.components.items())
 
 
 def w_degree_decompose(z: NicholsElement):
@@ -1045,14 +1011,6 @@ def w_degree_decompose(z: NicholsElement):
             if part:
                 out.setdefault(g, {})[n] = part
     return {g: NicholsElement(state, comps) for g, comps in out.items()}
-
-
-def w_degree(z: NicholsElement):
-    """The group degree of a homogeneous element (None if mixed or zero)."""
-    d = w_degree_decompose(z)
-    if len(d) != 1:
-        return None
-    return next(iter(d))
 
 
 # ---------------------------------------------------------------------------

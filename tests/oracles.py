@@ -12,6 +12,10 @@ of ``nwalg``:
 - membership in the one-sided ideals of the non-simple generators by
   elimination in the built algebra, against which the syntactic
   reduction of :mod:`nwalgebra.reduction` is checked;
+- derivatives by an element composed word by word, one letter map at a
+  time, against which the engine's word-tree walk is checked;
+- the monomial predicates (starts with, ends with) and the group degree
+  of an element, which the nilCoxeter statements read;
 - the basis of a degree as elements, for the tests' exhaustive loops.
 """
 
@@ -21,7 +25,7 @@ import itertools
 
 from nwalgebra.calculus import basis_element
 from nwalgebra.coxeter import GroupElement, RootSystem
-from nwalgebra.exactlinalg import QQ, ColumnSolver
+from nwalgebra.exactlinalg import QQ, ColumnSolver, in_span
 from nwalgebra.integrals import nonsimple_roots
 from nwalgebra.nichols_core import (
     DEFAULT_MEMORY_BOUND,
@@ -29,6 +33,8 @@ from nwalgebra.nichols_core import (
     CheckFailed,
     MemoryBoundExceeded,
     NicholsElement,
+    mat_col,
+    w_degree_decompose,
 )
 from nwalgebra.nilcoxeter import embed_element, reduced_word_roots, skew_element
 from nwalgebra.reduction import ReductionError
@@ -204,6 +210,67 @@ def liu_reconstruction_holds(state: AlgebraState, w: GroupElement) -> bool:
         if got != want:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# derivatives word by word, monomial predicates and the group degree
+# ---------------------------------------------------------------------------
+
+
+def apply_words(y: NicholsElement, z: NicholsElement, matrix, reverse):
+    """The sum of c * M(w) z over the basis words w of y, c their coefficients.
+
+    M(w) applies the derivative ``matrix(d, g)`` for each letter g of w
+    (last letter first when ``reverse``) to the running vector of degree
+    d, and lowers d by one: (z)D_y for ``state.dright``, D_y(z) for
+    ``state.dleft`` with ``reverse``.
+    """
+    state = z.state
+    field = state.field
+    out = {}
+    for ny, vy in y.components.items():
+        words = state.basis(ny).words
+        for nz, vz in z.components.items():
+            if nz < ny:
+                continue
+            acc = out.setdefault(nz - ny, {})
+            for i, c in vy.items():
+                vec, d = vz, nz
+                word = words[i]
+                for g in (reversed(word) if reverse else word):
+                    vec = mat_col(matrix(d, g), vec, field)
+                    if not vec:
+                        break
+                    d -= 1
+                for t, x in vec.items():
+                    acc[t] = acc.get(t, 0) + c * x
+    return NicholsElement(state, {n: field.canon(acc) for n, acc in out.items()})
+
+
+def _components_in_span(z: NicholsElement, columns) -> bool:
+    """Whether each component z_n lies in the span of ``columns(n)``."""
+    state = z.state
+    return all(in_span(v, columns(n), state.dim(n), state.field)[0]
+               for n, v in z.components.items())
+
+
+def ends_with(z: NicholsElement, g: int) -> bool:
+    """Whether z can be written as z' * x_g (per nonzero component)."""
+    return _components_in_span(z, lambda n: z.state.rmul(n, g) if n else [])
+
+
+def starts_with_set(z: NicholsElement, theta) -> bool:
+    """Whether z is a sum of monomials starting with letters from theta."""
+    lmul = z.state.lmul
+    return _components_in_span(z, lambda n: [c for g in sorted(theta) for c in lmul(n, g)] if n else [])
+
+
+def w_degree(z: NicholsElement):
+    """The group degree of a homogeneous element (None if mixed or zero)."""
+    d = w_degree_decompose(z)
+    if len(d) != 1:
+        return None
+    return next(iter(d))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,15 @@ def test_column_form_checks_catch_a_perturbed_product_column(check, prime, monke
     monkeypatch.setattr(calculus, "right_multiplier", perturbed)
     r = check(state, state.system)
     assert made and r.status == "fail"
-    assert r.counterexample["degree"] == top
+    # tower's first multiplier is that of z, the counterexample basis
+    # element b of the top degree; skew commutation's is that of its
+    # first sample b, of degree 1 or more, and the counterexample z is of
+    # degree top - deg b
+    if check is _tower:
+        assert r.counterexample["degree"] == top
+    else:
+        deg_b = made[0].degrees()[0]
+        assert deg_b >= 1 and r.counterexample["degree"] == top - deg_b
 
 
 @pytest.mark.parametrize("prime", [False, True])
@@ -218,6 +226,28 @@ def test_column_form_checks_catch_a_perturbed_last_top_column(check, degree, pri
     r = check(state, state.system)
     assert r.status == "fail"
     assert r.counterexample["degree"] == degree
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_skew_commutation_first_sample_sees_a_perturbed_derivative_column(prime,
+                                                                          monkeypatch):
+    # both sides read the derivative columns of xi, the left one at degree
+    # deg z + deg b and the right one at deg z: for a scalar sample b they
+    # are the same columns, and a wrong one cancels.  The samples start at
+    # kernel degree 1, so the first one alone sees a wrong top-degree column
+    state = _fresh_a2(prime)
+
+    def perturbed(y):
+        columns = right_derivative_columns(y)
+        _bump(columns(state.finite_top)[-1], state.field)
+        return columns
+
+    monkeypatch.setattr(calculus, "right_derivative_columns", perturbed)
+    sys = state.system
+    w = next(w for w in sys.elements() if not w.is_identity())
+    r = check_skew_commutation(state, w, sys.identity(), trials=1, seed=0)
+    assert r.status == "fail"
+    assert r.counterexample["b"]["degree_components"][0]["degree"] >= 1
 
 
 def test_column_compare_skips_only_where_both_sides_are_zero(s3):

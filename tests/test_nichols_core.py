@@ -13,7 +13,6 @@ from nwalgebra.nichols_core import (
     antipode_inv,
     element_from_json,
     element_to_json,
-    ends_with,
     group_act,
     involves_only,
     left_derivative,
@@ -30,12 +29,19 @@ from nwalgebra.nichols_core import (
     right_derivative_columns,
     right_multiplier,
     s_bar,
-    starts_with_set,
-    w_degree,
     w_degree_decompose,
 )
 from nwalgebra.calculus import random_element
-from oracles import basis_elements, braid_apply, coproduct_legs, symmetrizer_rank
+from oracles import (
+    apply_words,
+    basis_elements,
+    braid_apply,
+    coproduct_legs,
+    ends_with,
+    starts_with_set,
+    symmetrizer_rank,
+    w_degree,
+)
 
 
 def gens(state):
@@ -413,6 +419,30 @@ def test_action_and_reversal_match_per_word_definition(s4):
                     expected.append(col)
                 assert state.act_matrix(n, w) == expected
             assert state.rho_matrix(n) == [state.word_column(word[::-1]) for word in words]
+
+
+@pytest.mark.parametrize("which", ["s4", "s4_prime"])
+def test_derivatives_match_the_per_word_composition(which, request):
+    # right_derivative and left_derivative walk the words of each
+    # component of y as one tree, by first letter for D right and by last
+    # letter for D left; the oracle composes the letter maps word by word,
+    # on y and z with several degrees each
+    state = request.getfixturevalue(which)
+    rng = random.Random(31)
+
+    def several_degrees(high):
+        out = NicholsElement.zero(state)
+        while len(out.degrees()) < 2:  # a degree-0 draw can be zero
+            for d in rng.sample(range(high + 1), rng.randint(2, 3)):
+                out = out + random_element(state, rng, d)
+        return out
+
+    for _ in range(6):
+        y, z = several_degrees(4), several_degrees(state.finite_top)
+        right = right_derivative(z, y)
+        assert right == apply_words(y, z, state.dright, False)
+        assert left_derivative(y, z) == apply_words(y, z, state.dleft, True)
+        assert not right.is_zero()
 
 
 def test_left_derivative_view_matches_word_recursion(s4):
@@ -845,7 +875,7 @@ def test_product_vanishing_rules(s4):
     # z touching only the complement of theta dies under theta-words,
     # and theta-killed left factors pass through theta-derivatives
     rng = random.Random(28)
-    from nwalgebra.nichols_core import theta_span, w_degree
+    from nwalgebra.nichols_core import theta_span
 
     sys = s4.system
     for _ in range(15):
@@ -871,7 +901,6 @@ def test_left_twisted_factorization(s4):
     import random as _random
 
     from nwalgebra.exactlinalg import kernel_basis
-    from nwalgebra.nichols_core import w_degree
 
     rng = _random.Random(29)
     sys = s4.system
@@ -1233,23 +1262,26 @@ def test_construction_reduces_only_candidates_not_derived_from_relations(
 
     calls, prefixed, vectors = [], [], []
     add = ColumnSolver.add
-    prefix_column = nichols_core._prefix_column
+    mat_col = nichols_core.mat_col
     candidate_vector = AlgebraState._candidate_vector
 
     def counting_add(self, vec, express=False):
         calls.append(express)
         return add(self, vec, express)
 
-    def counting_prefix(*args):
-        prefixed.append(args)
-        return prefix_column(*args)
+    def counting_mat_col(mat, col, field, plus=None):
+        # the build applies a right multiplication map (LazyColumns) to
+        # a vector only to sum a prefix-derived candidate
+        if isinstance(mat, nichols_core.LazyColumns):
+            prefixed.append(col)
+        return mat_col(mat, col, field, plus)
 
     def recording_vector(self, a, j, prev):
         vectors.append((prev.degree + 1, a, j))
         return candidate_vector(self, a, j, prev)
 
     monkeypatch.setattr(ColumnSolver, "add", counting_add)
-    monkeypatch.setattr(nichols_core, "_prefix_column", counting_prefix)
+    monkeypatch.setattr(nichols_core, "mat_col", counting_mat_col)
     monkeypatch.setattr(AlgebraState, "_candidate_vector", recording_vector)
     sys = RootSystem(cartan_data(type_, rank_))
     st = AlgebraState(sys, field=PrimeField(), degree_cap=cap)

@@ -2,16 +2,20 @@ import random
 
 from nwalgebra.nichols_core import (
     NicholsElement,
-    ends_with,
     involves_only,
     multiply,
     pairing,
-    starts_with_set,
-    w_degree,
 )
 from nwalgebra.coxeter import centralizer_of_longest
 from nwalgebra.nilcoxeter import embed_element, skew_element, y_element
-from oracles import NilCoxeterElement, liu_reconstruction_holds, nc_product
+from oracles import (
+    NilCoxeterElement,
+    ends_with,
+    liu_reconstruction_holds,
+    nc_product,
+    starts_with_set,
+    w_degree,
+)
 
 
 def test_nilcoxeter_relations(s3):

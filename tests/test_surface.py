@@ -15,44 +15,87 @@ ALLOWED = {
     "calculus.find_commuting_cofactors": PAPER_STATEMENT,
     "disjoint.motiv_check": PAPER_STATEMENT,
     "integrals.lift_monomial_to_integral": PAPER_STATEMENT,
-    "exactlinalg.in_span": "perfbench/tracer.py traces it by name",
     "modp.greedy_solve": "perfbench times it (modp.micro.*, modp.greedy_solve.*)",
     "orbits.OrbitState.class_dims": "the orbit build's per-class dims, compared with the "
                                     "word build's class blocks",
-    "nichols_core.starts_with_set": "the nilCoxeter statements: y = w . x_{w_o} starts with T_w",
-    "nichols_core.ends_with": "the nilCoxeter statements: y = w . x_{w_o} ends with T_w",
 }
+
+
+def _references(node, shadowed, out):
+    """Append (name, line, kind) for each name that ``node`` reads: kind
+    "bare" for a bare name that no enclosing parameter shadows or a name
+    an import brings in, the module name for ``module.name``, and
+    "attr" for any other attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        # the signature is read in the enclosing scope, the body in its own
+        args = node.args
+        outer = [*args.defaults, *args.kw_defaults, *getattr(node, "decorator_list", ()),
+                 getattr(node, "returns", None)]
+        for child in filter(None, outer):
+            _references(child, shadowed, out)
+        params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a}
+        body = node.body if isinstance(node.body, list) else [node.body]
+        for child in body:
+            _references(child, shadowed | params, out)
+        return
+    if isinstance(node, ast.Name) and node.id not in shadowed:
+        out.append((node.id, node.lineno, "bare"))
+    elif isinstance(node, ast.alias):
+        out.append((node.name, node.lineno, "bare"))
+    elif isinstance(node, ast.Attribute):
+        kind = node.value.id if isinstance(node.value, ast.Name) else "attr"
+        out.append((node.attr, node.lineno, kind))
+    for child in ast.iter_child_nodes(node):
+        _references(child, shadowed, out)
 
 
 def unreferenced(src):
     """Qualified names of the module-level functions and classes, and the
     non-dunder methods, that no code in ``src`` names outside their own
-    definition."""
+    definition.  A module-level name counts as named only as a bare name
+    that no parameter shadows, in an import, or as ``module.name``; a
+    method counts as named by any name or attribute of its name."""
     defs, refs = [], {}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((f"{path.stem}.{node.name}", node.name, path, node))
+                defs.append((f"{path.stem}.{node.name}", node.name, path, node, False))
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{path.stem}.{node.name}.{sub.name}", sub.name, path, sub)
+                defs += [(f"{path.stem}.{node.name}.{sub.name}", sub.name, path, sub, True)
                          for sub in node.body if isinstance(sub, ast.FunctionDef)
                          and not (sub.name.startswith("__") and sub.name.endswith("__"))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            refs.setdefault(name, []).append((path, node.lineno))
-    return sorted(qual for qual, name, path, node in defs
-                  if all(p == path and node.lineno <= line <= node.end_lineno
-                         for p, line in refs.get(name, ())))
+        found = []
+        _references(tree, frozenset(), found)
+        for name, line, kind in found:
+            refs.setdefault(name, []).append((path, line, kind))
+
+    def named(path, node, method, p, line, kind):
+        if p == path and node.lineno <= line <= node.end_lineno:
+            return False  # its own definition
+        return method or kind in ("bare", path.stem)
+
+    return sorted(qual for qual, name, path, node, method in defs
+                  if not any(named(path, node, method, *ref) for ref in refs.get(name, ())))
 
 
 def test_src_defines_nothing_unused():
     # an allowed name that gains a caller leaves the list too
     assert unreferenced(SRC) == sorted(ALLOWED)
+
+
+def test_a_parameter_or_attribute_of_the_same_name_names_no_function(tmp_path):
+    # a module-level function is named by a bare name, an import or
+    # module.name, not by a parameter or an attribute that shares its name
+    (tmp_path / "core.py").write_text(
+        "def degree(z):\n    return z\n\n\n"
+        "def used(z):\n    return z\n\n\n"
+        "class Cert:\n"
+        "    def __init__(self, degree):\n        self.degree = degree\n\n"
+        "    def method(self):\n        return self.degree\n")
+    (tmp_path / "cli.py").write_text(
+        "from .core import used\nimport core\n\n\n"
+        "def run(cert, degree=None):\n"
+        "    return used(cert.degree), degree, core.Cert(1).method(), (lambda used: used)\n")
+    assert unreferenced(tmp_path) == ["cli.run", "core.degree"]

@@ -20,6 +20,7 @@ trials.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .coxeter import GroupElement
 from .exactlinalg import kernel_basis
@@ -345,8 +346,11 @@ def check_skew_commutation(state: AlgebraState, w: GroupElement, v: GroupElement
     wo = sys.longest_element()
     xi = group_act(w, skew_element(wo, v, state))
     g = w * v * wo * w.inverse()
-    kernels = [(n, ker) for n, ker in _joint_kernels(state, _t_blocks(state, w), top) if n]
-    samples = _kernel_samples(state, kernels, rng, max(1, trials // 3))
+    # one sample shows the sample space is not empty; no kernel past the
+    # degree of the last kept sample is computed
+    kernels = _joint_kernels(state, _t_blocks(state, w), range(1, top + 1))
+    samples = list(islice(_kernel_samples(state, kernels, rng, max(1, trials // 3)),
+                          max(1, trials)))
     if not samples:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])
@@ -409,17 +413,17 @@ def _first_mismatch(degrees, lhs, rhs):
     return None
 
 
-def _joint_kernels(state: AlgebraState, blocks_by_degree, max_degree):
+def _joint_kernels(state: AlgebraState, blocks_by_degree, degrees):
     """(degree, basis) of the joint kernel of the given maps, each given
-    as a block (matrix, nrows), per nonzero component up to max_degree."""
-    return [(n, kernel_basis(mat_stack(blocks_by_degree(n), dim), state.field))
-            for n in range(0, max_degree + 1) if (dim := state.dim(n))]
+    as a block (matrix, nrows), per nonzero component of the given
+    degrees, in order, each computed when it is read."""
+    return ((n, kernel_basis(mat_stack(blocks_by_degree(n), dim), state.field))
+            for n in degrees if (dim := state.dim(n)))
 
 
 def _kernel_samples(state: AlgebraState, kernels, rng, count):
     """Random elements of the kernels of :func:`_joint_kernels`, count per
-    degree."""
-    out = []
+    degree, each drawn when it is read."""
     field_ = state.field
     for n, ker in kernels:
         for _ in range(count):
@@ -428,8 +432,7 @@ def _kernel_samples(state: AlgebraState, kernels, rng, count):
             coeffs = {k: c for k in range(len(ker)) if (c := field_.of(rng.randint(-2, 2)))}
             z = NicholsElement(state, {n: mat_col(ker, coeffs, field_)})
             if not z.is_zero():
-                out.append(z)
-    return out
+                yield z
 
 
 def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10,
@@ -453,9 +456,10 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
     if budget < 0:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["top word does not fit under the degree bound"])
-    kernels = _joint_kernels(state, _t_blocks(state, w), min(top, max(0, budget)))
-    s13 = _kernel_samples(state, kernels, rng, 3)
-    s2 = _kernel_samples(state, kernels, rng, 3)
+    degrees = range(min(top, max(0, budget)) + 1)
+    kernels = list(_joint_kernels(state, _t_blocks(state, w), degrees))
+    s13 = list(_kernel_samples(state, kernels, rng, 3))
+    s2 = list(_kernel_samples(state, kernels, rng, 3))
     if not s13 or not s2:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["empty kernel sample space"])

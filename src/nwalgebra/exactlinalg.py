@@ -8,7 +8,11 @@ echelon vector over them, so the result depends only on the column
 order.  There is one vector format: a ``{index: value}`` dict without
 zeros.  Matrices are lists of such column dicts, the layout the graded
 construction produces, and kernel bases and coordinates come back in
-the same form.  Values are canonical per field: residues modulo a
+the same form.  A column a matrix stores is never changed in place, so
+matrices share columns, and every empty one they store is the one
+read-only zero column (``nichols_core.ZERO_COL``); the solver copies
+what it keeps, and ``canon`` returns a new dict, which its callers may
+fill.  Values are canonical per field: residues modulo a
 prime, or rationals kept integer first (a Python ``int`` whenever the
 value is integral, a ``Fraction`` only otherwise), so no floating point
 and no rounding enter anywhere.  Arithmetic is plain operators, then one

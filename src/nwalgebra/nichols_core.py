@@ -53,6 +53,7 @@ tests compare with it class by class.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .coxeter import GroupElement, RootSystem
 from .exactlinalg import QQ, ColumnSolver, in_span
@@ -85,8 +86,13 @@ class TopDegreeMismatch(CheckFailed):
 # ---------------------------------------------------------------------------
 # sparse-matrix helpers: a vector is an {index: scalar} dict without zeros,
 # and a matrix is a list of such column dicts, column j holding the image
-# of basis vector j
+# of basis vector j.  A stored column is a value: it is never changed in
+# place, so maps share columns instead of copying them, and every empty
+# column they store is the one read-only ``ZERO_COL``.
 # ---------------------------------------------------------------------------
+
+#: the zero column, shared by every map; a write into it raises TypeError
+ZERO_COL = MappingProxyType({})
 
 
 def mat_col(mat, col, field, plus=None):
@@ -94,32 +100,35 @@ def mat_col(mat, col, field, plus=None):
 
     M's columns must hold canonical values without zeros.  The raw sum
     of products is made canonical once (``field.canon``).  Without
-    ``plus``, c = {j: x} gives a copy of column j for x one, its negation
-    for x minus one and its canonical x-multiple otherwise.
+    ``plus``, c = {j: x} gives column j of M itself for x one, shared,
+    its negation for x minus one and its canonical x-multiple otherwise.
+    Any other result is a new dict, and an empty one is ``ZERO_COL``, so
+    the caller must not write into the result.
     """
     if not plus and len(col) < 2:
         if not col:
-            return {}
+            return ZERO_COL
         (j, x), = col.items()
         if x == field.one:
-            return dict(mat[j])
+            return mat[j] or ZERO_COL
         if x == field.minus_one:
             return neg_col(mat[j], field)
-        return field.canon({i: v * x for i, v in mat[j].items()})
+        return field.canon({i: v * x for i, v in mat[j].items()}) or ZERO_COL
     acc = dict(plus) if plus else {}
     get = acc.get
     for j, x in col.items():
         for i, v in mat[j].items():
             acc[i] = get(i, 0) + v * x
-    return field.canon(acc)
+    return field.canon(acc) or ZERO_COL
 
 
 def neg_col(col, field):
     """-c for a canonical column c (-v over Q, p - v over GF(p)): canonical
     in, canonical out, as no entry becomes zero and no scalar changes type.
-    Structure maps fold a sign into ``mat_col``'s input with it."""
+    A new dict, or ``ZERO_COL`` for an empty c.  Structure maps fold a
+    sign into ``mat_col``'s input with it."""
     z = field.prime or 0
-    return {i: z - v for i, v in col.items()}
+    return {i: z - v for i, v in col.items()} if col else ZERO_COL
 
 
 def mat_mul(a, b, field):
@@ -163,7 +172,9 @@ class LazyColumns:
     It reads like the list of column dicts it stands for (``[]``,
     ``len``, iteration, ``==`` against a list).  It holds no closure and
     no reference to the algebra state, so a map in the state's memo
-    makes no reference cycle.
+    makes no reference cycle.  A column is ``mat_col``'s result: often a
+    column of ``lmul`` or ``prev`` itself, or ``ZERO_COL``, so it is read,
+    never written.
     """
 
     __slots__ = ("_cols", "_lmul", "_parents", "_prev", "_images", "_field")
@@ -273,7 +284,7 @@ class AlgebraState:
         self.memory_bound = memory_bound
         self.finite_top = None
         self._prods = {}      # (root, class) -> s_root * class, over all degrees
-        base = DegreeBasis(0, [()], [system.identity()], [None], [], [{}], {})
+        base = DegreeBasis(0, [()], [system.identity()], [None], [], [ZERO_COL], {})
         self.bases = [base]
         self._ensure_degree_one()
 
@@ -320,7 +331,7 @@ class AlgebraState:
     def _append_empty(self):
         n = len(self.bases)
         prev_dim = self.bases[n - 1].dim
-        lmul = {a: [dict() for _ in range(prev_dim)] for a in range(self.system.nroots)}
+        lmul = {a: [ZERO_COL] * prev_dim for a in range(self.system.nroots)}
         self.bases.append(DegreeBasis(n, [], [], [], [], [], lmul))
 
     def construct_all(self):
@@ -437,7 +448,7 @@ class AlgebraState:
             for j, offer in enumerate(col):
                 if offer is not None:
                     coords, pos = offer
-                    cols.append({pos[local]: x for local, x in coords.items()})
+                    cols.append({pos[local]: x for local, x in coords.items()} or ZERO_COL)
                     continue
                 e = prev.words[j][-1]
                 if e not in rmuls:
@@ -524,11 +535,14 @@ class AlgebraState:
         every stored vector once and files all the roots' matrices."""
         def build(basis):
             prev_dim = self.bases[n - 1].dim if n else 0
-            mats = [[dict() for _ in range(basis.dim)] for _ in range(self.system.nroots)]
+            mats = [[ZERO_COL] * basis.dim for _ in range(self.system.nroots)]
             for i, vec in enumerate(basis.derivs):
                 for k, v in vec.items():
                     gam, r = divmod(k, prev_dim)
-                    mats[gam][i][r] = v
+                    col = mats[gam][i]
+                    if col is ZERO_COL:
+                        col = mats[gam][i] = {}
+                    col[r] = v
             for gam, m in enumerate(mats):
                 basis.cache[("dleft", gam)] = m
             return mats[g]
@@ -560,7 +574,7 @@ class AlgebraState:
         identity).  The columns are built when first read.  Past the known
         top they are zero."""
         if self.finite_top is not None and n + ny > self.finite_top:
-            return [{} for _ in range(self.dim(n))]
+            return [ZERO_COL] * self.dim(n)
         return LazyColumns(self.basis(n + ny).lmul, self.basis(n).parents, prev,
                            self.system.identity().images, self.field)
 
@@ -570,9 +584,9 @@ class AlgebraState:
         def build(basis):
             field = self.field
             if n == 0:
-                return [{}]
+                return [ZERO_COL]
             if n == 1:
-                return [{0: field.one} if w[0] == g else {} for w in basis.words]
+                return [{0: field.one} if w[0] == g else ZERO_COL for w in basis.words]
             dr_prev = self.dright(n - 1, g)
             act_prev = self.act_matrix(n - 1, self.system.reflection(g))
             lmul = self.bases[n - 1].lmul
@@ -824,7 +838,7 @@ def right_multiplier(y: NicholsElement):
 
     def columns(n):
         ny = _homogeneous_degree(y, "right_multiplier")
-        return [{} for _ in range(state.dim(n))] if ny is None else chain(ny, n)
+        return [ZERO_COL] * state.dim(n) if ny is None else chain(ny, n)
 
     times.columns = columns
     return times
@@ -848,7 +862,7 @@ def right_derivative_columns(y: NicholsElement):
             if m is not None and n >= m:
                 _derive_along(state, state.dright,
                               list(enumerate(mat_identity(len(accs), field))), n, tree, accs)
-            cols = built[n] = [field.canon(acc) for acc in accs]
+            cols = built[n] = [field.canon(acc) or ZERO_COL for acc in accs]
         return cols
     return columns
 

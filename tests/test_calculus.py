@@ -20,11 +20,20 @@ from nwalgebra.calculus import (
     _right_leibniz_mismatch,
     _t_blocks,
 )
-from nwalgebra.coxeter import RootSystem, cartan_data, centralizer_of_longest
+from nwalgebra.coxeter import GroupElement, RootSystem, cartan_data, centralizer_of_longest
 from nwalgebra.disjoint import classify, search_complete
 from nwalgebra.exactlinalg import QQ, PrimeField, kernel_basis
+from nwalgebra.integrals import (
+    hypothetical_checks,
+    invariance_suite,
+    nonsimple_roots,
+    subalgebra_build,
+    top_integral,
+)
 from nwalgebra.nichols_core import (
+    ZERO_COL,
     AlgebraState,
+    LazyColumns,
     NicholsElement,
     mat_mul,
     mat_stack,
@@ -33,6 +42,7 @@ from nwalgebra.nichols_core import (
     right_derivative,
     right_derivative_columns,
     right_multiplier,
+    theta_span,
 )
 from nwalgebra.nilcoxeter import skew_element
 
@@ -110,19 +120,34 @@ def test_rhoD_catches_a_perturbed_reversal_column(prime):
     # the single-generator part reads the columns of rho_matrix directly;
     # a wrong column fails it at that degree, reported as that basis vector
     state = _fresh_a2(prime)
-    field = state.field
-    col = state.rho_matrix(2)[0]
-    x = field.normalize(col.get(0, field.zero) + field.one)
-    if x:
-        col[0] = x
-    else:
-        del col[0]
+    r2 = state.rho_matrix(2)
+    r2[0] = _bumped(r2[0], state.field)
     r = check_rhoD(state, trials=0)
     assert r.status == "fail"
     ce = r.counterexample
     assert ce["degree"] == 2
     assert ce["z"]["degree_components"][0]["terms"] == [
         {"word": list(state.basis(2).words[0]), "coeff": "1"}]
+
+
+def test_rhoD_peak_memory():
+    # building A3 over Q and checking rhoD reads every structure map of
+    # reversal, right derivatives and the action: on Python 3.11 it peaked
+    # at 4.0 MB of Python allocations while mat_col copied a unit column
+    # and every zero column was its own dict, and at 2.9 MB since the maps
+    # share them
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        state = AlgebraState(RootSystem(cartan_data("A", 3)))
+        state.construct_all()
+        r = check_rhoD(state, 20, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.passed
+    assert peak < 3_300_000, peak
 
 
 def _gen_leibniz(state, sys):
@@ -155,25 +180,24 @@ def test_leibniz_form_checks_catch_a_perturbed_derivative_column(check, rank, n,
     # wrong stored column of dright(n, root) fails it at some degree
     state = AlgebraState(RootSystem(cartan_data("A", rank)))
     state.construct_all()
-    field = state.field
-    col = state.dright(n, root)[0]
-    x = field.normalize(col.get(0, field.zero) + field.one)
-    if x:
-        col[0] = x
-    else:
-        del col[0]
+    dr = state.dright(n, root)
+    dr[0] = _bumped(dr[0], state.field)
     r = check(state, state.system)
     assert r.status == "fail"
     assert r.counterexample["degree"] == degree
 
 
-def _bump(col, field):
-    """Add one to coordinate 0 of a column, in place."""
-    x = field.normalize(col.get(0, field.zero) + field.one)
+def _bumped(col, field):
+    """A copy of a column with one added to coordinate 0.  Stored columns
+    are shared between maps and never changed in place, so a test puts
+    the copy into the one map it perturbs."""
+    out = dict(col)
+    x = field.normalize(out.get(0, field.zero) + field.one)
     if x:
-        col[0] = x
+        out[0] = x
     else:
-        del col[0]
+        del out[0]
+    return out
 
 
 @pytest.mark.parametrize("prime", [False, True])
@@ -190,7 +214,11 @@ def test_column_form_checks_catch_a_perturbed_product_column(check, prime, monke
         times = right_multiplier(y)
         if not made and not y.is_zero():
             made.append(y)
-            _bump(times.columns(top - y.degrees()[0])[-1], state.field)
+            n = top - y.degrees()[0]
+            cols = list(times.columns(n))
+            cols[-1] = _bumped(cols[-1], state.field)
+            columns = times.columns
+            times.columns = lambda k: cols if k == n else columns(k)
         return times
 
     monkeypatch.setattr(calculus, "right_multiplier", perturbed)
@@ -219,7 +247,8 @@ def test_column_form_checks_catch_a_perturbed_last_top_column(check, degree, pri
 
     def perturbed(y):
         columns = right_derivative_columns(y)
-        _bump(columns(state.finite_top)[-1], state.field)
+        top = columns(state.finite_top)
+        top[-1] = _bumped(top[-1], state.field)
         return columns
 
     monkeypatch.setattr(calculus, "right_derivative_columns", perturbed)
@@ -239,7 +268,8 @@ def test_skew_commutation_first_sample_sees_a_perturbed_derivative_column(prime,
 
     def perturbed(y):
         columns = right_derivative_columns(y)
-        _bump(columns(state.finite_top)[-1], state.field)
+        top = columns(state.finite_top)
+        top[-1] = _bumped(top[-1], state.field)
         return columns
 
     monkeypatch.setattr(calculus, "right_derivative_columns", perturbed)
@@ -317,6 +347,36 @@ def test_skew_commutation(s3, s4):
     assert r.passed
 
 
+@pytest.mark.parametrize("prime", [False, True])
+def test_skew_commutation_computes_kernels_to_its_last_sample(prime, monkeypatch):
+    # the samples are drawn degree by degree from degree 1, and no joint
+    # kernel past the degree of the last kept sample is computed; they are
+    # the first samples of all the kernels computed at once
+    state = AlgebraState(RootSystem(cartan_data("A", 3)),
+                         field=PrimeField() if prime else QQ)
+    state.construct_all()
+    sys = state.system
+    w, top = sys.simple_reflection(0), state.finite_top
+    kernels = list(_joint_kernels(state, _t_blocks(state, w), range(1, top + 1)))
+    eager = list(_kernel_samples(state, kernels, random.Random(3), 1))[:2]
+    computed, made = [], []
+
+    def counted(cols, field):
+        computed.append(len(cols))
+        return kernel_basis(cols, field)
+
+    def recording(y):
+        made.append(y)
+        return right_multiplier(y)
+
+    monkeypatch.setattr(calculus, "kernel_basis", counted)
+    monkeypatch.setattr(calculus, "right_multiplier", recording)
+    r = check_skew_commutation(state, w, sys.identity(), trials=2, seed=3)
+    assert r.passed and r.trials == 2
+    assert made[0::2] == eager  # b, then g b, per sample
+    assert len(computed) == eager[-1].degrees()[0] < top
+
+
 def test_ofbskew_and_prep_abstr_comm_centralizer(s4):
     d = search_complete(s4.system)[0]
     assert check_ofbskew(s4, d, max_degree=6).passed
@@ -385,8 +445,8 @@ def test_kernels_computed_once_give_the_same_samples(s4):
         old = random.Random(9)
         expected = [_samples_per_call(s4, t_blocks, old, 3, 6) for _ in range(2)]
         rng = random.Random(9)
-        kernels = _joint_kernels(s4, t_blocks, 6)
-        assert [_kernel_samples(s4, kernels, rng, 3) for _ in range(2)] == expected
+        kernels = list(_joint_kernels(s4, t_blocks, range(7)))
+        assert [list(_kernel_samples(s4, kernels, rng, 3)) for _ in range(2)] == expected
         assert all(expected)
 
 def test_prep_abstr_comm_general_w(s4):
@@ -472,3 +532,57 @@ def test_cofactors_exhausted_returns_none(s3):
     a1, a2 = sys.simple_index
     # cap 0 admits no witness for a non-proportional pair
     assert find_commuting_cofactors((a1,), (a2,), {a1}, {a2}, 0, s3) is None
+
+
+def _fresh_map(state, n, key):
+    """The degree-n map ``key`` of a state's memo, built in ``state``."""
+    name, arg = key
+    if name == "theta_span":
+        return theta_span(state, arg, n)
+    if name == "act":
+        return state.act_matrix(n, GroupElement(state.system, arg))
+    if arg is None:
+        return getattr(state, "gram" if name == "gram" else f"{name}_matrix")(n)
+    return getattr(state, name)(n, arg)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_checks_leave_every_stored_column_unchanged(prime):
+    # stored columns are shared between maps and never changed in place:
+    # after every check of the A3 calculus workload, each stored map equals
+    # the same map of a state that ran no check, column by column as far
+    # as it was built, and the shared zero column is still empty
+    def fresh():
+        state = AlgebraState(RootSystem(cartan_data("A", 3)),
+                             field=PrimeField() if prime else QQ)
+        state.construct_all()
+        return state
+
+    state, seed = fresh(), 1
+    sys = state.system
+    wo, e = sys.longest_element(), sys.identity()
+    assert check_rhoD(state, 20, seed).passed
+    assert check_nz_antipode(state).passed
+    assert check_tower_invariance(state, wo, sys.simple_reflection(0), 2, seed).passed
+    sols = search_complete(sys)
+    w = next(w for w in sols[0].elements if not w.is_identity())
+    assert check_skew_commutation(state, w, e, 2, seed).passed
+    assert check_basic_rev(state, 20, seed).status in ("pass", "skipped")
+    cert = top_integral(state)
+    assert invariance_suite(cert, state, classify(list(sols[0].elements)[:2], sys)).passed
+    sub = subalgebra_build(nonsimple_roots(state), state)
+    assert hypothetical_checks(sub, state).status in ("pass", "skipped")
+
+    ref = fresh()
+    keys = set()
+    for b, rb in zip(state.bases, ref.bases, strict=True):
+        assert b.lmul == rb.lmul and b.derivs == rb.derivs, b.degree
+        for key, m in b.cache.items():
+            keys.add(key[0])
+            built = (range(len(m)) if not isinstance(m, LazyColumns)
+                     else [i for i in range(len(m)) if m._cols[i] is not None])
+            rm = _fresh_map(ref, b.degree, key)
+            assert [m[i] for i in built] == [rm[i] for i in built], (b.degree, key)
+    assert keys >= {"rmul", "dleft", "dright", "act", "gram", "rho", "antipode",
+                    "antipode_inv", "sbar", "theta_span"}
+    assert ZERO_COL == {} and not ZERO_COL

@@ -112,6 +112,17 @@ def _require_longest(state, command):
             f"{state.degree_cap}")
 
 
+def _require_top(state, command):
+    """Refuse, before any build, a command that reads the top degree when
+    the type's top is known and the cap cannot confirm it: the top is
+    confirmed only by building the empty degree past it."""
+    top = state.predicted_top
+    if top is not None and top >= state.degree_cap:
+        raise DegreeCapExceeded(
+            f"{command}: the top degree {top} is confirmed only at degree {top + 1}, "
+            f"above the degree cap {state.degree_cap}")
+
+
 def _dims_payload(args, state):
     dims = state.dims()
     if state.finite_top is not None:
@@ -252,9 +263,6 @@ def cmd_verify(args, phases):
     if want("basic-rev"):
         reports.append(calculus.check_basic_rev(state, args.trials, args.seed, cap))
         phases.mark("basic-rev")
-    if not reports:
-        print(f"unknown identity: {which}", file=sys.stderr)
-        return 2
     payload = {"config": _config(args), "reports": [r.to_json() for r in reports]}
     _emit(args, payload)
     return 0 if all(r.status in ("pass", "skipped") for r in reports) else 1
@@ -266,6 +274,7 @@ def cmd_integral(args, phases):
 
     state = _state(args)
     _require_longest(state, "integral")
+    _require_top(state, "integral")
     state.construct_all()
     phases.mark("construct")
     cert = top_integral(state)
@@ -301,6 +310,10 @@ def cmd_reduce(args, phases):
     from .reduction import reduce_mod_left_ideal, reduce_mod_right_ideal
 
     system = _system(args)
+    if not system.cartan.type_label.startswith("A"):
+        print(f"reduce: monomial reduction is implemented for type A only, "
+              f"not {system.cartan.type_label}", file=sys.stderr)
+        return 2
     try:
         word = tuple(int(x) for x in args.monomial.split(",")) if args.monomial.strip() else ()
     except ValueError:
@@ -358,10 +371,11 @@ def cmd_pairing(args, phases):
             f"the memory bound {args.memory_bound}")
     state.construct_all()
     phases.mark("construct")
+    embedded = [embed_element(state, u) for u in elements]
     bad = []
-    for u in elements:
-        for v in elements:
-            val = pairing(embed_element(state, u), embed_element(state, v))
+    for u, xu in zip(elements, embedded):
+        for v, xv in zip(elements, embedded):
+            val = pairing(xu, xv)
             expect = state.field.one if u == v.inverse() else state.field.zero
             if val != expect:
                 bad.append({"u": u.to_json(), "v": v.to_json(), "value": str(val)})
@@ -393,6 +407,7 @@ def cmd_bracket(args, phases):
         raise DegreeCapExceeded(
             f"bracket: the products need degree {need}, above the degree cap "
             f"{state.degree_cap}")
+    _require_top(state, "bracket")
     state.construct_all()
     phases.mark("construct")
     matrix, report = bracket_matrix(d, list(d.elements), state)

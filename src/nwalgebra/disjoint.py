@@ -74,16 +74,6 @@ def classify(elements, system: RootSystem):
     return DisjointSystem(tuple(elements), blocks, order, normalized, complete)
 
 
-def translate(d: DisjointSystem, v: GroupElement, system: RootSystem):
-    """The translated system v D (valid for v in the centralizer)."""
-    return classify([v * w for w in d.elements], system)
-
-
-def normalize(d: DisjointSystem, v: GroupElement, system: RootSystem):
-    """The normalized system v^{-1} D for v in D."""
-    return translate(d, v.inverse(), system)
-
-
 def search_complete(system: RootSystem):
     """All normalized complete disjoint systems, modulo w ~ w w_o per member.
 

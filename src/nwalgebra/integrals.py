@@ -91,7 +91,9 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
         char[i] = m[0].get(0, field_.zero)
     eps_rho = state.rho_matrix(top)[0].get(0, field_.zero)
     eps_s = state.antipode_matrix(top)[0].get(0, field_.zero)
-    eps_sbar = state.sbar_matrix(top)[0].get(0, field_.zero)
+    # s-bar is (-1)^n rho S, and the top is one-dimensional
+    sign = field_.minus_one if top % 2 else field_.one
+    eps_sbar = field_.normalize(sign * eps_rho * eps_s)
     cert = IntegralCertificate(x, top, w, char, eps_rho, eps_s, eps_sbar)
     _validate_certificate(cert, state)
     return cert

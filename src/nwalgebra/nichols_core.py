@@ -52,7 +52,6 @@ tests compare with it class by class.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .coxeter import GroupElement, RootSystem
@@ -696,14 +695,6 @@ class AlgebraState:
             return cols
         return self._cached(n, ("antipode_inv", None), build)
 
-    def sbar_matrix(self, n):
-        """The twisted antipode (-1)^n rho S on degree n."""
-        def build(basis):
-            field, r = self.field, self.rho_matrix(n)
-            return [mat_col(r, neg_col(col, field) if n % 2 else col, field)
-                    for col in self.antipode_matrix(n)]
-        return self._cached(n, ("sbar", None), build)
-
 
 # ---------------------------------------------------------------------------
 # elements
@@ -980,11 +971,14 @@ def rho(z: NicholsElement) -> NicholsElement:
 
 
 def s_bar(z: NicholsElement) -> NicholsElement:
-    return _apply_matrices(z, z.state.sbar_matrix)
+    """The twisted antipode: (-1)^n rho S on the degree-n component."""
+    field = z.state.field
+    return NicholsElement(z.state, {n: neg_col(v, field) if n % 2 else v
+                                    for n, v in rho(antipode(z)).components.items()})
 
 
 # ---------------------------------------------------------------------------
-# monomial predicates and group-degree decomposition
+# monomial predicates
 # ---------------------------------------------------------------------------
 
 
@@ -1015,18 +1009,6 @@ def involves_only(z: NicholsElement, theta) -> bool:
                for n, v in z.components.items())
 
 
-def w_degree_decompose(z: NicholsElement):
-    """Split into group-homogeneous summands, keyed by group element."""
-    state = z.state
-    out = {}
-    for n, v in z.components.items():
-        for g, idxs in state.basis(n).classes.items():
-            part = {i: v[i] for i in idxs if i in v}
-            if part:
-                out.setdefault(g, {})[n] = part
-    return {g: NicholsElement(state, comps) for g, comps in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -1040,12 +1022,3 @@ def element_to_json(z: NicholsElement):
                  for i, c in sorted(z.components[n].items())]
         comps.append({"degree": n, "terms": terms})
     return {"degree_components": comps}
-
-
-def element_from_json(state: AlgebraState, data) -> NicholsElement:
-    out = NicholsElement.zero(state)
-    for comp in data["degree_components"]:
-        for term in comp["terms"]:
-            c = Fraction(term["coeff"])
-            out = out + NicholsElement.from_word(state, tuple(term["word"]), c)
-    return out

@@ -159,12 +159,6 @@ class OrbitState(AlgebraState):
     def lmul(self, n, a):
         raise _no_words("lmul")
 
-    def class_dims(self, n):
-        """{class: dim} for every class of nonzero dimension at degree n."""
-        self.ensure_degree(n)
-        ranks = self.bases[n].ranks
-        return {k: ranks[r] for k, (r, _, _) in self._orbits.items() if r in ranks}
-
     # -- the group side ---------------------------------------------------
 
     def _orbit(self, g):

@@ -72,16 +72,6 @@ class Reducer:
 
     # -- helpers ---------------------------------------------------------
 
-    def _simple_choices(self, u: GroupElement):
-        """Simple roots sent negative by u, as root indices."""
-        sys = self.system
-        out = []
-        for i in range(sys.rank):
-            si = sys.simple_index[i]
-            if u.images[si] < 0:
-                out.append(si)
-        return out
-
     def _pick(self, options):
         return min(options) if self.policy == "min" else max(options)
 
@@ -89,21 +79,15 @@ class Reducer:
         """x_u x_s for a simple root s: 1 if lengths add, else 0."""
         return 1 if u.images[s] > 0 else 0
 
-    def _root_sub(self, a: int, b: int):
+    def _root_sum(self, a: int, b: int, sign: int):
+        """The index of the root alpha_a + sign * alpha_b, or None."""
         sys = self.system
-        diff = tuple(x - y for x, y in zip(sys.roots[a], sys.roots[b]))
-        return sys.index.get(diff)
-
-    def _root_add(self, a: int, b: int):
-        sys = self.system
-        s = tuple(x + y for x, y in zip(sys.roots[a], sys.roots[b]))
-        return sys.index.get(s)
+        return sys.index.get(tuple(x + sign * y for x, y in zip(sys.roots[a], sys.roots[b])))
 
     # -- the block recursion ----------------------------------------------
 
     def block(self, u: GroupElement, a: int):
         """(mu, trace) with x_u x_a = mu x_{u s_a} modulo the right ideal."""
-        sys = self.system
         key = (u.images, a)
         hit = self._memo.get(key)
         if hit is not None:
@@ -125,13 +109,13 @@ class Reducer:
         if u.is_identity():
             # a leading non-simple generator lies in the ideal
             return 0, ()
-        neg = self._simple_choices(u)
+        neg = [sys.simple_index[i] for i in u.right_descents()]  # simple roots u sends negative
         ra = sys.roots[a]
         case1 = [b for b in neg if sys.ip(ra, sys.roots[b]) > 0]
         case2 = [b for b in neg if sys.ip(ra, sys.roots[b]) == 0]
         if case1:
             b = self._pick(case1)
-            g = self._root_sub(a, b)
+            g = self._root_sum(a, b, -1)
             ub = u * sys.reflection(b)
             m1, t1 = self.block(ub, g)
             m2, t2 = self.block(ub * sys.reflection(g), b) if m1 else (0, ())
@@ -147,7 +131,7 @@ class Reducer:
             return m1 * m2, ((2, a, b),) + t1 + t2
         # case 3: every candidate pairs to -1 with a
         g = self._pick(neg)
-        apg = self._root_add(a, g)
+        apg = self._root_sum(a, g, 1)
         if apg is None:
             raise ReductionError("case 3 expects a + gamma to be a root")
         ug = u * sys.reflection(g)
@@ -180,11 +164,11 @@ class Reducer:
         return term_a + term_b, trace
 
 
-def reduce_mod_right_ideal(word, system: RootSystem, coeff=1, policy: str = "min") -> ReductionResult:
-    """Reduce coeff * x_{word} to lambda x_w modulo the right ideal J^r."""
+def reduce_mod_right_ideal(word, system: RootSystem, policy: str = "min") -> ReductionResult:
+    """Reduce x_{word} to lambda x_w modulo the right ideal J^r."""
     red = Reducer(system, policy)
     u = system.identity()
-    lam = Fraction(coeff)
+    lam = Fraction(1)
     trace = ()
     for a in word:
         if lam:
@@ -195,7 +179,7 @@ def reduce_mod_right_ideal(word, system: RootSystem, coeff=1, policy: str = "min
     return ReductionResult(lam, u, trace)
 
 
-def reduce_mod_left_ideal(word, system: RootSystem, coeff=1, policy: str = "min") -> ReductionResult:
+def reduce_mod_left_ideal(word, system: RootSystem, policy: str = "min") -> ReductionResult:
     """Reduce modulo the left ideal J^l, via word reversal."""
-    r = reduce_mod_right_ideal(tuple(reversed(word)), system, coeff, policy)
+    r = reduce_mod_right_ideal(tuple(reversed(word)), system, policy)
     return ReductionResult(r.scalar, r.w.inverse(), r.trace)

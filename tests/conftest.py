@@ -1,6 +1,7 @@
 import pytest
 
 from nwalgebra.coxeter import RootSystem, cartan_data
+from nwalgebra.exactlinalg import PrimeField
 from nwalgebra.nichols_core import AlgebraState
 
 
@@ -21,5 +22,12 @@ def s3():
 @pytest.fixture(scope="session")
 def s4():
     state = AlgebraState(RootSystem(cartan_data("A", 3)))
+    state.construct_all()
+    return state
+
+
+@pytest.fixture(scope="session")
+def s4_prime(s4):
+    state = AlgebraState(s4.system, field=PrimeField())
     state.construct_all()
     return state

@@ -16,7 +16,9 @@ of ``nwalg``:
   time, against which the engine's word-tree walk is checked;
 - the monomial predicates (starts with, ends with) and the group degree
   of an element, which the nilCoxeter statements read;
-- the basis of a degree as elements, for the tests' exhaustive loops.
+- the basis of a degree as elements, for the tests' exhaustive loops;
+- the per-class dimensions of the orbit build, which the tests compare
+  with the word build's class blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from nwalgebra.nichols_core import (
     MemoryBoundExceeded,
     NicholsElement,
     mat_col,
-    w_degree_decompose,
 )
 from nwalgebra.nilcoxeter import embed_element, reduced_word_roots, skew_element
 from nwalgebra.reduction import ReductionError
@@ -266,11 +267,10 @@ def starts_with_set(z: NicholsElement, theta) -> bool:
 
 
 def w_degree(z: NicholsElement):
-    """The group degree of a homogeneous element (None if mixed or zero)."""
-    d = w_degree_decompose(z)
-    if len(d) != 1:
-        return None
-    return next(iter(d))
+    """The group degree of a homogeneous element (None if mixed or zero):
+    the one class of every basis word it holds."""
+    classes = {z.state.basis(n).wdegs[i] for n, v in z.components.items() for i in v}
+    return next(iter(classes)) if len(classes) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +390,17 @@ def _ideal_solver(state: AlgebraState, side: str, n: int) -> ColumnSolver:
             for col in state.lmul(n, a) if side == "right" else state.rmul(n, a):
                 solver.add(col)
     return solver
+
+
+# ---------------------------------------------------------------------------
+# the orbit build, class by class
+# ---------------------------------------------------------------------------
+
+
+def orbit_class_dims(state, n):
+    """{class: dim} for every class of nonzero dimension at degree n of an
+    orbit build (:class:`nwalgebra.orbits.OrbitState`), read from the rank
+    of each class's orbit representative."""
+    state.ensure_degree(n)
+    ranks = state.bases[n].ranks
+    return {k: ranks[r] for k, (r, _, _) in state._orbits.items() if r in ranks}

@@ -8,7 +8,6 @@ from nwalgebra.calculus import (
     check_basic_rev,
     check_gen_leibniz,
     check_nz_antipode,
-    check_ofbskew,
     check_prep_abstr_comm,
     check_rhoD,
     check_skew_commutation,
@@ -35,6 +34,8 @@ from nwalgebra.nichols_core import (
     AlgebraState,
     LazyColumns,
     NicholsElement,
+    group_act,
+    mat_col,
     mat_mul,
     mat_stack,
     multiply,
@@ -44,7 +45,7 @@ from nwalgebra.nichols_core import (
     right_multiplier,
     theta_span,
 )
-from nwalgebra.nilcoxeter import skew_element
+from nwalgebra.nilcoxeter import skew_element, y_element
 
 
 def test_failing_report_carries_counterexample(s3):
@@ -165,16 +166,11 @@ def _skew_commutation(state, sys):
     return check_skew_commutation(state, w, sys.identity(), trials=3, seed=0)
 
 
-def _ofbskew(state, sys):
-    return check_ofbskew(state, search_complete(sys)[0])
-
-
 @pytest.mark.parametrize("check,rank,n,root,degree", [
     (_gen_leibniz, 2, 2, 1, 2),
     (_tower, 2, 1, 0, 4),
     (_skew_commutation, 2, 1, 2, 2),
-    (_ofbskew, 3, 1, 0, 6),
-], ids=["gen-leibniz", "tower", "skew-commutation", "ofbskew"])
+], ids=["gen-leibniz", "tower", "skew-commutation"])
 def test_leibniz_form_checks_catch_a_perturbed_derivative_column(check, rank, n, root, degree):
     # each check applies right derivatives to every basis element; one
     # wrong stored column of dright(n, root) fails it at some degree
@@ -377,9 +373,44 @@ def test_skew_commutation_computes_kernels_to_its_last_sample(prime, monkeypatch
     assert len(computed) == eager[-1].degrees()[0] < top
 
 
-def test_ofbskew_and_prep_abstr_comm_centralizer(s4):
+def _ofbskew_mismatch(state):
+    """The order-two statement y_1 D_{y_2} = D_{y_2} y_1 (-1)^{l(w_o)},
+    for the complete system {w_1, w_2} of A3, as skew commutation at
+    (w, v) = (w_2, e) and b = y_1 (see ``check_skew_commutation``): its
+    first mismatch, after asserting that b = y_1 is in the sample space
+    and that the twist and the derivative are those of skew commutation."""
+    sys = state.system
+    wo, e = sys.longest_element(), sys.identity()
+    w1, w2 = search_complete(sys)[0].elements
+    y1, y2 = y_element(w1, state), y_element(w2, state)
+    ny = y1.degrees()[0]
+    # y_1 is in the joint T_{w_2} kernel
+    assert all(not mat_col(state.dright(ny, a), y1.component(ny), state.field)
+               for a in w2.t_set())
+    # g = w_2 w_o w_2^{-1} = w_o, g y_1 = (-1)^{l(w_o)} y_1, xi = y_2
+    sign = -1 if wo.length() % 2 else 1
+    assert w2 * wo * w2.inverse() == wo
+    assert group_act(wo, y1) == y1.scale(sign)
+    xi = group_act(w2, skew_element(wo, e, state))
+    assert xi == y2
+    return _right_leibniz_mismatch(state, state.finite_top, right_multiplier(y1).columns, ny,
+                                   right_derivative_columns(xi), xi.degrees()[0],
+                                   right_multiplier(y1.scale(sign)).columns)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_ofbskew_catches_a_perturbed_derivative_column(prime):
+    state = AlgebraState(RootSystem(cartan_data("A", 3)), field=PrimeField() if prime else QQ)
+    state.construct_all()
+    dr = state.dright(1, 0)
+    dr[0] = _bumped(dr[0], state.field)
+    assert _ofbskew_mismatch(state)[0] == 6
+
+
+def test_ofbskew_and_prep_abstr_comm_centralizer(s4, s4_prime):
+    for state in (s4, s4_prime):
+        assert _ofbskew_mismatch(state) is None
     d = search_complete(s4.system)[0]
-    assert check_ofbskew(s4, d, max_degree=6).passed
     w = next(w for w in d.elements if not w.is_identity())
     r = check_prep_abstr_comm(s4, w, trials=8, seed=4, max_degree=6)
     assert r.passed and r.trials > 0
@@ -584,5 +615,5 @@ def test_checks_leave_every_stored_column_unchanged(prime):
             rm = _fresh_map(ref, b.degree, key)
             assert [m[i] for i in built] == [rm[i] for i in built], (b.degree, key)
     assert keys >= {"rmul", "dleft", "dright", "act", "gram", "rho", "antipode",
-                    "antipode_inv", "sbar", "theta_span"}
+                    "antipode_inv", "theta_span"}
     assert ZERO_COL == {} and not ZERO_COL

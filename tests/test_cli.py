@@ -241,6 +241,33 @@ def test_cap_shortfall_exits_3(argv, needed, builds, monkeypatch, capsys):
     assert needed in err and "degree cap 5" in err
 
 
+@pytest.mark.parametrize("argv,cap", [
+    pytest.param(["integral", "--rank", "3"], 12, id="integral-A3"),
+    pytest.param(["integral", "--rank", "2"], 4, id="integral-A2"),
+    pytest.param(["bracket", "--rank", "3", "--order", "2"], 12, id="bracket-A3"),
+])
+def test_known_top_above_the_cap_exits_3_before_the_build(argv, cap, monkeypatch, capsys):
+    # the top of a type with a known top is confirmed only by building the
+    # empty degree past it; a cap at the top cannot, and is refused first
+    def refuse(self):
+        raise AssertionError("construct_all called")
+
+    monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    assert cli.main([*argv, "--degree-cap", str(cap)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"resource bound exceeded: {argv[0]}: the top degree {cap} is confirmed only at "
+            f"degree {cap + 1}, above the degree cap {cap}") in err
+
+
+@pytest.mark.parametrize("type_,rank", [("D", 4), ("E", 6)])
+def test_reduce_outside_type_a_is_a_usage_error(type_, rank, capsys):
+    assert cli.main(["reduce", "--type", type_, "--rank", str(rank), "--monomial", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"reduce: monomial reduction is implemented for type A only, not {type_}{rank}" in err
+
+
 @pytest.mark.parametrize("identity", ["rhoD", "nz-antipode"])
 def test_verify_without_the_longest_word_runs_under_a_low_cap(identity):
     code, out, _ = run_cli("verify", identity, "--rank", "3", "--degree-cap", "5",

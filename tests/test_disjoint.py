@@ -8,9 +8,7 @@ from nwalgebra.disjoint import (
     DisjointViolation,
     classify,
     motiv_check,
-    normalize,
     search_complete,
-    translate,
 )
 
 
@@ -69,11 +67,13 @@ def test_translation_and_normalization(s4):
     assert sols
     wo = sys.longest_element()
     for d in sols:
+        # the translate v D of a system by a centralizer element, and its
+        # normalization v^{-1} D by a member v, are systems
         for v in centralizer_of_longest(sys):
-            t = translate(d, v, sys)
+            t = classify([v * w for w in d.elements], sys)
             assert isinstance(t, DisjointSystem) and t.order == d.order
         for v in d.elements:
-            n = normalize(d, v, sys)
+            n = classify([v.inverse() * w for w in d.elements], sys)
             assert isinstance(n, DisjointSystem) and n.normalized
 
 

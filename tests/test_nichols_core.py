@@ -12,7 +12,6 @@ from nwalgebra.nichols_core import (
     NicholsElement,
     antipode,
     antipode_inv,
-    element_from_json,
     element_to_json,
     group_act,
     involves_only,
@@ -30,7 +29,6 @@ from nwalgebra.nichols_core import (
     right_derivative_columns,
     right_multiplier,
     s_bar,
-    w_degree_decompose,
 )
 from nwalgebra.calculus import random_element
 from oracles import (
@@ -259,13 +257,6 @@ def test_mat_col_matches_accumulate_reference(field):
     assert any(k == "multi" and size > 1 for k, _, size in seen)
     with pytest.raises(TypeError):
         ZERO_COL[0] = field.one
-
-
-@pytest.fixture(scope="module")
-def s4_prime(s4):
-    state = AlgebraState(s4.system, field=PrimeField())
-    state.construct_all()
-    return state
 
 
 @pytest.mark.parametrize("which", ["s4", "s4_prime"])
@@ -970,29 +961,9 @@ def test_w_degree_parity(s4):
         assert g.length() % 2 == n % 2
 
 
-def test_w_degree_decompose_sums(s4):
-    rng = random.Random(20)
-    for _ in range(20):
-        z = random_element(s4, rng, rng.randint(0, 4))
-        parts = w_degree_decompose(z)
-        acc = NicholsElement.zero(s4)
-        for g, part in parts.items():
-            assert w_degree(part) == g
-            acc = acc + part
-        assert acc == z
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def test_element_json_roundtrip(s3):
-    rng = random.Random(21)
-    for _ in range(10):
-        z = random_element(s3, rng, rng.randint(0, 3)) + random_element(s3, rng, 1)
-        data = element_to_json(z)
-        assert element_from_json(s3, data) == z
 
 
 def test_index_zero_element_is_nonzero(s3):
@@ -1015,7 +986,6 @@ def test_index_zero_element_is_nonzero(s3):
             data = element_to_json(z)
             assert data["degree_components"] == [
                 {"degree": n, "terms": [{"word": list(state.bases[n].words[0]), "coeff": "1"}]}]
-            assert element_from_json(state, data) == z
 
 
 def test_s6_partial_construction():
@@ -1371,6 +1341,14 @@ def test_structure_digest(type_, rank_, field, cap, digest, values):
                    for g, c in count.items())
 
 
+def _sbar_matrix(state, n):
+    """The twisted antipode (-1)^n rho S on degree n, as the product of the
+    rho and antipode columns that the engine once stored."""
+    field, r = state.field, state.rho_matrix(n)
+    return [mat_col(r, neg_col(col, field) if n % 2 else col, field)
+            for col in state.antipode_matrix(n)]
+
+
 def read_path_digest(state, ordered=True):
     """sha256 of the column entries, with their scalar types, of rho, the
     antipode and its inverse, s-bar, the Gram matrix, every group
@@ -1381,7 +1359,7 @@ def read_path_digest(state, ordered=True):
     elements = state.system.elements()
     for n in range(len(state.bases)):
         maps = [state.rho_matrix(n), state.antipode_matrix(n), state.antipode_inv_matrix(n),
-                state.sbar_matrix(n), state.gram(n)]
+                _sbar_matrix(state, n), state.gram(n)]
         maps += [state.act_matrix(n, w) for w in elements]
         if n:
             for g in range(state.system.nroots):

@@ -18,6 +18,7 @@ from nwalgebra.nichols_core import (
     multiply,
 )
 from nwalgebra.orbits import OrbitState, WordBasisUnavailable
+from oracles import orbit_class_dims
 
 # (type, rank, field, degree cap): the word build reaches the top of A2
 # and A3 on both fields; A4 and D4 are capped
@@ -63,7 +64,7 @@ def test_orbit_build_matches_the_word_build_class_by_class(type_, rank_, field, 
     assert orbit.construct_all() == word.dims()
     assert (orbit.finite_top, orbit.truncated) == (word.finite_top, word.truncated)
     for n in range(len(word.bases)):
-        assert orbit.class_dims(n) == _class_dims(word, n), n
+        assert orbit_class_dims(orbit, n) == _class_dims(word, n), n
 
 
 @pytest.mark.parametrize("type_,rank_,field,cap", [("A", 3, "rational", None),

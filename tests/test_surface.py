@@ -10,22 +10,20 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nwalgebra"
 
 PAPER_STATEMENT = "a paper statement that no `verify` choice runs yet"
 ALLOWED = {
-    "calculus.check_ofbskew": PAPER_STATEMENT,
     "calculus.check_prep_abstr_comm": PAPER_STATEMENT,
     "calculus.find_commuting_cofactors": PAPER_STATEMENT,
     "disjoint.motiv_check": PAPER_STATEMENT,
     "integrals.lift_monomial_to_integral": PAPER_STATEMENT,
     "modp.greedy_solve": "perfbench times it (modp.micro.*, modp.greedy_solve.*)",
-    "orbits.OrbitState.class_dims": "the orbit build's per-class dims, compared with the "
-                                    "word build's class blocks",
 }
 
 
 def _references(node, shadowed, out):
     """Append (name, line, kind) for each name that ``node`` reads: kind
-    "bare" for a bare name that no enclosing parameter shadows or a name
-    an import brings in, the module name for ``module.name``, and
-    "attr" for any other attribute."""
+    "bare" for a loaded bare name that no enclosing parameter shadows,
+    ("from", module) for a name that ``from .module import`` brings in,
+    the module name for a loaded ``module.name``, and "attr" for any
+    other loaded attribute.  A store is no read."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         # the signature is read in the enclosing scope, the body in its own
         args = node.args
@@ -39,11 +37,13 @@ def _references(node, shadowed, out):
         for child in body:
             _references(child, shadowed | params, out)
         return
-    if isinstance(node, ast.Name) and node.id not in shadowed:
-        out.append((node.id, node.lineno, "bare"))
-    elif isinstance(node, ast.alias):
-        out.append((node.name, node.lineno, "bare"))
-    elif isinstance(node, ast.Attribute):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in shadowed:
+            out.append((node.id, node.lineno, "bare"))
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        module = node.module.rsplit(".", 1)[-1]
+        out += [(alias.name, node.lineno, ("from", module)) for alias in node.names]
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         kind = node.value.id if isinstance(node.value, ast.Name) else "attr"
         out.append((node.attr, node.lineno, kind))
     for child in ast.iter_child_nodes(node):
@@ -53,9 +53,11 @@ def _references(node, shadowed, out):
 def unreferenced(src):
     """Qualified names of the module-level functions and classes, and the
     non-dunder methods, that no code in ``src`` names outside their own
-    definition.  A module-level name counts as named only as a bare name
-    that no parameter shadows, in an import, or as ``module.name``; a
-    method counts as named by any name or attribute of its name."""
+    definition.  A module-level name of module M counts as named only by
+    a bare load in M, by ``from .M import`` of it, or by a loaded
+    ``M.name``: a same-named store, import or definition elsewhere does
+    not name it.  A method counts as named by any loaded name or
+    attribute of its name."""
     defs, refs = [], {}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -74,7 +76,9 @@ def unreferenced(src):
     def named(path, node, method, p, line, kind):
         if p == path and node.lineno <= line <= node.end_lineno:
             return False  # its own definition
-        return method or kind in ("bare", path.stem)
+        if method:
+            return True
+        return kind in (("from", path.stem), path.stem) or (kind == "bare" and p == path)
 
     return sorted(qual for qual, name, path, node, method in defs
                   if not any(named(path, node, method, *ref) for ref in refs.get(name, ())))
@@ -99,3 +103,22 @@ def test_a_parameter_or_attribute_of_the_same_name_names_no_function(tmp_path):
         "def run(cert, degree=None):\n"
         "    return used(cert.degree), degree, core.Cert(1).method(), (lambda used: used)\n")
     assert unreferenced(tmp_path) == ["cli.run", "core.degree"]
+
+
+def test_a_store_or_import_of_the_same_name_elsewhere_names_no_function(tmp_path):
+    # a module-level function is named only through its own module: a
+    # class attribute stored under its name, or an import of a same-named
+    # function from another module, does not name it
+    (tmp_path / "core.py").write_text(
+        "def normalize(x):\n    return x\n\n\n"
+        "def element_from_json(data):\n    return data\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def main():\n    return helper()\n")
+    (tmp_path / "group.py").write_text(
+        "def element_from_json(data):\n    return data\n")
+    (tmp_path / "field.py").write_text(
+        "from .group import element_from_json\n\n\n"
+        "class Field:\n    normalize = staticmethod(abs)\n\n\n"
+        "def run(data):\n    return element_from_json(data), Field.normalize(-1)\n")
+    assert unreferenced(tmp_path) == ["core.element_from_json", "core.main",
+                                      "core.normalize", "field.run"]

@@ -167,9 +167,12 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
     # random homogeneous xi, all three formulas
     for t in range(trials):
         xi = random_homogeneous(state, rng, min(top, 3))
-        # xi is nonzero and lies in one class, that of any basis word it holds
-        (nxi, vxi), = xi.components.items()
-        g = state.basis(nxi).wdegs[next(iter(vxi))]
+        # xi lies in one class, that of any basis word it holds; it is zero
+        # when every drawn coefficient vanishes in the field (c = +-3 mod 3)
+        g = sys.identity()
+        if not xi.is_zero():
+            (nxi, vxi), = xi.components.items()
+            g = state.basis(nxi).wdegs[next(iter(vxi))]
         nz = rng.randint(0, top)
         z = random_element(state, rng, nz)
         sxi = antipode(xi)

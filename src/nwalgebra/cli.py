@@ -307,12 +307,14 @@ def cmd_hypo(args, phases):
 
 
 def cmd_reduce(args, phases):
-    from .reduction import reduce_mod_left_ideal, reduce_mod_right_ideal
+    from .reduction import (UnsupportedSystem, reduce_mod_left_ideal, reduce_mod_right_ideal,
+                            require_type_a)
 
     system = _system(args)
-    if not system.cartan.type_label.startswith("A"):
-        print(f"reduce: monomial reduction is implemented for type A only, "
-              f"not {system.cartan.type_label}", file=sys.stderr)
+    try:
+        require_type_a(system)
+    except UnsupportedSystem as e:
+        print(f"reduce: {e}", file=sys.stderr)
         return 2
     try:
         word = tuple(int(x) for x in args.monomial.split(",")) if args.monomial.strip() else ()

@@ -43,6 +43,17 @@ class ReductionError(CheckFailed):
     pass
 
 
+class UnsupportedSystem(ReductionError):
+    """The reduction's case analysis covers type A only."""
+
+
+def require_type_a(system: RootSystem):
+    """Raise :class:`UnsupportedSystem` unless ``system`` is of type A."""
+    label = system.cartan.type_label
+    if not label.startswith("A"):
+        raise UnsupportedSystem(f"monomial reduction is implemented for type A only, not {label}")
+
+
 class ReductionResult:
     __slots__ = ("scalar", "w", "trace")
 
@@ -61,8 +72,7 @@ class Reducer:
     """Memoized block reduction for one type-A root system."""
 
     def __init__(self, system: RootSystem, policy: str = "min"):
-        if not system.cartan.type_label.startswith("A"):
-            raise ReductionError("monomial reduction is implemented for type A only")
+        require_type_a(system)
         if policy not in ("min", "max"):
             raise ReductionError("choice policy must be 'min' or 'max'")
         self.system = system

@@ -18,15 +18,18 @@ of ``nwalg``:
   of an element, which the nilCoxeter statements read;
 - the basis of a degree as elements, for the tests' exhaustive loops;
 - the per-class dimensions of the orbit build, which the tests compare
-  with the word build's class blocks.
+  with the word build's class blocks;
+- the order-two statement y_1 D_{y_2} = D_{y_2} y_1 (-1)^{l(w_o)} of a
+  complete system of A3, as an instance of skew commutation.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from nwalgebra.calculus import basis_element
+from nwalgebra.calculus import _right_leibniz_mismatch, basis_element
 from nwalgebra.coxeter import GroupElement, RootSystem
+from nwalgebra.disjoint import search_complete
 from nwalgebra.exactlinalg import QQ, ColumnSolver, in_span
 from nwalgebra.integrals import nonsimple_roots
 from nwalgebra.nichols_core import (
@@ -35,9 +38,12 @@ from nwalgebra.nichols_core import (
     CheckFailed,
     MemoryBoundExceeded,
     NicholsElement,
+    group_act,
     mat_col,
+    right_derivative_columns,
+    right_multiplier,
 )
-from nwalgebra.nilcoxeter import embed_element, reduced_word_roots, skew_element
+from nwalgebra.nilcoxeter import embed_element, reduced_word_roots, skew_element, y_element
 from nwalgebra.reduction import ReductionError
 
 def basis_elements(state: AlgebraState, n):
@@ -404,3 +410,33 @@ def orbit_class_dims(state, n):
     state.ensure_degree(n)
     ranks = state.bases[n].ranks
     return {k: ranks[r] for k, (r, _, _) in state._orbits.items() if r in ranks}
+
+
+# ---------------------------------------------------------------------------
+# the order-two statement of a complete system
+# ---------------------------------------------------------------------------
+
+
+def ofbskew_mismatch(state):
+    """The order-two statement y_1 D_{y_2} = D_{y_2} y_1 (-1)^{l(w_o)},
+    for the complete system {w_1, w_2} of A3, as skew commutation at
+    (w, v) = (w_2, e) and b = y_1 (see ``check_skew_commutation``): its
+    first mismatch, after asserting that b = y_1 is in the sample space
+    and that the twist and the derivative are those of skew commutation."""
+    sys = state.system
+    wo, e = sys.longest_element(), sys.identity()
+    w1, w2 = search_complete(sys)[0].elements
+    y1, y2 = y_element(w1, state), y_element(w2, state)
+    ny = y1.degrees()[0]
+    # y_1 is in the joint T_{w_2} kernel
+    assert all(not mat_col(state.dright(ny, a), y1.component(ny), state.field)
+               for a in w2.t_set())
+    # g = w_2 w_o w_2^{-1} = w_o, g y_1 = (-1)^{l(w_o)} y_1, xi = y_2
+    sign = -1 if wo.length() % 2 else 1
+    assert w2 * wo * w2.inverse() == wo
+    assert group_act(wo, y1) == y1.scale(sign)
+    xi = group_act(w2, skew_element(wo, e, state))
+    assert xi == y2
+    return _right_leibniz_mismatch(state, state.finite_top, right_multiplier(y1).columns, ny,
+                                   right_derivative_columns(xi), xi.degrees()[0],
+                                   right_multiplier(y1.scale(sign)).columns)

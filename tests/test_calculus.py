@@ -14,6 +14,7 @@ from nwalgebra.calculus import (
     check_tower_invariance,
     find_commuting_cofactors,
     random_element,
+    random_homogeneous,
     _joint_kernels,
     _kernel_samples,
     _right_leibniz_mismatch,
@@ -34,8 +35,6 @@ from nwalgebra.nichols_core import (
     AlgebraState,
     LazyColumns,
     NicholsElement,
-    group_act,
-    mat_col,
     mat_mul,
     mat_stack,
     multiply,
@@ -45,7 +44,8 @@ from nwalgebra.nichols_core import (
     right_multiplier,
     theta_span,
 )
-from nwalgebra.nilcoxeter import skew_element, y_element
+from nwalgebra.nilcoxeter import skew_element
+from oracles import ofbskew_mismatch
 
 
 def test_failing_report_carries_counterexample(s3):
@@ -66,6 +66,22 @@ def test_failing_report_carries_counterexample(s3):
 def test_rhoD(s3, s4):
     assert check_rhoD(s3, trials=60, seed=7).passed
     assert check_rhoD(s4, trials=40, seed=7, max_degree=4).passed
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_rhoD_over_gf3_accepts_a_zero_sample(rank, monkeypatch):
+    # over GF(3) a drawn coefficient +-3 is zero, so a sampled xi may vanish
+    state = AlgebraState(RootSystem(cartan_data("A", rank)), field=PrimeField(3))
+    state.construct_all()
+    drawn = []
+
+    def recording(*args):
+        drawn.append(random_homogeneous(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(calculus, "random_homogeneous", recording)
+    assert check_rhoD(state, trials=40, seed=1).passed
+    assert len(drawn) == 40 and any(xi.is_zero() for xi in drawn)
 
 
 def test_nz_antipode(s3, s4):
@@ -373,43 +389,18 @@ def test_skew_commutation_computes_kernels_to_its_last_sample(prime, monkeypatch
     assert len(computed) == eager[-1].degrees()[0] < top
 
 
-def _ofbskew_mismatch(state):
-    """The order-two statement y_1 D_{y_2} = D_{y_2} y_1 (-1)^{l(w_o)},
-    for the complete system {w_1, w_2} of A3, as skew commutation at
-    (w, v) = (w_2, e) and b = y_1 (see ``check_skew_commutation``): its
-    first mismatch, after asserting that b = y_1 is in the sample space
-    and that the twist and the derivative are those of skew commutation."""
-    sys = state.system
-    wo, e = sys.longest_element(), sys.identity()
-    w1, w2 = search_complete(sys)[0].elements
-    y1, y2 = y_element(w1, state), y_element(w2, state)
-    ny = y1.degrees()[0]
-    # y_1 is in the joint T_{w_2} kernel
-    assert all(not mat_col(state.dright(ny, a), y1.component(ny), state.field)
-               for a in w2.t_set())
-    # g = w_2 w_o w_2^{-1} = w_o, g y_1 = (-1)^{l(w_o)} y_1, xi = y_2
-    sign = -1 if wo.length() % 2 else 1
-    assert w2 * wo * w2.inverse() == wo
-    assert group_act(wo, y1) == y1.scale(sign)
-    xi = group_act(w2, skew_element(wo, e, state))
-    assert xi == y2
-    return _right_leibniz_mismatch(state, state.finite_top, right_multiplier(y1).columns, ny,
-                                   right_derivative_columns(xi), xi.degrees()[0],
-                                   right_multiplier(y1.scale(sign)).columns)
-
-
 @pytest.mark.parametrize("prime", [False, True])
 def test_ofbskew_catches_a_perturbed_derivative_column(prime):
     state = AlgebraState(RootSystem(cartan_data("A", 3)), field=PrimeField() if prime else QQ)
     state.construct_all()
     dr = state.dright(1, 0)
     dr[0] = _bumped(dr[0], state.field)
-    assert _ofbskew_mismatch(state)[0] == 6
+    assert ofbskew_mismatch(state)[0] == 6
 
 
 def test_ofbskew_and_prep_abstr_comm_centralizer(s4, s4_prime):
     for state in (s4, s4_prime):
-        assert _ofbskew_mismatch(state) is None
+        assert ofbskew_mismatch(state) is None
     d = search_complete(s4.system)[0]
     w = next(w for w in d.elements if not w.is_identity())
     r = check_prep_abstr_comm(s4, w, trials=8, seed=4, max_degree=6)

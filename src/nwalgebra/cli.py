@@ -38,7 +38,7 @@ from .nichols_core import (
     CheckFailed,
     DegreeCapExceeded,
     MemoryBoundExceeded,
-    pairing,
+    pairing_with,
 )
 
 
@@ -295,6 +295,7 @@ def cmd_hypo(args, phases):
     from .integrals import hypothetical_checks, nonsimple_roots, subalgebra_build
 
     state = _state(args)
+    _require_top(state, "hypo")
     state.construct_all()
     phases.mark("construct")
     sub = subalgebra_build(nonsimple_roots(state), state)
@@ -374,10 +375,12 @@ def cmd_pairing(args, phases):
     state.construct_all()
     phases.mark("construct")
     embedded = [embed_element(state, u) for u in elements]
+    # one Gram product per element, shared by its |W| pairings
+    against = [pairing_with(xv) for xv in embedded]
     bad = []
     for u, xu in zip(elements, embedded):
-        for v, xv in zip(elements, embedded):
-            val = pairing(xu, xv)
+        for v, pair in zip(elements, against):
+            val = pair(xu)
             expect = state.field.one if u == v.inverse() else state.field.zero
             if val != expect:
                 bad.append({"u": u.to_json(), "v": v.to_json(), "value": str(val)})

@@ -130,6 +130,54 @@ def neg_col(col, field):
     return {i: z - v for i, v in col.items()} if col else ZERO_COL
 
 
+class UnitColumns:
+    """A state's one stored copy of each unit column {k: one} and
+    {k: minus_one}: two lists indexed by the row k, one per value, grown
+    to the largest row asked for.
+
+    ``share(col)``, for a one-entry column ``col``, gives the list's copy
+    when its value is one or minus one, and ``col`` itself otherwise.  The
+    first column offered for a (k, value) becomes the copy.  A stored
+    column is a value that is never written, so a map that stores the
+    copy in place of its own changes no value, no entry order and no
+    digest, and one copy serves every map and every degree of the state.
+    Callers test ``len(col) == 1`` inline before they call ``share``.
+    """
+
+    __slots__ = ("ones", "negs", "one", "minus_one")
+
+    def __init__(self, field):
+        self.ones, self.negs = [], []
+        self.one, self.minus_one = field.one, field.minus_one
+
+    def share(self, col):
+        (k, v), = col.items()
+        if v == self.one:
+            table = self.ones
+        elif v == self.minus_one:
+            table = self.negs
+        else:
+            return col
+        if k >= len(table):
+            table.extend([None] * (k + 1 - len(table)))
+        got = table[k]
+        if got is None:
+            got = table[k] = col
+        return got
+
+    def share_all(self, cols):
+        """The list ``cols`` with each unit column replaced by its copy,
+        in place."""
+        for i, col in enumerate(cols):
+            if len(col) == 1:
+                cols[i] = self.share(col)
+        return cols
+
+    def unit(self, k):
+        """The copy of {k: one}."""
+        return self.share({k: self.one})
+
+
 def mat_mul(a, b, field):
     return [mat_col(a, col, field) for col in b]
 
@@ -170,18 +218,20 @@ class LazyColumns:
     multiplication into this map's degree, and column i is made once.
     It reads like the list of column dicts it stands for (``[]``,
     ``len``, iteration, ``==`` against a list).  It holds no closure and
-    no reference to the algebra state, so a map in the state's memo
-    makes no reference cycle.  A column is ``mat_col``'s result: often a
-    column of ``lmul`` or ``prev`` itself, or ``ZERO_COL``, so it is read,
+    no reference to the algebra state, only the state's
+    :class:`UnitColumns`, so a map in the state's memo makes no reference
+    cycle.  A column is ``mat_col``'s result: often a column of ``lmul``
+    or ``prev`` itself, or ``ZERO_COL``, and a unit column {k: ±1} is
+    stored as the state's one copy of it (``units``), so it is read,
     never written.
     """
 
-    __slots__ = ("_cols", "_lmul", "_parents", "_prev", "_images", "_field")
+    __slots__ = ("_cols", "_lmul", "_parents", "_prev", "_images", "_field", "_units")
 
-    def __init__(self, lmul, parents, prev, images, field):
+    def __init__(self, lmul, parents, prev, images, field, units):
         self._cols = [None] * len(parents)
         self._lmul, self._parents, self._prev = lmul, parents, prev
-        self._images, self._field = images, field
+        self._images, self._field, self._units = images, field, units
 
     def __len__(self):
         return len(self._cols)
@@ -196,7 +246,8 @@ class LazyColumns:
         a, j = self._parents[i]
         s = self._images[a]
         col = self._prev[j] if s > 0 else neg_col(self._prev[j], self._field)
-        return mat_col(self._lmul[abs(s) - 1], col, self._field)
+        col = mat_col(self._lmul[abs(s) - 1], col, self._field)
+        return self._units.share(col) if len(col) == 1 else col
 
     def __iter__(self):
         return (self[i] for i in range(len(self._cols)))
@@ -283,6 +334,7 @@ class AlgebraState:
         self.memory_bound = memory_bound
         self.finite_top = None
         self._prods = {}      # (root, class) -> s_root * class, over all degrees
+        self.units = UnitColumns(field)  # the maps' one copy of each {k: ±1}
         base = DegreeBasis(0, [()], [system.identity()], [None], [], [ZERO_COL], {})
         self.bases = [base]
         self._ensure_degree_one()
@@ -451,7 +503,8 @@ class AlgebraState:
                     continue
                 e = prev.words[j][-1]
                 if e not in rmuls:
-                    rmuls[e] = LazyColumns(lmul, parents, self.rmul(n - 1, e), ident, field)
+                    rmuls[e] = LazyColumns(lmul, parents, self.rmul(n - 1, e), ident, field,
+                                           self.units)
                 cols.append(mat_col(rmuls[e], prev.lmul[a][prefixes[j]], field))
 
         self._append_built(DegreeBasis(
@@ -531,7 +584,10 @@ class AlgebraState:
     def dleft(self, n, g):
         """Left derivative by gamma as a matrix B^n -> B^{n-1}: column i is
         block gamma of ``derivs[i]``.  The first request at a degree splits
-        every stored vector once and files all the roots' matrices."""
+        every stored vector once and files all the roots' matrices.  A
+        block that splits off as a unit column {r: ±1} is stored as the
+        state's one copy of it (:class:`UnitColumns`), shared with every
+        other map and degree; the stored vectors keep their own dicts."""
         def build(basis):
             prev_dim = self.bases[n - 1].dim if n else 0
             mats = [[ZERO_COL] * basis.dim for _ in range(self.system.nroots)]
@@ -543,7 +599,7 @@ class AlgebraState:
                         col = mats[gam][i] = {}
                     col[r] = v
             for gam, m in enumerate(mats):
-                basis.cache[("dleft", gam)] = m
+                basis.cache[("dleft", gam)] = self.units.share_all(m)
             return mats[g]
         return self._cached(n, ("dleft", g), build)
 
@@ -560,7 +616,7 @@ class AlgebraState:
 
         def build(basis):
             if n == 1:
-                return [{a: self.field.one}]  # the word (a,) sits at index a
+                return [self.units.unit(a)]  # the word (a,) sits at index a
             return self.right_products(n - 1, self.rmul(n - 1, a), 1)
         return self._cached(n, ("rmul", a), build)
 
@@ -575,7 +631,7 @@ class AlgebraState:
         if self.finite_top is not None and n + ny > self.finite_top:
             return [ZERO_COL] * self.dim(n)
         return LazyColumns(self.basis(n + ny).lmul, self.basis(n).parents, prev,
-                           self.system.identity().images, self.field)
+                           self.system.identity().images, self.field, self.units)
 
     def dright(self, n, g):
         """Right derivative by gamma as a matrix B^n -> B^{n-1}; zero on
@@ -585,13 +641,13 @@ class AlgebraState:
             if n == 0:
                 return [ZERO_COL]
             if n == 1:
-                return [{0: field.one} if w[0] == g else ZERO_COL for w in basis.words]
+                return [self.units.unit(0) if w[0] == g else ZERO_COL for w in basis.words]
             dr_prev = self.dright(n - 1, g)
             act_prev = self.act_matrix(n - 1, self.system.reflection(g))
             lmul = self.bases[n - 1].lmul
-            return [mat_col(lmul[beta], dr_prev[j], field,
-                            act_prev[j] if beta == g else None)
-                    for beta, j in basis.parents]
+            return self.units.share_all([mat_col(lmul[beta], dr_prev[j], field,
+                                                 act_prev[j] if beta == g else None)
+                                         for beta, j in basis.parents])
         return self._cached(n, ("dright", g), build)
 
     def act_matrix(self, n, w: GroupElement):
@@ -602,9 +658,9 @@ class AlgebraState:
         The antipode and its inverse do not read it."""
         def build(basis):
             if n == 0:
-                return mat_identity(1, self.field)
+                return [self.units.unit(0)]
             return LazyColumns(basis.lmul, basis.parents, self.act_matrix(n - 1, w),
-                               w.images, self.field)
+                               w.images, self.field, self.units)
         return self._cached(n, ("act", w.images), build)
 
     def word_column(self, word):
@@ -632,7 +688,7 @@ class AlgebraState:
                 raise MemoryBoundExceeded(
                     f"gram: the degree-{n} Gram matrix needs {dim * dim} entries")
             if n == 0:
-                return mat_identity(1, field)
+                return [self.units.unit(0)]
             g_prev = self.gram(n - 1)
             dr_t = {}  # beta -> transpose of dright(n, beta)
             cols = []
@@ -640,7 +696,7 @@ class AlgebraState:
                 if beta not in dr_t:
                     dr_t[beta] = mat_transpose(self.dright(n, beta), len(g_prev))
                 cols.append(mat_col(dr_t[beta], g_prev[jp], field))
-            return cols
+            return self.units.share_all(cols)
         return self._cached(n, ("gram", None), build)
 
     def rho_matrix(self, n):
@@ -648,10 +704,10 @@ class AlgebraState:
         anti-automorphism rule rho(x_a z) = rho(z) x_a."""
         def build(basis):
             if n == 0:
-                return mat_identity(1, self.field)
+                return [self.units.unit(0)]
             r_prev = self.rho_matrix(n - 1)
-            return [mat_col(self.rmul(n, a), r_prev[j], self.field)
-                    for a, j in basis.parents]
+            return self.units.share_all([mat_col(self.rmul(n, a), r_prev[j], self.field)
+                                         for a, j in basis.parents])
         return self._cached(n, ("rho", None), build)
 
     def antipode_matrix(self, n):
@@ -663,7 +719,7 @@ class AlgebraState:
         def build(basis):
             field = self.field
             if n == 0:
-                return mat_identity(1, field)
+                return [self.units.unit(0)]
             s_prev, wdegs = self.antipode_matrix(n - 1), self.bases[n - 1].wdegs
             lmul = basis.lmul
             cols = []
@@ -671,7 +727,7 @@ class AlgebraState:
                 s = wdegs[j].act(word[-1] + 1)
                 col = s_prev[j] if s < 0 else neg_col(s_prev[j], field)
                 cols.append(mat_col(lmul[abs(s) - 1], col, field))
-            return cols
+            return self.units.share_all(cols)
         return self._cached(n, ("antipode", None), build)
 
     def antipode_inv_matrix(self, n):
@@ -684,7 +740,7 @@ class AlgebraState:
         def build(basis):
             field = self.field
             if n == 0:
-                return mat_identity(1, field)
+                return [self.units.unit(0)]
             t_prev, prev = self.antipode_inv_matrix(n - 1), self.bases[n - 1]
             inv = {g: g.inverse().images for g in prev.classes}
             cols = []
@@ -692,7 +748,7 @@ class AlgebraState:
                 s = inv[prev.wdegs[j]][a]
                 col = t_prev[j] if s < 0 else neg_col(t_prev[j], field)
                 cols.append(mat_col(self.rmul(n, abs(s) - 1), col, field))
-            return cols
+            return self.units.share_all(cols)
         return self._cached(n, ("antipode_inv", None), build)
 
 
@@ -947,15 +1003,29 @@ def group_act(w: GroupElement, z: NicholsElement) -> NicholsElement:
 
 
 def pairing(a: NicholsElement, b: NicholsElement):
-    state = a.state
-    total = 0
-    for n, va in a.components.items():
-        vb = b.components.get(n)
-        if vb is None:
-            continue
-        gb = mat_col(state.gram(n), vb, state.field)
-        total += sum(x * gb[i] for i, x in va.items() if i in gb)
-    return state.field.normalize(total)
+    """The duality pairing <a, b>."""
+    return pairing_with(b)(a)
+
+
+def pairing_with(b: NicholsElement):
+    """The functional a -> <a, b>.  Each component of b goes through its
+    degree's Gram matrix on the first a that reads it, once, so pairing
+    many elements with one b costs one Gram product per degree of b."""
+    state, field = b.state, b.state.field
+    images = {}  # degree -> Gram matrix applied to b's component
+
+    def pair(a: NicholsElement):
+        total = 0
+        for n, va in a.components.items():
+            vb = b.components.get(n)
+            if vb is None:
+                continue
+            gb = images.get(n)
+            if gb is None:
+                gb = images[n] = mat_col(state.gram(n), vb, field)
+            total += sum(x * gb[i] for i, x in va.items() if i in gb)
+        return field.normalize(total)
+    return pair
 
 
 def antipode(z: NicholsElement) -> NicholsElement:

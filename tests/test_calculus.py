@@ -25,6 +25,7 @@ from nwalgebra.disjoint import classify, search_complete
 from nwalgebra.exactlinalg import QQ, PrimeField, kernel_basis
 from nwalgebra.integrals import (
     hypothetical_checks,
+    integral_character,
     invariance_suite,
     nonsimple_roots,
     subalgebra_build,
@@ -151,8 +152,9 @@ def test_rhoD_peak_memory():
     # building A3 over Q and checking rhoD reads every structure map of
     # reversal, right derivatives and the action: on Python 3.11 it peaked
     # at 4.0 MB of Python allocations while mat_col copied a unit column
-    # and every zero column was its own dict, and at 2.9 MB since the maps
-    # share them
+    # and every zero column was its own dict, at 2.9 MB since the maps
+    # share them, and at 2.0 MB since every map stores a unit column
+    # {k: ±1} as the state's one copy of it
     import tracemalloc
 
     tracemalloc.start()
@@ -164,7 +166,7 @@ def test_rhoD_peak_memory():
     finally:
         tracemalloc.stop()
     assert r.passed
-    assert peak < 3_300_000, peak
+    assert peak < 2_400_000, peak
 
 
 def _gen_leibniz(state, sys):
@@ -197,6 +199,51 @@ def test_leibniz_form_checks_catch_a_perturbed_derivative_column(check, rank, n,
     r = check(state, state.system)
     assert r.status == "fail"
     assert r.counterexample["degree"] == degree
+
+
+@pytest.mark.parametrize("cap", [6, 7, 9, 12, None])
+def test_leibniz_form_checks_stay_inside_a_truncated_build(cap):
+    # on a build truncated at the cap, skew commutation compares only z
+    # with z y in a built degree and tower only b with (b)D_y z in one,
+    # so neither reads past the cap; a wrong column of a right derivative
+    # fails each at the degree where it fails the complete build (None),
+    # if the cap reaches it
+    def run(check, bump):
+        state = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=cap)
+        state.construct_all()
+        if bump:
+            dr = state.dright(*bump)
+            dr[0] = _bumped(dr[0], state.field)
+        r = check(state, state.system)
+        assert (state.finite_top is None) == (cap is not None)
+        return r.status, r.counterexample and r.counterexample["degree"]
+
+    def skew(state, sys):
+        w = next(w for w in search_complete(sys)[0].elements if not w.is_identity())
+        return check_skew_commutation(state, w, sys.identity(), 10, 0)
+
+    def tower(state, sys):
+        return check_tower_invariance(state, sys.longest_element(), sys.simple_reflection(0),
+                                      10, 0)
+
+    assert run(skew, None) == run(tower, None) == ("pass", None)
+    assert run(skew, (1, 3)) == ("fail", 5)  # root 3 is in T_w
+    assert run(tower, (1, 0)) == (("fail", 7) if cap != 6 else ("pass", None))
+
+
+def test_basic_rev_on_a_truncated_build_runs_only_the_products_that_fit():
+    # xi of degree k = 1..3 times y of degree l(w_o) = 6 on A3: cap 6 fits
+    # none of them, cap 7 the trials with k = 1, cap 9 every trial
+    def run(cap):
+        state = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=cap)
+        state.construct_all()
+        return check_basic_rev(state, 20, 0)
+
+    r6, r7, r9 = run(6), run(7), run(9)
+    assert (r6.status, r6.trials, r6.notes) == (
+        "skipped", 0, ["no product fits under the degree bound"])
+    assert r7.status == "pass" and 0 < r7.trials < 20
+    assert (r9.status, r9.trials) == ("pass", 20)
 
 
 def _bumped(col, field):
@@ -568,34 +615,49 @@ def _fresh_map(state, n, key):
     return getattr(state, name)(n, arg)
 
 
+def _fresh_a3(prime):
+    state = AlgebraState(RootSystem(cartan_data("A", 3)), field=PrimeField() if prime else QQ)
+    state.construct_all()
+    return state
+
+
+@pytest.fixture(scope="module")
+def checked_a3():
+    """``get(prime)``: an A3 state that ran every check of the A3
+    calculus workload (the seven commands of ``a3_rational_calculus``),
+    made once per field and only read afterwards."""
+    states = {}
+
+    def get(prime):
+        if prime not in states:
+            state, seed = _fresh_a3(prime), 1
+            sys = state.system
+            wo, e = sys.longest_element(), sys.identity()
+            assert check_rhoD(state, 20, seed).passed
+            assert check_nz_antipode(state).passed
+            assert check_tower_invariance(state, wo, sys.simple_reflection(0), 2, seed).passed
+            sols = search_complete(sys)
+            w = next(w for w in sols[0].elements if not w.is_identity())
+            assert check_skew_commutation(state, w, e, 2, seed).passed
+            assert check_basic_rev(state, 20, seed).status in ("pass", "skipped")
+            cert = top_integral(state)
+            integral_character(cert, state)
+            assert invariance_suite(cert, state, classify(list(sols[0].elements)[:2], sys)).passed
+            sub = subalgebra_build(nonsimple_roots(state), state)
+            assert hypothetical_checks(sub, state).status in ("pass", "skipped")
+            states[prime] = state
+        return states[prime]
+    return get
+
+
 @pytest.mark.parametrize("prime", [False, True])
-def test_checks_leave_every_stored_column_unchanged(prime):
+def test_checks_leave_every_stored_column_unchanged(prime, checked_a3):
     # stored columns are shared between maps and never changed in place:
     # after every check of the A3 calculus workload, each stored map equals
     # the same map of a state that ran no check, column by column as far
     # as it was built, and the shared zero column is still empty
-    def fresh():
-        state = AlgebraState(RootSystem(cartan_data("A", 3)),
-                             field=PrimeField() if prime else QQ)
-        state.construct_all()
-        return state
-
-    state, seed = fresh(), 1
-    sys = state.system
-    wo, e = sys.longest_element(), sys.identity()
-    assert check_rhoD(state, 20, seed).passed
-    assert check_nz_antipode(state).passed
-    assert check_tower_invariance(state, wo, sys.simple_reflection(0), 2, seed).passed
-    sols = search_complete(sys)
-    w = next(w for w in sols[0].elements if not w.is_identity())
-    assert check_skew_commutation(state, w, e, 2, seed).passed
-    assert check_basic_rev(state, 20, seed).status in ("pass", "skipped")
-    cert = top_integral(state)
-    assert invariance_suite(cert, state, classify(list(sols[0].elements)[:2], sys)).passed
-    sub = subalgebra_build(nonsimple_roots(state), state)
-    assert hypothetical_checks(sub, state).status in ("pass", "skipped")
-
-    ref = fresh()
+    state = checked_a3(prime)
+    ref = _fresh_a3(prime)
     keys = set()
     for b, rb in zip(state.bases, ref.bases, strict=True):
         assert b.lmul == rb.lmul and b.derivs == rb.derivs, b.degree
@@ -608,3 +670,33 @@ def test_checks_leave_every_stored_column_unchanged(prime):
     assert keys >= {"rmul", "dleft", "dright", "act", "gram", "rho", "antipode",
                     "antipode_inv", "theta_span"}
     assert ZERO_COL == {} and not ZERO_COL
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_checks_store_one_copy_of_each_unit_column(prime, checked_a3):
+    # every structure map stores a unit column {k: 1} or {k: -1} as the
+    # state's one copy of it: after every check of the A3 calculus
+    # workload, the equal unit columns of all maps and all degrees are one
+    # object.  Before the maps shared them, 3 990 of them on A3 over Q
+    # were equal copies of one stored in the same degree
+    state = checked_a3(prime)
+    field = state.field
+    held = {}  # (k, value) -> {id: {(map name, degree)}} of the stored unit columns
+    for b in state.bases:
+        for (name, _), m in b.cache.items():
+            if name == "theta_span":  # spanning vectors, not a map's columns
+                continue
+            for col in (m._cols if isinstance(m, LazyColumns) else m):
+                if col is not None and len(col) == 1:
+                    (k, v), = col.items()
+                    if v in (field.one, field.minus_one):
+                        held.setdefault((k, v), {}).setdefault(id(col), set()).add(
+                            (name, b.degree))
+    holders = [h for ids in held.values() for h in ids.values()]
+    assert {name for h in holders for name, _ in h} == {
+        "rmul", "dleft", "dright", "act", "rho", "antipode", "antipode_inv", "gram"}
+    assert {v for _, v in held} == {field.one, field.minus_one}
+    # one object serves many maps and degrees
+    assert max(len({name for name, _ in h}) for h in holders) == 8
+    assert max(len({n for _, n in h}) for h in holders) > 6
+    assert [key for key, ids in held.items() if len(ids) > 1] == []

@@ -191,6 +191,32 @@ def test_pairing_cli():
     assert data["orthonormal"] and data["pairs"] == 36
 
 
+def test_pairing_makes_one_gram_product_per_element(monkeypatch, capsys):
+    # each embedded x_v goes through its degree's Gram matrix once, not
+    # once per pair: |W| products on A3, whose x_v are homogeneous
+    from nwalgebra import nichols_core
+
+    grams, products = set(), []
+    gram, mat_col = AlgebraState.gram, nichols_core.mat_col
+
+    def recorded(self, n):
+        m = gram(self, n)
+        grams.add(id(m))
+        return m
+
+    def counted(mat, col, field, plus=None):
+        if id(mat) in grams:
+            products.append(col)
+        return mat_col(mat, col, field, plus)
+
+    monkeypatch.setattr(AlgebraState, "gram", recorded)
+    monkeypatch.setattr(nichols_core, "mat_col", counted)
+    assert cli.main(["pairing", "--rank", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["orthonormal"] and data["pairs"] == 24 ** 2
+    assert len(products) == 24
+
+
 def test_memory_bound_on_pairs_exit_3():
     # |W|^2 = 576 pairs for A3; checked before the construction starts
     code, out, err = run_cli("pairing", "--rank", "3", "--memory-bound", "500")
@@ -215,25 +241,24 @@ def test_pairing_checks_the_longest_length_against_the_cap(monkeypatch, capsys):
                 f"above the degree cap {cap[1] if cap else 6}") in err
 
 
-@pytest.mark.parametrize("argv,needed,builds", [
+@pytest.mark.parametrize("argv,needed", [
     pytest.param(["pairing", "--type", "A", "--rank", "4", "--field", "prime"], "length 10",
-                 False, id="pairing"),
-    *[pytest.param(["verify", identity, "--rank", "3"], "length 6", False,
-                   id=f"verify-{identity}")
+                 id="pairing"),
+    *[pytest.param(["verify", identity, "--rank", "3"], "length 6", id=f"verify-{identity}")
       for identity in ("gen-leibniz", "tower", "skew-commutation", "basic-rev", "all")],
-    pytest.param(["integral", "--rank", "3"], "length 6", False, id="integral"),
-    pytest.param(["hypo", "--rank", "3"], "degree 6", True, id="hypo"),
-    pytest.param(["bracket", "--rank", "3", "--order", "2"], "degree 12", False, id="bracket"),
+    pytest.param(["integral", "--rank", "3"], "length 6", id="integral"),
+    pytest.param(["hypo", "--rank", "3"], "top degree 12", id="hypo"),
+    pytest.param(["bracket", "--rank", "3", "--order", "2"], "degree 12", id="bracket"),
 ])
-def test_cap_shortfall_exits_3(argv, needed, builds, monkeypatch, capsys):
+def test_cap_shortfall_exits_3(argv, needed, monkeypatch, capsys):
     # a cap below the degree a command needs is a resource bound, not a
-    # failed check; x_{w_o} lies in degree l(w_o), and bracket's products
-    # in degree r l(w_o), both known before any build
-    if not builds:
-        def refuse(self):
-            raise AssertionError("construct_all called")
+    # failed check; x_{w_o} lies in degree l(w_o), bracket's products in
+    # degree r l(w_o), and hypo reads the known top, all known before any
+    # build
+    def refuse(self):
+        raise AssertionError("construct_all called")
 
-        monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    monkeypatch.setattr(AlgebraState, "construct_all", refuse)
     assert cli.main([*argv, "--degree-cap", "5"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -245,6 +270,8 @@ def test_cap_shortfall_exits_3(argv, needed, builds, monkeypatch, capsys):
     pytest.param(["integral", "--rank", "3"], 12, id="integral-A3"),
     pytest.param(["integral", "--rank", "2"], 4, id="integral-A2"),
     pytest.param(["bracket", "--rank", "3", "--order", "2"], 12, id="bracket-A3"),
+    pytest.param(["hypo", "--rank", "3"], 12, id="hypo-A3"),
+    pytest.param(["hypo", "--rank", "2"], 4, id="hypo-A2"),
 ])
 def test_known_top_above_the_cap_exits_3_before_the_build(argv, cap, monkeypatch, capsys):
     # the top of a type with a known top is confirmed only by building the
@@ -296,6 +323,20 @@ def test_bracket_without_a_system_of_the_order_refuses_before_building(monkeypat
     out, err = capsys.readouterr()
     assert out == ""
     assert "no complete disjoint system of sufficient order" in err
+
+
+@pytest.mark.parametrize("identity", ["skew-commutation", "all"])
+@pytest.mark.parametrize("cap", [6, 7, 9, 12])
+def test_verify_on_a_truncated_build_stays_inside_the_cap(identity, cap, capsys):
+    # every check reads only the built degrees of a truncated build: a cap
+    # at or above l(w_o) = 6 runs each, and basic-rev, whose products
+    # need degree 7 or more, is skipped at cap 6
+    assert cli.main(["verify", identity, "--rank", "3", "--degree-cap", str(cap)]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    status = {r["identity"]: r["status"] for r in reports}
+    assert status["skew-commutation"] == "pass"
+    assert set(status.values()) == ({"pass", "skipped"} if identity == "all" and cap == 6
+                                    else {"pass"})
 
 
 def test_bracket_cli():

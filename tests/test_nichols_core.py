@@ -10,6 +10,7 @@ from nwalgebra.nichols_core import (
     ZERO_COL,
     AlgebraState,
     NicholsElement,
+    UnitColumns,
     antipode,
     antipode_inv,
     element_to_json,
@@ -257,6 +258,24 @@ def test_mat_col_matches_accumulate_reference(field):
     assert any(k == "multi" and size > 1 for k, _, size in seen)
     with pytest.raises(TypeError):
         ZERO_COL[0] = field.one
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["rational", "prime"])
+def test_unit_columns_keep_one_copy_per_row_and_value(field):
+    # the first {k: 1} or {k: -1} offered becomes the copy for (k, value);
+    # every other column comes back as it is
+    units = UnitColumns(field)
+    one, minus = {3: field.one}, {3: field.minus_one}
+    assert units.share(one) is one and units.share({3: field.one}) is one
+    assert units.share(minus) is minus and units.share(dict(minus)) is minus
+    assert units.unit(3) is one
+    other, low = {3: field.of(2)}, {0: field.one}
+    assert units.share(other) is other and units.share(low) is low
+    assert units.unit(0) is low
+    cols = [ZERO_COL, {3: field.one}, {0: field.one, 3: field.one}, {3: field.minus_one}, other]
+    multi = cols[2]
+    assert units.share_all(cols) is cols
+    assert [c is w for c, w in zip(cols, [ZERO_COL, one, multi, minus, other])] == [True] * 5
 
 
 @pytest.mark.parametrize("which", ["s4", "s4_prime"])
@@ -1049,7 +1068,10 @@ def test_construction_held_memory():
     # degree down.  On Python 3.11, A4 to degree 6 over GF(p) held 15.3 MB
     # before the build filed its maps and 18.4 MB since, 3.1 MB of it the
     # cap's maps, which reversal and the antipode at the cap read; 13.9 MB
-    # since the maps share unit and zero columns instead of copying them
+    # since the maps share unit and zero columns instead of copying them.
+    # Python 3.11.7 reads 14.2 MB both before and since every structure
+    # map stores one copy per state of each unit column {k: ±1}: the
+    # build's own maps hold few such copies
     import gc
     import tracemalloc
 

@@ -95,11 +95,11 @@ def random_element(state: AlgebraState, rng, degree) -> NicholsElement:
     return NicholsElement(state, {degree: vec})
 
 
-def random_homogeneous(state: AlgebraState, rng, max_degree) -> NicholsElement:
-    """A random element homogeneous in both gradings (possibly retried)."""
+def random_homogeneous(state: AlgebraState, rng, top) -> NicholsElement:
+    """A random element of degree at most top, homogeneous in both gradings."""
     field_ = state.field
     for _ in range(100):
-        n = rng.randint(0, max_degree)
+        n = rng.randint(0, top)
         basis = state.basis(n)
         if basis.dim == 0:
             continue
@@ -133,8 +133,7 @@ def _max_constructed(state: AlgebraState):
 # ---------------------------------------------------------------------------
 
 
-def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
-               max_degree: int | None = None) -> IdentityReport:
+def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0) -> IdentityReport:
     """Commutation of word reversal with braided derivatives.
 
     Checks the single-generator case (rho b)D_a = s_a rho((b)D_a)
@@ -144,7 +143,7 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
     invertible, so it follows from the single-generator case.
     """
     name = "rhoD"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     params = {"max_degree": top}
     rng = random.Random(seed)
     sys = state.system
@@ -194,7 +193,7 @@ def check_rhoD(state: AlgebraState, trials: int = 200, seed: int = 0,
     return IdentityReport(name, params, trials, "pass", None, seed)
 
 
-def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> IdentityReport:
+def check_nz_antipode(state: AlgebraState) -> IdentityReport:
     """The antipode and its order: S S^{-1} = I exactly, and S^{2e} = I
     in each degree.  S is built by the prefix recursion
     S(z x_e) = -(g_z . x_e) S(z) through left multiplication, and S^{-1}
@@ -204,7 +203,7 @@ def check_nz_antipode(state: AlgebraState, max_degree: int | None = None) -> Ide
     over a field, where a one-sided inverse is the inverse, and a wrong
     column of either fails it at its degree."""
     name = "nz-antipode"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     e = state.system.exponent()
     params = {"max_degree": top, "exponent": e}
     field_ = state.field
@@ -230,15 +229,14 @@ def _interval(state, v, w):
 
 
 def check_gen_leibniz(state: AlgebraState, v: GroupElement, w: GroupElement,
-                      wp: GroupElement, trials: int = 20, seed: int = 0,
-                      max_degree: int | None = None) -> IdentityReport:
+                      wp: GroupElement, trials: int = 20, seed: int = 0) -> IdentityReport:
     """The generalized braided Leibniz rule as an operator identity.
 
     For sampled z, both sides are applied to every basis element of every
     constructed degree (exact, exhaustive in b).
     """
     name = "gen-leibniz"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     params = {"v": v.to_json(), "w": w.to_json(), "w'": wp.to_json(),
               "max_degree": top}
     rng = random.Random(seed)
@@ -284,14 +282,13 @@ def check_gen_leibniz(state: AlgebraState, v: GroupElement, w: GroupElement,
 
 
 def check_tower_invariance(state: AlgebraState, w: GroupElement, v: GroupElement,
-                           trials: int = 20, seed: int = 0,
-                           max_degree: int | None = None) -> IdentityReport:
+                           trials: int = 20, seed: int = 0) -> IdentityReport:
     """D_y z D_{w x_v} = D_y ((z) D_{w x_v}) with y = w x_{w_o}: for u the
     column (b)D_y of each basis element b, (u z)D_{w x_v} = u (z)D_{w x_v}.
     On a truncated build only b with u z in a built degree are compared
     (:func:`_compared_degrees`)."""
     name = "tower-invariance"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     params = {"w": w.to_json(), "v": v.to_json(), "max_degree": top}
     rng = random.Random(seed)
     field_ = state.field
@@ -334,8 +331,7 @@ def _t_blocks(state: AlgebraState, w: GroupElement):
 
 
 def check_skew_commutation(state: AlgebraState, w: GroupElement, v: GroupElement,
-                           trials: int = 10, seed: int = 0,
-                           max_degree: int | None = None) -> IdentityReport:
+                           trials: int = 10, seed: int = 0) -> IdentityReport:
     """b D_{w x_{w_o/v}} = D_{w x_{w_o/v}} (w v w_o w^{-1} b) for b killed
     by the T_w right derivatives, applied to every basis element.  b is
     sampled from the kernel degrees 1 and up: for a scalar b, fixed by
@@ -359,7 +355,7 @@ def check_skew_commutation(state: AlgebraState, w: GroupElement, v: GroupElement
       of w_o to another reduced word of w_o.
     """
     name = "skew-commutation"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     params = {"w": w.to_json(), "v": v.to_json(), "max_degree": top}
     rng = random.Random(seed)
     sys = state.system
@@ -447,7 +443,7 @@ def _kernel_samples(state: AlgebraState, kernels, rng, count):
 
 
 def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10,
-                          seed: int = 0, max_degree: int | None = None) -> IdentityReport:
+                          seed: int = 0) -> IdentityReport:
     """The general commutation preparation for any w: with h = w w_o w^{-1},
     (x1 y x2 x3) D_y = (x1 (h x2) y x3) D_y = x1 (h (x2 x3)) whenever the
     T_w right derivatives kill x1, x3, x2 and h x2.  The condition on h x2
@@ -455,7 +451,7 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
     simple roots, so h permutes the roots of T_w = |w(Delta)| up to sign.
     All three factors are therefore sampled from the T_w kernel."""
     name = "prep-abstr-comm"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     params = {"w": w.to_json(), "max_degree": top}
     rng = random.Random(seed)
     sys = state.system
@@ -463,12 +459,10 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
     h = w * wo * w.inverse()
     y = y_element(w, state)
     lwo = wo.length()
-    budget = (state.finite_top - lwo) if state.finite_top is not None else top - lwo
-    if budget < 0:
+    if top < lwo:
         return IdentityReport(name, params, 0, "skipped", None, seed,
                               ["top word does not fit under the degree bound"])
-    degrees = range(min(top, max(0, budget)) + 1)
-    kernels = list(_joint_kernels(state, _t_blocks(state, w), degrees))
+    kernels = list(_joint_kernels(state, _t_blocks(state, w), range(top - lwo + 1)))
     s13 = list(_kernel_samples(state, kernels, rng, 3))
     s2 = list(_kernel_samples(state, kernels, rng, 3))
     if not s13 or not s2:
@@ -480,7 +474,7 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
         x3 = s13[rng.randrange(len(s13))]
         x2 = s2[rng.randrange(len(s2))]
         degs = [max(x.degrees(), default=0) for x in (x1, x2, x3)]
-        if sum(degs) + lwo > (state.finite_top if state.finite_top is not None else top):
+        if sum(degs) + lwo > top:
             continue
         lhs1 = right_derivative(multiply(multiply(multiply(x1, y), x2), x3), y)
         mid = multiply(multiply(multiply(x1, group_act(h, x2)), y), x3)
@@ -493,14 +487,13 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
     return IdentityReport(name, params, done, status, None, seed)
 
 
-def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0,
-                    max_degree: int | None = None) -> IdentityReport:
+def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0) -> IdentityReport:
     """Start/end annihilation: xi z = 0 when z starts with every root of a
     set that xi ends with (checked on constructed witnesses).  On a
     truncated build a trial whose products lie past the top is not run;
     with none run the report is skipped."""
     name = "basic-rev"
-    top = _max_constructed(state) if max_degree is None else max_degree
+    top = _max_constructed(state)
     params = {"max_degree": top}
     rng = random.Random(seed)
     sys = state.system

@@ -102,25 +102,23 @@ def _state(args, cls=AlgebraState) -> AlgebraState:
                memory_bound=args.memory_bound)
 
 
-def _require_longest(state, command):
-    """Refuse, before any build, a command that embeds x_{w_o}: it lies in
-    degree l(w_o), so a build capped below that cannot reach it."""
-    top = state.system.longest_element().length()
-    if top > state.degree_cap:
-        raise DegreeCapExceeded(
-            f"{command}: the longest element has length {top}, above the degree cap "
-            f"{state.degree_cap}")
-
-
-def _require_top(state, command):
-    """Refuse, before any build, a command that reads the top degree when
-    the type's top is known and the cap cannot confirm it: the top is
-    confirmed only by building the empty degree past it."""
-    top = state.predicted_top
-    if top is not None and top >= state.degree_cap:
-        raise DegreeCapExceeded(
-            f"{command}: the top degree {top} is confirmed only at degree {top + 1}, "
-            f"above the degree cap {state.degree_cap}")
+def _refuse_past_cap(state, command, longest=False, products=0, top=False):
+    """Refuse, before any build, a degree the cap cannot reach, checked in
+    this order: with ``longest``, x_{w_o}, in degree l(w_o); the
+    products of ``products`` y's, in degree products * l(w_o); with
+    ``top``, a known top, confirmed only by building the empty degree
+    past it."""
+    length = state.system.longest_element().length() if longest or products else 0
+    known = state.predicted_top
+    needs = [(length, f"the longest element has length {length}")] if longest else []
+    if products:
+        needs.append((products * length, f"the products need degree {products * length}"))
+    if top and known is not None:
+        needs.append((known + 1,
+                      f"the top degree {known} is confirmed only at degree {known + 1}"))
+    for need, what in needs:
+        if need > state.degree_cap:
+            raise DegreeCapExceeded(f"{command}: {what}, above the degree cap {state.degree_cap}")
 
 
 def _dims_payload(args, state):
@@ -219,50 +217,51 @@ def cmd_hilbert(args, phases):
     return 0
 
 
-def cmd_verify(args, phases):
-    from . import calculus
+def _skew_commutation(calculus, state, args):
     from .disjoint import search_complete
 
+    # w_o when no complete system has a member other than e (A1: only {e})
+    system = state.system
+    sols = search_complete(system)
+    w = next((w for d in sols[:1] for w in d.elements if not w.is_identity()),
+             system.longest_element())
+    return calculus.check_skew_commutation(state, w, system.identity(),
+                                           max(1, args.trials // 10), args.seed)
+
+
+# name -> (whether the check embeds x_{w_o}, its run on (calculus, state,
+# args)), in report order; each name is also its [phase] name
+_IDENTITIES = {
+    "rhoD": (False, lambda calculus, state, args: calculus.check_rhoD(
+        state, args.trials, args.seed)),
+    "nz-antipode": (False, lambda calculus, state, args: calculus.check_nz_antipode(state)),
+    "gen-leibniz": (True, lambda calculus, state, args: calculus.check_gen_leibniz(
+        state, state.system.identity(), state.system.longest_element(),
+        state.system.identity(), max(1, args.trials // 10), args.seed)),
+    # v = s_0, so D_{w_o x_v} is not the identity
+    "tower": (True, lambda calculus, state, args: calculus.check_tower_invariance(
+        state, state.system.longest_element(), state.system.simple_reflection(0),
+        max(1, args.trials // 10), args.seed)),
+    "skew-commutation": (True, _skew_commutation),
+    "basic-rev": (True, lambda calculus, state, args: calculus.check_basic_rev(
+        state, args.trials, args.seed)),
+}
+
+
+def cmd_verify(args, phases):
+    from . import calculus
+
     which = args.identity
+    names = list(_IDENTITIES) if which == "all" else [which]
     state = _state(args)
-    if which not in ("rhoD", "nz-antipode"):
-        _require_longest(state, f"verify {which}")
+    _refuse_past_cap(state, f"verify {which}",
+                     longest=any(_IDENTITIES[name][0] for name in names))
     state.construct_all()
     phases.mark("construct")
-    system = state.system
-    wo = system.longest_element()
-    cap = args.max_degree
     reports = []
-
-    def want(name):
-        return which in (name, "all")
-
-    if want("rhoD"):
-        reports.append(calculus.check_rhoD(state, args.trials, args.seed, cap))
-        phases.mark("rhoD")
-    if want("nz-antipode"):
-        reports.append(calculus.check_nz_antipode(state, cap))
-        phases.mark("nz-antipode")
-    if want("gen-leibniz"):
-        reports.append(calculus.check_gen_leibniz(
-            state, system.identity(), wo, system.identity(),
-            max(1, args.trials // 10), args.seed, cap))
-        phases.mark("gen-leibniz")
-    if want("tower"):
-        # v = s_0, so D_{w_o x_v} is not the identity
-        reports.append(calculus.check_tower_invariance(
-            state, wo, system.simple_reflection(0), max(1, args.trials // 10), args.seed, cap))
-        phases.mark("tower")
-    if want("skew-commutation"):
-        # w_o when no complete system has a member other than e (A1: only {e})
-        sols = search_complete(system)
-        w = next((w for d in sols[:1] for w in d.elements if not w.is_identity()), wo)
-        reports.append(calculus.check_skew_commutation(
-            state, w, system.identity(), max(1, args.trials // 10), args.seed, cap))
-        phases.mark("skew-commutation")
-    if want("basic-rev"):
-        reports.append(calculus.check_basic_rev(state, args.trials, args.seed, cap))
-        phases.mark("basic-rev")
+    for name in names:
+        reports.append(_IDENTITIES[name][1](calculus, state, args))
+        phases.mark(name)
     payload = {"config": _config(args), "reports": [r.to_json() for r in reports]}
     _emit(args, payload)
     return 0 if all(r.status in ("pass", "skipped") for r in reports) else 1
@@ -273,8 +272,7 @@ def cmd_integral(args, phases):
     from .integrals import integral_character, invariance_suite, top_integral
 
     state = _state(args)
-    _require_longest(state, "integral")
-    _require_top(state, "integral")
+    _refuse_past_cap(state, "integral", longest=True, top=True)
     state.construct_all()
     phases.mark("construct")
     cert = top_integral(state)
@@ -295,7 +293,7 @@ def cmd_hypo(args, phases):
     from .integrals import hypothetical_checks, nonsimple_roots, subalgebra_build
 
     state = _state(args)
-    _require_top(state, "hypo")
+    _refuse_past_cap(state, "hypo", top=True)
     state.construct_all()
     phases.mark("construct")
     sub = subalgebra_build(nonsimple_roots(state), state)
@@ -366,7 +364,7 @@ def cmd_pairing(args, phases):
     from .nilcoxeter import embed_element
 
     state = _state(args)
-    _require_longest(state, "pairing")
+    _refuse_past_cap(state, "pairing", longest=True)
     elements = state.system.elements()
     if len(elements) ** 2 > args.memory_bound:
         raise MemoryBoundExceeded(
@@ -406,13 +404,7 @@ def cmd_bracket(args, phases):
             print("no complete disjoint system of sufficient order", file=sys.stderr)
             return 1
         d = classify(list(sols[0].elements)[:r], system)
-    # the products of the r y's lie in degree r l(w_o), known before any build
-    need = r * system.longest_element().length()
-    if need > state.degree_cap:
-        raise DegreeCapExceeded(
-            f"bracket: the products need degree {need}, above the degree cap "
-            f"{state.degree_cap}")
-    _require_top(state, "bracket")
+    _refuse_past_cap(state, "bracket", products=r, top=True)
     state.construct_all()
     phases.mark("construct")
     matrix, report = bracket_matrix(d, list(d.elements), state)
@@ -450,8 +442,7 @@ def _subcommands():
         "dims": (cmd_dims, ()),
         "hilbert": (cmd_hilbert, ()),
         "verify": (cmd_verify, (
-            (("identity",), {"choices": ["rhoD", "nz-antipode", "gen-leibniz", "tower",
-                                         "skew-commutation", "basic-rev", "all"]}),)),
+            (("identity",), {"choices": [*_IDENTITIES, "all"]}),)),
         "integral": (cmd_integral, ()),
         "hypo": (cmd_hypo, ()),
         "reduce": (cmd_reduce, (
@@ -475,7 +466,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--format", default="json", choices=["json", "text", "csv"])
-    p.add_argument("--max-degree", type=_int_at_least(0), default=None)
     # argparse passes a string default, the environment's, through the type
     p.add_argument(
         "--memory-bound", type=_int_at_least(1),

@@ -249,13 +249,16 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
 
 
 class SubalgebraState:
-    __slots__ = ("theta", "bases", "top_degree", "dims")
+    __slots__ = ("theta", "bases", "top_degree")
 
-    def __init__(self, theta, bases, top_degree, dims=None):
+    def __init__(self, theta, bases, top_degree):
         self.theta = theta
         self.bases = bases  # per degree: list of coordinate dicts in B_W
         self.top_degree = top_degree
-        self.dims = [] if dims is None else dims
+
+    @property
+    def dims(self):
+        return [len(b) for b in self.bases]
 
     def to_json(self):
         return {"theta": list(self.theta), "dims": self.dims,
@@ -278,7 +281,7 @@ def subalgebra_build(theta, state: AlgebraState) -> SubalgebraState:
         if state.finite_top is None and n > state.degree_cap:
             raise DegreeCapExceeded(
                 f"the subalgebra needs degree {n}, above the degree cap {state.degree_cap}")
-    return SubalgebraState(theta, bases, top, [len(b) for b in bases])
+    return SubalgebraState(theta, bases, top)
 
 
 def nonsimple_roots(state: AlgebraState):

@@ -373,11 +373,8 @@ class AlgebraState:
         while len(self.bases) <= n:
             if self.finite_top is not None:
                 self._append_empty()
-                continue
-            if len(self.bases) > self.degree_cap:
-                raise DegreeCapExceeded(
-                    f"degree {len(self.bases)} exceeds cap {self.degree_cap}")
-            self.extend_degree()
+            else:
+                self.extend_degree()
 
     def _append_empty(self):
         n = len(self.bases)
@@ -785,8 +782,8 @@ class NicholsElement:
         return cls(state, {1: {a: state.field.one}})
 
     @classmethod
-    def from_word(cls, state, word, coeff=1):
-        return cls(state, {len(word): state.word_column(tuple(word))}).scale(coeff)
+    def from_word(cls, state, word):
+        return cls(state, {len(word): state.word_column(tuple(word))})
 
     def is_zero(self):
         return not self.components

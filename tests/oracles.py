@@ -179,7 +179,7 @@ def coproduct_legs(z: NicholsElement, k: int):
             for (w1, w2), d in coproduct_word_expansion(sys, words[i]).items():
                 if len(w1) != k:
                     continue
-                left = NicholsElement.from_word(state, w1, c * d)
+                left = NicholsElement.from_word(state, w1).scale(c * d)
                 right = NicholsElement.from_word(state, w2)
                 if not left.is_zero() and not right.is_zero():
                     out.append((left, right))

@@ -66,7 +66,7 @@ def test_failing_report_carries_counterexample(s3):
 
 def test_rhoD(s3, s4):
     assert check_rhoD(s3, trials=60, seed=7).passed
-    assert check_rhoD(s4, trials=40, seed=7, max_degree=4).passed
+    assert check_rhoD(s4, trials=40, seed=7).passed
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -88,7 +88,7 @@ def test_rhoD_over_gf3_accepts_a_zero_sample(rank, monkeypatch):
 def test_nz_antipode(s3, s4):
     r = check_nz_antipode(s3)
     assert r.passed and r.parameters["exponent"] == 6
-    r = check_nz_antipode(s4, max_degree=6)
+    r = check_nz_antipode(s4)
     assert r.passed and r.parameters["exponent"] == 12
 
 
@@ -376,10 +376,10 @@ def test_gen_leibniz(s3, s4):
     sys4 = s4.system
     wo4 = sys4.longest_element()
     assert check_gen_leibniz(s4, sys4.identity(), wo4, sys4.identity(),
-                             trials=2, seed=3, max_degree=4).passed
+                             trials=2, seed=3).passed
     w = sys4.from_permutation((2, 4, 1, 3))
     assert check_gen_leibniz(s4, sys4.simple_reflection(0), wo4, w,
-                             trials=2, seed=6, max_degree=4).passed
+                             trials=2, seed=6).passed
 
 
 def test_tower_invariance(s3, s4):
@@ -391,7 +391,7 @@ def test_tower_invariance(s3, s4):
     sys4 = s4.system
     w = sys4.from_permutation((2, 4, 1, 3))
     assert check_tower_invariance(s4, w, sys4.simple_reflection(1),
-                                  trials=2, seed=1, max_degree=4).passed
+                                  trials=2, seed=1).passed
 
 
 def test_skew_commutation(s3, s4):
@@ -402,7 +402,7 @@ def test_skew_commutation(s3, s4):
             assert r.status in ("pass", "skipped")
     sys4 = s4.system
     w = sys4.from_permutation((2, 4, 1, 3))
-    r = check_skew_commutation(s4, w, sys4.identity(), trials=3, seed=2, max_degree=4)
+    r = check_skew_commutation(s4, w, sys4.identity(), trials=3, seed=2)
     assert r.passed
 
 
@@ -450,7 +450,7 @@ def test_ofbskew_and_prep_abstr_comm_centralizer(s4, s4_prime):
         assert ofbskew_mismatch(state) is None
     d = search_complete(s4.system)[0]
     w = next(w for w in d.elements if not w.is_identity())
-    r = check_prep_abstr_comm(s4, w, trials=8, seed=4, max_degree=6)
+    r = check_prep_abstr_comm(s4, w, trials=8, seed=4)
     assert r.passed and r.trials > 0
 
 
@@ -525,12 +525,12 @@ def test_prep_abstr_comm_general_w(s4):
     wo = sys.longest_element()
     outside = next(w for w in sys.elements()
                    if w * wo != wo * w and 0 < w.length() <= 2)
-    r = check_prep_abstr_comm(s4, outside, trials=8, seed=5, max_degree=6)
+    r = check_prep_abstr_comm(s4, outside, trials=8, seed=5)
     assert r.status in ("pass", "skipped")
     if r.status == "pass":
         assert r.trials > 0
     w2 = sys.from_permutation((2, 4, 1, 3))
-    r = check_prep_abstr_comm(s4, w2, trials=8, seed=6, max_degree=6)
+    r = check_prep_abstr_comm(s4, w2, trials=8, seed=6)
     assert r.passed and r.trials > 0
 
 

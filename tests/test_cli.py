@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,7 +384,6 @@ def test_unsound_prime_exit_2():
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "rhoD", "--max-degree", "-2"],
     ["verify", "rhoD", "--trials", "0"],
     ["verify", "rhoD", "--trials", "-3"],
     ["dims", "--degree-cap", "0"],
@@ -396,6 +396,36 @@ def test_out_of_range_integer_exit_2(argv):
     assert code == 2
     assert out == ""
     assert f"argument {argv[-2]}: must be at least" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--rank", "2", "--max-degree", "-2"], id="--max-degree -2"),
+    pytest.param(["--rank", "3", "--degree-cap", "6", "--max-degree", "8"],
+                 id="--degree-cap 6 --max-degree 8"),
+])
+def test_max_degree_is_an_unrecognized_argument(argv, monkeypatch, capsys):
+    # --degree-cap alone bounds what verify compares; the retired
+    # --max-degree is refused by the parser, before any build
+    def refuse(self):
+        raise AssertionError("construct_all called")
+
+    monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "rhoD", *argv])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --max-degree" in err
+
+
+def test_readme_names_every_common_flag():
+    # README's "Common flags" line lists the options every subcommand takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = readme.split("Common flags:", 1)[1].split("Reports embed", 1)[0]
+    p = argparse.ArgumentParser(add_help=False)
+    cli._add_common(p)
+    defined = {flag for action in p._actions for flag in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", line)) == defined
 
 
 @pytest.mark.parametrize("argv", [

@@ -267,7 +267,7 @@ def test_hypothetical_checks_catch_every_perturbation_of_p(fixture, request):
         q = {i: x for i, x in q.items() if x}
         if not q:  # P = -e_k: the sum is zero, not a spanning vector
             continue
-        perturbed = SubalgebraState(sub.theta, sub.bases[:top] + [[q]], top, sub.dims)
+        perturbed = SubalgebraState(sub.theta, sub.bases[:top] + [[q]], top)
         rep = hypothetical_checks(perturbed, state)
         if NicholsElement(state, {top: q}).proportional_to(line) is None:
             assert rep.status == "fail", k

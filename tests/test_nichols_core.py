@@ -352,7 +352,7 @@ def test_right_multiplier_matches_multiply(s3, prime):
                 for i, c in vx.items():
                     for k, d in vy.items():
                         word = state.bases[nx].words[i] + state.bases[ny].words[k]
-                        out = out + NicholsElement.from_word(state, word, c * d)
+                        out = out + NicholsElement.from_word(state, word).scale(c * d)
         return out
 
     rng = random.Random(21)

@@ -528,7 +528,7 @@ def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0) -> Ide
 # ---------------------------------------------------------------------------
 
 
-def bracket_matrix(d, ordering, state: AlgebraState):
+def bracket_matrix(ordering, state: AlgebraState):
     """Pairing matrix of the ordered products of the y's of a disjoint
     system against the closed sign formula.
 

@@ -121,23 +121,6 @@ def _refuse_past_cap(state, command, longest=False, products=0, top=False):
             raise DegreeCapExceeded(f"{command}: {what}, above the degree cap {state.degree_cap}")
 
 
-def _dims_payload(args, state):
-    dims = state.dims()
-    if state.finite_top is not None:
-        dims = dims[: state.finite_top + 1]
-    label = "exact" if args.field == "rational" else "mod-p lower-bound certified"
-    csv = "degree,dim\n" + "".join(f"{n},{d}\n" for n, d in enumerate(dims))
-    return {
-        "config": _config(args),
-        "dims": dims,
-        "certification": label,
-        "top_degree": state.finite_top,
-        "truncated": state.truncated,
-        "total": sum(dims),
-        "csv": csv,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -194,25 +177,29 @@ def _parse_element(system, text):
 
 
 def cmd_dims(args, phases):
+    """``dims``, and ``hilbert``, which adds the Hilbert series."""
     from .orbits import OrbitState
 
     state = _state(args, OrbitState)
     state.construct_all()
     phases.mark("construct")
-    _emit(args, _dims_payload(args, state))
-    return 0
-
-
-def cmd_hilbert(args, phases):
-    from .orbits import OrbitState
-
-    state = _state(args, OrbitState)
-    state.construct_all()
-    phases.mark("construct")
-    payload = _dims_payload(args, state)
-    dims = payload["dims"]
-    poly = " + ".join(f"{d}*t^{n}" if n else str(d) for n, d in enumerate(dims) if d)
-    payload["hilbert_series"] = poly
+    dims = state.dims()
+    if state.finite_top is not None:
+        dims = dims[: state.finite_top + 1]
+    label = "exact" if args.field == "rational" else "mod-p lower-bound certified"
+    csv = "degree,dim\n" + "".join(f"{n},{d}\n" for n, d in enumerate(dims))
+    payload = {
+        "config": _config(args),
+        "dims": dims,
+        "certification": label,
+        "top_degree": state.finite_top,
+        "truncated": state.truncated,
+        "total": sum(dims),
+        "csv": csv,
+    }
+    if args.command == "hilbert":
+        payload["hilbert_series"] = " + ".join(
+            f"{d}*t^{n}" if n else str(d) for n, d in enumerate(dims) if d)
     _emit(args, payload)
     return 0
 
@@ -293,7 +280,7 @@ def cmd_hypo(args, phases):
     from .integrals import hypothetical_checks, nonsimple_roots, subalgebra_build
 
     state = _state(args)
-    _refuse_past_cap(state, "hypo", top=True)
+    _refuse_past_cap(state, "hypo", longest=True, top=True)
     state.construct_all()
     phases.mark("construct")
     sub = subalgebra_build(nonsimple_roots(state), state)
@@ -407,7 +394,7 @@ def cmd_bracket(args, phases):
     _refuse_past_cap(state, "bracket", products=r, top=True)
     state.construct_all()
     phases.mark("construct")
-    matrix, report = bracket_matrix(d, list(d.elements), state)
+    matrix, report = bracket_matrix(list(d.elements), state)
     phases.mark("bracket")
     payload = {"config": _config(args),
                "system": d.to_json(),
@@ -440,7 +427,7 @@ def _subcommands():
         "group": (cmd_group, (
             (("--element",), {"default": None, "help": "JSON element or one-line permutation"}),)),
         "dims": (cmd_dims, ()),
-        "hilbert": (cmd_hilbert, ()),
+        "hilbert": (cmd_dims, ()),
         "verify": (cmd_verify, (
             (("identity",), {"choices": [*_IDENTITIES, "all"]}),)),
         "integral": (cmd_integral, ()),

@@ -17,7 +17,7 @@ from math import lcm
 
 SIMPLY_LACED_LABELS = ("A", "D", "E")
 
-#: bound on full group enumeration
+#: bound on the size of any enumerated group, W or a subgroup
 ENUMERATION_BOUND = 3628800  # 10!
 
 
@@ -267,26 +267,31 @@ class RootSystem:
             self._longest = w
         return self._longest
 
+    def _closure(self, gens):
+        """The subgroup that ``gens`` generate, by breadth-first closure from
+        the identity, sorted by ``images``."""
+        seen = {self.identity().images: self.identity()}
+        frontier = [self.identity()]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for g in gens:
+                    u = w * g
+                    if u.images not in seen:
+                        if len(seen) >= ENUMERATION_BOUND:
+                            raise EnumerationBoundExceeded(
+                                f"group larger than bound {ENUMERATION_BOUND}"
+                            )
+                        seen[u.images] = u
+                        nxt.append(u)
+            frontier = nxt
+        return tuple(sorted(seen.values(), key=lambda w: w.images))
+
     def elements(self):
-        """All group elements by breadth-first closure, in a fixed order."""
+        """All group elements, the closure of the simple reflections."""
         if self._elements is None:
-            gens = [self.simple_reflection(i) for i in range(self.rank)]
-            seen = {self.identity().images: self.identity()}
-            frontier = [self.identity()]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for g in gens:
-                        u = w * g
-                        if u.images not in seen:
-                            if len(seen) >= ENUMERATION_BOUND:
-                                raise EnumerationBoundExceeded(
-                                    f"group larger than bound {ENUMERATION_BOUND}"
-                                )
-                            seen[u.images] = u
-                            nxt.append(u)
-                frontier = nxt
-            self._elements = tuple(sorted(seen.values(), key=lambda w: w.images))
+            self._elements = self._closure(
+                [self.simple_reflection(i) for i in range(self.rank)])
         return self._elements
 
     def exponent(self) -> int:
@@ -461,37 +466,21 @@ def element_from_json(system: RootSystem, data) -> GroupElement:
 def centralizer_of_longest(system: RootSystem):
     """All elements commuting with the longest element, in canonical order.
 
-    In type A the centralizer is generated directly from the mirror
-    criterion p(i) + p(m+1-i) = m+1, so no full group enumeration happens.
+    w_o sends each simple root a_i to -a_{sigma(i)}, where sigma is the
+    diagram involution, so w_o s_i w_o = s_{sigma(i)} and the centralizer
+    is the fixed-point group W^sigma.  That group is generated by the
+    longest element of each sigma-orbit of simple reflections (Steinberg,
+    1968): s_i for a fixed node, s_i s_j for an orbit of two non-adjacent
+    nodes, s_i s_j s_i for an adjacent pair (the middle of A_{2k}).  Their
+    closure never enumerates W unless sigma is trivial, where it is W.
     """
-    if system._is_type_a:
-        m = system.sym_m
-        half = m // 2
-        result = []
-        img = {}
-        if m % 2 == 1:
-            # the fixed point of the mirror pairing must stay fixed
-            img[(m + 1) // 2] = (m + 1) // 2
-
-        def rec(pos, used):
-            if pos > half:
-                perm = tuple(img[i] for i in range(1, m + 1))
-                result.append(system.from_permutation(perm))
-                return
-            for v in range(1, m + 1):
-                if v in used or (m % 2 == 1 and v == (m + 1) // 2):
-                    continue
-                img[pos] = v
-                img[m + 1 - pos] = m + 1 - v
-                used.add(v)
-                used.add(m + 1 - v)
-                rec(pos + 1, used)
-                used.discard(v)
-                used.discard(m + 1 - v)
-                del img[pos]
-                del img[m + 1 - pos]
-
-        rec(1, set())
-        return tuple(sorted(result, key=lambda w: w.images))
+    node = {r: i for i, r in enumerate(system.simple_index)}
     wo = system.longest_element()
-    return tuple(w for w in system.elements() if w * wo == wo * w)
+    gens = []
+    for i in range(system.rank):
+        j = node[-wo.images[system.simple_index[i]] - 1]
+        if j < i:
+            continue
+        word = (i,) if j == i else (i, j, i) if system.cartan.adjacency[i][j] else (i, j)
+        gens.append(system.from_word(word))
+    return system._closure(gens)

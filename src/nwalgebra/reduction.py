@@ -71,19 +71,18 @@ class ReductionResult:
 class Reducer:
     """Memoized block reduction for one type-A root system."""
 
-    def __init__(self, system: RootSystem, policy: str = "min"):
+    def __init__(self, system: RootSystem):
         require_type_a(system)
-        if policy not in ("min", "max"):
-            raise ReductionError("choice policy must be 'min' or 'max'")
         self.system = system
-        self.policy = policy
         self._memo = {}
         self._running = set()
 
     # -- helpers ---------------------------------------------------------
 
     def _pick(self, options):
-        return min(options) if self.policy == "min" else max(options)
+        """The candidate root to split off; any choice gives the same normal
+        form, which the tests check by replacing this rule."""
+        return min(options)
 
     def _nil(self, u: GroupElement, s: int) -> int:
         """x_u x_s for a simple root s: 1 if lengths add, else 0."""
@@ -174,9 +173,9 @@ class Reducer:
         return term_a + term_b, trace
 
 
-def reduce_mod_right_ideal(word, system: RootSystem, policy: str = "min") -> ReductionResult:
+def reduce_mod_right_ideal(word, system: RootSystem) -> ReductionResult:
     """Reduce x_{word} to lambda x_w modulo the right ideal J^r."""
-    red = Reducer(system, policy)
+    red = Reducer(system)
     u = system.identity()
     lam = Fraction(1)
     trace = ()
@@ -189,7 +188,7 @@ def reduce_mod_right_ideal(word, system: RootSystem, policy: str = "min") -> Red
     return ReductionResult(lam, u, trace)
 
 
-def reduce_mod_left_ideal(word, system: RootSystem, policy: str = "min") -> ReductionResult:
+def reduce_mod_left_ideal(word, system: RootSystem) -> ReductionResult:
     """Reduce modulo the left ideal J^l, via word reversal."""
-    r = reduce_mod_right_ideal(tuple(reversed(word)), system, policy)
+    r = reduce_mod_right_ideal(tuple(reversed(word)), system)
     return ReductionResult(r.scalar, r.w.inverse(), r.trace)

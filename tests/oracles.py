@@ -9,6 +9,8 @@ of ``nwalg``:
   coproduct of an element read from it, and the reconstruction of the
   coproduct of x_w from the skew elements x_{w/v};
 - the nilCoxeter algebra, with its own product;
+- the centralizer of w_o as the elements of W that commute with it, a
+  filter over the whole group;
 - membership in the one-sided ideals of the non-simple generators by
   elimination in the built algebra, against which the syntactic
   reduction of :mod:`nwalgebra.reduction` is checked;
@@ -343,6 +345,12 @@ def nc_product(a: NilCoxeterElement, b: NilCoxeterElement) -> NilCoxeterElement:
                 else:
                     out.pop(w, None)
     return NilCoxeterElement(a.system, out)
+
+
+def centralizer_by_filter(sys: RootSystem):
+    """Every element of W that commutes with w_o, in canonical order."""
+    wo = sys.longest_element()
+    return tuple(w for w in sys.elements() if w * wo == wo * w)
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,9 @@ def test_criterion_8_section11_equivalence_a3(s4):
         assert multiply(ys[0], ys[1]) == multiply(ys[1], ys[0])
         # bracket sign matrices for orders 1 and 2
         d1 = classify([sys.identity()], sys)
-        m1, r1 = bracket_matrix(d1, list(d1.elements), s4)
+        m1, r1 = bracket_matrix(list(d1.elements), s4)
         assert r1.passed and m1 == [[s4.field.one]]
-        m2, r2 = bracket_matrix(d, list(d.elements), s4)
+        m2, r2 = bracket_matrix(list(d.elements), s4)
         assert r2.passed
         one = s4.field.one
         assert m2 == [[one, one], [one, one]]

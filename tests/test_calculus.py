@@ -542,14 +542,14 @@ def test_basic_rev(s3, s4):
 def test_bracket_r1(s4):
     sys = s4.system
     d = classify([sys.identity()], sys)
-    matrix, report = bracket_matrix(d, list(d.elements), s4)
+    matrix, report = bracket_matrix(list(d.elements), s4)
     assert report.passed
     assert matrix == [[s4.field.one]]
 
 
 def test_bracket_r2(s4):
     d = search_complete(s4.system)[0]
-    matrix, report = bracket_matrix(d, list(d.elements), s4)
+    matrix, report = bracket_matrix(list(d.elements), s4)
     assert report.passed
     one = s4.field.one
     # l(w_o) = 6 is even, so every sign collapses to +1

@@ -248,14 +248,14 @@ def test_pairing_checks_the_longest_length_against_the_cap(monkeypatch, capsys):
     *[pytest.param(["verify", identity, "--rank", "3"], "length 6", id=f"verify-{identity}")
       for identity in ("gen-leibniz", "tower", "skew-commutation", "basic-rev", "all")],
     pytest.param(["integral", "--rank", "3"], "length 6", id="integral"),
-    pytest.param(["hypo", "--rank", "3"], "top degree 12", id="hypo"),
+    pytest.param(["hypo", "--rank", "3"], "length 6", id="hypo"),
     pytest.param(["bracket", "--rank", "3", "--order", "2"], "degree 12", id="bracket"),
 ])
 def test_cap_shortfall_exits_3(argv, needed, monkeypatch, capsys):
     # a cap below the degree a command needs is a resource bound, not a
-    # failed check; x_{w_o} lies in degree l(w_o), bracket's products in
-    # degree r l(w_o), and hypo reads the known top, all known before any
-    # build
+    # failed check; x_{w_o}, which every command here but bracket embeds,
+    # lies in degree l(w_o), and bracket's products in degree r l(w_o),
+    # both known before any build
     def refuse(self):
         raise AssertionError("construct_all called")
 
@@ -267,14 +267,25 @@ def test_cap_shortfall_exits_3(argv, needed, monkeypatch, capsys):
     assert needed in err and "degree cap 5" in err
 
 
-@pytest.mark.parametrize("argv,cap", [
-    pytest.param(["integral", "--rank", "3"], 12, id="integral-A3"),
-    pytest.param(["integral", "--rank", "2"], 4, id="integral-A2"),
-    pytest.param(["bracket", "--rank", "3", "--order", "2"], 12, id="bracket-A3"),
-    pytest.param(["hypo", "--rank", "3"], 12, id="hypo-A3"),
-    pytest.param(["hypo", "--rank", "2"], 4, id="hypo-A2"),
+def _top(cap):
+    return f"the top degree {cap} is confirmed only at degree {cap + 1}"
+
+
+@pytest.mark.parametrize("argv,cap,needed", [
+    pytest.param(["integral", "--rank", "3"], 12, _top(12), id="integral-A3"),
+    pytest.param(["integral", "--rank", "2"], 4, _top(4), id="integral-A2"),
+    pytest.param(["bracket", "--rank", "3", "--order", "2"], 12, _top(12), id="bracket-A3"),
+    pytest.param(["hypo", "--rank", "3"], 12, _top(12), id="hypo-A3"),
+    pytest.param(["hypo", "--rank", "2"], 4, _top(4), id="hypo-A2"),
+    # hypo embeds x_{w_o}, so a cap below l(w_o) can never pass either
+    *[pytest.param(["hypo", "--rank", "4", "--field", "prime"], cap,
+                   "the longest element has length 10", id=f"hypo-A4-cap{cap}")
+      for cap in (3, 4, 6)],
+    pytest.param(["hypo", "--type", "D", "--rank", "4"], 4,
+                 "the longest element has length 12", id="hypo-D4-cap4"),
 ])
-def test_known_top_above_the_cap_exits_3_before_the_build(argv, cap, monkeypatch, capsys):
+def test_known_top_above_the_cap_exits_3_before_the_build(argv, cap, needed, monkeypatch,
+                                                          capsys):
     # the top of a type with a known top is confirmed only by building the
     # empty degree past it; a cap at the top cannot, and is refused first
     def refuse(self):
@@ -284,8 +295,7 @@ def test_known_top_above_the_cap_exits_3_before_the_build(argv, cap, monkeypatch
     assert cli.main([*argv, "--degree-cap", str(cap)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert (f"resource bound exceeded: {argv[0]}: the top degree {cap} is confirmed only at "
-            f"degree {cap + 1}, above the degree cap {cap}") in err
+    assert f"resource bound exceeded: {argv[0]}: {needed}, above the degree cap {cap}" in err
 
 
 @pytest.mark.parametrize("type_,rank", [("D", 4), ("E", 6)])
@@ -426,6 +436,14 @@ def test_readme_names_every_common_flag():
     cli._add_common(p)
     defined = {flag for action in p._actions for flag in action.option_strings}
     assert set(re.findall(r"--[a-z][a-z-]*", line)) == defined
+
+
+def test_readme_names_every_subcommand():
+    # README's CLI block shows each subcommand at least once
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    shown = set(re.findall(r"^nwalg ([a-z]+)", block, re.M))
+    assert set(cli._subcommands()) <= shown
 
 
 @pytest.mark.parametrize("argv", [

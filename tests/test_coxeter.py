@@ -12,6 +12,7 @@ from nwalgebra.coxeter import (
     element_from_json,
     positive_root_count,
 )
+from oracles import centralizer_by_filter
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,24 @@ def test_centralizer_mirror_criterion():
     for w in cent:
         p = w.perm()
         assert all(p[i] + p[5 - i] == 7 for i in range(6))
+
+
+@pytest.mark.parametrize("type_,rank", [*(("A", n) for n in range(1, 8)), ("D", 4), ("D", 5)])
+def test_centralizer_matches_the_filter_over_w(type_, rank):
+    sys = RootSystem(cartan_data(type_, rank))
+    cent = centralizer_of_longest(sys)
+    # the closure of the sigma-orbit generators never fills the cache of W
+    assert sys._elements is None
+    assert cent == centralizer_by_filter(sys)
+
+
+def test_centralizer_e6_without_enumerating_w():
+    e6 = RootSystem(cartan_data("E", 6))
+    wo = e6.longest_element()
+    cent = centralizer_of_longest(e6)
+    assert len(cent) == 1152
+    assert all(w * wo == wo * w for w in cent)
+    assert e6._elements is None
 
 
 def test_t_set(a3):

@@ -6,7 +6,8 @@ import pytest
 
 from nwalgebra.coxeter import RootSystem, cartan_data
 from nwalgebra.nichols_core import NicholsElement
-from nwalgebra.reduction import ReductionError, reduce_mod_left_ideal, reduce_mod_right_ideal
+from nwalgebra.reduction import (Reducer, ReductionError, reduce_mod_left_ideal,
+                                 reduce_mod_right_ideal)
 from oracles import ideal_membership_oracle, quotient_dimensions, word_wdeg
 
 
@@ -103,14 +104,33 @@ def test_one_sided_scalars_differ_in_general(s3):
     assert member
 
 
-def test_policy_confluence(s4):
+def test_policy_confluence(s4, monkeypatch):
+    # the recursion splits off the least candidate root; the greatest must
+    # give the same normal form on every word where the two can differ
     rng = random.Random(44)
     sys = s4.system
-    for _ in range(100):
-        word = tuple(rng.randrange(sys.nroots) for _ in range(rng.randint(1, 6)))
-        a = reduce_mod_right_ideal(word, sys, policy="min")
-        b = reduce_mod_right_ideal(word, sys, policy="max")
-        assert (a.scalar, a.w) == (b.scalar, b.w)
+    words = [tuple(rng.randrange(sys.nroots) for _ in range(rng.randint(1, 8)))
+             for _ in range(300)]
+    choices = []
+
+    def least(self, options):
+        choices.append(len(options) > 1)
+        return min(options)
+
+    monkeypatch.setattr(Reducer, "_pick", least)
+    by_min = {}
+    for word in words:
+        choices.clear()
+        result = reduce_mod_right_ideal(word, sys)
+        if any(choices):
+            by_min[word] = result
+    assert by_min
+    monkeypatch.setattr(Reducer, "_pick", lambda self, options: max(options))
+    by_max = {word: reduce_mod_right_ideal(word, sys) for word in by_min}
+    for word, a in by_min.items():
+        b = by_max[word]
+        assert (a.scalar, a.w) == (b.scalar, b.w), word
+    assert any(a.trace != by_max[word].trace for word, a in by_min.items())
 
 
 def test_quotient_dimensions_poincare(s3, s4):

@@ -84,7 +84,7 @@ def _emit(args, payload):
 
 
 def _system(args) -> RootSystem:
-    return RootSystem(cartan_data(args.type, args.rank))
+    return RootSystem(cartan_data(args.type, args.rank), memory_bound=args.memory_bound)
 
 
 def _field(args):
@@ -279,6 +279,11 @@ def cmd_integral(args, phases):
 def cmd_hypo(args, phases):
     from .integrals import hypothetical_checks, nonsimple_roots, subalgebra_build
 
+    if args.type != "A":
+        # hypothetical_checks would skip the whole report after the build
+        print(f"hypo: lifting theory is type A only, not {args.type}{args.rank}",
+              file=sys.stderr)
+        return 2
     state = _state(args)
     _refuse_past_cap(state, "hypo", longest=True, top=True)
     state.construct_all()

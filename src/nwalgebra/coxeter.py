@@ -7,18 +7,33 @@ signed index encoding: the integer ``+(i+1)`` denotes the i-th positive
 root, ``-(i+1)`` its negative.
 
 Group elements are stored as the full signed permutation they induce on
-the positive roots; this makes equality, length and conjugation of
-reflections O(|R+|).
+the positive roots; this makes length and conjugation of reflections
+O(|R+|).  Elements are interned: each :class:`RootSystem` keeps a table
+from images tuple to the one :class:`GroupElement` with those images, so
+equal images in one system give the same object, ``==`` and ``hash`` are
+the object's identity, and a dict keyed by elements hashes no tuple.  The
+table holds every element the system has made, at most |W| of them, for
+the system's lifetime (a system and its elements form a reference cycle,
+which the cycle collector frees).  Elements of two systems never compare
+equal, even with equal images.  With identity hashing a set's iteration
+order follows memory addresses, so nothing that reaches output iterates
+a set of elements; everything that orders elements sorts them by
+``images``.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from collections import Counter
+from math import lcm, prod
 
 SIMPLY_LACED_LABELS = ("A", "D", "E")
 
 #: bound on the size of any enumerated group, W or a subgroup
 ENUMERATION_BOUND = 3628800  # 10!
+
+#: default bound on the scalar entries any one allocation may hold; an
+#: enumeration of W holds |W| x |R+| image entries
+DEFAULT_MEMORY_BOUND = 50_000_000
 
 
 class CoxeterError(ValueError):
@@ -134,9 +149,17 @@ def positive_root_count(cartan: CartanData):
 
 
 class RootSystem:
-    """Positive roots, reflection table and bilinear form of a Weyl group."""
+    """Positive roots, reflection table and bilinear form of a Weyl group.
 
-    def __init__(self, cartan: CartanData):
+    ``degrees`` are the degrees d_i = m_i + 1 of W, ascending, and
+    ``group_order`` = |W| is their product: the exponents m_i are the
+    partition dual to the number of positive roots of each height
+    (Shapiro, Steinberg, Kostant).  An
+    enumeration of W is refused before it starts when |W| passes
+    ``ENUMERATION_BOUND`` or |W| x |R+| image entries pass
+    ``memory_bound``."""
+
+    def __init__(self, cartan: CartanData, memory_bound=DEFAULT_MEMORY_BOUND):
         # the nroots x nroots reflection table, O(rank) per entry, is
         # bounded before any root is generated
         nroots = positive_root_count(cartan)
@@ -146,6 +169,7 @@ class RootSystem:
                 f"table needs {nroots * nroots} entries of {cartan.rank} steps each, "
                 f"{nroots * nroots * cartan.rank} in all, over the bound {ENUMERATION_BOUND}")
         self.cartan = cartan
+        self.memory_bound = memory_bound
         self.rank = cartan.rank
         # symmetrized Cartan matrix: (b_i, b_j) = 2 d_ij - adjacency
         self.gram = tuple(
@@ -156,18 +180,28 @@ class RootSystem:
         self.nroots = len(self.roots)
         self.index = {r: i for i, r in enumerate(self.roots)}
         self.heights = tuple(sum(r) for r in self.roots)
+        per_height = Counter(self.heights).values()
+        self.degrees = tuple(sorted(sum(1 for c in per_height if c >= i) + 1
+                                    for i in range(1, self.rank + 1)))
+        self.group_order = prod(self.degrees)
         # simple root i (unit vector e_i) in the canonical order
         self.simple_index = tuple(
             self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
         self.refl = self._reflection_table()
+        self._table = {}  # images -> the one GroupElement with those images
         self._elements = None
         self._longest = None
         self._identity = None
         self._is_type_a = cartan.type_label.startswith("A")
         if self._is_type_a:
             self._init_type_a_pairs()
+
+    def __reduce__(self):
+        # pickle rebuilds the tables through the constructor; the element
+        # table is never pickled, each element re-interns in the new system
+        return RootSystem, (self.cartan, self.memory_bound)
 
     # -- construction -------------------------------------------------
 
@@ -269,27 +303,44 @@ class RootSystem:
 
     def _closure(self, gens):
         """The subgroup that ``gens`` generate, by breadth-first closure from
-        the identity, sorted by ``images``."""
-        seen = {self.identity().images: self.identity()}
-        frontier = [self.identity()]
+        the identity, sorted by ``images``.  Its elements are the interned
+        ones, so the closure holds each element once, in the system's
+        table."""
+        e = self.identity()
+        seen = {e}
+        frontier = [e]
         while frontier:
             nxt = []
             for w in frontier:
                 for g in gens:
                     u = w * g
-                    if u.images not in seen:
+                    if u not in seen:
                         if len(seen) >= ENUMERATION_BOUND:
                             raise EnumerationBoundExceeded(
                                 f"group larger than bound {ENUMERATION_BOUND}"
                             )
-                        seen[u.images] = u
+                        seen.add(u)
                         nxt.append(u)
             frontier = nxt
-        return tuple(sorted(seen.values(), key=lambda w: w.images))
+        return tuple(sorted(seen))
+
+    def _refuse_enumerating_w(self):
+        """Raise before a closure over all of W when |W|, known from the
+        degrees, passes ``ENUMERATION_BOUND`` or its |W| x |R+| image
+        entries pass ``memory_bound``."""
+        n, label = self.group_order, self.cartan.type_label
+        if n > ENUMERATION_BOUND:
+            raise EnumerationBoundExceeded(
+                f"W({label}) has {n} elements, over the enumeration bound {ENUMERATION_BOUND}")
+        if n * self.nroots > self.memory_bound:
+            raise EnumerationBoundExceeded(
+                f"W({label}) has {n} elements of {self.nroots} images each, "
+                f"{n * self.nroots} entries, over the memory bound {self.memory_bound}")
 
     def elements(self):
         """All group elements, the closure of the simple reflections."""
         if self._elements is None:
+            self._refuse_enumerating_w()
             self._elements = self._closure(
                 [self.simple_reflection(i) for i in range(self.rank)])
         return self._elements
@@ -322,20 +373,33 @@ class RootSystem:
 
 
 class GroupElement:
-    """A Weyl group element as the signed permutation of the positive roots."""
+    """A Weyl group element as the signed permutation of the positive roots.
 
-    __slots__ = ("system", "images", "_hash")
+    Interned per :class:`RootSystem`: constructing an element with images
+    already in the system's table returns that element.  So ``==`` and
+    ``hash`` are the object's identity, ``<`` compares images, copy and
+    deepcopy return the element itself, and pickle re-interns it in the
+    unpickled system."""
 
-    def __init__(self, system: RootSystem, images):
-        self.system = system
-        self.images = tuple(images)
-        self._hash = hash(self.images)
+    __slots__ = ("system", "images")
 
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.images == other.images
+    def __new__(cls, system: RootSystem, images):
+        images = tuple(images)
+        w = system._table.get(images)
+        if w is None:
+            w = system._table[images] = object.__new__(cls)
+            w.system = system
+            w.images = images
+        return w
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return GroupElement, (self.system, self.images)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __lt__(self, other):
         return self.images < other.images
@@ -349,13 +413,8 @@ class GroupElement:
         if self.system is not other.system:
             raise CoxeterError("elements of different root systems")
         mine = self.images
-        out = []
-        for s in other.images:
-            if s > 0:
-                out.append(mine[s - 1])
-            else:
-                out.append(-mine[-s - 1])
-        return GroupElement(self.system, tuple(out))
+        return GroupElement(self.system,
+                            [mine[s - 1] if s > 0 else -mine[-s - 1] for s in other.images])
 
     def inverse(self) -> "GroupElement":
         out = [0] * len(self.images)
@@ -364,13 +423,13 @@ class GroupElement:
                 out[s - 1] = i + 1
             else:
                 out[-s - 1] = -(i + 1)
-        return GroupElement(self.system, tuple(out))
+        return GroupElement(self.system, out)
 
     def length(self) -> int:
         return sum(1 for s in self.images if s < 0)
 
     def is_identity(self) -> bool:
-        return self.images == self.system.identity().images
+        return self is self.system.identity()
 
     def act(self, signed: int) -> int:
         """Image of a signed positive-root index."""
@@ -381,7 +440,7 @@ class GroupElement:
     def order(self) -> int:
         n, w = 1, self
         e = self.system.identity()
-        while w != e:
+        while w is not e:
             w = w * self
             n += 1
         return n
@@ -472,7 +531,8 @@ def centralizer_of_longest(system: RootSystem):
     longest element of each sigma-orbit of simple reflections (Steinberg,
     1968): s_i for a fixed node, s_i s_j for an orbit of two non-adjacent
     nodes, s_i s_j s_i for an adjacent pair (the middle of A_{2k}).  Their
-    closure never enumerates W unless sigma is trivial, where it is W.
+    closure never enumerates W unless sigma is trivial, where it is W and
+    is refused before it starts past the bounds of :meth:`RootSystem.elements`.
     """
     node = {r: i for i, r in enumerate(system.simple_index)}
     wo = system.longest_element()
@@ -483,4 +543,6 @@ def centralizer_of_longest(system: RootSystem):
             continue
         word = (i,) if j == i else (i, j, i) if system.cartan.adjacency[i][j] else (i, j)
         gens.append(system.from_word(word))
+    if len(gens) == system.rank:
+        system._refuse_enumerating_w()
     return system._closure(gens)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .coxeter import GroupElement, RootSystem
+from .coxeter import DEFAULT_MEMORY_BOUND, GroupElement, RootSystem
 from .exactlinalg import QQ, ColumnSolver, in_span
 
 Word = tuple
@@ -63,7 +63,6 @@ Word = tuple
 KNOWN_TOP = {"A1": 1, "A2": 4, "A3": 12}
 
 DEFAULT_DEGREE_CAP = 6
-DEFAULT_MEMORY_BOUND = 50_000_000
 
 
 class DegreeCapExceeded(RuntimeError):

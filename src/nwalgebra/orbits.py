@@ -6,7 +6,13 @@ B_{u g u^-1}.  So one elimination per conjugacy orbit finds every class
 dimension.  :class:`OrbitState` fixes a representative r of each orbit
 and a transporter u_k with k = u_k r u_k^-1 for every class k of it,
 found by a search under conjugation by the simple reflections, which
-never enumerates W.  Only r's block is eliminated.  The basis of B_k is
+never enumerates W.  The search runs on images tuples and keeps each
+class's transporter as a tuple; u_k and u_k^-1 are made as group
+elements only when the build first reads class k, a few hundred of the
+tens of thousands of classes an E6 orbit holds.  Elements are interned
+per root system (:mod:`nwalgebra.coxeter`), so the memos keyed by
+classes hash and compare by identity, and the system's table holds at
+most |W| elements.  Only r's block is eliminated.  The basis of B_k is
 u_k applied to r's kept basis, a set of words up to sign, so a vector
 has the same coordinates over both.
 
@@ -51,7 +57,9 @@ which is the oracle the tests compare this construction with.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
+from .coxeter import GroupElement
 from .exactlinalg import QQ, ColumnSolver
 from .nichols_core import (
     DEFAULT_MEMORY_BOUND,
@@ -136,9 +144,21 @@ class OrbitState(AlgebraState):
 
     def __init__(self, system, field=QQ, degree_cap=None,
                  memory_bound=DEFAULT_MEMORY_BOUND):
-        self._orbits = {}  # class -> (representative, u, u^-1), u None for 1
+        self._orbits = {}  # class -> (representative, u, u^-1), u None for 1, once read
+        self._filed = {}   # class images -> (representative, v_r^-1), every class searched
+        self._transporters = {}  # class images -> the images of its BFS transporter v
         self._sizes = {}   # representative -> orbit size
-        self._simple = [system.simple_reflection(i) for i in range(system.rank)]
+        # per simple reflection s: s(x) at index x of a signed-index
+        # lookup, the positive root s(b_j) up to sign for each j, and the
+        # index of the simple root itself, which s negates.  W(A1) is
+        # abelian, so conjugation moves no class there (and an itemgetter
+        # of one index returns no tuple)
+        self._conjugators = []
+        for i in range(system.rank if system.nroots > 1 else 0):
+            images = system.refl[system.simple_index[i]]
+            self._conjugators.append(((0,) + images + tuple(-x for x in reversed(images)),
+                                      itemgetter(*(abs(x) - 1 for x in images)),
+                                      system.simple_index[i]))
         self._relations = {}  # the degree-2 relation table, filed as degree 2 is built
         super().__init__(system, field, degree_cap, memory_bound)
 
@@ -164,31 +184,58 @@ class OrbitState(AlgebraState):
     def _orbit(self, g):
         """(representative r, u, u^-1) with g = u r u^-1, u None for 1.
 
-        The first sight of an orbit files all its classes: a breadth-first
-        search from g under conjugation by the simple reflections finds
-        each class k with a v_k, k = v_k g v_k^-1; r is the least class,
-        and u_k = v_k v_r^-1."""
+        The first sight of an orbit files all its classes
+        (:meth:`_search`); u and u^-1 are made when a class is first read,
+        as u_g = v_g v_r^-1 from the BFS transporters."""
         hit = self._orbits.get(g)
         if hit is not None:
             return hit
-        found = {g: self.system.identity()}
+        k = g.images
+        r, back = self._filed.get(k) or self._search(k)
+        if g is r:
+            hit = (r, None, None)
+        else:
+            u = GroupElement(self.system, self._transporters[k]) * back
+            hit = (r, u, u.inverse())
+        self._orbits[g] = hit
+        return hit
+
+    def _search(self, g):
+        """File the orbit of the class with images g and return its
+        (representative r, v_r^-1): a breadth-first search from g under
+        conjugation by the simple reflections finds each class k with a
+        transporter v_k, k = v_k g v_k^-1, and keeps v_k's images; r is
+        the least class.
+
+        The search runs on images tuples, one pass per step:
+        (s k s)(b_j) = s(k(s(b_j))), where s(b_j) is the positive root
+        b_{p(j)} for every j but the simple root of s, which s negates;
+        s v_k is s applied to v_k's images.  The BFS order, and so every
+        transporter, is that of a search over elements.  One table holds
+        the transporters of every orbit: orbits are disjoint, so a class
+        an earlier search filed never meets this one."""
+        found = self._transporters
+        found[g] = tuple(range(1, self.system.nroots + 1))
+        members = [g]
         frontier = [g]
         while frontier:
             nxt = []
             for k in frontier:
-                for s in self._simple:
-                    c = s * k * s
+                for signed, take, simple in self._conjugators:
+                    kp = list(take(k))
+                    kp[simple] = -kp[simple]
+                    c = itemgetter(*kp)(signed)
                     if c not in found:
-                        found[c] = s * found[k]
+                        found[c] = itemgetter(*found[k])(signed)
                         nxt.append(c)
+            members += nxt
             frontier = nxt
-        r = min(found)
-        back = found[r].inverse()
-        for k, v in found.items():
-            u = v * back
-            self._orbits[k] = (r, None, None) if k == r else (r, u, u.inverse())
-        self._sizes[r] = len(found)
-        return self._orbits[g]
+        r = min(members)
+        orbit = (GroupElement(self.system, r),
+                 GroupElement(self.system, found[r]).inverse())
+        self._filed.update(dict.fromkeys(members, orbit))
+        self._sizes[orbit[0]] = len(members)
+        return orbit
 
     def _move(self, w, k, k2):
         """t = u_k2^-1 w u_k, None for 1, for classes k and k2 = w k w^-1 of

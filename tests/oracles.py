@@ -414,10 +414,12 @@ def _ideal_solver(state: AlgebraState, side: str, n: int) -> ColumnSolver:
 def orbit_class_dims(state, n):
     """{class: dim} for every class of nonzero dimension at degree n of an
     orbit build (:class:`nwalgebra.orbits.OrbitState`), read from the rank
-    of each class's orbit representative."""
+    of each class's orbit representative.  The classes are every class of
+    every orbit the search filed, not only those the build read."""
     state.ensure_degree(n)
     ranks = state.bases[n].ranks
-    return {k: ranks[r] for k, (r, _, _) in state._orbits.items() if r in ranks}
+    return {GroupElement(state.system, k): ranks[r]
+            for k, (r, _) in state._filed.items() if r in ranks}
 
 
 # ---------------------------------------------------------------------------

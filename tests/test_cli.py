@@ -281,8 +281,6 @@ def _top(cap):
     *[pytest.param(["hypo", "--rank", "4", "--field", "prime"], cap,
                    "the longest element has length 10", id=f"hypo-A4-cap{cap}")
       for cap in (3, 4, 6)],
-    pytest.param(["hypo", "--type", "D", "--rank", "4"], 4,
-                 "the longest element has length 12", id="hypo-D4-cap4"),
 ])
 def test_known_top_above_the_cap_exits_3_before_the_build(argv, cap, needed, monkeypatch,
                                                           capsys):
@@ -371,6 +369,46 @@ def test_hypo_cli():
     data = json.loads(out)
     assert data["subalgebra"]["dims"] == [1, 1]
     assert data["report"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--type", "D", "--rank", "4", "--degree-cap", "4"], id="D4-cap4"),
+    pytest.param(["--type", "D", "--rank", "4", "--degree-cap", "12"], id="D4-cap12"),
+    pytest.param(["--type", "E", "--rank", "6"], id="E6"),
+])
+def test_hypo_outside_type_a_exits_2_before_any_build(argv, monkeypatch, capsys):
+    # the lifting theory is type A only: hypothetical_checks would skip the
+    # whole report, so the build is never started, whatever the cap
+    def refuse(self):
+        raise AssertionError("construct_all called")
+
+    monkeypatch.setattr(AlgebraState, "construct_all", refuse)
+    assert cli.main(["hypo", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "hypo: lifting theory is type A only, not " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--type", "D", "--rank", "4", "--field", "prime", "--degree-cap", "5"],
+    ["hilbert", "--rank", "4", "--field", "prime", "--degree-cap", "5"],
+    ["group", "--type", "D", "--rank", "4"],
+], ids=["dims-D4", "hilbert-A4", "group-D4"])
+def test_stdout_does_not_depend_on_hash_seed_or_addresses(argv):
+    # group elements hash by identity, so a set of them iterates in an
+    # order set by memory addresses; nothing that reaches stdout may read
+    # one.  The two runs differ in the string hash seed and, through an
+    # allocation before main, in every address the run hands out
+    code = ("import sys; pad = [[i] * (i % 7) for i in range(int(sys.argv[1]))]; "
+            "from nwalgebra.cli import main; sys.exit(main(sys.argv[2:]))")
+    outs = []
+    for seed, pad in (("1", 0), ("2", 20011)):
+        proc = subprocess.run([sys.executable, "-c", code, str(pad), *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**ENV, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_verify_all_prime_field():

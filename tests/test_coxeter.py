@@ -1,11 +1,17 @@
+import copy
+import pickle
 import random
+import re
+import time
 
 import pytest
 
+from nwalgebra import cli
 from nwalgebra.coxeter import (
     ENUMERATION_BOUND,
     CoxeterError,
     EnumerationBoundExceeded,
+    GroupElement,
     RootSystem,
     cartan_data,
     centralizer_of_longest,
@@ -58,9 +64,6 @@ def test_invalid_diagrams_rejected():
 
 
 def test_cartan_data_is_an_immutable_value():
-    import copy
-    import pickle
-
     from nwalgebra.coxeter import CartanData
 
     d4 = cartan_data("D", 4)
@@ -215,6 +218,69 @@ def test_centralizer_e6_without_enumerating_w():
     assert len(cent) == 1152
     assert all(w * wo == wo * w for w in cent)
     assert e6._elements is None
+
+
+def test_group_elements_are_interned(a3):
+    # one object per images tuple in a system: == and hash are identity
+    w = a3.from_word([0, 1, 0])
+    assert a3.from_word([1, 0, 1]) is w is GroupElement(a3, list(w.images))
+    assert (w * w).is_identity() and w * w is a3.identity()
+    # < and sorted still compare images
+    elements = a3.elements()
+    assert list(elements) == sorted(elements, key=lambda u: u.images) == sorted(elements)
+    assert (a3.identity() < w) == (a3.identity().images < w.images)
+    # the table holds every element made, at most |W|
+    assert len(a3._table) == len(elements) == a3.group_order
+    # copy and deepcopy return the element itself
+    assert copy.copy(w) is w and copy.deepcopy(w) is w and copy.deepcopy([w])[0] is w
+    # pickle re-interns in the unpickled system, which is rebuilt from its
+    # Cartan datum, so elements pickled together multiply
+    u, v, u2 = pickle.loads(pickle.dumps([w, a3.longest_element(), w]))
+    assert u is u2 and u.system is v.system is not a3
+    assert u.images == w.images and u.system.cartan == a3.cartan
+    assert (u * v).images == (w * a3.longest_element()).images
+    assert u.system.from_word([0, 1, 0]) is u
+    # elements of two systems never compare equal, and never multiply
+    assert u != w and len({u, w}) == 2
+    with pytest.raises(CoxeterError, match="different root systems"):
+        u * w
+
+
+DEGREES = [("A", 1, (2,)), ("A", 4, (2, 3, 4, 5)), ("D", 4, (2, 4, 4, 6)),
+           ("D", 5, (2, 4, 5, 6, 8)), ("E", 6, (2, 5, 6, 8, 9, 12)),
+           ("E", 7, (2, 6, 8, 10, 12, 14, 18)), ("E", 8, (2, 8, 12, 14, 18, 20, 24, 30))]
+
+
+@pytest.mark.parametrize("type_,rank,degrees", DEGREES, ids=[f"{t}{n}" for t, n, _ in DEGREES])
+def test_degrees_from_root_heights(type_, rank, degrees):
+    sys = RootSystem(cartan_data(type_, rank))
+    assert sys.degrees == degrees
+    # sum of the exponents d_i - 1 is |R+|
+    assert sum(d - 1 for d in degrees) == sys.nroots
+    if sys.group_order <= 2000:
+        assert len(sys.elements()) == sys.group_order
+
+
+@pytest.mark.parametrize("rank,message", [
+    (7, "W(E7) has 2903040 elements of 63 images each, 182891520 entries, "
+        "over the memory bound 50000000"),
+    (8, "W(E8) has 696729600 elements, over the enumeration bound 3628800"),
+], ids=["E7", "E8"])
+def test_closure_over_w_is_refused_before_it_starts(rank, message, monkeypatch, capsys):
+    # group reads exponent(), which enumerates W outside type A, and the
+    # centralizer of w_o, which is W where sigma is trivial (E7, E8)
+    def refuse(self, gens):
+        raise AssertionError("_closure entered")
+
+    monkeypatch.setattr(RootSystem, "_closure", refuse)
+    start = time.perf_counter()
+    assert cli.main(["group", "--type", "E", "--rank", str(rank)]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"resource bound exceeded: {message}" in err
+    with pytest.raises(EnumerationBoundExceeded, match=re.escape(message)):
+        centralizer_of_longest(RootSystem(cartan_data("E", rank)))
 
 
 def test_t_set(a3):

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from nwalgebra import cli
-from nwalgebra.coxeter import RootSystem, cartan_data
+from nwalgebra.coxeter import GroupElement, RootSystem, cartan_data
 from nwalgebra.exactlinalg import QQ, PrimeField
 from nwalgebra.nichols_core import (
     AlgebraState,
@@ -214,11 +214,52 @@ def orbit_digest(state):
      "a4d791bf42f479f15eaec2f104366a6459636a226fcf33c142d590f58a2bd4e1"),
     ("D", 4, "prime", 5,
      "cb3db8c5c12a53a12feea424dd3f045a8b823dd8097fa8b025a3cbafac62dc0d"),
-], ids=["A3-rational", "A4-prime-6", "D4-prime-5"])
+    ("D", 5, "prime", 4,
+     "466b39bda44321a14bb6611f9bf6beabb3e9387ffe6d736713755c1e14f0e82d"),
+    ("E", 6, "prime", 3,
+     "ac14ef7241faaf5a32fcaba036d45c7d8c75c621946c05ad315ff345fa6420ca"),
+], ids=["A3-rational", "A4-prime-6", "D4-prime-5", "D5-prime-4", "E6-prime-3"])
 def test_orbit_digest(type_, rank_, field, cap, digest):
     # the stored orbit data, value for value: A3 over Q to its top, and
-    # every degree below the cap of A4/GF(p) to 6 and D4/GF(p) to 5
+    # every degree below the cap of A4/GF(p) to 6, D4/GF(p) to 5, D5/GF(p)
+    # to 4 and E6/GF(p) to 3.  The D5 and E6 digests were recorded from
+    # the search that conjugated elements and made every transporter
     state = OrbitState(RootSystem(cartan_data(type_, rank_)), field=FIELDS[field],
                        degree_cap=cap)
     state.construct_all()
     assert orbit_digest(state) == digest
+
+
+def _group_arithmetic(monkeypatch, type_, rank_, cap):
+    """[GroupElement products, inverses] of one fresh orbit build."""
+    counts = [0, 0]
+    mul, inverse = GroupElement.__mul__, GroupElement.inverse
+
+    def counted_mul(u, v):
+        counts[0] += 1
+        return mul(u, v)
+
+    def counted_inverse(u):
+        counts[1] += 1
+        return inverse(u)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GroupElement, "__mul__", counted_mul)
+        patch.setattr(GroupElement, "inverse", counted_inverse)
+        state = OrbitState(RootSystem(cartan_data(type_, rank_)), field=FIELDS["prime"],
+                           degree_cap=cap)
+        state.construct_all()
+    return counts
+
+
+@pytest.mark.parametrize("type_,rank_,cap,products,inverses", [
+    ("A", 4, 6, 3967, 121), ("E", 6, 3, 5000, 500)], ids=["A4-prime-6", "E6-prime-3"])
+def test_orbit_search_makes_few_group_elements(type_, rank_, cap, products, inverses,
+                                               monkeypatch):
+    # the search runs on images tuples; an element product and inverse is
+    # made only for a class the build reads.  The E6 build reads 237 of
+    # the 17 236 classes the search files; the search over elements made
+    # 242 959 products and 17 236 inverses there, and 3 966 and 120 on A4
+    counts = _group_arithmetic(monkeypatch, type_, rank_, cap)
+    assert counts[0] < products and counts[1] < inverses
+    assert _group_arithmetic(monkeypatch, type_, rank_, cap) == counts

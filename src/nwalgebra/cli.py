@@ -24,6 +24,7 @@ import time
 
 from . import __version__
 from .coxeter import (
+    DEFAULT_MEMORY_BOUND,
     CoxeterError,
     EnumerationBoundExceeded,
     RootSystem,
@@ -34,7 +35,6 @@ from .coxeter import (
 from .exactlinalg import DEFAULT_PRIME, QQ, LinalgError, PrimeField
 from .nichols_core import (
     AlgebraState,
-    DEFAULT_MEMORY_BOUND,
     CheckFailed,
     DegreeCapExceeded,
     MemoryBoundExceeded,
@@ -98,8 +98,7 @@ def _field(args):
 
 
 def _state(args, cls=AlgebraState) -> AlgebraState:
-    return cls(_system(args), field=_field(args), degree_cap=args.degree_cap,
-               memory_bound=args.memory_bound)
+    return cls(_system(args), field=_field(args), degree_cap=args.degree_cap)
 
 
 def _refuse_past_cap(state, command, longest=False, products=0, top=False):
@@ -357,11 +356,12 @@ def cmd_pairing(args, phases):
 
     state = _state(args)
     _refuse_past_cap(state, "pairing", longest=True)
-    elements = state.system.elements()
-    if len(elements) ** 2 > args.memory_bound:
+    system = state.system
+    n = system.group_order
+    if n ** 2 > system.memory_bound:
         raise MemoryBoundExceeded(
-            f"pairing: {len(elements)}^2 = {len(elements) ** 2} pairs exceed "
-            f"the memory bound {args.memory_bound}")
+            f"pairing: {n}^2 = {n ** 2} pairs exceed the memory bound {system.memory_bound}")
+    elements = system.elements()
     state.construct_all()
     phases.mark("construct")
     embedded = [embed_element(state, u) for u in elements]

@@ -154,10 +154,11 @@ class RootSystem:
     ``degrees`` are the degrees d_i = m_i + 1 of W, ascending, and
     ``group_order`` = |W| is their product: the exponents m_i are the
     partition dual to the number of positive roots of each height
-    (Shapiro, Steinberg, Kostant).  An
-    enumeration of W is refused before it starts when |W| passes
-    ``ENUMERATION_BOUND`` or |W| x |R+| image entries pass
-    ``memory_bound``."""
+    (Shapiro, Steinberg, Kostant).  The exponent of W is lcm(d_i) and
+    |C_W(w_o)| the product of the even d_i, so a closure of either group
+    is refused before it starts when its size passes ``ENUMERATION_BOUND``
+    or its size x |R+| image entries pass ``memory_bound``, the one
+    memory bound of the system, which its algebra states read too."""
 
     def __init__(self, cartan: CartanData, memory_bound=DEFAULT_MEMORY_BOUND):
         # the nroots x nroots reflection table, O(rank) per entry, is
@@ -305,7 +306,8 @@ class RootSystem:
         """The subgroup that ``gens`` generate, by breadth-first closure from
         the identity, sorted by ``images``.  Its elements are the interned
         ones, so the closure holds each element once, in the system's
-        table."""
+        table.  Every caller knows the subgroup's order in advance and
+        passes it to :meth:`_refuse_closure` first."""
         e = self.identity()
         seen = {e}
         frontier = [e]
@@ -315,44 +317,42 @@ class RootSystem:
                 for g in gens:
                     u = w * g
                     if u not in seen:
-                        if len(seen) >= ENUMERATION_BOUND:
-                            raise EnumerationBoundExceeded(
-                                f"group larger than bound {ENUMERATION_BOUND}"
-                            )
                         seen.add(u)
                         nxt.append(u)
             frontier = nxt
         return tuple(sorted(seen))
 
-    def _refuse_enumerating_w(self):
-        """Raise before a closure over all of W when |W|, known from the
-        degrees, passes ``ENUMERATION_BOUND`` or its |W| x |R+| image
+    def _refuse_closure(self, group, size):
+        """Raise before a closure of the ``size`` elements of ``group`` when
+        ``size`` passes ``ENUMERATION_BOUND`` or its size x |R+| image
         entries pass ``memory_bound``."""
-        n, label = self.group_order, self.cartan.type_label
-        if n > ENUMERATION_BOUND:
+        if size > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
-                f"W({label}) has {n} elements, over the enumeration bound {ENUMERATION_BOUND}")
-        if n * self.nroots > self.memory_bound:
+                f"{group} has {size} elements, over the enumeration bound {ENUMERATION_BOUND}")
+        if size * self.nroots > self.memory_bound:
             raise EnumerationBoundExceeded(
-                f"W({label}) has {n} elements of {self.nroots} images each, "
-                f"{n * self.nroots} entries, over the memory bound {self.memory_bound}")
+                f"{group} has {size} elements of {self.nroots} images each, "
+                f"{size * self.nroots} entries, over the memory bound {self.memory_bound}")
 
     def elements(self):
         """All group elements, the closure of the simple reflections."""
         if self._elements is None:
-            self._refuse_enumerating_w()
+            self._refuse_closure(f"W({self.cartan.type_label})", self.group_order)
             self._elements = self._closure(
                 [self.simple_reflection(i) for i in range(self.rank)])
         return self._elements
 
     def exponent(self) -> int:
-        """Least N > 0 with g^N = 1 for every group element."""
-        if self._is_type_a:
-            return lcm(*range(1, self.sym_m + 1))
-        e = 1
-        for w in self.elements():
-            e = lcm(e, w.order())
-        return e
+        """Least N > 0 with w^N = 1 for every group element: lcm(d_i).
+
+        W acts faithfully on V, and each w diagonalizably (it has finite
+        order), so the order of w is the lcm of the orders of its
+        eigenvalues.  A primitive d-th root of unity is an eigenvalue of
+        some w in W exactly when d divides some degree d_i (Springer,
+        *Regular elements of finite reflection groups*, 1974, Thm 3.4).
+        The lcm over all w is therefore the lcm of the divisors of the
+        degrees, lcm(d_i)."""
+        return lcm(*self.degrees)
 
     def from_permutation(self, perm) -> "GroupElement":
         """Type A only: build the element from a one-line permutation of 1..m."""
@@ -436,14 +436,6 @@ class GroupElement:
         if signed > 0:
             return self.images[signed - 1]
         return -self.images[-signed - 1]
-
-    def order(self) -> int:
-        n, w = 1, self
-        e = self.system.identity()
-        while w is not e:
-            w = w * self
-            n += 1
-        return n
 
     # -- descents, words, Bruhat order ---------------------------------
 
@@ -530,9 +522,12 @@ def centralizer_of_longest(system: RootSystem):
     is the fixed-point group W^sigma.  That group is generated by the
     longest element of each sigma-orbit of simple reflections (Steinberg,
     1968): s_i for a fixed node, s_i s_j for an orbit of two non-adjacent
-    nodes, s_i s_j s_i for an adjacent pair (the middle of A_{2k}).  Their
-    closure never enumerates W unless sigma is trivial, where it is W and
-    is refused before it starts past the bounds of :meth:`RootSystem.elements`.
+    nodes, s_i s_j s_i for an adjacent pair (the middle of A_{2k}).  Its
+    order is the product of the even degrees, as w_o is regular of order 2
+    (Springer 1974, Thm 4.2), so the closure is refused before it starts
+    past the bounds of :meth:`RootSystem._refuse_closure`.  When sigma is
+    trivial the centralizer is W, and the system's cached ``elements()``
+    are returned: W is closed once per system.
     """
     node = {r: i for i, r in enumerate(system.simple_index)}
     wo = system.longest_element()
@@ -544,5 +539,7 @@ def centralizer_of_longest(system: RootSystem):
         word = (i,) if j == i else (i, j, i) if system.cartan.adjacency[i][j] else (i, j)
         gens.append(system.from_word(word))
     if len(gens) == system.rank:
-        system._refuse_enumerating_w()
+        return system.elements()
+    system._refuse_closure(f"C_W(w_o) in W({system.cartan.type_label})",
+                           prod(d for d in system.degrees if d % 2 == 0))
     return system._closure(gens)

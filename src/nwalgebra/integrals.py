@@ -16,7 +16,6 @@ from .nichols_core import (
     DegreeCapExceeded,
     NicholsElement,
     element_to_json,
-    group_act,
     mat_col,
     mat_stack,
     multiply,
@@ -85,10 +84,8 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
     x = NicholsElement(state, {top: {0: field_.one}})
     basis = state.basis(top)
     w = basis.wdegs[0]
-    char = {}
-    for i in range(state.system.rank):
-        m = state.act_matrix(top, state.system.simple_reflection(i))
-        char[i] = m[0].get(0, field_.zero)
+    char = {i: _top_sign(state, top, state.system.simple_reflection(i))
+            for i in range(state.system.rank)}
     eps_rho = state.rho_matrix(top)[0].get(0, field_.zero)
     eps_s = state.antipode_matrix(top)[0].get(0, field_.zero)
     # s-bar is (-1)^n rho S, and the top is one-dimensional
@@ -97,6 +94,12 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
     cert = IntegralCertificate(x, top, w, char, eps_rho, eps_s, eps_sbar)
     _validate_certificate(cert, state)
     return cert
+
+
+def _top_sign(state: AlgebraState, top, g):
+    """The scalar by which g acts on the one-dimensional top degree
+    ``top``: the entry of its 1x1 action matrix."""
+    return state.act_matrix(top, g)[0].get(0, state.field.zero)
 
 
 def _validate_certificate(cert: IntegralCertificate, state: AlgebraState):
@@ -116,10 +119,9 @@ def _validate_certificate(cert: IntegralCertificate, state: AlgebraState):
 def integral_character(cert: IntegralCertificate, state: AlgebraState):
     """The full action character, verified multiplicative with central
     group degree; returns {simple index: sign}.  Only s_i s_j with i != j
-    is checked: ``char[i]`` is read from the 1x1 matrix of s_i on the top,
-    and s_i s_i = e acts by char[i]^2 = 1, ``char[i]`` being a sign."""
+    is checked, read like ``char[i]`` from its 1x1 matrix on the top:
+    s_i s_i = e acts by char[i]^2 = 1, ``char[i]`` being a sign."""
     sys = state.system
-    x = cert.element
     # the group degree must be central
     w = cert.w_degree
     for i in range(sys.rank):
@@ -129,7 +131,7 @@ def integral_character(cert: IntegralCertificate, state: AlgebraState):
     # multiplicativity on the products of two distinct simple reflections
     for i, j in permutations(range(sys.rank), 2):
         g = sys.simple_reflection(i) * sys.simple_reflection(j)
-        if group_act(g, x) != x.scale(cert.char[i] * cert.char[j]):
+        if _top_sign(state, cert.degree, g) != state.field.normalize(cert.char[i] * cert.char[j]):
             raise IntegralError("character is not multiplicative")
     return dict(cert.char)
 
@@ -148,13 +150,6 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     params = {"degree": cert.degree}
     notes = []
 
-    def sign_of_action(g):
-        gx = group_act(g, x)
-        s = gx.proportional_to(x)
-        if s is None:
-            raise IntegralError("integral is not a sign eigenvector")
-        return s
-
     # item 1: x = (x)D_a x_a for every root
     roots = []  # (x_a, (x)D_a), read again by item 2
     for a in range(sys.nroots):
@@ -165,7 +160,7 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
         roots.append((xa, dx))
     # item 2: x = -eps x_a (x)D_a with s_a x = eps x
     for a, (xa, dx) in enumerate(roots):
-        eps = sign_of_action(sys.reflection(a))
+        eps = _top_sign(state, cert.degree, sys.reflection(a))
         got = multiply(xa, dx).scale(-eps)
         if got != x:
             return _fail(name, params, 0, None, item=2, root=a)
@@ -178,7 +173,7 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
             return _fail(name, params, 0, None, item=3, w=w)
         tops[w] = (y, dx)
     # item 4: x = (-1)^{l(wo)} eps y (x)D_y over the centralizer
-    eps_wo = sign_of_action(wo)
+    eps_wo = _top_sign(state, cert.degree, wo)
     for w in centralizer_of_longest(sys):
         y, dx = tops[w]
         if multiply(y, dx).scale(lwo_sign * eps_wo) != x:

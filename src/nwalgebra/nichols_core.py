@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .coxeter import DEFAULT_MEMORY_BOUND, GroupElement, RootSystem
+from .coxeter import GroupElement, RootSystem
 from .exactlinalg import QQ, ColumnSolver, in_span
 
 Word = tuple
@@ -320,8 +320,7 @@ class DegreeBasis:
 class AlgebraState:
     """Memoized degree-by-degree state of B_W over an exact field."""
 
-    def __init__(self, system: RootSystem, field=QQ, degree_cap=None,
-                 memory_bound=DEFAULT_MEMORY_BOUND):
+    def __init__(self, system: RootSystem, field=QQ, degree_cap=None):
         self.system = system
         self.field = field
         label = system.cartan.type_label
@@ -330,7 +329,6 @@ class AlgebraState:
             degree_cap = (DEFAULT_DEGREE_CAP if self.predicted_top is None
                           else self.predicted_top + 1)
         self.degree_cap = degree_cap
-        self.memory_bound = memory_bound
         self.finite_top = None
         self._prods = {}      # (root, class) -> s_root * class, over all degrees
         self.units = UnitColumns(field)  # the maps' one copy of each {k: ±1}
@@ -470,7 +468,7 @@ class AlgebraState:
         kept = []  # (a, j, class number, derivative vector) per kept candidate
         for k, g in enumerate(classes):
             block = by_class.pop(g)  # dropped once solved
-            if len(block) ** 2 > self.memory_bound:
+            if len(block) ** 2 > self.system.memory_bound:
                 raise MemoryBoundExceeded(
                     f"degree {n} class block needs {len(block) ** 2} entries")
             offered = [(a, j) for a, j in block if (a, prefixes[j]) in index]
@@ -680,7 +678,7 @@ class AlgebraState:
         def build(basis):
             field = self.field
             dim = basis.dim
-            if dim * dim > self.memory_bound:
+            if dim * dim > self.system.memory_bound:
                 raise MemoryBoundExceeded(
                     f"gram: the degree-{n} Gram matrix needs {dim * dim} entries")
             if n == 0:
@@ -767,10 +765,6 @@ class NicholsElement:
                 vec = {i: x for i, x in vec.items() if x}
                 if vec:
                     self.components[n] = vec
-
-    @classmethod
-    def zero(cls, state):
-        return cls(state)
 
     @classmethod
     def unit(cls, state):

@@ -62,7 +62,6 @@ from operator import itemgetter
 from .coxeter import GroupElement
 from .exactlinalg import QQ, ColumnSolver
 from .nichols_core import (
-    DEFAULT_MEMORY_BOUND,
     AlgebraState,
     MemoryBoundExceeded,
     mat_col,
@@ -142,8 +141,7 @@ class OrbitState(AlgebraState):
     :class:`WordBasisUnavailable`.
     """
 
-    def __init__(self, system, field=QQ, degree_cap=None,
-                 memory_bound=DEFAULT_MEMORY_BOUND):
+    def __init__(self, system, field=QQ, degree_cap=None):
         self._orbits = {}  # class -> (representative, u, u^-1), u None for 1, once read
         self._filed = {}   # class images -> (representative, v_r^-1), every class searched
         self._transporters = {}  # class images -> the images of its BFS transporter v
@@ -160,7 +158,7 @@ class OrbitState(AlgebraState):
                                       itemgetter(*(abs(x) - 1 for x in images)),
                                       system.simple_index[i]))
         self._relations = {}  # the degree-2 relation table, filed as degree 2 is built
-        super().__init__(system, field, degree_cap, memory_bound)
+        super().__init__(system, field, degree_cap)
 
     def _ensure_degree_one(self):
         """Degree 0 is the unit, in the class of 1; degree 1 is built from
@@ -396,7 +394,7 @@ class OrbitState(AlgebraState):
                 if rh in prev.ranks:
                     block.append((a, h, rh, uh, prev.ranks[rh]))
             size = sum(b[4] for b in block)
-            if size ** 2 > self.memory_bound:
+            if size ** 2 > self.system.memory_bound:
                 raise MemoryBoundExceeded(f"degree {n} class block needs {size ** 2} entries")
             solver = ColumnSolver(field)
             kept, vectors, coords = [], [], {}

@@ -10,7 +10,8 @@ of ``nwalg``:
   coproduct of x_w from the skew elements x_{w/v};
 - the nilCoxeter algebra, with its own product;
 - the centralizer of w_o as the elements of W that commute with it, a
-  filter over the whole group;
+  filter over the whole group, and the exponent of W as the lcm of the
+  orders of its elements;
 - membership in the one-sided ideals of the non-simple generators by
   elimination in the built algebra, against which the syntactic
   reduction of :mod:`nwalgebra.reduction` is checked;
@@ -28,14 +29,14 @@ of ``nwalg``:
 from __future__ import annotations
 
 import itertools
+import math
 
 from nwalgebra.calculus import _right_leibniz_mismatch, basis_element
-from nwalgebra.coxeter import GroupElement, RootSystem
+from nwalgebra.coxeter import DEFAULT_MEMORY_BOUND, GroupElement, RootSystem
 from nwalgebra.disjoint import search_complete
 from nwalgebra.exactlinalg import QQ, ColumnSolver, in_span
 from nwalgebra.integrals import nonsimple_roots
 from nwalgebra.nichols_core import (
-    DEFAULT_MEMORY_BOUND,
     AlgebraState,
     CheckFailed,
     MemoryBoundExceeded,
@@ -351,6 +352,18 @@ def centralizer_by_filter(sys: RootSystem):
     """Every element of W that commutes with w_o, in canonical order."""
     wo = sys.longest_element()
     return tuple(w for w in sys.elements() if w * wo == wo * w)
+
+
+def exponent_by_enumeration(sys: RootSystem) -> int:
+    """The least N > 0 with w^N = 1 for every w, as the lcm of the orders
+    of all elements of W."""
+    e, one = 1, sys.identity()
+    for w in sys.elements():
+        n, u = 1, w
+        while u is not one:
+            u, n = u * w, n + 1
+        e = math.lcm(e, n)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ def test_column_compare_skips_only_where_both_sides_are_zero(s3):
     # whose input columns are all zero is still compared, and the first
     # basis element with a nonzero other side, x_0, is the mismatch
     xi, y = NicholsElement.generator(s3, 0), NicholsElement.generator(s3, 1)
-    zero = right_multiplier(NicholsElement.zero(s3)).columns
+    zero = right_multiplier(NicholsElement(s3)).columns
     derive, times_y = right_derivative_columns(xi), right_multiplier(y).columns
     assert _right_leibniz_mismatch(s3, 4, zero, 0, derive, 1, times_y) == (1, 0)
     assert _right_leibniz_mismatch(s3, 4, times_y, 1, derive, 1, zero) == (1, 0)

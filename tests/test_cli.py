@@ -218,12 +218,24 @@ def test_pairing_makes_one_gram_product_per_element(monkeypatch, capsys):
     assert len(products) == 24
 
 
-def test_memory_bound_on_pairs_exit_3():
+def test_memory_bound_on_pairs_exit_3(monkeypatch, capsys):
     # |W|^2 = 576 pairs for A3; checked before the construction starts
     code, out, err = run_cli("pairing", "--rank", "3", "--memory-bound", "500")
     assert code == 3 and out == ""
     assert "resource bound exceeded: pairing:" in err
     assert "Traceback" not in err
+    # and from |W| = the product of the degrees, before W is closed
+    from nwalgebra.coxeter import RootSystem
+
+    def refuse(self, gens):
+        raise AssertionError("_closure entered")
+
+    monkeypatch.setattr(RootSystem, "_closure", refuse)
+    assert cli.main(["pairing", "--rank", "3", "--memory-bound", "500"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("resource bound exceeded: pairing: 24^2 = 576 pairs exceed the memory bound 500"
+            in err)
 
 
 def test_pairing_checks_the_longest_length_against_the_cap(monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import copy
+import json
+import math
 import pickle
 import random
 import re
@@ -18,7 +20,7 @@ from nwalgebra.coxeter import (
     element_from_json,
     positive_root_count,
 )
-from oracles import centralizer_by_filter
+from oracles import centralizer_by_filter, exponent_by_enumeration
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +208,24 @@ def test_centralizer_mirror_criterion():
 def test_centralizer_matches_the_filter_over_w(type_, rank):
     sys = RootSystem(cartan_data(type_, rank))
     cent = centralizer_of_longest(sys)
-    # the closure of the sigma-orbit generators never fills the cache of W
-    assert sys._elements is None
+    if (type_, rank) in (("A", 1), ("D", 4)):
+        # sigma is trivial: the centralizer is W, closed once and cached
+        assert cent is sys.elements()
+    else:
+        # the closure of the sigma-orbit generators never fills the cache of W
+        assert sys._elements is None
     assert cent == centralizer_by_filter(sys)
+
+
+CENTRALIZED = [*(("A", n) for n in range(1, 9)), *(("D", n) for n in range(4, 8)), ("E", 6)]
+
+
+@pytest.mark.parametrize("type_,rank", CENTRALIZED, ids=[f"{t}{n}" for t, n in CENTRALIZED])
+def test_centralizer_order_is_the_product_of_the_even_degrees(type_, rank):
+    # w_o is regular of order 2, so |C_W(w_o)| is the product of the
+    # degrees that 2 divides (Springer 1974, Thm 4.2)
+    sys = RootSystem(cartan_data(type_, rank))
+    assert len(centralizer_of_longest(sys)) == math.prod(d for d in sys.degrees if d % 2 == 0)
 
 
 def test_centralizer_e6_without_enumerating_w():
@@ -261,26 +278,69 @@ def test_degrees_from_root_heights(type_, rank, degrees):
         assert len(sys.elements()) == sys.group_order
 
 
-@pytest.mark.parametrize("rank,message", [
-    (7, "W(E7) has 2903040 elements of 63 images each, 182891520 entries, "
-        "over the memory bound 50000000"),
-    (8, "W(E8) has 696729600 elements, over the enumeration bound 3628800"),
-], ids=["E7", "E8"])
-def test_closure_over_w_is_refused_before_it_starts(rank, message, monkeypatch, capsys):
-    # group reads exponent(), which enumerates W outside type A, and the
-    # centralizer of w_o, which is W where sigma is trivial (E7, E8)
+REFUSED = [
+    ("group", "E", 7, "W(E7) has 2903040 elements of 63 images each, 182891520 entries, "
+                      "over the memory bound 50000000"),
+    ("group", "E", 8, "W(E8) has 696729600 elements, over the enumeration bound 3628800"),
+    ("group", "D", 8, "W(D8) has 5160960 elements, over the enumeration bound 3628800"),
+    ("group", "D", 9, "C_W(w_o) in W(D9) has 10321920 elements, "
+                      "over the enumeration bound 3628800"),
+    ("group", "A", 13, "C_W(w_o) in W(A13) has 645120 elements of 91 images each, "
+                       "58705920 entries, over the memory bound 50000000"),
+    ("group", "A", 15, "C_W(w_o) in W(A15) has 10321920 elements, "
+                       "over the enumeration bound 3628800"),
+    ("disjoint", "A", 15, "C_W(w_o) in W(A15) has 10321920 elements, "
+                          "over the enumeration bound 3628800"),
+]
+
+
+@pytest.mark.parametrize("command,type_,rank,message", REFUSED, ids=[
+    f"{t}{n}" if c == "group" else f"{c}-{t}{n}" for c, t, n, _ in REFUSED])
+def test_closure_over_w_is_refused_before_it_starts(command, type_, rank, message, monkeypatch,
+                                                    capsys):
+    # group and disjoint read the centralizer of w_o, whose order is the
+    # product of the even degrees: W where sigma is trivial (E7, E8, D8),
+    # a proper subgroup elsewhere (D9, A13, A15)
     def refuse(self, gens):
         raise AssertionError("_closure entered")
 
     monkeypatch.setattr(RootSystem, "_closure", refuse)
+    extra = ["--find-complete"] if command == "disjoint" else []
     start = time.perf_counter()
-    assert cli.main(["group", "--type", "E", "--rank", str(rank)]) == 3
+    assert cli.main([command, *extra, "--type", type_, "--rank", str(rank)]) == 3
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == ""
     assert f"resource bound exceeded: {message}" in err
     with pytest.raises(EnumerationBoundExceeded, match=re.escape(message)):
-        centralizer_of_longest(RootSystem(cartan_data("E", rank)))
+        centralizer_of_longest(RootSystem(cartan_data(type_, rank)))
+
+
+@pytest.mark.parametrize("type_,rank,exponent", [("E", 6, 360), ("D", 5, 120)],
+                         ids=["E6", "D5"])
+def test_group_closes_no_w_where_sigma_is_nontrivial(type_, rank, exponent, monkeypatch,
+                                                     capsys):
+    def refuse(self):
+        raise AssertionError("elements() called")
+
+    monkeypatch.setattr(RootSystem, "elements", refuse)
+    assert cli.main(["group", "--type", type_, "--rank", str(rank)]) == 0
+    assert json.loads(capsys.readouterr().out)["exponent"] == exponent
+
+
+def test_group_closes_w_once_where_sigma_is_trivial(monkeypatch, capsys):
+    closures = []
+    closure = RootSystem._closure
+
+    def counted(self, gens):
+        closures.append(len(gens))
+        return closure(self, gens)
+
+    monkeypatch.setattr(RootSystem, "_closure", counted)
+    assert cli.main(["group", "--type", "D", "--rank", "6"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert closures == [6]
+    assert data["centralizer_of_longest_size"] == 23040 and data["exponent"] == 120
 
 
 def test_t_set(a3):
@@ -299,12 +359,24 @@ def test_t_set_s6_example():
     assert pairs == {(2, 4), (1, 4), (1, 6), (3, 6), (3, 5)}
 
 
+ENUMERATED = [*(("A", n) for n in range(1, 7)), *(("D", n) for n in range(4, 7))]
+
+
+@pytest.mark.parametrize("type_,rank", ENUMERATED, ids=[f"{t}{n}" for t, n in ENUMERATED])
+def test_exponent_matches_the_enumeration(type_, rank):
+    sys = RootSystem(cartan_data(type_, rank))
+    exponent = sys.exponent()
+    # lcm(d_i) makes no element
+    assert sys._table == {}
+    assert exponent == exponent_by_enumeration(sys)
+
+
 def test_exponent():
-    assert RootSystem(cartan_data("A", 1)).exponent() == 2
-    assert RootSystem(cartan_data("A", 2)).exponent() == 6
-    assert RootSystem(cartan_data("A", 3)).exponent() == 12
-    # non-A path goes through enumeration
-    assert RootSystem(cartan_data("D", 3)).exponent() == 12
+    # lcm(d_i), pinned where the enumeration is slow or refused
+    for type_, rank, exponent in [("A", 1, 2), ("A", 3, 12), ("D", 3, 12), ("E", 6, 360),
+                                  ("D", 7, 840), ("A", 8, 2520), ("E", 7, 2520),
+                                  ("E", 8, 2520)]:
+        assert RootSystem(cartan_data(type_, rank)).exponent() == exponent
 
 
 def test_element_json_roundtrip(a3):

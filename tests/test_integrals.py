@@ -67,7 +67,7 @@ def test_certificate_s4(s4):
 
 
 def test_is_integral_examples(s3):
-    assert is_integral(NicholsElement.zero(s3), s3)
+    assert is_integral(NicholsElement(s3), s3)
     assert not is_integral(NicholsElement.unit(s3), s3)
     sys = s3.system
     theta = sys.index[(1, 1)]
@@ -144,6 +144,30 @@ def test_integral_character_catches_a_wrong_product_character(prime, monkeypatch
         integral_character(cert, state)
 
 
+def test_invariance_item_2_catches_a_wrong_reflection_sign(monkeypatch):
+    # item 2 reads eps, the sign of s_a on the top, from its 1x1 action
+    # matrix; the opposite sign for one reflection fails that item
+    from nwalgebra.coxeter import RootSystem, cartan_data
+
+    state = AlgebraState(RootSystem(cartan_data("A", 2)))
+    state.construct_all()
+    cert = top_integral(state)
+    s1 = state.system.reflection(1)
+    act_matrix = state.act_matrix
+
+    def wrong(n, w):
+        m = act_matrix(n, w)
+        if n == cert.degree and w == s1:
+            return [neg_col(col, state.field) for col in m]
+        return m
+
+    assert invariance_suite(cert, state).passed
+    monkeypatch.setattr(state, "act_matrix", wrong)
+    rep = invariance_suite(cert, state)
+    assert not rep.passed
+    assert rep.counterexample == {"item": 2, "root": 1}
+
+
 def test_invariance_s3(s3):
     cert = top_integral(s3)
     rep = invariance_suite(cert, s3)
@@ -203,7 +227,7 @@ def test_lift_monomial(s3):
     mw, mpw = lift_monomial_to_integral(z, s3)
     assert len(mw) == 3 and len(mpw) == 3
     with pytest.raises(IntegralError):
-        lift_monomial_to_integral(NicholsElement.zero(s3), s3)
+        lift_monomial_to_integral(NicholsElement(s3), s3)
 
 
 def test_lift_uses_lowest_component(s3):

@@ -346,7 +346,7 @@ def test_right_multiplier_matches_multiply(s3, prime):
         state.construct_all()
 
     def word_product(x, y):
-        out = NicholsElement.zero(state)
+        out = NicholsElement(state)
         for nx, vx in x.components.items():
             for ny, vy in y.components.items():
                 for i, c in vx.items():
@@ -377,7 +377,7 @@ def test_operator_columns_match_the_element_operations(s4, prime):
     rng = random.Random(6)
     top = state.finite_top
     ys = [random_element(state, rng, d) for d in (0, 1, 2, 3, 6, top)]
-    ys += [NicholsElement.zero(state), NicholsElement.from_word(state, (0, 1, 0))]
+    ys += [NicholsElement(state), NicholsElement.from_word(state, (0, 1, 0))]
     for y in ys:
         times, derive = right_multiplier(y), right_derivative_columns(y)
         m = max(y.degrees(), default=0)
@@ -450,7 +450,7 @@ def test_derivatives_match_the_per_word_composition(which, request):
     rng = random.Random(31)
 
     def several_degrees(high):
-        out = NicholsElement.zero(state)
+        out = NicholsElement(state)
         while len(out.degrees()) < 2:  # a degree-0 draw can be zero
             for d in rng.sample(range(high + 1), rng.randint(2, 3)):
                 out = out + random_element(state, rng, d)
@@ -573,7 +573,7 @@ def test_derivative_degree_one(s3):
     for a, x in enumerate(xs):
         for g, y in enumerate(xs):
             d = right_derivative(x, y)
-            assert d == (one if a == g else NicholsElement.zero(s3))
+            assert d == (one if a == g else NicholsElement(s3))
 
 
 def test_degree_zero_maps(s3):
@@ -652,7 +652,7 @@ def test_counit_law(s3):
     for _ in range(100):
         n = rng.randint(0, 4)
         z = random_element(s3, rng, n)
-        acc = NicholsElement.zero(s3)
+        acc = NicholsElement(s3)
         for left, right in coproduct_legs(z, n):
             acc = acc + left.scale(right.component(0).get(0, 0))
         assert acc == z
@@ -678,7 +678,7 @@ def test_antipode_axiom_per_degree(s3, s4):
     for state, max_n in ((s3, 4), (s4, 5)):
         for n in range(1, max_n + 1):
             for z in basis_elements(state, n):
-                acc = NicholsElement.zero(state)
+                acc = NicholsElement(state)
                 for k in range(0, n + 1):
                     for left, right in coproduct_legs(z, k):
                         acc = acc + multiply(antipode(left), right)
@@ -992,7 +992,7 @@ def test_index_zero_element_is_nonzero(s3):
     gf.construct_all()
     for state in (s3, gf):
         one = state.field.one
-        zero = NicholsElement.zero(state)
+        zero = NicholsElement(state)
         elements = [(0, NicholsElement.unit(state)), (1, NicholsElement.generator(state, 0))]
         elements += [(n, next(basis_elements(state, n))) for n in range(1, state.finite_top + 1)]
         for n, z in elements:
@@ -1029,12 +1029,12 @@ def test_e6_degree_two():
 def test_construction_memory_bound(field):
     from nwalgebra.nichols_core import MemoryBoundExceeded
 
-    st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field, memory_bound=10)
+    st = AlgebraState(RootSystem(cartan_data("A", 3), memory_bound=10), field=field)
     with pytest.raises(MemoryBoundExceeded):
         st.construct_all()
     # the bound counts rows times candidates of a class block on either
     # field: degree 5 has blocks of more than eight candidates
-    st = AlgebraState(RootSystem(cartan_data("A", 3)), field=field, memory_bound=1000)
+    st = AlgebraState(RootSystem(cartan_data("A", 3), memory_bound=1000), field=field)
     with pytest.raises(MemoryBoundExceeded, match="^degree 5 class block needs 1444 entries$"):
         st.construct_all()
     assert st.dims() == [1, 6, 19, 42, 71]

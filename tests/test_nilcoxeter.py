@@ -38,7 +38,7 @@ def test_nc_product_matches_embedding(s3):
         for v in sys.elements():
             nc = nc_product(NilCoxeterElement.basis(sys, u), NilCoxeterElement.basis(sys, v))
             got = multiply(embed_element(s3, u), embed_element(s3, v))
-            want = NicholsElement.zero(s3)
+            want = NicholsElement(s3)
             for w, c in nc.terms.items():
                 want = want + embed_element(s3, w).scale(c)
             assert got == want

@@ -141,14 +141,13 @@ def test_relation_paired_candidates_are_never_assembled(monkeypatch):
 
 @pytest.mark.parametrize("field", ["rational", "prime"])
 def test_orbit_build_memory_bound_and_top(field):
-    a3 = RootSystem(cartan_data("A", 3))
     # as in the word build: degree 5 has blocks of more than 31 candidates
-    state = OrbitState(a3, field=FIELDS[field], memory_bound=1000)
+    state = OrbitState(RootSystem(cartan_data("A", 3), memory_bound=1000), field=FIELDS[field])
     with pytest.raises(MemoryBoundExceeded, match="^degree 5 class block needs"):
         state.construct_all()
     assert state.dims() == [1, 6, 19, 42, 71]
     # the empty degree past the known top, and degrees read past it
-    state = OrbitState(a3, field=FIELDS[field])
+    state = OrbitState(RootSystem(cartan_data("A", 3)), field=FIELDS[field])
     state.construct_all()
     assert (state.finite_top, state.dims()[-2:]) == (12, [1, 0])
     state.ensure_degree(15)

@@ -50,6 +50,26 @@ def _references(node, shadowed, out):
         _references(child, shadowed, out)
 
 
+def _stored(node):
+    """The attribute names that ``node`` stores: an assigned attribute,
+    and for a class its class-level assignments and ``__slots__``
+    entries."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return {node.attr}
+    names = set()
+    if isinstance(node, ast.ClassDef):
+        for stmt in node.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id == "__slots__":
+                        names |= {c.value for c in ast.walk(stmt.value)
+                                  if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+                    elif isinstance(t, ast.Name):
+                        names.add(t.id)
+    return names
+
+
 def unreferenced(src):
     """Qualified names of the module-level functions and classes, and the
     non-dunder methods, that no code in ``src`` names outside their own
@@ -57,8 +77,11 @@ def unreferenced(src):
     a bare load in M, by ``from .M import`` of it, or by a loaded
     ``M.name``: a same-named store, import or definition elsewhere does
     not name it.  A method counts as named by any loaded name or
-    attribute of its name."""
-    defs, refs = [], {}
+    attribute of its name, except that a method whose name ``src`` also
+    stores as an attribute or slot counts as named only by a call
+    ``.name(...)``; a property, read without a call, keeps the general
+    rule."""
+    defs, refs, calls, stored = [], {}, {}, set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
@@ -72,6 +95,10 @@ def unreferenced(src):
         _references(tree, frozenset(), found)
         for name, line, kind in found:
             refs.setdefault(name, []).append((path, line, kind))
+        for node in ast.walk(tree):
+            stored |= _stored(node)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.setdefault(node.func.attr, []).append((path, node.func.lineno, "call"))
 
     def named(path, node, method, p, line, kind):
         if p == path and node.lineno <= line <= node.end_lineno:
@@ -80,8 +107,15 @@ def unreferenced(src):
             return True
         return kind in (("from", path.stem), path.stem) or (kind == "bare" and p == path)
 
+    def references(name, node, method):
+        if method and name in stored and not any(
+                isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list):
+            return calls.get(name, ())
+        return refs.get(name, ())
+
     return sorted(qual for qual, name, path, node, method in defs
-                  if not any(named(path, node, method, *ref) for ref in refs.get(name, ())))
+                  if not any(named(path, node, method, *ref)
+                             for ref in references(name, node, method)))
 
 
 def test_src_defines_nothing_unused():
@@ -122,3 +156,24 @@ def test_a_store_or_import_of_the_same_name_elsewhere_names_no_function(tmp_path
         "def run(data):\n    return element_from_json(data), Field.normalize(-1)\n")
     assert unreferenced(tmp_path) == ["core.element_from_json", "core.main",
                                       "core.normalize", "field.run"]
+
+
+def test_a_stored_attribute_of_the_same_name_names_a_method_only_by_a_call(tmp_path):
+    # a method whose name is also a stored attribute or slot is named only
+    # by a call .name(...): reading the attribute does not name it, and a
+    # property, read without a call, is named by any load
+    (tmp_path / "group.py").write_text(
+        "class Element:\n"
+        "    def order(self):\n        return 1\n\n"
+        "    def length(self):\n        return 0\n\n"
+        "    @property\n    def size(self):\n        return 2\n\n"
+        "    def zero(self):\n        return 0\n\n\n"
+        "class System:\n    __slots__ = (\"order\", \"length\")\n"
+        "    size = 3\n\n"
+        "    def __init__(self):\n        self.order, self.length = 2, 1\n\n\n"
+        "class Field:\n    def __init__(self):\n        self.zero = 0\n")
+    (tmp_path / "cli.py").write_text(
+        "def run(d, w, field):\n"
+        "    return d.order, w.length(), w.size, field.zero\n")
+    assert unreferenced(tmp_path) == ["cli.run", "group.Element", "group.Element.order",
+                                      "group.Element.zero", "group.Field", "group.System"]

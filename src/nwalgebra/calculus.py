@@ -26,7 +26,6 @@ from .exactlinalg import kernel_basis
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
-    DegreeCapExceeded,
     NicholsElement,
     antipode,
     antipode_inv,
@@ -508,12 +507,10 @@ def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0) -> Ide
         if state.finite_top is None and k + wo.length() > top:
             continue
         xi = NicholsElement.from_word(state, word)  # involves only T_w; ends with T_w
-        prod = multiply(xi, y)
-        if not prod.is_zero():
-            return _fail(name, params, done, seed, w=w, word=list(word))
-        prod2 = multiply(y, xi)  # y also ends with all of T_w; xi starts with T_w
-        if not prod2.is_zero():
-            return _fail(name, params, done, seed, w=w, word=list(word), side="right")
+        # y also ends with all of T_w, and xi starts with T_w
+        for extra, u, v in (({}, xi, y), ({"side": "right"}, y, xi)):
+            if not multiply(u, v).is_zero():
+                return _fail(name, params, done, seed, w=w, word=list(word), **extra)
         if not involves_only(y, theta):
             return _fail(name, params, done, seed, w=w, note="y must involve only T_w")
         done += 1
@@ -543,11 +540,7 @@ def bracket_matrix(ordering, state: AlgebraState):
     r = len(ordering)
     lwo = wo.length()
     params = {"order": r, "elements": [w.to_json() for w in ordering]}
-    if state.finite_top is None:
-        raise DegreeCapExceeded(
-            f"bracket: the products need degree {r * lwo} of a complete algebra, but the "
-            f"build stopped at the degree cap {state.degree_cap}")
-    if r * lwo > state.finite_top:
+    if r * lwo > state.require_top("bracket_matrix"):
         raise CheckFailed("bracket products exceed the constructed degrees")
     ys = [y_element(w, state) for w in ordering]
     perms = sorted(it.permutations(range(r)))

@@ -149,9 +149,7 @@ def motiv_check(d: DisjointSystem, ordering, state: AlgebraState):
     wo = sys.longest_element()
     r = d.order
     lwo = wo.length()
-    if state.finite_top is None:
-        raise CheckFailed("integrality needs the fully constructed algebra")
-    if r * lwo > state.finite_top:
+    if r * lwo > state.require_top("motiv_check"):
         raise CheckFailed("product degree exceeds the top degree")
     ys = [y_element(w, state) for w in ordering]
     sign = -1 if lwo % 2 else 1

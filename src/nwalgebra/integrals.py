@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .calculus import IdentityReport, _fail
-from .coxeter import centralizer_of_longest
-from .exactlinalg import kernel_basis, rank
+from .calculus import IdentityReport, _fail, _joint_kernels, _t_blocks
+from .coxeter import CoxeterError, centralizer_of_longest
+from .exactlinalg import rank
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
@@ -57,8 +57,7 @@ def is_integral(z: NicholsElement, state: AlgebraState) -> bool:
     read component by component from the ``lmul`` and ``rmul`` columns."""
     if z.is_zero():
         return True
-    if state.finite_top is None:
-        raise IntegralError("integral detection needs the fully constructed algebra")
+    state.require_top("is_integral")
     roots = range(state.system.nroots)
     left, right = (all(not mat_col(m, v, state.field) for n, v in z.components.items()
                        for m, _ in _mul_blocks(state, mul, n, roots))
@@ -72,11 +71,7 @@ def top_integral(state: AlgebraState) -> IntegralCertificate:
     """Certificate for the generator x of the one-dimensional top component.
     x is an integral without an :func:`is_integral` check: every x_a x and
     x x_a lies in degree ``finite_top + 1``, zero by definition of the top."""
-    if state.finite_top is None:
-        raise DegreeCapExceeded(
-            f"top_integral: the algebra is truncated at the degree cap {state.degree_cap}; "
-            f"top component unknown")
-    top = state.finite_top
+    top = state.require_top("top_integral")
     dim = state.dim(top)
     if dim != 1:
         raise IntegralError(f"top component has dimension {dim}, expected 1")
@@ -150,19 +145,15 @@ def invariance_suite(cert: IntegralCertificate, state: AlgebraState,
     params = {"degree": cert.degree}
     notes = []
 
-    # item 1: x = (x)D_a x_a for every root
-    roots = []  # (x_a, (x)D_a), read again by item 2
+    # items 1 and 2, for every root: x = (x)D_a x_a and x = -eps x_a (x)D_a
+    # with s_a x = eps x
     for a in range(sys.nroots):
         xa = NicholsElement.generator(state, a)
         dx = right_derivative(x, xa)
         if multiply(dx, xa) != x:
             return _fail(name, params, 0, None, item=1, root=a)
-        roots.append((xa, dx))
-    # item 2: x = -eps x_a (x)D_a with s_a x = eps x
-    for a, (xa, dx) in enumerate(roots):
         eps = _top_sign(state, cert.degree, sys.reflection(a))
-        got = multiply(xa, dx).scale(-eps)
-        if got != x:
+        if multiply(xa, dx).scale(-eps) != x:
             return _fail(name, params, 0, None, item=2, root=a)
     # item 3: x = (x)D_y y for every w
     tops = {}  # w -> (y, (x)D_y), read again by items 4 and 5
@@ -205,8 +196,7 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
     """
     if z.is_zero():
         raise IntegralError("cannot lift the zero element")
-    if state.finite_top is None:
-        raise IntegralError("lifting needs the fully constructed algebra")
+    state.require_top("lift_monomial_to_integral")
     n0 = z.degrees()[0]
     roots = range(state.system.nroots)
 
@@ -224,18 +214,18 @@ def lift_monomial_to_integral(z: NicholsElement, state: AlgebraState):
             else:
                 return out
 
-    m_word = tuple(reversed(letters(state.lmul)))
-    mp_word = tuple(letters(state.rmul))
-    # verify on the original element
-    m_el = NicholsElement.from_word(state, m_word)
-    mp_el = NicholsElement.from_word(state, mp_word)
-    mz = multiply(m_el, z)
-    zmp = multiply(z, mp_el)
-    if mz.is_zero() or not is_integral(mz, state):
-        raise IntegralError("left lift failed")
-    if zmp.is_zero() or not is_integral(zmp, state):
-        raise IntegralError("right lift failed")
-    return m_word, mp_word
+    words = []
+    for side, mul in (("left", state.lmul), ("right", state.rmul)):
+        # a letter found on the left multiplies from outside the ones before
+        # it, so M lists them last first; each lift is verified on z itself
+        found = letters(mul)
+        word = tuple(reversed(found) if side == "left" else found)
+        m = NicholsElement.from_word(state, word)
+        lift = multiply(m, z) if side == "left" else multiply(z, m)
+        if lift.is_zero() or not is_integral(lift, state):
+            raise IntegralError(f"{side} lift failed")
+        words.append(word)
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +275,24 @@ def nonsimple_roots(state: AlgebraState):
 
 
 def hypothetical_space(state: AlgebraState, degree: int):
-    """Kernel at one degree of all simple right derivatives and of left
-    and right multiplication by every non-simple generator."""
-    sys = state.system
-    field_ = state.field
-    dim = state.dim(degree)
-    if dim == 0:
-        return []
-    blocks = []
-    if degree >= 1:
-        for i in range(sys.rank):
-            blocks.append((state.dright(degree, sys.simple_index[i]), state.dim(degree - 1)))
-    for mul in (state.lmul, state.rmul):
-        blocks += _mul_blocks(state, mul, degree, nonsimple_roots(state))
-    return kernel_basis(mat_stack(blocks, dim), field_)
+    """Kernel at one degree of all simple right derivatives (those by the
+    roots of T_e) and of left and right multiplication by every
+    non-simple generator."""
+    simple, others = _t_blocks(state, state.system.identity()), nonsimple_roots(state)
+
+    def blocks(n):
+        return simple(n) + [b for mul in (state.lmul, state.rmul)
+                            for b in _mul_blocks(state, mul, n, others)]
+
+    return next((ker for _, ker in _joint_kernels(state, blocks, [degree])), [])
 
 
 def _mul_blocks(state, mul, degree, letters):
     """Multiplication by x_a out of the given degree for each letter a, as
     blocks (matrix, nrows); ``mul`` is ``state.lmul`` or ``state.rmul``.
-    Empty past the top degree."""
-    if state.finite_top is not None and degree + 1 > state.finite_top:
-        return []
-    return [(mul(degree + 1, a), state.dim(degree + 1)) for a in letters]
+    Empty past the top degree, where the next degree is empty."""
+    nrows = state.dim(degree + 1)
+    return [(mul(degree + 1, a), nrows) for a in letters] if nrows else []
 
 
 def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityReport:
@@ -318,17 +303,17 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
     elements with all the vanishing properties, which must be the line
     through P.  That last check also covers the simple right derivatives
     and the two-sided non-simple products of P: :func:`hypothetical_space`
-    is their joint kernel.  P is a subalgebra basis vector by construction."""
+    is their joint kernel.  P is a subalgebra basis vector by construction.
+    The lifting theory is type A only, and the battery reads every degree
+    of B_W up to its top: it refuses any other type and a truncated build."""
     name = "hypothetical"
     sys = state.system
     field_ = state.field
     params = {"theta": list(sub.theta)}
-    if not sys.cartan.type_label.startswith("A"):
-        return IdentityReport(name, params, 0, "skipped", None, None,
-                              ["lifting theory is type A only"])
-    if state.finite_top is None:
-        return IdentityReport(name, params, 0, "skipped", None, None,
-                              ["algebra truncated"])
+    label = sys.cartan.type_label
+    if not label.startswith("A"):
+        raise CoxeterError(f"hypothetical_checks: lifting theory is type A only, not {label}")
+    b_top = state.require_top("hypothetical_checks")
     notes = []
     top = sub.top_degree
     if len(sub.bases[top]) != 1:
@@ -354,7 +339,7 @@ def hypothetical_checks(sub: SubalgebraState, state: AlgebraState) -> IdentityRe
     if pairing(p, p) == field_.zero:
         return _fail(name, params, 0, None, note="self-pairing of P vanishes")
     # the space of elements with all vanishing properties is exactly k P
-    for n in range(0, state.finite_top + 1):
+    for n in range(0, b_top + 1):
         ker = hypothetical_space(state, n)
         if n == top:
             if len(ker) != 1 or NicholsElement(state, {n: ker[0]}).proportional_to(p) is None:

@@ -353,6 +353,16 @@ class AlgebraState:
     def truncated(self) -> bool:
         return self.finite_top is None and len(self.bases) - 1 >= self.degree_cap
 
+    def require_top(self, what):
+        """The top degree, for a statement that reads the whole algebra;
+        ``what`` names that statement in the refusal of a build that
+        stopped at its cap before the top."""
+        if self.finite_top is None:
+            raise DegreeCapExceeded(
+                f"{what}: the algebra is truncated at the degree cap {self.degree_cap}; "
+                f"top component unknown")
+        return self.finite_top
+
     def dims(self):
         return [b.dim for b in self.bases]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nwalgebra import cli
+from nwalgebra import cli, nichols_core
 from nwalgebra.nichols_core import AlgebraState
 
 
@@ -195,8 +195,6 @@ def test_pairing_cli():
 def test_pairing_makes_one_gram_product_per_element(monkeypatch, capsys):
     # each embedded x_v goes through its degree's Gram matrix once, not
     # once per pair: |W| products on A3, whose x_v are homogeneous
-    from nwalgebra import nichols_core
-
     grams, products = set(), []
     gram, mat_col = AlgebraState.gram, nichols_core.mat_col
 
@@ -389,8 +387,8 @@ def test_hypo_cli():
     pytest.param(["--type", "E", "--rank", "6"], id="E6"),
 ])
 def test_hypo_outside_type_a_exits_2_before_any_build(argv, monkeypatch, capsys):
-    # the lifting theory is type A only: hypothetical_checks would skip the
-    # whole report, so the build is never started, whatever the cap
+    # the lifting theory is type A only: hypothetical_checks would refuse
+    # only after the build, so the build is never started, whatever the cap
     def refuse(self):
         raise AssertionError("construct_all called")
 
@@ -399,6 +397,24 @@ def test_hypo_outside_type_a_exits_2_before_any_build(argv, monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert out == ""
     assert "hypo: lifting theory is type A only, not " in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["hypo"], "hypo"),
+    (["integral"], "top_integral"),
+    (["bracket", "--order", "1"], "bracket_matrix"),
+], ids=["hypo", "integral", "bracket"])
+def test_a_build_truncated_before_its_top_is_refused_after_the_build(argv, name, monkeypatch,
+                                                                     capsys):
+    # with A3's top taken as unknown, a cap of 8 passes every refusal made
+    # before the build, which then stops below the top 12; each command
+    # reads the top, so each refuses, naming itself or its statement
+    monkeypatch.delitem(nichols_core.KNOWN_TOP, "A3")
+    assert cli.main([*argv, "--rank", "3", "--degree-cap", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"resource bound exceeded: {name}: the algebra is truncated at the degree cap 8; "
+            f"top component unknown") in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from nwalgebra.calculus import random_element
-from nwalgebra.disjoint import search_complete
+from nwalgebra.calculus import bracket_matrix, random_element
+from nwalgebra.coxeter import CoxeterError, RootSystem, cartan_data
+from nwalgebra.disjoint import motiv_check, search_complete
 from nwalgebra.integrals import (
     IntegralError,
     SubalgebraState,
@@ -19,6 +20,7 @@ from nwalgebra.integrals import (
 )
 from nwalgebra.nichols_core import (
     AlgebraState,
+    DegreeCapExceeded,
     NicholsElement,
     group_act,
     multiply,
@@ -341,10 +343,6 @@ def test_abstract_commutativity_instance(s4):
 
 
 def test_truncated_state_raises():
-    from nwalgebra.coxeter import RootSystem, cartan_data
-
-    from nwalgebra.nichols_core import DegreeCapExceeded
-
     # at cap 7 the build reaches x_{w_o} (degree 6) but not the top
     # (degree 12); the refusal names the cap the build stopped at
     for cap in (4, 7):
@@ -352,3 +350,59 @@ def test_truncated_state_raises():
         st.construct_all()
         with pytest.raises(DegreeCapExceeded, match=f"truncated at the degree cap {cap};"):
             top_integral(st)
+
+
+def _a3_at_cap(cap):
+    state = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=cap)
+    state.construct_all()
+    return state
+
+
+@pytest.fixture(scope="module")
+def a3_cap7():
+    # the build passes x_{w_o} (degree 6) and stops at the cap 7, below the
+    # top (degree 12)
+    return _a3_at_cap(7)
+
+
+def _system_of(state):
+    d = search_complete(state.system)[0]
+    return d, list(d.elements)
+
+
+_WHOLE_ALGEBRA = {
+    "is_integral": lambda st: is_integral(NicholsElement.unit(st), st),
+    "top_integral": top_integral,
+    "lift_monomial_to_integral": lambda st: lift_monomial_to_integral(NicholsElement.unit(st), st),
+    "hypothetical_checks":
+        lambda st: hypothetical_checks(subalgebra_build(nonsimple_roots(st), st), st),
+    "motiv_check": lambda st: motiv_check(*_system_of(st), st),
+    "bracket_matrix": lambda st: bracket_matrix(_system_of(st)[1], st),
+}
+
+
+@pytest.mark.parametrize("name", _WHOLE_ALGEBRA)
+def test_every_statement_on_the_whole_algebra_refuses_a_truncated_build(name, a3_cap7):
+    # one refusal, naming the statement and the cap, wherever a statement
+    # reads the whole algebra and the build stopped before its top
+    with pytest.raises(DegreeCapExceeded, match=f"^{name}: .*degree cap 7;"):
+        _WHOLE_ALGEBRA[name](a3_cap7)
+
+
+def test_the_subalgebra_closes_inside_a_truncated_build(a3_cap7):
+    # subalgebra_build keeps its own rule: it refuses only a degree past the cap
+    assert subalgebra_build(nonsimple_roots(a3_cap7), a3_cap7).dims == [1, 3, 5, 6, 5, 3, 1]
+
+
+def test_the_subalgebra_past_the_cap_is_refused():
+    state = _a3_at_cap(5)
+    with pytest.raises(DegreeCapExceeded,
+                       match="the subalgebra needs degree 6, above the degree cap 5"):
+        subalgebra_build(nonsimple_roots(state), state)
+
+
+def test_hypothetical_checks_outside_type_a_is_a_usage_error():
+    state = AlgebraState(RootSystem(cartan_data("D", 4)), degree_cap=2)
+    sub = SubalgebraState((), [[{0: state.field.one}]], 0)
+    with pytest.raises(CoxeterError, match="type A only, not D4"):
+        hypothetical_checks(sub, state)

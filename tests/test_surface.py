@@ -1,9 +1,13 @@
 """Every function, class and method that ``src/nwalgebra`` defines is
 named somewhere else in ``src/``, or is on the list below with the reason
 it stays: a command or a paper statement runs each helper, and an oracle
-that only tests call lives in ``tests/oracles.py``."""
+that only tests call lives in ``tests/oracles.py``.  Every name a module
+reads is bound in it or is a builtin, every name it imports from the
+package is read, and only the functions on ``CAP_RAISERS`` raise
+``DegreeCapExceeded``."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nwalgebra"
@@ -15,6 +19,17 @@ ALLOWED = {
     "disjoint.motiv_check": PAPER_STATEMENT,
     "integrals.lift_monomial_to_integral": PAPER_STATEMENT,
     "modp.greedy_solve": "perfbench times it (modp.micro.*, modp.greedy_solve.*)",
+}
+
+# the refusals of a degree the cap does not reach: a degree past the cap
+# (extend_degree), a build truncated before the top a statement reads
+# (require_top), a subalgebra past the cap, and a need known before any
+# build (_refuse_past_cap)
+CAP_RAISERS = {
+    "cli._refuse_past_cap",
+    "integrals.subalgebra_build",
+    "nichols_core.AlgebraState.extend_degree",
+    "nichols_core.AlgebraState.require_top",
 }
 
 
@@ -177,3 +192,132 @@ def test_a_stored_attribute_of_the_same_name_names_a_method_only_by_a_call(tmp_p
         "    return d.order, w.length(), w.size, field.zero\n")
     assert unreferenced(tmp_path) == ["cli.run", "group.Element", "group.Element.order",
                                       "group.Element.zero", "group.Field", "group.System"]
+
+
+def _modules(src):
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def _loaded(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _bound(tree):
+    """The names that ``tree`` binds in any of its scopes: a stored or
+    deleted name, a definition, a parameter, an import, or the name of an
+    exception handler."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                               ast.ExceptHandler)) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def unbound_reads(src):
+    """module.name for each bare name that a module of ``src`` reads but
+    binds nowhere and that is no builtin."""
+    known = set(dir(builtins))
+    return sorted(f"{stem}.{name}" for stem, tree in _modules(src)
+                  for name in _loaded(tree) - _bound(tree) - known)
+
+
+def unused_imports(src):
+    """module.name for each name that ``from .module import`` brings into
+    a module of ``src`` and that the module never reads; a name listed in
+    its ``__all__`` counts as read."""
+    out = []
+    for stem, tree in _modules(src):
+        read = _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        out += [f"{stem}.{a.asname or a.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for a in node.names if (a.asname or a.name) not in read]
+    return sorted(out)
+
+
+def cap_raisers(src):
+    """The qualified names (module.Class.function) of the functions, or the
+    module itself at its top level, that raise ``DegreeCapExceeded``."""
+    out = set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "DegreeCapExceeded":
+                    out.add(qual)
+            visit(child, qual)
+
+    for stem, tree in _modules(src):
+        visit(tree, stem)
+    return sorted(out)
+
+
+def test_src_reads_only_bound_names():
+    assert unbound_reads(SRC) == []
+
+
+def test_src_reads_every_name_it_imports_from_the_package():
+    assert unused_imports(SRC) == []
+
+
+def test_only_the_cap_refusals_raise_degree_cap_exceeded():
+    # a statement that reads the top of a truncated build asks
+    # AlgebraState.require_top instead of raising its own refusal
+    assert cap_raisers(SRC) == sorted(CAP_RAISERS)
+
+
+def test_a_name_read_but_never_bound_is_flagged(tmp_path):
+    # a parameter, a loop or comprehension target, a handler's name, a
+    # definition, an import or a builtin binds a name anywhere in the
+    # module; a name bound nowhere, such as a dropped import, is flagged
+    (tmp_path / "core.py").write_text(
+        "import os.path\nfrom .field import QQ as Q\n\n\n"
+        "class Cert:\n    pass\n\n\n"
+        "def run(z, *rest):\n"
+        "    for k in rest:\n        z += k\n"
+        "    try:\n        pass\n    except ValueError as e:\n        print(e)\n"
+        "    return [w for w in rest], os.path, Q, Cert, len(z), CheckFailed\n")
+    (tmp_path / "cli.py").write_text("def main():\n    return DegreeCapExceeded, run\n")
+    assert unbound_reads(tmp_path) == ["cli.DegreeCapExceeded", "cli.run",
+                                       "core.CheckFailed"]
+
+
+def test_a_package_import_never_read_is_flagged(tmp_path):
+    # only ``from .module import`` counts, under the name it binds; a name
+    # in ``__all__`` is read, and an absolute import is not checked
+    (tmp_path / "__init__.py").write_text(
+        "from .core import run\nfrom . import cli\n\n__all__ = [\"run\"]\n")
+    (tmp_path / "core.py").write_text(
+        "import os\nfrom sys import path\n"
+        "from .field import QQ as Q, ZZ\nfrom .group import identity, GroupElement\n\n\n"
+        "def run(z: GroupElement):\n    return Q(z), identity\n")
+    assert unused_imports(tmp_path) == ["__init__.cli", "core.ZZ"]
+
+
+def test_a_raise_of_the_cap_refusal_is_found_in_any_scope(tmp_path):
+    # a raise of the class or of a call to it, bare or through its module,
+    # is placed in its innermost function or class, else at the module
+    (tmp_path / "core.py").write_text(
+        "from . import nichols_core\n\n"
+        "class State:\n"
+        "    def extend(self):\n        raise DegreeCapExceeded(\"past the cap\")\n\n"
+        "    def top(self):\n"
+        "        def inner():\n            raise nichols_core.DegreeCapExceeded\n"
+        "        return inner\n\n\n"
+        "def check():\n    raise ValueError(\"DegreeCapExceeded\")\n\n\n"
+        "if nichols_core:\n    raise DegreeCapExceeded()\n")
+    assert cap_raisers(tmp_path) == ["core", "core.State.extend", "core.State.top.inner"]

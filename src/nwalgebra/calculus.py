@@ -31,7 +31,6 @@ from .nichols_core import (
     antipode_inv,
     element_to_json,
     group_act,
-    involves_only,
     left_derivative,
     mat_identity,
     mat_mul,
@@ -47,7 +46,7 @@ from .nichols_core import (
     right_multiplier,
     s_bar,
 )
-from .nilcoxeter import embed_element, skew_element, y_element
+from .nilcoxeter import embed_element, reduced_word_roots, skew_element, y_element
 
 
 class IdentityReport:
@@ -488,7 +487,8 @@ def check_prep_abstr_comm(state: AlgebraState, w: GroupElement, trials: int = 10
 
 def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0) -> IdentityReport:
     """Start/end annihilation: xi z = 0 when z starts with every root of a
-    set that xi ends with (checked on constructed witnesses).  On a
+    set that xi ends with (checked on constructed witnesses), the witness
+    y = w . x_{w_o} being plus or minus a word over T_w.  On a
     truncated build a trial whose products lie past the top is not run;
     with none run the report is skipped."""
     name = "basic-rev"
@@ -497,6 +497,7 @@ def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0) -> Ide
     rng = random.Random(seed)
     sys = state.system
     wo = sys.longest_element()
+    wo_word = reduced_word_roots(sys, wo)
     done = 0
     for _ in range(trials):
         w = rng.choice(sys.elements())
@@ -511,8 +512,13 @@ def check_basic_rev(state: AlgebraState, trials: int = 50, seed: int = 0) -> Ide
         for extra, u, v in (({}, xi, y), ({"side": "right"}, y, xi)):
             if not multiply(u, v).is_zero():
                 return _fail(name, params, done, seed, w=w, word=list(word), **extra)
-        if not involves_only(y, theta):
-            return _fail(name, params, done, seed, w=w, note="y must involve only T_w")
+        # w acts letter by letter with signs, so y = w . x_{w_o} is a signed
+        # word over T_w = {|w(a)| : a simple}: the letters |w(a_i)| for the
+        # simple roots a_i of the reduced word of w_o
+        y_word = tuple(abs(w.images[a]) - 1 for a in wo_word)
+        if y.proportional_to(NicholsElement.from_word(state, y_word)) not in (
+                state.field.one, state.field.minus_one):
+            return _fail(name, params, done, seed, w=w, note="y must be a signed word over T_w")
         done += 1
     if not done:
         return IdentityReport(name, params, 0, "skipped", None, seed,

@@ -276,22 +276,23 @@ def cmd_integral(args, phases):
 
 
 def cmd_hypo(args, phases):
-    from .integrals import hypothetical_checks, nonsimple_roots, subalgebra_build
+    from .integrals import (hypothetical_checks, nonsimple_roots, require_lifting_theory,
+                            subalgebra_build)
 
-    if args.type != "A":
-        # hypothetical_checks would refuse only after the build
-        print(f"hypo: lifting theory is type A only, not {args.type}{args.rank}",
-              file=sys.stderr)
-        return 2
     state = _state(args)
+    # hypothetical_checks would refuse only after the build
+    require_lifting_theory(state.system, "hypo")
     _refuse_past_cap(state, "hypo", longest=True, top=True)
     state.construct_all()
     phases.mark("construct")
     state.require_top("hypo")
-    sub = subalgebra_build(nonsimple_roots(state), state)
-    report = hypothetical_checks(sub, state)
+    theta = nonsimple_roots(state)
+    bases = subalgebra_build(theta, state)
+    report = hypothetical_checks(theta, bases, state)
     phases.mark("hypo")
-    payload = {"config": _config(args), "subalgebra": sub.to_json(),
+    payload = {"config": _config(args),
+               "subalgebra": {"theta": list(theta), "dims": [len(b) for b in bases],
+                              "top_degree": len(bases) - 1},
                "report": report.to_json()}
     _emit(args, payload)
     return 0 if report.passed else 1

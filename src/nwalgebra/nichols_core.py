@@ -55,7 +55,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .coxeter import GroupElement, RootSystem
-from .exactlinalg import QQ, ColumnSolver, in_span
+from .exactlinalg import QQ, ColumnSolver
 
 Word = tuple
 
@@ -314,7 +314,7 @@ class DegreeBasis:
         self.classes = {}
         for i, g in enumerate(self.wdegs):
             self.classes.setdefault(g, []).append(i)
-        self.cache = {}                # (map, key) -> lazily built matrix or span
+        self.cache = {}                # (map, key) -> lazily built matrix
 
 
 class AlgebraState:
@@ -356,11 +356,13 @@ class AlgebraState:
     def require_top(self, what):
         """The top degree, for a statement that reads the whole algebra;
         ``what`` names that statement in the refusal of a build that
-        stopped at its cap before the top."""
+        stopped at its cap before the top, or of one not yet built that
+        far."""
         if self.finite_top is None:
-            raise DegreeCapExceeded(
-                f"{what}: the algebra is truncated at the degree cap {self.degree_cap}; "
-                f"top component unknown")
+            cap = self.degree_cap
+            reached = (f"truncated at the degree cap {cap}" if self.truncated else
+                       f"built only to degree {len(self.bases) - 1}, below its degree cap {cap}")
+            raise DegreeCapExceeded(f"{what}: the algebra is {reached}; top component unknown")
         return self.finite_top
 
     def dims(self):
@@ -1045,38 +1047,6 @@ def s_bar(z: NicholsElement) -> NicholsElement:
     field = z.state.field
     return NicholsElement(z.state, {n: neg_col(v, field) if n % 2 else v
                                     for n, v in rho(antipode(z)).components.items()})
-
-
-# ---------------------------------------------------------------------------
-# monomial predicates
-# ---------------------------------------------------------------------------
-
-
-def theta_span(state: AlgebraState, theta, n):
-    """Basis (as coordinate dicts) of the degree-n span of words over theta."""
-    theta = tuple(sorted(theta))
-
-    def build(basis):
-        field = state.field
-        if n == 0:
-            return mat_identity(1, field)
-        solver = ColumnSolver(field)
-        vecs = []
-        for g in theta:
-            lm = state.lmul(n, g)
-            for b in theta_span(state, theta, n - 1):
-                col = mat_col(lm, b, field)
-                if solver.add(col):
-                    vecs.append(col)
-        return vecs
-    return state._cached(n, ("theta_span", theta), build)
-
-
-def involves_only(z: NicholsElement, theta) -> bool:
-    """Whether each component of z lies in the span of the words over theta."""
-    state = z.state
-    return all(in_span(v, theta_span(state, theta, n), state.dim(n), state.field)[0]
-               for n, v in z.components.items())
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ case analysis honest.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coxeter import GroupElement, RootSystem
 from .nichols_core import CheckFailed
 
@@ -177,7 +175,7 @@ def reduce_mod_right_ideal(word, system: RootSystem) -> ReductionResult:
     """Reduce x_{word} to lambda x_w modulo the right ideal J^r."""
     red = Reducer(system)
     u = system.identity()
-    lam = Fraction(1)
+    lam = 1
     trace = ()
     for a in word:
         if lam:

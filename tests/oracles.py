@@ -17,8 +17,9 @@ of ``nwalg``:
   reduction of :mod:`nwalgebra.reduction` is checked;
 - derivatives by an element composed word by word, one letter map at a
   time, against which the engine's word-tree walk is checked;
-- the monomial predicates (starts with, ends with) and the group degree
-  of an element, which the nilCoxeter statements read;
+- the monomial predicates (starts with, ends with, involves only the
+  letters of a set, with the span of the words over that set) and the
+  group degree of an element, which the nilCoxeter statements read;
 - the basis of a degree as elements, for the tests' exhaustive loops;
 - the per-class dimensions of the orbit build, which the tests compare
   with the word build's class blocks;
@@ -273,6 +274,30 @@ def starts_with_set(z: NicholsElement, theta) -> bool:
     """Whether z is a sum of monomials starting with letters from theta."""
     lmul = z.state.lmul
     return _components_in_span(z, lambda n: [c for g in sorted(theta) for c in lmul(n, g)] if n else [])
+
+
+def theta_span(state: AlgebraState, theta, n):
+    """Basis (as coordinate dicts) of the degree-n span of the words over
+    theta: each x_g b independent of those before it, for g in theta
+    ascending and b in the degree n - 1 span, read in B_W."""
+    field = state.field
+    if n == 0:
+        return [{0: field.one}]
+    prev = theta_span(state, theta, n - 1)
+    solver = ColumnSolver(field)
+    vecs = []
+    for g in sorted(theta):
+        lm = state.lmul(n, g)
+        for b in prev:
+            col = mat_col(lm, b, field)
+            if solver.add(col):
+                vecs.append(col)
+    return vecs
+
+
+def involves_only(z: NicholsElement, theta) -> bool:
+    """Whether each component of z lies in the span of the words over theta."""
+    return _components_in_span(z, lambda n: theta_span(z.state, theta, n))
 
 
 def w_degree(z: NicholsElement):

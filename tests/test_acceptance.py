@@ -184,9 +184,10 @@ def test_criterion_5_integrals_suite(s3, s4):
 def test_criterion_6_hypothetical_theorems(s3, s4):
     with criterion(6, "hypothetical-element theorems at S3 and S4", budget=600.0):
         for state in (s3, s4):
-            sub = subalgebra_build(nonsimple_roots(state), state)
-            assert len(sub.bases[sub.top_degree]) == 1
-            rep = hypothetical_checks(sub, state)
+            theta = nonsimple_roots(state)
+            bases = subalgebra_build(theta, state)
+            assert len(bases[-1]) == 1
+            rep = hypothetical_checks(theta, bases, state)
             assert rep.passed, rep.counterexample
 
 

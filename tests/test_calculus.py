@@ -43,7 +43,6 @@ from nwalgebra.nichols_core import (
     right_derivative,
     right_derivative_columns,
     right_multiplier,
-    theta_span,
 )
 from nwalgebra.nilcoxeter import skew_element
 from oracles import ofbskew_mismatch
@@ -539,6 +538,22 @@ def test_basic_rev(s3, s4):
     assert check_basic_rev(s4, trials=20, seed=5).passed
 
 
+@pytest.mark.parametrize("fixture", ["s4", "s4_prime"])
+def test_basic_rev_rejects_a_y_that_is_not_plus_or_minus_its_word(fixture, request,
+                                                                   monkeypatch):
+    # y = w . x_{w_o} is a signed word over T_w: -y passes, but 2 y, which
+    # lies in the same span and annihilates the same products, fails
+    state = request.getfixturevalue(fixture)
+    y_element = calculus.y_element
+    for scale, passes in ((-1, True), (2, False)):
+        monkeypatch.setattr(calculus, "y_element",
+                            lambda w, st, c=scale: y_element(w, st).scale(c))
+        rep = check_basic_rev(state, 20, 1)
+        assert rep.passed == passes
+        if not passes:
+            assert rep.counterexample["note"] == "y must be a signed word over T_w"
+
+
 def test_bracket_r1(s4):
     sys = s4.system
     d = classify([sys.identity()], sys)
@@ -606,8 +621,6 @@ def test_cofactors_exhausted_returns_none(s3):
 def _fresh_map(state, n, key):
     """The degree-n map ``key`` of a state's memo, built in ``state``."""
     name, arg = key
-    if name == "theta_span":
-        return theta_span(state, arg, n)
     if name == "act":
         return state.act_matrix(n, GroupElement(state.system, arg))
     if arg is None:
@@ -643,8 +656,8 @@ def checked_a3():
             cert = top_integral(state)
             integral_character(cert, state)
             assert invariance_suite(cert, state, classify(list(sols[0].elements)[:2], sys)).passed
-            sub = subalgebra_build(nonsimple_roots(state), state)
-            assert hypothetical_checks(sub, state).passed
+            theta = nonsimple_roots(state)
+            assert hypothetical_checks(theta, subalgebra_build(theta, state), state).passed
             states[prime] = state
         return states[prime]
     return get
@@ -667,8 +680,9 @@ def test_checks_leave_every_stored_column_unchanged(prime, checked_a3):
                      else [i for i in range(len(m)) if m._cols[i] is not None])
             rm = _fresh_map(ref, b.degree, key)
             assert [m[i] for i in built] == [rm[i] for i in built], (b.degree, key)
-    assert keys >= {"rmul", "dleft", "dright", "act", "gram", "rho", "antipode",
-                    "antipode_inv", "theta_span"}
+    # the memo holds structure maps only
+    assert keys == {"rmul", "dleft", "dright", "act", "gram", "rho", "antipode",
+                    "antipode_inv"}
     assert ZERO_COL == {} and not ZERO_COL
 
 
@@ -684,8 +698,6 @@ def test_checks_store_one_copy_of_each_unit_column(prime, checked_a3):
     held = {}  # (k, value) -> {id: {(map name, degree)}} of the stored unit columns
     for b in state.bases:
         for (name, _), m in b.cache.items():
-            if name == "theta_span":  # spanning vectors, not a map's columns
-                continue
             for col in (m._cols if isinstance(m, LazyColumns) else m):
                 if col is not None and len(col) == 1:
                     (k, v), = col.items()

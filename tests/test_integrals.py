@@ -5,9 +5,9 @@ import pytest
 from nwalgebra.calculus import bracket_matrix, random_element
 from nwalgebra.coxeter import CoxeterError, RootSystem, cartan_data
 from nwalgebra.disjoint import motiv_check, search_complete
+from nwalgebra.exactlinalg import PrimeField
 from nwalgebra.integrals import (
     IntegralError,
-    SubalgebraState,
     hypothetical_checks,
     hypothetical_space,
     integral_character,
@@ -29,7 +29,7 @@ from nwalgebra.nichols_core import (
     right_derivative,
 )
 from nwalgebra.nilcoxeter import embed_element
-from oracles import basis_elements
+from oracles import basis_elements, theta_span
 
 
 def test_certificate_a1(a1):
@@ -258,21 +258,46 @@ def test_lift_words_pinned_a3(s4):
         assert lift_monomial_to_integral(random_element(s4, rng, degree), s4) == words
 
 
+def _dims(bases):
+    return [len(b) for b in bases]
+
+
 def test_subalgebra_examples(a1, s3, s4):
-    sub = subalgebra_build((), a1)
-    assert sub.dims == [1] and sub.top_degree == 0
+    assert _dims(subalgebra_build((), a1)) == [1]
     theta = s3.system.index[(1, 1)]
-    sub = subalgebra_build((theta,), s3)
-    assert sub.dims == [1, 1] and sub.top_degree == 1
-    sub = subalgebra_build(nonsimple_roots(s4), s4)
-    assert sub.dims[-1] == 1 and sub.top_degree == 6
-    assert sub.dims == [1, 3, 5, 6, 5, 3, 1]
+    assert _dims(subalgebra_build((theta,), s3)) == [1, 1]
+    assert _dims(subalgebra_build(nonsimple_roots(s4), s4)) == [1, 3, 5, 6, 5, 3, 1]
+
+
+@pytest.fixture(scope="module")
+def s3_prime(s3):
+    state = AlgebraState(s3.system, field=PrimeField())
+    state.construct_all()
+    return state
+
+
+def _alpha_12(state):
+    return (state.system.index[(1, 1)],)
+
+
+@pytest.mark.parametrize("fixture,letters", [
+    ("a1", nonsimple_roots), ("s3", _alpha_12), ("s3", nonsimple_roots),
+    ("s3_prime", nonsimple_roots), ("s4", nonsimple_roots), ("s4_prime", nonsimple_roots),
+], ids=["A1-empty", "A2-alpha12", "A2", "A2-prime", "A3", "A3-prime"])
+def test_subalgebra_bases_are_the_spans_of_the_words_over_theta(fixture, letters, request):
+    # column for column at every degree, and nothing past the top: the
+    # order in which the words are offered fixes P and the printed bytes
+    state = request.getfixturevalue(fixture)
+    theta = letters(state)
+    bases = subalgebra_build(theta, state)
+    assert bases == [theta_span(state, theta, n) for n in range(len(bases))]
+    assert theta_span(state, theta, len(bases)) == []
 
 
 def test_hypothetical_checks(a1, s3, s4):
     for state in (a1, s3, s4):
-        sub = subalgebra_build(nonsimple_roots(state), state)
-        rep = hypothetical_checks(sub, state)
+        theta = nonsimple_roots(state)
+        rep = hypothetical_checks(theta, subalgebra_build(theta, state), state)
         assert rep.passed, rep.counterexample
 
 
@@ -282,9 +307,10 @@ def test_hypothetical_checks_catch_every_perturbation_of_p(fixture, request):
     # unless the sum is a multiple of P, which the battery rescales back
     state = request.getfixturevalue(fixture)
     field = state.field
-    sub = subalgebra_build(nonsimple_roots(state), state)
-    top = sub.top_degree
-    p = sub.bases[top][0]
+    theta = nonsimple_roots(state)
+    bases = subalgebra_build(theta, state)
+    top = len(bases) - 1
+    p = bases[top][0]
     line = NicholsElement(state, {top: p})
     failed = 0
     for k in range(state.dim(top)):
@@ -293,8 +319,7 @@ def test_hypothetical_checks_catch_every_perturbation_of_p(fixture, request):
         q = {i: x for i, x in q.items() if x}
         if not q:  # P = -e_k: the sum is zero, not a spanning vector
             continue
-        perturbed = SubalgebraState(sub.theta, sub.bases[:top] + [[q]], top)
-        rep = hypothetical_checks(perturbed, state)
+        rep = hypothetical_checks(theta, bases[:top] + [[q]], state)
         if NicholsElement(state, {top: q}).proportional_to(line) is None:
             assert rep.status == "fail", k
             failed += 1
@@ -352,6 +377,19 @@ def test_truncated_state_raises():
             top_integral(st)
 
 
+def test_a_state_built_below_its_cap_is_refused_by_the_degree_it_reached():
+    # a state never built to its cap is not truncated at it: the refusal
+    # names the last degree built
+    state = AlgebraState(RootSystem(cartan_data("A", 3)))
+    for built in (1, 3):
+        state.ensure_degree(built)
+        assert not state.truncated
+        with pytest.raises(DegreeCapExceeded, match=(
+                f"^top_integral: the algebra is built only to degree {built}, below its "
+                f"degree cap 13; top component unknown$")):
+            top_integral(state)
+
+
 def _a3_at_cap(cap):
     state = AlgebraState(RootSystem(cartan_data("A", 3)), degree_cap=cap)
     state.construct_all()
@@ -375,7 +413,8 @@ _WHOLE_ALGEBRA = {
     "top_integral": top_integral,
     "lift_monomial_to_integral": lambda st: lift_monomial_to_integral(NicholsElement.unit(st), st),
     "hypothetical_checks":
-        lambda st: hypothetical_checks(subalgebra_build(nonsimple_roots(st), st), st),
+        lambda st: hypothetical_checks(nonsimple_roots(st),
+                                       subalgebra_build(nonsimple_roots(st), st), st),
     "motiv_check": lambda st: motiv_check(*_system_of(st), st),
     "bracket_matrix": lambda st: bracket_matrix(_system_of(st)[1], st),
 }
@@ -391,7 +430,7 @@ def test_every_statement_on_the_whole_algebra_refuses_a_truncated_build(name, a3
 
 def test_the_subalgebra_closes_inside_a_truncated_build(a3_cap7):
     # subalgebra_build keeps its own rule: it refuses only a degree past the cap
-    assert subalgebra_build(nonsimple_roots(a3_cap7), a3_cap7).dims == [1, 3, 5, 6, 5, 3, 1]
+    assert _dims(subalgebra_build(nonsimple_roots(a3_cap7), a3_cap7)) == [1, 3, 5, 6, 5, 3, 1]
 
 
 def test_the_subalgebra_past_the_cap_is_refused():
@@ -403,6 +442,6 @@ def test_the_subalgebra_past_the_cap_is_refused():
 
 def test_hypothetical_checks_outside_type_a_is_a_usage_error():
     state = AlgebraState(RootSystem(cartan_data("D", 4)), degree_cap=2)
-    sub = SubalgebraState((), [[{0: state.field.one}]], 0)
-    with pytest.raises(CoxeterError, match="type A only, not D4"):
-        hypothetical_checks(sub, state)
+    with pytest.raises(CoxeterError, match="^hypothetical_checks: lifting theory is type A only, "
+                                           "not D4$"):
+        hypothetical_checks((), [[{0: state.field.one}]], state)

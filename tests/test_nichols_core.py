@@ -15,7 +15,6 @@ from nwalgebra.nichols_core import (
     antipode_inv,
     element_to_json,
     group_act,
-    involves_only,
     left_derivative,
     mat_col,
     mat_identity,
@@ -38,8 +37,10 @@ from oracles import (
     braid_apply,
     coproduct_legs,
     ends_with,
+    involves_only,
     starts_with_set,
     symmetrizer_rank,
+    theta_span,
     w_degree,
 )
 
@@ -894,8 +895,6 @@ def test_product_vanishing_rules(s4):
     # z touching only the complement of theta dies under theta-words,
     # and theta-killed left factors pass through theta-derivatives
     rng = random.Random(28)
-    from nwalgebra.nichols_core import theta_span
-
     sys = s4.system
     for _ in range(15):
         theta = sorted(rng.sample(range(sys.nroots), rng.randint(1, 3)))

@@ -2,7 +2,6 @@ import random
 
 from nwalgebra.nichols_core import (
     NicholsElement,
-    involves_only,
     multiply,
     pairing,
 )
@@ -11,6 +10,7 @@ from nwalgebra.nilcoxeter import embed_element, skew_element, y_element
 from oracles import (
     NilCoxeterElement,
     ends_with,
+    involves_only,
     liu_reconstruction_holds,
     nc_product,
     starts_with_set,

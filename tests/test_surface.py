@@ -1,22 +1,27 @@
 """Every function, class and method that ``src/nwalgebra`` defines is
 named somewhere else in ``src/``, or is on the list below with the reason
-it stays: a command or a paper statement runs each helper, and an oracle
-that only tests call lives in ``tests/oracles.py``.  Every name a module
+it stays: a command or a paper statement runs each helper, the
+benchmark in ``perfbench/`` names it, and an oracle that only tests
+call lives in ``tests/oracles.py``.  An entry kept for the benchmark
+names a function that ``perfbench/*.py`` names.  Every name a module
 reads is bound in it or is a builtin, every name it imports from the
 package is read, and only the functions on ``CAP_RAISERS`` raise
 ``DegreeCapExceeded``."""
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nwalgebra"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PAPER_STATEMENT = "a paper statement that no `verify` choice runs yet"
 ALLOWED = {
     "calculus.check_prep_abstr_comm": PAPER_STATEMENT,
     "calculus.find_commuting_cofactors": PAPER_STATEMENT,
     "disjoint.motiv_check": PAPER_STATEMENT,
+    "exactlinalg.in_span": "perfbench traces it (exactlinalg.in_span.*)",
     "integrals.lift_monomial_to_integral": PAPER_STATEMENT,
     "modp.greedy_solve": "perfbench times it (modp.micro.*, modp.greedy_solve.*)",
 }
@@ -133,9 +138,36 @@ def unreferenced(src):
                              for ref in references(name, node, method)))
 
 
+def stale_perfbench_reasons(allowed, perfbench):
+    """The allowed names whose reason names perfbench but whose short name
+    no ``perfbench/*.py`` file contains as a word.  The files are read as
+    text, so no benchmark module is imported."""
+    text = "\n".join(path.read_text() for path in sorted(perfbench.glob("*.py")))
+    return sorted(qual for qual, why in allowed.items() if "perfbench" in why
+                  and not re.search(rf"\b{re.escape(qual.rsplit('.', 1)[-1])}\b", text))
+
+
 def test_src_defines_nothing_unused():
     # an allowed name that gains a caller leaves the list too
     assert unreferenced(SRC) == sorted(ALLOWED)
+
+
+def test_every_name_kept_for_the_benchmark_is_named_there():
+    assert stale_perfbench_reasons(ALLOWED, PERFBENCH) == []
+
+
+def test_a_name_kept_for_the_benchmark_that_it_no_longer_names_is_flagged(tmp_path):
+    # only a reason that names perfbench is checked, and only a whole word
+    # of a perfbench module counts
+    (tmp_path / "tracer.py").write_text(
+        "TARGETS = [(\"modp\", \"greedy_solve\"), (\"exactlinalg\", \"in_spans\")]\n")
+    (tmp_path / "README.md").write_text("solve_all\n")
+    allowed = {"modp.greedy_solve": "perfbench times it",
+               "exactlinalg.in_span": "perfbench traces it",
+               "modp.solve_all": "perfbench times it",
+               "calculus.check": PAPER_STATEMENT}
+    assert stale_perfbench_reasons(allowed, tmp_path) == ["exactlinalg.in_span",
+                                                          "modp.solve_all"]
 
 
 def test_a_parameter_or_attribute_of_the_same_name_names_no_function(tmp_path):

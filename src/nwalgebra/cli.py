@@ -9,9 +9,12 @@ report comparisons.  ``dims`` and ``hilbert`` build dimensions only, one
 class block per conjugacy orbit (:mod:`nwalgebra.orbits`); every other
 command builds the word basis.
 
-Exit codes: 0 success, 1 a check failed (``CheckFailed``), 2 usage
-error, 3 degree cap or memory bound exceeded.  Any other exception is a
-crash and propagates with its traceback.
+A handler returns 0 when its report passes and 1 when it fails, or
+raises; only :func:`main` turns an exception into an exit code and a
+stderr prefix: 1 ``check failed:`` for ``CheckFailed``, 2 ``error:`` for
+a usage error (``CoxeterError``), 3 ``resource bound exceeded:`` for a
+degree cap, memory or enumeration bound.  Any other exception is a crash
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ def _config(args):
 
 
 def _emit(args, payload):
+    """Print ``payload`` with the run's ``config`` added: the whole report,
+    or with ``--format csv`` only its ``csv`` text where it has one."""
+    payload = {"config": _config(args), **payload}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv" and "csv" in payload:
@@ -92,8 +98,7 @@ def _field(args):
         try:
             return PrimeField(args.prime)
         except LinalgError as e:
-            print(f"error: --prime: {e}", file=sys.stderr)
-            sys.exit(2)
+            raise CoxeterError(f"--prime: {e}") from None
     return QQ
 
 
@@ -120,6 +125,14 @@ def _refuse_past_cap(state, command, longest=False, products=0, top=False):
             raise DegreeCapExceeded(f"{command}: {what}, above the degree cap {state.degree_cap}")
 
 
+def _build(state, phases, command, **needs):
+    """Refuse what the cap cannot reach (:func:`_refuse_past_cap` with
+    ``needs``), then build ``state`` to its cap as the ``construct`` phase."""
+    _refuse_past_cap(state, command, **needs)
+    state.construct_all()
+    phases.mark("construct")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -136,8 +149,7 @@ def cmd_roots(args, phases):
         roots.append(entry)
     csv = "index,height,coeffs\n" + "".join(
         f"{e['index']},{e['height']},{' '.join(map(str, e['coeffs']))}\n" for e in roots)
-    _emit(args, {"config": _config(args), "positive_roots": roots,
-                 "count": system.nroots, "csv": csv})
+    _emit(args, {"positive_roots": roots, "count": system.nroots, "csv": csv})
     return 0
 
 
@@ -145,7 +157,6 @@ def cmd_group(args, phases):
     system = _system(args)
     wo = system.longest_element()
     payload = {
-        "config": _config(args),
         "rank": system.rank,
         "reflections": system.nroots,
         "longest_element": wo.to_json(),
@@ -180,15 +191,13 @@ def cmd_dims(args, phases):
     from .orbits import OrbitState
 
     state = _state(args, OrbitState)
-    state.construct_all()
-    phases.mark("construct")
+    _build(state, phases, args.command)
     dims = state.dims()
     if state.finite_top is not None:
         dims = dims[: state.finite_top + 1]
     label = "exact" if args.field == "rational" else "mod-p lower-bound certified"
     csv = "degree,dim\n" + "".join(f"{n},{d}\n" for n, d in enumerate(dims))
     payload = {
-        "config": _config(args),
         "dims": dims,
         "certification": label,
         "top_degree": state.finite_top,
@@ -240,16 +249,13 @@ def cmd_verify(args, phases):
     which = args.identity
     names = list(_IDENTITIES) if which == "all" else [which]
     state = _state(args)
-    _refuse_past_cap(state, f"verify {which}",
-                     longest=any(_IDENTITIES[name][0] for name in names))
-    state.construct_all()
-    phases.mark("construct")
+    _build(state, phases, f"verify {which}",
+           longest=any(_IDENTITIES[name][0] for name in names))
     reports = []
     for name in names:
         reports.append(_IDENTITIES[name][1](calculus, state, args))
         phases.mark(name)
-    payload = {"config": _config(args), "reports": [r.to_json() for r in reports]}
-    _emit(args, payload)
+    _emit(args, {"reports": [r.to_json() for r in reports]})
     return 0 if all(r.status in ("pass", "skipped") for r in reports) else 1
 
 
@@ -258,9 +264,7 @@ def cmd_integral(args, phases):
     from .integrals import integral_character, invariance_suite, top_integral
 
     state = _state(args)
-    _refuse_past_cap(state, "integral", longest=True, top=True)
-    state.construct_all()
-    phases.mark("construct")
+    _build(state, phases, "integral", longest=True, top=True)
     cert = top_integral(state)
     integral_character(cert, state)
     sols = search_complete(state.system)
@@ -269,62 +273,46 @@ def cmd_integral(args, phases):
         order2 = classify(list(sols[0].elements)[:2], state.system)
     inv = invariance_suite(cert, state, order2)
     phases.mark("integral")
-    payload = {"config": _config(args), "certificate": cert.to_json(),
-               "invariance": inv.to_json()}
-    _emit(args, payload)
+    _emit(args, {"certificate": cert.to_json(), "invariance": inv.to_json()})
     return 0 if inv.passed else 1
 
 
 def cmd_hypo(args, phases):
-    from .integrals import (hypothetical_checks, nonsimple_roots, require_lifting_theory,
-                            subalgebra_build)
+    from .integrals import hypothetical_checks, nonsimple_roots, subalgebra_build
 
     state = _state(args)
     # hypothetical_checks would refuse only after the build
-    require_lifting_theory(state.system, "hypo")
-    _refuse_past_cap(state, "hypo", longest=True, top=True)
-    state.construct_all()
-    phases.mark("construct")
+    state.system.require_type_a("hypo: lifting theory")
+    _build(state, phases, "hypo", longest=True, top=True)
     state.require_top("hypo")
     theta = nonsimple_roots(state)
     bases = subalgebra_build(theta, state)
     report = hypothetical_checks(theta, bases, state)
     phases.mark("hypo")
-    payload = {"config": _config(args),
-               "subalgebra": {"theta": list(theta), "dims": [len(b) for b in bases],
-                              "top_degree": len(bases) - 1},
-               "report": report.to_json()}
-    _emit(args, payload)
+    _emit(args, {"subalgebra": {"theta": list(theta), "dims": [len(b) for b in bases],
+                                "top_degree": len(bases) - 1},
+                 "report": report.to_json()})
     return 0 if report.passed else 1
 
 
 def cmd_reduce(args, phases):
-    from .reduction import (UnsupportedSystem, reduce_mod_left_ideal, reduce_mod_right_ideal,
-                            require_type_a)
+    from .reduction import reduce_mod_left_ideal, reduce_mod_right_ideal
 
     system = _system(args)
-    try:
-        require_type_a(system)
-    except UnsupportedSystem as e:
-        print(f"reduce: {e}", file=sys.stderr)
-        return 2
+    system.require_type_a("reduce: monomial reduction")
     try:
         word = tuple(int(x) for x in args.monomial.split(",")) if args.monomial.strip() else ()
     except ValueError:
-        print(f"--monomial: not comma-separated root indices: {args.monomial!r}",
-              file=sys.stderr)
-        return 2
+        raise CoxeterError(
+            f"--monomial: not comma-separated root indices: {args.monomial!r}") from None
     for a in word:
         if not 0 <= a < system.nroots:
-            print(f"root index out of range: {a}", file=sys.stderr)
-            return 2
+            raise CoxeterError(f"root index out of range: {a}")
     side = args.side
     fn = reduce_mod_right_ideal if side == "right" else reduce_mod_left_ideal
     result = fn(word, system)
     phases.mark("reduce")
-    payload = {"config": _config(args), "side": side, "monomial": list(word)}
-    payload.update(result.to_json())
-    _emit(args, payload)
+    _emit(args, {"side": side, "monomial": list(word), **result.to_json()})
     return 0
 
 
@@ -337,20 +325,14 @@ def cmd_disjoint(args, phases):
         result = classify(elements, system)
         phases.mark("classify")
         ok = isinstance(result, DisjointSystem)
-        payload = {"config": _config(args),
-                   "result": "system" if ok else "violation",
-                   "detail": result.to_json()}
-        _emit(args, payload)
+        _emit(args, {"result": "system" if ok else "violation", "detail": result.to_json()})
         return 0 if ok else 1
     if args.find_complete:
         sols = search_complete(system)
         phases.mark("search")
-        payload = {"config": _config(args), "count": len(sols),
-                   "systems": [d.to_json() for d in sols]}
-        _emit(args, payload)
+        _emit(args, {"count": len(sols), "systems": [d.to_json() for d in sols]})
         return 0
-    print("disjoint requires --find-complete or --check", file=sys.stderr)
-    return 2
+    raise CoxeterError("disjoint requires --find-complete or --check")
 
 
 def cmd_pairing(args, phases):
@@ -364,8 +346,7 @@ def cmd_pairing(args, phases):
         raise MemoryBoundExceeded(
             f"pairing: {n}^2 = {n ** 2} pairs exceed the memory bound {system.memory_bound}")
     elements = system.elements()
-    state.construct_all()
-    phases.mark("construct")
+    _build(state, phases, "pairing")
     embedded = [embed_element(state, u) for u in elements]
     # one Gram product per element, shared by its |W| pairings
     against = [pairing_with(xv) for xv in embedded]
@@ -377,9 +358,7 @@ def cmd_pairing(args, phases):
             if val != expect:
                 bad.append({"u": u.to_json(), "v": v.to_json(), "value": str(val)})
     phases.mark("pairing")
-    payload = {"config": _config(args), "pairs": len(elements) ** 2,
-               "orthonormal": not bad, "violations": bad}
-    _emit(args, payload)
+    _emit(args, {"pairs": len(elements) ** 2, "orthonormal": not bad, "violations": bad})
     return 0 if not bad else 1
 
 
@@ -395,19 +374,14 @@ def cmd_bracket(args, phases):
     else:
         sols = [s for s in search_complete(system) if s.order >= r]
         if not sols:
-            print("no complete disjoint system of sufficient order", file=sys.stderr)
-            return 1
+            raise CheckFailed("bracket: no complete disjoint system of sufficient order")
         d = classify(list(sols[0].elements)[:r], system)
-    _refuse_past_cap(state, "bracket", products=r, top=True)
-    state.construct_all()
-    phases.mark("construct")
+    _build(state, phases, "bracket", products=r, top=True)
     matrix, report = bracket_matrix(list(d.elements), state)
     phases.mark("bracket")
-    payload = {"config": _config(args),
-               "system": d.to_json(),
-               "matrix": [[str(x) for x in row] for row in matrix],
-               "report": report.to_json()}
-    _emit(args, payload)
+    _emit(args, {"system": d.to_json(),
+                 "matrix": [[str(x) for x in row] for row in matrix],
+                 "report": report.to_json()})
     return 0 if report.passed else 1
 
 

@@ -247,6 +247,12 @@ class RootSystem:
         self.root_of_pair = of_pair
         self.sym_m = m
 
+    def require_type_a(self, what):
+        """Refuse a system outside type A for ``what``, a statement or
+        algorithm whose theory covers type A only, as a usage error."""
+        if not self._is_type_a:
+            raise CoxeterError(f"{what} is type A only, not {self.cartan.type_label}")
+
     # -- root arithmetic ----------------------------------------------
 
     def ip(self, x, y) -> int:

@@ -80,12 +80,17 @@ def search_complete(system: RootSystem):
     Exact-cover backtracking over the candidate blocks T_w of centralizer
     elements; the uncovered root with the fewest remaining candidate
     blocks is branched first, candidates in canonical element order.
+
+    Every cover found, with e added, is a complete disjoint system, so it
+    is returned as classified.  Each block T_w holds rank roots, so a
+    cover of the |R+| - rank non-simple roots has |R+|/rank - 1 members,
+    and each centralizes w_o.  No block meets T_e, the simple roots, so e
+    and the cover are |R+|/rank pairwise disjoint blocks that cover R+.
     """
     rank = system.rank
     nroots = system.nroots
     if nroots % rank != 0:
         return []
-    need = nroots // rank
     wo = system.longest_element()
     cent = centralizer_of_longest(system)
     simple_set = frozenset(system.simple_index)
@@ -123,14 +128,8 @@ def search_complete(system: RootSystem):
             chosen.pop()
 
     recurse(universe, [])
-    out = []
-    for sol in sorted(solutions, key=lambda ws: tuple(w.images for w in ws)):
-        if len(sol) != need - 1:
-            continue
-        d = classify((system.identity(),) + sol, system)
-        if isinstance(d, DisjointSystem) and d.complete:
-            out.append(d)
-    return out
+    return [classify((system.identity(),) + sol, system)
+            for sol in sorted(solutions, key=lambda ws: tuple(w.images for w in ws))]
 
 
 def motiv_check(d: DisjointSystem, ordering, state: AlgebraState):

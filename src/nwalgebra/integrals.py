@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .calculus import IdentityReport, _fail, _joint_kernels, _t_blocks
-from .coxeter import CoxeterError, centralizer_of_longest
+from .coxeter import centralizer_of_longest
 from .exactlinalg import ColumnSolver, rank
 from .nichols_core import (
     AlgebraState,
@@ -279,14 +279,6 @@ def _mul_blocks(state, mul, degree, letters):
     return [(mul(degree + 1, a), nrows) for a in letters] if nrows else []
 
 
-def require_lifting_theory(system, what):
-    """The lifting theory of the non-simple subalgebra is type A only:
-    refuse any other type, with ``what`` naming the caller."""
-    label = system.cartan.type_label
-    if not label.startswith("A"):
-        raise CoxeterError(f"{what}: lifting theory is type A only, not {label}")
-
-
 def hypothetical_checks(theta, bases, state: AlgebraState) -> IdentityReport:
     """The full battery for the top component P of the subalgebra generated
     by ``theta``, whose per-degree bases ``bases`` are those of
@@ -313,7 +305,7 @@ def hypothetical_checks(theta, bases, state: AlgebraState) -> IdentityReport:
     sys = state.system
     field_ = state.field
     params = {"theta": list(theta)}
-    require_lifting_theory(sys, "hypothetical_checks")
+    sys.require_type_a("hypothetical_checks: lifting theory")
     b_top = state.require_top("hypothetical_checks")
     top = len(bases) - 1
     if len(bases[top]) != 1:

@@ -1034,10 +1034,6 @@ def antipode(z: NicholsElement) -> NicholsElement:
     return _apply_matrices(z, z.state.antipode_matrix)
 
 
-def antipode_inv(z: NicholsElement) -> NicholsElement:
-    return _apply_matrices(z, z.state.antipode_inv_matrix)
-
-
 def rho(z: NicholsElement) -> NicholsElement:
     return _apply_matrices(z, z.state.rho_matrix)
 

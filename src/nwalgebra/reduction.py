@@ -41,17 +41,6 @@ class ReductionError(CheckFailed):
     pass
 
 
-class UnsupportedSystem(ReductionError):
-    """The reduction's case analysis covers type A only."""
-
-
-def require_type_a(system: RootSystem):
-    """Raise :class:`UnsupportedSystem` unless ``system`` is of type A."""
-    label = system.cartan.type_label
-    if not label.startswith("A"):
-        raise UnsupportedSystem(f"monomial reduction is implemented for type A only, not {label}")
-
-
 class ReductionResult:
     __slots__ = ("scalar", "w", "trace")
 
@@ -70,7 +59,7 @@ class Reducer:
     """Memoized block reduction for one type-A root system."""
 
     def __init__(self, system: RootSystem):
-        require_type_a(system)
+        system.require_type_a("monomial reduction")
         self.system = system
         self._memo = {}
         self._running = set()

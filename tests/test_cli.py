@@ -311,7 +311,31 @@ def test_reduce_outside_type_a_is_a_usage_error(type_, rank, capsys):
     assert cli.main(["reduce", "--type", type_, "--rank", str(rank), "--monomial", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"reduce: monomial reduction is implemented for type A only, not {type_}{rank}" in err
+    assert f"error: reduce: monomial reduction is type A only, not {type_}{rank}" in err
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["reduce", "--type", "D", "--rank", "4", "--monomial", "1"], 2,
+     "error: reduce: monomial reduction is type A only, not D4"),
+    (["reduce", "--type", "E", "--rank", "6", "--monomial", "1"], 2,
+     "error: reduce: monomial reduction is type A only, not E6"),
+    (["reduce", "--rank", "3", "--monomial", "1,x"], 2,
+     "error: --monomial: not comma-separated root indices: '1,x'"),
+    (["reduce", "--rank", "3", "--monomial", "1,6"], 2, "error: root index out of range: 6"),
+    (["disjoint", "--rank", "3"], 2, "error: disjoint requires --find-complete or --check"),
+    (["bracket", "--rank", "3", "--order", "3"], 1,
+     "check failed: bracket: no complete disjoint system of sufficient order"),
+    (["dims", "--field", "prime", "--prime", "4"], 2,
+     "error: --prime: prime mode requires a prime modulus, got 4"),
+], ids=["reduce-D4", "reduce-E6", "malformed-monomial", "root-out-of-range",
+        "disjoint-no-mode", "bracket-no-system", "prime-4"])
+def test_a_refusal_is_raised_and_main_alone_reports_it(argv, code, err, capsys):
+    # a handler raises; main picks the exit code and the stderr prefix of
+    # the exception's class, and the message is the whole of stderr
+    assert cli.main(argv) == code
+    out, got = capsys.readouterr()
+    assert out == ""
+    assert got == err + "\n"
 
 
 @pytest.mark.parametrize("identity", ["rhoD", "nz-antipode"])

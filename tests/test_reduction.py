@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from nwalgebra.coxeter import RootSystem, cartan_data
+from nwalgebra.coxeter import CoxeterError, RootSystem, cartan_data
 from nwalgebra.nichols_core import NicholsElement
-from nwalgebra.reduction import (Reducer, ReductionError, reduce_mod_left_ideal,
-                                 reduce_mod_right_ideal)
+from nwalgebra.reduction import Reducer, reduce_mod_left_ideal, reduce_mod_right_ideal
 from oracles import ideal_membership_oracle, quotient_dimensions, word_wdeg
 
 
@@ -162,5 +161,5 @@ def test_exhaustive_block_table_terminates():
 
 def test_non_type_a_rejected():
     sys = RootSystem(cartan_data("D", 4))
-    with pytest.raises(ReductionError):
+    with pytest.raises(CoxeterError):
         reduce_mod_right_ideal((0,), sys)

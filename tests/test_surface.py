@@ -6,7 +6,9 @@ call lives in ``tests/oracles.py``.  An entry kept for the benchmark
 names a function that ``perfbench/*.py`` names.  Every name a module
 reads is bound in it or is a builtin, every name it imports from the
 package is read, and only the functions on ``CAP_RAISERS`` raise
-``DegreeCapExceeded``."""
+``DegreeCapExceeded``.  In ``cli`` only ``main`` and ``_Phases.emit``
+write to stderr, and ``sys.exit`` runs only when ``cli`` is the program:
+a handler raises, and ``main`` picks the exit code."""
 
 import ast
 import builtins
@@ -35,6 +37,13 @@ CAP_RAISERS = {
     "integrals.subalgebra_build",
     "nichols_core.AlgebraState.extend_degree",
     "nichols_core.AlgebraState.require_top",
+}
+
+# the scopes of cli that may read sys.stderr or sys.exit
+CLI_REPORTERS = {
+    ("_Phases.emit", "sys.stderr"),
+    ("main", "sys.stderr"),
+    ("__main__", "sys.exit"),
 }
 
 
@@ -298,6 +307,28 @@ def cap_raisers(src):
     return sorted(out)
 
 
+def stderr_and_exit_scopes(path):
+    """(scope, name) for each ``sys.stderr`` and ``sys.exit`` that the
+    module at ``path`` reads, once per pair.  The scope is the qualified
+    name of the innermost enclosing function or class, ``__main__`` in a
+    module-level ``if __name__ == "__main__":`` block, else ``<module>``."""
+    out = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "sys" and node.attr in ("stderr", "exit")):
+            out.add((scope, f"sys.{node.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for stmt in ast.parse(path.read_text()).body:
+        guard = isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
+        visit(stmt, "__main__" if guard else "<module>")
+    return sorted(out)
+
+
 def test_src_reads_only_bound_names():
     assert unbound_reads(SRC) == []
 
@@ -353,3 +384,24 @@ def test_a_raise_of_the_cap_refusal_is_found_in_any_scope(tmp_path):
         "def check():\n    raise ValueError(\"DegreeCapExceeded\")\n\n\n"
         "if nichols_core:\n    raise DegreeCapExceeded()\n")
     assert cap_raisers(tmp_path) == ["core", "core.State.extend", "core.State.top.inner"]
+
+
+def test_only_main_writes_to_stderr_or_exits():
+    # a handler returns its report's code or raises; main alone maps an
+    # exception to an exit code and a stderr prefix
+    assert stderr_and_exit_scopes(SRC / "cli.py") == sorted(CLI_REPORTERS)
+
+
+def test_a_handler_that_writes_to_stderr_or_exits_is_flagged(tmp_path):
+    # a copy of cli whose handler prints to stderr and exits, and a helper
+    # that exits under a __main__ test that is not the module's own block
+    handler = "def cmd_roots(args, phases):\n"
+    source = (SRC / "cli.py").read_text()
+    assert handler in source
+    copy = tmp_path / "cli.py"
+    copy.write_text(source.replace(handler, handler + (
+        "    print(\"roots\", file=sys.stderr)\n"
+        "    if not args:\n        sys.exit(2)\n")) + (
+        "\n\ndef _quit():\n    if __name__ == \"__main__\":\n        sys.exit(1)\n"))
+    assert stderr_and_exit_scopes(copy) == sorted(CLI_REPORTERS | {
+        ("cmd_roots", "sys.stderr"), ("cmd_roots", "sys.exit"), ("_quit", "sys.exit")})

@@ -261,12 +261,11 @@ def cmd_verify(args, phases):
 
 def cmd_integral(args, phases):
     from .disjoint import classify, search_complete
-    from .integrals import integral_character, invariance_suite, top_integral
+    from .integrals import invariance_suite, top_integral
 
     state = _state(args)
     _build(state, phases, "integral", longest=True, top=True)
     cert = top_integral(state)
-    integral_character(cert, state)
     sols = search_complete(state.system)
     order2 = None
     if sols and sols[0].order >= 2:

@@ -8,22 +8,28 @@ echelon vector over them, so the result depends only on the column
 order.  There is one vector format: a ``{index: value}`` dict without
 zeros.  Matrices are lists of such column dicts, the layout the graded
 construction produces, and kernel bases and coordinates come back in
-the same form.  A column a matrix stores is never changed in place, so
-matrices share columns, and every empty one they store is the one
-read-only zero column (``nichols_core.ZERO_COL``); the solver copies
-what it keeps, and ``canon`` returns a new dict, which its callers may
-fill.  Values are canonical per field: residues modulo a
-prime, or rationals kept integer first (a Python ``int`` whenever the
-value is integral, a ``Fraction`` only otherwise), so no floating point
-and no rounding enter anywhere.  Arithmetic is plain operators, then one
-step of a four-method field facade: ``of`` (any exact input),
-``normalize`` (a scalar), ``canon`` (a vector, zeros dropped) and ``inv``.
+the same form.  This module owns that format's helpers: the read-only
+zero column ``ZERO_COL``, the negation ``neg_col`` and the one sparse
+product ``mat_col``, which every product, derivative and elimination
+step over stored columns goes through.  A column a matrix stores is
+never changed in place, so matrices share columns, and every empty one
+they store is ``ZERO_COL``.  The solver copies what it keeps, and the
+coordinates it returns are values too: a one-term expression with
+coefficient one is the solver's stored expression itself.  ``canon``
+alone returns a new dict that its callers may fill.  Values are
+canonical per field: residues modulo a prime, or rationals kept integer
+first (a Python ``int`` whenever the value is integral, a ``Fraction``
+only otherwise), so no floating point and no rounding enter anywhere.
+Arithmetic is plain operators, then one step of a four-method field
+facade: ``of`` (any exact input), ``normalize`` (a scalar), ``canon`` (a
+vector, zeros dropped) and ``inv``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 
 #: fixed default prime for the fast mode (largest 31-bit prime)
 DEFAULT_PRIME = 2147483647
@@ -141,6 +147,45 @@ class PrimeField:
 
 QQ = RationalField()
 
+#: the zero column, shared by every map; a write into it raises TypeError
+ZERO_COL = MappingProxyType({})
+
+
+def mat_col(mat, col, field, plus=None):
+    """M c (+ plus) for sparse columns {index: scalar}, without zeros.
+
+    M's columns must hold canonical values without zeros.  The raw sum
+    of products is made canonical once (``field.canon``).  Without
+    ``plus``, c = {j: x} gives column j of M itself for x one, shared,
+    its negation for x minus one and its canonical x-multiple otherwise.
+    Any other result is a new dict, and an empty one is ``ZERO_COL``, so
+    the caller must not write into the result.
+    """
+    if not plus and len(col) < 2:
+        if not col:
+            return ZERO_COL
+        (j, x), = col.items()
+        if x == field.one:
+            return mat[j] or ZERO_COL
+        if x == field.minus_one:
+            return neg_col(mat[j], field)
+        return field.canon({i: v * x for i, v in mat[j].items()}) or ZERO_COL
+    acc = dict(plus) if plus else {}
+    get = acc.get
+    for j, x in col.items():
+        for i, v in mat[j].items():
+            acc[i] = get(i, 0) + v * x
+    return field.canon(acc) or ZERO_COL
+
+
+def neg_col(col, field):
+    """-c for a canonical column c (-v over Q, p - v over GF(p)): canonical
+    in, canonical out, as no entry becomes zero and no scalar changes type.
+    A new dict, or ``ZERO_COL`` for an empty c.  Structure maps fold a
+    sign into ``mat_col``'s input with it."""
+    z = field.prime or 0
+    return {i: z - v for i, v in col.items()} if col else ZERO_COL
+
 
 def rank(cols, field=QQ) -> int:
     """Rank of a matrix given as a list of {row: value} column dicts."""
@@ -249,19 +294,18 @@ class ColumnSolver:
         return v, coeffs
 
     def _express(self, coeffs):
-        """sum coeffs[k] * exprs[k] over the kept columns, without zeros."""
-        out = {}
-        for k, f in coeffs.items():
-            for j, g in self.exprs[k].items():
-                out[j] = out.get(j, 0) + f * g
-        return self.field.canon(out)
+        """sum coeffs[k] * exprs[k] over the kept columns, without zeros: a
+        value, which may be a stored expression itself."""
+        return mat_col(self.exprs, coeffs, self.field)
 
     def add(self, vec, express=False):
         """Offer the next column; keep it iff independent.  Returns kept?
 
         With ``express``, returns (kept?, coordinates of the column over
         the kept columns) from the same reduction: {its own kept
-        position: 1} for a kept column.
+        position: 1} for a kept column.  Coordinates are a value that
+        callers read and never write: for a one-term expression with
+        coefficient one they are the solver's stored expression itself.
         """
         field = self.field
         pos = self._count
@@ -289,7 +333,8 @@ class ColumnSolver:
 
     def coordinates(self, vec):
         """Coefficients over the kept columns, as {kept position: value}
-        without zeros, or None if vec is not in their span."""
+        without zeros, or None if vec is not in their span.  Like
+        :meth:`add`'s, they are a value, never to be written."""
         v, coeffs = self._reduce(vec)
         return None if v else self._express(coeffs)
 

@@ -5,7 +5,7 @@ lift to integrals by multiplication with the top word.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations
 
 from .calculus import IdentityReport, _fail, _joint_kernels, _t_blocks
 from .coxeter import centralizer_of_longest
@@ -97,37 +97,29 @@ def _top_sign(state: AlgebraState, top, g):
 
 
 def _validate_certificate(cert: IntegralCertificate, state: AlgebraState):
-    """Checks that the simple characters are signs and eps_S = (-1)^degree.
-    Two facts follow and need no check: eps_sbar = eps_rho, as s-bar is
-    (-1)^n rho S; and the w-degree's length has the parity of the degree,
-    being a product of that many reflections of odd length 2 ht - 1."""
-    field_ = state.field
+    """Checks that the simple characters are signs, that the character is
+    multiplicative and that eps_S = (-1)^degree, in that order.
+
+    Multiplicativity is checked on s_i s_j for i < j, read like
+    ``char[i]`` from its 1x1 matrix on the top.  The rest needs no check:
+    s_i s_i = e acts by char[i]^2 = 1, ``char[i]`` being a sign, and
+    s_j s_i = (s_i s_j)^-1 acts by the inverse of a sign, which is the
+    same sign.  The group degree w is central: s.x spans the
+    one-dimensional top and lies in the class s w s^-1, so s w s^-1 = w.
+    Two more facts follow: eps_sbar = eps_rho, as s-bar is (-1)^n rho S;
+    and the w-degree's length has the parity of the degree, being a
+    product of that many reflections of odd length 2 ht - 1."""
+    sys, field_ = state.system, state.field
     one, minus = field_.one, field_.minus_one
     for i, lam in cert.char.items():
         if lam not in (one, minus):
             raise IntegralError("character value is not a sign")
+    for i, j in combinations(range(sys.rank), 2):
+        g = sys.simple_reflection(i) * sys.simple_reflection(j)
+        if _top_sign(state, cert.degree, g) != field_.normalize(cert.char[i] * cert.char[j]):
+            raise IntegralError("character is not multiplicative")
     if cert.eps_antipode != (minus if cert.degree % 2 else one):
         raise IntegralError("antipode sign does not match the degree parity")
-
-
-def integral_character(cert: IntegralCertificate, state: AlgebraState):
-    """The full action character, verified multiplicative with central
-    group degree; returns {simple index: sign}.  Only s_i s_j with i != j
-    is checked, read like ``char[i]`` from its 1x1 matrix on the top:
-    s_i s_i = e acts by char[i]^2 = 1, ``char[i]`` being a sign."""
-    sys = state.system
-    # the group degree must be central
-    w = cert.w_degree
-    for i in range(sys.rank):
-        s = sys.simple_reflection(i)
-        if s * w != w * s:
-            raise IntegralError("group degree of the integral is not central")
-    # multiplicativity on the products of two distinct simple reflections
-    for i, j in permutations(range(sys.rank), 2):
-        g = sys.simple_reflection(i) * sys.simple_reflection(j)
-        if _top_sign(state, cert.degree, g) != state.field.normalize(cert.char[i] * cert.char[j]):
-            raise IntegralError("character is not multiplicative")
-    return dict(cert.char)
 
 
 def invariance_suite(cert: IntegralCertificate, state: AlgebraState,

@@ -52,10 +52,8 @@ tests compare with it class by class.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .coxeter import GroupElement, RootSystem
-from .exactlinalg import QQ, ColumnSolver
+from .exactlinalg import QQ, ZERO_COL, ColumnSolver, mat_col, neg_col
 
 Word = tuple
 
@@ -86,47 +84,10 @@ class TopDegreeMismatch(CheckFailed):
 # and a matrix is a list of such column dicts, column j holding the image
 # of basis vector j.  A stored column is a value: it is never changed in
 # place, so maps share columns instead of copying them, and every empty
-# column they store is the one read-only ``ZERO_COL``.
+# column they store is the one read-only ``ZERO_COL``.  That column,
+# ``neg_col`` and the one sparse product ``mat_col`` live in
+# :mod:`nwalgebra.exactlinalg`, with the format they define.
 # ---------------------------------------------------------------------------
-
-#: the zero column, shared by every map; a write into it raises TypeError
-ZERO_COL = MappingProxyType({})
-
-
-def mat_col(mat, col, field, plus=None):
-    """M c (+ plus) for sparse columns {index: scalar}, without zeros.
-
-    M's columns must hold canonical values without zeros.  The raw sum
-    of products is made canonical once (``field.canon``).  Without
-    ``plus``, c = {j: x} gives column j of M itself for x one, shared,
-    its negation for x minus one and its canonical x-multiple otherwise.
-    Any other result is a new dict, and an empty one is ``ZERO_COL``, so
-    the caller must not write into the result.
-    """
-    if not plus and len(col) < 2:
-        if not col:
-            return ZERO_COL
-        (j, x), = col.items()
-        if x == field.one:
-            return mat[j] or ZERO_COL
-        if x == field.minus_one:
-            return neg_col(mat[j], field)
-        return field.canon({i: v * x for i, v in mat[j].items()}) or ZERO_COL
-    acc = dict(plus) if plus else {}
-    get = acc.get
-    for j, x in col.items():
-        for i, v in mat[j].items():
-            acc[i] = get(i, 0) + v * x
-    return field.canon(acc) or ZERO_COL
-
-
-def neg_col(col, field):
-    """-c for a canonical column c (-v over Q, p - v over GF(p)): canonical
-    in, canonical out, as no entry becomes zero and no scalar changes type.
-    A new dict, or ``ZERO_COL`` for an empty c.  Structure maps fold a
-    sign into ``mat_col``'s input with it."""
-    z = field.prime or 0
-    return {i: z - v for i, v in col.items()} if col else ZERO_COL
 
 
 class UnitColumns:
@@ -203,6 +164,16 @@ def mat_stack(blocks, ncols):
                 col[off + r] = v
         off += nrows
     return cols
+
+
+def split_joint(vec, width):
+    """{gamma: {i: x}} from a joint derivative vector keyed gamma * width + i:
+    its per-root columns, each in the vector's entry order."""
+    out = {}
+    for k, x in vec.items():
+        g, i = divmod(k, width)
+        out.setdefault(g, {})[i] = x
+    return out
 
 
 class LazyColumns:
@@ -598,12 +569,8 @@ class AlgebraState:
             prev_dim = self.bases[n - 1].dim if n else 0
             mats = [[ZERO_COL] * basis.dim for _ in range(self.system.nroots)]
             for i, vec in enumerate(basis.derivs):
-                for k, v in vec.items():
-                    gam, r = divmod(k, prev_dim)
-                    col = mats[gam][i]
-                    if col is ZERO_COL:
-                        col = mats[gam][i] = {}
-                    col[r] = v
+                for gam, col in split_joint(vec, prev_dim).items():
+                    mats[gam][i] = col
             for gam, m in enumerate(mats):
                 basis.cache[("dleft", gam)] = self.units.share_all(m)
             return mats[g]
@@ -673,11 +640,12 @@ class AlgebraState:
         """Coordinates of a word's class against the degree basis, as a
         {index: scalar} dict without zeros."""
         n = len(word)
-        self.ensure_degree(n)
-        if self.finite_top is not None and n > self.finite_top:
-            return {}
         col = {0: self.field.one}
         for k in range(n - 1, -1, -1):
+            # the top is tested before each read: a word past it is zero,
+            # and reading lmul there would append empty degrees
+            if self.finite_top is not None and n > self.finite_top:
+                return {}
             col = mat_col(self.lmul(n - k, word[k]), col, self.field)
         return col
 
@@ -879,11 +847,8 @@ def right_multiplier(y: NicholsElement):
         out = {}
         for nx, vx in x.components.items():
             for ny in chains:
-                acc = out.setdefault(nx + ny, {})
-                for j, c in vx.items():
-                    for t, v in chain(ny, nx)[j].items():
-                        acc[t] = acc.get(t, 0) + c * v
-        return NicholsElement(state, {n: state.field.canon(acc) for n, acc in out.items()})
+                out[nx + ny] = mat_col(chain(ny, nx), vx, state.field, out.get(nx + ny))
+        return NicholsElement(state, out)
 
     def columns(n):
         ny = _homogeneous_degree(y, "right_multiplier")

@@ -49,6 +49,14 @@ words and no prefixes.  The last degree a build can make, the cap, is
 rank only: it skips those candidates and keeps no coordinates and no
 derivative vectors.
 
+Every sum over stored columns here is the one sparse product
+:func:`nwalgebra.exactlinalg.mat_col`, a relation's terms too (with
+``plus``).  Two sites scatter by hand: the candidate vector, whose
+per-root offset and sign ``mat_col`` cannot take, and degree 2's
+two-entry relation vectors.  A kept joint derivative vector splits into
+its per-root columns by :func:`nwalgebra.nichols_core.split_joint`, as
+the word build's ``dleft`` does.
+
 ``nwalg dims`` and ``nwalg hilbert`` build this state.  Every other
 command reads words and keeps the word-basis :class:`AlgebraState`,
 which is the oracle the tests compare this construction with.
@@ -60,27 +68,8 @@ import itertools
 from operator import itemgetter
 
 from .coxeter import GroupElement
-from .exactlinalg import QQ, ColumnSolver
-from .nichols_core import (
-    AlgebraState,
-    MemoryBoundExceeded,
-    mat_col,
-    neg_col,
-)
-
-
-def _combination(terms, lmul, canon):
-    """The coordinates of sum s * x_d v over the terms (d, s, v), each v
-    the coordinates of an element one degree down: lmul[d] applied to v,
-    scaled by s, summed."""
-    acc = {}
-    for d, s, vec in terms:
-        col_d = lmul[d]
-        for i, y in vec.items():
-            f = s * y
-            for t, x in col_d[i].items():
-                acc[t] = acc.get(t, 0) + f * x
-    return canon(acc)
+from .exactlinalg import QQ, ZERO_COL, ColumnSolver, mat_col, neg_col
+from .nichols_core import AlgebraState, MemoryBoundExceeded, split_joint
 
 
 class WordBasisUnavailable(AttributeError):
@@ -424,7 +413,7 @@ class OrbitState(AlgebraState):
                 ranks[r] = solver.rank
                 if not rank_only:
                     parents[r], express[r] = kept, coords
-                    derivs[r] = [_split(vec, width) for vec in vectors]
+                    derivs[r] = [split_joint(vec, width) for vec in vectors]
         dim = sum(rank * self._sizes[r] for r, rank in ranks.items())
         if rank_only:
             parents = derivs = express = None
@@ -490,15 +479,10 @@ class OrbitState(AlgebraState):
             move, cols, f, _ = plan
             z = self._moved(move, y)
             mus[e] = mat_col(cols, z if f > 0 else neg_col(z, field), field)
-        # a zero x_e z'' may lie in a class with no candidates, missing from coords
-        return _combination(((d, lam, mus[e]) for d, e, lam in rel if mus[e]), coords,
-                            field.canon)
-
-
-def _split(vec, width):
-    """{gamma: {i: x}} from a joint vector keyed gamma * width + i."""
-    out = {}
-    for k, x in vec.items():
-        g, i = divmod(k, width)
-        out.setdefault(g, {})[i] = x
-    return out
+        # sum lam * x_d (x_e z''), x_d's columns applied to lam * mu_e; a
+        # zero x_e z'' may lie in a class with no candidates, missing from coords
+        out = None
+        for d, e, lam in rel:
+            if mus[e]:
+                out = mat_col(coords[d], {i: lam * y for i, y in mus[e].items()}, field, out)
+        return out or ZERO_COL

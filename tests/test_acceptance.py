@@ -22,7 +22,6 @@ from nwalgebra.disjoint import classify, motiv_check, search_complete
 from nwalgebra.exactlinalg import PrimeField
 from nwalgebra.integrals import (
     hypothetical_checks,
-    integral_character,
     invariance_suite,
     nonsimple_roots,
     subalgebra_build,
@@ -160,9 +159,8 @@ def test_criterion_5_integrals_suite(s3, s4):
             # parity of the group degree
             assert cert.w_degree.length() % 2 == cert.degree % 2
             # sign character
-            char = integral_character(cert, state)
             one = state.field.one
-            assert all(v in (one, state.field.minus_one) for v in char.values())
+            assert all(v in (one, state.field.minus_one) for v in cert.char.values())
             for g in state.system.elements():
                 s = group_act(g, cert.element).proportional_to(cert.element)
                 assert s in (one, state.field.minus_one)

@@ -25,7 +25,6 @@ from nwalgebra.disjoint import classify, search_complete
 from nwalgebra.exactlinalg import QQ, PrimeField, kernel_basis
 from nwalgebra.integrals import (
     hypothetical_checks,
-    integral_character,
     invariance_suite,
     nonsimple_roots,
     subalgebra_build,
@@ -654,7 +653,6 @@ def checked_a3():
             assert check_skew_commutation(state, w, e, 2, seed).passed
             assert check_basic_rev(state, 20, seed).status in ("pass", "skipped")
             cert = top_integral(state)
-            integral_character(cert, state)
             assert invariance_suite(cert, state, classify(list(sols[0].elements)[:2], sys)).passed
             theta = nonsimple_roots(state)
             assert hypothetical_checks(theta, subalgebra_build(theta, state), state).passed

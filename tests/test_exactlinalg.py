@@ -309,3 +309,47 @@ def test_column_solver_stores_no_offered_dict(field):
     assert [list(v.items()) for v in solver.vectors] == vectors
     assert solver.coordinates(probe) == {0: 1, 2: 1}
     assert not solver.add({0: of(1), 2: of(3)})
+
+
+def _express_reference(solver, factors):
+    """sum f * exprs[k] over the factors {k: f}, in their order,
+    accumulated in full and normalized entry by entry."""
+    acc = {}
+    for k, f in factors.items():
+        for j, g in solver.exprs[k].items():
+            acc[j] = acc.get(j, 0) + f * g
+    return {j: y for j, x in acc.items() if (y := solver.field.normalize(x))}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["QQ", "GF(p)"])
+def test_column_solver_coordinates_match_accumulate_reference(field):
+    # add(..., express=True) and coordinates give the full accumulation's
+    # values, scalar types and entry order; a one-term expression with
+    # coefficient one is the stored expression itself, read and never
+    # written
+    rng = random.Random(29)
+    shared = reordered = 0
+    for cols in solver_matrices(rng, field):
+        solver = ColumnSolver(field)
+        for c in cols:
+            rest, factors = solver._reduce(c)
+            want = _express_reference(solver, factors)
+            exprs = [list(e.items()) for e in solver.exprs]
+            coords = solver.coordinates(c)
+            kept, expressed = solver.add(c, express=True)
+            if kept:
+                assert rest and coords is None
+                assert expressed == {solver.rank - 1: field.one}
+                continue
+            for got in (coords, expressed):
+                assert list(got.items()) == list(want.items())
+                assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+            if list(factors.values()) == [field.one]:
+                assert coords is expressed is solver.exprs[next(iter(factors))]
+                shared += 1
+            backward = _express_reference(solver, dict(reversed(factors.items())))
+            reordered += list(backward) != list(want)
+            assert [list(e.items()) for e in solver.exprs[:len(exprs)]] == exprs
+    # the shared expression occurs, and so do sums whose entry order
+    # depends on the order of the factors
+    assert shared and reordered

@@ -10,7 +10,6 @@ from nwalgebra.integrals import (
     IntegralError,
     hypothetical_checks,
     hypothetical_space,
-    integral_character,
     invariance_suite,
     is_integral,
     lift_monomial_to_integral,
@@ -47,9 +46,8 @@ def test_certificate_s3(s3):
     assert cert.w_degree.is_identity()
     assert cert.eps_antipode == s3.field.one
     assert cert.eps_rho == cert.eps_sbar
-    char = integral_character(cert, s3)
     one = s3.field.one
-    assert all(v in (one, s3.field.minus_one) for v in char.values())
+    assert all(v in (one, s3.field.minus_one) for v in cert.char.values())
     # x ~ g x for every group element
     for g in s3.system.elements():
         assert group_act(g, cert.element).proportional_to(cert.element) in (one, -one)
@@ -120,30 +118,56 @@ def test_integral_rigidity(s3):
 
 
 @pytest.mark.parametrize("prime", [False, True])
-def test_integral_character_catches_a_wrong_product_character(prime, monkeypatch):
+def test_top_integral_catches_a_wrong_product_character(prime, monkeypatch):
     # the top is a sign eigenvector of s_0 s_1 with the product of the
     # simple characters; an action matrix with the opposite sign there
-    # fails the multiplicativity check
+    # fails the certificate's multiplicativity check
     from nwalgebra.coxeter import RootSystem, cartan_data
     from nwalgebra.exactlinalg import QQ, PrimeField
 
     state = AlgebraState(RootSystem(cartan_data("A", 2)),
                          field=PrimeField() if prime else QQ)
     state.construct_all()
-    cert = top_integral(state)
+    top = top_integral(state).degree
     sys, field = state.system, state.field
     g = sys.simple_reflection(0) * sys.simple_reflection(1)
     act_matrix = state.act_matrix
 
     def wrong(n, w):
         m = act_matrix(n, w)
-        if n == cert.degree and w == g:
+        if n == top and w == g:
             return [neg_col(col, field) for col in m]
         return m
 
     monkeypatch.setattr(state, "act_matrix", wrong)
     with pytest.raises(IntegralError, match="not multiplicative"):
-        integral_character(cert, state)
+        top_integral(state)
+
+
+def test_top_integral_reports_a_wrong_product_character_before_the_antipode_sign(
+        monkeypatch):
+    # with both the product character and the antipode sign wrong on the
+    # top, the multiplicativity failure is the one reported
+    state = AlgebraState(RootSystem(cartan_data("A", 2)))
+    state.construct_all()
+    top, sys, field = state.finite_top, state.system, state.field
+    g = sys.simple_reflection(0) * sys.simple_reflection(1)
+    act_matrix, antipode_matrix = state.act_matrix, state.antipode_matrix
+
+    def wrong_act(n, w):
+        m = act_matrix(n, w)
+        return [neg_col(col, field) for col in m] if n == top and w == g else m
+
+    def wrong_antipode(n):
+        m = antipode_matrix(n)
+        return [neg_col(col, field) for col in m] if n == top else m
+
+    monkeypatch.setattr(state, "antipode_matrix", wrong_antipode)
+    with pytest.raises(IntegralError, match="antipode sign"):
+        top_integral(state)
+    monkeypatch.setattr(state, "act_matrix", wrong_act)
+    with pytest.raises(IntegralError, match="not multiplicative"):
+        top_integral(state)
 
 
 def test_invariance_item_2_catches_a_wrong_reflection_sign(monkeypatch):

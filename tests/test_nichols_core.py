@@ -28,6 +28,7 @@ from nwalgebra.nichols_core import (
     right_derivative_columns,
     right_multiplier,
     s_bar,
+    split_joint,
 )
 from nwalgebra.calculus import random_element
 from oracles import (
@@ -1454,3 +1455,51 @@ def test_memory_bound_raises():
 
     with pytest.raises(MemoryBoundExceeded):
         symmetrizer_rank(RootSystem(cartan_data("A", 3)), 4, memory_bound=100)
+
+
+@pytest.mark.parametrize("rank_, dims", [(1, [1, 1, 0]), (2, [1, 3, 4, 3, 1, 0])],
+                         ids=["A1", "A2"])
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["rational", "prime"])
+def test_a_word_past_the_top_grows_no_degree(rank_, dims, field):
+    # a word longer than the top is zero, and reading it appends no empty
+    # degree: not while the build finds the top, nor once it is known
+    state = AlgebraState(RootSystem(cartan_data("A", rank_)), field=field)
+    word = [k % state.system.nroots for k in range(7)]
+    for _ in range(2):
+        assert NicholsElement.from_word(state, word).is_zero()
+        assert state.dims() == dims
+        assert state.construct_all() == dims
+
+
+def test_split_joint_round_trips_a_joint_vector():
+    # each root's column keeps the vector's entry order, and the columns
+    # give back the vector
+    rng = random.Random(31)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        keys = rng.sample(range(width * rng.randint(1, 5)), rng.randint(0, width))
+        vec = {k: rng.choice([1, -1, 2, Fraction(1, 3)]) for k in keys}
+        cols = split_joint(vec, width)
+        assert all(cols.values())
+        assert {g * width + i: x for g, col in cols.items() for i, x in col.items()} == vec
+        for g, col in cols.items():
+            assert list(col.items()) == [(k - g * width, x) for k, x in vec.items()
+                                         if k // width == g]
+
+
+@pytest.mark.parametrize("which", ["s4", "s4_prime"])
+def test_dleft_matches_the_divmod_split(which, request):
+    # every root's left derivative at every degree of A3 is the stored
+    # joint vectors split entry by entry, in their entry order
+    state = request.getfixturevalue(which)
+    for n in range(state.finite_top + 2):
+        basis = state.basis(n)
+        prev_dim = state.dim(n - 1) if n else 0
+        mats = [[{} for _ in range(basis.dim)] for _ in range(state.system.nroots)]
+        for i, vec in enumerate(basis.derivs):
+            for k, v in vec.items():
+                gam, r = divmod(k, prev_dim)
+                mats[gam][i][r] = v
+        for g, want in enumerate(mats):
+            assert [list(c.items()) for c in state.dleft(n, g)] == \
+                [list(c.items()) for c in want]

@@ -8,7 +8,9 @@ reads is bound in it or is a builtin, every name it imports from the
 package is read, and only the functions on ``CAP_RAISERS`` raise
 ``DegreeCapExceeded``.  In ``cli`` only ``main`` and ``_Phases.emit``
 write to stderr, and ``sys.exit`` runs only when ``cli`` is the program:
-a handler raises, and ``main`` picks the exit code."""
+a handler raises, and ``main`` picks the exit code.  One function sums
+sparse columns, ``exactlinalg.mat_col``: only it and the exceptions on
+``ACCUMULATORS`` accumulate into a dict by ``d[k] = d.get(k, 0) + ...``."""
 
 import ast
 import builtins
@@ -37,6 +39,19 @@ CAP_RAISERS = {
     "integrals.subalgebra_build",
     "nichols_core.AlgebraState.extend_degree",
     "nichols_core.AlgebraState.require_top",
+}
+
+# the functions that accumulate into a dict: the one sparse product, and
+# the sums it cannot express
+ACCUMULATORS = {
+    "exactlinalg.mat_col": "the one sparse product M c (+ plus)",
+    "nichols_core.AlgebraState._candidate_vector":
+        "scatters each root's block with its offset and sign, which mat_col cannot take",
+    "nichols_core._derive_along":
+        "sums raw values across a word tree's leaves, canonical once per accumulator",
+    "orbits.OrbitState._candidate":
+        "scatters each moved block with its offset and sign, which mat_col cannot take",
+    "orbits.OrbitState._degree_two_relations": "builds a two-entry vector by hand",
 }
 
 # the scopes of cli that may read sys.stderr or sys.exit
@@ -307,6 +322,56 @@ def cap_raisers(src):
     return sorted(out)
 
 
+def _own_nodes(node):
+    """The nodes of a function's body outside its nested functions and
+    classes, which are scopes of their own."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def sparse_accumulators(src):
+    """The qualified names (module.Class.function) of the functions that
+    accumulate into a dict: an assignment ``d[k] = g(k, 0) + ...`` where g
+    is a ``.get`` or a name the function binds to one (``get = d.get``).
+    The default must be the int zero: ``get(k, False)`` reads a memo."""
+    out = set()
+
+    def accumulates(fn):
+        nodes = list(_own_nodes(fn))
+        getters = {t.id for n in nodes if isinstance(n, ast.Assign)
+                   and isinstance(n.value, ast.Attribute) and n.value.attr == "get"
+                   for t in n.targets if isinstance(t, ast.Name)}
+        for n in nodes:
+            if not (isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Subscript)
+                    and isinstance(n.value, ast.BinOp) and isinstance(n.value.op, ast.Add)
+                    and isinstance(n.value.left, ast.Call)):
+                continue
+            call = n.value.left
+            f = call.func
+            if not (isinstance(f, ast.Attribute) and f.attr == "get"
+                    or isinstance(f, ast.Name) and f.id in getters):
+                continue
+            if (len(call.args) == 2 and isinstance(call.args[1], ast.Constant)
+                    and type(call.args[1].value) is int and call.args[1].value == 0):
+                return True
+        return False
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qual}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and accumulates(child):
+                    out.add(name)
+                visit(child, name)
+
+    for stem, tree in _modules(src):
+        visit(tree, stem)
+    return sorted(out)
+
+
 def stderr_and_exit_scopes(path):
     """(scope, name) for each ``sys.stderr`` and ``sys.exit`` that the
     module at ``path`` reads, once per pair.  The scope is the qualified
@@ -384,6 +449,32 @@ def test_a_raise_of_the_cap_refusal_is_found_in_any_scope(tmp_path):
         "def check():\n    raise ValueError(\"DegreeCapExceeded\")\n\n\n"
         "if nichols_core:\n    raise DegreeCapExceeded()\n")
     assert cap_raisers(tmp_path) == ["core", "core.State.extend", "core.State.top.inner"]
+
+
+def test_only_the_sparse_product_and_its_exceptions_accumulate():
+    # every other sum over stored columns goes through exactlinalg.mat_col
+    assert sparse_accumulators(SRC) == sorted(ACCUMULATORS)
+
+
+def test_a_hand_written_accumulation_is_found_in_any_scope(tmp_path):
+    # a .get or an aliased get with the int zero as default, in a
+    # function, a method or a nested function; a False default reads a
+    # memo, and a get that is not summed into a dict is no accumulation
+    (tmp_path / "core.py").write_text(
+        "def combine(terms):\n    acc = {}\n"
+        "    for k, x in terms:\n        acc[k] = acc.get(k, 0) + x\n    return acc\n\n\n"
+        "class Solver:\n"
+        "    def express(self, coeffs):\n        out = {}\n        get = out.get\n"
+        "        for k, x in coeffs.items():\n            out[k] = get(k, 0) + x\n"
+        "        return out\n\n"
+        "    def plan(self, plans, d):\n        plan = plans.get(d, False)\n"
+        "        hits = {}\n        hits[d] = plans.get(d, False) + 1\n"
+        "        return plan, hits, plans.get(0, 0)\n\n\n"
+        "def multiplier(y):\n    def times(x):\n        acc = {}\n"
+        "        for t, v in x.items():\n            acc[t] = acc.get(t, 0) + v * y\n"
+        "        return acc\n    return times\n")
+    assert sparse_accumulators(tmp_path) == ["core.Solver.express", "core.combine",
+                                             "core.multiplier.times"]
 
 
 def test_only_main_writes_to_stderr_or_exits():

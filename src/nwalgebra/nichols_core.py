@@ -350,17 +350,11 @@ class AlgebraState:
         return self.bases[n]
 
     def ensure_degree(self, n):
-        while len(self.bases) <= n:
-            if self.finite_top is not None:
-                self._append_empty()
-            else:
-                self.extend_degree()
-
-    def _append_empty(self):
-        n = len(self.bases)
-        prev_dim = self.bases[n - 1].dim
-        lmul = {a: [ZERO_COL] * prev_dim for a in range(self.system.nroots)}
-        self.bases.append(DegreeBasis(n, [], [], [], [], [], lmul))
+        """Build through degree n, or up to the top: no degree past the
+        empty degree top + 1 is stored, as every one is zero (``dim``
+        answers 0 there)."""
+        while self.finite_top is None and len(self.bases) <= n:
+            self.extend_degree()
 
     def construct_all(self):
         """Build degrees until the algebra tops out or the cap is reached."""
@@ -643,7 +637,7 @@ class AlgebraState:
         col = {0: self.field.one}
         for k in range(n - 1, -1, -1):
             # the top is tested before each read: a word past it is zero,
-            # and reading lmul there would append empty degrees
+            # and no lmul past degree top + 1 is stored
             if self.finite_top is not None and n > self.finite_top:
                 return {}
             col = mat_col(self.lmul(n - k, word[k]), col, self.field)
@@ -844,11 +838,18 @@ def right_multiplier(y: NicholsElement):
         return links[n]
 
     def times(x: NicholsElement) -> NicholsElement:
-        out = {}
+        # per degree of x y, the columns b_j y_ny and their coefficients
+        # x_nx[j], summed in one mat_col in the order of one running sum
+        terms = {}
         for nx, vx in x.components.items():
             for ny in chains:
-                out[nx + ny] = mat_col(chain(ny, nx), vx, state.field, out.get(nx + ny))
-        return NicholsElement(state, out)
+                cols, coeffs = terms.setdefault(nx + ny, ([], {}))
+                products = chain(ny, nx)
+                for j, c in vx.items():
+                    coeffs[len(cols)] = c
+                    cols.append(products[j])
+        return NicholsElement(state, {n: mat_col(cols, coeffs, state.field)
+                                      for n, (cols, coeffs) in terms.items()})
 
     def columns(n):
         ny = _homogeneous_degree(y, "right_multiplier")

@@ -68,7 +68,7 @@ import itertools
 from operator import itemgetter
 
 from .coxeter import GroupElement
-from .exactlinalg import QQ, ZERO_COL, ColumnSolver, mat_col, neg_col
+from .exactlinalg import QQ, ColumnSolver, mat_col, neg_col
 from .nichols_core import AlgebraState, MemoryBoundExceeded, split_joint
 
 
@@ -156,9 +156,6 @@ class OrbitState(AlgebraState):
         self._orbit(e)
         self.bases = [OrbitDegree(0, 1, {e: 1}, {e: [None]}, {e: [{}]}, {e: {}})]
         self._build(1)
-
-    def _append_empty(self):
-        self.bases.append(OrbitDegree(len(self.bases), 0, {}))
 
     def basis(self, n):
         raise _no_words("basis")
@@ -465,7 +462,11 @@ class OrbitState(AlgebraState):
         by the relation rel.  With u_h(c) = sigma * c' and z'' = u_h(y'),
         x_a z = sigma * sum lam * x_d (x_e z''), every d < a, and
         coords[d][i] holds the coordinates of x_d b_i.  ``plans`` keeps,
-        per (e, c), the plan of sigma * x_e z'' (:meth:`_plan`)."""
+        per (e, c), the plan of sigma * x_e z'' (:meth:`_plan`).  The
+        terms are summed in one ``mat_col``, over the columns coords[d][i]
+        with coefficients lam * mu_e[i] in term order, so the result's
+        entries come in the order of one running sum: a key that cancels
+        part way keeps its first place."""
         field = self.field
         y = {jp: field.one}
         mus = {}  # e -> the coordinates of sigma x_e z''
@@ -479,10 +480,10 @@ class OrbitState(AlgebraState):
             move, cols, f, _ = plan
             z = self._moved(move, y)
             mus[e] = mat_col(cols, z if f > 0 else neg_col(z, field), field)
-        # sum lam * x_d (x_e z''), x_d's columns applied to lam * mu_e; a
-        # zero x_e z'' may lie in a class with no candidates, missing from coords
-        out = None
+        # a zero x_e z'' may lie in a class with no candidates, missing from coords
+        cols, coeffs = [], {}
         for d, e, lam in rel:
-            if mus[e]:
-                out = mat_col(coords[d], {i: lam * y for i, y in mus[e].items()}, field, out)
-        return out or ZERO_COL
+            for i, y in mus[e].items():
+                coeffs[len(cols)] = lam * y
+                cols.append(coords[d][i])
+        return mat_col(cols, coeffs, field)

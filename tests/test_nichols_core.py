@@ -365,6 +365,38 @@ def test_right_multiplier_matches_multiply(s3, prime):
             assert times_y(x) == multiply(x, y) == word_product(x, y)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(), PrimeField(3)],
+                         ids=["rational", "prime", "prime-3"])
+def test_right_multiplier_sums_like_one_running_sum(s3, field):
+    # each degree of x y is one running sum over the component pairs of
+    # x_nx[j] * b_j y_ny, made canonical once: the same values, scalar
+    # types and entry order, so a key that cancels part way keeps its
+    # first place.  Over GF(3) partial sums cancel often
+    state = s3
+    if field is not QQ:
+        state = AlgebraState(s3.system, field=field)
+        state.construct_all()
+
+    def entries(z):
+        return [(n, list(v.items()), [type(x) for x in v.values()])
+                for n, v in z.components.items()]
+
+    rng = random.Random(8)
+    for _ in range(40):
+        x, y = (sum((random_element(state, rng, rng.randint(0, 3)) for _ in range(3)),
+                    NicholsElement(state)) for _ in range(2))
+        want = {}
+        for nx, vx in x.components.items():
+            for ny, vy in y.components.items():
+                products = right_multiplier(NicholsElement(state, {ny: vy})).columns(nx)
+                acc = want.setdefault(nx + ny, {})
+                for j, c in vx.items():
+                    for t, v in products[j].items():
+                        acc[t] = acc.get(t, 0) + c * v
+        want = NicholsElement(state, {n: field.canon(acc) for n, acc in want.items()})
+        assert entries(right_multiplier(y)(x)) == entries(want)
+
+
 @pytest.mark.parametrize("prime", [False, True])
 def test_operator_columns_match_the_element_operations(s4, prime):
     # the columns b_i y and (b_i)D_y that the Leibniz-form checks compare
@@ -1462,13 +1494,16 @@ def test_memory_bound_raises():
 @pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["rational", "prime"])
 def test_a_word_past_the_top_grows_no_degree(rank_, dims, field):
     # a word longer than the top is zero, and reading it appends no empty
-    # degree: not while the build finds the top, nor once it is known
+    # degree: not while the build finds the top, nor once it is known;
+    # neither does building past the known top
     state = AlgebraState(RootSystem(cartan_data("A", rank_)), field=field)
     word = [k % state.system.nroots for k in range(7)]
     for _ in range(2):
         assert NicholsElement.from_word(state, word).is_zero()
         assert state.dims() == dims
         assert state.construct_all() == dims
+    state.ensure_degree(len(dims) + 3)
+    assert (state.dims(), state.dim(len(dims) + 3)) == (dims, 0)
 
 
 def test_split_joint_round_trips_a_joint_vector():

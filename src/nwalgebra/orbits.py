@@ -50,8 +50,9 @@ rank only: it skips those candidates and keeps no coordinates and no
 derivative vectors.
 
 Every sum over stored columns here is the one sparse product
-:func:`nwalgebra.exactlinalg.mat_col`, a relation's terms too (with
-``plus``).  Two sites scatter by hand: the candidate vector, whose
+:func:`nwalgebra.exactlinalg.mat_col`, a relation's terms too (one call
+over all their columns, so the entries keep one accumulator's order).
+Two sites scatter by hand: the candidate vector, whose
 per-root offset and sign ``mat_col`` cannot take, and degree 2's
 two-entry relation vectors.  A kept joint derivative vector splits into
 its per-root columns by :func:`nwalgebra.nichols_core.split_joint`, as

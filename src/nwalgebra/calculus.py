@@ -22,7 +22,7 @@ import random
 from itertools import islice
 
 from .coxeter import GroupElement
-from .exactlinalg import kernel_basis
+from .exactlinalg import kernel_basis, scalar_str
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
@@ -576,7 +576,8 @@ def bracket_matrix(ordering, state: AlgebraState):
                 ok = False
                 if bad is None:
                     bad = {"pi": list(pi), "sigma": list(sg),
-                           "value": str(val), "expected": str(expected)}
+                           "value": scalar_str(val, field_),
+                           "expected": scalar_str(expected, field_)}
             row.append(val)
         matrix.append(row)
     status = "pass" if ok else "fail"

@@ -35,7 +35,7 @@ from .coxeter import (
     centralizer_of_longest,
     element_from_json,
 )
-from .exactlinalg import DEFAULT_PRIME, QQ, LinalgError, PrimeField
+from .exactlinalg import DEFAULT_PRIME, QQ, LinalgError, PrimeField, scalar_str
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
@@ -355,7 +355,8 @@ def cmd_pairing(args, phases):
             val = pair(xu)
             expect = state.field.one if u == v.inverse() else state.field.zero
             if val != expect:
-                bad.append({"u": u.to_json(), "v": v.to_json(), "value": str(val)})
+                bad.append({"u": u.to_json(), "v": v.to_json(),
+                            "value": scalar_str(val, state.field)})
     phases.mark("pairing")
     _emit(args, {"pairs": len(elements) ** 2, "orthonormal": not bad, "violations": bad})
     return 0 if not bad else 1
@@ -379,7 +380,7 @@ def cmd_bracket(args, phases):
     matrix, report = bracket_matrix(list(d.elements), state)
     phases.mark("bracket")
     _emit(args, {"system": d.to_json(),
-                 "matrix": [[str(x) for x in row] for row in matrix],
+                 "matrix": [[scalar_str(x, state.field) for x in row] for row in matrix],
                  "report": report.to_json()})
     return 0 if report.passed else 1
 

@@ -17,12 +17,14 @@ they store is ``ZERO_COL``.  The solver copies what it keeps, and the
 coordinates it returns are values too: a one-term expression with
 coefficient one is the solver's stored expression itself.  ``canon``
 alone returns a new dict that its callers may fill.  Values are
-canonical per field: residues modulo a prime, or rationals kept integer
-first (a Python ``int`` whenever the value is integral, a ``Fraction``
-only otherwise), so no floating point and no rounding enter anywhere.
-Arithmetic is plain operators, then one step of a four-method field
-facade: ``of`` (any exact input), ``normalize`` (a scalar), ``canon`` (a
-vector, zeros dropped) and ``inv``.
+canonical per field: symmetric residues modulo a prime, in
+[-(p-1)/2, (p-1)/2], so that the ±1 and ±2 that fill a build stay small
+ints, or rationals kept integer first (a Python ``int`` whenever the
+value is integral, a ``Fraction`` only otherwise), so no floating point
+and no rounding enter anywhere.  Arithmetic is plain operators, then one
+step of a four-method field facade: ``of`` (any exact input),
+``normalize`` (a scalar), ``canon`` (a vector, zeros dropped) and
+``inv``.  ``scalar_str`` gives a value's printed form.
 """
 
 from __future__ import annotations
@@ -106,9 +108,17 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """Field facade for integers modulo a prime 2 < p < 2**31.
 
-    ``of``, ``normalize``, ``canon`` and ``inv`` return residues in
-    [0, p); other arithmetic is plain operators.  The bound keeps every
-    product of two residues inside int64, which ``modp`` relies on.
+    ``of``, ``normalize``, ``canon`` and ``inv`` return symmetric
+    residues, in [-(p-1)/2, (p-1)/2], so minus one is -1; other
+    arithmetic is plain operators.  Nearly every scalar of a build is
+    one of ±1 and ±2, so its products and sums stay one-digit ints, and
+    a raw value already in range skips the ``%``.  Residues in [0, p)
+    would store minus one as p - 1, making each product of two residues
+    a 62-bit int and each reduction a multi-digit division, about seven
+    times slower.  Reports print the residue in [0, p) (``scalar_str``).
+    The engine's ints cannot overflow; the bound on p is the one under
+    which ``modp``, the int64 reference solver of the tests, multiplies
+    its [0, p) residues without overflow.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
@@ -117,35 +127,45 @@ class PrimeField:
         if not is_prime(p):
             raise LinalgError(f"prime mode requires a prime modulus, got {p}")
         self.prime = p
+        self._half = p // 2
         self.zero = 0
         self.one = 1
-        self.minus_one = p - 1
+        self.minus_one = -1
 
     def of(self, x):
         if isinstance(x, Fraction):
             if x.denominator % self.prime == 0:
                 raise LinalgError("denominator vanishes modulo p")
-            return x.numerator * self.inv(x.denominator) % self.prime
-        return x % self.prime
+            x = x.numerator * self.inv(x.denominator)
+        return self.normalize(x)
 
     def normalize(self, x):
-        return x % self.prime
+        h = self._half
+        return x if abs(x) <= h else (x + h) % self.prime - h
 
     def canon(self, acc):
         """Raw sums {key: value} made canonical: residues, zeros dropped."""
-        p = self.prime
-        return {k: y for k, x in acc.items() if (y := x % p)}
+        p, h = self.prime, self._half
+        return {k: y for k, x in acc.items()
+                if (y := x if abs(x) <= h else (x + h) % p - h)}
 
     def inv(self, a):
         if a % self.prime == 0:
             raise ZeroDivisionError("division by zero in prime field")
-        return pow(a, -1, self.prime)
+        return self.normalize(pow(a, -1, self.prime))
 
     def __repr__(self):
         return f"GF({self.prime})"
 
 
 QQ = RationalField()
+
+
+def scalar_str(x, field):
+    """The printed form of a field value (FORMATS.md): over GF(p) its
+    residue in [0, p), over Q its ``str``."""
+    return str(x % field.prime if field.prime else x)
+
 
 #: the zero column, shared by every map; a write into it raises TypeError
 ZERO_COL = MappingProxyType({})
@@ -168,7 +188,7 @@ def mat_col(mat, col, field, plus=None):
         if x == field.one:
             return mat[j] or ZERO_COL
         if x == field.minus_one:
-            return neg_col(mat[j], field)
+            return neg_col(mat[j])
         return field.canon({i: v * x for i, v in mat[j].items()}) or ZERO_COL
     acc = dict(plus) if plus else {}
     get = acc.get
@@ -178,13 +198,13 @@ def mat_col(mat, col, field, plus=None):
     return field.canon(acc) or ZERO_COL
 
 
-def neg_col(col, field):
-    """-c for a canonical column c (-v over Q, p - v over GF(p)): canonical
-    in, canonical out, as no entry becomes zero and no scalar changes type.
-    A new dict, or ``ZERO_COL`` for an empty c.  Structure maps fold a
-    sign into ``mat_col``'s input with it."""
-    z = field.prime or 0
-    return {i: z - v for i, v in col.items()} if col else ZERO_COL
+def neg_col(col):
+    """-c for a canonical column c, over either field: canonical in,
+    canonical out, as no entry becomes zero, no scalar changes type and
+    negation maps the symmetric residues onto themselves.  A new dict, or
+    ``ZERO_COL`` for an empty c.  Structure maps fold a sign into
+    ``mat_col``'s input with it."""
+    return {i: -v for i, v in col.items()} if col else ZERO_COL
 
 
 def rank(cols, field=QQ) -> int:

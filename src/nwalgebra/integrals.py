@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .calculus import IdentityReport, _fail, _joint_kernels, _t_blocks
 from .coxeter import centralizer_of_longest
-from .exactlinalg import ColumnSolver, rank
+from .exactlinalg import ColumnSolver, rank, scalar_str
 from .nichols_core import (
     AlgebraState,
     CheckFailed,
@@ -40,14 +40,16 @@ class IntegralCertificate:
         self.eps_rho, self.eps_antipode, self.eps_sbar = eps_rho, eps_antipode, eps_sbar
 
     def to_json(self):
+        field = self.element.state.field
         return {
             "element": element_to_json(self.element),
             "degree": self.degree,
             "w_degree": self.w_degree.to_json(),
-            "character_on_simple_reflections": {str(i): str(v) for i, v in self.char.items()},
-            "eps_rho": str(self.eps_rho),
-            "eps_antipode": str(self.eps_antipode),
-            "eps_sbar": str(self.eps_sbar),
+            "character_on_simple_reflections": {str(i): scalar_str(v, field)
+                                                for i, v in self.char.items()},
+            "eps_rho": scalar_str(self.eps_rho, field),
+            "eps_antipode": scalar_str(self.eps_antipode, field),
+            "eps_sbar": scalar_str(self.eps_sbar, field),
         }
 
 

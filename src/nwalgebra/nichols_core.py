@@ -53,7 +53,7 @@ tests compare with it class by class.
 from __future__ import annotations
 
 from .coxeter import GroupElement, RootSystem
-from .exactlinalg import QQ, ZERO_COL, ColumnSolver, mat_col, neg_col
+from .exactlinalg import QQ, ZERO_COL, ColumnSolver, mat_col, neg_col, scalar_str
 
 Word = tuple
 
@@ -215,7 +215,7 @@ class LazyColumns:
     def _column(self, i):
         a, j = self._parents[i]
         s = self._images[a]
-        col = self._prev[j] if s > 0 else neg_col(self._prev[j], self._field)
+        col = self._prev[j] if s > 0 else neg_col(self._prev[j])
         col = mat_col(self._lmul[abs(s) - 1], col, self._field)
         return self._units.share(col) if len(col) == 1 else col
 
@@ -693,7 +693,7 @@ class AlgebraState:
             cols = []
             for word, j in zip(basis.words, basis.prefixes):
                 s = wdegs[j].act(word[-1] + 1)
-                col = s_prev[j] if s < 0 else neg_col(s_prev[j], field)
+                col = s_prev[j] if s < 0 else neg_col(s_prev[j])
                 cols.append(mat_col(lmul[abs(s) - 1], col, field))
             return self.units.share_all(cols)
         return self._cached(n, ("antipode", None), build)
@@ -714,7 +714,7 @@ class AlgebraState:
             cols = []
             for a, j in basis.parents:
                 s = inv[prev.wdegs[j]][a]
-                col = t_prev[j] if s < 0 else neg_col(t_prev[j], field)
+                col = t_prev[j] if s < 0 else neg_col(t_prev[j])
                 cols.append(mat_col(self.rmul(n, abs(s) - 1), col, field))
             return self.units.share_all(cols)
         return self._cached(n, ("antipode_inv", None), build)
@@ -1006,8 +1006,7 @@ def rho(z: NicholsElement) -> NicholsElement:
 
 def s_bar(z: NicholsElement) -> NicholsElement:
     """The twisted antipode: (-1)^n rho S on the degree-n component."""
-    field = z.state.field
-    return NicholsElement(z.state, {n: neg_col(v, field) if n % 2 else v
+    return NicholsElement(z.state, {n: neg_col(v) if n % 2 else v
                                     for n, v in rho(antipode(z)).components.items()})
 
 
@@ -1020,7 +1019,7 @@ def element_to_json(z: NicholsElement):
     comps = []
     for n in z.degrees():
         basis = z.state.basis(n)
-        terms = [{"word": list(basis.words[i]), "coeff": str(c)}
+        terms = [{"word": list(basis.words[i]), "coeff": scalar_str(c, z.state.field)}
                  for i, c in sorted(z.components[n].items())]
         comps.append({"degree": n, "terms": terms})
     return {"degree_components": comps}

@@ -270,8 +270,7 @@ class OrbitState(AlgebraState):
         h = self._times(a, r)
         move = self._mover(m - 1, self._orbit(h)[0], self._move(t, h, self._times(c, r)))
         y = self._moved(move, {j: self.field.one})
-        return mat_col(self.bases[m].express[r][c], y if s > 0 else neg_col(y, self.field),
-                       self.field)
+        return mat_col(self.bases[m].express[r][c], y if s > 0 else neg_col(y), self.field)
 
     def _plan(self, n, rh, uh, h, e, d):
         """The plan of sigma * x_e u_h(y) at degree n - 1, for y of class
@@ -480,7 +479,7 @@ class OrbitState(AlgebraState):
                 continue
             move, cols, f, _ = plan
             z = self._moved(move, y)
-            mus[e] = mat_col(cols, z if f > 0 else neg_col(z, field), field)
+            mus[e] = mat_col(cols, z if f > 0 else neg_col(z), field)
         # a zero x_e z'' may lie in a class with no candidates, missing from coords
         cols, coeffs = [], {}
         for d, e, lam in rel:

@@ -397,6 +397,42 @@ def test_integral_cli():
     assert data["invariance"]["status"] == "pass"
 
 
+def test_integral_prints_prime_field_scalars_as_residues_in_0_to_p():
+    # GF(p) stores minus one as -1 and prints it as p - 1: on the top of
+    # A1 the simple reflection and the antipode act by -1, on that of A2
+    # rho and s-bar do
+    want = {"1": {"character_on_simple_reflections": {"0": "100"}, "eps_antipode": "100",
+                  "eps_rho": "1", "eps_sbar": "1"},
+            "2": {"character_on_simple_reflections": {"0": "1", "1": "1"},
+                  "eps_antipode": "1", "eps_rho": "100", "eps_sbar": "100"}}
+    for rank, scalars in want.items():
+        code, out, _ = run_cli("integral", "--type", "A", "--rank", rank,
+                               "--field", "prime", "--prime", "101")
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert {k: cert[k] for k in scalars} == scalars
+        assert [t["coeff"] for c in cert["element"]["degree_components"]
+                for t in c["terms"]] == ["1"]
+
+
+def test_violations_print_prime_field_scalars_as_residues_in_0_to_p(monkeypatch, capsys):
+    # a pairing or a bracket entry that comes out as minus one over
+    # GF(101) is reported as 100, in the violations, the matrix and the
+    # counterexample alike
+    from nwalgebra import calculus
+
+    monkeypatch.setattr(cli, "pairing_with", lambda xv: lambda xu: -1)
+    monkeypatch.setattr(calculus, "pairing", lambda a, b: -1)
+    gf101 = ["--field", "prime", "--prime", "101"]
+    assert cli.main(["pairing", "--rank", "1", *gf101]) == 1
+    assert {v["value"] for v in json.loads(capsys.readouterr().out)["violations"]} == {"100"}
+    assert cli.main(["bracket", "--rank", "3", "--order", "2", *gf101]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert {x for row in data["matrix"] for x in row} == {"100"}
+    bad = data["report"]["counterexample"]
+    assert (bad["value"], bad["expected"]) == ("100", "1")
+
+
 def test_hypo_cli():
     code, out, _ = run_cli("hypo", "--rank", "2")
     assert code == 0

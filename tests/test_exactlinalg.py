@@ -183,17 +183,29 @@ def test_rational_field_is_integer_first():
     assert str(QQ.of(Fraction(6, 2))) == str(Fraction(3)) == "3"
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(), PrimeField(101)],
-                         ids=["QQ", "GF(p)", "GF(101)"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(), PrimeField(101), PrimeField(3)],
+                         ids=["QQ", "GF(p)", "GF(101)", "GF(3)"])
 def test_field_facade(field):
     # arithmetic is plain operators plus these; no per-operation methods
     assert sorted(n for n in dir(field) if not n.startswith("_")) == [
         "canon", "inv", "minus_one", "normalize", "of", "one", "prime", "zero"]
     assert field.normalize(field.minus_one + field.one) == field.zero
-    for a in (1, 2, 7, field.minus_one, field.of(Fraction(-3, 5))):
+    # -3/5 is zero over GF(3), so not a unit there
+    units = [a for a in (1, 2, 7, field.minus_one, field.of(Fraction(-3, 5)))
+             if field.normalize(a)]
+    for a in units:
         assert field.normalize(a * field.inv(a)) == field.one
     with pytest.raises(ZeroDivisionError):
         field.inv(field.zero)
+    if field.prime:
+        # symmetric residues: every value lies in [-(p-1)/2, (p-1)/2], so
+        # minus one is -1, not p - 1; GF(3) holds only -1, 0 and 1
+        p, h = field.prime, field.prime // 2
+        assert field.minus_one == -1
+        assert field.of(p - 1) == -1 and field.of(p // 2 + 1) == -h
+        assert field.canon({0: p - 1, 1: p, 2: h + 1, 3: -h - 1}) == {0: -1, 2: -h, 3: h}
+        assert all(type(x) is int and abs(x) <= h
+                   for a in units for x in (field.of(a), field.inv(a)))
 
 
 def linear_probe_echelon(cols, field):

@@ -129,14 +129,14 @@ def test_top_integral_catches_a_wrong_product_character(prime, monkeypatch):
                          field=PrimeField() if prime else QQ)
     state.construct_all()
     top = top_integral(state).degree
-    sys, field = state.system, state.field
+    sys = state.system
     g = sys.simple_reflection(0) * sys.simple_reflection(1)
     act_matrix = state.act_matrix
 
     def wrong(n, w):
         m = act_matrix(n, w)
         if n == top and w == g:
-            return [neg_col(col, field) for col in m]
+            return [neg_col(col) for col in m]
         return m
 
     monkeypatch.setattr(state, "act_matrix", wrong)
@@ -150,17 +150,17 @@ def test_top_integral_reports_a_wrong_product_character_before_the_antipode_sign
     # top, the multiplicativity failure is the one reported
     state = AlgebraState(RootSystem(cartan_data("A", 2)))
     state.construct_all()
-    top, sys, field = state.finite_top, state.system, state.field
+    top, sys = state.finite_top, state.system
     g = sys.simple_reflection(0) * sys.simple_reflection(1)
     act_matrix, antipode_matrix = state.act_matrix, state.antipode_matrix
 
     def wrong_act(n, w):
         m = act_matrix(n, w)
-        return [neg_col(col, field) for col in m] if n == top and w == g else m
+        return [neg_col(col) for col in m] if n == top and w == g else m
 
     def wrong_antipode(n):
         m = antipode_matrix(n)
-        return [neg_col(col, field) for col in m] if n == top else m
+        return [neg_col(col) for col in m] if n == top else m
 
     monkeypatch.setattr(state, "antipode_matrix", wrong_antipode)
     with pytest.raises(IntegralError, match="antipode sign"):
@@ -184,7 +184,7 @@ def test_invariance_item_2_catches_a_wrong_reflection_sign(monkeypatch):
     def wrong(n, w):
         m = act_matrix(n, w)
         if n == cert.degree and w == s1:
-            return [neg_col(col, state.field) for col in m]
+            return [neg_col(col) for col in m]
         return m
 
     assert invariance_suite(cert, state).passed

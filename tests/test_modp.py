@@ -34,16 +34,19 @@ def random_matrices(seed, count=25):
 
 def test_greedy_solve_matches_column_solver():
     # the same greedy selection and coordinates as ColumnSolver, which
-    # pivots sparse columns in its own order
+    # pivots sparse columns in its own order; it takes and gives symmetric
+    # residues, the dense solver residues in [0, p), so its input goes
+    # through the field and its coordinates are compared modulo p
     p = DEFAULT_PRIME
+    field = PrimeField(p)
     for a in random_matrices(0):
-        solver = ColumnSolver(PrimeField(p))
+        solver = ColumnSolver(field)
         want = np.zeros(a.shape, dtype=np.int64)
         for c in range(a.shape[1]):
-            _, coords = solver.add({r: int(x) for r, x in enumerate(a[:, c]) if x},
+            _, coords = solver.add({r: field.of(int(x)) for r, x in enumerate(a[:, c]) if x},
                                    express=True)
             for k, x in coords.items():
-                want[k, c] = x
+                want[k, c] = x % p
         sel, coords = modp.greedy_solve(a, p)
         assert sel.tolist() == solver.selected
         assert np.array_equal(coords, want[:solver.rank])

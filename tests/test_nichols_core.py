@@ -283,8 +283,8 @@ def test_unit_columns_keep_one_copy_per_row_and_value(field):
 def test_structure_columns_are_canonical(which, request):
     # mat_col shares a stored column for a coefficient one without
     # renormalizing it, so every structure matrix must hold canonical
-    # values: no zero, a residue in 1..p-1 over GF(p), and over Q an int
-    # or a Fraction that is not integral
+    # values: no zero, a symmetric residue in [-(p-1)/2, (p-1)/2] over
+    # GF(p), and over Q an int or a Fraction that is not integral
     state = request.getfixturevalue(which)
     field, sys = state.field, state.system
     if field.prime is None:
@@ -292,7 +292,7 @@ def test_structure_columns_are_canonical(which, request):
             return type(x) is int and x != 0 or type(x) is Fraction and x.denominator != 1
     else:
         def canonical(x):
-            return type(x) is int and 0 < x < field.prime
+            return type(x) is int and 0 < abs(x) <= field.prime // 2
     movers = [sys.reflection(sys.simple_index[0]), sys.longest_element()]
     for n in range(1, state.finite_top + 1):
         mats = {"rho": state.rho_matrix(n), "antipode": state.antipode_matrix(n),
@@ -467,7 +467,7 @@ def test_action_and_reversal_match_per_word_definition(s4):
                     images = [w.act(a + 1) for a in word]
                     col = state.word_column(tuple(abs(s) - 1 for s in images))
                     if sum(s < 0 for s in images) % 2:
-                        col = neg_col(col, state.field)
+                        col = neg_col(col)
                     expected.append(col)
                 assert state.act_matrix(n, w) == expected
             assert state.rho_matrix(n) == [state.word_column(word[::-1]) for word in words]
@@ -776,7 +776,7 @@ def test_antipode_inverse_recursion_is_the_twisted_antipode(s4, type_, rank_, pr
         for g, idx in state.basis(n).classes.items():
             act, odd = state.act_matrix(n, g.inverse()), g.length() % 2
             for i in idx:
-                expected[i] = mat_col(act, neg_col(s[i], field) if odd else s[i], field)
+                expected[i] = mat_col(act, neg_col(s[i]) if odd else s[i], field)
         assert state.antipode_inv_matrix(n) == expected, n
 
 
@@ -793,7 +793,7 @@ def test_antipode_prefix_recursion_matches_the_parents_formula(s4, type_, rank_,
     for n in range(1, len(state.bases)):
         expected = [mat_col(state.rmul(n, a),
                             mat_col(state.act_matrix(n - 1, sys.reflection(a)),
-                                    neg_col(expected[j], field), field), field)
+                                    neg_col(expected[j]), field), field)
                     for a, j in state.basis(n).parents]
         assert state.antipode_matrix(n) == expected, n
     for n in range(len(state.bases)):
@@ -1122,7 +1122,9 @@ def test_construction_held_memory():
 @pytest.mark.parametrize("type_,rank_,top", [("A", 4, 5), ("D", 4, 4)])
 def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_, top):
     # every class block solved a second time by a dense fill and
-    # modp.greedy_solve gives the same basis and structure columns
+    # modp.greedy_solve gives the same basis and structure columns; the
+    # dense solver's coordinates, residues in [0, p), are taken into the
+    # field's symmetric form, so the columns must match exactly
     import numpy as np
 
     from nwalgebra import modp
@@ -1143,7 +1145,7 @@ def test_prime_construction_matches_dense_modp_oracle(monkeypatch, type_, rank_,
         for k, row in enumerate(coords.tolist()):
             for ci, x in enumerate(row):
                 if x:
-                    out[ci][k] = x
+                    out[ci][k] = self.field.of(x)
         return sel.tolist(), out
 
     sys = RootSystem(cartan_data(type_, rank_))
@@ -1339,9 +1341,13 @@ def test_construction_reduces_only_candidates_not_derived_from_relations(
                and st.bases[n - 1].words[j] in words[n - 1] for n, a, j in vectors)
 
 
-def _entries(col, ordered):
-    """A column's (index, value) pairs, in its order or sorted by index."""
-    return list(col.items()) if ordered else sorted(col.items())
+def _entries(col, ordered, prime):
+    """A column's (index, value) pairs, in its order or sorted by index.
+    A GF(p) value is taken as its residue in [0, p), the form the digests
+    were recorded in, so a digest pins the values modulo p whatever
+    residues the field stores."""
+    items = [(i, x % prime) for i, x in col.items()] if prime else list(col.items())
+    return items if ordered else sorted(items)
 
 
 def structure_digest(state, ordered=True):
@@ -1349,12 +1355,12 @@ def structure_digest(state, ordered=True):
     with their scalar types (``repr`` tells an int from a Fraction), and
     the joint derivative vectors, degree by degree.  The entries are
     hashed in their order, or sorted by index when not ``ordered``."""
-    h = hashlib.sha256()
+    h, p = hashlib.sha256(), state.field.prime
     for b in state.bases:
         h.update(repr((b.words, b.parents, [g.images for g in b.wdegs])).encode())
         for a in sorted(b.lmul):
-            h.update(repr([_entries(col, ordered) for col in b.lmul[a]]).encode())
-        h.update(repr([_entries(v, ordered) for v in b.derivs]).encode())
+            h.update(repr([_entries(col, ordered, p) for col in b.lmul[a]]).encode())
+        h.update(repr([_entries(v, ordered, p) for v in b.derivs]).encode())
     return h.hexdigest()
 
 
@@ -1398,7 +1404,7 @@ def _sbar_matrix(state, n):
     """The twisted antipode (-1)^n rho S on degree n, as the product of the
     rho and antipode columns that the engine once stored."""
     field, r = state.field, state.rho_matrix(n)
-    return [mat_col(r, neg_col(col, field) if n % 2 else col, field)
+    return [mat_col(r, neg_col(col) if n % 2 else col, field)
             for col in state.antipode_matrix(n)]
 
 
@@ -1408,7 +1414,7 @@ def read_path_digest(state, ordered=True):
     element's action and every root's dright and rmul, degree by degree.
     The entries are hashed in their order, or sorted by index when not
     ``ordered``."""
-    h = hashlib.sha256()
+    h, p = hashlib.sha256(), state.field.prime
     elements = state.system.elements()
     for n in range(len(state.bases)):
         maps = [state.rho_matrix(n), state.antipode_matrix(n), state.antipode_inv_matrix(n),
@@ -1418,7 +1424,7 @@ def read_path_digest(state, ordered=True):
             for g in range(state.system.nroots):
                 maps += [state.dright(n, g), state.rmul(n, g)]
         for m in maps:
-            h.update(repr([_entries(col, ordered) for col in m]).encode())
+            h.update(repr([_entries(col, ordered, p) for col in m]).encode())
     return h.hexdigest()
 
 

@@ -189,9 +189,11 @@ def orbit_digest(state, ordered=False):
     """sha256 of every degree's ``ranks``, ``parents``, ``derivs`` and
     ``express``, insensitive to the order of representatives, and to the
     order of the entries of a vector unless ``ordered``; scalars are
-    hashed with their types."""
+    hashed with their types, a GF(p) value as its residue in [0, p)."""
+    p = state.field.prime
+
     def entries(vec):
-        vec = [(i, type(x).__name__, str(x)) for i, x in vec.items()]
+        vec = [(i, type(x).__name__, str(x % p if p else x)) for i, x in vec.items()]
         return vec if ordered else sorted(vec)
 
     h = hashlib.sha256()

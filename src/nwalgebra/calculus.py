@@ -11,9 +11,10 @@ skew commutation) compare operator identities column by column, degree
 by degree: each side of the identity is, per degree, the list of its
 columns on the basis elements, made from the product columns b_i y of
 :func:`right_multiplier` and the derivative columns (b_i)D_xi of
-:func:`right_derivative_columns` with one matrix-vector step per map,
-none for a zero column.  The derivative columns of a fixed xi are built
-once per degree and shared across the trials.
+:func:`right_derivative_columns`, composed by :func:`_then` with one
+matrix-vector step per map, none for a zero column.  The derivative
+columns of a fixed xi are built once per degree and shared across the
+trials.
 """
 
 from __future__ import annotations
@@ -263,20 +264,17 @@ def check_gen_leibniz(state: AlgebraState, v: GroupElement, w: GroupElement,
         for derive_u, m_u, eta_u, h in parts:
             e_u = right_derivative(z, eta_u)
             if not e_u.is_zero():
-                rhs_parts.append((derive_u, m_u, right_multiplier(group_act(h, e_u)).columns))
-
-        def lhs(nb):
-            return (mat_col(derive(nb + nz), p, field_) if p else {} for p in times_z(nb))
+                times_e = right_multiplier(group_act(h, e_u)).columns
+                rhs_parts.append(_then(derive_u, times_e, -m_u, field_))
+        ones = dict.fromkeys(range(len(rhs_parts)), field_.one)
 
         def rhs(nb):
-            for i in range(state.dim(nb)):
-                acc = {}
-                for derive_u, m_u, times_m in rhs_parts:
-                    if d := derive_u(nb)[i]:
-                        acc = mat_col(times_m(nb - m_u), d, field_, acc)
-                yield acc
+            # per basis element, the sum of the parts' columns
+            cols = [part(nb) for part in rhs_parts]
+            return (mat_col([next(c) for c in cols], ones, field_) for _ in range(state.dim(nb)))
 
-        bad = _first_mismatch(_compared_degrees(state, top, nz), lhs, rhs)
+        bad = _first_mismatch(_compared_degrees(state, top, nz),
+                              _then(times_z, derive, nz, field_), rhs)
         if bad:
             return _fail(name, params, t, seed, degree=bad[0], z=z,
                          b=basis_element(state, *bad))
@@ -306,14 +304,8 @@ def check_tower_invariance(state: AlgebraState, w: GroupElement, v: GroupElement
         zdx = NicholsElement(state, {nz - mx: mat_col(derive(nz), z.component(nz), field_)})
         times_zdx = right_multiplier(zdx).columns
 
-        def lhs(nb):
-            for u in derive_y(nb):
-                p = mat_col(times_z(nb - my), u, field_) if u else {}
-                yield mat_col(derive(nb - my + nz), p, field_) if p else {}
-
-        def rhs(nb):
-            return (mat_col(times_zdx(nb - my), u, field_) if u else {} for u in derive_y(nb))
-
+        lhs = _then(_then(derive_y, times_z, -my, field_), derive, nz - my, field_)
+        rhs = _then(derive_y, times_zdx, -my, field_)
         bad = _first_mismatch(_compared_degrees(state, top, nz - my), lhs, rhs)
         if bad:
             return _fail(name, params, t, seed, degree=bad[0], z=z,
@@ -391,14 +383,18 @@ def _right_leibniz_mismatch(state, top, times, ny, derive, m, times_after):
     truncated build only z with z y in a built degree are compared
     (:func:`_compared_degrees`)."""
     field_ = state.field
+    return _first_mismatch(_compared_degrees(state, top, ny), _then(times, derive, ny, field_),
+                           _then(derive, times_after, -m, field_))
 
-    def lhs(nz):
-        return (mat_col(derive(nz + ny), p, field_) if p else {} for p in times(nz))
 
-    def rhs(nz):
-        return (mat_col(times_after(nz - m), d, field_) if d else {} for d in derive(nz))
-
-    return _first_mismatch(_compared_degrees(state, top, ny), lhs, rhs)
+def _then(first, second, lift, field):
+    """The operator second o first, column by column: n -> the columns
+    ``second(n + lift)`` applied to ``first(n)``, first mapping degree n
+    to degree n + lift.  A zero column of first gives the zero column
+    without a read of second."""
+    def columns(n):
+        return (mat_col(second(n + lift), c, field) if c else {} for c in first(n))
+    return columns
 
 
 def _compared_degrees(state, top, lift):

@@ -30,8 +30,12 @@ The braided derivative recursions used on words:
   right:  (z x_b)D_g  = d_{gb} z + sign * ((z)D_g) x_{|s_g(b)|}
 
 Derivatives by an element y, as elements or as columns, are one walk of
-y's basis words as a tree, one letter's matrix per step
-(:func:`_derive_along`).
+y's basis words, grouped level by level by the letter applied next, one
+letter's matrix per group (:func:`_derive_along`).  The duality pairing
+is that walk too: <z, x_c y> = <(z)D_c, y>, so <a, b> is the scalar
+(a_n)D_{b_n} summed over the degrees n that a and b share.  The Gram
+matrix (:meth:`AlgebraState.gram`) recurses on the same identity; no
+command builds it, and the tests check the pairing against it.
 
 and, the antipode being braided anti-multiplicative,
 S(u v) = S(g_u . v) S(u) for u of group degree g_u, the antipode and
@@ -867,7 +871,6 @@ def right_derivative_columns(y: NicholsElement):
     state = y.state
     field = state.field
     m = _homogeneous_degree(y, "right_derivative_columns")
-    tree = _word_tree(state, m, y.components[m], False) if m is not None else []
     built = {}
 
     def columns(n):
@@ -875,47 +878,40 @@ def right_derivative_columns(y: NicholsElement):
         if cols is None:
             accs = [{} for _ in range(state.dim(n))]
             if m is not None and n >= m:
-                _derive_along(state, state.dright,
-                              list(enumerate(mat_identity(len(accs), field))), n, tree, accs)
+                _derive_along(state, False, list(enumerate(mat_identity(len(accs), field))),
+                              n, y.components[m], m, accs)
             cols = built[n] = [field.canon(acc) or ZERO_COL for acc in accs]
         return cols
     return columns
 
 
-def _word_tree(state: AlgebraState, d, vec, left):
-    """The basis words of the degree-d coordinates ``vec`` as a tree in
-    the order a derivative by a word applies its letters: a list of
-    (a, subtree) by first letter a (``parents``) for the right
-    derivative, (z)D_{x_a b} = ((z)D_a)D_b, or by last letter a
-    (``prefixes``) for the left one, D_{b x_a} = D_b o D_a; at d = 0,
-    the coefficient of the empty word."""
-    if d == 0:
-        return vec[0]
-    by_letter = {}
-    basis = state.basis(d)
-    for i, c in vec.items():
-        a, j = (basis.words[i][-1], basis.prefixes[i]) if left else basis.parents[i]
-        by_letter.setdefault(a, {})[j] = c
-    return [(a, _word_tree(state, d - 1, sub, left)) for a, sub in by_letter.items()]
-
-
-def _derive_along(state: AlgebraState, derivative, vecs, d, node, accs):
-    """accs[k] += v derived along the words of ``node``, a
-    :func:`_word_tree`, for each (k, v) in ``vecs``, v of degree d.
-    ``derivative(d, a)`` is the letter's map out of degree d
-    (``state.dright`` or ``state.dleft``).  The words that share a
-    subtree share its steps, and a step that gives zero ends its branch."""
-    if not isinstance(node, list):
+def _derive_along(state: AlgebraState, left, vecs, d, vy, m, accs):
+    """accs[k] += D_y(v) for ``left``, else (v)D_y, for each (k, v) in
+    ``vecs``, v of degree d and y the degree-m coordinates ``vy``.  Each
+    level groups y's words by the letter a derivative applies first: the
+    first, (z)D_{x_a b} = ((z)D_a)D_b (``parents``), or the last,
+    D_{b x_a} = D_b o D_a (``prefixes``), and applies that letter's map
+    out of degree d (``state.dright`` or ``state.dleft``) once per group.
+    A step that gives zero ends its branch; at m = 0 the coefficient of
+    the empty word multiplies each v."""
+    if m == 0:
+        c = vy[0]
         for k, v in vecs:
             acc = accs[k]
             for t, x in v.items():
-                acc[t] = acc.get(t, 0) + node * x
+                acc[t] = acc.get(t, 0) + c * x
         return
-    for a, sub in node:
+    basis = state.basis(m)
+    by_letter = {}
+    for i, c in vy.items():
+        a, j = (basis.words[i][-1], basis.prefixes[i]) if left else basis.parents[i]
+        by_letter.setdefault(a, {})[j] = c
+    derivative = state.dleft if left else state.dright
+    for a, sub in by_letter.items():
         dm = derivative(d, a)
         out = [(k, w) for k, v in vecs if (w := mat_col(dm, v, state.field))]
         if out:
-            _derive_along(state, derivative, out, d - 1, sub, accs)
+            _derive_along(state, left, out, d - 1, sub, m - 1, accs)
 
 
 def multiply(a: NicholsElement, b: NicholsElement) -> NicholsElement:
@@ -944,17 +940,15 @@ def left_derivative(y: NicholsElement, z: NicholsElement) -> NicholsElement:
 
 
 def _derive(z: NicholsElement, y: NicholsElement, left) -> NicholsElement:
-    """D_y (z) for ``left``, else (z)D_y: each component of y walked as
-    one :func:`_word_tree` over every component of z of its degree or
+    """D_y (z) for ``left``, else (z)D_y: each component of y walked
+    (:func:`_derive_along`) over every component of z of its degree or
     more."""
     state = z.state
-    derivative = state.dleft if left else state.dright
     out = {}
     for ny, vy in y.components.items():
-        tree = _word_tree(state, ny, vy, left)
         for nz, vz in z.components.items():
             if nz >= ny:
-                _derive_along(state, derivative, [(0, vz)], nz, tree,
+                _derive_along(state, left, [(0, vz)], nz, vy, ny,
                               [out.setdefault(nz - ny, {})])
     return NicholsElement(state, {n: state.field.canon(acc) for n, acc in out.items()})
 
@@ -971,29 +965,17 @@ def group_act(w: GroupElement, z: NicholsElement) -> NicholsElement:
 
 
 def pairing(a: NicholsElement, b: NicholsElement):
-    """The duality pairing <a, b>."""
-    return pairing_with(b)(a)
-
-
-def pairing_with(b: NicholsElement):
-    """The functional a -> <a, b>.  Each component of b goes through its
-    degree's Gram matrix on the first a that reads it, once, so pairing
-    many elements with one b costs one Gram product per degree of b."""
-    state, field = b.state, b.state.field
-    images = {}  # degree -> Gram matrix applied to b's component
-
-    def pair(a: NicholsElement):
-        total = 0
-        for n, va in a.components.items():
-            vb = b.components.get(n)
-            if vb is None:
-                continue
-            gb = images.get(n)
-            if gb is None:
-                gb = images[n] = mat_col(state.gram(n), vb, field)
-            total += sum(x * gb[i] for i, x in va.items() if i in gb)
-        return field.normalize(total)
-    return pair
+    """The duality pairing <a, b>: over each degree n that a and b share,
+    the scalar (a_n)D_{b_n}, by <z, x_c y> = <(z)D_c, y>.  The right
+    derivatives of every shared degree sum into one accumulator, made
+    canonical once (:func:`_derive_along`)."""
+    state = a.state
+    acc = {}
+    for n, vb in b.components.items():
+        va = a.components.get(n)
+        if va is not None:
+            _derive_along(state, False, [(0, va)], n, vb, n, [acc])
+    return state.field.normalize(acc.get(0, 0))
 
 
 def antipode(z: NicholsElement) -> NicholsElement:

@@ -623,7 +623,7 @@ def _fresh_map(state, n, key):
     if name == "act":
         return state.act_matrix(n, GroupElement(state.system, arg))
     if arg is None:
-        return getattr(state, "gram" if name == "gram" else f"{name}_matrix")(n)
+        return getattr(state, f"{name}_matrix")(n)
     return getattr(state, name)(n, arg)
 
 
@@ -678,9 +678,8 @@ def test_checks_leave_every_stored_column_unchanged(prime, checked_a3):
                      else [i for i in range(len(m)) if m._cols[i] is not None])
             rm = _fresh_map(ref, b.degree, key)
             assert [m[i] for i in built] == [rm[i] for i in built], (b.degree, key)
-    # the memo holds structure maps only
-    assert keys == {"rmul", "dleft", "dright", "act", "gram", "rho", "antipode",
-                    "antipode_inv"}
+    # the memo holds structure maps only, and no check builds a Gram matrix
+    assert keys == {"rmul", "dleft", "dright", "act", "rho", "antipode", "antipode_inv"}
     assert ZERO_COL == {} and not ZERO_COL
 
 
@@ -704,9 +703,9 @@ def test_checks_store_one_copy_of_each_unit_column(prime, checked_a3):
                             (name, b.degree))
     holders = [h for ids in held.values() for h in ids.values()]
     assert {name for h in holders for name, _ in h} == {
-        "rmul", "dleft", "dright", "act", "rho", "antipode", "antipode_inv", "gram"}
+        "rmul", "dleft", "dright", "act", "rho", "antipode", "antipode_inv"}
     assert {v for _, v in held} == {field.one, field.minus_one}
     # one object serves many maps and degrees
-    assert max(len({name for name, _ in h}) for h in holders) == 8
+    assert max(len({name for name, _ in h}) for h in holders) == 7
     assert max(len({n for _, n in h}) for h in holders) > 6
     assert [key for key, ids in held.items() if len(ids) > 1] == []

@@ -192,28 +192,23 @@ def test_pairing_cli():
     assert data["orthonormal"] and data["pairs"] == 36
 
 
-def test_pairing_makes_one_gram_product_per_element(monkeypatch, capsys):
-    # each embedded x_v goes through its degree's Gram matrix once, not
-    # once per pair: |W| products on A3, whose x_v are homogeneous
-    grams, products = set(), []
-    gram, mat_col = AlgebraState.gram, nichols_core.mat_col
+@pytest.mark.parametrize("command", ["pairing", "bracket", "integral", "hypo"])
+def test_no_command_builds_a_gram_matrix(command, monkeypatch, capsys):
+    # the pairing walks the right derivatives, and no command builds a
+    # Gram matrix: under a bound of 5000 entries, below the 71^2 = 5041 of
+    # A3's dense degree-4 Gram matrix, each prints what it prints under
+    # the default bound, but for the bound itself
+    def refuse(self, n):
+        raise AssertionError(f"a command built the degree-{n} Gram matrix")
 
-    def recorded(self, n):
-        m = gram(self, n)
-        grams.add(id(m))
-        return m
-
-    def counted(mat, col, field, plus=None):
-        if id(mat) in grams:
-            products.append(col)
-        return mat_col(mat, col, field, plus)
-
-    monkeypatch.setattr(AlgebraState, "gram", recorded)
-    monkeypatch.setattr(nichols_core, "mat_col", counted)
-    assert cli.main(["pairing", "--rank", "3"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["orthonormal"] and data["pairs"] == 24 ** 2
-    assert len(products) == 24
+    monkeypatch.setattr(AlgebraState, "gram", refuse)
+    payloads = []
+    for bound in ([], ["--memory-bound", "5000"]):
+        assert cli.main([command, "--rank", "3", *bound]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["config"].pop("memory_bound")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_memory_bound_on_pairs_exit_3(monkeypatch, capsys):
@@ -346,15 +341,6 @@ def test_verify_without_the_longest_word_runs_under_a_low_cap(identity):
     assert json.loads(out)["reports"][0]["status"] == "pass"
 
 
-def test_memory_bound_on_gram_exit_3():
-    # the A3 construction fits in 3364 entries per class block; the dense
-    # Gram matrix of degree 4 needs 71^2 = 5041
-    code, out, err = run_cli("pairing", "--rank", "3", "--memory-bound", "5000")
-    assert code == 3 and out == ""
-    assert "resource bound exceeded: gram:" in err
-    assert "Traceback" not in err
-
-
 def test_bracket_without_a_system_of_the_order_refuses_before_building(monkeypatch, capsys):
     # A3's complete disjoint systems have order 2, which the root system
     # alone decides
@@ -421,7 +407,7 @@ def test_violations_print_prime_field_scalars_as_residues_in_0_to_p(monkeypatch,
     # counterexample alike
     from nwalgebra import calculus
 
-    monkeypatch.setattr(cli, "pairing_with", lambda xv: lambda xu: -1)
+    monkeypatch.setattr(cli, "pairing", lambda a, b: -1)
     monkeypatch.setattr(calculus, "pairing", lambda a, b: -1)
     gf101 = ["--field", "prime", "--prime", "101"]
     assert cli.main(["pairing", "--rank", "1", *gf101]) == 1

@@ -51,10 +51,17 @@ GOLDEN = {
     ("gen-leibniz", 3, "rational"): "0cfe296513edc28d7218c5e7b532216d3f172291ade02ac344d7bba8456f18d2",
     ("basic-rev", 3, "prime"): "f8d3fddc1714dc25d2662027dc6c53c3c10faa59e9a3be32c63afa2ec2759f66",
     ("gen-leibniz", 3, "prime"): "ec5c047250c9696aabc56b3fee6a7c3106b2d84d74f61b8b9f6b66133f543f7c",
+    # the bracket matrices of order 2 and of order 1; recorded from an
+    # engine that paired the ordered products through the Gram matrices
+    ("bracket", 3, "rational"): "a51c18f3690afe3634d944ef5dbc641c924f36dea803e392570d95edf69f3cfd",
+    ("bracket", 3, "prime"): "bc31ef396c23706410d4192abc12f6cfc0a52983263ef7cd452ae80a768a6ece",
+    ("bracket-r1", 3, "rational"): "ea9563d27f387dc267c8673c03a84a0cdc8e25d0ae47157bc9d4c4278d59904a",
+    ("bracket-r1", 3, "prime"): "ed7ab24d4b5d890db891108c94f7267d1558c98596b070bf8ec8fcb348d06a8e",
 }
 
 COMMANDS = {"dims": ["dims"], "integral": ["integral"], "hypo": ["hypo"],
             "pairing": ["pairing"],
+            "bracket": ["bracket", "--order", "2"], "bracket-r1": ["bracket", "--order", "1"],
             "nz-antipode": ["verify", "nz-antipode", "--trials", "4"],
             "rhoD": ["verify", "rhoD", "--trials", "4"],
             "skew": ["verify", "skew-commutation", "--trials", "4"],

@@ -595,6 +595,65 @@ def test_pairing_w_invariance(s3):
         assert pairing(group_act(g, a), group_act(g, b)) == pairing(a, b)
 
 
+def _built(type_, rank, field, cap=None):
+    state = AlgebraState(RootSystem(cartan_data(type_, rank)), field=field, degree_cap=cap)
+    state.construct_all()
+    return state
+
+
+@pytest.mark.parametrize("case", ["A2", "A3", "A3-prime", "A3-gf3", "D4-prime"])
+def test_pairing_is_the_gram_oracle(case, request):
+    # <b_i, b_j> from the right-derivative walk is entry i of Gram column
+    # j, for every pair of basis elements in every built degree
+    state = {"A2": lambda: request.getfixturevalue("s3"),
+             "A3": lambda: request.getfixturevalue("s4"),
+             "A3-prime": lambda: request.getfixturevalue("s4_prime"),
+             "A3-gf3": lambda: _built("A", 3, PrimeField(3)),
+             "D4-prime": lambda: _built("D", 4, PrimeField(), cap=3)}[case]()
+    top = state.finite_top if state.finite_top is not None else state.degree_cap
+    one = state.field.one
+    for n in range(top + 1):
+        g = state.gram(n)
+        units = [NicholsElement(state, {n: {i: one}}) for i in range(state.dim(n))]
+        for j, bj in enumerate(units):
+            assert [pairing(bi, bj) for bi in units] == [g[j].get(i, 0)
+                                                        for i in range(len(units))], (n, j)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_pairing_sums_every_common_degree(prime, s4, s4_prime):
+    # elements of several degrees pair degree by degree and the degrees
+    # they share add up: <a, b> = sum over n of a_n^T G_n b_n, G_n the Gram
+    # matrix; a degree that only one of them holds adds nothing
+    state = s4_prime if prime else s4
+    field = state.field
+    rng = random.Random(11)
+    for _ in range(6):
+        degrees = rng.sample(range(state.finite_top + 1), 5)
+        shared, only_a, only_b = degrees[:3], degrees[3], degrees[4]
+        a = b = NicholsElement(state)
+        for n in shared + [only_a]:
+            a = a + random_element(state, rng, n)
+        for n in shared + [only_b]:
+            b = b + random_element(state, rng, n)
+        want = 0
+        for n in shared:
+            gb = mat_col(state.gram(n), b.components.get(n, {}), field)
+            want += sum(x * gb.get(i, 0) for i, x in a.components.get(n, {}).items())
+        assert pairing(a, b) == field.normalize(want)
+
+
+def test_memory_bound_on_gram():
+    # the A3 construction fits in 3364 entries per class block; the dense
+    # Gram matrix of degree 4 needs 71^2 = 5041
+    from nwalgebra.nichols_core import MemoryBoundExceeded
+
+    state = AlgebraState(RootSystem(cartan_data("A", 3), memory_bound=5000))
+    with pytest.raises(MemoryBoundExceeded,
+                       match="^gram: the degree-4 Gram matrix needs 5041 entries$"):
+        state.gram(4)
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ ALLOWED = {
     "exactlinalg.in_span": "perfbench traces it (exactlinalg.in_span.*)",
     "integrals.lift_monomial_to_integral": PAPER_STATEMENT,
     "modp.greedy_solve": "perfbench times it (modp.micro.*, modp.greedy_solve.*)",
+    # no command pairs through it: the pairing walks the right derivatives
+    "nichols_core.AlgebraState.gram":
+        "perfbench traces it (nichols_core.structure.gram.*); the tests' pairing oracle",
 }
 
 # the refusals of a degree the cap does not reach: a degree past the cap
@@ -48,7 +51,7 @@ ACCUMULATORS = {
     "nichols_core.AlgebraState._candidate_vector":
         "scatters each root's block with its offset and sign, which mat_col cannot take",
     "nichols_core._derive_along":
-        "sums raw values across a word tree's leaves, canonical once per accumulator",
+        "sums raw values across the leaves of a derivative walk, canonical once per accumulator",
     "orbits.OrbitState._candidate":
         "scatters each moved block with its offset and sign, which mat_col cannot take",
     "orbits.OrbitState._degree_two_relations": "builds a two-entry vector by hand",

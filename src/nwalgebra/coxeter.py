@@ -1,5 +1,10 @@
 """Simply-laced crystallographic root systems and finite Weyl group arithmetic.
 
+A root system is named by its type and rank, a :data:`CartanData` such as
+(4, "D4"), and its Dynkin diagram follows from the type.  The type gives
+|R+| in closed form, so the bound on the reflection table is checked
+before anything is built, the Cartan form included.
+
 Roots are integer coefficient vectors over the simple roots, so every
 computation here is exact integer arithmetic.  Positive roots get a fixed
 canonical order (by height, then lexicographically on coefficients) and a
@@ -23,10 +28,8 @@ a set of elements; everything that orders elements sorts them by
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from math import lcm, prod
-
-SIMPLY_LACED_LABELS = ("A", "D", "E")
 
 #: bound on the size of any enumerated group, W or a subgroup
 ENUMERATION_BOUND = 3628800  # 10!
@@ -40,112 +43,48 @@ class CoxeterError(ValueError):
     pass
 
 
-class EnumerationBoundExceeded(CoxeterError):
+class EnumerationBoundExceeded(RuntimeError):
     pass
 
 
-class CartanData:
-    """A simply-laced Dynkin diagram: rank plus symmetric adjacency matrix.
-
-    Immutable and compared by value.  A plain slotted class, so importing
-    the CLI loads neither ``dataclasses`` nor ``inspect``."""
-
-    __slots__ = ("rank", "adjacency", "type_label")
-
-    def __init__(self, rank: int, adjacency: tuple, type_label: str):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "type_label", type_label)
-        if rank < 1:
-            raise CoxeterError("rank must be >= 1")
-        a = adjacency
-        if len(a) != rank or any(len(row) != rank for row in a):
-            raise CoxeterError("adjacency matrix has wrong shape")
-        for i in range(rank):
-            if a[i][i]:
-                raise CoxeterError("diagram has a loop")
-            for j in range(rank):
-                if a[i][j] not in (0, 1):
-                    raise CoxeterError("bond labels other than 3 are not simply laced")
-                if a[i][j] != a[j][i]:
-                    raise CoxeterError("adjacency matrix must be symmetric")
-        edges = sum(sum(row) for row in a) // 2
-        if edges >= rank and rank > 1:
-            raise CoxeterError("diagram contains a cycle")
-
-    def _fields(self):
-        return self.rank, self.adjacency, self.type_label
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CartanData is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CartanData is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not setattr
-        return CartanData, self._fields()
-
-    def __repr__(self):
-        return "CartanData(rank={!r}, adjacency={!r}, type_label={!r})".format(*self._fields())
-
-
-def _path_adjacency(n):
-    a = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        a[i][i + 1] = a[i + 1][i] = 1
-    return a
+#: a simply-laced Dynkin type, such as (4, "D4"): its rank and its label,
+#: the letter A, D or E followed by the rank.  The diagram follows from
+#: the type; :func:`positive_root_count` says which values name one.
+CartanData = namedtuple("CartanData", ("rank", "type_label"))
 
 
 def cartan_data(type_label: str, rank: int) -> CartanData:
-    """Construct the Cartan datum of type A_n, D_n or E6/E7/E8."""
+    """The Cartan datum of type A_n, D_n or E6/E7/E8."""
     t = type_label.upper()
-    if t == "A":
-        if rank < 1:
-            raise CoxeterError("type A needs rank >= 1")
-        a = _path_adjacency(rank)
-    elif t == "D":
-        if rank < 3:
-            raise CoxeterError("type D needs rank >= 3")
-        a = _path_adjacency(rank - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * rank)
-        # fork: last node attaches to node rank-3
-        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = 1
-    elif t == "E":
-        if rank not in (6, 7, 8):
-            raise CoxeterError("type E needs rank in {6, 7, 8}")
-        a = _path_adjacency(rank - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * rank)
-        # branch node attached to the third vertex of the chain
-        a[2][rank - 1] = a[rank - 1][2] = 1
-    else:
+    if t not in ("A", "D", "E"):
         raise CoxeterError(f"not a simply-laced type: {type_label!r}")
-    adj = tuple(tuple(row) for row in a)
-    return CartanData(rank=rank, adjacency=adj, type_label=f"{t}{rank}")
+    cartan = CartanData(rank, f"{t}{rank}")
+    positive_root_count(cartan)
+    return cartan
 
 
-def positive_root_count(cartan: CartanData):
-    """|R+| from its closed form, or None for a diagram of no named type."""
-    t, n = cartan.type_label[:1], cartan.rank
-    if cartan.type_label != f"{t}{n}":
-        return None
+def positive_root_count(cartan: CartanData) -> int:
+    """|R+| of the type, from its closed form.  Raises CoxeterError on a
+    value that names no type: a letter other than A, D or E, a rank out
+    of the letter's range, or a label other than the letter and the
+    rank."""
+    n, label = cartan
+    t = label[:1]
+    if t not in ("A", "D", "E"):
+        raise CoxeterError(f"not a simply-laced type: {label!r}")
+    if label != f"{t}{n}":
+        raise CoxeterError(f"{label!r} names no type of rank {n}")
     if t == "A":
+        if n < 1:
+            raise CoxeterError("type A needs rank >= 1")
         return n * (n + 1) // 2
     if t == "D":
+        if n < 3:
+            raise CoxeterError("type D needs rank >= 3")
         return n * (n - 1)
-    return {"E6": 36, "E7": 63, "E8": 120}.get(cartan.type_label)
+    if n not in (6, 7, 8):
+        raise CoxeterError("type E needs rank in {6, 7, 8}")
+    return {6: 36, 7: 63, 8: 120}[n]
 
 
 class RootSystem:
@@ -162,20 +101,27 @@ class RootSystem:
 
     def __init__(self, cartan: CartanData, memory_bound=DEFAULT_MEMORY_BOUND):
         # the nroots x nroots reflection table, O(rank) per entry, is
-        # bounded before any root is generated
+        # bounded before anything is built, the Cartan form included
         nroots = positive_root_count(cartan)
-        if nroots is not None and nroots * nroots * cartan.rank > ENUMERATION_BOUND:
+        if nroots * nroots * cartan.rank > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
                 f"{cartan.type_label} has {nroots} positive roots; its reflection "
                 f"table needs {nroots * nroots} entries of {cartan.rank} steps each, "
                 f"{nroots * nroots * cartan.rank} in all, over the bound {ENUMERATION_BOUND}")
         self.cartan = cartan
         self.memory_bound = memory_bound
-        self.rank = cartan.rank
+        self.rank = n = cartan.rank
+        t = cartan.type_label[0]
+        # the diagram: a path, whose last node D and E fork off node
+        # rank - 3 (D) or node 2 (E) instead
+        edges = [(i, i + 1) for i in range(n - 1)]
+        if t != "A":
+            edges[-1] = (n - 3 if t == "D" else 2, n - 1)
+        bonds = set(edges) | {(j, i) for i, j in edges}
         # symmetrized Cartan matrix: (b_i, b_j) = 2 d_ij - adjacency
         self.gram = tuple(
-            tuple(2 if i == j else -cartan.adjacency[i][j] for j in range(self.rank))
-            for i in range(self.rank)
+            tuple(2 if i == j else -1 if (i, j) in bonds else 0 for j in range(n))
+            for i in range(n)
         )
         self.roots = self._generate_positive_roots()
         self.nroots = len(self.roots)
@@ -195,7 +141,7 @@ class RootSystem:
         self._elements = None
         self._longest = None
         self._identity = None
-        self._is_type_a = cartan.type_label.startswith("A")
+        self._is_type_a = t == "A"
         if self._is_type_a:
             self._init_type_a_pairs()
 
@@ -362,8 +308,7 @@ class RootSystem:
 
     def from_permutation(self, perm) -> "GroupElement":
         """Type A only: build the element from a one-line permutation of 1..m."""
-        if not self._is_type_a:
-            raise CoxeterError("one-line permutations only exist in type A")
+        self.require_type_a("a one-line permutation")
         m = self.sym_m
         if not isinstance(perm, (list, tuple)) or any(type(i) is not int for i in perm) \
                 or sorted(perm) != list(range(1, m + 1)):
@@ -488,8 +433,7 @@ class GroupElement:
     def perm(self):
         """One-line permutation of 1..m (type A only)."""
         sys = self.system
-        if not sys._is_type_a:
-            raise CoxeterError("one-line permutations only exist in type A")
+        sys.require_type_a("a one-line permutation")
         m = sys.sym_m
         out = []
         for k in range(m - 1):
@@ -542,7 +486,7 @@ def centralizer_of_longest(system: RootSystem):
         j = node[-wo.images[system.simple_index[i]] - 1]
         if j < i:
             continue
-        word = (i,) if j == i else (i, j, i) if system.cartan.adjacency[i][j] else (i, j)
+        word = (i,) if j == i else (i, j, i) if system.gram[i][j] else (i, j)
         gens.append(system.from_word(word))
     if len(gens) == system.rank:
         return system.elements()

@@ -59,8 +59,6 @@ from __future__ import annotations
 from .coxeter import GroupElement, RootSystem
 from .exactlinalg import QQ, ZERO_COL, ColumnSolver, mat_col, neg_col, scalar_str
 
-Word = tuple
-
 #: known finite top degrees; everything else is built under a cap
 KNOWN_TOP = {"A1": 1, "A2": 4, "A3": 12}
 

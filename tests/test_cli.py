@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -322,12 +323,26 @@ def test_reduce_outside_type_a_is_a_usage_error(type_, rank, capsys):
      "check failed: bracket: no complete disjoint system of sufficient order"),
     (["dims", "--field", "prime", "--prime", "4"], 2,
      "error: --prime: prime mode requires a prime modulus, got 4"),
+    (["group", "--type", "D", "--rank", "4", "--element", "[1,2,3,4,5]"], 2,
+     "error: a one-line permutation is type A only, not D4"),
+    (["roots", "--rank", "100000"], 3,
+     "resource bound exceeded: A100000 has 5000050000 positive roots; its reflection table "
+     "needs 25000500002500000000 entries of 100000 steps each, "
+     "2500050000250000000000000 in all, over the bound 3628800"),
+    (["group", "--type", "D", "--rank", "100000"], 3,
+     "resource bound exceeded: D100000 has 9999900000 positive roots; its reflection table "
+     "needs 99998000010000000000 entries of 100000 steps each, "
+     "9999800001000000000000000 in all, over the bound 3628800"),
 ], ids=["reduce-D4", "reduce-E6", "malformed-monomial", "root-out-of-range",
-        "disjoint-no-mode", "bracket-no-system", "prime-4"])
+        "disjoint-no-mode", "bracket-no-system", "prime-4", "permutation-in-D4",
+        "roots-A100000", "group-D100000"])
 def test_a_refusal_is_raised_and_main_alone_reports_it(argv, code, err, capsys):
     # a handler raises; main picks the exit code and the stderr prefix of
-    # the exception's class, and the message is the whole of stderr
+    # the exception's class, and the message is the whole of stderr.  A
+    # bound is checked before anything of size rank^2 is built
+    start = time.perf_counter()
     assert cli.main(argv) == code
+    assert time.perf_counter() - start < 2.0
     out, got = capsys.readouterr()
     assert out == ""
     assert got == err + "\n"

@@ -1,16 +1,17 @@
-"""Every function, class and method that ``src/nwalgebra`` defines is
-named somewhere else in ``src/``, or is on the list below with the reason
-it stays: a command or a paper statement runs each helper, the
-benchmark in ``perfbench/`` names it, and an oracle that only tests
-call lives in ``tests/oracles.py``.  An entry kept for the benchmark
-names a function that ``perfbench/*.py`` names.  Every name a module
-reads is bound in it or is a builtin, every name it imports from the
-package is read, and only the functions on ``CAP_RAISERS`` raise
-``DegreeCapExceeded``.  In ``cli`` only ``main`` and ``_Phases.emit``
-write to stderr, and ``sys.exit`` runs only when ``cli`` is the program:
-a handler raises, and ``main`` picks the exit code.  One function sums
-sparse columns, ``exactlinalg.mat_col``: only it and the exceptions on
-``ACCUMULATORS`` accumulate into a dict by ``d[k] = d.get(k, 0) + ...``."""
+"""Every function, class, method and module-level assigned name that
+``src/nwalgebra`` defines is named somewhere else in ``src/``, or is on
+the list below with the reason it stays: a command or a paper statement
+runs each helper, the benchmark in ``perfbench/`` names it, and an
+oracle that only tests call lives in ``tests/oracles.py``.  An entry
+kept for the benchmark is named in ``perfbench/*.py``.
+Every name a module reads is bound in it or is a builtin, every name it
+imports from the package is read, and only the functions on
+``CAP_RAISERS`` raise ``DegreeCapExceeded``.  In ``cli`` only ``main``
+and ``_Phases.emit`` write to stderr, and ``sys.exit`` runs only when
+``cli`` is the program: a handler raises, and ``main`` picks the exit
+code.  One function sums sparse columns, ``exactlinalg.mat_col``: only
+it and the exceptions on ``ACCUMULATORS`` accumulate into a dict by
+``d[k] = d.get(k, 0) + ...``."""
 
 import ast
 import builtins
@@ -27,6 +28,7 @@ ALLOWED = {
     "disjoint.motiv_check": PAPER_STATEMENT,
     "exactlinalg.in_span": "perfbench traces it (exactlinalg.in_span.*)",
     "integrals.lift_monomial_to_integral": PAPER_STATEMENT,
+    "modp.USE_NUMBA": "perfbench's run record reads it (kernel_path)",
     "modp.greedy_solve": "perfbench times it (modp.micro.*, modp.greedy_solve.*)",
     # no command pairs through it: the pairing walks the right derivatives
     "nichols_core.AlgebraState.gram":
@@ -118,8 +120,9 @@ def _stored(node):
 
 
 def unreferenced(src):
-    """Qualified names of the module-level functions and classes, and the
-    non-dunder methods, that no code in ``src`` names outside their own
+    """Qualified names of the module-level functions, classes and
+    non-dunder names that an assignment binds, and the non-dunder
+    methods, that no code in ``src`` names outside their own
     definition.  A module-level name of module M counts as named only by
     a bare load in M, by ``from .M import`` of it, or by a loaded
     ``M.name``: a same-named store, import or definition elsewhere does
@@ -134,6 +137,12 @@ def unreferenced(src):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{path.stem}.{node.name}", node.name, path, node, False))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(f"{path.stem}.{t.id}", t.id, path, node, False)
+                         for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)
+                         and not (t.id.startswith("__") and t.id.endswith("__"))]
             if isinstance(node, ast.ClassDef):
                 defs += [(f"{path.stem}.{node.name}.{sub.name}", sub.name, path, sub, True)
                          for sub in node.body if isinstance(sub, ast.FunctionDef)
@@ -230,6 +239,20 @@ def test_a_store_or_import_of_the_same_name_elsewhere_names_no_function(tmp_path
         "def run(data):\n    return element_from_json(data), Field.normalize(-1)\n")
     assert unreferenced(tmp_path) == ["core.element_from_json", "core.main",
                                       "core.normalize", "field.run"]
+
+
+def test_a_module_level_name_that_nothing_reads_is_flagged(tmp_path):
+    # an assigned or annotated module-level name, alone or in a tuple
+    # target, is named like a function: a dunder such as __all__ is not
+    # checked, and a same-named attribute elsewhere does not name it
+    (tmp_path / "core.py").write_text(
+        "__all__ = [\"BOUND\"]\nBOUND = 10\nLABELS = (\"A\", \"D\")\nWord = tuple\n"
+        "CAP: int = 6\nLOW, HIGH = 1, 2\n\n\n"
+        "def run(state):\n    return BOUND + LOW, state.Word\n")
+    (tmp_path / "cli.py").write_text(
+        "from .core import run\nimport core\n\n\n"
+        "def main(state):\n    return run(state), core.CAP\n")
+    assert unreferenced(tmp_path) == ["cli.main", "core.HIGH", "core.LABELS", "core.Word"]
 
 
 def test_a_stored_attribute_of_the_same_name_names_a_method_only_by_a_call(tmp_path):
